@@ -188,7 +188,7 @@ def update_intersection(own_joint, own_dims, received):
     h = np.concatenate([own_joint.h] + [Zl.h for Zl, _, _ in received])
     ng_list = [own_joint.n_generators] + [Zl.n_generators for Zl, _, _ in received]
     total_ng = int(np.sum(ng_list))
-    A = _blockdiag_rows(A_blocks, ng_list, total_ng)
+    A = czono._blockdiag(*A_blocks)
     rows = []
     rhs = []
     ofs = ng_list[0]
@@ -210,18 +210,6 @@ def update_intersection(own_joint, own_dims, received):
     else:
         b = np.concatenate(b_parts) if b_parts else np.zeros(0)
     return ConstrainedZonotope(G, co, A, b, h)
-
-
-def _blockdiag_rows(blocks, ng_list, total_ng):
-    rows = sum(B.shape[0] for B in blocks)
-    out = np.zeros((rows, total_ng))
-    r = 0
-    c = 0
-    for B, ng in zip(blocks, ng_list):
-        out[r : r + B.shape[0], c : c + ng] = B
-        r += B.shape[0]
-        c += ng
-    return out
 
 
 def finalize_hull(Z):

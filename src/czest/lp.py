@@ -15,6 +15,7 @@ constraints or without variables are solved in closed form.
 """
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize._highspy import _core as _highs
 
 EPS_LP = 1e-9
@@ -65,23 +66,26 @@ class LpResult:
 class LinearProgram:
     """A fixed feasible region ``{x : A x = b, lo <= x <= hi}``.
 
-    ``solve`` may be called repeatedly with different objectives; after the
-    first call the previous optimal basis warm-starts the next one.
+    ``A`` is a dense 2-d array or a ``scipy.sparse`` matrix.  ``solve`` may
+    be called repeatedly with different objectives; after the first call
+    the previous optimal basis warm-starts the next one.
     """
 
     def __init__(self, A, b, lo, hi):
-        A = np.asarray(A, dtype=float)
+        if not sparse.issparse(A):
+            A = np.asarray(A, dtype=float)
+            if A.ndim != 2:
+                raise ValueError("A must be a 2-d array")
+        A = sparse.csc_matrix(A, dtype=float)
         b = np.asarray(b, dtype=float).ravel()
         lo = np.asarray(lo, dtype=float).ravel()
         hi = np.asarray(hi, dtype=float).ravel()
-        if A.ndim != 2:
-            raise ValueError("A must be a 2-d array")
         m, n = A.shape
         if b.shape[0] != m:
             raise ValueError(f"b has length {b.shape[0]}, expected {m}")
         if lo.shape[0] != n or hi.shape[0] != n:
             raise ValueError("bound vectors must have length n")
-        if np.any(np.isnan(A)) or np.any(np.isnan(b)):
+        if np.any(np.isnan(A.data)) or np.any(np.isnan(b)):
             raise ValueError("NaN in constraint data")
         if np.any(lo > hi):
             raise ValueError("lo > hi for some variable")
@@ -119,8 +123,9 @@ class LinearProgram:
             h.getModelStatus() == _highs.HighsModelStatus.kNotset
         ):
             # HiGHS refuses threads=1 once another caller in this process
-            # (linprog, default threads) has started its global scheduler
-            # with more; a fresh scheduler takes this model's setting.
+            # (scipy.optimize's HiGHS front end with its default thread
+            # count) has started its global scheduler with more; a fresh
+            # scheduler takes this model's setting.
             _highs._Highs.resetGlobalScheduler(True)
             h.run()
         model_status = h.getModelStatus()
@@ -155,9 +160,8 @@ class LinearProgram:
 
 
 def _build_model(A, b, lo, hi):
-    """A HiGHS instance holding the region, columns in compressed form."""
+    """A HiGHS instance holding the region; A is a CSC matrix."""
     m, n = A.shape
-    nz_cols, nz_rows = np.nonzero(A.T)
     lp = _highs.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = m
@@ -170,9 +174,9 @@ def _build_model(A, b, lo, hi):
     mat.format_ = _highs.MatrixFormat.kColwise
     mat.num_col_ = n
     mat.num_row_ = m
-    mat.start_ = np.concatenate([[0], np.cumsum(np.bincount(nz_cols, minlength=n))])
-    mat.index_ = nz_rows
-    mat.value_ = A.T[nz_cols, nz_rows]
+    mat.start_ = A.indptr
+    mat.index_ = A.indices
+    mat.value_ = A.data
     h = _highs._Highs()
     for key, val in _HIGHS_OPTIONS.items():
         h.setOptionValue(key, val)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import OptimizeWarning, linprog
 from scipy.optimize._highspy._core import _Highs
 
@@ -89,12 +90,17 @@ def test_warm_start_matches_cold_start():
     b = A @ xi
     lo, hi = -np.ones(7), np.ones(7)
     prob = LinearProgram(A, b, lo, hi)
+    # a scipy.sparse copy of the region is the same HiGHS model
+    prob_sparse = LinearProgram(sparse.csr_matrix(A), b, lo, hi)
     for trial in range(10):
         c = rng.standard_normal(7)
         warm = prob.solve(c)
         cold = LinearProgram(A, b, lo, hi).solve(c)
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, abs=1e-8)
+        warm_sparse = prob_sparse.solve(c)
+        assert warm_sparse.value == warm.value
+        assert np.array_equal(warm_sparse.x, warm.x)
 
 
 def _random_instance(rng):

@@ -2,12 +2,12 @@
 
 import json
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize._highspy import _core as _highs
 
-from czest import czono, simharness
+from czest import czono, lp, simharness, verify
 from czest.simharness import NoiseSampler, ScenarioConfig, TrialLog
 
 
@@ -102,16 +102,24 @@ class TestDeterminism:
 
 class TestBackends:
     def test_hull_backends_agree_uav(self):
-        auto = simharness.run_trial(small_uav(), 0, metrics="full")
-        czpath = simharness.run_trial(
-            small_uav(hull_backend="czono"), 0, metrics="full"
-        )
-        for sa, sb in zip(auto.steps, czpath.steps):
-            for alg in ("centralized", "oit"):
-                for agent in sa["algs"][alg]:
-                    ha = np.asarray(sa["algs"][alg][agent]["hull"])
-                    hb = np.asarray(sb["algs"][alg][agent]["hull"])
-                    assert np.abs(ha - hb).max() < 1e-6
+        # logged trajectory-LP hulls vs hulls of the accumulated sets
+        cfg = small_uav()
+        log = simharness.run_trial(cfg, 0, metrics="full")
+        devs = verify._replay_hull_deviations(cfg, log)
+        assert len(devs) == 4 * 2 * 5
+        assert max(d[3] for d in devs) < 1e-6
+
+    def test_backend_check_detects_widened_hulls(self, monkeypatch):
+        hull = simharness._TrajectoryLP.hull
+
+        def widened(self):
+            box = hull(self)
+            return czono.Box(box.lo - 1e-3, box.hi + 1e-3)
+
+        monkeypatch.setattr(simharness._TrajectoryLP, "hull", widened)
+        results = verify.backend_check(horizon=3)
+        assert [r.name for r in results] == ["backends.uav5", "backends.pair1d"]
+        assert all(r.failures == r.cases > 0 for r in results)
 
     def test_containment_flags_match_full_metrics(self):
         full = simharness.run_trial(small_uav(), 0, metrics="full")
@@ -191,13 +199,33 @@ class TestNoiseViolation:
         assert log.aborted is not None or log.violations > 0
 
 
+class _SolveErrorHighs:
+    """A HiGHS model that reports "solve error" after every run."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def getModelStatus(self):
+        return _highs.HighsModelStatus.kSolveError
+
+
 class TestSolverFailure:
     def test_linprog_failure_aborts_instead_of_violating(self, monkeypatch):
-        # status 4 ("numerical difficulties") is neither contained nor not
-        def failing_linprog(*args, **kwargs):
-            return SimpleNamespace(status=4, fun=None, message="numerical difficulties")
-
-        monkeypatch.setattr(simharness, "linprog", failing_linprog)
+        # "solve error" is neither optimal, infeasible nor unbounded
+        build = lp._build_model
+        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorHighs(build(*args)))
         log = simharness.run_trial(small_uav(h=3), 0, metrics="containment")
         assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0
+
+    def test_trajectory_lp_does_not_use_linprog(self, monkeypatch):
+        def no_linprog(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(simharness, "linprog", no_linprog)
+        log = simharness.run_trial(small_uav(h=3), 0, metrics="full")
+        assert log.aborted is None
         assert log.violations == 0
