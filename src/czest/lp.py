@@ -6,7 +6,10 @@ HiGHS model of its feasible region (the solver bundled with scipy, reached
 through its ``_highspy`` binding).  The model is passed to HiGHS once;
 ``solve`` only swaps the objective, so after the first call HiGHS starts
 from the previous optimal basis and an interval hull's 2n bounds over one
-region pay for the initial basis only once.
+region pay for the initial basis only once.  A region can grow in place:
+``extend`` appends columns and rows and ``set_bounds`` changes column
+bounds, both on the same model, so the next solve also starts from the
+last basis.
 
 HiGHS runs single-threaded with a fixed random seed, so identical inputs
 give identical answers.  Its primal and dual feasibility tolerances are
@@ -67,35 +70,66 @@ class LinearProgram:
     """A fixed feasible region ``{x : A x = b, lo <= x <= hi}``.
 
     ``A`` is a dense 2-d array or a ``scipy.sparse`` matrix.  ``solve`` may
-    be called repeatedly with different objectives; after the first call
-    the previous optimal basis warm-starts the next one.
+    be called repeatedly with different objectives, and between solves
+    the region may be extended or its bounds changed; after the first
+    call the previous basis warm-starts the next one.
     """
 
     def __init__(self, A, b, lo, hi):
-        if not sparse.issparse(A):
-            A = np.asarray(A, dtype=float)
-            if A.ndim != 2:
-                raise ValueError("A must be a 2-d array")
-        A = sparse.csc_matrix(A, dtype=float)
-        b = np.asarray(b, dtype=float).ravel()
-        lo = np.asarray(lo, dtype=float).ravel()
-        hi = np.asarray(hi, dtype=float).ravel()
-        m, n = A.shape
-        if b.shape[0] != m:
-            raise ValueError(f"b has length {b.shape[0]}, expected {m}")
-        if lo.shape[0] != n or hi.shape[0] != n:
-            raise ValueError("bound vectors must have length n")
-        if np.any(np.isnan(A.data)) or np.any(np.isnan(b)):
-            raise ValueError("NaN in constraint data")
-        if np.any(lo > hi):
-            raise ValueError("lo > hi for some variable")
-        self.m = m
-        self.n = n
-        self.lo = lo
-        self.hi = hi
+        A, b = _region_rows(A, b)
+        self.m, self.n = A.shape
+        lo, hi = _bound_vectors(lo, hi, self.n)
+        # own copies: set_bounds changes them in place
+        self.lo, self.hi = lo.copy(), hi.copy()
+        self._pass(A, b)
+
+    def _pass(self, A, b):
+        """Hand the whole region to a new HiGHS model (none for the
+        closed-form shapes)."""
+        self._b = b
         # rows over no variables read 0 = b
-        self._empty = n == 0 and bool(np.any(np.abs(b) > EPS_LP))
-        self._highs = _build_model(A, b, lo, hi) if m and n else None
+        self._empty = self.n == 0 and bool(np.any(np.abs(b) > EPS_LP))
+        self._highs = _build_model(A, b, self.lo, self.hi) if self.m and self.n else None
+
+    def extend(self, lo, hi, A, b):
+        """Append columns with bounds [lo, hi] and the rows ``A x = b``.
+
+        The new columns enter no existing row; ``A`` spans all columns,
+        old then new.  The grown region keeps its HiGHS model, so the next
+        solve starts from the current basis (new rows basic, new columns
+        at a bound).
+        """
+        A, b = _region_rows(A, b, sparse.csr_matrix)
+        r, n = A.shape
+        added = n - self.n
+        lo, hi = _bound_vectors(lo, hi, added)
+        self.lo = np.concatenate([self.lo, lo])
+        self.hi = np.concatenate([self.hi, hi])
+        m = self.m
+        self.m, self.n = m + r, n
+        h = self._highs
+        if h is None:
+            # closed form so far: no rows, or rows over no variables, so
+            # the old rows hold zeros only
+            if m:
+                A = sparse.vstack([sparse.csr_matrix((m, n)), A])
+            self._pass(A.tocsc(), np.concatenate([self._b, b]))
+            return
+        if added:
+            h.addCols(added, np.zeros(added), lo, hi, 0,
+                      np.zeros(added, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+        if r:
+            h.addRows(r, b, b, A.nnz, A.indptr[:-1].astype(np.int32, copy=False),
+                      A.indices.astype(np.int32, copy=False), A.data)
+
+    def set_bounds(self, cols, lo, hi):
+        """Change the bounds of the listed columns in place."""
+        cols = np.asarray(cols, dtype=np.int32).ravel()
+        lo, hi = _bound_vectors(lo, hi, cols.size)
+        self.lo[cols] = lo
+        self.hi[cols] = hi
+        if self._highs is not None:
+            self._highs.changeColsBounds(cols.size, cols, lo, hi)
 
     def solve(self, c, sense="min"):
         """Optimize c^T x over the region.  Returns LpResult."""
@@ -157,6 +191,33 @@ class LinearProgram:
                 elif np.isfinite(self.hi[j]):
                     x[j] = self.hi[j]
         return LpResult(OPTIMAL, float(c @ x), x)
+
+
+def _bound_vectors(lo, hi, n):
+    """Validated float bound vectors of length n."""
+    lo = np.asarray(lo, dtype=float).ravel()
+    hi = np.asarray(hi, dtype=float).ravel()
+    if lo.shape[0] != n or hi.shape[0] != n:
+        raise ValueError(f"bound vectors must have length {n}")
+    if np.any(lo > hi):
+        raise ValueError("lo > hi for some variable")
+    return lo, hi
+
+
+def _region_rows(A, b, fmt=sparse.csc_matrix):
+    """Validated (sparse matrix in ``fmt``, right-hand side) of the rows A x = b."""
+    if not sparse.issparse(A):
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise ValueError("A must be a 2-d array")
+    if not (isinstance(A, fmt) and A.dtype == np.float64):
+        A = fmt(A, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    if b.shape[0] != A.shape[0]:
+        raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
+    if np.any(np.isnan(A.data)) or np.any(np.isnan(b)):
+        raise ValueError("NaN in constraint data")
+    return A, b
 
 
 def _build_model(A, b, lo, hi):

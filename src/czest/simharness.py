@@ -13,10 +13,17 @@ are answered by an equivalent sparse "trajectory" LP over the history
 window (states and noises as explicit variables) instead of the
 accumulated generator form.  Both describe the same set; the ``backends``
 verify suite replays logged trials through the filters and checks that
-the hulls of their accumulated sets match the logged ones.  Each window's
-LP is one ``lp.LinearProgram``; the hull of the whole final state is
-solved once per window, warm-started, and sliced per agent.  The
-distributed filter's hulls come from the filter itself.
+the hulls of their accumulated sets match the logged ones.  Each LP is
+one ``lp.LinearProgram`` assembled step by step (``_TrajectoryLP.extend``
+appends a step's noise and state columns with its dynamics and
+measurement rows).  The whole-history LP is one model per trial, grown
+in place as steps arrive, so its solves warm-start from the last basis
+across steps; the fixed-lag filter reads it for k <= delta_bar and
+builds its own window afresh each step after that.  The hull of the
+whole final state is solved once per step and sliced per agent; a
+containment probe pins the final state through its bounds, solves, and
+restores them, and its answer is cached for the step.  The distributed
+filter's hulls come from the filter itself.
 """
 
 import json
@@ -274,24 +281,40 @@ def _initial_ranges(cfg, rng):
 
 
 class _History:
-    """Per-trial record of stacked data, one entry per measurement step."""
+    """Per-trial record of stacked data, one entry per measurement step.
+
+    The trajectory LP over the whole history is one model, grown in place
+    by the steps it has not seen yet whenever it is asked for; a window
+    with a free initial state is built afresh for each step.
+    """
 
     def __init__(self, x0_box):
-        self.x0_box = x0_box
         self.steps = []  # dicts: A_prev, B, w_box, H, v_box, Y
-        self._lp_cache = {}
+        self._grown = _TrajectoryLP(x0_box.dim, x0_box)
+        self._windows = {}  # t0 -> window LP of the last step
 
     def append(self, A_prev, B, w_box, H, v_box, Y):
         self.steps.append(
             {"A": A_prev, "B": B, "w": w_box, "H": H, "v": v_box, "Y": Y}
         )
-        self._lp_cache.clear()
+        self._windows = {}
 
-    def lp(self, t0, k, x0_box, meas_at_t0):
-        key = (t0, k, x0_box is None, meas_at_t0)
-        if key not in self._lp_cache:
-            self._lp_cache[key] = _TrajectoryLP(self, t0, k, x0_box, meas_at_t0)
-        return self._lp_cache[key]
+    def trajectory(self):
+        """The LP over steps 0..k from the initial box (k the last step)."""
+        traj = self._grown
+        for entry in self.steps[traj.length :]:
+            traj.extend(entry)
+        return traj
+
+    def window(self, t0):
+        """The LP over steps t0..k, x_{t0} free and measured at t0."""
+        if t0 not in self._windows:
+            steps = self.steps
+            traj = _TrajectoryLP(steps[0]["A"].shape[0], None, steps[t0 - 1])
+            for entry in steps[t0:]:
+                traj.extend(entry)
+            self._windows[t0] = traj
+        return self._windows[t0]
 
 
 class _TrajectoryLP:
@@ -300,98 +323,82 @@ class _TrajectoryLP:
     The feasible set projected on x_k equals the filter posterior: the
     dynamics rows encode the prediction, the measurement rows the update.
     ``x0_box=None`` leaves the window's initial state free, matching the
-    fixed-lag rebuild from an unbounded prior.
+    fixed-lag rebuild from an unbounded prior; ``t0_entry`` adds that
+    step's measurement of the initial state.  ``extend`` appends one step
+    to the same ``lp.LinearProgram``, so every solve after the first
+    starts from the last basis, across steps too.
     """
 
-    def __init__(self, history, t0, k, x0_box, meas_at_t0):
-        steps = history.steps
-        n = steps[0]["A"].shape[0]
+    def __init__(self, n, x0_box=None, t0_entry=None):
         self.n = n
-        rows = []
-        cols = []
-        vals = []
-        beq = []
-        lb = []
-        ub = []
-        nvar = 0
-
-        def add_vars(count, lo, hi):
-            nonlocal nvar
-            start = nvar
-            nvar += count
-            lb.extend(np.broadcast_to(lo, (count,)).tolist())
-            ub.extend(np.broadcast_to(hi, (count,)).tolist())
-            return start
-
+        self.length = 0  # steps appended by extend
+        self.x_final = 0  # first column of the final state
         if x0_box is None:
-            x_prev = add_vars(n, -np.inf, np.inf)
+            lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
         else:
-            x_prev = add_vars(n, 0.0, 0.0)
-            lb[x_prev : x_prev + n] = x0_box.lo.tolist()
-            ub[x_prev : x_prev + n] = x0_box.hi.tolist()
-        nrow = 0
-
-        def add_meas(entry, x_at):
-            nonlocal nrow
-            H, vbox, Y = entry["H"], entry["v"], entry["Y"]
-            m = H.shape[0]
-            if m == 0:
-                return
-            v_at = add_vars(m, vbox.lo, vbox.hi)
-            hr, hc = np.nonzero(H)
-            rows.extend((nrow + hr).tolist())
-            cols.extend((x_at + hc).tolist())
-            vals.extend(H[hr, hc].tolist())
-            rows.extend(range(nrow, nrow + m))
-            cols.extend(range(v_at, v_at + m))
-            vals.extend([1.0] * m)
-            beq.extend(Y.tolist())
-            nrow += m
-
-        if meas_at_t0:
-            add_meas(steps[t0 - 1], x_prev)
-        for t in range(t0 + 1, k + 1):
-            entry = steps[t - 1]
-            A, B, wbox = entry["A"], entry["B"], entry["w"]
-            p = B.shape[1]
-            w_at = add_vars(p, wbox.lo, wbox.hi)
-            x_at = add_vars(n, -np.inf, np.inf)
-            ar, ac = np.nonzero(A)
-            rows.extend((nrow + ar).tolist())
-            cols.extend((x_prev + ac).tolist())
-            vals.extend((-A[ar, ac]).tolist())
-            br, bc = np.nonzero(B)
-            rows.extend((nrow + br).tolist())
-            cols.extend((w_at + bc).tolist())
-            vals.extend((-B[br, bc]).tolist())
-            rows.extend(range(nrow, nrow + n))
-            cols.extend(range(x_at, x_at + n))
-            vals.extend([1.0] * n)
-            beq.extend([0.0] * n)
-            nrow += n
-            x_prev = x_at
-            add_meas(entry, x_at)
-        self.x_final = x_prev
-        self.nvar = nvar
-        self.A_eq = sparse.csc_matrix(
-            sparse.coo_matrix((vals, (rows, cols)), shape=(nrow, nvar))
-        )
-        self.b_eq = np.array(beq)
-        self.lb = np.array(lb)
-        self.ub = np.array(ub)
+            lo, hi = x0_box.lo, x0_box.hi
+        self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
+        if t0_entry is not None:
+            # measurement rows  H x_{t0} + v = Y
+            H, vbox = t0_entry["H"], t0_entry["v"]
+            self._append(vbox.lo, vbox.hi, np.hstack([H, np.eye(H.shape[0])]), t0_entry["Y"])
         self._hull = None
+        self._probes = {}
+
+    def extend(self, entry):
+        """Append one step: columns w, x_k, v and the rows
+
+        dynamics     x_k - A x_{k-1} - B w = 0,
+        measurement  H x_k + v = Y.
+        """
+        A, B, H = entry["A"], entry["B"], entry["H"]
+        n, p, m = self.n, B.shape[1], H.shape[0]
+        # columns: x_{k-1}, then the new w, x_k, v
+        D = np.zeros((n + m, n + p + n + m))
+        D[:n, :n] = -A
+        D[:n, n : n + p] = -B
+        D[:n, n + p : 2 * n + p] = np.eye(n)
+        D[n:, n + p : 2 * n + p] = H
+        D[n:, 2 * n + p :] = np.eye(m)
+        wbox, vbox = entry["w"], entry["v"]
+        x_at = self.program.n + p
+        self._append(
+            np.concatenate([wbox.lo, np.full(n, -np.inf), vbox.lo]),
+            np.concatenate([wbox.hi, np.full(n, np.inf), vbox.hi]),
+            D,
+            np.concatenate([np.zeros(n), entry["Y"]]),
+        )
+        self.x_final = x_at
+        self.length += 1
+        self._hull = None
+        self._probes = {}
+
+    def _append(self, lo, hi, D, b):
+        """Append columns with bounds [lo, hi] and the rows D y = b, where
+        y is the final state followed by the new columns."""
+        region = self.program
+        cols = np.concatenate([
+            np.arange(self.x_final, self.x_final + self.n),
+            np.arange(region.n, region.n + lo.size),
+        ])
+        r, c = np.nonzero(D)  # row-major, so already CSR order
+        indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
+        rows = sparse.csr_matrix(
+            (D[r, c], cols[c], indptr), shape=(D.shape[0], region.n + lo.size)
+        )
+        region.extend(lo, hi, rows, b)
 
     def hull(self):
-        """Interval hull of the final state, solved once and cached.
+        """Interval hull of the final state, solved once per step and cached.
 
-        The 2n bounds are solved over one LinearProgram, each warm-started
-        from the previous one's basis.
+        The 2n bounds are solved over the one LinearProgram, each
+        warm-started from the previous one's basis.
         """
         if self._hull is None:
-            region = lp.LinearProgram(self.A_eq, self.b_eq, self.lb, self.ub)
+            region = self.program
             lo = np.empty(self.n)
             hi = np.empty(self.n)
-            c = np.zeros(self.nvar)
+            c = np.zeros(region.n)
             for j in range(self.n):
                 c[self.x_final + j] = 1.0
                 rmin = region.solve(c, sense="min")
@@ -407,15 +414,23 @@ class _TrajectoryLP:
         return self._hull
 
     def contains_final(self, x, coords=None):
-        """True iff some trajectory ends at x (on the listed coords)."""
-        lb = self.lb.copy()
-        ub = self.ub.copy()
-        coords = range(self.n) if coords is None else coords
-        for out, j in enumerate(coords):
-            lb[self.x_final + j] = x[out]
-            ub[self.x_final + j] = x[out]
-        pinned = lp.LinearProgram(self.A_eq, self.b_eq, lb, ub)
-        return pinned.solve(np.zeros(self.nvar)).status != lp.INFEASIBLE
+        """True iff some trajectory ends at x (on the listed coords).
+
+        The final state is pinned through its bounds, which are restored
+        after the solve; the answer is cached for the step.
+        """
+        coords = tuple(range(self.n) if coords is None else coords)
+        x = np.asarray(x, dtype=float)
+        key = (coords, x.tobytes())
+        if key not in self._probes:
+            region = self.program
+            cols = self.x_final + np.array(coords, dtype=int)
+            lo, hi = region.lo[cols], region.hi[cols]
+            region.set_bounds(cols, x, x)
+            status = region.solve(np.zeros(region.n)).status
+            region.set_bounds(cols, lo, hi)
+            self._probes[key] = status != lp.INFEASIBLE
+        return self._probes[key]
 
 
 # -- trial logs ---------------------------------------------------------------
@@ -525,16 +540,22 @@ def run_trial(cfg, trial_index=0, metrics="full"):
             "initial": {str(i): _box_out(init_boxes[i]) for i in ids},
         }
     )
+    # system_from_dict builds every noise range as a box, so each range is
+    # its interval hull; the draws are those of NoiseSampler.from_cz
+    agents = system.agents
+    w_boxes = [czono.interval_hull(agents[i].Wset) for i in ids]
+    v_boxes = {i: czono.interval_hull(agents[i].Vset) for i in ids}
+    r_boxes = {
+        (i, j): czono.interval_hull(agents[i].Rset_of[j])
+        for i in ids
+        for j in system.topology.in_neighbors(i)
+    }
     aborted = None
     for k in range(1, cfg.K + 1):
-        w = np.concatenate([sampler.from_cz(system.agents[i].Wset) for i in ids])
+        w = np.concatenate([sampler.from_box(box) for box in w_boxes])
         truth = sysmodel.step_truth(system, k - 1, truth, w)
-        v = {i: sampler.from_cz(system.agents[i].Vset) for i in ids}
-        r = {
-            (i, j): sampler.from_cz(system.agents[i].Rset_of[j])
-            for i in ids
-            for j in system.topology.in_neighbors(i)
-        }
+        v = {i: sampler.from_box(box) for i, box in v_boxes.items()}
+        r = {key: sampler.from_box(box) for key, box in r_boxes.items()}
         batch = sysmodel.measure(system, k, truth, v, r)
         prev = sysmodel.build_centralized(system, k - 1)
         cur = sysmodel.build_centralized(system, k)
@@ -596,9 +617,9 @@ def _step_metrics(alg, f, cfg, history, k, truth, slices, metrics):
     # history-backed filters: centralized over the whole past, fixed-lag
     # over its window with a free initial state
     if alg == "oit" and k > cfg.delta_bar:
-        traj = history.lp(k - cfg.delta_bar, k, None, True)
+        traj = history.window(k - cfg.delta_bar)
     else:
-        traj = history.lp(0, k, history.x0_box, False)
+        traj = history.trajectory()
     contained_all = traj.contains_final(truth)
     hull = traj.hull() if metrics == "full" else None
     for i in ids:

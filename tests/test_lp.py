@@ -169,3 +169,86 @@ def test_solves_after_highs_scheduler_started_with_more_threads():
     res = LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [2, 2]).solve([1.0, 0.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-9)
+
+
+def _block_region(rng, m1, m2, n1, n2):
+    """A region whose last n2 columns enter only its last m2 rows."""
+    A = np.zeros((m1 + m2, n1 + n2))
+    A[:m1, :n1] = rng.standard_normal((m1, n1))
+    A[m1:] = rng.standard_normal((m2, n1 + n2))
+    n = n1 + n2
+    lo = np.where(rng.random(n) < 0.2, -np.inf, rng.uniform(-2, 0, n))
+    hi = np.where(rng.random(n) < 0.2, np.inf, rng.uniform(0, 2, n))
+    with np.errstate(invalid="ignore"):
+        mid = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2, 0.0)
+    b = A @ (mid + rng.uniform(-0.3, 0.3, n))
+    if rng.random() < 0.2:
+        b[m1:] += rng.standard_normal(m2) * 5
+    return A, b, lo, hi
+
+
+@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+def test_grown_region_matches_fresh(fmt):
+    rng = np.random.default_rng(31)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(60):
+        m1, m2 = int(rng.integers(0, 3)), int(rng.integers(0, 4))
+        n1, n2 = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        A, b, lo, hi = _block_region(rng, m1, m2, n1, n2)
+        grown = LinearProgram(fmt(A[:m1, :n1]), b[:m1], lo[:n1], hi[:n1])
+        grown.solve(rng.standard_normal(n1))  # the extension starts from a basis
+        grown.extend(lo[n1:], hi[n1:], fmt(A[m1:]), b[m1:])
+        fresh = LinearProgram(fmt(A), b, lo, hi)
+        assert (grown.m, grown.n) == (fresh.m, fresh.n) == A.shape
+        for _ in range(4):
+            c = rng.standard_normal(n1 + n2)
+            g, f = grown.solve(c), fresh.solve(c)
+            assert g.status == f.status
+            if f.status == OPTIMAL:
+                assert g.value == pytest.approx(f.value, abs=1e-9, rel=1e-9)
+            statuses[g.status] += 1
+    assert all(v > 0 for v in statuses.values()), statuses
+
+
+@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+def test_extension_that_empties_the_region(fmt):
+    # x1 + x2 = 1 over [0, 1]^2; then x3 in [0, 2] with x1 + x3 = 4
+    prog = LinearProgram(fmt(np.array([[1.0, 1.0]])), [1.0], [0, 0], [1, 1])
+    assert prog.solve([1.0, 0.0]).status == OPTIMAL
+    prog.extend([0.0], [2.0], fmt(np.array([[1.0, 0.0, 1.0]])), [4.0])
+    fresh = LinearProgram(fmt(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])), [1.0, 4.0],
+                          [0, 0, 0], [1, 1, 2])
+    for c in ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
+        assert prog.solve(c).status == fresh.solve(c).status == INFEASIBLE
+
+
+def test_extension_of_closed_form_programs():
+    # no rows yet, then rows: the model is built at the extension
+    prog = LinearProgram(np.zeros((0, 2)), [], [-1, -1], [1, 1])
+    assert prog.solve([1.0, 1.0]).value == pytest.approx(-2.0)
+    prog.extend([], [], [[1.0, -1.0]], [0.5])
+    assert prog.solve([1.0, 1.0]).value == pytest.approx(-1.5, abs=1e-9)
+    # rows over no variables (0 = 1) stay infeasible once columns arrive
+    empty = LinearProgram(np.zeros((1, 0)), [1.0], [], [])
+    empty.extend([0.0], [1.0], [[1.0]], [0.5])
+    assert empty.solve([1.0]).status == INFEASIBLE
+
+
+@pytest.mark.parametrize("rows", [1, 0], ids=["model", "closed-form"])
+def test_set_bounds_then_restore_returns_optimum(rows):
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((rows, 5))
+    lo, hi = -np.ones(5), np.ones(5)
+    prog = LinearProgram(A, A @ rng.uniform(-0.5, 0.5, 5), lo, hi)
+    c = rng.standard_normal(5)
+    before = prog.solve(c)
+    prog.set_bounds([1, 3], [0.25, -0.5], [0.25, -0.5])
+    pinned = prog.solve(c)
+    assert pinned.x[1] == pytest.approx(0.25, abs=1e-9)
+    assert pinned.x[3] == pytest.approx(-0.5, abs=1e-9)
+    assert pinned.value >= before.value - 1e-9
+    prog.set_bounds([1, 3], lo[[1, 3]], hi[[1, 3]])
+    after = prog.solve(c)
+    assert after.status == before.status == OPTIMAL
+    assert after.value == pytest.approx(before.value, abs=1e-9)
+    assert np.array_equal(prog.lo, lo) and np.array_equal(prog.hi, hi)

@@ -139,6 +139,65 @@ class TestBackends:
         assert all(s == sizes[0] for s in sizes[1:])
 
 
+def _recorded_history(cfg, monkeypatch):
+    """The history entries, initial box and log of trial 0."""
+    seen = []
+
+    class Recording(simharness._History):
+        def __init__(self, x0_box):
+            super().__init__(x0_box)
+            seen.append((self, x0_box))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simharness, "_History", Recording)
+        log = simharness.run_trial(cfg, 0, metrics="containment")
+    ((history, x0_box),) = seen
+    return history.steps, x0_box, log
+
+
+def _append(history, entry):
+    history.append(*(entry[key] for key in ("A", "B", "w", "H", "v", "Y")))
+
+
+class TestGrownTrajectory:
+    @pytest.mark.parametrize(
+        "make", [lambda: small_uav(h=6), lambda: small_pair(h=5)], ids=["uav5", "pair1d"]
+    )
+    def test_grown_lp_matches_fresh(self, make, monkeypatch):
+        cfg = make()
+        steps, x0_box, log = _recorded_history(cfg, monkeypatch)
+        assert log.aborted is None and len(log.steps) == cfg.K
+        sl = cfg.system.state_slices()[cfg.system.agent_ids[-1]]
+        probed = simharness._History(x0_box)  # probes before each hull, as run_trial asks
+        plain = simharness._History(x0_box)  # hulls only
+        for k, (entry, rec) in enumerate(zip(steps, log.steps), 1):
+            _append(probed, entry)
+            _append(plain, entry)
+            grown = probed.trajectory()
+            fresh = simharness._TrajectoryLP(x0_box.dim, x0_box)
+            for e in steps[:k]:
+                fresh.extend(e)
+            region = grown.program
+            assert (region.m, region.n) == (fresh.program.m, fresh.program.n)
+            lo, hi = region.lo.copy(), region.hi.copy()
+            truth = np.array(rec["truth"])
+            for x, coords in ((truth, None), (truth[sl], range(sl.start, sl.stop))):
+                assert grown.contains_final(x, coords)
+                assert fresh.contains_final(x, coords)
+            # the pinned bounds are restored, in the wrapper and in HiGHS
+            model = region._highs.getLp()
+            for got, want in ((region.lo, lo), (region.hi, hi),
+                              (model.col_lower_, lo), (model.col_upper_, hi)):
+                assert np.array_equal(np.asarray(got), want)
+            hull = grown.hull()
+            for ref in (fresh.hull(), plain.trajectory().hull()):
+                for a, b in ((hull.lo, ref.lo), (hull.hi, ref.hi)):
+                    assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
+            outside = hull.hi + 1.0
+            assert not grown.contains_final(outside)
+            assert not fresh.contains_final(outside)
+
+
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         cfg = small_pair()
@@ -212,6 +271,21 @@ class _SolveErrorHighs:
         return _highs.HighsModelStatus.kSolveError
 
 
+class _SolveErrorOnceGrown(_SolveErrorHighs):
+    """A HiGHS model that reports "solve error" once rows were added to it."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.grown = False
+
+    def addRows(self, *args):
+        self.grown = True
+        return self._model.addRows(*args)
+
+    def getModelStatus(self):
+        return super().getModelStatus() if self.grown else self._model.getModelStatus()
+
+
 class TestSolverFailure:
     def test_linprog_failure_aborts_instead_of_violating(self, monkeypatch):
         # "solve error" is neither optimal, infeasible nor unbounded
@@ -220,6 +294,16 @@ class TestSolverFailure:
         log = simharness.run_trial(small_uav(h=3), 0, metrics="containment")
         assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_failure_after_growth_aborts(self, monkeypatch, metrics):
+        # only models that were extended fail: the trajectory LP from step 2 on
+        build = lp._build_model
+        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorOnceGrown(build(*args)))
+        log = simharness.run_trial(small_uav(h=4), 0, metrics=metrics)
+        assert log.aborted == {"k": 2, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0
+        assert len(log.steps) == 1
 
     def test_trajectory_lp_does_not_use_linprog(self, monkeypatch):
         def no_linprog(*args, **kwargs):
