@@ -1,11 +1,12 @@
 """Bounded-memory estimation versus full-history estimation.
 
 The centralized filter keeps every past measurement, so its set
-representation grows without bound. The finite-window variant restarts
-from an unconstrained prior once the window is full and re-applies only
-the last few measurement batches, so its representation size freezes
-while its hulls stay close to the full-history ones. This script makes
-both effects visible on the five-vehicle scenario.
+representation (a trajectory LP: the lifted generators and constraints
+of its constrained zonotope) grows without bound. The finite-window
+variant restarts from an unconstrained prior once the window is full and
+re-applies only the last few measurement batches, so its representation
+size freezes while its hulls stay close to the full-history ones. This
+script makes both effects visible on the five-vehicle scenario.
 Run as: python3 demos/window_vs_full.py
 """
 
@@ -27,7 +28,14 @@ def main():
         [rng.uniform(boxes[i].lo, boxes[i].hi) for i in ids]
     )
     Z0 = czono.cartesian_product([czono.from_box(boxes[i]) for i in ids])
+    # every noise range is a box, its own interval hull
+    agents = system.agents
+    w_boxes = [czono.interval_hull(agents[i].Wset) for i in ids]
+    v_boxes = {i: czono.interval_hull(agents[i].Vset) for i in ids}
+    r_boxes = {(i, j): czono.interval_hull(agents[i].Rset_of[j])
+               for i in ids for j in system.topology.in_neighbors(i)}
     full = filters.CentralizedFilter(system, Z0)
+    sl = system.state_slices()[1]
     windowed = filters.OitFilter(system, Z0, cfg.delta_bar, mu0=cfg.mu0)
 
     print(f"window length {cfg.delta_bar}, "
@@ -36,22 +44,20 @@ def main():
           f"{'win ng':>7} {'win nc':>7} {'win d1':>9}")
 
     for k in range(1, cfg.K + 1):
-        w = np.concatenate([sampler.from_cz(system.agents[i].Wset) for i in ids])
+        w = np.concatenate([sampler.from_box(box) for box in w_boxes])
         truth = sysmodel.step_truth(system, k - 1, truth, w)
-        v = {i: sampler.from_cz(system.agents[i].Vset) for i in ids}
-        r = {(i, j): sampler.from_cz(system.agents[i].Rset_of[j])
-             for i in ids for j in system.topology.in_neighbors(i)}
+        v = {i: sampler.from_box(box) for i, box in v_boxes.items()}
+        r = {key: sampler.from_box(box) for key, box in r_boxes.items()}
         batch = sysmodel.measure(system, k, truth, v, r)
         full.step(k, batch)
         windowed.step(k, batch)
 
-        df = czono.interval_hull(full.agent_set(1)).widths().max()
-        dw = czono.interval_hull(windowed.agent_set(1)).widths().max()
+        df = full.hull().widths()[sl].max()
+        dw = windowed.hull().widths()[sl].max()
         marker = "" if k > cfg.delta_bar else "  (identical inside window)"
-        print(f"{k:>3} | {full.posterior.n_generators:>8} "
-              f"{full.posterior.n_constraints:>8} {df:>9.4f} | "
-              f"{windowed.posterior.n_generators:>7} "
-              f"{windowed.posterior.n_constraints:>7} {dw:>9.4f}{marker}")
+        (fng, fnc), (wng, wnc) = full.lifted_size, windowed.lifted_size
+        print(f"{k:>3} | {fng:>8} {fnc:>8} {df:>9.4f} | "
+              f"{wng:>7} {wnc:>7} {dw:>9.4f}{marker}")
 
     print("\nfull-history sizes keep growing; the window filter's sizes are")
     print("constant once k exceeds the window length, at the price of a")

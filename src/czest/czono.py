@@ -37,7 +37,6 @@ __all__ = [
     "interval_hull",
     "interval_hull_coords",
     "diameter_inf",
-    "compact",
     "cz_to_dict",
     "cz_from_dict",
 ]
@@ -361,20 +360,6 @@ def diameter_inf(Z):
     """Largest side of the interval hull (Chebyshev-style size measure)."""
     widths = interval_hull(Z).widths()
     return float(widths.max()) if widths.size else 0.0
-
-
-def compact(Z):
-    """Drop pinned generators (h = 0) and all-zero generator columns.
-
-    The represented set is unchanged.  Rows of A that become identically
-    zero with b = 0 are dropped as well.
-    """
-    keep = ~((Z.h == 0.0) | (~Z.G.any(axis=0) & ~Z.A.any(axis=0)))
-    G = Z.G[:, keep]
-    A = Z.A[:, keep]
-    h = Z.h[keep]
-    live = A.any(axis=1) | (np.abs(Z.b) > 0.0)
-    return ConstrainedZonotope(G, Z.c, A[live, :], Z.b[live], h)
 
 
 def _blockdiag(*mats):

@@ -1,9 +1,9 @@
 """Set-membership filters over extended constrained zonotopes.
 
-Three estimators share the same predict/update primitives:
+Three estimators:
 
-* ``CentralizedFilter``: the textbook recursion on the full stacked
-  system.  Exact, but generators and constraints accumulate with time.
+* ``CentralizedFilter``: the full-history recursion on the stacked
+  system.  Exact, but its representation grows with time.
 * ``OitFilter``: fixed-lag variant.  Once more than ``delta_bar`` steps
   have passed it rebuilds the posterior from the last ``delta_bar + 1``
   measurement batches starting from an unbounded prior, so the
@@ -14,14 +14,31 @@ Three estimators share the same predict/update primitives:
   posteriors received from peers, and finalizes with an interval hull so
   the local representation stays constant-size.
 
+The centralized and fixed-lag posteriors are lifted constrained
+zonotopes (Scott, Raimondo, Marseglia & Braatz, Automatica 69, 2016),
+held as one sparse "trajectory" LP over the window's states and noises
+(``_TrajectoryLP``): the dynamics rows x_k = A x_{k-1} + B w encode the
+prediction, the measurement rows H x_k + v = Y the update, and the set
+is the LP's feasible set projected on the final state.  A step appends
+one block of columns and rows to the same ``lp.LinearProgram``, so every
+solve warm-starts from the last basis, across steps too; past
+``delta_bar`` the fixed-lag filter builds its window afresh each step,
+with the window's first state free.  ``hull`` solves the final state's
+interval hull once per step; ``contains`` pins the final state through
+its bounds, solves and restores them.  ``posterior`` builds the lifted
+CZ itself only when asked for.  The trajectory LP reads every noise
+range as a box, so these two filters accept box noise ranges and a box
+initial set only.
+
 Steps are numbered so that step 0 is initialization only; the first
 measurement batch arrives at k = 1.
 """
 
 import numpy as np
+from scipy import sparse
 
-from . import czono, sysmodel
-from .czono import ConstrainedZonotope, EmptySetError
+from . import czono, lp, sysmodel
+from .czono import Box, ConstrainedZonotope, EmptySetError
 
 __all__ = [
     "CentralizedFilter",
@@ -33,8 +50,6 @@ __all__ = [
     "smf_update",
     "update_intersection",
     "finalize_hull",
-    "extract_agent_set",
-    "projection_matrix",
 ]
 
 # Test hook: cmd_verify --inject-fault flips this to check that the
@@ -66,27 +81,220 @@ def smf_update(Z, H, Y, Vset):
     return czono.intersect_under_map(Z, H, Y, Vset)
 
 
-class CentralizedFilter:
-    """Full-information recursion on the stacked system."""
+def _as_box(Z, what):
+    """The Box a CZ exactly equals; ValueError unless Z is in box form.
+
+    An unconstrained CZ whose generator columns each touch at most one
+    output row is an axis-aligned box; its interval hull is then exact.
+    """
+    if Z.n_constraints or np.any((Z.G != 0.0).sum(axis=0) > 1):
+        raise ValueError(f"{what} is not an axis-aligned box")
+    return czono.interval_hull(Z)
+
+
+def _step_entry(system, k, batch):
+    """The stacked data of step k: the dynamics from k - 1 with its noise
+    box, and the measurement map, noise box and stacked measurements."""
+    prev = sysmodel.build_centralized(system, k - 1)
+    cur = sysmodel.build_centralized(system, k)
+    # every noise range is a box (checked by _LiftedFilter), so these
+    # hulls are the stacked ranges themselves
+    return {
+        "A": prev.A,
+        "B": prev.B,
+        "w": czono.interval_hull(prev.Wset),
+        "H": cur.H,
+        "v": czono.interval_hull(cur.Vset),
+        "Y": sysmodel.stack_measurements(cur, batch),
+    }
+
+
+class _TrajectoryLP:
+    """Sparse LP over (x_{t0}, w, x, v) for one window of the history.
+
+    The feasible set projected on x_k equals the filter posterior: the
+    dynamics rows encode the prediction, the measurement rows the update.
+    ``x0_box=None`` leaves the window's initial state free, matching the
+    fixed-lag rebuild from an unbounded prior; ``t0_entry`` adds that
+    step's measurement of the initial state.  ``extend`` appends one step
+    to the same ``lp.LinearProgram``, so every solve after the first
+    starts from the last basis, across steps too.
+    """
+
+    def __init__(self, n, x0_box=None, t0_entry=None):
+        self.n = n
+        self.x_final = 0  # first column of the final state
+        if x0_box is None:
+            lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        else:
+            lo, hi = x0_box.lo, x0_box.hi
+        self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
+        self._rows = []  # (CSR block, right-hand side) per _append
+        if t0_entry is not None:
+            # measurement rows  H x_{t0} + v = Y
+            H, vbox = t0_entry["H"], t0_entry["v"]
+            self._append(vbox.lo, vbox.hi, np.hstack([H, np.eye(H.shape[0])]), t0_entry["Y"])
+        self._hull = None
+        self._probes = {}
+
+    def extend(self, entry):
+        """Append one step: columns w, x_k, v and the rows
+
+        dynamics     x_k - A x_{k-1} - B w = 0,
+        measurement  H x_k + v = Y.
+        """
+        A, B, H = entry["A"], entry["B"], entry["H"]
+        n, p, m = self.n, B.shape[1], H.shape[0]
+        # columns: x_{k-1}, then the new w, x_k, v
+        D = np.zeros((n + m, n + p + n + m))
+        D[:n, :n] = -A
+        D[:n, n : n + p] = -B
+        D[:n, n + p : 2 * n + p] = np.eye(n)
+        D[n:, n + p : 2 * n + p] = H
+        D[n:, 2 * n + p :] = np.eye(m)
+        wbox, vbox = entry["w"], entry["v"]
+        x_at = self.program.n + p
+        self._append(
+            np.concatenate([wbox.lo, np.full(n, -np.inf), vbox.lo]),
+            np.concatenate([wbox.hi, np.full(n, np.inf), vbox.hi]),
+            D,
+            np.concatenate([np.zeros(n), entry["Y"]]),
+        )
+        self.x_final = x_at
+        self._hull = None
+        self._probes = {}
+
+    def _append(self, lo, hi, D, b):
+        """Append columns with bounds [lo, hi] and the rows D y = b, where
+        y is the final state followed by the new columns."""
+        region = self.program
+        cols = np.concatenate([
+            np.arange(self.x_final, self.x_final + self.n),
+            np.arange(region.n, region.n + lo.size),
+        ])
+        r, c = np.nonzero(D)  # row-major, so already CSR order
+        indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
+        rows = sparse.csr_matrix(
+            (D[r, c], cols[c], indptr), shape=(D.shape[0], region.n + lo.size)
+        )
+        region.extend(lo, hi, rows, b)
+        self._rows.append((rows, b))
+
+    def hull(self):
+        """Interval hull of the final state, solved once per step and cached.
+
+        The 2n bounds are solved over the one LinearProgram, each
+        warm-started from the previous one's basis.
+        """
+        if self._hull is None:
+            region = self.program
+            lo = np.empty(self.n)
+            hi = np.empty(self.n)
+            c = np.zeros(region.n)
+            for j in range(self.n):
+                c[self.x_final + j] = 1.0
+                rmin = region.solve(c, sense="min")
+                if rmin.status == lp.INFEASIBLE:
+                    raise czono.EmptySetError("trajectory LP infeasible")
+                rmax = region.solve(c, sense="max")
+                if rmax.status == lp.INFEASIBLE:
+                    raise lp.NumericalError("trajectory LP feasible for the minimum only")
+                lo[j] = -np.inf if rmin.status == lp.UNBOUNDED else rmin.value
+                hi[j] = np.inf if rmax.status == lp.UNBOUNDED else rmax.value
+                c[self.x_final + j] = 0.0
+            self._hull = Box(lo, hi)
+        return self._hull
+
+    def contains_final(self, x, coords=None):
+        """True iff some trajectory ends at x (on the listed coords).
+
+        The final state is pinned through its bounds, which are restored
+        after the solve; the answer is cached for the step.
+        """
+        coords = tuple(range(self.n) if coords is None else coords)
+        x = np.asarray(x, dtype=float)
+        key = (coords, x.tobytes())
+        if key not in self._probes:
+            region = self.program
+            cols = self.x_final + np.array(coords, dtype=int)
+            lo, hi = region.lo[cols], region.hi[cols]
+            region.set_bounds(cols, x, x)
+            status = region.solve(np.zeros(region.n)).status
+            region.set_bounds(cols, lo, hi)
+            self._probes[key] = status != lp.INFEASIBLE
+        return self._probes[key]
+
+    def lifted(self):
+        """The feasible set projected on the final state, as a lifted CZ.
+
+        Every column is a generator: a finite column [lo, hi] is its
+        center plus a generator with h = its radius, a free column a
+        generator with h = inf.  G selects the final state's columns and
+        the rows are the LP's, shifted by the centers.
+        """
+        region = self.program
+        finite = np.isfinite(region.lo) & np.isfinite(region.hi)
+        with np.errstate(invalid="ignore"):
+            center = np.where(finite, 0.5 * (region.lo + region.hi), 0.0)
+            h = np.where(finite, 0.5 * (region.hi - region.lo), np.inf)
+        N = region.n
+        if self._rows:
+            A = sparse.vstack([
+                sparse.csr_matrix((R.data, R.indices, R.indptr), shape=(R.shape[0], N))
+                for R, _ in self._rows
+            ]).toarray()
+            b = np.concatenate([b for _, b in self._rows]) - A @ center
+        else:
+            A, b = np.zeros((0, N)), np.zeros(0)
+        G = np.zeros((self.n, N))
+        G[np.arange(self.n), self.x_final + np.arange(self.n)] = 1.0
+        return ConstrainedZonotope(G, center[self.x_final : self.x_final + self.n], A, b, h)
+
+
+class _LiftedFilter:
+    """What the centralized and fixed-lag filters share: a posterior held
+    as a ``_TrajectoryLP`` and the queries on it."""
 
     def __init__(self, system, initial):
+        """``initial`` is a Box or a CZ that is an axis-aligned box; every
+        noise range of ``system`` must be a box too."""
         if initial.dim != system.state_dim():
             raise ValueError("initial set dimension mismatch")
+        x0_box = initial if isinstance(initial, Box) else _as_box(initial, "initial set")
+        for i in system.agent_ids:
+            a = system.agents[i]
+            _as_box(a.Wset, f"agent {i}: process noise range")
+            _as_box(a.Vset, f"agent {i}: measurement noise range")
+            for j, R in a.Rset_of.items():
+                _as_box(R, f"agent {i}: relative noise range of {j}")
         self.system = system
-        self.posterior = initial
         self.k = 0
+        self._traj = _TrajectoryLP(x0_box.dim, x0_box)
 
-    def step(self, k, batch):
-        """Consume the batch of step k (must be the next step)."""
+    def _next_entry(self, k, batch):
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        prev = sysmodel.build_centralized(self.system, k - 1)
-        prior = smf_predict(self.posterior, prev.A, prev.B, prev.Wset)
-        cur = sysmodel.build_centralized(self.system, k)
-        Y = sysmodel.stack_measurements(cur, batch)
-        self.posterior = smf_update(prior, cur.H, Y, cur.Vset)
-        self.k = k
-        return self.posterior
+        return _step_entry(self.system, k, batch)
+
+    def hull(self):
+        """Interval hull of the stacked state (a Box), cached per step."""
+        return self._traj.hull()
+
+    def contains(self, x, coords=None):
+        """True iff the posterior holds a state equal to x on ``coords``
+        (all coordinates by default)."""
+        return self._traj.contains_final(x, coords)
+
+    @property
+    def lifted_size(self):
+        """(generators, constraints) of the lifted posterior: the LP's
+        columns and rows."""
+        return self._traj.program.n, self._traj.program.m
+
+    @property
+    def posterior(self):
+        """The posterior as a lifted CZ, built on each access."""
+        return self._traj.lifted()
 
     def agent_set(self, i):
         """Projection of the posterior onto agent i's block."""
@@ -94,76 +302,51 @@ class CentralizedFilter:
         return czono.project(self.posterior, range(sl.start, sl.stop))
 
 
-class OitFilter:
+class CentralizedFilter(_LiftedFilter):
+    """Full-information recursion on the stacked system."""
+
+    def step(self, k, batch):
+        """Consume the batch of step k (must be the next step)."""
+        self._traj.extend(self._next_entry(k, batch))
+        self.k = k
+
+
+class OitFilter(_LiftedFilter):
     """Fixed-lag rebuild recursion with bounded representation size.
 
-    For k <= delta_bar the posterior equals the centralized recursion
-    exactly (same primitives, same inputs).  Beyond that the posterior is
-    rebuilt each step from the buffered window, starting from an
-    unbounded prior at k - delta_bar, which caps generator and constraint
-    counts at a constant.
+    For k <= delta_bar the posterior is grown exactly as the centralized
+    one (same LP, same inputs).  Beyond that it is rebuilt each step from
+    the buffered window, with the state at k - delta_bar free, which caps
+    its columns and rows at a constant.
     """
 
     def __init__(self, system, initial, delta_bar, mu0=None):
-        if initial.dim != system.state_dim():
-            raise ValueError("initial set dimension mismatch")
+        super().__init__(system, initial)
         if mu0 is None:
             mu0 = sysmodel.observability_index(system)
         if delta_bar < mu0 - 1:
             raise WindowTooShortError(
                 f"delta_bar={delta_bar} below observability requirement {mu0 - 1}"
             )
-        self.system = system
         self.delta_bar = int(delta_bar)
         self.mu0 = int(mu0)
-        self.posterior = initial
-        self.k = 0
-        self._window = []  # (A_prev, B, Wset, H, Vset, Y) per step, oldest first
+        self._window = []  # step entries, oldest first
 
     def step(self, k, batch):
-        if k != self.k + 1:
-            raise ValueError(f"expected step {self.k + 1}, got {k}")
-        prev = sysmodel.build_centralized(self.system, k - 1)
-        cur = sysmodel.build_centralized(self.system, k)
-        Y = sysmodel.stack_measurements(cur, batch)
-        self._window.append((prev.A, prev.B, prev.Wset, cur.H, cur.Vset, Y))
+        """Consume the batch of step k (must be the next step)."""
+        entry = self._next_entry(k, batch)
+        self._window.append(entry)
         if len(self._window) > self.delta_bar + 1:
             self._window.pop(0)
         if k <= self.delta_bar:
-            prior = smf_predict(self.posterior, prev.A, prev.B, prev.Wset)
-            self.posterior = smf_update(prior, cur.H, Y, cur.Vset)
+            self._traj.extend(entry)
         else:
-            Z = czono.whole_space(self.system.state_dim())
-            first = True
-            for A_prev, B, Wset, H, Vset, Yt in self._window:
-                if not first:
-                    Z = smf_predict(Z, A_prev, B, Wset)
-                Z = smf_update(Z, H, Yt, Vset)
-                first = False
-            self.posterior = Z
+            first, *rest = self._window
+            traj = _TrajectoryLP(self.system.state_dim(), None, first)
+            for e in rest:
+                traj.extend(e)
+            self._traj = traj
         self.k = k
-        return self.posterior
-
-    def agent_set(self, i):
-        sl = self.system.state_slices()[i]
-        return czono.project(self.posterior, range(sl.start, sl.stop))
-
-
-def projection_matrix(alpha, q, n):
-    """E_{alpha,q} = e_alpha^T kron I_n: picks block alpha (1-based) of q."""
-    e = np.zeros((1, q))
-    e[0, alpha - 1] = 1.0
-    return np.kron(e, np.eye(n))
-
-
-def extract_agent_set(joint, position, block_dims):
-    """Project a joint set onto the block at `position` (0-based).
-
-    block_dims lists the per-agent state dimensions in joint order.
-    """
-    ofs = int(np.sum(block_dims[:position]))
-    n = block_dims[position]
-    return czono.project(joint, range(ofs, ofs + n))
 
 
 def update_intersection(own_joint, own_dims, received):

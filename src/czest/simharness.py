@@ -8,22 +8,14 @@ per-trial seeds, optionally on a process pool capped by the
 CZEST_THREADS environment variable.  Identical configuration and seed
 give byte-identical logs regardless of worker count.
 
-Hull and containment queries for the centralized and fixed-lag filters
-are answered by an equivalent sparse "trajectory" LP over the history
-window (states and noises as explicit variables) instead of the
-accumulated generator form.  Both describe the same set; the ``backends``
-verify suite replays logged trials through the filters and checks that
-the hulls of their accumulated sets match the logged ones.  Each LP is
-one ``lp.LinearProgram`` assembled step by step (``_TrajectoryLP.extend``
-appends a step's noise and state columns with its dynamics and
-measurement rows).  The whole-history LP is one model per trial, grown
-in place as steps arrive, so its solves warm-start from the last basis
-across steps; the fixed-lag filter reads it for k <= delta_bar and
-builds its own window afresh each step after that.  The hull of the
-whole final state is solved once per step and sliced per agent; a
-containment probe pins the final state through its bounds, solves, and
-restores them, and its answer is cached for the step.  The distributed
-filter's hulls come from the filter itself.
+Every logged hull and containment flag comes from the filters
+themselves: the centralized and fixed-lag filters answer ``hull`` and
+``contains`` from their sparse trajectory LP (see ``czest.filters``),
+whose hull is solved once per step and sliced per agent here; the
+distributed filter keeps its own hulls.  A step's ``sizes`` record holds
+the lifted (generators, constraints), i.e. the trajectory LP's
+(columns, rows), of the centralized and fixed-lag posteriors, and the
+refined sets' sizes per agent of the distributed one.
 """
 
 import json
@@ -33,7 +25,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy import sparse
 
 # Not called: perfbench/tracing.py wraps this name (its "highs" layer);
 # the import goes when that tracer target does.
@@ -56,20 +47,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("centralized", "oit", "distributed")
-
-
-def _as_box(Z):
-    """Return the Box a CZ exactly equals, or None.
-
-    An unconstrained CZ whose generator columns each touch at most one
-    output row is an axis-aligned box; its interval hull is then exact.
-    """
-    if Z.n_constraints:
-        return None
-    touched = (Z.G != 0.0).sum(axis=0)
-    if np.any(touched > 1):
-        return None
-    return czono.interval_hull(Z)
 
 
 # -- scenario documents ------------------------------------------------------
@@ -247,21 +224,6 @@ class NoiseSampler:
         c, r = box.center, box.radius * self.scale
         return self._snap(self.rng.uniform(c - r, c + r), c - r, c + r)
 
-    def from_cz(self, Z, max_tries=1000):
-        box = _as_box(Z)
-        if box is not None:
-            return self.from_box(box)
-        if self.scale != 1.0:
-            raise ValueError("injected_noise_scale supports box noise ranges only")
-        if self.grid is not None:
-            raise ValueError("noise_grid supports box noise ranges only")
-        hull = czono.interval_hull(Z)
-        for _ in range(max_tries):
-            x = self.rng.uniform(hull.lo, hull.hi)
-            if czono.contains(Z, x):
-                return x
-        raise RuntimeError("rejection sampling failed; noise range too thin")
-
 
 def _initial_ranges(cfg, rng):
     """Per-agent initial boxes, drawn or fixed per the scenario."""
@@ -275,162 +237,6 @@ def _initial_ranges(cfg, rng):
             bd = cfg.doc["agents"][idx]["initial_range"]
             out[i] = Box(bd["lo"], bd["hi"])
     return out
-
-
-# -- trajectory-LP metrics backend -------------------------------------------
-
-
-class _History:
-    """Per-trial record of stacked data, one entry per measurement step.
-
-    The trajectory LP over the whole history is one model, grown in place
-    by the steps it has not seen yet whenever it is asked for; a window
-    with a free initial state is built afresh for each step.
-    """
-
-    def __init__(self, x0_box):
-        self.steps = []  # dicts: A_prev, B, w_box, H, v_box, Y
-        self._grown = _TrajectoryLP(x0_box.dim, x0_box)
-        self._windows = {}  # t0 -> window LP of the last step
-
-    def append(self, A_prev, B, w_box, H, v_box, Y):
-        self.steps.append(
-            {"A": A_prev, "B": B, "w": w_box, "H": H, "v": v_box, "Y": Y}
-        )
-        self._windows = {}
-
-    def trajectory(self):
-        """The LP over steps 0..k from the initial box (k the last step)."""
-        traj = self._grown
-        for entry in self.steps[traj.length :]:
-            traj.extend(entry)
-        return traj
-
-    def window(self, t0):
-        """The LP over steps t0..k, x_{t0} free and measured at t0."""
-        if t0 not in self._windows:
-            steps = self.steps
-            traj = _TrajectoryLP(steps[0]["A"].shape[0], None, steps[t0 - 1])
-            for entry in steps[t0:]:
-                traj.extend(entry)
-            self._windows[t0] = traj
-        return self._windows[t0]
-
-
-class _TrajectoryLP:
-    """Sparse LP over (x_{t0}, w, x, v) for one window of the history.
-
-    The feasible set projected on x_k equals the filter posterior: the
-    dynamics rows encode the prediction, the measurement rows the update.
-    ``x0_box=None`` leaves the window's initial state free, matching the
-    fixed-lag rebuild from an unbounded prior; ``t0_entry`` adds that
-    step's measurement of the initial state.  ``extend`` appends one step
-    to the same ``lp.LinearProgram``, so every solve after the first
-    starts from the last basis, across steps too.
-    """
-
-    def __init__(self, n, x0_box=None, t0_entry=None):
-        self.n = n
-        self.length = 0  # steps appended by extend
-        self.x_final = 0  # first column of the final state
-        if x0_box is None:
-            lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-        else:
-            lo, hi = x0_box.lo, x0_box.hi
-        self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
-        if t0_entry is not None:
-            # measurement rows  H x_{t0} + v = Y
-            H, vbox = t0_entry["H"], t0_entry["v"]
-            self._append(vbox.lo, vbox.hi, np.hstack([H, np.eye(H.shape[0])]), t0_entry["Y"])
-        self._hull = None
-        self._probes = {}
-
-    def extend(self, entry):
-        """Append one step: columns w, x_k, v and the rows
-
-        dynamics     x_k - A x_{k-1} - B w = 0,
-        measurement  H x_k + v = Y.
-        """
-        A, B, H = entry["A"], entry["B"], entry["H"]
-        n, p, m = self.n, B.shape[1], H.shape[0]
-        # columns: x_{k-1}, then the new w, x_k, v
-        D = np.zeros((n + m, n + p + n + m))
-        D[:n, :n] = -A
-        D[:n, n : n + p] = -B
-        D[:n, n + p : 2 * n + p] = np.eye(n)
-        D[n:, n + p : 2 * n + p] = H
-        D[n:, 2 * n + p :] = np.eye(m)
-        wbox, vbox = entry["w"], entry["v"]
-        x_at = self.program.n + p
-        self._append(
-            np.concatenate([wbox.lo, np.full(n, -np.inf), vbox.lo]),
-            np.concatenate([wbox.hi, np.full(n, np.inf), vbox.hi]),
-            D,
-            np.concatenate([np.zeros(n), entry["Y"]]),
-        )
-        self.x_final = x_at
-        self.length += 1
-        self._hull = None
-        self._probes = {}
-
-    def _append(self, lo, hi, D, b):
-        """Append columns with bounds [lo, hi] and the rows D y = b, where
-        y is the final state followed by the new columns."""
-        region = self.program
-        cols = np.concatenate([
-            np.arange(self.x_final, self.x_final + self.n),
-            np.arange(region.n, region.n + lo.size),
-        ])
-        r, c = np.nonzero(D)  # row-major, so already CSR order
-        indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
-        rows = sparse.csr_matrix(
-            (D[r, c], cols[c], indptr), shape=(D.shape[0], region.n + lo.size)
-        )
-        region.extend(lo, hi, rows, b)
-
-    def hull(self):
-        """Interval hull of the final state, solved once per step and cached.
-
-        The 2n bounds are solved over the one LinearProgram, each
-        warm-started from the previous one's basis.
-        """
-        if self._hull is None:
-            region = self.program
-            lo = np.empty(self.n)
-            hi = np.empty(self.n)
-            c = np.zeros(region.n)
-            for j in range(self.n):
-                c[self.x_final + j] = 1.0
-                rmin = region.solve(c, sense="min")
-                if rmin.status == lp.INFEASIBLE:
-                    raise czono.EmptySetError("trajectory LP infeasible")
-                rmax = region.solve(c, sense="max")
-                if rmax.status == lp.INFEASIBLE:
-                    raise lp.NumericalError("trajectory LP feasible for the minimum only")
-                lo[j] = -np.inf if rmin.status == lp.UNBOUNDED else rmin.value
-                hi[j] = np.inf if rmax.status == lp.UNBOUNDED else rmax.value
-                c[self.x_final + j] = 0.0
-            self._hull = Box(lo, hi)
-        return self._hull
-
-    def contains_final(self, x, coords=None):
-        """True iff some trajectory ends at x (on the listed coords).
-
-        The final state is pinned through its bounds, which are restored
-        after the solve; the answer is cached for the step.
-        """
-        coords = tuple(range(self.n) if coords is None else coords)
-        x = np.asarray(x, dtype=float)
-        key = (coords, x.tobytes())
-        if key not in self._probes:
-            region = self.program
-            cols = self.x_final + np.array(coords, dtype=int)
-            lo, hi = region.lo[cols], region.hi[cols]
-            region.set_bounds(cols, x, x)
-            status = region.solve(np.zeros(region.n)).status
-            region.set_bounds(cols, lo, hi)
-            self._probes[key] = status != lp.INFEASIBLE
-        return self._probes[key]
 
 
 # -- trial logs ---------------------------------------------------------------
@@ -513,19 +319,16 @@ def run_trial(cfg, trial_index=0, metrics="full"):
         np.concatenate([init_boxes[i].lo for i in ids]),
         np.concatenate([init_boxes[i].hi for i in ids]),
     )
-    Z0 = czono.cartesian_product([czono.from_box(init_boxes[i]) for i in ids])
 
     flt = {}
     if "centralized" in cfg.algorithms:
-        flt["centralized"] = filters.CentralizedFilter(system, Z0)
+        flt["centralized"] = filters.CentralizedFilter(system, x0_box)
     if "oit" in cfg.algorithms:
-        flt["oit"] = filters.OitFilter(system, Z0, cfg.delta_bar, mu0=cfg.mu0)
+        flt["oit"] = filters.OitFilter(system, x0_box, cfg.delta_bar, mu0=cfg.mu0)
     if "distributed" in cfg.algorithms:
         flt["distributed"] = filters.DistributedFilter(
             system, {i: czono.from_box(init_boxes[i]) for i in ids}
         )
-
-    history = _History(x0_box)
 
     log = TrialLog(
         {
@@ -541,7 +344,7 @@ def run_trial(cfg, trial_index=0, metrics="full"):
         }
     )
     # system_from_dict builds every noise range as a box, so each range is
-    # its interval hull; the draws are those of NoiseSampler.from_cz
+    # its interval hull
     agents = system.agents
     w_boxes = [czono.interval_hull(agents[i].Wset) for i in ids]
     v_boxes = {i: czono.interval_hull(agents[i].Vset) for i in ids}
@@ -557,27 +360,18 @@ def run_trial(cfg, trial_index=0, metrics="full"):
         v = {i: sampler.from_box(box) for i, box in v_boxes.items()}
         r = {key: sampler.from_box(box) for key, box in r_boxes.items()}
         batch = sysmodel.measure(system, k, truth, v, r)
-        prev = sysmodel.build_centralized(system, k - 1)
-        cur = sysmodel.build_centralized(system, k)
-        # system_from_dict builds every noise range as a box, so these
-        # hulls are the stacked ranges themselves
-        history.append(
-            prev.A,
-            prev.B,
-            czono.interval_hull(prev.Wset),
-            cur.H,
-            czono.interval_hull(cur.Vset),
-            sysmodel.stack_measurements(cur, batch),
-        )
         step_rec = {"type": "step", "truth": truth.tolist()}
         step_rec.update(batch.to_dict())
         algs_rec = {}
         try:
             for alg, f in flt.items():
                 f.step(k, batch)
-                algs_rec[alg] = _step_metrics(
-                    alg, f, cfg, history, k, truth, slices, metrics
-                )
+                if alg == "oit" and k <= cfg.delta_bar and "centralized" in algs_rec:
+                    # inside the window both filters grow the same LP from
+                    # the same entries, so their records are equal; solve it once
+                    algs_rec[alg] = algs_rec["centralized"]
+                else:
+                    algs_rec[alg] = _step_metrics(alg, f, ids, truth, slices, metrics)
         except filters.EmptyPosteriorError as e:
             aborted = {"k": e.k, "agent": e.agent, "reason": "empty posterior"}
         except czono.EmptySetError:
@@ -602,11 +396,10 @@ def _rep_size(alg, f):
             str(i): [Z.n_generators, Z.n_constraints]
             for i, Z in sorted(f.last_refined.items())
         }
-    return [f.posterior.n_generators, f.posterior.n_constraints]
+    return list(f.lifted_size)
 
 
-def _step_metrics(alg, f, cfg, history, k, truth, slices, metrics):
-    ids = cfg.system.agent_ids
+def _step_metrics(alg, f, ids, truth, slices, metrics):
     rec = {}
     if alg == "distributed":
         for i in ids:
@@ -614,17 +407,11 @@ def _step_metrics(alg, f, cfg, history, k, truth, slices, metrics):
             contained = hull.contains_point(truth[slices[i]], tol=1e-9)
             rec[str(i)] = _agent_rec(hull if metrics == "full" else None, contained)
         return rec
-    # history-backed filters: centralized over the whole past, fixed-lag
-    # over its window with a free initial state
-    if alg == "oit" and k > cfg.delta_bar:
-        traj = history.window(k - cfg.delta_bar)
-    else:
-        traj = history.trajectory()
-    contained_all = traj.contains_final(truth)
-    hull = traj.hull() if metrics == "full" else None
+    contained_all = f.contains(truth)
+    hull = f.hull() if metrics == "full" else None
     for i in ids:
         sl = slices[i]
-        contained = contained_all or traj.contains_final(truth[sl], range(sl.start, sl.stop))
+        contained = contained_all or f.contains(truth[sl], range(sl.start, sl.stop))
         sub = None if hull is None else Box(hull.lo[sl], hull.hi[sl])
         rec[str(i)] = _agent_rec(sub, contained)
     return rec

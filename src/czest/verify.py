@@ -14,9 +14,10 @@ Suites:
     on a two-agent scalar scenario.
   * ordering: centralized hull diameters never exceed the fixed-lag or
     distributed ones on the five-vehicle scenario.
-  * backends: replaying a trial's logged measurements through the
-    centralized and fixed-lag filters, the hulls of their accumulated sets
-    agree with the logged trajectory-LP hulls on short horizons.
+  * backends: the centralized and fixed-lag hulls a trial logs (from the
+    filters' trajectory LPs) agree on short horizons with those of the
+    dense accumulated recursion, replayed here as a test-only reference
+    from the trial's logged measurements.
 """
 
 import numpy as np
@@ -443,35 +444,49 @@ def ordering_check(trials=2, horizon=12, rng_seed=2026, tol=1e-9):
 def _replay_hull_deviations(cfg, log):
     """Largest deviation of each logged centralized/oit hull from its reference.
 
-    The reference is the interval hull of the accumulated constrained
-    zonotope: the trial's logged measurement batches are replayed through
-    ``CentralizedFilter`` and ``OitFilter`` from the logged initial boxes.
-    ``log`` must come from ``run_trial(cfg, ..., metrics="full")``.
-    Returns (k, algorithm, agent, deviation) tuples.
+    The reference is the interval hull of the accumulated (dense)
+    constrained zonotope: the trial's logged measurement batches are
+    replayed from the logged initial boxes through the textbook
+    predict/update recursion, and past ``delta_bar`` the fixed-lag set is
+    rebuilt from the last ``delta_bar + 1`` batches, starting from the
+    whole space.  ``log`` must come from ``run_trial(cfg, ...,
+    metrics="full")``.  Returns (k, algorithm, agent, deviation) tuples.
     """
-    ids = cfg.system.agent_ids
-    Z0 = czono.cartesian_product(
+    system = cfg.system
+    ids = system.agent_ids
+    slices = system.state_slices()
+    cent = czono.cartesian_product(
         [czono.from_box(Box(*log.header["initial"][str(i)])) for i in ids]
     )
-    flts = {
-        "centralized": filters.CentralizedFilter(cfg.system, Z0),
-        "oit": filters.OitFilter(cfg.system, Z0, cfg.delta_bar, mu0=cfg.mu0),
-    }
+    window = []  # (stack at k - 1, stack at k, Y) per step, oldest first
     out = []
     for rec in log.steps:
-        batch = sysmodel.MeasurementBatch.from_dict(rec)
-        for alg, f in flts.items():
-            f.step(rec["k"], batch)
+        k = rec["k"]
+        prev = sysmodel.build_centralized(system, k - 1)
+        cur = sysmodel.build_centralized(system, k)
+        Y = sysmodel.stack_measurements(cur, sysmodel.MeasurementBatch.from_dict(rec))
+        window = (window + [(prev, cur, Y)])[-(cfg.delta_bar + 1) :]
+        prior = filters.smf_predict(cent, prev.A, prev.B, prev.Wset)
+        cent = filters.smf_update(prior, cur.H, Y, cur.Vset)
+        oit = cent
+        if k > cfg.delta_bar:
+            oit = czono.whole_space(system.state_dim())
+            for t, (p, c, Yt) in enumerate(window):
+                if t:
+                    oit = filters.smf_predict(oit, p.A, p.B, p.Wset)
+                oit = filters.smf_update(oit, c.H, Yt, c.Vset)
+        for alg, Z in (("centralized", cent), ("oit", oit)):
             for i in ids:
-                ref = czono.interval_hull(f.agent_set(i))
+                sl = slices[i]
+                ref = czono.interval_hull(czono.project(Z, range(sl.start, sl.stop)))
                 logged = np.array(rec["algs"][alg][str(i)]["hull"])
                 dev = max(np.abs(logged[0] - ref.lo).max(), np.abs(logged[1] - ref.hi).max())
-                out.append((rec["k"], alg, i, float(dev)))
+                out.append((k, alg, i, float(dev)))
     return out
 
 
 def backend_check(horizon=6, rng_seed=2026, tol=1e-6):
-    """Logged trajectory-LP hulls vs accumulated-form hulls on short horizons."""
+    """Logged trajectory-LP hulls vs dense accumulated-form hulls on short horizons."""
     results = []
     for name, builder in (("uav5", simharness.build_uav_scenario), ("pair1d", simharness.build_pair1d_scenario)):
         cfg = simharness.ScenarioConfig(builder(horizon=horizon, seed=rng_seed))

@@ -281,19 +281,6 @@ class TestEmptinessAndHull:
 
 
 class TestCompactAndSerialization:
-    def test_compact_drops_pinned_generators(self):
-        Z = ConstrainedZonotope(
-            np.array([[1.0, 2.0, 0.0]]),
-            [0.0],
-            np.zeros((0, 3)),
-            np.zeros(0),
-            [1.0, 0.0, 1.0],
-        )
-        C = czono.compact(Z)
-        assert C.n_generators == 1
-        lo, hi = hull_pair(C)
-        assert lo == [-1.0] and hi == [1.0]
-
     def test_json_round_trip(self):
         Z = ConstrainedZonotope(
             np.array([[1.0, 0.5], [0.0, 2.0]]),

@@ -11,8 +11,6 @@ from czest.filters import (
     EmptyPosteriorError,
     OitFilter,
     WindowTooShortError,
-    extract_agent_set,
-    projection_matrix,
     update_intersection,
 )
 
@@ -53,18 +51,23 @@ class TestPrimitives:
         assert hull.lo[0] == pytest.approx(0.0, abs=1e-9)
         assert hull.hi[0] == pytest.approx(2.0, abs=1e-9)
 
-    def test_projection_matrix(self):
-        E = projection_matrix(2, 3, 2)
-        assert E.shape == (2, 6)
-        assert E[:, 2:4].tolist() == [[1.0, 0.0], [0.0, 1.0]]
-        assert not E[:, :2].any() and not E[:, 4:].any()
 
-    def test_extract_agent_set(self):
-        # position is 0-based block index
-        joint = czono.cartesian_product([interval(-1, 1), interval(2, 4)])
-        part = extract_agent_set(joint, 1, [1, 1])
-        hull = czono.interval_hull(part)
-        assert hull.lo[0] == 2.0 and hull.hi[0] == 4.0
+class TestInputCheck:
+    @pytest.mark.parametrize(
+        "make", [CentralizedFilter, lambda system, Z: OitFilter(system, Z, delta_bar=2, mu0=1)],
+        ids=["centralized", "oit"],
+    )
+    def test_non_box_sets_rejected(self, make):
+        system = pair_system()
+        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
+        rotated = czono.linear_map(np.array([[1.0, 1.0], [-1.0, 1.0]]), Z0)
+        with pytest.raises(ValueError, match="initial set"):
+            make(system, rotated)
+        uav = sysmodel.system_from_dict(simharness.build_uav_scenario())
+        agent = uav.agents[1]
+        agent.Wset = czono.linear_map(np.array([[1.0, 1.0], [-1.0, 1.0]]), agent.Wset)
+        with pytest.raises(ValueError, match="process noise"):
+            make(uav, czono.from_box(Box(-np.ones(uav.state_dim()), np.ones(uav.state_dim()))))
 
 
 class TestCentralized:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize._highspy import _core as _highs
 
-from czest import czono, lp, simharness, verify
+from czest import czono, filters, lp, simharness, sysmodel, verify
 from czest.simharness import NoiseSampler, ScenarioConfig, TrialLog
 
 
@@ -110,13 +110,13 @@ class TestBackends:
         assert max(d[3] for d in devs) < 1e-6
 
     def test_backend_check_detects_widened_hulls(self, monkeypatch):
-        hull = simharness._TrajectoryLP.hull
+        hull = filters._TrajectoryLP.hull
 
         def widened(self):
             box = hull(self)
             return czono.Box(box.lo - 1e-3, box.hi + 1e-3)
 
-        monkeypatch.setattr(simharness._TrajectoryLP, "hull", widened)
+        monkeypatch.setattr(filters._TrajectoryLP, "hull", widened)
         results = verify.backend_check(horizon=3)
         assert [r.name for r in results] == ["backends.uav5", "backends.pair1d"]
         assert all(r.failures == r.cases > 0 for r in results)
@@ -139,43 +139,30 @@ class TestBackends:
         assert all(s == sizes[0] for s in sizes[1:])
 
 
-def _recorded_history(cfg, monkeypatch):
-    """The history entries, initial box and log of trial 0."""
-    seen = []
-
-    class Recording(simharness._History):
-        def __init__(self, x0_box):
-            super().__init__(x0_box)
-            seen.append((self, x0_box))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(simharness, "_History", Recording)
-        log = simharness.run_trial(cfg, 0, metrics="containment")
-    ((history, x0_box),) = seen
-    return history.steps, x0_box, log
-
-
-def _append(history, entry):
-    history.append(*(entry[key] for key in ("A", "B", "w", "H", "v", "Y")))
-
-
 class TestGrownTrajectory:
     @pytest.mark.parametrize(
         "make", [lambda: small_uav(h=6), lambda: small_pair(h=5)], ids=["uav5", "pair1d"]
     )
-    def test_grown_lp_matches_fresh(self, make, monkeypatch):
+    def test_grown_lp_matches_fresh(self, make):
         cfg = make()
-        steps, x0_box, log = _recorded_history(cfg, monkeypatch)
+        system = cfg.system
+        log = simharness.run_trial(cfg, 0, metrics="containment")
         assert log.aborted is None and len(log.steps) == cfg.K
-        sl = cfg.system.state_slices()[cfg.system.agent_ids[-1]]
-        probed = simharness._History(x0_box)  # probes before each hull, as run_trial asks
-        plain = simharness._History(x0_box)  # hulls only
-        for k, (entry, rec) in enumerate(zip(steps, log.steps), 1):
-            _append(probed, entry)
-            _append(plain, entry)
-            grown = probed.trajectory()
-            fresh = simharness._TrajectoryLP(x0_box.dim, x0_box)
-            for e in steps[:k]:
+        initial = [log.header["initial"][str(i)] for i in system.agent_ids]
+        x0_box = czono.Box(np.concatenate([lo for lo, _ in initial]),
+                           np.concatenate([hi for _, hi in initial]))
+        sl = system.state_slices()[system.agent_ids[-1]]
+        probed = filters.CentralizedFilter(system, x0_box)  # probes before each hull, as run_trial asks
+        plain = filters.CentralizedFilter(system, x0_box)  # hulls only
+        entries = []
+        for k, rec in enumerate(log.steps, 1):
+            batch = sysmodel.MeasurementBatch.from_dict(rec)
+            entries.append(filters._step_entry(system, k, batch))
+            probed.step(k, batch)
+            plain.step(k, batch)
+            grown = probed._traj
+            fresh = filters._TrajectoryLP(x0_box.dim, x0_box)
+            for e in entries:
                 fresh.extend(e)
             region = grown.program
             assert (region.m, region.n) == (fresh.program.m, fresh.program.n)
@@ -190,7 +177,7 @@ class TestGrownTrajectory:
                               (model.col_lower_, lo), (model.col_upper_, hi)):
                 assert np.array_equal(np.asarray(got), want)
             hull = grown.hull()
-            for ref in (fresh.hull(), plain.trajectory().hull()):
+            for ref in (fresh.hull(), plain.hull()):
                 for a, b in ((hull.lo, ref.lo), (hull.hi, ref.hi)):
                     assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
             outside = hull.hi + 1.0
@@ -312,4 +299,18 @@ class TestSolverFailure:
         monkeypatch.setattr(simharness, "linprog", no_linprog)
         log = simharness.run_trial(small_uav(h=3), 0, metrics="full")
         assert log.aborted is None
+        assert log.violations == 0
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_run_path_has_no_dense_recursion(self, monkeypatch, metrics):
+        # the centralized and fixed-lag filters step their trajectory LPs only
+        def dense(*args, **kwargs):
+            raise AssertionError("dense recursion called")
+
+        monkeypatch.setattr(czono, "minkowski_sum", dense)
+        monkeypatch.setattr(czono, "intersect_under_map", dense)
+        cfg = small_uav(h=6, algorithms=["centralized", "oit"])
+        log = simharness.run_trial(cfg, 0, metrics=metrics)
+        assert log.aborted is None
+        assert len(log.steps) == 6
         assert log.violations == 0
