@@ -164,7 +164,7 @@ def _build_parser():
     p_ver = sub.add_parser("verify", help="run the built-in self-check suites")
     p_ver.add_argument(
         "--filter",
-        choices=("geometry", "stacking", "oracle", "ordering", "backends", "all"),
+        choices=("geometry", "stacking", "oracle", "ordering", "backends", "distributed", "all"),
         default="all",
         help="run a single suite",
     )
@@ -172,7 +172,7 @@ def _build_parser():
     p_ver.add_argument(
         "--inject-fault",
         action="store_true",
-        help="flip a sign in the refinement stacking (self-test of the checks)",
+        help="flip the sign of the refinement's coupling rows (self-test of the checks)",
     )
     p_ver.set_defaults(func=cmd_verify)
 

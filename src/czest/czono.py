@@ -14,8 +14,6 @@ Matrices are float64 and frozen after construction; operations return new
 objects.
 """
 
-import json
-
 import numpy as np
 
 from .lp import EPS_LP, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, NumericalError
@@ -342,7 +340,16 @@ def interval_hull_coords(Z, coords):
         hi[out] = np.inf if rmax.status == UNBOUNDED else rmax.value + Z.c[j]
     if np.all([not np.any(Z.G[j, :]) for j in coords]) and is_empty(Z):
         raise EmptySetError("interval hull of an empty set")
-    # LP round-off can leave lo a hair above hi on zero-width coordinates
+    return _uncrossed_box(lo, hi)
+
+
+def _uncrossed_box(lo, hi):
+    """Box [lo, hi] from LP bounds of one set, lo and hi modified in place.
+
+    LP round-off can leave lo a hair above hi on zero-width coordinates:
+    within 1e-7 relative both move to their midpoint, beyond that the
+    bounds are a numerical failure.
+    """
     finite = np.isfinite(lo) & np.isfinite(hi)
     crossed = finite & (lo > hi)
     if np.any(crossed):
@@ -418,11 +425,3 @@ def cz_from_dict(d):
         np.array(d["b"], dtype=float),
         np.array([_num_in(v) for v in d["h"]]),
     )
-
-
-def cz_to_json(Z):
-    return json.dumps(cz_to_dict(Z), sort_keys=True)
-
-
-def cz_from_json(s):
-    return cz_from_dict(json.loads(s))

@@ -14,10 +14,27 @@ Three estimators:
   posteriors received from peers, and finalizes with an interval hull so
   the local representation stays constant-size.
 
-The centralized and fixed-lag posteriors are lifted constrained
-zonotopes (Scott, Raimondo, Marseglia & Braatz, Automatica 69, 2016),
-held as one sparse "trajectory" LP over the window's states and noises
-(``_TrajectoryLP``): the dynamics rows x_k = A x_{k-1} + B w encode the
+All three filters hold their sets as lifted constrained zonotopes
+(Scott, Raimondo, Marseglia & Braatz, Automatica 69, 2016): LPs whose
+columns are states and noises and whose rows are the dynamics,
+measurement and coupling equations, one ``lp.LinearProgram`` each.
+
+The distributed filter gives each agent one such LP for the whole trial
+(``_AgentLP``): the previous states of its own joint and of every peer's
+joint, bounded by the last hulls, their noises, the predicted states,
+the dynamics and measurement rows, and the ``coupling_rows`` that make
+the peers' copies of the agent's state equal to its own.  Its structure
+is fixed, so a step only writes the new numbers in place (hull bounds,
+changed dynamics coefficients, measurements) and solves the 2n bounds
+of the agent's state from the last basis.  The posterior is the hull
+(``hulls``); ``agent_set`` encodes it as a CZ only when asked.  The
+dense composition (``smf_predict``, ``smf_update``, ``czono`` products,
+projections and intersections) is kept as the ``verify`` oracles'
+reference.
+
+The centralized and fixed-lag posteriors are held as one sparse
+"trajectory" LP over the window's states and noises (``_TrajectoryLP``):
+the dynamics rows x_k = A x_{k-1} + B w encode the
 prediction, the measurement rows H x_k + v = Y the update, and the set
 is the LP's feasible set projected on the final state.  A step appends
 one block of columns and rows to the same ``lp.LinearProgram``, so every
@@ -26,9 +43,9 @@ solve warm-starts from the last basis, across steps too; past
 with the window's first state free.  ``hull`` solves the final state's
 interval hull once per step; ``contains`` pins the final state through
 its bounds, solves and restores them.  ``posterior`` builds the lifted
-CZ itself only when asked for.  The trajectory LP reads every noise
-range as a box, so these two filters accept box noise ranges and a box
-initial set only.
+CZ itself only when asked for.  The LPs read every noise range and
+initial set as a box, so all three filters accept box noise ranges and
+box initial sets only (a Box, or a CZ in box form).
 
 Steps are numbered so that step 0 is initialization only; the first
 measurement batch arrives at k = 1.
@@ -48,12 +65,12 @@ __all__ = [
     "WindowTooShortError",
     "smf_predict",
     "smf_update",
-    "update_intersection",
-    "finalize_hull",
+    "coupling_rows",
 ]
 
 # Test hook: cmd_verify --inject-fault flips this to check that the
-# stacking-equivalence oracle actually detects a wrong coupling sign.
+# stacking and distributed oracles actually detect a wrong coupling sign
+# (read by coupling_rows, so by each agent LP when it is built).
 _COUPLING_SIGN = 1.0
 
 
@@ -90,6 +107,69 @@ def _as_box(Z, what):
     if Z.n_constraints or np.any((Z.G != 0.0).sum(axis=0) > 1):
         raise ValueError(f"{what} is not an axis-aligned box")
     return czono.interval_hull(Z)
+
+
+def _check_box_noise(system):
+    """ValueError unless every noise range of ``system`` is a box."""
+    for i in system.agent_ids:
+        a = system.agents[i]
+        _as_box(a.Wset, f"agent {i}: process noise range")
+        _as_box(a.Vset, f"agent {i}: measurement noise range")
+        for j, R in a.Rset_of.items():
+            _as_box(R, f"agent {i}: relative noise range of {j}")
+
+
+def _lp_hull(region, cols):
+    """Interval hull of the listed columns over the region's feasible set.
+
+    The 2 bounds per column are solved over the one LinearProgram, each
+    warm-started from the previous one's basis.
+    """
+    lo = np.empty(len(cols))
+    hi = np.empty(len(cols))
+    c = np.zeros(region.n)
+    for j, col in enumerate(cols):
+        c[col] = 1.0
+        rmin = region.solve(c, sense="min")
+        if rmin.status == lp.INFEASIBLE:
+            raise czono.EmptySetError("lifted LP infeasible")
+        rmax = region.solve(c, sense="max")
+        if rmax.status == lp.INFEASIBLE:
+            raise lp.NumericalError("lifted LP feasible for the minimum only")
+        lo[j] = -np.inf if rmin.status == lp.UNBOUNDED else rmin.value
+        hi[j] = np.inf if rmax.status == lp.UNBOUNDED else rmax.value
+        c[col] = 0.0
+    return czono._uncrossed_box(lo, hi)
+
+
+def _pinned_feasible(region, cols, x):
+    """True iff some feasible point equals x on the listed columns.
+
+    The columns are pinned through their bounds, which are restored after
+    the solve.
+    """
+    cols = np.asarray(cols, dtype=int)
+    lo, hi = region.lo[cols], region.hi[cols]
+    region.set_bounds(cols, x, x)
+    status = region.solve(np.zeros(region.n)).status
+    region.set_bounds(cols, lo, hi)
+    return status != lp.INFEASIBLE
+
+
+def coupling_rows(n_cols, own_cols, peer_cols):
+    """The rows x_own - _COUPLING_SIGN * x_peer = 0 over ``n_cols`` columns
+    (CSR, one row per coordinate): they tie a peer's copy of a state to
+    the own one, which is the refinement's intersection."""
+    own_cols = np.asarray(own_cols, dtype=int)
+    n = own_cols.size
+    rows = np.arange(n)
+    return sparse.csr_matrix(
+        (
+            np.concatenate([np.ones(n), np.full(n, -_COUPLING_SIGN)]),
+            (np.concatenate([rows, rows]), np.concatenate([own_cols, np.asarray(peer_cols, dtype=int)])),
+        ),
+        shape=(n, n_cols),
+    )
 
 
 def _step_entry(system, k, batch):
@@ -181,47 +261,20 @@ class _TrajectoryLP:
         self._rows.append((rows, b))
 
     def hull(self):
-        """Interval hull of the final state, solved once per step and cached.
-
-        The 2n bounds are solved over the one LinearProgram, each
-        warm-started from the previous one's basis.
-        """
+        """Interval hull of the final state, solved once per step and cached."""
         if self._hull is None:
-            region = self.program
-            lo = np.empty(self.n)
-            hi = np.empty(self.n)
-            c = np.zeros(region.n)
-            for j in range(self.n):
-                c[self.x_final + j] = 1.0
-                rmin = region.solve(c, sense="min")
-                if rmin.status == lp.INFEASIBLE:
-                    raise czono.EmptySetError("trajectory LP infeasible")
-                rmax = region.solve(c, sense="max")
-                if rmax.status == lp.INFEASIBLE:
-                    raise lp.NumericalError("trajectory LP feasible for the minimum only")
-                lo[j] = -np.inf if rmin.status == lp.UNBOUNDED else rmin.value
-                hi[j] = np.inf if rmax.status == lp.UNBOUNDED else rmax.value
-                c[self.x_final + j] = 0.0
-            self._hull = Box(lo, hi)
+            self._hull = _lp_hull(self.program, range(self.x_final, self.x_final + self.n))
         return self._hull
 
     def contains_final(self, x, coords=None):
-        """True iff some trajectory ends at x (on the listed coords).
-
-        The final state is pinned through its bounds, which are restored
-        after the solve; the answer is cached for the step.
-        """
+        """True iff some trajectory ends at x (on the listed coords); the
+        answer is cached for the step."""
         coords = tuple(range(self.n) if coords is None else coords)
         x = np.asarray(x, dtype=float)
         key = (coords, x.tobytes())
         if key not in self._probes:
-            region = self.program
             cols = self.x_final + np.array(coords, dtype=int)
-            lo, hi = region.lo[cols], region.hi[cols]
-            region.set_bounds(cols, x, x)
-            status = region.solve(np.zeros(region.n)).status
-            region.set_bounds(cols, lo, hi)
-            self._probes[key] = status != lp.INFEASIBLE
+            self._probes[key] = _pinned_feasible(self.program, cols, x)
         return self._probes[key]
 
     def lifted(self):
@@ -261,12 +314,7 @@ class _LiftedFilter:
         if initial.dim != system.state_dim():
             raise ValueError("initial set dimension mismatch")
         x0_box = initial if isinstance(initial, Box) else _as_box(initial, "initial set")
-        for i in system.agent_ids:
-            a = system.agents[i]
-            _as_box(a.Wset, f"agent {i}: process noise range")
-            _as_box(a.Vset, f"agent {i}: measurement noise range")
-            for j, R in a.Rset_of.items():
-                _as_box(R, f"agent {i}: relative noise range of {j}")
+        _check_box_noise(system)
         self.system = system
         self.k = 0
         self._traj = _TrajectoryLP(x0_box.dim, x0_box)
@@ -349,117 +397,196 @@ class OitFilter(_LiftedFilter):
         self.k = k
 
 
-def update_intersection(own_joint, own_dims, received):
-    """Refine the own block of a joint posterior with received joints.
+class _AgentLP:
+    """Agent i's lifted refinement: one LinearProgram for the whole trial.
 
-    Args:
-        own_joint: this agent's joint posterior over N̄_i.
-        own_dims: per-agent dims of own_joint's blocks (own block first).
-        received: list of (joint_l, alpha_l, dims_l), ascending peer id;
-            alpha_l is the 1-based position of this agent in N̄_l.
-
-    Returns the agent's own-state set: generators of all joints stacked,
-    output map reading the own block, one coupling constraint per peer
-    forcing its copy of the agent's state to match.
+    It holds the joint of agent i and the joint of every peer l in
+    ``topology.peers(i)``.  For each of these owners o and each agent l in
+    N̄_o the columns are x_prev (bounded by l's last hull), w (in l's W
+    box) and x (free), then o's stacked v (in its V box); the rows are
+    the dynamics x - A_l x_prev - B_l w = 0 per l and o's measurements
+    H_o x + v = Y_o, and one block of ``coupling_rows`` per peer ties the
+    peer's copy of x_i to agent i's own.  The feasible set projected on
+    agent i's own x is the refined set of one distributed step.
+    Only numbers change from step to step: ``update`` writes them in
+    place, so each step's solves start from the last basis.
     """
-    n = own_dims[0]
-    Go = own_joint.G[:n, :]
-    co = own_joint.c[:n]
-    G = np.hstack([Go] + [np.zeros((n, Zl.n_generators)) for Zl, _, _ in received])
-    A_blocks = [own_joint.A] + [Zl.A for Zl, _, _ in received]
-    b_parts = [own_joint.b] + [Zl.b for Zl, _, _ in received]
-    h = np.concatenate([own_joint.h] + [Zl.h for Zl, _, _ in received])
-    ng_list = [own_joint.n_generators] + [Zl.n_generators for Zl, _, _ in received]
-    total_ng = int(np.sum(ng_list))
-    A = czono._blockdiag(*A_blocks)
-    rows = []
-    rhs = []
-    ofs = ng_list[0]
-    for Zl, alpha, dims_l in received:
-        start = int(np.sum(dims_l[: alpha - 1]))
-        if dims_l[alpha - 1] != n:
-            raise ValueError("received joint stores this agent with a different dim")
-        Gl = Zl.G[start : start + n, :]
-        cl = Zl.c[start : start + n]
-        row = np.zeros((n, total_ng))
-        row[:, : ng_list[0]] = Go
-        row[:, ofs : ofs + Zl.n_generators] = -_COUPLING_SIGN * Gl
-        rows.append(row)
-        rhs.append(_COUPLING_SIGN * cl - co)
-        ofs += Zl.n_generators
-    if rows:
-        A = np.vstack([A] + rows)
-        b = np.concatenate(b_parts + rhs)
-    else:
-        b = np.concatenate(b_parts) if b_parts else np.zeros(0)
-    return ConstrainedZonotope(G, co, A, b, h)
 
+    def __init__(self, system, i, A, Y, hulls, meas):
+        """Build the model for one step: A maps agent l to A_l(k - 1), Y
+        owner o to its measurements, ``hulls`` l to its last hull and
+        ``meas`` o to (H_o, layout, V box)."""
+        topo = system.topology
+        agents = system.agents
+        r, c, v = [], [], []  # coordinates and values of the nonzeros
+        lo, hi, rhs = [], [], []
+        self._blocks = []  # (l, first x_prev column, first dynamics row) per agent block
+        self._owners = []  # owners in row order
+        x_of = {}  # (o, l) -> first x column
+        meas_rows = []
+        ncol = nrow = 0
 
-def finalize_hull(Z):
-    """Interval hull re-encoded as an unconstrained box-form CZ."""
-    return czono.from_box(czono.interval_hull(Z))
+        def put(row0, cols, M):
+            rr, cc = np.nonzero(M)
+            r.append(row0 + rr)
+            c.append(np.asarray(cols)[cc])
+            v.append(M[rr, cc])
+
+        for o in [i] + topo.peers(i):
+            x_cols = []
+            for l in topo.nbar(o):
+                a = agents[l]
+                n, p = a.n, a.p
+                xp, w, x = ncol, ncol + n, ncol + n + p
+                ncol = x + n
+                put(nrow, np.arange(x, x + n), np.eye(n))
+                put(nrow, np.arange(xp, xp + n), -A[l])
+                put(nrow, np.arange(w, w + p), -a.B)
+                wbox = czono.interval_hull(a.Wset)
+                lo += [hulls[l].lo, wbox.lo, np.full(n, -np.inf)]
+                hi += [hulls[l].hi, wbox.hi, np.full(n, np.inf)]
+                rhs.append(np.zeros(n))
+                self._blocks.append((l, xp, nrow))
+                nrow += n
+                x_of[(o, l)] = x
+                x_cols.append(np.arange(x, x + n))
+            H, _, vbox = meas[o]
+            m = H.shape[0]
+            put(nrow, np.concatenate(x_cols), H)
+            put(nrow, np.arange(ncol, ncol + m), np.eye(m))
+            ncol += m
+            lo.append(vbox.lo)
+            hi.append(vbox.hi)
+            rhs.append(Y[o])
+            self._owners.append(o)
+            meas_rows.append(np.arange(nrow, nrow + m))
+            nrow += m
+        n = agents[i].n
+        self.x_own = np.arange(x_of[(i, i)], x_of[(i, i)] + n)
+        body = sparse.csr_matrix(
+            (np.concatenate(v), (np.concatenate(r), np.concatenate(c))), shape=(nrow, ncol)
+        )
+        coupling = [
+            coupling_rows(ncol, self.x_own, np.arange(x_of[(l, i)], x_of[(l, i)] + n))
+            for l in topo.peers(i)
+        ]
+        self.program = lp.LinearProgram(
+            sparse.vstack([body] + coupling, format="csr"),
+            np.concatenate(rhs + [np.zeros(n * len(coupling))]),
+            np.concatenate(lo),
+            np.concatenate(hi),
+        )
+        self._prev_cols = np.concatenate(
+            [np.arange(xp, xp + agents[l].n) for l, xp, _ in self._blocks]
+        )
+        self._meas_rows = np.concatenate(meas_rows)
+
+    def update(self, changed, Y, hulls):
+        """Write the next step's numbers in place: the x_prev bounds from
+        ``hulls``, the measurement right-hand sides from Y, and the
+        entries of A_l that changed, ``changed`` mapping l to (rows,
+        cols, new values) inside A_l."""
+        region = self.program
+        rows, cols, vals = [], [], []
+        for l, xp, row in self._blocks:
+            if l in changed:
+                rr, cc, a = changed[l]
+                rows.append(row + rr)
+                cols.append(xp + cc)
+                vals.append(-a)
+        if rows:
+            region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        region.set_rhs(self._meas_rows, np.concatenate([Y[o] for o in self._owners]))
+        region.set_bounds(
+            self._prev_cols,
+            np.concatenate([hulls[l].lo for l, _, _ in self._blocks]),
+            np.concatenate([hulls[l].hi for l, _, _ in self._blocks]),
+        )
+
+    def hull(self):
+        """Interval hull of agent i's refined own state."""
+        return _lp_hull(self.program, self.x_own)
 
 
 class DistributedFilter:
     """Per-agent neighborhood recursion with peer refinement.
 
-    After ``step`` the attributes ``last_joint`` (joint posteriors per
-    agent) and ``last_refined`` (own-block sets before hulling) hold the
-    intermediate sets of the step, for inspection and testing.
+    Each agent's posterior is the interval hull of its refined own state
+    (``hulls``), solved on the agent's persistent lifted LP (``_AgentLP``).
+    The models are built at the first step and then changed in place.
     """
 
     def __init__(self, system, initial_ranges):
-        self.system = system
+        """``initial_ranges`` maps every agent id to a Box or a CZ that is
+        an axis-aligned box; every noise range of ``system`` must be a
+        box too."""
         ids = system.agent_ids
         if sorted(initial_ranges) != ids:
             raise ValueError("need an initial range per agent")
+        hulls = {}
         for i in ids:
-            if initial_ranges[i].dim != system.agents[i].n:
+            R = initial_ranges[i]
+            if R.dim != system.agents[i].n:
                 raise ValueError(f"agent {i}: initial range dimension mismatch")
-        self.posterior = dict(initial_ranges)
-        self.hulls = {i: czono.interval_hull(initial_ranges[i]) for i in ids}
+            hulls[i] = R if isinstance(R, Box) else _as_box(R, f"agent {i}: initial set")
+        _check_box_noise(system)
+        self.system = system
+        self.hulls = hulls
         self.k = 0
-        self.last_joint = None
-        self.last_refined = None
+        self._meas = None  # owner -> (H, layout, V box), from the first step on
+        self._lps = None  # agent -> _AgentLP, from the first step on
+        self._A = None  # agent -> A_l(k - 1) of the last step
 
     def step(self, k, batch):
+        """Consume the batch of step k (must be the next step)."""
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
         system = self.system
-        topo = system.topology
         ids = system.agent_ids
-        priors = {}
-        for i in ids:
-            a = system.agents[i]
-            priors[i] = smf_predict(self.posterior[i], a.A_of_k(k - 1), a.B, a.Wset)
-        joint = {}
-        for i in ids:
-            nb = sysmodel.build_neighborhood(system, i, k)
-            jp = czono.cartesian_product([priors[l] for l in nb.state_order])
-            Y = sysmodel.stack_measurements(nb, batch)
-            joint[i] = smf_update(jp, nb.H, Y, nb.Vset)
-        refined = {}
-        for i in ids:
-            order_i = topo.nbar(i)
-            dims_i = [system.agents[l].n for l in order_i]
-            received = []
-            for l in topo.peers(i):
-                order_l = topo.nbar(l)
-                dims_l = [system.agents[m].n for m in order_l]
-                alpha = order_l.index(i) + 1
-                received.append((joint[l], alpha, dims_l))
-            refined[i] = update_intersection(joint[i], dims_i, received)
+        A = {l: np.asarray(system.agents[l].A_of_k(k - 1), dtype=float) for l in ids}
+        first = self._lps is None
+        if first:
+            self._meas = {o: self._owner_rows(o) for o in ids}
+        Y = {o: sysmodel.measurement_vector(self._meas[o][1], batch) for o in ids}
+        if first:
+            self._lps = {i: _AgentLP(system, i, A, Y, self.hulls, self._meas) for i in ids}
+        else:
+            changed = {}
+            for l in ids:
+                rr, cc = np.nonzero(A[l] != self._A[l])
+                if rr.size:
+                    changed[l] = (rr, cc, A[l][rr, cc])
+            for i in ids:
+                self._lps[i].update(changed, Y, self.hulls)
+        self._A = A
+        hulls = {}
         for i in ids:
             try:
-                hull = czono.interval_hull(refined[i])
+                hulls[i] = self._lps[i].hull()
             except EmptySetError:
                 raise EmptyPosteriorError(k, agent=i) from None
-            self.hulls[i] = hull
-            self.posterior[i] = czono.from_box(hull)
+        self.hulls = hulls
         self.k = k
-        self.last_joint = joint
-        self.last_refined = refined
-        return dict(self.posterior)
+
+    def _owner_rows(self, o):
+        """(H, layout, V box) of agent o's measurements over N̄_o."""
+        system = self.system
+        H, layout = sysmodel.measurement_rows(system, system.topology.nbar(o), [o])
+        boxes = [czono.interval_hull(sysmodel.noise_range(system, e)) for e in layout]
+        vbox = Box(
+            np.concatenate([b.lo for b in boxes] + [np.zeros(0)]),
+            np.concatenate([b.hi for b in boxes] + [np.zeros(0)]),
+        )
+        return H, layout, vbox
+
+    @property
+    def lifted_sizes(self):
+        """{agent: (columns, rows)} of the agents' lifted LPs, constant
+        from the first step on ({} before it)."""
+        if self._lps is None:
+            return {}
+        return {i: (m.program.n, m.program.m) for i, m in self._lps.items()}
 
     def agent_set(self, i):
-        return self.posterior[i]
+        """Agent i's posterior, its hull as a box-form CZ (built on each call)."""
+        return czono.from_box(self.hulls[i])

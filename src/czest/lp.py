@@ -9,7 +9,10 @@ from the previous optimal basis and an interval hull's 2n bounds over one
 region pay for the initial basis only once.  A region can grow in place:
 ``extend`` appends columns and rows and ``set_bounds`` changes column
 bounds, both on the same model, so the next solve also starts from the
-last basis.
+last basis.  Coefficients and right-hand sides can be changed in place
+too (``set_coefficients``, ``set_rhs``), so a region whose structure is
+fixed and whose numbers move, such as one filter step after another, is
+one model for its whole life.
 
 HiGHS runs single-threaded with a fixed random seed, so identical inputs
 give identical answers.  Its primal and dual feasibility tolerances are
@@ -67,12 +70,13 @@ class LpResult:
 
 
 class LinearProgram:
-    """A fixed feasible region ``{x : A x = b, lo <= x <= hi}``.
+    """A feasible region ``{x : A x = b, lo <= x <= hi}``.
 
     ``A`` is a dense 2-d array or a ``scipy.sparse`` matrix.  ``solve`` may
     be called repeatedly with different objectives, and between solves
-    the region may be extended or its bounds changed; after the first
-    call the previous basis warm-starts the next one.
+    the region may be extended or its bounds, coefficients or right-hand
+    sides changed; after the first call the previous basis warm-starts
+    the next one.
     """
 
     def __init__(self, A, b, lo, hi):
@@ -87,8 +91,6 @@ class LinearProgram:
         """Hand the whole region to a new HiGHS model (none for the
         closed-form shapes)."""
         self._b = b
-        # rows over no variables read 0 = b
-        self._empty = self.n == 0 and bool(np.any(np.abs(b) > EPS_LP))
         self._highs = _build_model(A, b, self.lo, self.hi) if self.m and self.n else None
 
     def extend(self, lo, hi, A, b):
@@ -131,6 +133,37 @@ class LinearProgram:
         if self._highs is not None:
             self._highs.changeColsBounds(cols.size, cols, lo, hi)
 
+    def set_coefficients(self, rows, cols, values):
+        """Set ``A[rows[t], cols[t]] = values[t]`` in place; a zero value
+        removes the entry."""
+        rows = _indices(rows, self.m, "row")
+        cols = _indices(cols, self.n, "column")
+        values = np.asarray(values, dtype=float).ravel()
+        if not rows.size == cols.size == values.size:
+            raise ValueError("rows, cols and values must have the same length")
+        if np.any(np.isnan(values)):
+            raise ValueError("NaN in constraint data")
+        # a closed-form region has no rows or no columns, so no index is
+        # valid there and the loop is empty
+        for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+            self._highs.changeCoeff(r, c, v)
+
+    def set_rhs(self, rows, b):
+        """Change the right-hand sides of the listed rows in place."""
+        rows = _indices(rows, self.m, "row")
+        b = np.asarray(b, dtype=float).ravel()
+        if b.size != rows.size:
+            raise ValueError(f"b has length {b.size}, expected {rows.size}")
+        if np.any(np.isnan(b)):
+            raise ValueError("NaN in constraint data")
+        h = self._highs
+        if h is None:
+            self._b = self._b.copy()
+            self._b[rows] = b
+            return
+        for r, v in zip(rows.tolist(), b.tolist()):
+            h.changeRowBounds(r, v, v)
+
     def solve(self, c, sense="min"):
         """Optimize c^T x over the region.  Returns LpResult."""
         c = np.asarray(c, dtype=float).ravel()
@@ -140,7 +173,10 @@ class LinearProgram:
             raise ValueError("sense must be 'min' or 'max'")
         csign = 1.0 if sense == "min" else -1.0
         if self._highs is None:
-            return LpResult(INFEASIBLE) if self._empty else self._solve_boxonly(c, csign)
+            # rows over no variables read 0 = b
+            if self.n == 0 and np.any(np.abs(self._b) > EPS_LP):
+                return LpResult(INFEASIBLE)
+            return self._solve_boxonly(c, csign)
         h = self._highs
         h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c * csign)
         status = self._run()
@@ -204,6 +240,14 @@ def _bound_vectors(lo, hi, n):
     return lo, hi
 
 
+def _indices(idx, size, what):
+    """Validated int32 index vector into range(size)."""
+    idx = np.asarray(idx, dtype=np.int64).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise ValueError(f"{what} index out of range 0..{size - 1}")
+    return idx.astype(np.int32)
+
+
 def _region_rows(A, b, fmt=sparse.csc_matrix):
     """Validated (sparse matrix in ``fmt``, right-hand side) of the rows A x = b."""
     if not sparse.issparse(A):
@@ -256,11 +300,3 @@ def lp_solve(c, A_eq, b_eq, lo, hi, sense="min"):
         A_eq = np.zeros((0, n))
         b_eq = np.zeros(0)
     return LinearProgram(A_eq, b_eq, lo, hi).solve(c, sense=sense)
-
-
-def lp_feasible(A_eq, b_eq, lo, hi):
-    """True iff {x : A_eq x = b_eq, lo <= x <= hi} is nonempty."""
-    A_eq = np.asarray(A_eq, dtype=float)
-    n = A_eq.shape[1] if A_eq.ndim == 2 else np.asarray(lo).size
-    res = lp_solve(np.zeros(n), A_eq, b_eq, lo, hi)
-    return res.status == OPTIMAL

@@ -13,9 +13,9 @@ themselves: the centralized and fixed-lag filters answer ``hull`` and
 ``contains`` from their sparse trajectory LP (see ``czest.filters``),
 whose hull is solved once per step and sliced per agent here; the
 distributed filter keeps its own hulls.  A step's ``sizes`` record holds
-the lifted (generators, constraints), i.e. the trajectory LP's
-(columns, rows), of the centralized and fixed-lag posteriors, and the
-refined sets' sizes per agent of the distributed one.
+the lifted (generators, constraints), i.e. the LP's (columns, rows): of
+the trajectory LP for the centralized and fixed-lag posteriors, and of
+each agent's lifted LP, constant over a trial, for the distributed one.
 """
 
 import json
@@ -326,9 +326,7 @@ def run_trial(cfg, trial_index=0, metrics="full"):
     if "oit" in cfg.algorithms:
         flt["oit"] = filters.OitFilter(system, x0_box, cfg.delta_bar, mu0=cfg.mu0)
     if "distributed" in cfg.algorithms:
-        flt["distributed"] = filters.DistributedFilter(
-            system, {i: czono.from_box(init_boxes[i]) for i in ids}
-        )
+        flt["distributed"] = filters.DistributedFilter(system, init_boxes)
 
     log = TrialLog(
         {
@@ -390,12 +388,7 @@ def run_trial(cfg, trial_index=0, metrics="full"):
 
 def _rep_size(alg, f):
     if alg == "distributed":
-        if not f.last_refined:
-            return {}
-        return {
-            str(i): [Z.n_generators, Z.n_constraints]
-            for i, Z in sorted(f.last_refined.items())
-        }
+        return {str(i): list(size) for i, size in sorted(f.lifted_sizes.items())}
     return list(f.lifted_size)
 
 

@@ -32,6 +32,9 @@ __all__ = [
     "SchemaError",
     "build_centralized",
     "build_neighborhood",
+    "measurement_rows",
+    "measurement_vector",
+    "noise_range",
     "stack_measurements",
     "step_truth",
     "measure",
@@ -265,9 +268,22 @@ def _build_stack(system, order, meas_agents, k):
         B[slices[i], ofs : ofs + blk.shape[1]] = blk
         ofs += blk.shape[1]
     Wset = czono.cartesian_product([agents[i].Wset for i in order])
+    H, layout = measurement_rows(system, order, meas_agents)
+    vparts = [noise_range(system, entry) for entry in layout]
+    Vset = czono.cartesian_product(vparts) if vparts else ConstrainedZonotope(np.zeros((0, 0)), [])
+    for arr in (A, B):
+        arr.setflags(write=False)
+    return StackedSystem(list(order), slices, A, B, H, Wset, Vset, layout)
 
+
+def measurement_rows(system, order, meas_agents):
+    """(H, layout): the measurement rows of ``meas_agents`` over the
+    states of ``order``, and their row blocks in order, entries ("y", i)
+    or ("z", i, j).  Neither depends on the step.  H is read-only."""
+    agents = system.agents
+    slices = system.state_slices(order)
+    dim = sum(agents[i].n for i in order)
     rows = []
-    vparts = []
     layout = []
     in_order = set(order)
     for i in meas_agents:
@@ -276,7 +292,6 @@ def _build_stack(system, order, meas_agents, k):
             blk = np.zeros((a.m_y, dim))
             blk[:, slices[i]] = a.C
             rows.append(blk)
-            vparts.append(a.Vset)
             layout.append(("y", i))
     for i in meas_agents:
         a = agents[i]
@@ -287,13 +302,16 @@ def _build_stack(system, order, meas_agents, k):
             blk[:, slices[i]] = a.D
             blk[:, slices[j]] = -a.D
             rows.append(blk)
-            vparts.append(a.Rset_of[j])
             layout.append(("z", i, j))
     H = np.vstack(rows) if rows else np.zeros((0, dim))
-    Vset = czono.cartesian_product(vparts) if vparts else ConstrainedZonotope(np.zeros((0, 0)), [])
-    for arr in (A, B, H):
-        arr.setflags(write=False)
-    return StackedSystem(list(order), slices, A, B, H, Wset, Vset, layout)
+    H.setflags(write=False)
+    return H, layout
+
+
+def noise_range(system, entry):
+    """The noise range of one layout entry: V_i of ("y", i), R_ij of ("z", i, j)."""
+    a = system.agents[entry[1]]
+    return a.Vset if entry[0] == "y" else a.Rset_of[entry[2]]
 
 
 def build_centralized(system, k):
@@ -309,8 +327,13 @@ def build_neighborhood(system, i, k):
 
 def stack_measurements(stacked, batch):
     """Assemble the Y vector matching the stacked H row order."""
+    return measurement_vector(stacked.meas_layout, batch)
+
+
+def measurement_vector(layout, batch):
+    """The measurements of ``batch`` in the row order of ``layout``."""
     parts = []
-    for entry in stacked.meas_layout:
+    for entry in layout:
         if entry[0] == "y":
             parts.append(batch.y[entry[1]])
         else:

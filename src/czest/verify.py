@@ -8,8 +8,10 @@ asserting, so the CLI can print a table.
 Suites:
   * geometry: randomized set-operation invariants on small CZs, with
     membership decided by LP and witnesses carried through constructions.
-  * stacking: the one-shot refinement stacking must represent exactly the
-    same set as the project/intersect composition built from primitives.
+  * stacking: the lifted refinement (each joint a block of generator and
+    state columns, tied by the distributed filter's coupling rows) must
+    represent exactly the same set as the project/intersect composition
+    built from primitives.
   * oracle: the centralized filter against an exhaustive lattice oracle
     on a two-agent scalar scenario.
   * ordering: centralized hull diameters never exceed the fixed-lag or
@@ -18,11 +20,15 @@ Suites:
     filters' trajectory LPs) agree on short horizons with those of the
     dense accumulated recursion, replayed here as a test-only reference
     from the trial's logged measurements.
+  * distributed: the distributed hulls a trial logs (from the agents'
+    lifted LPs) agree with those of the dense composition of one
+    distributed step, replayed per step from the logged previous hulls.
 """
 
 import numpy as np
+from scipy import sparse
 
-from . import czono, filters, simharness, sysmodel
+from . import czono, filters, lp, simharness, sysmodel
 from .czono import Box
 
 __all__ = [
@@ -32,6 +38,8 @@ __all__ = [
     "grid_oracle_check",
     "ordering_check",
     "backend_check",
+    "distributed_check",
+    "lifted_refinement",
     "run_suites",
 ]
 
@@ -292,11 +300,57 @@ def _random_joint(rng, q, n=1):
     return Z
 
 
+def lifted_refinement(own_joint, own_dims, received):
+    """The refined own-block set of a distributed step, as a lifted LP.
+
+    Args:
+        own_joint: this agent's joint posterior over N̄_i.
+        own_dims: per-agent dims of own_joint's blocks (own block first).
+        received: list of (joint_l, alpha_l, dims_l); alpha_l is the
+            1-based position of this agent in N̄_l.
+
+    Each joint Z is a block of columns xi in [-h, h] and x (free) with the
+    rows A xi = b and x - G xi = c; one block of ``filters.coupling_rows``
+    per received joint ties its copy of this agent's state to the own
+    block.  Returns (LinearProgram, columns of the own state): the
+    feasible set projected on those columns is the refined set.
+    """
+    n = own_dims[0]
+    joints = [own_joint] + [Z for Z, _, _ in received]
+    x_at = []  # first x column per joint
+    blocks, lo, hi, rhs = [], [], [], []
+    ncol = 0
+    for Z in joints:
+        ng = Z.n_generators
+        x_at.append(ncol + ng)
+        blocks.append(np.vstack([
+            np.hstack([Z.A, np.zeros((Z.n_constraints, Z.dim))]),
+            np.hstack([-Z.G, np.eye(Z.dim)]),
+        ]))
+        lo += [-Z.h, np.full(Z.dim, -np.inf)]
+        hi += [Z.h, np.full(Z.dim, np.inf)]
+        rhs += [Z.b, Z.c]
+        ncol += ng + Z.dim
+    own = np.arange(x_at[0], x_at[0] + n)
+    coupling = []
+    for (Zl, alpha, dims_l), x_l in zip(received, x_at[1:]):
+        if dims_l[alpha - 1] != n:
+            raise ValueError("received joint stores this agent with a different dim")
+        start = x_l + int(np.sum(dims_l[: alpha - 1]))
+        coupling.append(filters.coupling_rows(ncol, own, np.arange(start, start + n)))
+    A = sparse.vstack([sparse.block_diag(blocks, format="csr")] + coupling, format="csr")
+    region = lp.LinearProgram(
+        A, np.concatenate(rhs + [np.zeros(n * len(coupling))]), np.concatenate(lo), np.concatenate(hi)
+    )
+    return region, own
+
+
 def stacking_checks(rng_seed=2026, instances=100, probes=1000):
-    """One-shot stacked refinement vs project/intersect composition.
+    """Lifted refinement vs project/intersect composition.
 
     For each random instance both realizations are built over the same
-    received joints; membership of every probe point must agree exactly.
+    received joints; membership of every probe point, pinned through the
+    own columns' bounds in the lifted LP, must agree exactly.
     """
     rng = np.random.default_rng(rng_seed)
     failures = 0
@@ -311,7 +365,7 @@ def stacking_checks(rng_seed=2026, instances=100, probes=1000):
             q_l = int(rng.integers(2, 4))
             alpha = int(rng.integers(2, q_l + 1))
             received.append((_random_joint(rng, q_l, n), alpha, [n] * q_l))
-        stacked = filters.update_intersection(own, own_dims, received)
+        region, cols = lifted_refinement(own, own_dims, received)
         comp = czono.project(own, range(n))
         for Zl, alpha, dims_l in received:
             start = int(np.sum(dims_l[: alpha - 1]))
@@ -320,7 +374,7 @@ def stacking_checks(rng_seed=2026, instances=100, probes=1000):
         disagreements = 0
         for x in _probe_points(rng, own, probes):
             xs = x[:n]
-            if czono.contains(stacked, xs) != czono.contains(comp, xs):
+            if filters._pinned_feasible(region, cols, xs) != czono.contains(comp, xs):
                 disagreements += 1
         if disagreements:
             failures += 1
@@ -501,12 +555,84 @@ def backend_check(horizon=6, rng_seed=2026, tol=1e-6):
     return results
 
 
+# -- distributed replay ----------------------------------------------------------
+
+
+def _replay_distributed_deviations(cfg, log):
+    """Largest deviation of each logged distributed hull from its reference.
+
+    The reference is the dense composition of one distributed step,
+    started from the logged previous hulls (the logged initial boxes at
+    k = 1): each agent's prior A_l(k - 1) X_l + B_l W_l, the Cartesian
+    product over N̄_i updated with agent i's measurements, and the own
+    block of that joint intersected (``czono.project`` / ``czono.intersect``)
+    with this agent's block of every peer's joint.  ``log`` must come from
+    ``run_trial(cfg, ..., metrics="full")``.  Returns (k, agent, deviation)
+    tuples.
+    """
+    system = cfg.system
+    topo = system.topology
+    agents = system.agents
+    ids = system.agent_ids
+    prev = {i: Box(*log.header["initial"][str(i)]) for i in ids}
+    out = []
+    for rec in log.steps:
+        k = rec["k"]
+        batch = sysmodel.MeasurementBatch.from_dict(rec)
+        priors = {
+            l: filters.smf_predict(czono.from_box(prev[l]), agents[l].A_of_k(k - 1), agents[l].B, agents[l].Wset)
+            for l in ids
+        }
+        joint = {}
+        for i in ids:
+            nb = sysmodel.build_neighborhood(system, i, k)
+            prior = czono.cartesian_product([priors[l] for l in nb.state_order])
+            joint[i] = filters.smf_update(prior, nb.H, sysmodel.stack_measurements(nb, batch), nb.Vset)
+        logged = {i: rec["algs"]["distributed"][str(i)]["hull"] for i in ids}
+        for i in ids:
+            n = agents[i].n
+            refined = czono.project(joint[i], range(n))
+            for l in topo.peers(i):
+                order = topo.nbar(l)
+                start = sum(agents[m].n for m in order[: order.index(i)])
+                refined = czono.intersect(refined, czono.project(joint[l], range(start, start + n)))
+            ref = czono.interval_hull(refined)
+            lo, hi = np.array(logged[i])
+            dev = max(np.abs(lo - ref.lo).max(), np.abs(hi - ref.hi).max())
+            out.append((k, i, float(dev)))
+        prev = {i: Box(*logged[i]) for i in ids}
+    return out
+
+
+def distributed_check(horizon=6, rng_seed=2026, tol=1e-6):
+    """Logged distributed hulls vs the dense composition of each step."""
+    results = []
+    for name, builder in (("uav5", simharness.build_uav_scenario), ("pair1d", simharness.build_pair1d_scenario)):
+        cfg = simharness.ScenarioConfig.from_doc(
+            builder(horizon=horizon, seed=rng_seed), algorithms=["distributed"]
+        )
+        log = simharness.run_trial(cfg, 0, metrics="full")
+        devs = _replay_distributed_deviations(cfg, log)
+        bad = [d for d in devs if d[2] > tol]
+        cases, failures, detail = len(devs), len(bad), ""
+        if bad:
+            k, agent, dev = bad[0]
+            detail = f"agent {agent} step {k}: max dev {dev:.2e}"
+        if log.aborted:
+            cases += 1
+            failures += 1
+            detail = detail or f"trial aborted: {log.aborted}"
+        results.append(CheckResult(f"distributed.{name}", cases, failures, detail))
+    return results
+
+
 _SUITES = {
     "geometry": lambda seed: geometry_checks(rng_seed=seed, cases_per_op=60, lp_points=6),
     "stacking": lambda seed: stacking_checks(rng_seed=seed, instances=40, probes=200),
     "oracle": lambda seed: grid_oracle_check(rng_seed=seed),
     "ordering": lambda seed: ordering_check(rng_seed=seed),
     "backends": lambda seed: backend_check(rng_seed=seed),
+    "distributed": lambda seed: distributed_check(rng_seed=seed),
 }
 
 

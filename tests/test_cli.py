@@ -133,6 +133,16 @@ class TestVerify:
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
 
+    def test_distributed_suite_pass(self, capsys):
+        assert main(["verify", "--filter", "distributed"]) == 0
+        out = capsys.readouterr().out
+        assert "distributed.uav5" in out and "distributed.pair1d" in out
+
+    def test_injected_fault_detected_by_distributed_replay(self, capsys):
+        rc = main(["verify", "--filter", "distributed", "--inject-fault"])
+        assert rc == 2
+        assert "FAIL" in capsys.readouterr().out
+
     def test_fault_flag_does_not_leak(self):
         from czest import filters
 

@@ -1,0 +1,22 @@
+"""The scripts in demos/ run to completion against the current API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_exits_zero(script, tmp_path):
+    # run from an empty directory: demos write their outputs under it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

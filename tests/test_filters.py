@@ -11,7 +11,6 @@ from czest.filters import (
     EmptyPosteriorError,
     OitFilter,
     WindowTooShortError,
-    update_intersection,
 )
 
 
@@ -52,22 +51,37 @@ class TestPrimitives:
         assert hull.hi[0] == pytest.approx(2.0, abs=1e-9)
 
 
+def split_per_agent(system, Z):
+    """Per-agent initial ranges: the projections of a stacked set."""
+    return {
+        i: czono.project(Z, range(sl.start, sl.stop)) for i, sl in system.state_slices().items()
+    }
+
+
 class TestInputCheck:
     @pytest.mark.parametrize(
-        "make", [CentralizedFilter, lambda system, Z: OitFilter(system, Z, delta_bar=2, mu0=1)],
-        ids=["centralized", "oit"],
+        "make",
+        [
+            CentralizedFilter,
+            lambda system, Z: OitFilter(system, Z, delta_bar=2, mu0=1),
+            lambda system, Z: DistributedFilter(system, split_per_agent(system, Z)),
+        ],
+        ids=["centralized", "oit", "distributed"],
     )
     def test_non_box_sets_rejected(self, make):
-        system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        rotated = czono.linear_map(np.array([[1.0, 1.0], [-1.0, 1.0]]), Z0)
-        with pytest.raises(ValueError, match="initial set"):
-            make(system, rotated)
+        # a rotation inside each agent's (px, vx) and (py, vy) pairs: its
+        # per-agent projections are rotated too (a scalar agent's would be
+        # intervals, which are boxes)
         uav = sysmodel.system_from_dict(simharness.build_uav_scenario())
+        dim = uav.state_dim()
+        unit = czono.from_box(Box(-np.ones(dim), np.ones(dim)))
+        turn = np.kron(np.eye(dim // 2), np.array([[1.0, 1.0], [-1.0, 1.0]]))
+        with pytest.raises(ValueError, match="initial set"):
+            make(uav, czono.linear_map(turn, unit))
         agent = uav.agents[1]
         agent.Wset = czono.linear_map(np.array([[1.0, 1.0], [-1.0, 1.0]]), agent.Wset)
         with pytest.raises(ValueError, match="process noise"):
-            make(uav, czono.from_box(Box(-np.ones(uav.state_dim()), np.ones(uav.state_dim()))))
+            make(uav, unit)
 
 
 class TestCentralized:
@@ -125,7 +139,7 @@ class TestOit:
             batch = sysmodel.measure(system, k, x, v, r)
             cent.step(k, batch)
             oit.step(k, batch)
-            assert czono.cz_to_json(oit.posterior) == czono.cz_to_json(cent.posterior)
+            assert czono.cz_to_dict(oit.posterior) == czono.cz_to_dict(cent.posterior)
 
     def test_bounded_representation_past_window(self):
         system = pair_system()
@@ -164,7 +178,16 @@ class TestOit:
             assert np.all(hc.hi <= ho.hi + 1e-9)
 
 
+def refined_contains(refinement, x):
+    """Membership in a lifted refinement, pinned through its own columns."""
+    region, cols = refinement
+    return filters._pinned_feasible(region, cols, x)
+
+
 class TestUpdateIntersection:
+    """The lifted refinement (``verify.lifted_refinement``): the own block of
+    a joint, intersected with this agent's block of each received joint."""
+
     def _random_joint(self, rng, q):
         Z, _ = verify._random_cz(rng, dim=q, allow_inf=False)
         return Z
@@ -175,32 +198,32 @@ class TestUpdateIntersection:
             own = self._random_joint(rng, 2)
             peer = self._random_joint(rng, 3)
             alpha = int(rng.integers(2, 4))
-            stacked = update_intersection(own, [1, 1], [(peer, alpha, [1, 1, 1])])
+            stacked = verify.lifted_refinement(own, [1, 1], [(peer, alpha, [1, 1, 1])])
             comp = czono.intersect(
                 czono.project(own, [0]), czono.project(peer, [alpha - 1])
             )
             for _ in range(30):
                 x = rng.uniform(-4, 4, 1)
-                assert czono.contains(stacked, x) == czono.contains(comp, x)
+                assert refined_contains(stacked, x) == czono.contains(comp, x)
 
     def test_received_order_does_not_change_set(self):
         rng = np.random.default_rng(5)
         own = self._random_joint(rng, 2)
         p1 = self._random_joint(rng, 2)
         p2 = self._random_joint(rng, 3)
-        a = update_intersection(own, [1, 1], [(p1, 2, [1, 1]), (p2, 3, [1, 1, 1])])
-        b = update_intersection(own, [1, 1], [(p2, 3, [1, 1, 1]), (p1, 2, [1, 1])])
+        a = verify.lifted_refinement(own, [1, 1], [(p1, 2, [1, 1]), (p2, 3, [1, 1, 1])])
+        b = verify.lifted_refinement(own, [1, 1], [(p2, 3, [1, 1, 1]), (p1, 2, [1, 1])])
         for _ in range(50):
             x = rng.uniform(-4, 4, 1)
-            assert czono.contains(a, x) == czono.contains(b, x)
+            assert refined_contains(a, x) == refined_contains(b, x)
 
     def test_no_received_projects_own_block(self):
         own = czono.cartesian_product([interval(1, 2), interval(-5, 5)])
-        out = update_intersection(own, [1, 1], [])
-        hull = czono.interval_hull(out)
+        region, cols = verify.lifted_refinement(own, [1, 1], [])
+        hull = filters._lp_hull(region, cols)
         assert hull.lo[0] == pytest.approx(1.0)
         assert hull.hi[0] == pytest.approx(2.0)
-        assert out.dim == 1
+        assert len(cols) == 1
 
 
 class TestDistributed:
@@ -248,6 +271,26 @@ class TestDistributed:
                 hd = dist.hulls[i]
                 assert hc.lo[0] >= hd.lo[0] - 1e-9
                 assert hc.hi[0] <= hd.hi[0] + 1e-9
+
+    def test_run_trial_starts_from_the_declared_boxes(self, monkeypatch):
+        # sampled uav5 initial boxes, compared bit for bit: a center/radius
+        # round trip through from_box would move some endpoints by one ulp
+        initial = []
+        init = DistributedFilter.__init__
+
+        def recording(self, system, initial_ranges):
+            init(self, system, initial_ranges)
+            initial.append(dict(self.hulls))
+
+        monkeypatch.setattr(DistributedFilter, "__init__", recording)
+        cfg = simharness.ScenarioConfig.from_doc(
+            simharness.build_uav_scenario(horizon=1), algorithms=["distributed"]
+        )
+        for trial in range(40):
+            log = simharness.run_trial(cfg, trial, metrics="containment")
+            for i, (lo, hi) in log.header["initial"].items():
+                hull = initial[-1][int(i)]
+                assert hull.lo.tolist() == lo and hull.hi.tolist() == hi
 
     def test_empty_posterior_reports_agent_and_step(self):
         system = pair_system()

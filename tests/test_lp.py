@@ -11,7 +11,6 @@ from czest.lp import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    lp_feasible,
     lp_solve,
 )
 
@@ -48,8 +47,8 @@ def test_equality_pins_value():
 
 
 def test_feasibility_probe():
-    assert lp_feasible([[1.0, 1.0]], [2.0], [-1, -1], [1, 1])
-    assert not lp_feasible([[1.0, 1.0]], [2.5], [-1, -1], [1, 1])
+    assert lp_solve([0.0, 0.0], [[1.0, 1.0]], [2.0], [-1, -1], [1, 1]).status == OPTIMAL
+    assert lp_solve([0.0, 0.0], [[1.0, 1.0]], [2.5], [-1, -1], [1, 1]).status == INFEASIBLE
 
 
 def test_degenerate_zero_width_bounds():
@@ -66,8 +65,8 @@ def test_no_constraints_no_variables():
 
 def test_rows_without_variables():
     # the rows read 0 = b
-    assert lp_feasible(np.zeros((2, 0)), [0.0, 0.0], [], [])
-    assert not lp_feasible(np.zeros((2, 0)), [0.0, 1.0], [], [])
+    assert lp_solve(np.zeros(0), np.zeros((2, 0)), [0.0, 0.0], [], []).status == OPTIMAL
+    assert lp_solve(np.zeros(0), np.zeros((2, 0)), [0.0, 1.0], [], []).status == INFEASIBLE
 
 
 def test_free_variable_enters_both_directions():
@@ -252,3 +251,78 @@ def test_set_bounds_then_restore_returns_optimum(rows):
     assert after.status == before.status == OPTIMAL
     assert after.value == pytest.approx(before.value, abs=1e-9)
     assert np.array_equal(prog.lo, lo) and np.array_equal(prog.hi, hi)
+
+
+def _changed_instance(rng):
+    """A region (A, b, lo, hi) and a change of some of its coefficients and
+    right-hand sides (A2, b2); a fifth of the regions are closed-form,
+    without rows or without columns."""
+    shape = rng.random()
+    if shape < 0.1:
+        m, n = int(rng.integers(1, 3)), 0  # rows over no variables
+    elif shape < 0.2:
+        m, n = 0, int(rng.integers(1, 5))  # no rows
+    else:
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7)
+    lo = np.where(rng.random(n) < 0.15, -np.inf, rng.uniform(-2, 0, n))
+    hi = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0, 2, n))
+    with np.errstate(invalid="ignore"):
+        mid = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2, 0.0)
+    b = A @ (mid + rng.uniform(-0.3, 0.3, n))
+    A2 = A.copy()
+    if m and n:
+        for _ in range(int(rng.integers(1, m * n + 1))):
+            r, c = int(rng.integers(0, m)), int(rng.integers(0, n))
+            A2[r, c] = 0.0 if rng.random() < 0.3 else rng.standard_normal()
+    b2 = b.copy()
+    rows = np.flatnonzero(rng.random(m) < 0.6)
+    if n == 0:
+        b2[rows] = rng.choice([0.0, 1.0], rows.size)
+    elif rng.random() < 0.8:
+        b2[rows] = (A2 @ (mid + rng.uniform(-0.3, 0.3, n)))[rows]
+    else:
+        b2[rows] = rng.standard_normal(rows.size) * 3
+    return A, b, lo, hi, A2, b2
+
+
+@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+def test_changed_region_matches_fresh(fmt):
+    rng = np.random.default_rng(53)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    closed_form = 0
+    for _ in range(60):
+        A, b, lo, hi, A2, b2 = _changed_instance(rng)
+        m, n = A.shape
+        changed = LinearProgram(fmt(A), b, lo, hi)
+        changed.solve(rng.standard_normal(n))  # the change starts from a basis
+        r, c = np.nonzero(A2 != A)
+        changed.set_coefficients(r, c, A2[r, c])
+        rows = np.flatnonzero(b2 != b)
+        changed.set_rhs(rows, b2[rows])
+        fresh = LinearProgram(fmt(A2), b2, lo, hi)
+        closed_form += fresh._highs is None
+        for _ in range(4):
+            c = rng.standard_normal(n)
+            got, want = changed.solve(c), fresh.solve(c)
+            assert got.status == want.status
+            if want.status == OPTIMAL:
+                assert got.value == pytest.approx(want.value, abs=1e-9, rel=1e-9)
+            statuses[got.status] += 1
+    assert all(v > 0 for v in statuses.values()), statuses
+    assert closed_form > 0
+
+
+def test_changes_are_validated():
+    prog = LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
+    with pytest.raises(ValueError):
+        prog.set_coefficients([1], [0], [2.0])  # row out of range
+    with pytest.raises(ValueError):
+        prog.set_coefficients([0], [2], [2.0])  # column out of range
+    with pytest.raises(ValueError):
+        prog.set_rhs([0], [np.nan])
+    prog.set_coefficients([0], [0], [0.0])  # x2 = 1 alone
+    prog.set_rhs([0], [0.5])
+    res = prog.solve([1.0, -1.0])
+    assert res.status == OPTIMAL
+    assert res.value == pytest.approx(-0.5, abs=1e-9)

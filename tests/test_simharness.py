@@ -121,6 +121,18 @@ class TestBackends:
         assert [r.name for r in results] == ["backends.uav5", "backends.pair1d"]
         assert all(r.failures == r.cases > 0 for r in results)
 
+    def test_distributed_check_detects_widened_hulls(self, monkeypatch):
+        hull = filters._AgentLP.hull
+
+        def widened(self):
+            box = hull(self)
+            return czono.Box(box.lo - 1e-3, box.hi + 1e-3)
+
+        monkeypatch.setattr(filters._AgentLP, "hull", widened)
+        results = verify.distributed_check(horizon=3)
+        assert [r.name for r in results] == ["distributed.uav5", "distributed.pair1d"]
+        assert all(r.failures == r.cases > 0 for r in results)
+
     def test_containment_flags_match_full_metrics(self):
         full = simharness.run_trial(small_uav(), 0, metrics="full")
         cont = simharness.run_trial(small_uav(), 0, metrics="containment")
@@ -137,6 +149,8 @@ class TestBackends:
         log = simharness.run_trial(small_uav(h=6), 0, metrics="containment")
         sizes = [s["sizes"]["distributed"] for s in log.steps]
         assert all(s == sizes[0] for s in sizes[1:])
+        # each agent's lifted LP: [columns, rows]
+        assert sizes[0] == {"1": [72, 40], "2": [132, 78], "3": [72, 40], "4": [84, 46], "5": [24, 12]}
 
 
 class TestGrownTrajectory:
@@ -273,6 +287,30 @@ class _SolveErrorOnceGrown(_SolveErrorHighs):
         return super().getModelStatus() if self.grown else self._model.getModelStatus()
 
 
+class _SolveErrorOnceUpdated(_SolveErrorHighs):
+    """A HiGHS model that reports "solve error" once its bounds, coefficients
+    or right-hand sides were changed in place."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.updated = False
+
+    def changeColsBounds(self, *args):
+        self.updated = True
+        return self._model.changeColsBounds(*args)
+
+    def changeCoeff(self, *args):
+        self.updated = True
+        return self._model.changeCoeff(*args)
+
+    def changeRowBounds(self, *args):
+        self.updated = True
+        return self._model.changeRowBounds(*args)
+
+    def getModelStatus(self):
+        return super().getModelStatus() if self.updated else self._model.getModelStatus()
+
+
 class TestSolverFailure:
     def test_linprog_failure_aborts_instead_of_violating(self, monkeypatch):
         # "solve error" is neither optimal, infeasible nor unbounded
@@ -292,6 +330,17 @@ class TestSolverFailure:
         assert log.violations == 0
         assert len(log.steps) == 1
 
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_distributed_failure_after_update_aborts(self, monkeypatch, metrics):
+        # the agents' lifted LPs are built at step 1 and changed in place
+        # from step 2 on, where every solve then fails
+        build = lp._build_model
+        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorOnceUpdated(build(*args)))
+        log = simharness.run_trial(small_uav(h=4, algorithms=["distributed"]), 0, metrics=metrics)
+        assert log.aborted == {"k": 2, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0
+        assert len(log.steps) == 1
+
     def test_trajectory_lp_does_not_use_linprog(self, monkeypatch):
         def no_linprog(*args, **kwargs):
             raise AssertionError("linprog called")
@@ -301,15 +350,29 @@ class TestSolverFailure:
         assert log.aborted is None
         assert log.violations == 0
 
-    @pytest.mark.parametrize("metrics", ["full", "containment"])
-    def test_run_path_has_no_dense_recursion(self, monkeypatch, metrics):
-        # the centralized and fixed-lag filters step their trajectory LPs only
+    @pytest.mark.parametrize(
+        "metrics, algorithms, dense_ops",
+        [
+            # the centralized and fixed-lag filters step their trajectory
+            # LPs only (their step entries stack noise ranges, a product)
+            pytest.param(metrics, ["centralized", "oit"], ["minkowski_sum", "intersect_under_map"], id=metrics)
+            for metrics in ("full", "containment")
+        ] + [
+            # the distributed filter steps its agents' lifted LPs only
+            pytest.param(
+                metrics, ["distributed"], ["cartesian_product", "minkowski_sum", "intersect_under_map"],
+                id=f"distributed-{metrics}",
+            )
+            for metrics in ("full", "containment")
+        ],
+    )
+    def test_run_path_has_no_dense_recursion(self, monkeypatch, metrics, algorithms, dense_ops):
         def dense(*args, **kwargs):
             raise AssertionError("dense recursion called")
 
-        monkeypatch.setattr(czono, "minkowski_sum", dense)
-        monkeypatch.setattr(czono, "intersect_under_map", dense)
-        cfg = small_uav(h=6, algorithms=["centralized", "oit"])
+        cfg = small_uav(h=6, algorithms=algorithms)
+        for name in dense_ops:
+            monkeypatch.setattr(czono, name, dense)
         log = simharness.run_trial(cfg, 0, metrics=metrics)
         assert log.aborted is None
         assert len(log.steps) == 6
