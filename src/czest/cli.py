@@ -52,7 +52,7 @@ def _emit_svg(cfg, log, plot_dir):
         traj = os.path.join(plot_dir, f"trajectory_agent{i}.svg")
         svgplot.plot_trajectory(log, i, traj, coords=_plot_coords(cfg, i))
         curve = os.path.join(plot_dir, f"diameter_agent{i}.svg")
-        svgplot.plot_metric(log, i, curve, field="d")
+        svgplot.plot_metric(log, i, curve)
         written += [traj, curve]
     return written
 

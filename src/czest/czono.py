@@ -308,8 +308,9 @@ def interval_hull(Z):
     """Smallest axis-aligned Box containing Z.
 
     Unconstrained sets are handled in closed form (c ± |G| h, with the
-    convention 0 * inf = 0); otherwise each bound is one LP, warm-started
-    across the batch.  Raises EmptySetError on an empty set.
+    convention 0 * inf = 0); otherwise each bound is one LP, all minima
+    before all maxima, warm-started across the batch.  Raises
+    EmptySetError on an empty set.
     """
     return interval_hull_coords(Z, range(Z.dim))
 
@@ -324,23 +325,42 @@ def interval_hull_coords(Z, coords):
         r = contrib.sum(axis=1)
         c = Z.c[coords]
         return Box(c - r, c + r)
-    prob = _feas_program(Z)
-    lo = np.empty(len(coords))
-    hi = np.empty(len(coords))
-    for out, j in enumerate(coords):
-        g = Z.G[j, :]
-        if not np.any(g):
-            lo[out] = hi[out] = Z.c[j]
-            continue
-        rmin = prob.solve(g, sense="min")
-        if rmin.status == INFEASIBLE:
-            raise EmptySetError("interval hull of an empty set")
-        rmax = prob.solve(g, sense="max")
-        lo[out] = -np.inf if rmin.status == UNBOUNDED else rmin.value + Z.c[j]
-        hi[out] = np.inf if rmax.status == UNBOUNDED else rmax.value + Z.c[j]
-    if np.all([not np.any(Z.G[j, :]) for j in coords]) and is_empty(Z):
+    G = Z.G[coords, :]
+    c = Z.c[coords]
+    lo, hi = c.copy(), c.copy()
+    moving = np.flatnonzero(np.any(G, axis=1))
+    if moving.size:
+        blo, bhi = _lp_bounds(_feas_program(Z), G[moving])
+        lo[moving] += blo
+        hi[moving] += bhi
+    if not moving.size and is_empty(Z):
         raise EmptySetError("interval hull of an empty set")
     return _uncrossed_box(lo, hi)
+
+
+def _lp_bounds(prob, objectives):
+    """(minima, maxima) of each row of ``objectives`` over the region of
+    the LinearProgram ``prob``, ±inf where unbounded.
+
+    All minima are solved first, then all maxima, each from the previous
+    basis: a minimum and a maximum lie at opposite ends of the region, so
+    alternating them would move the basis across it at every solve.  An
+    infeasible minimum raises EmptySetError; an infeasible maximum after
+    feasible minima is a NumericalError.
+    """
+    lo = np.empty(len(objectives))
+    hi = np.empty(len(objectives))
+    for t, c in enumerate(objectives):
+        res = prob.solve(c, sense="min")
+        if res.status == INFEASIBLE:
+            raise EmptySetError("LP region infeasible")
+        lo[t] = -np.inf if res.status == UNBOUNDED else res.value
+    for t, c in enumerate(objectives):
+        res = prob.solve(c, sense="max")
+        if res.status == INFEASIBLE:
+            raise NumericalError("LP region feasible for the minima only")
+        hi[t] = np.inf if res.status == UNBOUNDED else res.value
+    return lo, hi
 
 
 def _uncrossed_box(lo, hi):

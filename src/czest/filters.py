@@ -42,7 +42,15 @@ solve warm-starts from the last basis, across steps too; past
 ``delta_bar`` the fixed-lag filter builds its window afresh each step,
 with the window's first state free.  ``hull`` solves the final state's
 interval hull once per step; ``contains`` pins the final state through
-its bounds, solves and restores them.  ``posterior`` builds the lifted
+its bounds, solves and restores them.
+
+Every hull (``_lp_hull``) solves all minima first, then all maxima.
+Inside one hull only the objective changes, so ``lp.LinearProgram``
+runs primal simplex from the last basis; the first solve after a step's
+change to the region (appended rows, new numbers, restored bounds) runs
+dual simplex.  An infeasible minimum is an empty posterior, an
+infeasible maximum after feasible minima a ``lp.NumericalError``, and
+an unbounded bound is ±inf.  ``posterior`` builds the lifted
 CZ itself only when asked for.  The LPs read every noise range and
 initial set as a box, so all three filters accept box noise ranges and
 box initial sets only (a Box, or a CZ in box form).
@@ -122,24 +130,13 @@ def _check_box_noise(system):
 def _lp_hull(region, cols):
     """Interval hull of the listed columns over the region's feasible set.
 
-    The 2 bounds per column are solved over the one LinearProgram, each
-    warm-started from the previous one's basis.
+    The 2 bounds per column are solved over the one LinearProgram, all
+    minima before all maxima, each warm-started from the previous one's
+    basis (``czono._lp_bounds``).
     """
-    lo = np.empty(len(cols))
-    hi = np.empty(len(cols))
-    c = np.zeros(region.n)
-    for j, col in enumerate(cols):
-        c[col] = 1.0
-        rmin = region.solve(c, sense="min")
-        if rmin.status == lp.INFEASIBLE:
-            raise czono.EmptySetError("lifted LP infeasible")
-        rmax = region.solve(c, sense="max")
-        if rmax.status == lp.INFEASIBLE:
-            raise lp.NumericalError("lifted LP feasible for the minimum only")
-        lo[j] = -np.inf if rmin.status == lp.UNBOUNDED else rmin.value
-        hi[j] = np.inf if rmax.status == lp.UNBOUNDED else rmax.value
-        c[col] = 0.0
-    return czono._uncrossed_box(lo, hi)
+    C = np.zeros((len(cols), region.n))
+    C[np.arange(len(cols)), cols] = 1.0
+    return czono._uncrossed_box(*czono._lp_bounds(region, C))
 
 
 def _pinned_feasible(region, cols, x):

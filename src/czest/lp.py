@@ -14,6 +14,19 @@ too (``set_coefficients``, ``set_rhs``), so a region whose structure is
 fixed and whose numbers move, such as one filter step after another, is
 one model for its whole life.
 
+Each solve picks its simplex variant from what changed since the last
+one.  After a change of the region (a new model, ``extend``,
+``set_bounds``, ``set_coefficients``, ``set_rhs``) the last basis is
+still dual feasible, so the solve runs dual simplex; when only the
+objective changed the basis is still primal feasible, so it runs primal
+simplex (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
+1997, ch. 5).  Primal simplex after an objective swap can stop at model
+status "Unknown" with a dual infeasibility left; such a run is repeated
+once with dual simplex from a cleared solver, which also covers the
+re-run without presolve when HiGHS cannot tell infeasible from
+unbounded.  A status that is still not definite raises
+``NumericalError``.
+
 HiGHS runs single-threaded with a fixed random seed, so identical inputs
 give identical answers.  Its primal and dual feasibility tolerances are
 both ``EPS_LP``, the kernel's one documented tolerance.  Programs without
@@ -29,6 +42,9 @@ EPS_LP = 1e-9
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_DUAL = 1  # HiGHS simplex_strategy values
+_PRIMAL = 4
 
 _HIGHS_OPTIONS = {
     "output_flag": False,
@@ -92,6 +108,8 @@ class LinearProgram:
         closed-form shapes)."""
         self._b = b
         self._highs = _build_model(A, b, self.lo, self.hi) if self.m and self.n else None
+        self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
+        self._region_changed = True
 
     def extend(self, lo, hi, A, b):
         """Append columns with bounds [lo, hi] and the rows ``A x = b``.
@@ -109,6 +127,7 @@ class LinearProgram:
         self.hi = np.concatenate([self.hi, hi])
         m = self.m
         self.m, self.n = m + r, n
+        self._region_changed = True
         h = self._highs
         if h is None:
             # closed form so far: no rows, or rows over no variables, so
@@ -130,6 +149,7 @@ class LinearProgram:
         lo, hi = _bound_vectors(lo, hi, cols.size)
         self.lo[cols] = lo
         self.hi[cols] = hi
+        self._region_changed = True
         if self._highs is not None:
             self._highs.changeColsBounds(cols.size, cols, lo, hi)
 
@@ -143,6 +163,7 @@ class LinearProgram:
             raise ValueError("rows, cols and values must have the same length")
         if np.any(np.isnan(values)):
             raise ValueError("NaN in constraint data")
+        self._region_changed = True
         # a closed-form region has no rows or no columns, so no index is
         # valid there and the loop is empty
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
@@ -156,6 +177,7 @@ class LinearProgram:
             raise ValueError(f"b has length {b.size}, expected {rows.size}")
         if np.any(np.isnan(b)):
             raise ValueError("NaN in constraint data")
+        self._region_changed = True
         h = self._highs
         if h is None:
             self._b = self._b.copy()
@@ -179,15 +201,24 @@ class LinearProgram:
             return self._solve_boxonly(c, csign)
         h = self._highs
         h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c * csign)
+        self._use(_DUAL if self._region_changed else _PRIMAL)
+        self._region_changed = False
         status = self._run()
         if status != OPTIMAL:
             return LpResult(status)
         x = np.array(h.getSolution().col_value)
         return LpResult(OPTIMAL, float(c @ x), x)
 
+    def _use(self, strategy):
+        """Set the model's simplex_strategy, unless it already is that."""
+        if strategy != self._strategy:
+            self._highs.setOptionValue("simplex_strategy", strategy)
+            self._strategy = strategy
+
     def _run(self):
-        """Run HiGHS; re-run once without presolve if it cannot tell
-        infeasible from unbounded."""
+        """Run HiGHS; re-run once with dual simplex from a cleared solver
+        if a primal run ends without a definite status or HiGHS cannot
+        tell infeasible from unbounded (then also without presolve)."""
         h = self._highs
         if h.run() == _highs.HighsStatus.kError and (
             h.getModelStatus() == _highs.HighsModelStatus.kNotset
@@ -199,11 +230,15 @@ class LinearProgram:
             _highs._Highs.resetGlobalScheduler(True)
             h.run()
         model_status = h.getModelStatus()
-        if model_status == _highs.HighsModelStatus.kUnboundedOrInfeasible:
-            h.setOptionValue("presolve", "off")
+        unsure = model_status == _highs.HighsModelStatus.kUnboundedOrInfeasible
+        if unsure or (model_status not in _STATUS and self._strategy == _PRIMAL):
+            self._use(_DUAL)
+            if unsure:
+                h.setOptionValue("presolve", "off")
             h.clearSolver()
             h.run()
-            h.setOptionValue("presolve", "choose")
+            if unsure:
+                h.setOptionValue("presolve", "choose")
             model_status = h.getModelStatus()
         if model_status not in _STATUS:
             raise NumericalError("HiGHS model status: " + h.modelStatusToString(model_status))

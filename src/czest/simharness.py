@@ -412,15 +412,11 @@ def _step_metrics(alg, f, ids, truth, slices, metrics):
 
 def _agent_rec(hull, contained):
     if hull is None:
-        return {"hull": None, "d": None, "gnorm": None, "contained": bool(contained)}
+        return {"hull": None, "d": None, "contained": bool(contained)}
     widths = hull.widths()
-    d = float(widths.max()) if widths.size else 0.0
-    gnorm = float(hull.radius.max()) if hull.radius.size else 0.0
-    assert abs(d - 2.0 * gnorm) <= 1e-12 * max(1.0, d)
     return {
         "hull": _box_out(hull),
-        "d": d,
-        "gnorm": gnorm,
+        "d": float(widths.max()) if widths.size else 0.0,
         "contained": bool(contained),
     }
 
@@ -489,7 +485,7 @@ def run_monte_carlo(cfg, trials, metrics="full", workers=None):
 
 
 def metrics_rows(log):
-    """Flatten a TrialLog into (trial, k, algorithm, agent, d, gnorm, contained)."""
+    """Flatten a TrialLog into (trial, k, algorithm, agent, d, contained)."""
     rows = []
     trial = log.header["trial"]
     for s in log.steps:
@@ -504,7 +500,6 @@ def metrics_rows(log):
                         "algorithm": alg,
                         "agent": int(agent),
                         "d": a["d"],
-                        "gnorm": a["gnorm"],
                         "contained": a["contained"],
                     }
                 )
@@ -522,7 +517,7 @@ def _csv_cell(value):
 
 
 def write_metrics_csv(path, logs):
-    cols = ["trial", "k", "algorithm", "agent", "d", "gnorm", "contained"]
+    cols = ["trial", "k", "algorithm", "agent", "d", "contained"]
     with open(path, "w") as f:
         f.write(",".join(cols) + "\n")
         for log in logs:

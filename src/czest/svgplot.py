@@ -255,23 +255,21 @@ def _plot_timeseries(log, steps, agent, offset, coord, path, algs):
         fh.write(cv.render())
 
 
-def plot_metric(log, agent, path, field="d"):
-    """Write per-algorithm curves of a hull metric against the step index."""
-    if field not in ("d", "gnorm"):
-        raise ValueError("field must be 'd' or 'gnorm'")
+def plot_metric(log, agent, path):
+    """Write per-algorithm curves of the hull diameter d against the step
+    index."""
     steps = _full_steps(log)
     algs = list(steps[0]["algs"])
     ks = [s["k"] for s in steps]
     series = {
-        alg: [s["algs"][alg][str(agent)][field] for s in steps] for alg in algs
+        alg: [s["algs"][alg][str(agent)]["d"] for s in steps] for alg in algs
     }
     vals = [v for curve in series.values() for v in curve]
     cv = _Canvas((min(ks), max(ks)), (min(0.0, min(vals)), max(vals)))
     for alg in algs:
         color, dash = ALG_STYLE.get(alg, ("#555", ""))
         cv.polyline(list(zip(ks, series[alg])), color, dash, width=1.8)
-    label = "hull diameter" if field == "d" else "generator norm"
-    cv.axes("step k", label, f"agent {agent} {label} per step")
+    cv.axes("step k", "hull diameter", f"agent {agent} hull diameter per step")
     cv.legend([(a, *ALG_STYLE.get(a, ("#555", ""))) for a in algs])
     with open(path, "w") as fh:
         fh.write(cv.render())

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from czest import czono
+from czest import czono, lp
 from czest.czono import Box, ConstrainedZonotope
 
 
@@ -265,6 +265,18 @@ class TestEmptinessAndHull:
         )
         with pytest.raises(czono.EmptySetError):
             czono.interval_hull(Z)
+
+    def test_hull_with_infeasible_maximum_is_a_numerical_error(self, monkeypatch):
+        # a region feasible for the minima but not for a maximum is a
+        # solver failure, not an empty set
+        solve = lp.LinearProgram.solve
+
+        def infeasible_max(self, c, sense="min"):
+            return lp.LpResult(lp.INFEASIBLE) if sense == "max" else solve(self, c, sense)
+
+        monkeypatch.setattr(lp.LinearProgram, "solve", infeasible_max)
+        with pytest.raises(lp.NumericalError):
+            czono.interval_hull(sliced_unit_box())
 
     def test_diameter_unit_box(self):
         assert czono.diameter_inf(unit_box()) == 2.0

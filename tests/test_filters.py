@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from czest import czono, filters, simharness, sysmodel, verify
+from czest import czono, filters, lp, simharness, sysmodel, verify
 from czest.czono import Box
 from czest.filters import (
     CentralizedFilter,
@@ -224,6 +225,56 @@ class TestUpdateIntersection:
         assert hull.lo[0] == pytest.approx(1.0)
         assert hull.hi[0] == pytest.approx(2.0)
         assert len(cols) == 1
+
+
+class TestLpHull:
+    """``_lp_hull`` solves all minima, then all maxima, on one model; each
+    bound must equal the one a fresh model finds."""
+
+    @staticmethod
+    def _region(rng):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, min(n, 4) + 1))
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+        lo = np.where(rng.random(n) < 0.2, -np.inf, rng.uniform(-2, 0, n))
+        hi = np.where(rng.random(n) < 0.2, np.inf, rng.uniform(0, 2, n))
+        with np.errstate(invalid="ignore"):
+            mid = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2, 0.0)
+        b = A @ (mid + rng.uniform(-0.3, 0.3, n))
+        if rng.random() < 0.15:
+            b += rng.standard_normal(m) * 5  # mostly infeasible
+        return A, b, lo, hi
+
+    @pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+    def test_matches_fresh_bounds(self, fmt):
+        rng = np.random.default_rng(67)
+        seen = {"finite": 0, "inf": 0, "empty": 0}
+        for _ in range(60):
+            A, b, lo, hi = self._region(rng)
+            n = A.shape[1]
+            cols = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            want = []
+            for sense in ("min", "max"):
+                for j in cols:
+                    res = lp.lp_solve(np.eye(n)[j], A, b, lo, hi, sense=sense)
+                    want.append(res)
+            region = lp.LinearProgram(fmt(A), b, lo, hi)
+            if want[0].status == lp.INFEASIBLE:
+                with pytest.raises(czono.EmptySetError):
+                    filters._lp_hull(region, cols)
+                seen["empty"] += 1
+                continue
+            hull = filters._lp_hull(region, cols)
+            got = np.concatenate([hull.lo, hull.hi])
+            for g, w in zip(got, want):
+                if w.status == lp.UNBOUNDED:
+                    assert np.isinf(g)
+                    seen["inf"] += 1
+                else:
+                    assert w.status == lp.OPTIMAL
+                    assert abs(g - w.value) <= 1e-9 * max(1.0, abs(w.value))
+                    seen["finite"] += 1
+        assert all(v > 0 for v in seen.values()), seen
 
 
 class TestDistributed:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import OptimizeWarning, linprog
-from scipy.optimize._highspy._core import _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from czest.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    NumericalError,
     lp_solve,
 )
 
@@ -326,3 +327,112 @@ def test_changes_are_validated():
     res = prog.solve([1.0, -1.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-0.5, abs=1e-9)
+
+
+class _Spy:
+    """A HiGHS model that records its simplex_strategy settings and can be
+    told to report a fixed model status after every run."""
+
+    def __init__(self, model):
+        self._model = model
+        self.strategies = []
+        self.status = None
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def setOptionValue(self, key, value):
+        if key == "simplex_strategy":
+            self.strategies.append(value)
+        return self._model.setOptionValue(key, value)
+
+    def getModelStatus(self):
+        return self.status if self.status is not None else self._model.getModelStatus()
+
+
+def _strategy(prog):
+    return prog._highs.getOptionValue("simplex_strategy")[1]
+
+
+DUAL, PRIMAL = 1, 4
+
+
+def test_simplex_follows_the_change():
+    rng = np.random.default_rng(61)
+    A = rng.standard_normal((2, 5))
+    prog = LinearProgram(A, A @ rng.uniform(-0.5, 0.5, 5), -np.ones(5), np.ones(5))
+    spy = prog._highs = _Spy(prog._highs)
+    prog.solve(rng.standard_normal(5))
+    assert _strategy(prog) == DUAL  # a new model
+    prog.solve(rng.standard_normal(5))
+    assert _strategy(prog) == PRIMAL  # the objective alone changed
+    prog.solve(rng.standard_normal(5))
+    assert _strategy(prog) == PRIMAL
+    changes = [
+        lambda: prog.extend([-1.0], [1.0], np.append(rng.standard_normal(prog.n), 1.0)[None], [0.0]),
+        lambda: prog.set_bounds([0], [-0.5], [0.5]),
+        lambda: prog.set_coefficients([0], [1], [0.25]),
+        lambda: prog.set_rhs([1], [0.1]),
+    ]
+    for change in changes:
+        change()
+        prog.solve(rng.standard_normal(prog.n))
+        assert _strategy(prog) == DUAL
+        prog.solve(rng.standard_normal(prog.n))
+        assert _strategy(prog) == PRIMAL
+    # the option is set only when the choice differs from the last one
+    assert spy.strategies == [PRIMAL] + [DUAL, PRIMAL] * len(changes)
+
+
+# A hull LP captured from the geometry suite (rng_seed=2026,
+# cases_per_op=200): the interval hull of a dense 3-d constrained
+# zonotope.  With HiGHS 1.12, primal simplex for the second maximum
+# after three minima and one maximum stops at model status "Unknown".
+_STALL_A = [
+    [-1.2742790217020765, -2.091134123672434, -1.5450271914902303, 0.6534190758669239,
+     0.49410978438157355, -0.1898858038057915] + [0.0] * 7,
+    [0.0] * 6 + [1.140707099660775, -0.060668712753084914, 1.5251412389762562,
+                 -0.9096266056743865, 1.3586522139888326, -0.17802325445229134,
+                 -0.06832102861079557],
+]
+_STALL_B = [-0.49853180832266764, -0.39164114755546126]
+_STALL_H = np.array([1.0] * 6 + [1.0781438751961845] + [1.0] * 6)
+_STALL_G = [
+    [-1.7732344784551954, -1.0392667640976667, 0.3168404545421191, -0.7789471423431452,
+     -2.858734691757421, -0.08944639094238692, -1.1010430450492317, 0.3298190571873815,
+     -0.15774768634550063, -0.9303117864159599, -1.5930054157953284, 0.3197907166549479,
+     1.2094186701668068],
+    [0.9283211328565054, 0.21116768557466634, -0.5923448819280664, 1.4981442824906188,
+     0.5412029601529561, 0.733551814101979, 1.0356890522066515, 0.2607179326874473,
+     -1.319165214330373, -0.8892421443178232, 1.437815183602267, -0.23222864701922546,
+     0.10045061430102308],
+    [-0.019616036761354528, 0.18278233824657047, 0.16776156038080745, 0.33202063596244774,
+     -0.04070830342563273, -0.6156100969768019, -1.119651999676198, 0.8808738958922694,
+     0.21676588882061604, 0.0455772220428962, 1.3271294100936986, 0.09820423195300042,
+     -0.6720333314100959],
+]
+
+
+def test_primal_stall_falls_back_to_dual():
+    prog = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H)
+    for g in _STALL_G:
+        assert prog.solve(g).status == OPTIMAL
+    assert prog.solve(_STALL_G[0], sense="max").status == OPTIMAL
+    assert _strategy(prog) == PRIMAL
+    res = prog.solve(_STALL_G[1], sense="max")
+    # the primal run stopped early and the dual re-run finished the solve
+    assert _strategy(prog) == DUAL
+    want = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H).solve(_STALL_G[1], sense="max")
+    assert res.status == want.status == OPTIMAL
+    assert res.value == pytest.approx(want.value, abs=1e-9, rel=1e-9)
+
+
+def test_status_left_unknown_after_fallback_raises():
+    prog = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H)
+    assert prog.solve(_STALL_G[0]).status == OPTIMAL
+    spy = prog._highs = _Spy(prog._highs)
+    spy.status = HighsModelStatus.kUnknown
+    with pytest.raises(NumericalError, match="Unknown"):
+        prog.solve(_STALL_G[1])
+    # the primal run and the one dual re-run
+    assert spy.strategies == [PRIMAL, DUAL]

@@ -215,13 +215,13 @@ class TestPersistence:
         path = tmp_path / "metrics.csv"
         simharness.write_metrics_csv(path, logs)
         lines = path.read_text().splitlines()
-        assert lines[0] == "trial,k,algorithm,agent,d,gnorm,contained"
+        assert lines[0] == "trial,k,algorithm,agent,d,contained"
         # 2 trials x 2 steps x 3 algorithms x 2 agents
         assert len(lines) == 1 + 24
         cells = lines[1].split(",")
         assert cells[0] == "0" and cells[1] == "1"
         assert cells[2] == "centralized"
-        assert cells[6] in ("true", "false")
+        assert cells[5] in ("true", "false")
 
     def test_metrics_csv_golden_first_rows(self, tmp_path):
         # frozen on the pair1d scenario, seed 9: catches accidental changes
@@ -233,10 +233,11 @@ class TestPersistence:
         got = path.read_text().splitlines()[1:4]
         rows = [r.split(",") for r in got]
         assert [r[2] for r in rows] == ["centralized", "centralized", "oit"]
+        step = log.steps[0]["algs"]
         for r in rows:
-            assert r[6] == "true"
-            d = float(r[4])
-            assert d == pytest.approx(2 * float(r[5]), abs=1e-12)
+            assert r[5] == "true"
+            lo, hi = step[r[2]][r[3]]["hull"]
+            assert float(r[4]) == max(h - l for l, h in zip(lo, hi))
 
     def test_scenario_doc_round_trip(self):
         doc = simharness.build_uav_scenario()
@@ -340,6 +341,22 @@ class TestSolverFailure:
         assert log.aborted == {"k": 2, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
         assert len(log.steps) == 1
+
+    @pytest.mark.parametrize(
+        "algorithms", [["centralized", "oit"], ["distributed"]], ids=["trajectory", "distributed"]
+    )
+    def test_infeasible_maximum_aborts(self, monkeypatch, algorithms):
+        # a hull whose minima are feasible but one maximum is not is a
+        # solver failure: a recorded abort, never a crash or a violation
+        solve = lp.LinearProgram.solve
+
+        def infeasible_max(self, c, sense="min"):
+            return lp.LpResult(lp.INFEASIBLE) if sense == "max" else solve(self, c, sense)
+
+        monkeypatch.setattr(lp.LinearProgram, "solve", infeasible_max)
+        log = simharness.run_trial(small_uav(h=3, algorithms=algorithms), 0, metrics="full")
+        assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0
 
     def test_trajectory_lp_does_not_use_linprog(self, monkeypatch):
         def no_linprog(*args, **kwargs):
