@@ -28,11 +28,10 @@ def main():
         [rng.uniform(boxes[i].lo, boxes[i].hi) for i in ids]
     )
     Z0 = czono.cartesian_product([czono.from_box(boxes[i]) for i in ids])
-    # every noise range is a box, its own interval hull
     agents = system.agents
-    w_boxes = [czono.interval_hull(agents[i].Wset) for i in ids]
-    v_boxes = {i: czono.interval_hull(agents[i].Vset) for i in ids}
-    r_boxes = {(i, j): czono.interval_hull(agents[i].Rset_of[j])
+    w_boxes = [agents[i].Wset for i in ids]
+    v_boxes = {i: agents[i].Vset for i in ids}
+    r_boxes = {(i, j): agents[i].Rset_of[j]
                for i in ids for j in system.topology.in_neighbors(i)}
     full = filters.CentralizedFilter(system, Z0)
     sl = system.state_slices()[1]

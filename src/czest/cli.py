@@ -63,6 +63,8 @@ def cmd_run(args):
     cfg = simharness.ScenarioConfig.from_doc(
         doc, seed=args.seed, delta_bar=args.delta_bar, algorithms=algorithms
     )
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.svg and args.metrics == "containment":
         raise sysmodel.SchemaError(
             "--svg needs hull metrics; drop it or use --metrics full"

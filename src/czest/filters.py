@@ -19,25 +19,30 @@ All three filters hold their sets as lifted constrained zonotopes
 columns are states and noises and whose rows are the dynamics,
 measurement and coupling equations, one ``lp.LinearProgram`` each.
 
-The distributed filter gives each agent one such LP for the whole trial
-(``_AgentLP``): the previous states of its own joint and of every peer's
-joint, bounded by the last hulls, their noises, the predicted states,
-the dynamics and measurement rows, and the ``coupling_rows`` that make
-the peers' copies of the agent's state equal to its own.  Its structure
-is fixed, so a step only writes the new numbers in place (hull bounds,
-changed dynamics coefficients, measurements) and solves the 2n bounds
-of the agent's state from the last basis.  The posterior is the hull
+Every filter builds its LP from one step block (``_step_block``): the
+dynamics rows x_k = A x_{k-1} + B w encode the prediction, the
+measurement rows H x_k + v = Y the update, over the columns x_{k-1}, w,
+x_k and v of one stacked system (``sysmodel``), with w and v in the
+stack's noise boxes.
+
+The distributed filter gives each agent one LP for the whole trial
+(``_AgentLP``): one step block per owner, its own neighborhood and every
+peer's, with the previous states bounded by the last hulls, and the
+``coupling_rows`` that make the peers' copies of the agent's state
+equal to its own.  Its structure is fixed, so a step only writes the
+new numbers in place (hull bounds, changed dynamics coefficients,
+measurements) and solves the 2n bounds of the agent's state from the
+last basis.  The posterior is the hull
 (``hulls``); ``agent_set`` encodes it as a CZ only when asked.  The
 dense composition (``smf_predict``, ``smf_update``, ``czono`` products,
 projections and intersections) is kept as the ``verify`` oracles'
 reference.
 
 The centralized and fixed-lag posteriors are held as one sparse
-"trajectory" LP over the window's states and noises (``_TrajectoryLP``):
-the dynamics rows x_k = A x_{k-1} + B w encode the
-prediction, the measurement rows H x_k + v = Y the update, and the set
-is the LP's feasible set projected on the final state.  A step appends
-one block of columns and rows to the same ``lp.LinearProgram``, so every
+"trajectory" LP over the window's states and noises (``_TrajectoryLP``),
+one step block of the centralized stack per step; the set is the LP's
+feasible set projected on the final state.  A step appends
+its block of columns and rows to the same ``lp.LinearProgram``, so every
 solve warm-starts from the last basis, across steps too; past
 ``delta_bar`` the fixed-lag filter builds its window afresh each step,
 with the window's first state free.  ``hull`` solves the final state's
@@ -51,9 +56,9 @@ change to the region (appended rows, new numbers, restored bounds) runs
 dual simplex.  An infeasible minimum is an empty posterior, an
 infeasible maximum after feasible minima a ``lp.NumericalError``, and
 an unbounded bound is ±inf.  ``posterior`` builds the lifted
-CZ itself only when asked for.  The LPs read every noise range and
-initial set as a box, so all three filters accept box noise ranges and
-box initial sets only (a Box, or a CZ in box form).
+CZ itself only when asked for.  Noise ranges are boxes by the system
+model's type; the LPs read the initial sets as boxes too, so all three
+filters accept box initial sets only (a Box, or a CZ in box form).
 
 Steps are numbered so that step 0 is initialization only; the first
 measurement batch arrives at k = 1.
@@ -117,16 +122,6 @@ def _as_box(Z, what):
     return czono.interval_hull(Z)
 
 
-def _check_box_noise(system):
-    """ValueError unless every noise range of ``system`` is a box."""
-    for i in system.agent_ids:
-        a = system.agents[i]
-        _as_box(a.Wset, f"agent {i}: process noise range")
-        _as_box(a.Vset, f"agent {i}: measurement noise range")
-        for j, R in a.Rset_of.items():
-            _as_box(R, f"agent {i}: relative noise range of {j}")
-
-
 def _lp_hull(region, cols):
     """Interval hull of the listed columns over the region's feasible set.
 
@@ -169,21 +164,44 @@ def coupling_rows(n_cols, own_cols, peer_cols):
     )
 
 
-def _step_entry(system, k, batch):
-    """The stacked data of step k: the dynamics from k - 1 with its noise
-    box, and the measurement map, noise box and stacked measurements."""
-    prev = sysmodel.build_centralized(system, k - 1)
-    cur = sysmodel.build_centralized(system, k)
-    # every noise range is a box (checked by _LiftedFilter), so these
-    # hulls are the stacked ranges themselves
+def _step_entry(prev, cur, batch):
+    """The data of step k from the stacks at k - 1 and k: the dynamics and
+    process noise box of ``prev``, and the measurement map, noise box and
+    stacked measurements of ``cur``."""
     return {
         "A": prev.A,
         "B": prev.B,
-        "w": czono.interval_hull(prev.Wset),
+        "w": prev.Wset,
         "H": cur.H,
-        "v": czono.interval_hull(cur.Vset),
+        "v": cur.Vset,
         "Y": sysmodel.stack_measurements(cur, batch),
     }
+
+
+def _step_block(entry):
+    """One step as (lo, hi, D, b): the rows D y = b,
+
+        dynamics     x_k - A x_{k-1} - B w = 0,
+        measurement  H x_k + v = Y,
+
+    over the columns y = (x_{k-1}, w, x_k, v), and the bounds [lo, hi] of
+    the columns the step adds: w and v in their boxes, x_k free.
+    """
+    A, B, H = entry["A"], entry["B"], entry["H"]
+    n, p, m = A.shape[0], B.shape[1], H.shape[0]
+    D = np.zeros((n + m, n + p + n + m))
+    D[:n, :n] = -A
+    D[:n, n : n + p] = -B
+    D[:n, n + p : 2 * n + p] = np.eye(n)
+    D[n:, n + p : 2 * n + p] = H
+    D[n:, 2 * n + p :] = np.eye(m)
+    wbox, vbox = entry["w"], entry["v"]
+    return (
+        np.concatenate([wbox.lo, np.full(n, -np.inf), vbox.lo]),
+        np.concatenate([wbox.hi, np.full(n, np.inf), vbox.hi]),
+        D,
+        np.concatenate([np.zeros(n), entry["Y"]]),
+    )
 
 
 class _TrajectoryLP:
@@ -215,28 +233,10 @@ class _TrajectoryLP:
         self._probes = {}
 
     def extend(self, entry):
-        """Append one step: columns w, x_k, v and the rows
-
-        dynamics     x_k - A x_{k-1} - B w = 0,
-        measurement  H x_k + v = Y.
-        """
-        A, B, H = entry["A"], entry["B"], entry["H"]
-        n, p, m = self.n, B.shape[1], H.shape[0]
-        # columns: x_{k-1}, then the new w, x_k, v
-        D = np.zeros((n + m, n + p + n + m))
-        D[:n, :n] = -A
-        D[:n, n : n + p] = -B
-        D[:n, n + p : 2 * n + p] = np.eye(n)
-        D[n:, n + p : 2 * n + p] = H
-        D[n:, 2 * n + p :] = np.eye(m)
-        wbox, vbox = entry["w"], entry["v"]
-        x_at = self.program.n + p
-        self._append(
-            np.concatenate([wbox.lo, np.full(n, -np.inf), vbox.lo]),
-            np.concatenate([wbox.hi, np.full(n, np.inf), vbox.hi]),
-            D,
-            np.concatenate([np.zeros(n), entry["Y"]]),
-        )
+        """Append one step (``_step_block``): columns w, x_k, v with the
+        dynamics and measurement rows."""
+        x_at = self.program.n + entry["B"].shape[1]
+        self._append(*_step_block(entry))
         self.x_final = x_at
         self._hull = None
         self._probes = {}
@@ -306,12 +306,10 @@ class _LiftedFilter:
     as a ``_TrajectoryLP`` and the queries on it."""
 
     def __init__(self, system, initial):
-        """``initial`` is a Box or a CZ that is an axis-aligned box; every
-        noise range of ``system`` must be a box too."""
+        """``initial`` is a Box or a CZ that is an axis-aligned box."""
         if initial.dim != system.state_dim():
             raise ValueError("initial set dimension mismatch")
         x0_box = initial if isinstance(initial, Box) else _as_box(initial, "initial set")
-        _check_box_noise(system)
         self.system = system
         self.k = 0
         self._traj = _TrajectoryLP(x0_box.dim, x0_box)
@@ -319,7 +317,10 @@ class _LiftedFilter:
     def _next_entry(self, k, batch):
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        return _step_entry(self.system, k, batch)
+        system = self.system
+        return _step_entry(
+            sysmodel.build_centralized(system, k - 1), sysmodel.build_centralized(system, k), batch
+        )
 
     def hull(self):
         """Interval hull of the stacked state (a Box), cached per step."""
@@ -398,106 +399,78 @@ class _AgentLP:
     """Agent i's lifted refinement: one LinearProgram for the whole trial.
 
     It holds the joint of agent i and the joint of every peer l in
-    ``topology.peers(i)``.  For each of these owners o and each agent l in
-    N̄_o the columns are x_prev (bounded by l's last hull), w (in l's W
-    box) and x (free), then o's stacked v (in its V box); the rows are
-    the dynamics x - A_l x_prev - B_l w = 0 per l and o's measurements
-    H_o x + v = Y_o, and one block of ``coupling_rows`` per peer ties the
-    peer's copy of x_i to agent i's own.  The feasible set projected on
-    agent i's own x is the refined set of one distributed step.
-    Only numbers change from step to step: ``update`` writes them in
-    place, so each step's solves start from the last basis.
+    ``topology.peers(i)``.  Each of these owners o contributes one
+    ``_step_block`` of its neighborhood stack over N̄_o, block-diagonally:
+    the columns x_prev (bounded by the last hulls of N̄_o), w (in the W
+    box), x (free) and o's v (in its V box), the dynamics rows and o's
+    measurement rows.  One block of ``coupling_rows`` per peer then ties
+    the peer's copy of x_i to agent i's own.  The feasible set projected
+    on agent i's own x is the refined set of one distributed step.  Only
+    numbers change from step to step: ``update`` writes them in place, so
+    each step's solves start from the last basis.
     """
 
-    def __init__(self, system, i, A, Y, hulls, meas):
-        """Build the model for one step: A maps agent l to A_l(k - 1), Y
-        owner o to its measurements, ``hulls`` l to its last hull and
-        ``meas`` o to (H_o, layout, V box)."""
+    def __init__(self, system, i, entries, hulls):
+        """Build the model for one step: ``entries`` maps each owner o to
+        its ``_step_entry`` over N̄_o, ``hulls`` each agent to its last
+        hull."""
         topo = system.topology
-        agents = system.agents
-        r, c, v = [], [], []  # coordinates and values of the nonzeros
-        lo, hi, rhs = [], [], []
-        self._blocks = []  # (l, first x_prev column, first dynamics row) per agent block
-        self._owners = []  # owners in row order
-        x_of = {}  # (o, l) -> first x column
-        meas_rows = []
+        self._nbar = {o: topo.nbar(o) for o in [i] + topo.peers(i)}
+        self._blocks = []  # (o, first column, first row, A) per owner
+        blocks, lo, hi, b = [], [], [], []
+        x_of = {}  # owner -> first x column
         ncol = nrow = 0
-
-        def put(row0, cols, M):
-            rr, cc = np.nonzero(M)
-            r.append(row0 + rr)
-            c.append(np.asarray(cols)[cc])
-            v.append(M[rr, cc])
-
-        for o in [i] + topo.peers(i):
-            x_cols = []
-            for l in topo.nbar(o):
-                a = agents[l]
-                n, p = a.n, a.p
-                xp, w, x = ncol, ncol + n, ncol + n + p
-                ncol = x + n
-                put(nrow, np.arange(x, x + n), np.eye(n))
-                put(nrow, np.arange(xp, xp + n), -A[l])
-                put(nrow, np.arange(w, w + p), -a.B)
-                wbox = czono.interval_hull(a.Wset)
-                lo += [hulls[l].lo, wbox.lo, np.full(n, -np.inf)]
-                hi += [hulls[l].hi, wbox.hi, np.full(n, np.inf)]
-                rhs.append(np.zeros(n))
-                self._blocks.append((l, xp, nrow))
-                nrow += n
-                x_of[(o, l)] = x
-                x_cols.append(np.arange(x, x + n))
-            H, _, vbox = meas[o]
-            m = H.shape[0]
-            put(nrow, np.concatenate(x_cols), H)
-            put(nrow, np.arange(ncol, ncol + m), np.eye(m))
-            ncol += m
-            lo.append(vbox.lo)
-            hi.append(vbox.hi)
-            rhs.append(Y[o])
-            self._owners.append(o)
-            meas_rows.append(np.arange(nrow, nrow + m))
-            nrow += m
-        n = agents[i].n
-        self.x_own = np.arange(x_of[(i, i)], x_of[(i, i)] + n)
-        body = sparse.csr_matrix(
-            (np.concatenate(v), (np.concatenate(r), np.concatenate(c))), shape=(nrow, ncol)
-        )
-        coupling = [
-            coupling_rows(ncol, self.x_own, np.arange(x_of[(l, i)], x_of[(l, i)] + n))
-            for l in topo.peers(i)
-        ]
+        for o, order in self._nbar.items():
+            e = entries[o]
+            blo, bhi, D, bb = _step_block(e)
+            lo += [np.concatenate([hulls[l].lo for l in order]), blo]
+            hi += [np.concatenate([hulls[l].hi for l in order]), bhi]
+            b.append(bb)
+            blocks.append(D)
+            self._blocks.append((o, ncol, nrow, e["A"]))
+            x_of[o] = ncol + e["A"].shape[0] + e["B"].shape[1]
+            ncol += D.shape[1]
+            nrow += D.shape[0]
+        n = system.agents[i].n
+        self.x_own = np.arange(x_of[i], x_of[i] + n)  # i leads N̄_i
+        coupling = []
+        for l in topo.peers(i):
+            start = x_of[l] + system.state_slices(self._nbar[l])[i].start
+            coupling.append(coupling_rows(ncol, self.x_own, np.arange(start, start + n)))
         self.program = lp.LinearProgram(
-            sparse.vstack([body] + coupling, format="csr"),
-            np.concatenate(rhs + [np.zeros(n * len(coupling))]),
+            sparse.vstack([sparse.block_diag(blocks, format="csr")] + coupling, format="csr"),
+            np.concatenate(b + [np.zeros(n * len(coupling))]),
             np.concatenate(lo),
             np.concatenate(hi),
         )
         self._prev_cols = np.concatenate(
-            [np.arange(xp, xp + agents[l].n) for l, xp, _ in self._blocks]
+            [np.arange(col, col + A.shape[0]) for _, col, _, A in self._blocks]
         )
-        self._meas_rows = np.concatenate(meas_rows)
+        self._prev_agents = [l for order in self._nbar.values() for l in order]  # of _prev_cols
+        self._meas_rows = np.concatenate([
+            np.arange(row + A.shape[0], row + A.shape[0] + entries[o]["H"].shape[0])
+            for o, _, row, A in self._blocks
+        ])
 
-    def update(self, changed, Y, hulls):
-        """Write the next step's numbers in place: the x_prev bounds from
-        ``hulls``, the measurement right-hand sides from Y, and the
-        entries of A_l that changed, ``changed`` mapping l to (rows,
-        cols, new values) inside A_l."""
+    def update(self, entries, hulls):
+        """Write the next step's numbers in place, per owner block: the
+        x_prev bounds from ``hulls``, the measurement right-hand sides and
+        the entries of A that changed, from ``entries``."""
         region = self.program
         rows, cols, vals = [], [], []
-        for l, xp, row in self._blocks:
-            if l in changed:
-                rr, cc, a = changed[l]
-                rows.append(row + rr)
-                cols.append(xp + cc)
-                vals.append(-a)
-        if rows:
-            region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-        region.set_rhs(self._meas_rows, np.concatenate([Y[o] for o in self._owners]))
+        for t, (o, col, row, A) in enumerate(self._blocks):
+            A_new = entries[o]["A"]
+            rr, cc = np.nonzero(A_new != A)
+            rows.append(row + rr)
+            cols.append(col + cc)
+            vals.append(-A_new[rr, cc])
+            self._blocks[t] = (o, col, row, A_new)
+        region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        region.set_rhs(self._meas_rows, np.concatenate([entries[o]["Y"] for o in self._nbar]))
         region.set_bounds(
             self._prev_cols,
-            np.concatenate([hulls[l].lo for l, _, _ in self._blocks]),
-            np.concatenate([hulls[l].hi for l, _, _ in self._blocks]),
+            np.concatenate([hulls[l].lo for l in self._prev_agents]),
+            np.concatenate([hulls[l].hi for l in self._prev_agents]),
         )
 
     def hull(self):
@@ -515,8 +488,7 @@ class DistributedFilter:
 
     def __init__(self, system, initial_ranges):
         """``initial_ranges`` maps every agent id to a Box or a CZ that is
-        an axis-aligned box; every noise range of ``system`` must be a
-        box too."""
+        an axis-aligned box."""
         ids = system.agent_ids
         if sorted(initial_ranges) != ids:
             raise ValueError("need an initial range per agent")
@@ -526,13 +498,10 @@ class DistributedFilter:
             if R.dim != system.agents[i].n:
                 raise ValueError(f"agent {i}: initial range dimension mismatch")
             hulls[i] = R if isinstance(R, Box) else _as_box(R, f"agent {i}: initial set")
-        _check_box_noise(system)
         self.system = system
         self.hulls = hulls
         self.k = 0
-        self._meas = None  # owner -> (H, layout, V box), from the first step on
         self._lps = None  # agent -> _AgentLP, from the first step on
-        self._A = None  # agent -> A_l(k - 1) of the last step
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
@@ -540,22 +509,19 @@ class DistributedFilter:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
         system = self.system
         ids = system.agent_ids
-        A = {l: np.asarray(system.agents[l].A_of_k(k - 1), dtype=float) for l in ids}
-        first = self._lps is None
-        if first:
-            self._meas = {o: self._owner_rows(o) for o in ids}
-        Y = {o: sysmodel.measurement_vector(self._meas[o][1], batch) for o in ids}
-        if first:
-            self._lps = {i: _AgentLP(system, i, A, Y, self.hulls, self._meas) for i in ids}
+        entries = {
+            o: _step_entry(
+                sysmodel.build_neighborhood(system, o, k - 1),
+                sysmodel.build_neighborhood(system, o, k),
+                batch,
+            )
+            for o in ids
+        }
+        if self._lps is None:
+            self._lps = {i: _AgentLP(system, i, entries, self.hulls) for i in ids}
         else:
-            changed = {}
-            for l in ids:
-                rr, cc = np.nonzero(A[l] != self._A[l])
-                if rr.size:
-                    changed[l] = (rr, cc, A[l][rr, cc])
             for i in ids:
-                self._lps[i].update(changed, Y, self.hulls)
-        self._A = A
+                self._lps[i].update(entries, self.hulls)
         hulls = {}
         for i in ids:
             try:
@@ -564,17 +530,6 @@ class DistributedFilter:
                 raise EmptyPosteriorError(k, agent=i) from None
         self.hulls = hulls
         self.k = k
-
-    def _owner_rows(self, o):
-        """(H, layout, V box) of agent o's measurements over N̄_o."""
-        system = self.system
-        H, layout = sysmodel.measurement_rows(system, system.topology.nbar(o), [o])
-        boxes = [czono.interval_hull(sysmodel.noise_range(system, e)) for e in layout]
-        vbox = Box(
-            np.concatenate([b.lo for b in boxes] + [np.zeros(0)]),
-            np.concatenate([b.hi for b in boxes] + [np.zeros(0)]),
-        )
-        return H, layout, vbox
 
     @property
     def lifted_sizes(self):

@@ -341,15 +341,11 @@ def run_trial(cfg, trial_index=0, metrics="full"):
             "initial": {str(i): _box_out(init_boxes[i]) for i in ids},
         }
     )
-    # system_from_dict builds every noise range as a box, so each range is
-    # its interval hull
     agents = system.agents
-    w_boxes = [czono.interval_hull(agents[i].Wset) for i in ids]
-    v_boxes = {i: czono.interval_hull(agents[i].Vset) for i in ids}
+    w_boxes = [agents[i].Wset for i in ids]
+    v_boxes = {i: agents[i].Vset for i in ids}
     r_boxes = {
-        (i, j): czono.interval_hull(agents[i].Rset_of[j])
-        for i in ids
-        for j in system.topology.in_neighbors(i)
+        (i, j): agents[i].Rset_of[j] for i in ids for j in system.topology.in_neighbors(i)
     }
     aborted = None
     for k in range(1, cfg.K + 1):

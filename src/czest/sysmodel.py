@@ -7,8 +7,8 @@ Each agent i evolves as x_{i,k+1} = A_i(k) x_{i,k} + B_i w_{i,k} and takes
 
 on a directed measurement graph.  An edge (i, j) means "agent i measures
 agent j", so j is an in-neighbor of i.  Communication follows the same
-edges.  Noise ranges are extended constrained zonotopes (boxes in all the
-built-in scenarios).
+edges.  Noise ranges are boxes (``czono.Box``): ``AgentModel`` rejects
+any other set, and the stacked ranges are boxes too.
 
 This module builds the stacked matrices used by the filters: the
 centralized stack over all agents and the neighborhood stack over
@@ -19,8 +19,7 @@ deterministically.
 
 import numpy as np
 
-from . import czono
-from .czono import Box, ConstrainedZonotope
+from .czono import Box
 
 __all__ = [
     "AgentModel",
@@ -32,9 +31,6 @@ __all__ = [
     "SchemaError",
     "build_centralized",
     "build_neighborhood",
-    "measurement_rows",
-    "measurement_vector",
-    "noise_range",
     "stack_measurements",
     "step_truth",
     "measure",
@@ -62,9 +58,10 @@ class AgentModel:
         B: (n, p) input matrix.
         C: (m_y, n) absolute measurement matrix (m_y may be 0).
         D: (m_z, n) relative measurement matrix.
-        Wset: process noise range, CZ of dim p.
-        Vset: absolute measurement noise range, CZ of dim m_y.
-        Rset_of: mapping in-neighbor id -> relative noise range (dim m_z).
+        Wset: process noise range, a Box of dim p.
+        Vset: absolute measurement noise range, a Box of dim m_y.
+        Rset_of: mapping in-neighbor id -> relative noise range, a Box of
+            dim m_z.
     """
 
     def __init__(self, agent_id, A_of_k, B, C, D, Wset, Vset, Rset_of=None):
@@ -78,6 +75,11 @@ class AgentModel:
         self.Wset = Wset
         self.Vset = Vset
         self.Rset_of = dict(Rset_of or {})
+        ranges = [("process noise", Wset), ("measurement noise", Vset)]
+        ranges += [(f"relative noise of {j}", R) for j, R in self.Rset_of.items()]
+        for what, S in ranges:
+            if not isinstance(S, Box):
+                raise ValueError(f"agent {self.id}: {what} range is not a Box")
         n = self.B.shape[0]
         A0 = np.asarray(A_of_k(0), dtype=float)
         if A0.shape != (n, n):
@@ -135,9 +137,6 @@ class Topology:
         """N̄_i = (i, then in-neighbors ascending): joint state order."""
         return [i] + self.in_neighbors(i)
 
-    def q(self, i):
-        return len(self.nbar(i))
-
     def peers(self, i):
         """M_i ∩ N_i: agents whose joint sets agent i receives and uses."""
         ni = set(self.in_neighbors(i))
@@ -176,7 +175,7 @@ class StackedSystem:
         state_slices: id -> slice into the stacked state.
         A, B: stacked dynamics at the build step.
         H: stacked measurement matrix.
-        Wset, Vset: stacked noise ranges (CZ).
+        Wset, Vset: stacked noise ranges (Box).
         meas_layout: row blocks of H in order, entries ("y", i) or ("z", i, j).
     """
 
@@ -191,10 +190,6 @@ class StackedSystem:
         self.Wset = Wset
         self.Vset = Vset
         self.meas_layout = meas_layout
-
-    @property
-    def dim(self):
-        return self.A.shape[0]
 
 
 class MultiAgentSystem:
@@ -253,6 +248,14 @@ def _stack(system, order, meas_agents, k):
     return stacked
 
 
+def _concat_boxes(boxes):
+    """The Cartesian product of boxes, in order (0-dimensional for none)."""
+    return Box(
+        np.concatenate([b.lo for b in boxes] + [np.zeros(0)]),
+        np.concatenate([b.hi for b in boxes] + [np.zeros(0)]),
+    )
+
+
 def _build_stack(system, order, meas_agents, k):
     agents = system.agents
     slices = system.state_slices(order)
@@ -267,24 +270,10 @@ def _build_stack(system, order, meas_agents, k):
     for i, blk in zip(order, B_blocks):
         B[slices[i], ofs : ofs + blk.shape[1]] = blk
         ofs += blk.shape[1]
-    Wset = czono.cartesian_product([agents[i].Wset for i in order])
-    H, layout = measurement_rows(system, order, meas_agents)
-    vparts = [noise_range(system, entry) for entry in layout]
-    Vset = czono.cartesian_product(vparts) if vparts else ConstrainedZonotope(np.zeros((0, 0)), [])
-    for arr in (A, B):
-        arr.setflags(write=False)
-    return StackedSystem(list(order), slices, A, B, H, Wset, Vset, layout)
-
-
-def measurement_rows(system, order, meas_agents):
-    """(H, layout): the measurement rows of ``meas_agents`` over the
-    states of ``order``, and their row blocks in order, entries ("y", i)
-    or ("z", i, j).  Neither depends on the step.  H is read-only."""
-    agents = system.agents
-    slices = system.state_slices(order)
-    dim = sum(agents[i].n for i in order)
+    # measurement rows: every absolute block, then every relative block
     rows = []
     layout = []
+    vparts = []
     in_order = set(order)
     for i in meas_agents:
         a = agents[i]
@@ -293,6 +282,7 @@ def measurement_rows(system, order, meas_agents):
             blk[:, slices[i]] = a.C
             rows.append(blk)
             layout.append(("y", i))
+            vparts.append(a.Vset)
     for i in meas_agents:
         a = agents[i]
         for j in system.topology.in_neighbors(i):
@@ -303,15 +293,12 @@ def measurement_rows(system, order, meas_agents):
             blk[:, slices[j]] = -a.D
             rows.append(blk)
             layout.append(("z", i, j))
+            vparts.append(a.Rset_of[j])
     H = np.vstack(rows) if rows else np.zeros((0, dim))
-    H.setflags(write=False)
-    return H, layout
-
-
-def noise_range(system, entry):
-    """The noise range of one layout entry: V_i of ("y", i), R_ij of ("z", i, j)."""
-    a = system.agents[entry[1]]
-    return a.Vset if entry[0] == "y" else a.Rset_of[entry[2]]
+    for arr in (A, B, H):
+        arr.setflags(write=False)
+    Wset = _concat_boxes([agents[i].Wset for i in order])
+    return StackedSystem(list(order), slices, A, B, H, Wset, _concat_boxes(vparts), layout)
 
 
 def build_centralized(system, k):
@@ -327,13 +314,8 @@ def build_neighborhood(system, i, k):
 
 def stack_measurements(stacked, batch):
     """Assemble the Y vector matching the stacked H row order."""
-    return measurement_vector(stacked.meas_layout, batch)
-
-
-def measurement_vector(layout, batch):
-    """The measurements of ``batch`` in the row order of ``layout``."""
     parts = []
-    for entry in layout:
+    for entry in stacked.meas_layout:
         if entry[0] == "y":
             parts.append(batch.y[entry[1]])
         else:
@@ -410,11 +392,14 @@ def _need(d, key, path):
 
 def _box_from_dict(d, path):
     try:
-        return Box(d["lo"], d["hi"])
+        box = Box(d["lo"], d["hi"])
     except KeyError as e:
         raise SchemaError(f"{path}: box needs 'lo' and 'hi'") from e
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from e
+    if not (np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))):
+        raise SchemaError(f"{path}: noise range must be bounded")
+    return box
 
 
 def _dynamics_from_dict(d, path):
@@ -468,17 +453,13 @@ def system_from_dict(doc):
         B = np.atleast_2d(np.asarray(_need(ad, "B", path), dtype=float))
         C = np.asarray(_need(ad, "C", path), dtype=float).reshape(-1, n)
         D = np.asarray(_need(ad, "D", path), dtype=float).reshape(-1, n)
-        W = czono.from_box(_box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise"))
-        V = czono.from_box(
-            _box_from_dict(_need(ad, "measurement_noise", path), f"{path}.measurement_noise")
-        )
+        W = _box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise")
+        V = _box_from_dict(_need(ad, "measurement_noise", path), f"{path}.measurement_noise")
         rel = {}
         for jkey, rd in _need(ad, "relative_noise", path).items():
             if _is_meta(jkey):
                 continue
-            rel[int(jkey)] = czono.from_box(
-                _box_from_dict(rd, f"{path}.relative_noise[{jkey}]")
-            )
+            rel[int(jkey)] = _box_from_dict(rd, f"{path}.relative_noise[{jkey}]")
         try:
             agents.append(AgentModel(aid, A_of_k, B, C, D, W, V, rel))
         except ValueError as e:

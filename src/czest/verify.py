@@ -520,15 +520,15 @@ def _replay_hull_deviations(cfg, log):
         cur = sysmodel.build_centralized(system, k)
         Y = sysmodel.stack_measurements(cur, sysmodel.MeasurementBatch.from_dict(rec))
         window = (window + [(prev, cur, Y)])[-(cfg.delta_bar + 1) :]
-        prior = filters.smf_predict(cent, prev.A, prev.B, prev.Wset)
-        cent = filters.smf_update(prior, cur.H, Y, cur.Vset)
+        prior = filters.smf_predict(cent, prev.A, prev.B, czono.from_box(prev.Wset))
+        cent = filters.smf_update(prior, cur.H, Y, czono.from_box(cur.Vset))
         oit = cent
         if k > cfg.delta_bar:
             oit = czono.whole_space(system.state_dim())
             for t, (p, c, Yt) in enumerate(window):
                 if t:
-                    oit = filters.smf_predict(oit, p.A, p.B, p.Wset)
-                oit = filters.smf_update(oit, c.H, Yt, c.Vset)
+                    oit = filters.smf_predict(oit, p.A, p.B, czono.from_box(p.Wset))
+                oit = filters.smf_update(oit, c.H, Yt, czono.from_box(c.Vset))
         for alg, Z in (("centralized", cent), ("oit", oit)):
             for i in ids:
                 sl = slices[i]
@@ -580,14 +580,17 @@ def _replay_distributed_deviations(cfg, log):
         k = rec["k"]
         batch = sysmodel.MeasurementBatch.from_dict(rec)
         priors = {
-            l: filters.smf_predict(czono.from_box(prev[l]), agents[l].A_of_k(k - 1), agents[l].B, agents[l].Wset)
+            l: filters.smf_predict(
+                czono.from_box(prev[l]), agents[l].A_of_k(k - 1), agents[l].B, czono.from_box(agents[l].Wset)
+            )
             for l in ids
         }
         joint = {}
         for i in ids:
             nb = sysmodel.build_neighborhood(system, i, k)
             prior = czono.cartesian_product([priors[l] for l in nb.state_order])
-            joint[i] = filters.smf_update(prior, nb.H, sysmodel.stack_measurements(nb, batch), nb.Vset)
+            Y = sysmodel.stack_measurements(nb, batch)
+            joint[i] = filters.smf_update(prior, nb.H, Y, czono.from_box(nb.Vset))
         logged = {i: rec["algs"]["distributed"][str(i)]["hull"] for i in ids}
         for i in ids:
             n = agents[i].n

@@ -110,6 +110,13 @@ class TestRun:
         assert rc == 1
         assert "svg" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("extra", [["--trials", "0", "--svg"], ["--trials", "-2"]])
+    def test_trials_below_one_exit_1(self, tmp_path, capsys, extra):
+        out = str(tmp_path / "out")
+        assert main(["run", "pair1d", "--out", out] + extra) == 1
+        assert "--trials" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_undeclared_noise_exit_2(self, tmp_path, capsys):
         scn = write_scenario(
             tmp_path, injected_noise_scale=4.0, noise_grid=None

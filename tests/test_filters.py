@@ -79,10 +79,10 @@ class TestInputCheck:
         turn = np.kron(np.eye(dim // 2), np.array([[1.0, 1.0], [-1.0, 1.0]]))
         with pytest.raises(ValueError, match="initial set"):
             make(uav, czono.linear_map(turn, unit))
-        agent = uav.agents[1]
-        agent.Wset = czono.linear_map(np.array([[1.0, 1.0], [-1.0, 1.0]]), agent.Wset)
+        a = uav.agents[1]
+        rotated = czono.linear_map(np.array([[1.0, 1.0], [-1.0, 1.0]]), czono.from_box(a.Wset))
         with pytest.raises(ValueError, match="process noise"):
-            make(uav, unit)
+            sysmodel.AgentModel(a.id, a.A_of_k, a.B, a.C, a.D, rotated, a.Vset, a.Rset_of)
 
 
 class TestCentralized:
@@ -108,6 +108,27 @@ class TestCentralized:
             assert czono.contains(flt.posterior, x)
             hull = czono.interval_hull(flt.agent_set(1))
             assert hull.lo[0] - 1e-9 <= x[0] <= hull.hi[0] + 1e-9
+
+    def test_declared_noise_boxes_bound_the_lp(self):
+        # endpoints whose center/radius round trip drifts by an ulp
+        doc = simharness.build_pair1d_scenario()
+        w = [(-0.3, 0.7), (-0.7, 0.1)]
+        v = [(-0.9, 0.3), (-0.2, 0.9)]
+        r = [(-0.6, 0.7), (0.1, 0.7)]
+        for ad, wi, vi, ri in zip(doc["agents"], w, v, r):
+            ad["process_noise"] = {"lo": [wi[0]], "hi": [wi[1]]}
+            ad["measurement_noise"] = {"lo": [vi[0]], "hi": [vi[1]]}
+            (j,) = ad["relative_noise"]
+            ad["relative_noise"][j] = {"lo": [ri[0]], "hi": [ri[1]]}
+        assert any((lo + hi) / 2 - (hi - lo) / 2 != lo for lo, hi in w + v + r)
+        system = sysmodel.system_from_dict(doc)
+        flt = CentralizedFilter(system, Box([-2.0, -1.0], [2.0, 3.0]))
+        flt.step(1, batch_for(system, 1, [0.0, 1.0]))
+        region = flt._traj.program
+        # columns x_0, w, x_1, v; v rows in layout order y_1, y_2, z_12, z_21
+        for cols, boxes in ((slice(2, 4), w), (slice(6, 10), v + r)):
+            assert region.lo[cols].tolist() == [lo for lo, _ in boxes]
+            assert region.hi[cols].tolist() == [hi for _, hi in boxes]
 
     def test_inconsistent_measurement_empties(self):
         system = pair_system()
@@ -322,6 +343,52 @@ class TestDistributed:
                 hd = dist.hulls[i]
                 assert hc.lo[0] >= hd.lo[0] - 1e-9
                 assert hc.hi[0] <= hd.hi[0] + 1e-9
+
+    def test_in_place_update_matches_fresh_build(self, monkeypatch):
+        # a logged uav5 trial replayed: at each k >= 2 every agent's LP,
+        # changed in place, against one built afresh from the same hulls
+        written = []
+        set_coefficients = lp.LinearProgram.set_coefficients
+
+        def recording(self, rows, cols, values):
+            written.append(len(values))
+            set_coefficients(self, rows, cols, values)
+
+        monkeypatch.setattr(lp.LinearProgram, "set_coefficients", recording)
+        cfg = simharness.ScenarioConfig.from_doc(
+            simharness.build_uav_scenario(horizon=6), algorithms=["distributed"]
+        )
+        log = simharness.run_trial(cfg, 0, metrics="containment")
+        assert log.aborted is None and len(log.steps) == 6
+        system = cfg.system
+        ids = system.agent_ids
+        flt = DistributedFilter(system, {i: Box(*log.header["initial"][str(i)]) for i in ids})
+        written.clear()
+        for k, rec in enumerate(log.steps, 1):
+            batch = sysmodel.MeasurementBatch.from_dict(rec)
+            prev = flt.hulls
+            flt.step(k, batch)
+            if k < 2:
+                continue
+            entries = {
+                o: filters._step_entry(
+                    sysmodel.build_neighborhood(system, o, k - 1),
+                    sysmodel.build_neighborhood(system, o, k),
+                    batch,
+                )
+                for o in ids
+            }
+            for i in ids:
+                grown = flt._lps[i].program
+                fresh = filters._AgentLP(system, i, entries, prev)
+                assert (grown.n, grown.m) == (fresh.program.n, fresh.program.m)
+                assert np.array_equal(grown.lo, fresh.program.lo)
+                assert np.array_equal(grown.hi, fresh.program.hi)
+                got, want = flt.hulls[i], fresh.hull()
+                for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
+                    assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
+        # the coordinated turn's A changes with k, so coefficients were rewritten
+        assert sum(written) > 0
 
     def test_run_trial_starts_from_the_declared_boxes(self, monkeypatch):
         # sampled uav5 initial boxes, compared bit for bit: a center/radius

@@ -171,7 +171,9 @@ class TestGrownTrajectory:
         entries = []
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
-            entries.append(filters._step_entry(system, k, batch))
+            entries.append(filters._step_entry(
+                sysmodel.build_centralized(system, k - 1), sysmodel.build_centralized(system, k), batch
+            ))
             probed.step(k, batch)
             plain.step(k, batch)
             grown = probed._traj

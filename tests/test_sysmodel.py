@@ -16,7 +16,7 @@ from czest.sysmodel import (
 
 
 def interval(lo, hi):
-    return czono.from_box(Box([lo], [hi]))
+    return Box([lo], [hi])
 
 
 def scalar_agent(i, with_rel=None):
@@ -40,6 +40,20 @@ def pair_system():
     return MultiAgentSystem(agents, topo)
 
 
+class TestAgentModel:
+    def test_non_box_noise_rejected(self):
+        one = interval(-1.0, 1.0)
+        cz = czono.from_box(one)
+        dyn = (3, lambda k: np.array([[1.0]]), [[1.0]], [[1.0]], [[1.0]])
+        for W, V, R, what in (
+            (cz, one, one, "process noise"),
+            (one, cz, one, "measurement noise"),
+            (one, one, cz, "relative noise of 2"),
+        ):
+            with pytest.raises(ValueError, match=f"agent 3: {what} range"):
+                AgentModel(*dyn, W, V, {2: R})
+
+
 class TestTopology:
     def test_uav5_neighborhoods(self):
         doc = simharness.build_uav_scenario()
@@ -53,7 +67,6 @@ class TestTopology:
         assert topo.peers(2) == [1, 3, 4]
         assert topo.peers(4) == [2]
         assert topo.peers(5) == []
-        assert topo.q(2) == 4
 
     def test_no_self_loops(self):
         with pytest.raises(ValueError):
@@ -183,7 +196,7 @@ class TestObservability:
             np.eye(2),
             np.array([[1.0, 0.0]]),
             np.zeros((0, 2)),
-            czono.from_box(Box([-1, -1], [1, 1])),
+            Box([-1, -1], [1, 1]),
             one,
             {},
         )
@@ -242,3 +255,17 @@ class TestSchema:
         doc["agents"][0]["process_noise"] = {"lo": [1.0], "hi": [-1.0]}
         with pytest.raises(SchemaError):
             sysmodel.system_from_dict(doc)
+
+    def test_unbounded_noise_rejected(self):
+        doc = simharness.build_pair1d_scenario()
+        doc["agents"][0]["measurement_noise"] = {"lo": [-np.inf], "hi": [1.0]}
+        with pytest.raises(SchemaError, match="bounded"):
+            sysmodel.system_from_dict(doc)
+
+    def test_noise_ranges_are_the_declared_boxes(self):
+        doc = simharness.build_pair1d_scenario()
+        doc["agents"][0]["process_noise"] = {"lo": [-0.3], "hi": [0.7]}
+        system = sysmodel.system_from_dict(doc)
+        W = system.agents[1].Wset
+        assert isinstance(W, Box)
+        assert (W.lo[0], W.hi[0]) == (-0.3, 0.7)
