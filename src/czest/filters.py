@@ -23,7 +23,10 @@ Every filter builds its LP from one step block (``_step_block``): the
 dynamics rows x_k = A x_{k-1} + B w encode the prediction, the
 measurement rows H x_k + v = Y the update, over the columns x_{k-1}, w,
 x_k and v of one stacked system (``sysmodel``), with w and v in the
-stack's noise boxes.
+stack's noise boxes.  Of these numbers only A (``AgentModel.A_of_k``)
+and Y change from one step to the next: B, H and the noise boxes are
+fixed per system, so a block moved to a later step is rewritten in
+place by ``_write_blocks``.
 
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``): one step block per owner, its own neighborhood and every
@@ -43,9 +46,12 @@ The centralized and fixed-lag posteriors are held as one sparse
 one step block of the centralized stack per step; the set is the LP's
 feasible set projected on the final state.  A step appends
 its block of columns and rows to the same ``lp.LinearProgram``, so every
-solve warm-starts from the last basis, across steps too; past
-``delta_bar`` the fixed-lag filter builds its window afresh each step,
-with the window's first state free.  ``hull`` solves the final state's
+solve warm-starts from the last basis, across steps too.  Past
+``delta_bar`` the fixed-lag filter builds its window once, with the
+window's first state free, and then slides it by rewriting that LP in
+place: the window's columns and rows never change, and of its numbers
+only the dynamics coefficients A and the measurements Y move
+(``_TrajectoryLP.rewrite``).  ``hull`` solves the final state's
 interval hull once per step; ``contains`` pins the final state through
 its bounds, solves and restores them.
 
@@ -138,14 +144,15 @@ def _pinned_feasible(region, cols, x):
     """True iff some feasible point equals x on the listed columns.
 
     The columns are pinned through their bounds, which are restored after
-    the solve.
+    the solve, also when it raises.
     """
     cols = np.asarray(cols, dtype=int)
     lo, hi = region.lo[cols], region.hi[cols]
     region.set_bounds(cols, x, x)
-    status = region.solve(np.zeros(region.n)).status
-    region.set_bounds(cols, lo, hi)
-    return status != lp.INFEASIBLE
+    try:
+        return region.solve(np.zeros(region.n)).status != lp.INFEASIBLE
+    finally:
+        region.set_bounds(cols, lo, hi)
 
 
 def coupling_rows(n_cols, own_cols, peer_cols):
@@ -204,16 +211,42 @@ def _step_block(entry):
     )
 
 
+def _write_blocks(region, blocks, entries):
+    """Rewrite ``_step_block``s of ``region`` in place with the numbers of
+    ``entries``, one per block, and return the blocks with their new A.
+
+    A block is (first dynamics row, first x_{k-1} column, A), its
+    measurement rows following its dynamics rows.  Only A and Y move
+    between steps, so only the entries of -A that differ from the block's
+    A and the measurement right-hand sides are written, in one call each.
+    """
+    if not blocks:
+        return []
+    rows, cols, vals, meas = [], [], [], []
+    for (row, col, A_old), e in zip(blocks, entries, strict=True):
+        A = e["A"]
+        rr, cc = np.nonzero(A != A_old)
+        rows.append(row + rr)
+        cols.append(col + cc)
+        vals.append(-A[rr, cc])
+        meas.append(np.arange(row + A.shape[0], row + A.shape[0] + e["Y"].size))
+    region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    region.set_rhs(np.concatenate(meas), np.concatenate([e["Y"] for e in entries]))
+    return [(row, col, e["A"]) for (row, col, _), e in zip(blocks, entries)]
+
+
 class _TrajectoryLP:
     """Sparse LP over (x_{t0}, w, x, v) for one window of the history.
 
     The feasible set projected on x_k equals the filter posterior: the
     dynamics rows encode the prediction, the measurement rows the update.
     ``x0_box=None`` leaves the window's initial state free, matching the
-    fixed-lag rebuild from an unbounded prior; ``t0_entry`` adds that
-    step's measurement of the initial state.  ``extend`` appends one step
-    to the same ``lp.LinearProgram``, so every solve after the first
-    starts from the last basis, across steps too.
+    fixed-lag window's unbounded prior; ``t0_entry`` adds that step's
+    measurement of the initial state.  ``extend`` appends one step to the
+    same ``lp.LinearProgram``, so every solve after the first starts from
+    the last basis, across steps too.  ``rewrite`` moves a window to the
+    next step in place: its columns, rows, bounds and every coefficient
+    but A stay, so it writes A and the measurements Y only.
     """
 
     def __init__(self, n, x0_box=None, t0_entry=None):
@@ -224,7 +257,7 @@ class _TrajectoryLP:
         else:
             lo, hi = x0_box.lo, x0_box.hi
         self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
-        self._rows = []  # (CSR block, right-hand side) per _append
+        self._blocks = []  # (first dynamics row, first x_{k-1} column, A) per extend
         if t0_entry is not None:
             # measurement rows  H x_{t0} + v = Y
             H, vbox = t0_entry["H"], t0_entry["v"]
@@ -236,8 +269,19 @@ class _TrajectoryLP:
         """Append one step (``_step_block``): columns w, x_k, v with the
         dynamics and measurement rows."""
         x_at = self.program.n + entry["B"].shape[1]
+        self._blocks.append((self.program.m, self.x_final, entry["A"]))
         self._append(*_step_block(entry))
         self.x_final = x_at
+        self._hull = None
+        self._probes = {}
+
+    def rewrite(self, t0_entry, entries):
+        """Write the window of ``t0_entry`` followed by ``entries`` (one per
+        ``extend``) over the current one, in place: the initial state's
+        measurements and each block's A and Y (``_write_blocks``)."""
+        Y = t0_entry["Y"]
+        self.program.set_rhs(np.arange(Y.size), Y)
+        self._blocks = _write_blocks(self.program, self._blocks, entries)
         self._hull = None
         self._probes = {}
 
@@ -255,7 +299,6 @@ class _TrajectoryLP:
             (D[r, c], cols[c], indptr), shape=(D.shape[0], region.n + lo.size)
         )
         region.extend(lo, hi, rows, b)
-        self._rows.append((rows, b))
 
     def hull(self):
         """Interval hull of the final state, solved once per step and cached."""
@@ -280,7 +323,9 @@ class _TrajectoryLP:
         Every column is a generator: a finite column [lo, hi] is its
         center plus a generator with h = its radius, a free column a
         generator with h = inf.  G selects the final state's columns and
-        the rows are the LP's, shifted by the centers.
+        the rows are the LP's, shifted by the centers; they are read back
+        from the HiGHS model, so they are the ones the last ``rewrite``
+        wrote.
         """
         region = self.program
         finite = np.isfinite(region.lo) & np.isfinite(region.hi)
@@ -288,12 +333,13 @@ class _TrajectoryLP:
             center = np.where(finite, 0.5 * (region.lo + region.hi), 0.0)
             h = np.where(finite, 0.5 * (region.hi - region.lo), np.inf)
         N = region.n
-        if self._rows:
-            A = sparse.vstack([
-                sparse.csr_matrix((R.data, R.indices, R.indptr), shape=(R.shape[0], N))
-                for R, _ in self._rows
-            ]).toarray()
-            b = np.concatenate([b for _, b in self._rows]) - A @ center
+        if region.m:
+            model = region._highs.getLp()
+            mat = model.a_matrix_
+            colwise = mat.format_ == lp._highs.MatrixFormat.kColwise
+            fmt = sparse.csc_matrix if colwise else sparse.csr_matrix
+            A = fmt((mat.value_, mat.index_, mat.start_), shape=(region.m, N)).toarray()
+            b = np.asarray(model.row_lower_) - A @ center
         else:
             A, b = np.zeros((0, N)), np.zeros(0)
         G = np.zeros((self.n, N))
@@ -358,12 +404,16 @@ class CentralizedFilter(_LiftedFilter):
 
 
 class OitFilter(_LiftedFilter):
-    """Fixed-lag rebuild recursion with bounded representation size.
+    """Fixed-lag recursion with bounded representation size.
 
     For k <= delta_bar the posterior is grown exactly as the centralized
-    one (same LP, same inputs).  Beyond that it is rebuilt each step from
-    the buffered window, with the state at k - delta_bar free, which caps
-    its columns and rows at a constant.
+    one (same LP, same inputs).  Beyond that it is the LP of the buffered
+    window of the last delta_bar + 1 batches, with the state at
+    k - delta_bar free, which caps its columns and rows at a constant.
+    That LP is built once, at k = delta_bar + 1; each later step slides
+    the window by rewriting it in place (``_TrajectoryLP.rewrite``), since
+    only the dynamics coefficients A and the measurements Y differ, so
+    its solves warm-start from the last basis.
     """
 
     def __init__(self, system, initial, delta_bar, mu0=None):
@@ -384,14 +434,15 @@ class OitFilter(_LiftedFilter):
         self._window.append(entry)
         if len(self._window) > self.delta_bar + 1:
             self._window.pop(0)
+        first, *rest = self._window
         if k <= self.delta_bar:
             self._traj.extend(entry)
-        else:
-            first, *rest = self._window
-            traj = _TrajectoryLP(self.system.state_dim(), None, first)
+        elif k == self.delta_bar + 1:
+            self._traj = _TrajectoryLP(self.system.state_dim(), None, first)
             for e in rest:
-                traj.extend(e)
-            self._traj = traj
+                self._traj.extend(e)
+        else:
+            self._traj.rewrite(first, rest)
         self.k = k
 
 
@@ -416,7 +467,7 @@ class _AgentLP:
         hull."""
         topo = system.topology
         self._nbar = {o: topo.nbar(o) for o in [i] + topo.peers(i)}
-        self._blocks = []  # (o, first column, first row, A) per owner
+        self._blocks = []  # (first row, first column, A) per owner, in _nbar order
         blocks, lo, hi, b = [], [], [], []
         x_of = {}  # owner -> first x column
         ncol = nrow = 0
@@ -427,7 +478,7 @@ class _AgentLP:
             hi += [np.concatenate([hulls[l].hi for l in order]), bhi]
             b.append(bb)
             blocks.append(D)
-            self._blocks.append((o, ncol, nrow, e["A"]))
+            self._blocks.append((nrow, ncol, e["A"]))
             x_of[o] = ncol + e["A"].shape[0] + e["B"].shape[1]
             ncol += D.shape[1]
             nrow += D.shape[0]
@@ -444,29 +495,17 @@ class _AgentLP:
             np.concatenate(hi),
         )
         self._prev_cols = np.concatenate(
-            [np.arange(col, col + A.shape[0]) for _, col, _, A in self._blocks]
+            [np.arange(col, col + A.shape[0]) for _, col, A in self._blocks]
         )
         self._prev_agents = [l for order in self._nbar.values() for l in order]  # of _prev_cols
-        self._meas_rows = np.concatenate([
-            np.arange(row + A.shape[0], row + A.shape[0] + entries[o]["H"].shape[0])
-            for o, _, row, A in self._blocks
-        ])
 
     def update(self, entries, hulls):
-        """Write the next step's numbers in place, per owner block: the
-        x_prev bounds from ``hulls``, the measurement right-hand sides and
-        the entries of A that changed, from ``entries``."""
+        """Write the next step's numbers in place: per owner block the
+        entries of A that changed and the measurement right-hand sides,
+        from ``entries`` (``_write_blocks``), and the x_prev bounds from
+        ``hulls``."""
         region = self.program
-        rows, cols, vals = [], [], []
-        for t, (o, col, row, A) in enumerate(self._blocks):
-            A_new = entries[o]["A"]
-            rr, cc = np.nonzero(A_new != A)
-            rows.append(row + rr)
-            cols.append(col + cc)
-            vals.append(-A_new[rr, cc])
-            self._blocks[t] = (o, col, row, A_new)
-        region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-        region.set_rhs(self._meas_rows, np.concatenate([entries[o]["Y"] for o in self._nbar]))
+        self._blocks = _write_blocks(region, self._blocks, [entries[o] for o in self._nbar])
         region.set_bounds(
             self._prev_cols,
             np.concatenate([hulls[l].lo for l in self._prev_agents]),

@@ -145,7 +145,7 @@ class LinearProgram:
 
     def set_bounds(self, cols, lo, hi):
         """Change the bounds of the listed columns in place."""
-        cols = np.asarray(cols, dtype=np.int32).ravel()
+        cols = _indices(cols, self.n, "column")
         lo, hi = _bound_vectors(lo, hi, cols.size)
         self.lo[cols] = lo
         self.hi[cols] = hi

@@ -180,6 +180,70 @@ class TestOit:
         past = sizes[2:]
         assert len(set(past)) == 1, past
 
+    @pytest.mark.parametrize(
+        "scenario, horizon",
+        [(simharness.build_uav_scenario, 9), (simharness.build_pair1d_scenario, 8)],
+        ids=["uav5", "pair1d"],
+    )
+    def test_in_place_window_matches_fresh_build(self, monkeypatch, scenario, horizon):
+        # a logged trial replayed: past delta_bar + 1 the window LP,
+        # rewritten in place, against one built afresh from the same window
+        cfg = simharness.ScenarioConfig.from_doc(scenario(horizon=horizon), algorithms=["oit"])
+        log = simharness.run_trial(cfg, 0, metrics="containment")
+        system, db = cfg.system, cfg.delta_bar
+        assert log.aborted is None and len(log.steps) == horizon >= db + 3
+        initial = [log.header["initial"][str(i)] for i in system.agent_ids]
+        x0_box = Box(np.concatenate([lo for lo, _ in initial]), np.concatenate([hi for _, hi in initial]))
+        built, written = [], []
+        init, set_coefficients = lp.LinearProgram.__init__, lp.LinearProgram.set_coefficients
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        def recording(self, rows, cols, values):
+            written.append(len(values))
+            set_coefficients(self, rows, cols, values)
+
+        monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
+        monkeypatch.setattr(lp.LinearProgram, "set_coefficients", recording)
+        flt = OitFilter(system, x0_box, db, mu0=cfg.mu0)
+        entries, window_builds = [], 0
+        for k, rec in enumerate(log.steps, 1):
+            batch = sysmodel.MeasurementBatch.from_dict(rec)
+            entries.append(filters._step_entry(
+                sysmodel.build_centralized(system, k - 1), sysmodel.build_centralized(system, k), batch
+            ))
+            built.clear()
+            flt.step(k, batch)
+            if k <= db:
+                continue
+            window_builds += len(built)
+            if k == db + 1:
+                written.clear()
+                continue
+            first, *rest = entries[-(db + 1):]
+            fresh = filters._TrajectoryLP(system.state_dim(), None, first)
+            for e in rest:
+                fresh.extend(e)
+            region = flt._traj.program
+            assert (region.n, region.m) == (fresh.program.n, fresh.program.m)
+            assert np.array_equal(region.lo, fresh.program.lo)
+            assert np.array_equal(region.hi, fresh.program.hi)
+            assert czono.cz_to_dict(flt.posterior) == czono.cz_to_dict(fresh.lifted())
+            got, want = flt.hull(), fresh.hull()
+            for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
+                assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
+            truth = np.array(rec["truth"])
+            assert flt.contains(truth) and fresh.contains_final(truth)
+        assert window_builds == 1
+        if scenario is simharness.build_uav_scenario:
+            # the coordinated turn's A changes with k, so coefficients were rewritten
+            assert sum(written) > 0
+        else:
+            # pair1d's A is constant: the rewrite writes measurements only
+            assert written and sum(written) == 0
+
     def test_oit_never_tighter_than_centralized(self):
         system = pair_system()
         Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
@@ -198,6 +262,24 @@ class TestOit:
             ho = czono.interval_hull(oit.posterior)
             assert np.all(hc.lo >= ho.lo - 1e-9)
             assert np.all(hc.hi <= ho.hi + 1e-9)
+
+
+class TestPinnedFeasible:
+    def test_bounds_restored_after_solver_error(self, monkeypatch):
+        region = lp.LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
+
+        def failing(self):
+            raise lp.NumericalError("HiGHS model status: Solve error")
+
+        monkeypatch.setattr(lp.LinearProgram, "_run", failing)
+        with pytest.raises(lp.NumericalError):
+            filters._pinned_feasible(region, [0, 1], [0.2, 0.3])
+        model = region._highs.getLp()
+        for lo, hi in ((region.lo, region.hi), (model.col_lower_, model.col_upper_)):
+            assert list(lo) == [0.0, 0.0, 0.0] and list(hi) == [1.0, 1.0, 1.0]
+        monkeypatch.undo()
+        assert filters._pinned_feasible(region, [0, 1], [0.2, 0.3])
+        assert not filters._pinned_feasible(region, [0, 1], [0.8, 0.9])
 
 
 def refined_contains(refinement, x):

@@ -329,6 +329,17 @@ def test_changes_are_validated():
     assert res.value == pytest.approx(-0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("col", [-1, 3], ids=["negative", "past-end"])
+def test_set_bounds_validates_columns(col):
+    prog = LinearProgram([[1.0, 1.0, 1.0]], [1.0], [0, 0, 0], [1, 1, 1])
+    with pytest.raises(ValueError, match="column index"):
+        prog.set_bounds([col], [0.5], [0.5])
+    # neither the bound copy nor the model changed: x3 still spans [0, 1]
+    assert prog.lo.tolist() == [0.0, 0.0, 0.0] and prog.hi.tolist() == [1.0, 1.0, 1.0]
+    assert prog.solve([0.0, 0.0, 1.0]).value == pytest.approx(0.0, abs=1e-9)
+    assert prog.solve([0.0, 0.0, 1.0], sense="max").value == pytest.approx(1.0, abs=1e-9)
+
+
 class _Spy:
     """A HiGHS model that records its simplex_strategy settings and can be
     told to report a fixed model status after every run."""

@@ -314,6 +314,22 @@ class _SolveErrorOnceUpdated(_SolveErrorHighs):
         return super().getModelStatus() if self.updated else self._model.getModelStatus()
 
 
+class _SolveErrorOnceRewritten(_SolveErrorHighs):
+    """A HiGHS model that reports "solve error" once its right-hand sides
+    were rewritten in place."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.rewritten = False
+
+    def changeRowBounds(self, *args):
+        self.rewritten = True
+        return self._model.changeRowBounds(*args)
+
+    def getModelStatus(self):
+        return super().getModelStatus() if self.rewritten else self._model.getModelStatus()
+
+
 class TestSolverFailure:
     def test_linprog_failure_aborts_instead_of_violating(self, monkeypatch):
         # "solve error" is neither optimal, infeasible nor unbounded
@@ -343,6 +359,21 @@ class TestSolverFailure:
         assert log.aborted == {"k": 2, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
         assert len(log.steps) == 1
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_window_failure_after_rewrite_aborts(self, monkeypatch, metrics):
+        # the fixed-lag window LP is built at k = delta_bar + 1 and rewritten
+        # in place from the next step on, where every solve on it then
+        # fails; the centralized LP only grows, so its solves never fail
+        build = lp._build_model
+        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorOnceRewritten(build(*args)))
+        cfg = small_uav(h=8, algorithms=["centralized", "oit"])
+        log = simharness.run_trial(cfg, 0, metrics=metrics)
+        k = cfg.delta_bar + 2
+        end = json.loads(log.dumps().splitlines()[-1])
+        assert end["aborted"] == {"k": k, "agent": None, "reason": "numerical error"}
+        assert end["violations"] == 0
+        assert len(log.steps) == k - 1
 
     @pytest.mark.parametrize(
         "algorithms", [["centralized", "oit"], ["distributed"]], ids=["trajectory", "distributed"]
