@@ -19,14 +19,14 @@ All three filters hold their sets as lifted constrained zonotopes
 columns are states and noises and whose rows are the dynamics,
 measurement and coupling equations, one ``lp.LinearProgram`` each.
 
-Every filter builds its LP from one step block (``_step_block``): the
-dynamics rows x_k = A x_{k-1} + B w encode the prediction, the
-measurement rows H x_k + v = Y the update, over the columns x_{k-1}, w,
-x_k and v of one stacked system (``sysmodel``), with w and v in the
-stack's noise boxes.  Of these numbers only A (``AgentModel.A_of_k``)
-and Y change from one step to the next: B, H and the noise boxes are
-fixed per system, so a block moved to a later step is rewritten in
-place by ``_write_blocks``.
+Every filter builds its LP from step blocks (``_step_block``), each
+appended to the ``lp.LinearProgram`` by ``_append``: the dynamics rows
+x_k = A x_{k-1} + B w encode the prediction, the measurement rows
+H x_k + v = Y the update, over the columns x_{k-1}, w, x_k and v of one
+stacked system (``sysmodel``), with w and v in the stack's noise boxes.
+Of these numbers only A (``AgentModel.A_of_k``) and Y change from one
+step to the next: B, H and the noise boxes are fixed per system, so a
+block moved to a later step is rewritten in place by ``_write_blocks``.
 
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``): one step block per owner, its own neighborhood and every
@@ -52,8 +52,8 @@ window's first state free, and then slides it by rewriting that LP in
 place: the window's columns and rows never change, and of its numbers
 only the dynamics coefficients A and the measurements Y move
 (``_TrajectoryLP.rewrite``).  ``hull`` solves the final state's
-interval hull once per step; ``contains`` pins the final state through
-its bounds, solves and restores them.
+interval hull; ``contains`` pins the final state through its bounds,
+solves and restores them.
 
 Every hull (``_lp_hull``) solves all minima first, then all maxima.
 Inside one hull only the objective changes, so ``lp.LinearProgram``
@@ -235,6 +235,17 @@ def _write_blocks(region, blocks, entries):
     return [(row, col, e["A"]) for (row, col, _), e in zip(blocks, entries)]
 
 
+def _append(region, prev_cols, lo, hi, D, b):
+    """Append columns with bounds [lo, hi] and the rows D y = b to
+    ``region``, where y is the columns ``prev_cols`` followed by the new
+    ones."""
+    cols = np.concatenate([prev_cols, np.arange(region.n, region.n + lo.size)])
+    r, c = np.nonzero(D)  # row-major, so already CSR order
+    indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
+    rows = sparse.csr_matrix((D[r, c], cols[c], indptr), shape=(D.shape[0], region.n + lo.size))
+    region.extend(lo, hi, rows, b)
+
+
 class _TrajectoryLP:
     """Sparse LP over (x_{t0}, w, x, v) for one window of the history.
 
@@ -261,19 +272,18 @@ class _TrajectoryLP:
         if t0_entry is not None:
             # measurement rows  H x_{t0} + v = Y
             H, vbox = t0_entry["H"], t0_entry["v"]
-            self._append(vbox.lo, vbox.hi, np.hstack([H, np.eye(H.shape[0])]), t0_entry["Y"])
-        self._hull = None
-        self._probes = {}
+            D = np.hstack([H, np.eye(H.shape[0])])
+            _append(self.program, np.arange(n), vbox.lo, vbox.hi, D, t0_entry["Y"])
 
     def extend(self, entry):
         """Append one step (``_step_block``): columns w, x_k, v with the
         dynamics and measurement rows."""
-        x_at = self.program.n + entry["B"].shape[1]
-        self._blocks.append((self.program.m, self.x_final, entry["A"]))
-        self._append(*_step_block(entry))
+        region = self.program
+        prev = np.arange(self.x_final, self.x_final + self.n)
+        x_at = region.n + entry["B"].shape[1]
+        self._blocks.append((region.m, self.x_final, entry["A"]))
+        _append(region, prev, *_step_block(entry))
         self.x_final = x_at
-        self._hull = None
-        self._probes = {}
 
     def rewrite(self, t0_entry, entries):
         """Write the window of ``t0_entry`` followed by ``entries`` (one per
@@ -282,40 +292,16 @@ class _TrajectoryLP:
         Y = t0_entry["Y"]
         self.program.set_rhs(np.arange(Y.size), Y)
         self._blocks = _write_blocks(self.program, self._blocks, entries)
-        self._hull = None
-        self._probes = {}
-
-    def _append(self, lo, hi, D, b):
-        """Append columns with bounds [lo, hi] and the rows D y = b, where
-        y is the final state followed by the new columns."""
-        region = self.program
-        cols = np.concatenate([
-            np.arange(self.x_final, self.x_final + self.n),
-            np.arange(region.n, region.n + lo.size),
-        ])
-        r, c = np.nonzero(D)  # row-major, so already CSR order
-        indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
-        rows = sparse.csr_matrix(
-            (D[r, c], cols[c], indptr), shape=(D.shape[0], region.n + lo.size)
-        )
-        region.extend(lo, hi, rows, b)
 
     def hull(self):
-        """Interval hull of the final state, solved once per step and cached."""
-        if self._hull is None:
-            self._hull = _lp_hull(self.program, range(self.x_final, self.x_final + self.n))
-        return self._hull
+        """Interval hull of the final state."""
+        return _lp_hull(self.program, range(self.x_final, self.x_final + self.n))
 
     def contains_final(self, x, coords=None):
-        """True iff some trajectory ends at x (on the listed coords); the
-        answer is cached for the step."""
-        coords = tuple(range(self.n) if coords is None else coords)
-        x = np.asarray(x, dtype=float)
-        key = (coords, x.tobytes())
-        if key not in self._probes:
-            cols = self.x_final + np.array(coords, dtype=int)
-            self._probes[key] = _pinned_feasible(self.program, cols, x)
-        return self._probes[key]
+        """True iff some trajectory ends at x (on the listed coords)."""
+        coords = range(self.n) if coords is None else coords
+        cols = self.x_final + np.array(coords, dtype=int)
+        return _pinned_feasible(self.program, cols, x)
 
     def lifted(self):
         """The feasible set projected on the final state, as a lifted CZ.
@@ -324,25 +310,18 @@ class _TrajectoryLP:
         center plus a generator with h = its radius, a free column a
         generator with h = inf.  G selects the final state's columns and
         the rows are the LP's, shifted by the centers; they are read back
-        from the HiGHS model, so they are the ones the last ``rewrite``
-        wrote.
+        from the model (``lp.LinearProgram.rows``), so they are the ones
+        the last ``rewrite`` wrote.
         """
         region = self.program
         finite = np.isfinite(region.lo) & np.isfinite(region.hi)
         with np.errstate(invalid="ignore"):
             center = np.where(finite, 0.5 * (region.lo + region.hi), 0.0)
             h = np.where(finite, 0.5 * (region.hi - region.lo), np.inf)
-        N = region.n
-        if region.m:
-            model = region._highs.getLp()
-            mat = model.a_matrix_
-            colwise = mat.format_ == lp._highs.MatrixFormat.kColwise
-            fmt = sparse.csc_matrix if colwise else sparse.csr_matrix
-            A = fmt((mat.value_, mat.index_, mat.start_), shape=(region.m, N)).toarray()
-            b = np.asarray(model.row_lower_) - A @ center
-        else:
-            A, b = np.zeros((0, N)), np.zeros(0)
-        G = np.zeros((self.n, N))
+        A, b = region.rows()
+        A = A.toarray()
+        b = b - A @ center
+        G = np.zeros((self.n, region.n))
         G[np.arange(self.n), self.x_final + np.arange(self.n)] = 1.0
         return ConstrainedZonotope(G, center[self.x_final : self.x_final + self.n], A, b, h)
 
@@ -369,7 +348,7 @@ class _LiftedFilter:
         )
 
     def hull(self):
-        """Interval hull of the stacked state (a Box), cached per step."""
+        """Interval hull of the stacked state (a Box)."""
         return self._traj.hull()
 
     def contains(self, x, coords=None):
@@ -450,15 +429,16 @@ class _AgentLP:
     """Agent i's lifted refinement: one LinearProgram for the whole trial.
 
     It holds the joint of agent i and the joint of every peer l in
-    ``topology.peers(i)``.  Each of these owners o contributes one
-    ``_step_block`` of its neighborhood stack over N̄_o, block-diagonally:
-    the columns x_prev (bounded by the last hulls of N̄_o), w (in the W
-    box), x (free) and o's v (in its V box), the dynamics rows and o's
-    measurement rows.  One block of ``coupling_rows`` per peer then ties
-    the peer's copy of x_i to agent i's own.  The feasible set projected
-    on agent i's own x is the refined set of one distributed step.  Only
-    numbers change from step to step: ``update`` writes them in place, so
-    each step's solves start from the last basis.
+    ``topology.peers(i)``.  Each of these owners o appends, in turn, the
+    columns x_prev (bounded by the last hulls of N̄_o) and then, through
+    ``_append``, one ``_step_block`` of its neighborhood stack over them:
+    the columns w (in the W box), x (free) and o's v (in its V box), the
+    dynamics rows and o's measurement rows.  One block of
+    ``coupling_rows`` per peer then ties the peer's copy of x_i to agent
+    i's own.  The feasible set projected on agent i's own x is the
+    refined set of one distributed step.  Only numbers change from step
+    to step: ``update`` writes them in place, so each step's solves start
+    from the last basis.
     """
 
     def __init__(self, system, i, entries, hulls):
@@ -468,32 +448,27 @@ class _AgentLP:
         topo = system.topology
         self._nbar = {o: topo.nbar(o) for o in [i] + topo.peers(i)}
         self._blocks = []  # (first row, first column, A) per owner, in _nbar order
-        blocks, lo, hi, b = [], [], [], []
+        region = lp.LinearProgram(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
         x_of = {}  # owner -> first x column
-        ncol = nrow = 0
         for o, order in self._nbar.items():
             e = entries[o]
-            blo, bhi, D, bb = _step_block(e)
-            lo += [np.concatenate([hulls[l].lo for l in order]), blo]
-            hi += [np.concatenate([hulls[l].hi for l in order]), bhi]
-            b.append(bb)
-            blocks.append(D)
-            self._blocks.append((nrow, ncol, e["A"]))
-            x_of[o] = ncol + e["A"].shape[0] + e["B"].shape[1]
-            ncol += D.shape[1]
-            nrow += D.shape[0]
+            prev = np.arange(region.n, region.n + e["A"].shape[0])
+            region.extend(
+                np.concatenate([hulls[l].lo for l in order]),
+                np.concatenate([hulls[l].hi for l in order]),
+                np.zeros((0, region.n + prev.size)),
+                np.zeros(0),
+            )
+            self._blocks.append((region.m, prev[0], e["A"]))
+            x_of[o] = region.n + e["B"].shape[1]
+            _append(region, prev, *_step_block(e))
         n = system.agents[i].n
         self.x_own = np.arange(x_of[i], x_of[i] + n)  # i leads N̄_i
-        coupling = []
         for l in topo.peers(i):
             start = x_of[l] + system.state_slices(self._nbar[l])[i].start
-            coupling.append(coupling_rows(ncol, self.x_own, np.arange(start, start + n)))
-        self.program = lp.LinearProgram(
-            sparse.vstack([sparse.block_diag(blocks, format="csr")] + coupling, format="csr"),
-            np.concatenate(b + [np.zeros(n * len(coupling))]),
-            np.concatenate(lo),
-            np.concatenate(hi),
-        )
+            rows = coupling_rows(region.n, self.x_own, np.arange(start, start + n))
+            region.extend([], [], rows, np.zeros(n))
+        self.program = region
         self._prev_cols = np.concatenate(
             [np.arange(col, col + A.shape[0]) for _, col, A in self._blocks]
         )

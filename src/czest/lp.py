@@ -29,8 +29,11 @@ unbounded.  A status that is still not definite raises
 
 HiGHS runs single-threaded with a fixed random seed, so identical inputs
 give identical answers.  Its primal and dual feasibility tolerances are
-both ``EPS_LP``, the kernel's one documented tolerance.  Programs without
-constraints or without variables are solved in closed form.
+both ``EPS_LP``, the kernel's one documented tolerance.  Every region is a
+HiGHS model from construction on, also one without rows or without
+columns (such as the empty program a region is grown from); HiGHS
+reports a region without columns as "Empty", whose rows read 0 = b, so
+it is optimal if every |b| <= ``EPS_LP`` and infeasible otherwise.
 """
 
 import numpy as np
@@ -101,13 +104,7 @@ class LinearProgram:
         lo, hi = _bound_vectors(lo, hi, self.n)
         # own copies: set_bounds changes them in place
         self.lo, self.hi = lo.copy(), hi.copy()
-        self._pass(A, b)
-
-    def _pass(self, A, b):
-        """Hand the whole region to a new HiGHS model (none for the
-        closed-form shapes)."""
-        self._b = b
-        self._highs = _build_model(A, b, self.lo, self.hi) if self.m and self.n else None
+        self._highs = _build_model(A, b, self.lo, self.hi)
         self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
         self._region_changed = True
 
@@ -125,17 +122,9 @@ class LinearProgram:
         lo, hi = _bound_vectors(lo, hi, added)
         self.lo = np.concatenate([self.lo, lo])
         self.hi = np.concatenate([self.hi, hi])
-        m = self.m
-        self.m, self.n = m + r, n
+        self.m, self.n = self.m + r, n
         self._region_changed = True
         h = self._highs
-        if h is None:
-            # closed form so far: no rows, or rows over no variables, so
-            # the old rows hold zeros only
-            if m:
-                A = sparse.vstack([sparse.csr_matrix((m, n)), A])
-            self._pass(A.tocsc(), np.concatenate([self._b, b]))
-            return
         if added:
             h.addCols(added, np.zeros(added), lo, hi, 0,
                       np.zeros(added, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
@@ -150,8 +139,7 @@ class LinearProgram:
         self.lo[cols] = lo
         self.hi[cols] = hi
         self._region_changed = True
-        if self._highs is not None:
-            self._highs.changeColsBounds(cols.size, cols, lo, hi)
+        self._highs.changeColsBounds(cols.size, cols, lo, hi)
 
     def set_coefficients(self, rows, cols, values):
         """Set ``A[rows[t], cols[t]] = values[t]`` in place; a zero value
@@ -161,11 +149,9 @@ class LinearProgram:
         values = np.asarray(values, dtype=float).ravel()
         if not rows.size == cols.size == values.size:
             raise ValueError("rows, cols and values must have the same length")
-        if np.any(np.isnan(values)):
-            raise ValueError("NaN in constraint data")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite coefficient")
         self._region_changed = True
-        # a closed-form region has no rows or no columns, so no index is
-        # valid there and the loop is empty
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
             self._highs.changeCoeff(r, c, v)
 
@@ -179,10 +165,6 @@ class LinearProgram:
             raise ValueError("NaN in constraint data")
         self._region_changed = True
         h = self._highs
-        if h is None:
-            self._b = self._b.copy()
-            self._b[rows] = b
-            return
         for r, v in zip(rows.tolist(), b.tolist()):
             h.changeRowBounds(r, v, v)
 
@@ -194,11 +176,6 @@ class LinearProgram:
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         csign = 1.0 if sense == "min" else -1.0
-        if self._highs is None:
-            # rows over no variables read 0 = b
-            if self.n == 0 and np.any(np.abs(self._b) > EPS_LP):
-                return LpResult(INFEASIBLE)
-            return self._solve_boxonly(c, csign)
         h = self._highs
         h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c * csign)
         self._use(_DUAL if self._region_changed else _PRIMAL)
@@ -215,10 +192,20 @@ class LinearProgram:
             self._highs.setOptionValue("simplex_strategy", strategy)
             self._strategy = strategy
 
+    def rows(self):
+        """The rows as held in the model: (A as a scipy.sparse matrix, b)."""
+        model = self._highs.getLp()
+        mat = model.a_matrix_
+        colwise = mat.format_ == _highs.MatrixFormat.kColwise
+        fmt = sparse.csc_matrix if colwise else sparse.csr_matrix
+        A = fmt((mat.value_, mat.index_, mat.start_), shape=(self.m, self.n))
+        return A, np.asarray(model.row_lower_)
+
     def _run(self):
         """Run HiGHS; re-run once with dual simplex from a cleared solver
         if a primal run ends without a definite status or HiGHS cannot
-        tell infeasible from unbounded (then also without presolve)."""
+        tell infeasible from unbounded (then also without presolve).  A
+        model without columns is "Empty" to HiGHS: its rows read 0 = b."""
         h = self._highs
         if h.run() == _highs.HighsStatus.kError and (
             h.getModelStatus() == _highs.HighsModelStatus.kNotset
@@ -230,6 +217,9 @@ class LinearProgram:
             _highs._Highs.resetGlobalScheduler(True)
             h.run()
         model_status = h.getModelStatus()
+        if model_status == _highs.HighsModelStatus.kModelEmpty:
+            feasible = np.all(np.abs(h.getLp().row_lower_) <= EPS_LP)
+            return OPTIMAL if feasible else INFEASIBLE
         unsure = model_status == _highs.HighsModelStatus.kUnboundedOrInfeasible
         if unsure or (model_status not in _STATUS and self._strategy == _PRIMAL):
             self._use(_DUAL)
@@ -244,25 +234,6 @@ class LinearProgram:
             raise NumericalError("HiGHS model status: " + h.modelStatusToString(model_status))
         return _STATUS[model_status]
 
-    def _solve_boxonly(self, c, csign):
-        cs = c * csign
-        x = np.zeros(self.n)
-        for j in range(self.n):
-            if cs[j] > 0.0:
-                if not np.isfinite(self.lo[j]):
-                    return LpResult(UNBOUNDED)
-                x[j] = self.lo[j]
-            elif cs[j] < 0.0:
-                if not np.isfinite(self.hi[j]):
-                    return LpResult(UNBOUNDED)
-                x[j] = self.hi[j]
-            else:
-                if np.isfinite(self.lo[j]):
-                    x[j] = self.lo[j]
-                elif np.isfinite(self.hi[j]):
-                    x[j] = self.hi[j]
-        return LpResult(OPTIMAL, float(c @ x), x)
-
 
 def _bound_vectors(lo, hi, n):
     """Validated float bound vectors of length n."""
@@ -270,6 +241,8 @@ def _bound_vectors(lo, hi, n):
     hi = np.asarray(hi, dtype=float).ravel()
     if lo.shape[0] != n or hi.shape[0] != n:
         raise ValueError(f"bound vectors must have length {n}")
+    if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+        raise ValueError("NaN bound")
     if np.any(lo > hi):
         raise ValueError("lo > hi for some variable")
     return lo, hi
@@ -294,7 +267,9 @@ def _region_rows(A, b, fmt=sparse.csc_matrix):
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
-    if np.any(np.isnan(A.data)) or np.any(np.isnan(b)):
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError("non-finite coefficient")
+    if np.any(np.isnan(b)):
         raise ValueError("NaN in constraint data")
     return A, b
 

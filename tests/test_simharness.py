@@ -276,14 +276,19 @@ class _SolveErrorHighs:
 
 
 class _SolveErrorOnceGrown(_SolveErrorHighs):
-    """A HiGHS model that reports "solve error" once rows were added to it."""
+    """A HiGHS model that reports "solve error" once rows were added to it
+    after its first run."""
 
     def __init__(self, model):
         super().__init__(model)
-        self.grown = False
+        self.ran = self.grown = False
+
+    def run(self):
+        self.ran = True
+        return self._model.run()
 
     def addRows(self, *args):
-        self.grown = True
+        self.grown |= self.ran
         return self._model.addRows(*args)
 
     def getModelStatus(self):
@@ -341,7 +346,8 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_failure_after_growth_aborts(self, monkeypatch, metrics):
-        # only models that were extended fail: the trajectory LP from step 2 on
+        # only models that grew after their first solve fail: the trajectory
+        # LP from step 2 on
         build = lp._build_model
         monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorOnceGrown(build(*args)))
         log = simharness.run_trial(small_uav(h=4), 0, metrics=metrics)
