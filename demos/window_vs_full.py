@@ -27,15 +27,16 @@ def main():
     truth = np.concatenate(
         [rng.uniform(boxes[i].lo, boxes[i].hi) for i in ids]
     )
-    Z0 = czono.cartesian_product([czono.from_box(boxes[i]) for i in ids])
+    x0 = czono.Box(np.concatenate([boxes[i].lo for i in ids]),
+                   np.concatenate([boxes[i].hi for i in ids]))
     agents = system.agents
     w_boxes = [agents[i].Wset for i in ids]
     v_boxes = {i: agents[i].Vset for i in ids}
     r_boxes = {(i, j): agents[i].Rset_of[j]
                for i in ids for j in system.topology.in_neighbors(i)}
-    full = filters.CentralizedFilter(system, Z0)
+    full = filters.CentralizedFilter(system, x0)
     sl = system.state_slices()[1]
-    windowed = filters.OitFilter(system, Z0, cfg.delta_bar, mu0=cfg.mu0)
+    windowed = filters.OitFilter(system, x0, cfg.delta_bar, mu0=cfg.mu0)
 
     print(f"window length {cfg.delta_bar}, "
           f"observability index {cfg.mu0}, horizon {cfg.K}\n")

@@ -27,8 +27,6 @@ from .filters import (
     EmptyPosteriorError,
     OitFilter,
     WindowTooShortError,
-    smf_predict,
-    smf_update,
 )
 from .simharness import (
     ScenarioConfig,
@@ -72,8 +70,6 @@ __all__ = [
     "EmptyPosteriorError",
     "OitFilter",
     "WindowTooShortError",
-    "smf_predict",
-    "smf_update",
     "ScenarioConfig",
     "TrialLog",
     "builtin_scenario",

@@ -35,8 +35,6 @@ __all__ = [
     "interval_hull",
     "interval_hull_coords",
     "diameter_inf",
-    "cz_to_dict",
-    "cz_from_dict",
 ]
 
 
@@ -402,46 +400,3 @@ def _blockdiag(*mats):
         c += m.shape[1]
     return out
 
-
-# -- serialization ---------------------------------------------------------
-
-
-def _num_out(v):
-    if np.isposinf(v):
-        return "inf"
-    if np.isneginf(v):
-        return "-inf"
-    return float(v)
-
-
-def _num_in(v):
-    if v == "inf":
-        return np.inf
-    if v == "-inf":
-        return -np.inf
-    return float(v)
-
-
-def cz_to_dict(Z):
-    """JSON-ready dict with row-major matrices; infinities as strings."""
-    return {
-        "G": [[float(v) for v in row] for row in Z.G],
-        "c": [float(v) for v in Z.c],
-        "A": [[float(v) for v in row] for row in Z.A],
-        "b": [float(v) for v in Z.b],
-        "h": [_num_out(v) for v in Z.h],
-    }
-
-
-def cz_from_dict(d):
-    ng = len(d["h"])
-    n = len(d["c"])
-    G = np.array(d["G"], dtype=float).reshape(n, ng)
-    A = np.array(d["A"], dtype=float).reshape(-1, ng) if d["A"] else np.zeros((0, ng))
-    return ConstrainedZonotope(
-        G,
-        np.array(d["c"], dtype=float),
-        A,
-        np.array(d["b"], dtype=float),
-        np.array([_num_in(v) for v in d["h"]]),
-    )

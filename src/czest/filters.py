@@ -36,10 +36,7 @@ equal to its own.  Its structure is fixed, so a step only writes the
 new numbers in place (hull bounds, changed dynamics coefficients,
 measurements) and solves the 2n bounds of the agent's state from the
 last basis.  The posterior is the hull
-(``hulls``); ``agent_set`` encodes it as a CZ only when asked.  The
-dense composition (``smf_predict``, ``smf_update``, ``czono`` products,
-projections and intersections) is kept as the ``verify`` oracles'
-reference.
+(``hulls``); ``agent_set`` encodes it as a CZ only when asked.
 
 The centralized and fixed-lag posteriors are held as one sparse
 "trajectory" LP over the window's states and noises (``_TrajectoryLP``),
@@ -53,7 +50,9 @@ place: the window's columns and rows never change, and of its numbers
 only the dynamics coefficients A and the measurements Y move
 (``_TrajectoryLP.rewrite``).  ``hull`` solves the final state's
 interval hull; ``contains`` pins the final state through its bounds,
-solves and restores them.
+solves and restores them, and after an infeasible probe solves the
+unpinned region once, so that an empty posterior raises
+``czono.EmptySetError`` instead of reading as a point outside it.
 
 Every hull (``_lp_hull``) solves all minima first, then all maxima.
 Inside one hull only the objective changes, so ``lp.LinearProgram``
@@ -63,8 +62,8 @@ dual simplex.  An infeasible minimum is an empty posterior, an
 infeasible maximum after feasible minima a ``lp.NumericalError``, and
 an unbounded bound is ±inf.  ``posterior`` builds the lifted
 CZ itself only when asked for.  Noise ranges are boxes by the system
-model's type; the LPs read the initial sets as boxes too, so all three
-filters accept box initial sets only (a Box, or a CZ in box form).
+model's type, and the LPs bound their first states by the initial sets,
+so all three filters take their initial sets as ``Box``es.
 
 Steps are numbered so that step 0 is initialization only; the first
 measurement batch arrives at k = 1.
@@ -82,8 +81,6 @@ __all__ = [
     "DistributedFilter",
     "EmptyPosteriorError",
     "WindowTooShortError",
-    "smf_predict",
-    "smf_update",
     "coupling_rows",
 ]
 
@@ -105,27 +102,6 @@ class EmptyPosteriorError(RuntimeError):
 
 class WindowTooShortError(ValueError):
     """delta_bar below the observability requirement."""
-
-
-def smf_predict(Z, A, B, Wset):
-    """One prediction: A Z + B [w]."""
-    return czono.minkowski_sum(czono.linear_map(A, Z), czono.linear_map(B, Wset))
-
-
-def smf_update(Z, H, Y, Vset):
-    """One measurement update: { x in Z : H x + v = Y, v in Vset }."""
-    return czono.intersect_under_map(Z, H, Y, Vset)
-
-
-def _as_box(Z, what):
-    """The Box a CZ exactly equals; ValueError unless Z is in box form.
-
-    An unconstrained CZ whose generator columns each touch at most one
-    output row is an axis-aligned box; its interval hull is then exact.
-    """
-    if Z.n_constraints or np.any((Z.G != 0.0).sum(axis=0) > 1):
-        raise ValueError(f"{what} is not an axis-aligned box")
-    return czono.interval_hull(Z)
 
 
 def _lp_hull(region, cols):
@@ -331,13 +307,14 @@ class _LiftedFilter:
     as a ``_TrajectoryLP`` and the queries on it."""
 
     def __init__(self, system, initial):
-        """``initial`` is a Box or a CZ that is an axis-aligned box."""
+        """``initial`` is the stacked initial state's Box."""
+        if not isinstance(initial, Box):
+            raise ValueError("initial set is not a Box")
         if initial.dim != system.state_dim():
             raise ValueError("initial set dimension mismatch")
-        x0_box = initial if isinstance(initial, Box) else _as_box(initial, "initial set")
         self.system = system
         self.k = 0
-        self._traj = _TrajectoryLP(x0_box.dim, x0_box)
+        self._traj = _TrajectoryLP(initial.dim, initial)
 
     def _next_entry(self, k, batch):
         if k != self.k + 1:
@@ -353,8 +330,14 @@ class _LiftedFilter:
 
     def contains(self, x, coords=None):
         """True iff the posterior holds a state equal to x on ``coords``
-        (all coordinates by default)."""
-        return self._traj.contains_final(x, coords)
+        (all coordinates by default).  Raises ``czono.EmptySetError`` if
+        the posterior is empty."""
+        if self._traj.contains_final(x, coords):
+            return True
+        region = self._traj.program
+        if region.solve(np.zeros(region.n)).status == lp.INFEASIBLE:
+            raise EmptySetError("empty posterior")
+        return False
 
     @property
     def lifted_size(self):
@@ -501,19 +484,18 @@ class DistributedFilter:
     """
 
     def __init__(self, system, initial_ranges):
-        """``initial_ranges`` maps every agent id to a Box or a CZ that is
-        an axis-aligned box."""
+        """``initial_ranges`` maps every agent id to its initial Box."""
         ids = system.agent_ids
         if sorted(initial_ranges) != ids:
             raise ValueError("need an initial range per agent")
-        hulls = {}
         for i in ids:
             R = initial_ranges[i]
+            if not isinstance(R, Box):
+                raise ValueError(f"agent {i}: initial set is not a Box")
             if R.dim != system.agents[i].n:
                 raise ValueError(f"agent {i}: initial range dimension mismatch")
-            hulls[i] = R if isinstance(R, Box) else _as_box(R, f"agent {i}: initial set")
         self.system = system
-        self.hulls = hulls
+        self.hulls = {i: initial_ranges[i] for i in ids}
         self.k = 0
         self._lps = None  # agent -> _AgentLP, from the first step on
 

@@ -33,7 +33,9 @@ both ``EPS_LP``, the kernel's one documented tolerance.  Every region is a
 HiGHS model from construction on, also one without rows or without
 columns (such as the empty program a region is grown from); HiGHS
 reports a region without columns as "Empty", whose rows read 0 = b, so
-it is optimal if every |b| <= ``EPS_LP`` and infeasible otherwise.
+it is optimal if every |b| <= ``EPS_LP`` and infeasible otherwise.  A
+model change that HiGHS refuses (status kError) raises ``NumericalError``
+naming the call, where it is made.
 """
 
 import numpy as np
@@ -45,6 +47,8 @@ EPS_LP = 1e-9
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+_ERROR = _highs.HighsStatus.kError.value
 
 _DUAL = 1  # HiGHS simplex_strategy values
 _PRIMAL = 4
@@ -126,11 +130,11 @@ class LinearProgram:
         self._region_changed = True
         h = self._highs
         if added:
-            h.addCols(added, np.zeros(added), lo, hi, 0,
-                      np.zeros(added, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0))
+            _check(h.addCols(added, np.zeros(added), lo, hi, 0, np.zeros(added, dtype=np.int32),
+                             np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
         if r:
-            h.addRows(r, b, b, A.nnz, A.indptr[:-1].astype(np.int32, copy=False),
-                      A.indices.astype(np.int32, copy=False), A.data)
+            _check(h.addRows(r, b, b, A.nnz, A.indptr[:-1].astype(np.int32, copy=False),
+                             A.indices.astype(np.int32, copy=False), A.data), "addRows")
 
     def set_bounds(self, cols, lo, hi):
         """Change the bounds of the listed columns in place."""
@@ -139,7 +143,7 @@ class LinearProgram:
         self.lo[cols] = lo
         self.hi[cols] = hi
         self._region_changed = True
-        self._highs.changeColsBounds(cols.size, cols, lo, hi)
+        _check(self._highs.changeColsBounds(cols.size, cols, lo, hi), "changeColsBounds")
 
     def set_coefficients(self, rows, cols, values):
         """Set ``A[rows[t], cols[t]] = values[t]`` in place; a zero value
@@ -152,8 +156,9 @@ class LinearProgram:
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite coefficient")
         self._region_changed = True
+        h = self._highs
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
-            self._highs.changeCoeff(r, c, v)
+            _check(h.changeCoeff(r, c, v), "changeCoeff")
 
     def set_rhs(self, rows, b):
         """Change the right-hand sides of the listed rows in place."""
@@ -166,7 +171,7 @@ class LinearProgram:
         self._region_changed = True
         h = self._highs
         for r, v in zip(rows.tolist(), b.tolist()):
-            h.changeRowBounds(r, v, v)
+            _check(h.changeRowBounds(r, v, v), "changeRowBounds")
 
     def solve(self, c, sense="min"):
         """Optimize c^T x over the region.  Returns LpResult."""
@@ -295,8 +300,16 @@ def _build_model(A, b, lo, hi):
     h = _highs._Highs()
     for key, val in _HIGHS_OPTIONS.items():
         h.setOptionValue(key, val)
-    h.passModel(lp)
+    _check(h.passModel(lp), "passModel")
     return h
+
+
+def _check(status, call):
+    """Raise NumericalError if HiGHS refused the model change ``call``."""
+    # compare ints: pybind's enum == is several times slower, and this runs
+    # once per coefficient or right-hand side written in place
+    if status.value == _ERROR:
+        raise NumericalError(f"HiGHS {call} returned an error")
 
 
 def lp_solve(c, A_eq, b_eq, lo, hi, sense="min"):

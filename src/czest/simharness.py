@@ -297,10 +297,10 @@ def _box_out(box):
 def run_trial(cfg, trial_index=0, metrics="full"):
     """Simulate one trial and return its TrialLog.
 
-    metrics="full" logs hull, diameter and generator norm per algorithm,
-    agent and step; metrics="containment" logs only the containment
-    booleans (hull metrics are null), which is much cheaper for the
-    history-based filters.
+    metrics="full" logs hull and diameter per algorithm, agent and step;
+    metrics="containment" logs only the containment booleans (hull
+    metrics are null), which is much cheaper for the history-based
+    filters.
     """
     if metrics not in ("full", "containment"):
         raise ValueError("metrics must be 'full' or 'containment'")
@@ -393,7 +393,7 @@ def _step_metrics(alg, f, ids, truth, slices, metrics):
     if alg == "distributed":
         for i in ids:
             hull = f.hulls[i]
-            contained = hull.contains_point(truth[slices[i]], tol=1e-9)
+            contained = hull.contains_point(truth[slices[i]], tol=lp.EPS_LP)
             rec[str(i)] = _agent_rec(hull if metrics == "full" else None, contained)
         return rec
     contained_all = f.contains(truth)

@@ -2,8 +2,8 @@
 
 Two figure kinds, both derived purely from a TrialLog recorded with full
 metrics: a planar trajectory view (truth path plus per-step estimate
-rectangles for each algorithm) and per-step metric curves (diameter or
-generator norm against the step index).  Scalar-state scenarios get a
+rectangles for each algorithm) and per-step hull diameter curves
+against the step index.  Scalar-state scenarios get a
 time-series variant of the trajectory view.
 """
 

@@ -18,8 +18,9 @@ Suites:
     distributed ones on the five-vehicle scenario.
   * backends: the centralized and fixed-lag hulls a trial logs (from the
     filters' trajectory LPs) agree on short horizons with those of the
-    dense accumulated recursion, replayed here as a test-only reference
-    from the trial's logged measurements.
+    dense accumulated recursion (``_dense_predict``, ``_dense_update``),
+    replayed here as a test-only reference from the trial's logged
+    measurements.
   * distributed: the distributed hulls a trial logs (from the agents'
     lifted LPs) agree with those of the dense composition of one
     distributed step, replayed per step from the logged previous hulls.
@@ -495,6 +496,16 @@ def ordering_check(trials=2, horizon=12, rng_seed=2026, tol=1e-9):
 # -- backend agreement ---------------------------------------------------------
 
 
+def _dense_predict(Z, A, B, Wset):
+    """One dense prediction: A Z + B Wset."""
+    return czono.minkowski_sum(czono.linear_map(A, Z), czono.linear_map(B, Wset))
+
+
+def _dense_update(Z, H, Y, Vset):
+    """One dense measurement update: { x in Z : H x + v = Y, v in Vset }."""
+    return czono.intersect_under_map(Z, H, Y, Vset)
+
+
 def _replay_hull_deviations(cfg, log):
     """Largest deviation of each logged centralized/oit hull from its reference.
 
@@ -520,15 +531,15 @@ def _replay_hull_deviations(cfg, log):
         cur = sysmodel.build_centralized(system, k)
         Y = sysmodel.stack_measurements(cur, sysmodel.MeasurementBatch.from_dict(rec))
         window = (window + [(prev, cur, Y)])[-(cfg.delta_bar + 1) :]
-        prior = filters.smf_predict(cent, prev.A, prev.B, czono.from_box(prev.Wset))
-        cent = filters.smf_update(prior, cur.H, Y, czono.from_box(cur.Vset))
+        prior = _dense_predict(cent, prev.A, prev.B, czono.from_box(prev.Wset))
+        cent = _dense_update(prior, cur.H, Y, czono.from_box(cur.Vset))
         oit = cent
         if k > cfg.delta_bar:
             oit = czono.whole_space(system.state_dim())
             for t, (p, c, Yt) in enumerate(window):
                 if t:
-                    oit = filters.smf_predict(oit, p.A, p.B, czono.from_box(p.Wset))
-                oit = filters.smf_update(oit, c.H, Yt, czono.from_box(c.Vset))
+                    oit = _dense_predict(oit, p.A, p.B, czono.from_box(p.Wset))
+                oit = _dense_update(oit, c.H, Yt, czono.from_box(c.Vset))
         for alg, Z in (("centralized", cent), ("oit", oit)):
             for i in ids:
                 sl = slices[i]
@@ -580,7 +591,7 @@ def _replay_distributed_deviations(cfg, log):
         k = rec["k"]
         batch = sysmodel.MeasurementBatch.from_dict(rec)
         priors = {
-            l: filters.smf_predict(
+            l: _dense_predict(
                 czono.from_box(prev[l]), agents[l].A_of_k(k - 1), agents[l].B, czono.from_box(agents[l].Wset)
             )
             for l in ids
@@ -590,7 +601,7 @@ def _replay_distributed_deviations(cfg, log):
             nb = sysmodel.build_neighborhood(system, i, k)
             prior = czono.cartesian_product([priors[l] for l in nb.state_order])
             Y = sysmodel.stack_measurements(nb, batch)
-            joint[i] = filters.smf_update(prior, nb.H, Y, czono.from_box(nb.Vset))
+            joint[i] = _dense_update(prior, nb.H, Y, czono.from_box(nb.Vset))
         logged = {i: rec["algs"]["distributed"][str(i)]["hull"] for i in ids}
         for i in ids:
             n = agents[i].n

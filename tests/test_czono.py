@@ -1,6 +1,4 @@
-"""Constrained zonotope algebra: pinned example oracles and serialization."""
-
-import json
+"""Constrained zonotope algebra: pinned example oracles."""
 
 import numpy as np
 import pytest
@@ -295,25 +293,6 @@ class TestEmptinessAndHull:
 
 
 class TestCompactAndSerialization:
-    def test_json_round_trip(self):
-        Z = ConstrainedZonotope(
-            np.array([[1.0, 0.5], [0.0, 2.0]]),
-            [1.0, -1.0],
-            np.array([[1.0, 1.0]]),
-            [0.5],
-            [1.0, np.inf],
-        )
-        back = czono.cz_from_dict(json.loads(json.dumps(czono.cz_to_dict(Z))))
-        assert np.array_equal(back.G, Z.G)
-        assert np.array_equal(back.c, Z.c)
-        assert np.array_equal(back.A, Z.A)
-        assert np.array_equal(back.b, Z.b)
-        assert np.array_equal(back.h, Z.h)
-
-    def test_json_inf_encoding(self):
-        Z = czono.whole_space(1)
-        assert '"inf"' in json.dumps(czono.cz_to_dict(Z))
-
     def test_box_helpers(self):
         box = Box([-1.0, 0.0], [1.0, 4.0])
         assert box.center.tolist() == [0.0, 2.0]

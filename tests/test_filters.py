@@ -19,6 +19,21 @@ def interval(lo, hi):
     return czono.from_box(Box([lo], [hi]))
 
 
+def pair_x0():
+    """The pair1d initial box used throughout: x1 in [-2, 2], x2 in [-1, 3]."""
+    return Box([-2.0, -1.0], [2.0, 3.0])
+
+
+def pair_ranges():
+    """``pair_x0`` per agent."""
+    return {1: Box([-2.0], [2.0]), 2: Box([-1.0], [3.0])}
+
+
+def assert_same_cz(a, b):
+    for name in ("G", "c", "A", "b", "h"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def pair_system():
     doc = simharness.build_pair1d_scenario()
     return sysmodel.system_from_dict(doc)
@@ -37,7 +52,7 @@ def batch_for(system, k, x, v_val=0.0, r_val=0.0):
 class TestPrimitives:
     def test_predict_unit_interval(self):
         Z = interval(-1.0, 1.0)
-        P = filters.smf_predict(
+        P = verify._dense_predict(
             Z, np.array([[2.0]]), np.array([[1.0]]), interval(-0.5, 0.5)
         )
         hull = czono.interval_hull(P)
@@ -46,7 +61,7 @@ class TestPrimitives:
 
     def test_update_shrinks(self):
         Z = interval(-3.0, 3.0)
-        U = filters.smf_update(Z, np.array([[1.0]]), np.array([1.0]), interval(-1.0, 1.0))
+        U = verify._dense_update(Z, np.array([[1.0]]), np.array([1.0]), interval(-1.0, 1.0))
         hull = czono.interval_hull(U)
         assert hull.lo[0] == pytest.approx(0.0, abs=1e-9)
         assert hull.hi[0] == pytest.approx(2.0, abs=1e-9)
@@ -79,6 +94,9 @@ class TestInputCheck:
         turn = np.kron(np.eye(dim // 2), np.array([[1.0, 1.0], [-1.0, 1.0]]))
         with pytest.raises(ValueError, match="initial set"):
             make(uav, czono.linear_map(turn, unit))
+        # a CZ is rejected even when it equals a box
+        with pytest.raises(ValueError, match="initial set is not a Box"):
+            make(uav, unit)
         a = uav.agents[1]
         rotated = czono.linear_map(np.array([[1.0, 1.0], [-1.0, 1.0]]), czono.from_box(a.Wset))
         with pytest.raises(ValueError, match="process noise"):
@@ -88,15 +106,13 @@ class TestInputCheck:
 class TestCentralized:
     def test_steps_must_be_sequential(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        flt = CentralizedFilter(system, Z0)
+        flt = CentralizedFilter(system, pair_x0())
         with pytest.raises(ValueError):
             flt.step(2, batch_for(system, 2, [0.0, 1.0]))
 
     def test_truth_always_contained(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        flt = CentralizedFilter(system, Z0)
+        flt = CentralizedFilter(system, pair_x0())
         rng = np.random.default_rng(0)
         x = np.array([0.5, 1.0])
         for k in range(1, 6):
@@ -132,8 +148,7 @@ class TestCentralized:
 
     def test_inconsistent_measurement_empties(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        flt = CentralizedFilter(system, Z0)
+        flt = CentralizedFilter(system, pair_x0())
         batch = batch_for(system, 1, [50.0, 50.0])
         with pytest.raises((EmptyPosteriorError, czono.EmptySetError)):
             flt.step(1, batch)
@@ -143,15 +158,14 @@ class TestCentralized:
 class TestOit:
     def test_window_too_short_rejected(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
         with pytest.raises(WindowTooShortError):
-            OitFilter(system, Z0, delta_bar=-1, mu0=1)
+            OitFilter(system, pair_x0(), delta_bar=-1, mu0=1)
 
     def test_matches_centralized_inside_window(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        cent = CentralizedFilter(system, Z0)
-        oit = OitFilter(system, Z0, delta_bar=10, mu0=1)
+        x0 = pair_x0()
+        cent = CentralizedFilter(system, x0)
+        oit = OitFilter(system, x0, delta_bar=10, mu0=1)
         rng = np.random.default_rng(1)
         x = np.array([0.0, 1.0])
         for k in range(1, 6):
@@ -161,12 +175,11 @@ class TestOit:
             batch = sysmodel.measure(system, k, x, v, r)
             cent.step(k, batch)
             oit.step(k, batch)
-            assert czono.cz_to_dict(oit.posterior) == czono.cz_to_dict(cent.posterior)
+            assert_same_cz(oit.posterior, cent.posterior)
 
     def test_bounded_representation_past_window(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        oit = OitFilter(system, Z0, delta_bar=2, mu0=1)
+        oit = OitFilter(system, pair_x0(), delta_bar=2, mu0=1)
         rng = np.random.default_rng(2)
         sizes = []
         x = np.array([0.0, 1.0])
@@ -230,7 +243,7 @@ class TestOit:
             assert (region.n, region.m) == (fresh.program.n, fresh.program.m)
             assert np.array_equal(region.lo, fresh.program.lo)
             assert np.array_equal(region.hi, fresh.program.hi)
-            assert czono.cz_to_dict(flt.posterior) == czono.cz_to_dict(fresh.lifted())
+            assert_same_cz(flt.posterior, fresh.lifted())
             got, want = flt.hull(), fresh.hull()
             for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
                 assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
@@ -246,9 +259,9 @@ class TestOit:
 
     def test_oit_never_tighter_than_centralized(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        cent = CentralizedFilter(system, Z0)
-        oit = OitFilter(system, Z0, delta_bar=2, mu0=1)
+        x0 = pair_x0()
+        cent = CentralizedFilter(system, x0)
+        oit = OitFilter(system, x0, delta_bar=2, mu0=1)
         rng = np.random.default_rng(3)
         x = np.array([0.0, 1.0])
         for k in range(1, 10):
@@ -383,9 +396,7 @@ class TestLpHull:
 class TestDistributed:
     def test_posteriors_contain_truth(self):
         system = pair_system()
-        flt = DistributedFilter(
-            system, {1: interval(-2, 2), 2: interval(-1, 3)}
-        )
+        flt = DistributedFilter(system, pair_ranges())
         rng = np.random.default_rng(6)
         x = np.array([0.5, 1.5])
         for k in range(1, 6):
@@ -399,7 +410,7 @@ class TestDistributed:
 
     def test_posterior_is_box_reencoding(self):
         system = pair_system()
-        flt = DistributedFilter(system, {1: interval(-2, 2), 2: interval(-1, 3)})
+        flt = DistributedFilter(system, pair_ranges())
         flt.step(1, batch_for(system, 1, [0.0, 1.0]))
         for i in (1, 2):
             post = flt.agent_set(i)
@@ -408,9 +419,8 @@ class TestDistributed:
 
     def test_distributed_contains_centralized(self):
         system = pair_system()
-        Z0 = czono.cartesian_product([interval(-2, 2), interval(-1, 3)])
-        cent = CentralizedFilter(system, Z0)
-        dist = DistributedFilter(system, {1: interval(-2, 2), 2: interval(-1, 3)})
+        cent = CentralizedFilter(system, pair_x0())
+        dist = DistributedFilter(system, pair_ranges())
         rng = np.random.default_rng(7)
         x = np.array([0.0, 1.0])
         for k in range(1, 6):
@@ -494,7 +504,7 @@ class TestDistributed:
 
     def test_empty_posterior_reports_agent_and_step(self):
         system = pair_system()
-        flt = DistributedFilter(system, {1: interval(-2, 2), 2: interval(-1, 3)})
+        flt = DistributedFilter(system, pair_ranges())
         with pytest.raises(EmptyPosteriorError) as info:
             flt.step(1, batch_for(system, 1, [40.0, 40.0]))
         assert info.value.k == 1

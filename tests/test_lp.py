@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import OptimizeWarning, linprog
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import czest
 from czest.lp import (
@@ -485,6 +485,47 @@ def test_status_left_unknown_after_fallback_raises():
         prog.solve(_STALL_G[1])
     # the primal run and the one dual re-run
     assert spy.strategies == [PRIMAL, DUAL]
+
+
+class _Refusing:
+    """A HiGHS model whose method ``name`` reports kError and changes nothing."""
+
+    def __init__(self, model, name):
+        self._model = model
+        self._name = name
+
+    def __getattr__(self, name):
+        if name == self._name:
+            return lambda *args: HighsStatus.kError
+        return getattr(self._model, name)
+
+
+@pytest.mark.parametrize(
+    "call, change",
+    [
+        ("addCols", lambda p: p.extend([0.0], [1.0], np.zeros((0, 3)), [])),
+        ("addRows", lambda p: p.extend([], [], [[1.0, -1.0]], [0.0])),
+        ("changeColsBounds", lambda p: p.set_bounds([0], [0.0], [0.5])),
+        ("changeCoeff", lambda p: p.set_coefficients([0], [1], [2.0])),
+        ("changeRowBounds", lambda p: p.set_rhs([0], [0.5])),
+    ],
+    ids=["addCols", "addRows", "changeColsBounds", "changeCoeff", "changeRowBounds"],
+)
+def test_refused_model_change_raises(monkeypatch, call, change):
+    resets = []
+    monkeypatch.setattr(_Highs, "resetGlobalScheduler", lambda *args: resets.append(args))
+    prog = LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
+    assert prog.solve([1.0, 0.0]).status == OPTIMAL
+    prog._highs = _Refusing(prog._highs, call)
+    with pytest.raises(NumericalError, match=call):
+        change(prog)
+    assert resets == []
+
+
+def test_refused_model_raises(monkeypatch):
+    monkeypatch.setattr(_Highs, "passModel", lambda *args: HighsStatus.kError)
+    with pytest.raises(NumericalError, match="passModel"):
+        LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
 
 
 def test_only_lp_reaches_highs():

@@ -261,6 +261,22 @@ class TestNoiseViolation:
         log = simharness.run_trial(cfg, 0, metrics="containment")
         assert log.aborted is not None or log.violations > 0
 
+    @pytest.mark.parametrize(
+        "algorithms",
+        [["centralized"], ["oit"], ["centralized", "oit", "distributed"]],
+        ids=["centralized", "oit", "all"],
+    )
+    def test_empty_posterior_aborts_in_both_modes(self, algorithms):
+        # the posterior is empty at k = 1: a containment probe must report
+        # that as the abort a hull reports, not as violations
+        cfg = small_pair(h=12, seed=1, injected_noise_scale=4.0, noise_grid=None, algorithms=algorithms)
+        full = simharness.run_trial(cfg, 0, metrics="full")
+        cont = simharness.run_trial(cfg, 0, metrics="containment")
+        assert full.aborted == {"k": 1, "agent": None, "reason": "empty posterior"}
+        assert cont.aborted == full.aborted
+        assert len(cont.steps) == len(full.steps) == 0
+        assert cont.violations == full.violations == 0
+
 
 class _SolveErrorHighs:
     """A HiGHS model that reports "solve error" after every run."""
