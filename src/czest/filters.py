@@ -24,9 +24,10 @@ appended to the ``lp.LinearProgram`` by ``_append``: the dynamics rows
 x_k = A x_{k-1} + B w encode the prediction, the measurement rows
 H x_k + v = Y the update, over the columns x_{k-1}, w, x_k and v of one
 stacked system (``sysmodel``), with w and v in the stack's noise boxes.
-Of these numbers only A (``AgentModel.A_of_k``) and Y change from one
-step to the next: B, H and the noise boxes are fixed per system, so a
-block moved to a later step is rewritten in place by ``_write_blocks``.
+Each filter builds its stacks once, at construction.  Of these numbers
+only A (``StackedSystem.A(k)``) and Y change from one step to the next:
+B, H and the noise boxes are the stack's fixed parts, so a block moved
+to a later step is rewritten in place by ``_write_blocks``.
 
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``): one step block per owner, its own neighborhood and every
@@ -147,30 +148,22 @@ def coupling_rows(n_cols, own_cols, peer_cols):
     )
 
 
-def _step_entry(prev, cur, batch):
-    """The data of step k from the stacks at k - 1 and k: the dynamics and
-    process noise box of ``prev``, and the measurement map, noise box and
-    stacked measurements of ``cur``."""
-    return {
-        "A": prev.A,
-        "B": prev.B,
-        "w": prev.Wset,
-        "H": cur.H,
-        "v": cur.Vset,
-        "Y": sysmodel.stack_measurements(cur, batch),
-    }
+def _step_entry(stack, k, batch):
+    """What of step k moves, as (A, Y): the dynamics A(k - 1) of ``stack``
+    and the batch's measurements in its row order."""
+    return stack.A(k - 1), sysmodel.stack_measurements(stack, batch)
 
 
-def _step_block(entry):
+def _step_block(stack, A, Y):
     """One step as (lo, hi, D, b): the rows D y = b,
 
         dynamics     x_k - A x_{k-1} - B w = 0,
         measurement  H x_k + v = Y,
 
     over the columns y = (x_{k-1}, w, x_k, v), and the bounds [lo, hi] of
-    the columns the step adds: w and v in their boxes, x_k free.
+    the columns the step adds: w and v in the stack's boxes, x_k free.
     """
-    A, B, H = entry["A"], entry["B"], entry["H"]
+    B, H = stack.B, stack.H
     n, p, m = A.shape[0], B.shape[1], H.shape[0]
     D = np.zeros((n + m, n + p + n + m))
     D[:n, :n] = -A
@@ -178,17 +171,17 @@ def _step_block(entry):
     D[:n, n + p : 2 * n + p] = np.eye(n)
     D[n:, n + p : 2 * n + p] = H
     D[n:, 2 * n + p :] = np.eye(m)
-    wbox, vbox = entry["w"], entry["v"]
+    wbox, vbox = stack.Wset, stack.Vset
     return (
         np.concatenate([wbox.lo, np.full(n, -np.inf), vbox.lo]),
         np.concatenate([wbox.hi, np.full(n, np.inf), vbox.hi]),
         D,
-        np.concatenate([np.zeros(n), entry["Y"]]),
+        np.concatenate([np.zeros(n), Y]),
     )
 
 
 def _write_blocks(region, blocks, entries):
-    """Rewrite ``_step_block``s of ``region`` in place with the numbers of
+    """Rewrite ``_step_block``s of ``region`` in place with the (A, Y) of
     ``entries``, one per block, and return the blocks with their new A.
 
     A block is (first dynamics row, first x_{k-1} column, A), its
@@ -199,16 +192,15 @@ def _write_blocks(region, blocks, entries):
     if not blocks:
         return []
     rows, cols, vals, meas = [], [], [], []
-    for (row, col, A_old), e in zip(blocks, entries, strict=True):
-        A = e["A"]
+    for (row, col, A_old), (A, Y) in zip(blocks, entries, strict=True):
         rr, cc = np.nonzero(A != A_old)
         rows.append(row + rr)
         cols.append(col + cc)
         vals.append(-A[rr, cc])
-        meas.append(np.arange(row + A.shape[0], row + A.shape[0] + e["Y"].size))
+        meas.append(np.arange(row + A.shape[0], row + A.shape[0] + Y.size))
     region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    region.set_rhs(np.concatenate(meas), np.concatenate([e["Y"] for e in entries]))
-    return [(row, col, e["A"]) for (row, col, _), e in zip(blocks, entries)]
+    region.set_rhs(np.concatenate(meas), np.concatenate([Y for _, Y in entries]))
+    return [(row, col, A) for (row, col, _), (A, _) in zip(blocks, entries)]
 
 
 def _append(region, prev_cols, lo, hi, D, b):
@@ -223,21 +215,22 @@ def _append(region, prev_cols, lo, hi, D, b):
 
 
 class _TrajectoryLP:
-    """Sparse LP over (x_{t0}, w, x, v) for one window of the history.
+    """Sparse LP over the (x_{t0}, w, x, v) of ``stack`` in one window.
 
     The feasible set projected on x_k equals the filter posterior: the
     dynamics rows encode the prediction, the measurement rows the update.
     ``x0_box=None`` leaves the window's initial state free, matching the
-    fixed-lag window's unbounded prior; ``t0_entry`` adds that step's
-    measurement of the initial state.  ``extend`` appends one step to the
+    fixed-lag window's unbounded prior; ``t0_Y`` adds that step's
+    measurements of the initial state.  ``extend`` appends one step to the
     same ``lp.LinearProgram``, so every solve after the first starts from
     the last basis, across steps too.  ``rewrite`` moves a window to the
     next step in place: its columns, rows, bounds and every coefficient
     but A stay, so it writes A and the measurements Y only.
     """
 
-    def __init__(self, n, x0_box=None, t0_entry=None):
-        self.n = n
+    def __init__(self, stack, x0_box=None, t0_Y=None):
+        self.stack = stack
+        self.n = n = stack.B.shape[0]
         self.x_final = 0  # first column of the final state
         if x0_box is None:
             lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
@@ -245,28 +238,27 @@ class _TrajectoryLP:
             lo, hi = x0_box.lo, x0_box.hi
         self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
         self._blocks = []  # (first dynamics row, first x_{k-1} column, A) per extend
-        if t0_entry is not None:
+        if t0_Y is not None:
             # measurement rows  H x_{t0} + v = Y
-            H, vbox = t0_entry["H"], t0_entry["v"]
+            H, vbox = stack.H, stack.Vset
             D = np.hstack([H, np.eye(H.shape[0])])
-            _append(self.program, np.arange(n), vbox.lo, vbox.hi, D, t0_entry["Y"])
+            _append(self.program, np.arange(n), vbox.lo, vbox.hi, D, t0_Y)
 
-    def extend(self, entry):
+    def extend(self, A, Y):
         """Append one step (``_step_block``): columns w, x_k, v with the
         dynamics and measurement rows."""
         region = self.program
         prev = np.arange(self.x_final, self.x_final + self.n)
-        x_at = region.n + entry["B"].shape[1]
-        self._blocks.append((region.m, self.x_final, entry["A"]))
-        _append(region, prev, *_step_block(entry))
+        x_at = region.n + self.stack.B.shape[1]
+        self._blocks.append((region.m, self.x_final, A))
+        _append(region, prev, *_step_block(self.stack, A, Y))
         self.x_final = x_at
 
-    def rewrite(self, t0_entry, entries):
-        """Write the window of ``t0_entry`` followed by ``entries`` (one per
+    def rewrite(self, t0_Y, entries):
+        """Write the window of ``t0_Y`` followed by ``entries`` ((A, Y) per
         ``extend``) over the current one, in place: the initial state's
         measurements and each block's A and Y (``_write_blocks``)."""
-        Y = t0_entry["Y"]
-        self.program.set_rhs(np.arange(Y.size), Y)
+        self.program.set_rhs(np.arange(t0_Y.size), t0_Y)
         self._blocks = _write_blocks(self.program, self._blocks, entries)
 
     def hull(self):
@@ -314,15 +306,13 @@ class _LiftedFilter:
             raise ValueError("initial set dimension mismatch")
         self.system = system
         self.k = 0
-        self._traj = _TrajectoryLP(initial.dim, initial)
+        self._stack = sysmodel.build_centralized(system)
+        self._traj = _TrajectoryLP(self._stack, initial)
 
     def _next_entry(self, k, batch):
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        system = self.system
-        return _step_entry(
-            sysmodel.build_centralized(system, k - 1), sysmodel.build_centralized(system, k), batch
-        )
+        return _step_entry(self._stack, k, batch)
 
     def hull(self):
         """Interval hull of the stacked state (a Box)."""
@@ -361,7 +351,7 @@ class CentralizedFilter(_LiftedFilter):
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
-        self._traj.extend(self._next_entry(k, batch))
+        self._traj.extend(*self._next_entry(k, batch))
         self.k = k
 
 
@@ -396,15 +386,15 @@ class OitFilter(_LiftedFilter):
         self._window.append(entry)
         if len(self._window) > self.delta_bar + 1:
             self._window.pop(0)
-        first, *rest = self._window
+        (_, Y0), *rest = self._window
         if k <= self.delta_bar:
-            self._traj.extend(entry)
+            self._traj.extend(*entry)
         elif k == self.delta_bar + 1:
-            self._traj = _TrajectoryLP(self.system.state_dim(), None, first)
+            self._traj = _TrajectoryLP(self._stack, None, Y0)
             for e in rest:
-                self._traj.extend(e)
+                self._traj.extend(*e)
         else:
-            self._traj.rewrite(first, rest)
+            self._traj.rewrite(Y0, rest)
         self.k = k
 
 
@@ -424,27 +414,27 @@ class _AgentLP:
     from the last basis.
     """
 
-    def __init__(self, system, i, entries, hulls):
-        """Build the model for one step: ``entries`` maps each owner o to
-        its ``_step_entry`` over N̄_o, ``hulls`` each agent to its last
-        hull."""
+    def __init__(self, system, i, stacks, entries, hulls):
+        """Build the model for one step: ``stacks`` maps each owner o to
+        its neighborhood stack over N̄_o, ``entries`` to its
+        ``_step_entry``, and ``hulls`` each agent to its last hull."""
         topo = system.topology
         self._nbar = {o: topo.nbar(o) for o in [i] + topo.peers(i)}
         self._blocks = []  # (first row, first column, A) per owner, in _nbar order
         region = lp.LinearProgram(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
         x_of = {}  # owner -> first x column
         for o, order in self._nbar.items():
-            e = entries[o]
-            prev = np.arange(region.n, region.n + e["A"].shape[0])
+            A, Y = entries[o]
+            prev = np.arange(region.n, region.n + A.shape[0])
             region.extend(
                 np.concatenate([hulls[l].lo for l in order]),
                 np.concatenate([hulls[l].hi for l in order]),
                 np.zeros((0, region.n + prev.size)),
                 np.zeros(0),
             )
-            self._blocks.append((region.m, prev[0], e["A"]))
-            x_of[o] = region.n + e["B"].shape[1]
-            _append(region, prev, *_step_block(e))
+            self._blocks.append((region.m, prev[0], A))
+            x_of[o] = region.n + stacks[o].B.shape[1]
+            _append(region, prev, *_step_block(stacks[o], A, Y))
         n = system.agents[i].n
         self.x_own = np.arange(x_of[i], x_of[i] + n)  # i leads N̄_i
         for l in topo.peers(i):
@@ -497,6 +487,7 @@ class DistributedFilter:
         self.system = system
         self.hulls = {i: initial_ranges[i] for i in ids}
         self.k = 0
+        self._stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
         self._lps = None  # agent -> _AgentLP, from the first step on
 
     def step(self, k, batch):
@@ -505,16 +496,9 @@ class DistributedFilter:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
         system = self.system
         ids = system.agent_ids
-        entries = {
-            o: _step_entry(
-                sysmodel.build_neighborhood(system, o, k - 1),
-                sysmodel.build_neighborhood(system, o, k),
-                batch,
-            )
-            for o in ids
-        }
+        entries = {o: _step_entry(st, k, batch) for o, st in self._stacks.items()}
         if self._lps is None:
-            self._lps = {i: _AgentLP(system, i, entries, self.hulls) for i in ids}
+            self._lps = {i: _AgentLP(system, i, self._stacks, entries, self.hulls) for i in ids}
         else:
             for i in ids:
                 self._lps[i].update(entries, self.hulls)

@@ -320,14 +320,6 @@ def run_trial(cfg, trial_index=0, metrics="full"):
         np.concatenate([init_boxes[i].hi for i in ids]),
     )
 
-    flt = {}
-    if "centralized" in cfg.algorithms:
-        flt["centralized"] = filters.CentralizedFilter(system, x0_box)
-    if "oit" in cfg.algorithms:
-        flt["oit"] = filters.OitFilter(system, x0_box, cfg.delta_bar, mu0=cfg.mu0)
-    if "distributed" in cfg.algorithms:
-        flt["distributed"] = filters.DistributedFilter(system, init_boxes)
-
     log = TrialLog(
         {
             "type": "header",
@@ -347,6 +339,16 @@ def run_trial(cfg, trial_index=0, metrics="full"):
     r_boxes = {
         (i, j): agents[i].Rset_of[j] for i in ids for j in system.topology.in_neighbors(i)
     }
+    flt = {}
+    try:
+        if "centralized" in cfg.algorithms:
+            flt["centralized"] = filters.CentralizedFilter(system, x0_box)
+        if "oit" in cfg.algorithms:
+            flt["oit"] = filters.OitFilter(system, x0_box, cfg.delta_bar, mu0=cfg.mu0)
+        if "distributed" in cfg.algorithms:
+            flt["distributed"] = filters.DistributedFilter(system, init_boxes)
+    except lp.NumericalError:
+        return log.finish({"k": 0, "agent": None, "reason": "numerical error"})
     aborted = None
     for k in range(1, cfg.K + 1):
         w = np.concatenate([sampler.from_box(box) for box in w_boxes])
@@ -400,7 +402,9 @@ def _step_metrics(alg, f, ids, truth, slices, metrics):
     hull = f.hull() if metrics == "full" else None
     for i in ids:
         sl = slices[i]
-        contained = contained_all or f.contains(truth[sl], range(sl.start, sl.stop))
+        # the whole-state probe has ruled out an empty posterior, so the
+        # agents' probes skip that solve
+        contained = contained_all or f._traj.contains_final(truth[sl], range(sl.start, sl.stop))
         sub = None if hull is None else Box(hull.lo[sl], hull.hi[sl])
         rec[str(i)] = _agent_rec(sub, contained)
     return rec

@@ -10,11 +10,14 @@ agent j", so j is an in-neighbor of i.  Communication follows the same
 edges.  Noise ranges are boxes (``czono.Box``): ``AgentModel`` rejects
 any other set, and the stacked ranges are boxes too.
 
-This module builds the stacked matrices used by the filters: the
+This module builds the stacked systems used by the filters: the
 centralized stack over all agents and the neighborhood stack over
 N̄_i = (i, then in-neighbors ascending), both with a fixed, documented
 row order so measurement vectors can be serialized and re-stacked
-deterministically.
+deterministically.  Of the model only A_i(k) moves with the step, so a
+stack holds the fixed parts (B, H, noise boxes, layout) and assembles
+its dynamics per step with ``StackedSystem.A(k)``; callers build each
+stack once and nothing is kept per step.
 """
 
 import numpy as np
@@ -168,28 +171,38 @@ class MeasurementBatch:
 
 
 class StackedSystem:
-    """Matrices of a stacked (centralized or neighborhood) system.
+    """A stacked (centralized or neighborhood) system: its fixed parts and
+    its dynamics at any step.
 
     Attributes:
         state_order: agent ids in block order.
         state_slices: id -> slice into the stacked state.
-        A, B: stacked dynamics at the build step.
-        H: stacked measurement matrix.
+        B: stacked input matrix (read-only).
+        H: stacked measurement matrix (read-only).
         Wset, Vset: stacked noise ranges (Box).
         meas_layout: row blocks of H in order, entries ("y", i) or ("z", i, j).
     """
 
-    __slots__ = ("state_order", "state_slices", "A", "B", "H", "Wset", "Vset", "meas_layout")
+    __slots__ = ("state_order", "state_slices", "B", "H", "Wset", "Vset", "meas_layout", "_A_of_k")
 
-    def __init__(self, state_order, state_slices, A, B, H, Wset, Vset, meas_layout):
+    def __init__(self, agents, state_order, state_slices, B, H, Wset, Vset, meas_layout):
         self.state_order = state_order
         self.state_slices = state_slices
-        self.A = A
         self.B = B
         self.H = H
         self.Wset = Wset
         self.Vset = Vset
         self.meas_layout = meas_layout
+        self._A_of_k = [(state_slices[i], agents[i].A_of_k) for i in state_order]
+
+    def A(self, k):
+        """Stacked dynamics at step k: the block-diagonal of the agents'
+        ``A_of_k(k)``, a new array on each call."""
+        dim = self.B.shape[0]
+        A = np.zeros((dim, dim))
+        for sl, A_of_k in self._A_of_k:
+            A[sl, sl] = A_of_k(k)
+        return A
 
 
 class MultiAgentSystem:
@@ -201,7 +214,6 @@ class MultiAgentSystem:
             raise ValueError("agent ids must be exactly 1..n_agents")
         self.agents = agents
         self.topology = topology
-        self._stacks = {}  # memo of _stack, keyed (order, meas_agents, k)
         for i, a in agents.items():
             ni = topology.in_neighbors(i)
             if sorted(a.Rset_of) != ni:
@@ -235,19 +247,6 @@ class MultiAgentSystem:
         return slices
 
 
-def _stack(system, order, meas_agents, k):
-    """Common builder: stacked A/B/W over `order`, H/V rows from `meas_agents`.
-
-    Memoized per system (one entry per distinct key and step, kept for the
-    system's lifetime): the result is shared, so its arrays are read-only.
-    """
-    key = (tuple(order), tuple(meas_agents), k)
-    stacked = system._stacks.get(key)
-    if stacked is None:
-        stacked = system._stacks[key] = _build_stack(system, order, meas_agents, k)
-    return stacked
-
-
 def _concat_boxes(boxes):
     """The Cartesian product of boxes, in order (0-dimensional for none)."""
     return Box(
@@ -256,13 +255,11 @@ def _concat_boxes(boxes):
     )
 
 
-def _build_stack(system, order, meas_agents, k):
+def _build_stack(system, order, meas_agents):
+    """Stacked B/W over `order`, H/V rows from `meas_agents`."""
     agents = system.agents
     slices = system.state_slices(order)
     dim = sum(agents[i].n for i in order)
-    A = np.zeros((dim, dim))
-    for i in order:
-        A[slices[i], slices[i]] = np.asarray(agents[i].A_of_k(k), dtype=float)
     B_blocks = [agents[i].B for i in order]
     pdim = sum(b.shape[1] for b in B_blocks)
     B = np.zeros((dim, pdim))
@@ -295,21 +292,21 @@ def _build_stack(system, order, meas_agents, k):
             layout.append(("z", i, j))
             vparts.append(a.Rset_of[j])
     H = np.vstack(rows) if rows else np.zeros((0, dim))
-    for arr in (A, B, H):
+    for arr in (B, H):
         arr.setflags(write=False)
     Wset = _concat_boxes([agents[i].Wset for i in order])
-    return StackedSystem(list(order), slices, A, B, H, Wset, _concat_boxes(vparts), layout)
+    return StackedSystem(agents, list(order), slices, B, H, Wset, _concat_boxes(vparts), layout)
 
 
-def build_centralized(system, k):
+def build_centralized(system):
     """Stack all agents (ascending id) with every measurement row."""
     ids = system.agent_ids
-    return _stack(system, ids, ids, k)
+    return _build_stack(system, ids, ids)
 
 
-def build_neighborhood(system, i, k):
+def build_neighborhood(system, i):
     """Stack N̄_i = (i, in-neighbors ascending) with agent i's rows only."""
-    return _stack(system, system.topology.nbar(i), [i], k)
+    return _build_stack(system, system.topology.nbar(i), [i])
 
 
 def stack_measurements(stacked, batch):
@@ -368,7 +365,8 @@ def observability_index(system, k0=0, mu_max=None):
     dim = system.state_dim()
     if mu_max is None:
         mu_max = 2 * dim
-    H = build_centralized(system, k0).H
+    stack = build_centralized(system)
+    H = stack.H
     blocks = [H]
     Phi = np.eye(dim)
     for mu in range(1, mu_max + 1):
@@ -376,7 +374,7 @@ def observability_index(system, k0=0, mu_max=None):
         s = np.linalg.svd(O, compute_uv=False)
         if s.size and s[0] > 0 and np.sum(s > EPS_RANK * s[0]) == dim:
             return mu
-        Phi = build_centralized(system, k0 + mu - 1).A @ Phi
+        Phi = stack.A(k0 + mu - 1) @ Phi
         blocks.append(H @ Phi)
     raise NotObservableError(f"system not observable within {mu_max} steps from k0={k0}")
 
@@ -420,8 +418,9 @@ def _dynamics_from_dict(d, path):
             c1, c0 = np.cos((k + 1) * omega * T), np.cos(k * omega * T)
             a11 = 1.0 + (s1 - s0) / omega
             a12 = -(c1 - c0) / omega
-            A2 = np.array([[a11, a12], [-a12, a11]])
-            return np.kron(np.eye(2), A2)
+            return np.array(
+                [[a11, a12, 0.0, 0.0], [-a12, a11, 0.0, 0.0], [0.0, 0.0, a11, a12], [0.0, 0.0, -a12, a11]]
+            )
 
         return A_of_k, 4
     raise SchemaError(f"{path}.kind: unknown dynamics kind '{kind}'")

@@ -523,23 +523,23 @@ def _replay_hull_deviations(cfg, log):
     cent = czono.cartesian_product(
         [czono.from_box(Box(*log.header["initial"][str(i)])) for i in ids]
     )
-    window = []  # (stack at k - 1, stack at k, Y) per step, oldest first
+    st = sysmodel.build_centralized(system)
+    W, V = czono.from_box(st.Wset), czono.from_box(st.Vset)
+    window = []  # (A(k - 1), Y) per step, oldest first
     out = []
     for rec in log.steps:
         k = rec["k"]
-        prev = sysmodel.build_centralized(system, k - 1)
-        cur = sysmodel.build_centralized(system, k)
-        Y = sysmodel.stack_measurements(cur, sysmodel.MeasurementBatch.from_dict(rec))
-        window = (window + [(prev, cur, Y)])[-(cfg.delta_bar + 1) :]
-        prior = _dense_predict(cent, prev.A, prev.B, czono.from_box(prev.Wset))
-        cent = _dense_update(prior, cur.H, Y, czono.from_box(cur.Vset))
+        A = st.A(k - 1)
+        Y = sysmodel.stack_measurements(st, sysmodel.MeasurementBatch.from_dict(rec))
+        window = (window + [(A, Y)])[-(cfg.delta_bar + 1) :]
+        cent = _dense_update(_dense_predict(cent, A, st.B, W), st.H, Y, V)
         oit = cent
         if k > cfg.delta_bar:
             oit = czono.whole_space(system.state_dim())
-            for t, (p, c, Yt) in enumerate(window):
+            for t, (At, Yt) in enumerate(window):
                 if t:
-                    oit = _dense_predict(oit, p.A, p.B, czono.from_box(p.Wset))
-                oit = _dense_update(oit, c.H, Yt, czono.from_box(c.Vset))
+                    oit = _dense_predict(oit, At, st.B, W)
+                oit = _dense_update(oit, st.H, Yt, V)
         for alg, Z in (("centralized", cent), ("oit", oit)):
             for i in ids:
                 sl = slices[i]
@@ -586,6 +586,7 @@ def _replay_distributed_deviations(cfg, log):
     agents = system.agents
     ids = system.agent_ids
     prev = {i: Box(*log.header["initial"][str(i)]) for i in ids}
+    stacks = {i: sysmodel.build_neighborhood(system, i) for i in ids}
     out = []
     for rec in log.steps:
         k = rec["k"]
@@ -598,7 +599,7 @@ def _replay_distributed_deviations(cfg, log):
         }
         joint = {}
         for i in ids:
-            nb = sysmodel.build_neighborhood(system, i, k)
+            nb = stacks[i]
             prior = czono.cartesian_product([priors[l] for l in nb.state_order])
             Y = sysmodel.stack_measurements(nb, batch)
             joint[i] = _dense_update(prior, nb.H, Y, czono.from_box(nb.Vset))

@@ -221,12 +221,11 @@ class TestOit:
         monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
         monkeypatch.setattr(lp.LinearProgram, "set_coefficients", recording)
         flt = OitFilter(system, x0_box, db, mu0=cfg.mu0)
+        stack = sysmodel.build_centralized(system)
         entries, window_builds = [], 0
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
-            entries.append(filters._step_entry(
-                sysmodel.build_centralized(system, k - 1), sysmodel.build_centralized(system, k), batch
-            ))
+            entries.append(filters._step_entry(stack, k, batch))
             built.clear()
             flt.step(k, batch)
             if k <= db:
@@ -235,10 +234,10 @@ class TestOit:
             if k == db + 1:
                 written.clear()
                 continue
-            first, *rest = entries[-(db + 1):]
-            fresh = filters._TrajectoryLP(system.state_dim(), None, first)
+            (_, Y0), *rest = entries[-(db + 1):]
+            fresh = filters._TrajectoryLP(stack, None, Y0)
             for e in rest:
-                fresh.extend(e)
+                fresh.extend(*e)
             region = flt._traj.program
             assert (region.n, region.m) == (fresh.program.n, fresh.program.m)
             assert np.array_equal(region.lo, fresh.program.lo)
@@ -455,6 +454,7 @@ class TestDistributed:
         system = cfg.system
         ids = system.agent_ids
         flt = DistributedFilter(system, {i: Box(*log.header["initial"][str(i)]) for i in ids})
+        stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
         written.clear()
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
@@ -462,17 +462,10 @@ class TestDistributed:
             flt.step(k, batch)
             if k < 2:
                 continue
-            entries = {
-                o: filters._step_entry(
-                    sysmodel.build_neighborhood(system, o, k - 1),
-                    sysmodel.build_neighborhood(system, o, k),
-                    batch,
-                )
-                for o in ids
-            }
+            entries = {o: filters._step_entry(st, k, batch) for o, st in stacks.items()}
             for i in ids:
                 grown = flt._lps[i].program
-                fresh = filters._AgentLP(system, i, entries, prev)
+                fresh = filters._AgentLP(system, i, stacks, entries, prev)
                 assert (grown.n, grown.m) == (fresh.program.n, fresh.program.m)
                 assert np.array_equal(grown.lo, fresh.program.lo)
                 assert np.array_equal(grown.hi, fresh.program.hi)

@@ -168,18 +168,17 @@ class TestGrownTrajectory:
         sl = system.state_slices()[system.agent_ids[-1]]
         probed = filters.CentralizedFilter(system, x0_box)  # probes before each hull, as run_trial asks
         plain = filters.CentralizedFilter(system, x0_box)  # hulls only
+        stack = sysmodel.build_centralized(system)
         entries = []
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
-            entries.append(filters._step_entry(
-                sysmodel.build_centralized(system, k - 1), sysmodel.build_centralized(system, k), batch
-            ))
+            entries.append(filters._step_entry(stack, k, batch))
             probed.step(k, batch)
             plain.step(k, batch)
             grown = probed._traj
-            fresh = filters._TrajectoryLP(x0_box.dim, x0_box)
+            fresh = filters._TrajectoryLP(stack, x0_box)
             for e in entries:
-                fresh.extend(e)
+                fresh.extend(*e)
             region = grown.program
             assert (region.m, region.n) == (fresh.program.m, fresh.program.n)
             lo, hi = region.lo.copy(), region.hi.copy()
@@ -250,6 +249,21 @@ class TestPersistence:
         assert again.algorithms == cfg.algorithms
 
 
+class TestSystemState:
+    def test_trial_leaves_no_per_step_state_in_the_system(self):
+        # the filters build their stacks once; the system keeps nothing per step
+        cfg = small_uav(h=60, algorithms=["distributed"])
+        system = cfg.system
+
+        def sizes():
+            return {name: len(v) for name, v in vars(system).items() if hasattr(v, "__len__")}
+
+        before = sizes()
+        log = simharness.run_trial(cfg, 0, metrics="containment")
+        assert log.aborted is None and len(log.steps) == 60
+        assert sizes() == before
+
+
 class TestNoiseViolation:
     def test_oversized_noise_aborts_or_violates(self):
         cfg = small_pair(injected_noise_scale=4.0, noise_grid=None)
@@ -276,6 +290,45 @@ class TestNoiseViolation:
         assert cont.aborted == full.aborted
         assert len(cont.steps) == len(full.steps) == 0
         assert cont.violations == full.violations == 0
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_one_emptiness_solve_per_filter_and_step(self, monkeypatch, metrics):
+        # an unpinned solve tells an empty posterior from a violation; the
+        # whole-state probe makes it, and the agents' probes that follow it
+        # need none of their own
+        whole_failed, unpinned, pinned_depth = [], [], []
+        contains, pinned_feasible, solve = (
+            filters._LiftedFilter.contains, filters._pinned_feasible, lp.LinearProgram.solve
+        )
+
+        def whole_probe(self, x, coords=None):
+            ok = False
+            try:
+                ok = contains(self, x, coords)
+                return ok
+            finally:
+                whole_failed.append(coords is None and not ok)
+
+        def pinned(region, cols, x):
+            pinned_depth.append(1)
+            try:
+                return pinned_feasible(region, cols, x)
+            finally:
+                pinned_depth.pop()
+
+        def counting(self, c, sense="min"):
+            if not pinned_depth and not np.any(c):
+                unpinned.append(1)
+            return solve(self, c, sense)
+
+        monkeypatch.setattr(filters._LiftedFilter, "contains", whole_probe)
+        monkeypatch.setattr(filters, "_pinned_feasible", pinned)
+        monkeypatch.setattr(lp.LinearProgram, "solve", counting)
+        log = simharness.run_trial(small_pair(h=12, seed=1, injected_noise_scale=2.0), 0, metrics=metrics)
+        assert log.aborted == {"k": 3, "agent": None, "reason": "empty posterior"}
+        assert log.violations == 5
+        assert sum(whole_failed) == 3
+        assert len(unpinned) == sum(whole_failed)
 
 
 class _SolveErrorHighs:
@@ -359,6 +412,15 @@ class TestSolverFailure:
         log = simharness.run_trial(small_uav(h=3), 0, metrics="containment")
         assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
+
+    def test_refused_first_model_aborts_the_trial(self, monkeypatch):
+        # the centralized and window filters build their first LP when they
+        # are constructed: a refusal there is that trial's abort, and the
+        # Monte Carlo run goes on
+        monkeypatch.setattr(_highs._Highs, "passModel", lambda *args: _highs.HighsStatus.kError)
+        mc = simharness.run_monte_carlo(small_pair(), 2, metrics="containment", workers=1)
+        assert mc.aborts == [{"k": 0, "agent": None, "reason": "numerical error"}] * 2
+        assert all(log.steps == [] for log in mc.logs)
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_failure_after_growth_aborts(self, monkeypatch, metrics):

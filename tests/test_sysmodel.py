@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from czest import czono, simharness, sysmodel
 from czest.czono import Box
@@ -81,8 +82,8 @@ class TestStacking:
     def test_centralized_shapes(self):
         doc = simharness.build_uav_scenario()
         system = sysmodel.system_from_dict(doc)
-        st = sysmodel.build_centralized(system, 0)
-        assert st.A.shape == (20, 20)
+        st = sysmodel.build_centralized(system)
+        assert st.A(0).shape == (20, 20)
         assert st.B.shape == (20, 10)
         # 5 absolute measurement blocks + 8 relative blocks, all 2 rows
         assert st.H.shape == (26, 20)
@@ -97,22 +98,22 @@ class TestStacking:
     def test_neighborhood_shapes(self):
         doc = simharness.build_uav_scenario()
         system = sysmodel.system_from_dict(doc)
-        st = sysmodel.build_neighborhood(system, 2, 0)
+        st = sysmodel.build_neighborhood(system, 2)
         assert st.state_order == [2, 1, 3, 4]
-        assert st.A.shape == (16, 16)
+        assert st.A(0).shape == (16, 16)
         # only agent 2's own rows: y2 plus z to each of 1, 3, 4
         assert st.H.shape == (8, 16)
 
     def test_relative_rows_have_opposite_signs(self):
         system = pair_system()
-        st = sysmodel.build_centralized(system, 0)
+        st = sysmodel.build_centralized(system)
         # row order: y1, y2, z(1,2), z(2,1)
         assert st.H[2].tolist() == [1.0, -1.0]
         assert st.H[3].tolist() == [-1.0, 1.0]
 
     def test_measurement_stacking_consistency(self):
         system = pair_system()
-        st = sysmodel.build_centralized(system, 1)
+        st = sysmodel.build_centralized(system)
         x = np.array([2.0, -1.0])
         v = {1: np.array([0.1]), 2: np.array([-0.1])}
         r = {(1, 2): np.array([0.2]), (2, 1): np.array([0.0])}
@@ -121,6 +122,18 @@ class TestStacking:
         assert batch.z[(1, 2)][0] == pytest.approx(3.2)
         Y = sysmodel.stack_measurements(st, batch)
         assert Y.tolist() == pytest.approx([2.1, -1.1, 3.2, -3.0])
+
+    @pytest.mark.parametrize(
+        "build", [simharness.build_uav_scenario, simharness.build_pair1d_scenario], ids=["uav5", "pair1d"]
+    )
+    def test_dynamics_are_the_agents_block_diagonal(self, build):
+        system = sysmodel.system_from_dict(build())
+        stacks = [sysmodel.build_centralized(system)]
+        stacks += [sysmodel.build_neighborhood(system, i) for i in system.agent_ids]
+        for st in stacks:
+            for k in range(41):
+                want = scipy.linalg.block_diag(*[system.agents[i].A_of_k(k) for i in st.state_order])
+                assert np.array_equal(st.A(k), want)
 
     def test_step_truth_linear(self):
         system = pair_system()
@@ -144,6 +157,19 @@ class TestCoordinatedTurn:
         assert A[2, 3] == pytest.approx(a12)
         assert A[1, 0] == pytest.approx(-a12)
         assert A[0, 2] == 0.0
+
+    def test_equals_the_kronecker_form(self):
+        doc = simharness.build_uav_scenario()
+        dyn = doc["agents"][0]["dynamics"]
+        omega, T = dyn["omega"], dyn["T"]
+        system = sysmodel.system_from_dict(doc)
+        for k in range(101):
+            s1, s0 = np.sin((k + 1) * omega * T), np.sin(k * omega * T)
+            c1, c0 = np.cos((k + 1) * omega * T), np.cos(k * omega * T)
+            a11 = 1.0 + (s1 - s0) / omega
+            a12 = -(c1 - c0) / omega
+            want = np.kron(np.eye(2), np.array([[a11, a12], [-a12, a11]]))
+            assert np.array_equal(system.agents[1].A_of_k(k), want)
 
     def test_time_varying(self):
         doc = simharness.build_uav_scenario()
