@@ -44,10 +44,10 @@ The centralized and fixed-lag posteriors are held as one sparse
 one step block of the centralized stack per step; the set is the LP's
 feasible set projected on the final state.  A step appends
 its block of columns and rows to the same ``lp.LinearProgram``, so every
-solve warm-starts from the last basis, across steps too.  Past
-``delta_bar`` the fixed-lag filter builds its window once, with the
-window's first state free, and then slides it by rewriting that LP in
-place: the window's columns and rows never change, and of its numbers
+solve warm-starts from the last basis, across steps too.  The fixed-lag
+filter builds its window once, at construction, with the window's first
+state free; past ``delta_bar`` it slides the window by rewriting that LP
+in place: the window's columns and rows never change, and of its numbers
 only the dynamics coefficients A and the measurements Y move
 (``_TrajectoryLP.rewrite``).  ``hull`` solves the final state's
 interval hull; ``contains`` pins the final state through its bounds,
@@ -362,10 +362,11 @@ class OitFilter(_LiftedFilter):
     one (same LP, same inputs).  Beyond that it is the LP of the buffered
     window of the last delta_bar + 1 batches, with the state at
     k - delta_bar free, which caps its columns and rows at a constant.
-    That LP is built once, at k = delta_bar + 1; each later step slides
-    the window by rewriting it in place (``_TrajectoryLP.rewrite``), since
-    only the dynamics coefficients A and the measurements Y differ, so
-    its solves warm-start from the last basis.
+    That LP is built once, at construction, with the first window's
+    dynamics; each step past delta_bar slides the window by rewriting it
+    in place (``_TrajectoryLP.rewrite``), since only the dynamics
+    coefficients A and the measurements Y differ, so its solves
+    warm-start from the last basis.
     """
 
     def __init__(self, system, initial, delta_bar, mu0=None):
@@ -377,8 +378,12 @@ class OitFilter(_LiftedFilter):
                 f"delta_bar={delta_bar} below observability requirement {mu0 - 1}"
             )
         self.delta_bar = int(delta_bar)
-        self.mu0 = int(mu0)
         self._window = []  # step entries, oldest first
+        stack = self._stack
+        zeros = np.zeros(stack.H.shape[0])
+        self._window_lp = _TrajectoryLP(stack, None, zeros)
+        for t in range(1, self.delta_bar + 1):
+            self._window_lp.extend(stack.A(t), zeros)
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
@@ -386,14 +391,11 @@ class OitFilter(_LiftedFilter):
         self._window.append(entry)
         if len(self._window) > self.delta_bar + 1:
             self._window.pop(0)
-        (_, Y0), *rest = self._window
         if k <= self.delta_bar:
             self._traj.extend(*entry)
-        elif k == self.delta_bar + 1:
-            self._traj = _TrajectoryLP(self._stack, None, Y0)
-            for e in rest:
-                self._traj.extend(*e)
         else:
+            (_, Y0), *rest = self._window
+            self._traj = self._window_lp
             self._traj.rewrite(Y0, rest)
         self.k = k
 
@@ -414,17 +416,17 @@ class _AgentLP:
     from the last basis.
     """
 
-    def __init__(self, system, i, stacks, entries, hulls):
-        """Build the model for one step: ``stacks`` maps each owner o to
-        its neighborhood stack over N̄_o, ``entries`` to its
-        ``_step_entry``, and ``hulls`` each agent to its last hull."""
+    def __init__(self, system, i, stacks, hulls):
+        """Build the model with step 1's dynamics and zero measurements:
+        ``stacks`` maps each owner o to its neighborhood stack over N̄_o,
+        and ``hulls`` each agent to its initial set."""
         topo = system.topology
         self._nbar = {o: topo.nbar(o) for o in [i] + topo.peers(i)}
         self._blocks = []  # (first row, first column, A) per owner, in _nbar order
         region = lp.LinearProgram(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
         x_of = {}  # owner -> first x column
         for o, order in self._nbar.items():
-            A, Y = entries[o]
+            A = stacks[o].A(0)
             prev = np.arange(region.n, region.n + A.shape[0])
             region.extend(
                 np.concatenate([hulls[l].lo for l in order]),
@@ -434,7 +436,7 @@ class _AgentLP:
             )
             self._blocks.append((region.m, prev[0], A))
             x_of[o] = region.n + stacks[o].B.shape[1]
-            _append(region, prev, *_step_block(stacks[o], A, Y))
+            _append(region, prev, *_step_block(stacks[o], A, np.zeros(stacks[o].H.shape[0])))
         n = system.agents[i].n
         self.x_own = np.arange(x_of[i], x_of[i] + n)  # i leads N̄_i
         for l in topo.peers(i):
@@ -470,7 +472,8 @@ class DistributedFilter:
 
     Each agent's posterior is the interval hull of its refined own state
     (``hulls``), solved on the agent's persistent lifted LP (``_AgentLP``).
-    The models are built at the first step and then changed in place.
+    The models are built at construction and changed in place by every
+    step.
     """
 
     def __init__(self, system, initial_ranges):
@@ -488,22 +491,17 @@ class DistributedFilter:
         self.hulls = {i: initial_ranges[i] for i in ids}
         self.k = 0
         self._stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
-        self._lps = None  # agent -> _AgentLP, from the first step on
+        self._lps = {i: _AgentLP(system, i, self._stacks, self.hulls) for i in ids}
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        system = self.system
-        ids = system.agent_ids
         entries = {o: _step_entry(st, k, batch) for o, st in self._stacks.items()}
-        if self._lps is None:
-            self._lps = {i: _AgentLP(system, i, self._stacks, entries, self.hulls) for i in ids}
-        else:
-            for i in ids:
-                self._lps[i].update(entries, self.hulls)
+        for m in self._lps.values():
+            m.update(entries, self.hulls)
         hulls = {}
-        for i in ids:
+        for i in self.system.agent_ids:
             try:
                 hulls[i] = self._lps[i].hull()
             except EmptySetError:
@@ -514,9 +512,7 @@ class DistributedFilter:
     @property
     def lifted_sizes(self):
         """{agent: (columns, rows)} of the agents' lifted LPs, constant
-        from the first step on ({} before it)."""
-        if self._lps is None:
-            return {}
+        from construction on."""
         return {i: (m.program.n, m.program.m) for i, m in self._lps.items()}
 
     def agent_set(self, i):

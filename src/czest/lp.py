@@ -3,8 +3,9 @@
 Solves  min/max  c^T x  subject to  A x = b,  lo <= x <= hi,
 where individual bounds may be infinite.  Each ``LinearProgram`` holds one
 HiGHS model of its feasible region (the solver bundled with scipy, reached
-through its ``_highspy`` binding).  The model is passed to HiGHS once;
-``solve`` only swaps the objective, so after the first call HiGHS starts
+through its ``_highspy`` binding).  Every model starts empty and is
+loaded through ``extend``, the one way rows reach HiGHS; ``solve`` only
+swaps the objective, so after the first call HiGHS starts
 from the previous optimal basis and an interval hull's 2n bounds over one
 region pay for the initial basis only once.  A region can grow in place:
 ``extend`` appends columns and rows and ``set_bounds`` changes column
@@ -103,14 +104,11 @@ class LinearProgram:
     """
 
     def __init__(self, A, b, lo, hi):
-        A, b = _region_rows(A, b)
-        self.m, self.n = A.shape
-        lo, hi = _bound_vectors(lo, hi, self.n)
-        # own copies: set_bounds changes them in place
-        self.lo, self.hi = lo.copy(), hi.copy()
-        self._highs = _build_model(A, b, self.lo, self.hi)
+        self.m = self.n = 0
+        self.lo, self.hi = np.zeros(0), np.zeros(0)
+        self._highs = _new_model()
         self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
-        self._region_changed = True
+        self.extend(lo, hi, A, b)
 
     def extend(self, lo, hi, A, b):
         """Append columns with bounds [lo, hi] and the rows ``A x = b``.
@@ -120,7 +118,7 @@ class LinearProgram:
         solve starts from the current basis (new rows basic, new columns
         at a bound).
         """
-        A, b = _region_rows(A, b, sparse.csr_matrix)
+        A, b = _region_rows(A, b)
         r, n = A.shape
         added = n - self.n
         lo, hi = _bound_vectors(lo, hi, added)
@@ -261,14 +259,14 @@ def _indices(idx, size, what):
     return idx.astype(np.int32)
 
 
-def _region_rows(A, b, fmt=sparse.csc_matrix):
-    """Validated (sparse matrix in ``fmt``, right-hand side) of the rows A x = b."""
+def _region_rows(A, b):
+    """Validated (CSR matrix, right-hand side) of the rows A x = b."""
     if not sparse.issparse(A):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise ValueError("A must be a 2-d array")
-    if not (isinstance(A, fmt) and A.dtype == np.float64):
-        A = fmt(A, dtype=float)
+    if not (isinstance(A, sparse.csr_matrix) and A.dtype == np.float64):
+        A = sparse.csr_matrix(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
@@ -279,28 +277,11 @@ def _region_rows(A, b, fmt=sparse.csc_matrix):
     return A, b
 
 
-def _build_model(A, b, lo, hi):
-    """A HiGHS instance holding the region; A is a CSC matrix."""
-    m, n = A.shape
-    lp = _highs.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.col_cost_ = np.zeros(n)
-    lp.col_lower_ = lo
-    lp.col_upper_ = hi
-    lp.row_lower_ = b
-    lp.row_upper_ = b
-    mat = lp.a_matrix_
-    mat.format_ = _highs.MatrixFormat.kColwise
-    mat.num_col_ = n
-    mat.num_row_ = m
-    mat.start_ = A.indptr
-    mat.index_ = A.indices
-    mat.value_ = A.data
+def _new_model():
+    """An empty HiGHS instance with the kernel's options."""
     h = _highs._Highs()
     for key, val in _HIGHS_OPTIONS.items():
         h.setOptionValue(key, val)
-    _check(h.passModel(lp), "passModel")
     return h
 
 

@@ -160,6 +160,10 @@ class ScenarioConfig:
                 raise sysmodel.SchemaError(
                     f"scenario.algorithms: unknown algorithm '{a}'"
                 )
+        if not algs:
+            raise sysmodel.SchemaError("scenario.algorithms: must name at least one algorithm")
+        if len(set(algs)) != len(algs):
+            raise sysmodel.SchemaError("scenario.algorithms: each algorithm may appear only once")
         self.algorithms = tuple(algs)
         self.mu0 = sysmodel.observability_index(self.system)
         db = doc.get("delta_bar")
@@ -177,6 +181,13 @@ class ScenarioConfig:
             self.init_center_low = float(init.get("center_low", -10.0))
             self.init_center_high = float(init.get("center_high", 10.0))
             self.init_half_width = float(init.get("half_width", 2.0))
+            low, high = self.init_center_low, self.init_center_high
+            if not (np.isfinite([low, high]).all() and low <= high):
+                raise sysmodel.SchemaError(
+                    "scenario.initial.center_low/center_high: must be finite, low <= high"
+                )
+            if not (np.isfinite(self.init_half_width) and self.init_half_width >= 0):
+                raise sysmodel.SchemaError("scenario.initial.half_width: must be finite and >= 0")
         else:
             for idx, ad in enumerate(doc["agents"]):
                 if "initial_range" not in ad:

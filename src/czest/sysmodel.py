@@ -356,15 +356,14 @@ def measure(system, k, x, v, r):
     return MeasurementBatch(k, y, z)
 
 
-def observability_index(system, k0=0, mu_max=None):
+def observability_index(system):
     """Smallest mu with [H; H Phi(1); ...; H Phi(mu-1)] of full column rank.
 
-    Phi(t) is the state transition product A(k0+t-1)...A(k0).  Raises
-    NotObservableError if no mu <= mu_max works.
+    Phi(t) is the state transition product A(t-1)...A(0).  Raises
+    NotObservableError if no mu <= 2 * dim works.
     """
     dim = system.state_dim()
-    if mu_max is None:
-        mu_max = 2 * dim
+    mu_max = 2 * dim
     stack = build_centralized(system)
     H = stack.H
     blocks = [H]
@@ -374,9 +373,9 @@ def observability_index(system, k0=0, mu_max=None):
         s = np.linalg.svd(O, compute_uv=False)
         if s.size and s[0] > 0 and np.sum(s > EPS_RANK * s[0]) == dim:
             return mu
-        Phi = stack.A(k0 + mu - 1) @ Phi
+        Phi = stack.A(mu - 1) @ Phi
         blocks.append(H @ Phi)
-    raise NotObservableError(f"system not observable within {mu_max} steps from k0={k0}")
+    raise NotObservableError(f"system not observable within {mu_max} steps")
 
 
 # -- scenario schema --------------------------------------------------------

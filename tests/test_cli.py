@@ -117,6 +117,12 @@ class TestRun:
         assert "--trials" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_duplicate_algorithm_exit_1(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["run", "pair1d", "--out", out, "--algorithms", "oit,oit"]) == 1
+        assert "scenario.algorithms" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_undeclared_noise_exit_2(self, tmp_path, capsys):
         scn = write_scenario(
             tmp_path, injected_noise_scale=4.0, noise_grid=None

@@ -199,8 +199,8 @@ class TestOit:
         ids=["uav5", "pair1d"],
     )
     def test_in_place_window_matches_fresh_build(self, monkeypatch, scenario, horizon):
-        # a logged trial replayed: past delta_bar + 1 the window LP,
-        # rewritten in place, against one built afresh from the same window
+        # a logged trial replayed: past delta_bar the window LP, rewritten
+        # in place, against one built afresh from the same window
         cfg = simharness.ScenarioConfig.from_doc(scenario(horizon=horizon), algorithms=["oit"])
         log = simharness.run_trial(cfg, 0, metrics="containment")
         system, db = cfg.system, cfg.delta_bar
@@ -221,18 +221,17 @@ class TestOit:
         monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
         monkeypatch.setattr(lp.LinearProgram, "set_coefficients", recording)
         flt = OitFilter(system, x0_box, db, mu0=cfg.mu0)
+        # the grown LP and the window are both built with the filter
+        assert len(built) == 2
         stack = sysmodel.build_centralized(system)
-        entries, window_builds = [], 0
+        entries, step_builds = [], 0
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
             entries.append(filters._step_entry(stack, k, batch))
             built.clear()
             flt.step(k, batch)
+            step_builds += len(built)
             if k <= db:
-                continue
-            window_builds += len(built)
-            if k == db + 1:
-                written.clear()
                 continue
             (_, Y0), *rest = entries[-(db + 1):]
             fresh = filters._TrajectoryLP(stack, None, Y0)
@@ -248,7 +247,7 @@ class TestOit:
                 assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
             truth = np.array(rec["truth"])
             assert flt.contains(truth) and fresh.contains_final(truth)
-        assert window_builds == 1
+        assert step_builds == 0
         if scenario is simharness.build_uav_scenario:
             # the coordinated turn's A changes with k, so coefficients were rewritten
             assert sum(written) > 0
@@ -437,7 +436,8 @@ class TestDistributed:
 
     def test_in_place_update_matches_fresh_build(self, monkeypatch):
         # a logged uav5 trial replayed: at each k >= 2 every agent's LP,
-        # changed in place, against one built afresh from the same hulls
+        # changed in place, against one built afresh and given step k's
+        # numbers by a single update from the same hulls
         written = []
         set_coefficients = lp.LinearProgram.set_coefficients
 
@@ -465,7 +465,8 @@ class TestDistributed:
             entries = {o: filters._step_entry(st, k, batch) for o, st in stacks.items()}
             for i in ids:
                 grown = flt._lps[i].program
-                fresh = filters._AgentLP(system, i, stacks, entries, prev)
+                fresh = filters._AgentLP(system, i, stacks, prev)
+                fresh.update(entries, prev)
                 assert (grown.n, grown.m) == (fresh.program.n, fresh.program.m)
                 assert np.array_equal(grown.lo, fresh.program.lo)
                 assert np.array_equal(grown.hi, fresh.program.hi)
@@ -501,3 +502,44 @@ class TestDistributed:
         with pytest.raises(EmptyPosteriorError) as info:
             flt.step(1, batch_for(system, 1, [40.0, 40.0]))
         assert info.value.k == 1
+
+    def test_lifted_sizes_are_fixed_at_construction(self):
+        cfg = simharness.ScenarioConfig.from_doc(
+            simharness.build_uav_scenario(horizon=6), algorithms=["distributed"]
+        )
+        log = simharness.run_trial(cfg, 0, metrics="containment")
+        assert log.aborted is None and len(log.steps) == 6
+        ids = cfg.system.agent_ids
+        flt = DistributedFilter(cfg.system, {i: Box(*log.header["initial"][str(i)]) for i in ids})
+        sizes = {str(i): list(size) for i, size in flt.lifted_sizes.items()}
+        assert all(rec["sizes"]["distributed"] == sizes for rec in log.steps)
+
+
+class TestLpLifecycle:
+    def test_no_filter_step_constructs_a_linear_program(self, monkeypatch):
+        # every LP a filter steps is built with the filter; a step only
+        # appends a block or writes numbers in place
+        built = {"construction": 0, "step": 0}
+        phase = ["construction"]
+        init = lp.LinearProgram.__init__
+
+        def counting(self, *args):
+            built[phase[0]] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
+        for cls in (CentralizedFilter, OitFilter, DistributedFilter):
+            def stepping(self, k, batch, step=cls.step):
+                phase[0] = "step"
+                try:
+                    step(self, k, batch)
+                finally:
+                    phase[0] = "construction"
+
+            monkeypatch.setattr(cls, "step", stepping)
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=8))
+        assert cfg.delta_bar < 8
+        log = simharness.run_trial(cfg, 0, metrics="full")
+        assert log.aborted is None and len(log.steps) == 8
+        # centralized 1, oit 2 (grown and window), distributed 1 per agent
+        assert built == {"construction": 3 + len(cfg.system.agent_ids), "step": 0}

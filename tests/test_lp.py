@@ -523,8 +523,10 @@ def test_refused_model_change_raises(monkeypatch, call, change):
 
 
 def test_refused_model_raises(monkeypatch):
-    monkeypatch.setattr(_Highs, "passModel", lambda *args: HighsStatus.kError)
-    with pytest.raises(NumericalError, match="passModel"):
+    # a region is loaded through extend, so a refused row load fails its
+    # construction
+    monkeypatch.setattr(_Highs, "addRows", lambda *args: HighsStatus.kError)
+    with pytest.raises(NumericalError, match="addRows"):
         LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
 
 

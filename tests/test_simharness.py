@@ -47,6 +47,29 @@ class TestScenarioConfig:
         with pytest.raises(Exception, match="psychic"):
             ScenarioConfig(doc)
 
+    @pytest.mark.parametrize("algorithms", [[], ["oit", "oit"]], ids=["empty", "duplicate"])
+    def test_algorithms_must_be_distinct_and_nonempty(self, algorithms):
+        doc = simharness.build_uav_scenario()
+        doc["algorithms"] = algorithms
+        with pytest.raises(sysmodel.SchemaError, match="scenario.algorithms"):
+            ScenarioConfig(doc)
+
+    @pytest.mark.parametrize(
+        "initial, key",
+        [
+            ({"half_width": -1.0}, "half_width"),
+            ({"half_width": float("inf")}, "half_width"),
+            ({"center_low": 1.0, "center_high": -1.0}, "center_low/center_high"),
+            ({"center_high": float("inf")}, "center_low/center_high"),
+        ],
+        ids=["negative-half-width", "infinite-half-width", "crossed-centers", "infinite-center"],
+    )
+    def test_sampled_initial_ranges_must_be_valid(self, initial, key):
+        doc = simharness.build_uav_scenario()
+        doc["initial"] = {"mode": "sampled", **initial}
+        with pytest.raises(sysmodel.SchemaError, match=f"scenario.initial.{key}"):
+            ScenarioConfig(doc)
+
     def test_bad_horizon(self):
         doc = simharness.build_uav_scenario()
         doc["horizon"] = 0
@@ -407,27 +430,36 @@ class _SolveErrorOnceRewritten(_SolveErrorHighs):
 class TestSolverFailure:
     def test_linprog_failure_aborts_instead_of_violating(self, monkeypatch):
         # "solve error" is neither optimal, infeasible nor unbounded
-        build = lp._build_model
-        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorHighs(build(*args)))
+        new = lp._new_model
+        monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorHighs(new()))
         log = simharness.run_trial(small_uav(h=3), 0, metrics="containment")
         assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
 
     def test_refused_first_model_aborts_the_trial(self, monkeypatch):
-        # the centralized and window filters build their first LP when they
-        # are constructed: a refusal there is that trial's abort, and the
-        # Monte Carlo run goes on
-        monkeypatch.setattr(_highs._Highs, "passModel", lambda *args: _highs.HighsStatus.kError)
+        # every filter builds its first LP when it is constructed: a refusal
+        # there is that trial's abort, and the Monte Carlo run goes on
+        monkeypatch.setattr(_highs._Highs, "addCols", lambda *args: _highs.HighsStatus.kError)
         mc = simharness.run_monte_carlo(small_pair(), 2, metrics="containment", workers=1)
         assert mc.aborts == [{"k": 0, "agent": None, "reason": "numerical error"}] * 2
         assert all(log.steps == [] for log in mc.logs)
+
+    def test_no_model_is_passed_whole(self, monkeypatch):
+        # every LP is loaded through LinearProgram.extend, so a refused
+        # passModel leaves hulls and trials unaffected
+        monkeypatch.setattr(_highs._Highs, "passModel", lambda *args: _highs.HighsStatus.kError)
+        cz = czono.ConstrainedZonotope(np.eye(2), np.zeros(2), [[1.0, 1.0]], [0.5])
+        box = czono.interval_hull(cz)
+        assert np.allclose(box.lo, [-0.5, -0.5]) and np.allclose(box.hi, [1.0, 1.0])
+        log = simharness.run_trial(small_pair(), 0, metrics="full")
+        assert log.aborted is None and len(log.steps) == 4
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_failure_after_growth_aborts(self, monkeypatch, metrics):
         # only models that grew after their first solve fail: the trajectory
         # LP from step 2 on
-        build = lp._build_model
-        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorOnceGrown(build(*args)))
+        new = lp._new_model
+        monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceGrown(new()))
         log = simharness.run_trial(small_uav(h=4), 0, metrics=metrics)
         assert log.aborted == {"k": 2, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
@@ -435,25 +467,25 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_distributed_failure_after_update_aborts(self, monkeypatch, metrics):
-        # the agents' lifted LPs are built at step 1 and changed in place
-        # from step 2 on, where every solve then fails
-        build = lp._build_model
-        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorOnceUpdated(build(*args)))
+        # the agents' lifted LPs are built at construction and changed in
+        # place by every step, so the first step's solves already fail
+        new = lp._new_model
+        monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceUpdated(new()))
         log = simharness.run_trial(small_uav(h=4, algorithms=["distributed"]), 0, metrics=metrics)
-        assert log.aborted == {"k": 2, "agent": None, "reason": "numerical error"}
+        assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
-        assert len(log.steps) == 1
+        assert log.steps == []
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_window_failure_after_rewrite_aborts(self, monkeypatch, metrics):
-        # the fixed-lag window LP is built at k = delta_bar + 1 and rewritten
-        # in place from the next step on, where every solve on it then
+        # the fixed-lag window LP is built at construction and rewritten in
+        # place from k = delta_bar + 1 on, where every solve on it then
         # fails; the centralized LP only grows, so its solves never fail
-        build = lp._build_model
-        monkeypatch.setattr(lp, "_build_model", lambda *args: _SolveErrorOnceRewritten(build(*args)))
+        new = lp._new_model
+        monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceRewritten(new()))
         cfg = small_uav(h=8, algorithms=["centralized", "oit"])
         log = simharness.run_trial(cfg, 0, metrics=metrics)
-        k = cfg.delta_bar + 2
+        k = cfg.delta_bar + 1
         end = json.loads(log.dumps().splitlines()[-1])
         assert end["aborted"] == {"k": k, "agent": None, "reason": "numerical error"}
         assert end["violations"] == 0
