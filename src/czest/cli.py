@@ -45,7 +45,16 @@ def _plot_coords(cfg, agent):
     return (0, 1) if n >= 2 else (0,)
 
 
-def _emit_svg(cfg, log, plot_dir):
+def _emit_svg(cfg, logs, plot_dir):
+    """Plot the first trial with step records into ``plot_dir``, saying
+    so when that is not trial 0; a run whose every trial aborted before
+    its first step gets no plots and a note instead."""
+    log = next((log for log in logs if log.steps), None)
+    if log is None:
+        print("plots: no trial has step records, none written")
+        return []
+    if log is not logs[0]:
+        print(f"plots: trial {log.header['trial']}, the first with step records")
     os.makedirs(plot_dir, exist_ok=True)
     written = []
     for i in cfg.system.agent_ids:
@@ -77,7 +86,7 @@ def cmd_run(args):
         log.write(os.path.join(out_dir, f"trial_{log.header['trial']:03d}.jsonl"))
     simharness.write_metrics_csv(os.path.join(out_dir, "metrics.csv"), mc.logs)
     if args.svg:
-        _emit_svg(cfg, mc.logs[0], os.path.join(out_dir, "plots"))
+        _emit_svg(cfg, mc.logs, os.path.join(out_dir, "plots"))
 
     violations = sum(log.violations for log in mc.logs)
     print(

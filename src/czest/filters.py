@@ -50,10 +50,17 @@ state free; past ``delta_bar`` it slides the window by rewriting that LP
 in place: the window's columns and rows never change, and of its numbers
 only the dynamics coefficients A and the measurements Y move
 (``_TrajectoryLP.rewrite``).  ``hull`` solves the final state's
-interval hull; ``contains`` pins the final state through its bounds,
-solves and restores them, and after an infeasible probe solves the
-unpinned region once, so that an empty posterior raises
-``czono.EmptySetError`` instead of reading as a point outside it.
+interval hull.  A whole-state ``contains`` first tries a one-step
+witness: the feasible LP point behind the last step's ``True``, carried
+one step by the recursion to the queried state and checked against the
+LP's bounds and its rows as the HiGHS model holds them
+(``lp.LinearProgram.satisfied_by``); a point that passes is a primal
+certificate of membership.  Only when there is no witness, or it fails
+the check, does ``contains`` fall back to the LP probe: it pins the
+final state through its bounds, solves and restores them, and after an
+infeasible probe solves the unpinned region once, so that an empty
+posterior raises ``czono.EmptySetError`` instead of reading as a point
+outside it.
 
 Every hull (``_lp_hull``) solves all minima first, then all maxima.
 Inside one hull only the objective changes, so ``lp.LinearProgram``
@@ -118,7 +125,8 @@ def _lp_hull(region, cols):
 
 
 def _pinned_feasible(region, cols, x):
-    """True iff some feasible point equals x on the listed columns.
+    """True iff some feasible point equals x on the listed columns; the
+    region's ``last_x`` is then such a point.
 
     The columns are pinned through their bounds, which are restored after
     the solve, also when it raises.
@@ -296,7 +304,15 @@ class _TrajectoryLP:
 
 class _LiftedFilter:
     """What the centralized and fixed-lag filters share: a posterior held
-    as a ``_TrajectoryLP`` and the queries on it."""
+    as a ``_TrajectoryLP``, the step bookkeeping and the queries on it.
+
+    A whole-state ``contains`` keeps a witness (k, p, y, checked): the
+    state p it last found in the step-k posterior and y, a feasible point
+    of that step's LP whose final state is p.  ``checked`` is
+    (LinearProgram, its ``row_edits``, rows) when y was verified against
+    those leading rows of that LP (``_try_witness``), None for a solver's
+    point.
+    """
 
     def __init__(self, system, initial):
         """``initial`` is the stacked initial state's Box."""
@@ -308,11 +324,18 @@ class _LiftedFilter:
         self.k = 0
         self._stack = sysmodel.build_centralized(system)
         self._traj = _TrajectoryLP(self._stack, initial)
+        self._B_pinv = np.linalg.pinv(self._stack.B)
+        self._entry = None  # (A, Y) of step k
+        self._witness = None
 
-    def _next_entry(self, k, batch):
+    def step(self, k, batch):
+        """Consume the batch of step k (must be the next step)."""
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        return _step_entry(self._stack, k, batch)
+        entry = _step_entry(self._stack, k, batch)
+        self._consume(k, entry)
+        self._entry = entry
+        self.k = k
 
     def hull(self):
         """Interval hull of the stacked state (a Box)."""
@@ -321,13 +344,56 @@ class _LiftedFilter:
     def contains(self, x, coords=None):
         """True iff the posterior holds a state equal to x on ``coords``
         (all coordinates by default).  Raises ``czono.EmptySetError`` if
-        the posterior is empty."""
-        if self._traj.contains_final(x, coords):
-            return True
+        the posterior is empty.
+
+        For the whole state the one-step witness comes first
+        (``_try_witness``); only when there is none, or it fails its check
+        against the LP's rows, is the final state pinned and the LP solved.
+        A feasible solve's point seeds the next step's witness.
+        """
         region = self._traj.program
+        if coords is None:
+            x = np.array(x, dtype=float)
+            if self._try_witness(x):
+                return True
+            self._witness = None
+        if self._traj.contains_final(x, coords):
+            if coords is None and region.last_x is not None:
+                self._witness = (self.k, x, region.last_x, None)
+            return True
         if region.solve(np.zeros(region.n)).status == lp.INFEASIBLE:
             raise EmptySetError("empty posterior")
         return False
+
+    def _try_witness(self, x):
+        """True iff the witness of step k - 1, carried one step to x, is a
+        feasible point of the LP; it then becomes the witness of step k.
+
+        The recursion carries it: with (A, Y) this step's entry, the noises
+        w = B⁺(x - A p) and v = Y - H x and the state x extend y by one
+        step block, and the LP's columns are the trailing ones of that
+        (a window LP's first columns are the tail of the step block
+        before them).  ``lp.LinearProgram.satisfied_by`` then checks the
+        point against every bound and against the rows as the model holds
+        them: all rows, unless y was checked against this LP's leading
+        rows and none of them was changed in place since, when only the
+        rows after those are read.
+        """
+        if self._witness is None or self._witness[0] != self.k - 1:
+            return False
+        _, p, y, checked = self._witness
+        A, Y = self._entry
+        w = self._B_pinv @ (x - A @ p)
+        v = Y - self._stack.H @ x
+        region = self._traj.program
+        y = np.concatenate([y, w, x, v])[-region.n :]
+        first = 0
+        if checked is not None and checked[0] is region and checked[1] == region.row_edits:
+            first = checked[2]
+        if not region.satisfied_by(y, first):
+            return False
+        self._witness = (self.k, x, y, (region, region.row_edits, region.m))
+        return True
 
     @property
     def lifted_size(self):
@@ -349,10 +415,8 @@ class _LiftedFilter:
 class CentralizedFilter(_LiftedFilter):
     """Full-information recursion on the stacked system."""
 
-    def step(self, k, batch):
-        """Consume the batch of step k (must be the next step)."""
-        self._traj.extend(*self._next_entry(k, batch))
-        self.k = k
+    def _consume(self, k, entry):
+        self._traj.extend(*entry)
 
 
 class OitFilter(_LiftedFilter):
@@ -385,9 +449,7 @@ class OitFilter(_LiftedFilter):
         for t in range(1, self.delta_bar + 1):
             self._window_lp.extend(stack.A(t), zeros)
 
-    def step(self, k, batch):
-        """Consume the batch of step k (must be the next step)."""
-        entry = self._next_entry(k, batch)
+    def _consume(self, k, entry):
         self._window.append(entry)
         if len(self._window) > self.delta_bar + 1:
             self._window.pop(0)
@@ -397,7 +459,6 @@ class OitFilter(_LiftedFilter):
             (_, Y0), *rest = self._window
             self._traj = self._window_lp
             self._traj.rewrite(Y0, rest)
-        self.k = k
 
 
 class _AgentLP:

@@ -106,6 +106,8 @@ class LinearProgram:
     def __init__(self, A, b, lo, hi):
         self.m = self.n = 0
         self.lo, self.hi = np.zeros(0), np.zeros(0)
+        self.row_edits = 0  # in-place row changes so far (set_coefficients, set_rhs)
+        self.last_x = None  # optimizer of the last solve, None unless it was optimal
         self._highs = _new_model()
         self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
         self.extend(lo, hi, A, b)
@@ -154,6 +156,7 @@ class LinearProgram:
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite coefficient")
         self._region_changed = True
+        self.row_edits += 1
         h = self._highs
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
             _check(h.changeCoeff(r, c, v), "changeCoeff")
@@ -167,6 +170,7 @@ class LinearProgram:
         if np.any(np.isnan(b)):
             raise ValueError("NaN in constraint data")
         self._region_changed = True
+        self.row_edits += 1
         h = self._highs
         for r, v in zip(rows.tolist(), b.tolist()):
             _check(h.changeRowBounds(r, v, v), "changeRowBounds")
@@ -183,10 +187,11 @@ class LinearProgram:
         h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c * csign)
         self._use(_DUAL if self._region_changed else _PRIMAL)
         self._region_changed = False
+        self.last_x = None
         status = self._run()
         if status != OPTIMAL:
             return LpResult(status)
-        x = np.array(h.getSolution().col_value)
+        x = self.last_x = np.array(h.getSolution().col_value)
         return LpResult(OPTIMAL, float(c @ x), x)
 
     def _use(self, strategy):
@@ -194,6 +199,36 @@ class LinearProgram:
         if strategy != self._strategy:
             self._highs.setOptionValue("simplex_strategy", strategy)
             self._strategy = strategy
+
+    def satisfied_by(self, x, first_row=0):
+        """True iff x is a feasible point of the region to within ``EPS_LP``.
+
+        x must have length n and lie within ``EPS_LP`` of every column
+        bound, and every row from ``first_row`` on, as the HiGHS model holds
+        it, must give |A x - b| <= ``EPS_LP``.  The rows are read from the
+        model on each call, so a row changed in place is checked as it now
+        reads; the column bounds are ``lo``/``hi``, which record every
+        bound the model accepted.  The check is absolute and read-only: it
+        changes neither the model nor its basis.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        if x.shape[0] != self.n or not np.all(np.isfinite(x)):
+            return False
+        if np.any(x < self.lo - EPS_LP) or np.any(x > self.hi + EPS_LP):
+            return False
+        rows = np.arange(first_row, self.m, dtype=np.int32)
+        if not rows.size:
+            return True
+        h = self._highs
+        status, _, lower, upper, nnz = h.getRows(rows.size, rows)
+        _check(status, "getRows")
+        status, start, index, value = h.getRowsEntries(rows.size, rows)
+        _check(status, "getRowsEntries")
+        # the binding returns at least one (unused) entry, also for nnz = 0
+        index, value = index[:nnz], value[:nnz]
+        row_of = np.repeat(np.arange(rows.size), np.diff(np.append(start, nnz)))
+        Ax = np.bincount(row_of, weights=value * x[index], minlength=rows.size)
+        return bool(np.all(Ax >= lower - EPS_LP) and np.all(Ax <= upper + EPS_LP))
 
     def rows(self):
         """The rows as held in the model: (A as a scipy.sparse matrix, b)."""

@@ -20,6 +20,7 @@ each agent's lifted LP, constant over a trial, for the distributed one.
 
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -167,7 +168,15 @@ class ScenarioConfig:
         self.algorithms = tuple(algs)
         self.mu0 = sysmodel.observability_index(self.system)
         db = doc.get("delta_bar")
-        self.delta_bar = self.mu0 + 1 if db is None else int(db)
+        if db is None:
+            db = self.mu0 + 1
+        elif not isinstance(db, numbers.Integral) or isinstance(db, bool):
+            raise sysmodel.SchemaError(f"scenario.delta_bar: must be an integer, got {db!r}")
+        elif db < self.mu0 - 1:
+            raise sysmodel.SchemaError(
+                f"scenario.delta_bar: {db} is below the observability requirement {self.mu0 - 1}"
+            )
+        self.delta_bar = int(db)
         self.noise_scale = float(doc.get("injected_noise_scale", 1.0))
         grid = doc.get("noise_grid")
         self.noise_grid = None if grid is None else float(grid)

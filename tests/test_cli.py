@@ -123,6 +123,37 @@ class TestRun:
         assert "scenario.algorithms" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("extra", [["--delta-bar", "0"], ["--delta-bar", "-3", "--algorithms", "centralized"]])
+    def test_delta_bar_below_requirement_exit_1(self, tmp_path, capsys, extra):
+        out = str(tmp_path / "out")
+        assert main(["run", "uav5", "--out", out] + extra) == 1
+        assert "scenario.delta_bar" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_svg_after_first_trial_aborted_exit_2(self, tmp_path, capsys):
+        # trial 0 aborts at step 1, so no trial has anything to plot: the
+        # run still reports the abort and exits 2
+        scn = write_scenario(tmp_path, injected_noise_scale=4.0, noise_grid=None)
+        out = str(tmp_path / "out")
+        assert main(["run", scn, "--out", out, "--svg"]) == 2
+        text = capsys.readouterr().out
+        assert "trial 0: aborted at step 1 (empty posterior)" in text
+        assert "no trial has step records" in text
+        assert sorted(os.listdir(out)) == ["metrics.csv", "trial_000.jsonl"]
+
+    def test_svg_plots_first_trial_with_steps(self, tmp_path, capsys):
+        # trial 0 aborts at step 1 and trial 1 has steps: it is plotted
+        doc = simharness.build_pair1d_scenario(seed=2)
+        doc.update(injected_noise_scale=1.5, noise_grid=None)
+        scn = tmp_path / "scenario.json"
+        scn.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        assert main(["run", str(scn), "--trials", "2", "--out", out, "--svg"]) == 2
+        text = capsys.readouterr().out
+        assert "trial 0: aborted at step 1" in text
+        assert "plots: trial 1" in text
+        assert len(os.listdir(os.path.join(out, "plots"))) == 4
+
     def test_undeclared_noise_exit_2(self, tmp_path, capsys):
         scn = write_scenario(
             tmp_path, injected_noise_scale=4.0, noise_grid=None

@@ -293,6 +293,116 @@ class TestPinnedFeasible:
         assert not filters._pinned_feasible(region, [0, 1], [0.8, 0.9])
 
 
+def replay(cfg, trial=0):
+    """The initial box and the (k, batch, truth) of a logged trial."""
+    log = simharness.run_trial(cfg, trial, metrics="containment")
+    initial = [log.header["initial"][str(i)] for i in cfg.system.agent_ids]
+    x0 = Box(np.concatenate([lo for lo, _ in initial]), np.concatenate([hi for _, hi in initial]))
+    steps = [
+        (k, sysmodel.MeasurementBatch.from_dict(rec), np.array(rec["truth"]))
+        for k, rec in enumerate(log.steps, 1)
+    ]
+    return x0, steps
+
+
+def final_cols(flt):
+    traj = flt._traj
+    return range(traj.x_final, traj.x_final + traj.n)
+
+
+class TestWitness:
+    @pytest.mark.parametrize(
+        "doc, trial, nominal",
+        [
+            (simharness.build_uav_scenario(horizon=30, seed=1), 0, True),
+            (simharness.build_uav_scenario(horizon=30, seed=9173), 0, True),
+            (dict(simharness.build_uav_scenario(horizon=30, seed=1), injected_noise_scale=1.05), 0, False),
+            (dict(simharness.build_uav_scenario(horizon=30, seed=1), injected_noise_scale=1.3), 1, False),
+            # noise on a unit grid: every draw is -1, 0 or 1, mostly on the
+            # boundary of its box
+            (dict(simharness.build_pair1d_scenario(horizon=20, seed=3), noise_grid=1.0), 0, True),
+        ],
+        ids=["uav5-s1", "uav5-s9173", "uav5-noise1.05", "uav5-noise1.3", "pair1d-boundary"],
+    )
+    def test_answers_equal_the_lp_probe(self, doc, trial, nominal):
+        # every whole-state answer equals the pinned probe of the same LP,
+        # and on nominal noise every step after the first is the witness's
+        cfg = simharness.ScenarioConfig(dict(doc, algorithms=["centralized", "oit"]))
+        x0, steps = replay(cfg, trial)
+        assert len(steps) == cfg.K if nominal else len(steps) > 0
+        flts = [CentralizedFilter(cfg.system, x0), OitFilter(cfg.system, x0, cfg.delta_bar, mu0=cfg.mu0)]
+        witnessed = falses = 0
+        for k, batch, truth in steps:
+            for flt in flts:
+                flt.step(k, batch)
+                got = flt.contains(truth)
+                witness = flt._witness
+                witnessed += witness is not None and witness[0] == k and witness[3] is not None
+                falses += not got
+                assert got == filters._pinned_feasible(flt._traj.program, final_cols(flt), truth), (k, flt)
+        if nominal:
+            assert falses == 0
+            assert witnessed == len(flts) * (cfg.K - 1)
+        else:
+            assert falses > 0
+
+    @pytest.mark.parametrize("where", ["first-block", "last-block"])
+    def test_corrupted_row_rejects_the_witness(self, monkeypatch, where):
+        # a dynamics coefficient changed in place at k = 5 by 1e-6, in rows
+        # the witness was already checked against or in the ones just
+        # appended: the check reads it from the model, fails, and the LP
+        # decides
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=8, seed=1))
+        x0, steps = replay(cfg)
+        flt = CentralizedFilter(cfg.system, x0)
+        checks, probes = [], []
+        satisfied_by, pinned_feasible = lp.LinearProgram.satisfied_by, filters._pinned_feasible
+
+        def checking(self, x, first_row=0):
+            checks.append(satisfied_by(self, x, first_row))
+            return checks[-1]
+
+        def probing(*args):
+            probes.append(args)
+            return pinned_feasible(*args)
+
+        monkeypatch.setattr(lp.LinearProgram, "satisfied_by", checking)
+        monkeypatch.setattr(filters, "_pinned_feasible", probing)
+        for k, batch, truth in steps:
+            flt.step(k, batch)
+            if k == 5:
+                row, col, A = flt._traj._blocks[0 if where == "first-block" else -1]
+                flt._traj.program.set_coefficients([row], [col], [-A[0, 0] + 1e-6])
+            checks.clear()
+            probes.clear()
+            got = flt.contains(truth)
+            checked, probed = list(checks), len(probes)
+            assert got == filters._pinned_feasible(flt._traj.program, final_cols(flt), truth)
+            if k == 1:
+                assert checked == [] and probed == 1
+            elif k == 5:
+                assert checked == [False] and probed == 1
+            else:
+                assert checked == [True] and probed == 0
+
+    def test_three_trials_probe_once_per_chain(self, monkeypatch):
+        # 3 uav5 containment trials: one LP probe per chain start, k = 1 for
+        # centralized and delta_bar + 1 for oit (whose records inside the
+        # window are centralized's)
+        probes = []
+        pinned_feasible = filters._pinned_feasible
+
+        def probing(*args):
+            probes.append(args)
+            return pinned_feasible(*args)
+
+        monkeypatch.setattr(filters, "_pinned_feasible", probing)
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=30, seed=1))
+        mc = simharness.run_monte_carlo(cfg, 3, metrics="containment", workers=1)
+        assert mc.violations == 0 and mc.aborts == []
+        assert len(probes) <= 6
+
+
 def refined_contains(refinement, x):
     """Membership in a lifted refinement, pinned through its own columns."""
     region, cols = refinement

@@ -10,6 +10,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import czest
 from czest.lp import (
+    EPS_LP,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
@@ -363,6 +364,74 @@ def test_rows_read_back_from_the_model():
     A, b = prog.rows()
     assert A.toarray().tolist() == [[1.0, -3.0, 2.0]]
     assert b.tolist() == [0.25]
+
+
+def test_last_x_is_the_last_optimizer():
+    prog = LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
+    assert prog.last_x is None
+    res = prog.solve([1.0, 0.0])
+    assert res.x is prog.last_x and prog.last_x.tolist() == pytest.approx([0.0, 1.0], abs=1e-9)
+    prog.set_rhs([0], [3.0])
+    assert prog.solve([1.0, 0.0]).status == INFEASIBLE
+    assert prog.last_x is None
+
+
+def _two_rows():
+    # x1 + x2 = 1 and x2 - x3 = 0 over [-3, 3] x [-1, 1]^2
+    return LinearProgram([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [1.0, 0.0], [-3, -1, -1], [3, 1, 1])
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["above", "below"])
+def test_satisfied_by_rows_within_eps(side):
+    prog = _two_rows()
+    assert prog.satisfied_by([0.5, 0.5, 0.5])
+    # row 1 off by half the tolerance, then by twice it
+    assert prog.satisfied_by([0.5, 0.5, 0.5 - side * 0.5 * EPS_LP])
+    assert not prog.satisfied_by([0.5, 0.5, 0.5 - side * 2 * EPS_LP])
+    # row 0 off by twice the tolerance
+    assert not prog.satisfied_by([0.5 + side * 2 * EPS_LP, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+def test_satisfied_by_bounds_within_eps(side):
+    prog = _two_rows()
+    # x2 = x3 at a bound, x1 = 1 - x2 keeps row 0 exact
+    for off, ok in ((0.5 * EPS_LP, True), (2 * EPS_LP, False)):
+        t = side * (1.0 + off)
+        assert prog.satisfied_by([1.0 - t, t, t]) is ok
+
+
+def test_satisfied_by_first_row_and_length():
+    prog = _two_rows()
+    x = [0.5 + 1e-6, 0.5, 0.5]  # only row 0 fails
+    assert not prog.satisfied_by(x)
+    assert prog.satisfied_by(x, first_row=1)
+    assert prog.satisfied_by(x, first_row=2)  # no row left, bounds hold
+    assert not prog.satisfied_by([0.5, 1.5, 1.5], first_row=2)  # bounds always checked
+    assert not prog.satisfied_by([0.5, 0.5])
+    assert not prog.satisfied_by([0.5, 0.5, 0.5, 0.0])
+    assert not prog.satisfied_by([0.5, 0.5, np.nan])
+
+
+def test_satisfied_by_reads_the_model():
+    # rows changed in place are checked as the model now holds them, and
+    # the check leaves the region and its solves as they were
+    prog = _two_rows()
+    x = [0.5, 0.5, 0.5]
+    prog.set_coefficients([1], [2], [-2.0])
+    assert not prog.satisfied_by(x)
+    assert prog.satisfied_by([0.75, 0.25, 0.125])
+    prog.set_coefficients([1], [2], [-1.0])
+    prog.set_rhs([0], [1.5])
+    assert not prog.satisfied_by(x)
+    assert prog.satisfied_by([0.75, 0.75, 0.75])
+    assert prog.solve([1.0, 0.0, 0.0]).value == pytest.approx(0.5, abs=1e-9)
+    assert (prog.m, prog.n) == (2, 3)
+    # rows without columns read 0 = b
+    empty = LinearProgram(np.zeros((1, 0)), [0.5 * EPS_LP], [], [])
+    assert empty.satisfied_by([])
+    empty.set_rhs([0], [1.0])
+    assert not empty.satisfied_by([])
 
 
 @pytest.mark.parametrize("col", [-1, 3], ids=["negative", "past-end"])

@@ -70,6 +70,20 @@ class TestScenarioConfig:
         with pytest.raises(sysmodel.SchemaError, match=f"scenario.initial.{key}"):
             ScenarioConfig(doc)
 
+    @pytest.mark.parametrize(
+        "delta_bar, why",
+        [(2.5, "integer"), ("3", "integer"), (True, "integer"), (0, "below"), (-3, "below")],
+        ids=["fraction", "string", "bool", "zero", "negative"],
+    )
+    def test_delta_bar_must_be_an_integer_window(self, delta_bar, why):
+        # uav5 has mu0 = 2, so its window needs delta_bar >= 1, whichever
+        # algorithms run
+        doc = simharness.build_uav_scenario()
+        doc.update(delta_bar=delta_bar, algorithms=["centralized"])
+        with pytest.raises(sysmodel.SchemaError, match=f"scenario.delta_bar: .*{why}"):
+            ScenarioConfig(doc)
+        assert ScenarioConfig(dict(doc, delta_bar=1)).delta_bar == 1
+
     def test_bad_horizon(self):
         doc = simharness.build_uav_scenario()
         doc["horizon"] = 0
@@ -457,13 +471,27 @@ class TestSolverFailure:
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_failure_after_growth_aborts(self, monkeypatch, metrics):
         # only models that grew after their first solve fail: the trajectory
-        # LP from step 2 on
+        # LP from step 2 on.  A full-metrics step solves its hull there; a
+        # containment step solves it only when the one-step witness fails
+        # its check, which is forced here
         new = lp._new_model
         monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceGrown(new()))
+        if metrics == "containment":
+            monkeypatch.setattr(lp.LinearProgram, "satisfied_by", lambda *args: False)
         log = simharness.run_trial(small_uav(h=4), 0, metrics=metrics)
         assert log.aborted == {"k": 2, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
         assert len(log.steps) == 1
+
+    def test_witness_spares_the_grown_lp(self, monkeypatch):
+        # from step 2 on every containment answer of the trajectory LP comes
+        # from the one-step witness, so its failing solves are never run
+        new = lp._new_model
+        monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceGrown(new()))
+        log = simharness.run_trial(small_uav(h=4), 0, metrics="containment")
+        assert log.aborted is None
+        assert log.violations == 0
+        assert len(log.steps) == 4
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_distributed_failure_after_update_aborts(self, monkeypatch, metrics):
