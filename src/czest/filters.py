@@ -78,7 +78,6 @@ measurement batch arrives at k = 1.
 """
 
 import numpy as np
-from scipy import sparse
 
 from . import czono, lp, sysmodel
 from .czono import Box, ConstrainedZonotope, EmptySetError
@@ -142,18 +141,14 @@ def _pinned_feasible(region, cols, x):
 
 def coupling_rows(n_cols, own_cols, peer_cols):
     """The rows x_own - _COUPLING_SIGN * x_peer = 0 over ``n_cols`` columns
-    (CSR, one row per coordinate): they tie a peer's copy of a state to
-    the own one, which is the refinement's intersection."""
+    (``lp.CsrRows``, one row per coordinate): they tie a peer's copy of a
+    state to the own one, which is the refinement's intersection."""
     own_cols = np.asarray(own_cols, dtype=int)
-    n = own_cols.size
-    rows = np.arange(n)
-    return sparse.csr_matrix(
-        (
-            np.concatenate([np.ones(n), np.full(n, -_COUPLING_SIGN)]),
-            (np.concatenate([rows, rows]), np.concatenate([own_cols, np.asarray(peer_cols, dtype=int)])),
-        ),
-        shape=(n, n_cols),
-    )
+    rows = np.arange(own_cols.size)
+    D = np.zeros((own_cols.size, n_cols))
+    D[rows, own_cols] = 1.0
+    D[rows, peer_cols] = -_COUPLING_SIGN
+    return lp.CsrRows.from_dense(D)
 
 
 def _step_entry(stack, k, batch):
@@ -216,10 +211,7 @@ def _append(region, prev_cols, lo, hi, D, b):
     ``region``, where y is the columns ``prev_cols`` followed by the new
     ones."""
     cols = np.concatenate([prev_cols, np.arange(region.n, region.n + lo.size)])
-    r, c = np.nonzero(D)  # row-major, so already CSR order
-    indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
-    rows = sparse.csr_matrix((D[r, c], cols[c], indptr), shape=(D.shape[0], region.n + lo.size))
-    region.extend(lo, hi, rows, b)
+    region.extend(lo, hi, lp.CsrRows.from_dense(D, cols, region.n + lo.size), b)
 
 
 class _TrajectoryLP:

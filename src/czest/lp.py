@@ -3,7 +3,7 @@
 Solves  min/max  c^T x  subject to  A x = b,  lo <= x <= hi,
 where individual bounds may be infinite.  Each ``LinearProgram`` holds one
 HiGHS model of its feasible region (the solver bundled with scipy, reached
-through its ``_highspy`` binding).  Every model starts empty and is
+through its compiled binding, see below).  Every model starts empty and is
 loaded through ``extend``, the one way rows reach HiGHS; ``solve`` only
 swaps the objective, so after the first call HiGHS starts
 from the previous optimal basis and an interval hull's 2n bounds over one
@@ -37,11 +37,57 @@ reports a region without columns as "Empty", whose rows read 0 = b, so
 it is optimal if every |b| <= ``EPS_LP`` and infeasible otherwise.  A
 model change that HiGHS refuses (status kError) raises ``NumericalError``
 naming the call, where it is made.
+
+The binding is scipy's compiled extension ``optimize/_highspy/_core``,
+loaded from scipy's package directory as a file.  Importing it the usual
+way runs the package init of ``scipy.optimize``, which with its
+``scipy.sparse`` import costs about 0.6 s, most of a fresh interpreter's
+time to the first filter step, and this module needs nothing of it.  The
+extension is registered in ``sys.modules`` under its usual name
+``scipy.optimize._highspy._core``, and an entry already there is reused,
+so scipy's own ``linprog`` and this module share one ``_Highs`` class
+whichever of the two is imported first.  (When this module comes first,
+scipy's ``_highspy`` package never gets the attribute ``_core``: reach the
+module by ``from``-import or through ``sys.modules``.)  A scipy whose
+package directory holds no such file raises ``ImportError`` naming the
+directory searched and the scipy version.  Rows are likewise handed to
+HiGHS in compressed sparse row form built with numpy (``CsrRows``);
+``scipy.sparse`` is imported only by ``rows`` and by callers that pass
+its matrices.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as _highs
+
+
+def _load_highs():
+    """scipy's compiled HiGHS binding, without scipy.optimize's package init."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("czest.lp needs scipy's HiGHS binding, and scipy is not installed")
+    folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        version = getattr(importlib.import_module("scipy"), "__version__", "unknown")
+        raise ImportError(f"no HiGHS binding _core<extension suffix> in {folder} (scipy {version})")
+    spec = importlib.util.spec_from_file_location(
+        name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
 
 EPS_LP = 1e-9
 
@@ -96,7 +142,9 @@ class LpResult:
 class LinearProgram:
     """A feasible region ``{x : A x = b, lo <= x <= hi}``.
 
-    ``A`` is a dense 2-d array or a ``scipy.sparse`` matrix.  ``solve`` may
+    ``A`` is a dense 2-d array or anything with a ``tocsr`` method that
+    returns an object with ``data``, ``indices``, ``indptr`` and ``shape``:
+    a ``CsrRows`` or a ``scipy.sparse`` matrix.  ``solve`` may
     be called repeatedly with different objectives, and between solves
     the region may be extended or its bounds, coefficients or right-hand
     sides changed; after the first call the previous basis warm-starts
@@ -133,7 +181,7 @@ class LinearProgram:
             _check(h.addCols(added, np.zeros(added), lo, hi, 0, np.zeros(added, dtype=np.int32),
                              np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
         if r:
-            _check(h.addRows(r, b, b, A.nnz, A.indptr[:-1].astype(np.int32, copy=False),
+            _check(h.addRows(r, b, b, A.data.size, A.indptr[:-1].astype(np.int32, copy=False),
                              A.indices.astype(np.int32, copy=False), A.data), "addRows")
 
     def set_bounds(self, cols, lo, hi):
@@ -232,6 +280,8 @@ class LinearProgram:
 
     def rows(self):
         """The rows as held in the model: (A as a scipy.sparse matrix, b)."""
+        from scipy import sparse
+
         model = self._highs.getLp()
         mat = model.a_matrix_
         colwise = mat.format_ == _highs.MatrixFormat.kColwise
@@ -294,14 +344,45 @@ def _indices(idx, size, what):
     return idx.astype(np.int32)
 
 
+class CsrRows:
+    """Rows in compressed sparse row form: row r holds the values
+    ``data[indptr[r]:indptr[r + 1]]`` in the columns ``indices[...]`` of
+    the same slice.  ``tocsr`` returns the rows themselves, so a
+    ``LinearProgram`` takes them as it takes a ``scipy.sparse`` matrix."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data = np.asarray(data, dtype=float)
+        self.indices = np.asarray(indices)
+        self.indptr = np.asarray(indptr)
+        self.shape = tuple(shape)
+
+    @classmethod
+    def from_dense(cls, D, cols=None, n_cols=None):
+        """The nonzeros of the 2-d array D, row by row and in D's column
+        order; column j of D becomes column ``cols[j]`` of ``n_cols``
+        (default: D's own columns)."""
+        r, c = np.nonzero(D)  # row-major, so already CSR order
+        indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
+        if cols is None:
+            return cls(D[r, c], c, indptr, D.shape)
+        return cls(D[r, c], np.asarray(cols)[c], indptr, (D.shape[0], n_cols))
+
+    def tocsr(self):
+        return self
+
+
 def _region_rows(A, b):
-    """Validated (CSR matrix, right-hand side) of the rows A x = b."""
-    if not sparse.issparse(A):
+    """Validated (CSR rows, right-hand side) of the rows A x = b."""
+    if hasattr(A, "tocsr"):
+        A = A.tocsr()
+        A = CsrRows(A.data, A.indices, A.indptr, A.shape)  # float data
+    else:
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise ValueError("A must be a 2-d array")
-    if not (isinstance(A, sparse.csr_matrix) and A.dtype == np.float64):
-        A = sparse.csr_matrix(A, dtype=float)
+        A = CsrRows.from_dense(A)
     b = np.asarray(b, dtype=float).ravel()
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")

@@ -23,13 +23,8 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-
-# Not called: perfbench/tracing.py wraps this name (its "highs" layer);
-# the import goes when that tracer target does.
-from scipy.optimize import linprog  # noqa: F401
 
 from . import czono, filters, lp, sysmodel
 from .czono import Box
@@ -48,6 +43,18 @@ __all__ = [
 ]
 
 ALGORITHMS = ("centralized", "oit", "distributed")
+
+
+def __getattr__(name):
+    # ``linprog`` is not called here: perfbench/tracing.py wraps this name
+    # (its "highs" layer) and a test patches it.  It resolves on demand, so
+    # that importing czest does not import scipy.optimize, and it goes with
+    # that tracer target (ROADMAP item 4).
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- scenario documents ------------------------------------------------------
@@ -144,6 +151,14 @@ def builtin_scenario(name):
     return _BUILTINS[name]()
 
 
+def _integer(key, val):
+    """``val`` as an int; anything but an integer (a float, a bool) is a
+    SchemaError naming ``scenario.<key>``."""
+    if not isinstance(val, numbers.Integral) or isinstance(val, bool):
+        raise sysmodel.SchemaError(f"scenario.{key}: must be an integer, got {val!r}")
+    return int(val)
+
+
 class ScenarioConfig:
     """Parsed scenario plus run options; reconstructible from its doc."""
 
@@ -151,10 +166,10 @@ class ScenarioConfig:
         self.doc = doc
         self.name = doc.get("name", "scenario")
         self.system = sysmodel.system_from_dict(doc)
-        self.K = int(doc.get("horizon", 30))
+        self.K = _integer("horizon", doc.get("horizon", 30))
         if self.K < 1:
             raise sysmodel.SchemaError("scenario.horizon: must be >= 1")
-        self.seed = int(doc.get("seed", 1))
+        self.seed = _integer("seed", doc.get("seed", 1))
         algs = doc.get("algorithms", list(ALGORITHMS))
         for a in algs:
             if a not in ALGORITHMS:
@@ -168,16 +183,19 @@ class ScenarioConfig:
         self.algorithms = tuple(algs)
         self.mu0 = sysmodel.observability_index(self.system)
         db = doc.get("delta_bar")
-        if db is None:
-            db = self.mu0 + 1
-        elif not isinstance(db, numbers.Integral) or isinstance(db, bool):
-            raise sysmodel.SchemaError(f"scenario.delta_bar: must be an integer, got {db!r}")
-        elif db < self.mu0 - 1:
+        db = self.mu0 + 1 if db is None else _integer("delta_bar", db)
+        if db < self.mu0 - 1:
             raise sysmodel.SchemaError(
                 f"scenario.delta_bar: {db} is below the observability requirement {self.mu0 - 1}"
             )
-        self.delta_bar = int(db)
-        self.noise_scale = float(doc.get("injected_noise_scale", 1.0))
+        self.delta_bar = db
+        scale = doc.get("injected_noise_scale", 1.0)
+        if not (isinstance(scale, numbers.Real) and not isinstance(scale, bool)
+                and math.isfinite(scale) and scale >= 0):
+            raise sysmodel.SchemaError(
+                f"scenario.injected_noise_scale: must be a finite number >= 0, got {scale!r}"
+            )
+        self.noise_scale = float(scale)
         grid = doc.get("noise_grid")
         self.noise_grid = None if grid is None else float(grid)
         if self.noise_grid is not None and self.noise_grid <= 0:
@@ -488,6 +506,8 @@ def run_monte_carlo(cfg, trials, metrics="full", workers=None):
     if workers == 1:
         logs = [run_trial(cfg, t, metrics) for t in range(trials)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         doc_json = cfg.doc_json()
         args = [(doc_json, t, metrics) for t in range(trials)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -27,7 +27,6 @@ Suites:
 """
 
 import numpy as np
-from scipy import sparse
 
 from . import czono, filters, lp, simharness, sysmodel
 from .czono import Box
@@ -316,6 +315,8 @@ def lifted_refinement(own_joint, own_dims, received):
     block.  Returns (LinearProgram, columns of the own state): the
     feasible set projected on those columns is the refined set.
     """
+    from scipy import sparse
+
     n = own_dims[0]
     joints = [own_joint] + [Z for Z, _, _ in received]
     x_at = []  # first x column per joint
@@ -338,7 +339,8 @@ def lifted_refinement(own_joint, own_dims, received):
         if dims_l[alpha - 1] != n:
             raise ValueError("received joint stores this agent with a different dim")
         start = x_l + int(np.sum(dims_l[: alpha - 1]))
-        coupling.append(filters.coupling_rows(ncol, own, np.arange(start, start + n)))
+        rows = filters.coupling_rows(ncol, own, np.arange(start, start + n))
+        coupling.append(sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape))
     A = sparse.vstack([sparse.block_diag(blocks, format="csr")] + coupling, format="csr")
     region = lp.LinearProgram(
         A, np.concatenate(rhs + [np.zeros(n * len(coupling))]), np.concatenate(lo), np.concatenate(hi)

@@ -130,6 +130,24 @@ class TestRun:
         assert "scenario.delta_bar" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"horizon": 2.5}, "horizon"),
+            ({"seed": 1.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"injected_noise_scale": -1.0}, "injected_noise_scale"),
+            ({"injected_noise_scale": float("nan")}, "injected_noise_scale"),
+        ],
+        ids=["fractional-horizon", "fractional-seed", "bool-seed", "negative-scale", "nan-scale"],
+    )
+    def test_invalid_scenario_numbers_exit_1(self, tmp_path, capsys, extra, key):
+        scn = write_scenario(tmp_path, **extra)
+        out = str(tmp_path / "out")
+        assert main(["run", scn, "--out", out]) == 1
+        assert f"scenario.{key}" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_svg_after_first_trial_aborted_exit_2(self, tmp_path, capsys):
         # trial 0 aborts at step 1, so no trial has anything to plot: the
         # run still reports the abort and exits 2

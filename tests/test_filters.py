@@ -66,6 +66,21 @@ class TestPrimitives:
         assert hull.lo[0] == pytest.approx(0.0, abs=1e-9)
         assert hull.hi[0] == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["nominal", "injected-fault"])
+    def test_coupling_rows(self, monkeypatch, sign):
+        # x_own - sign * x_peer = 0, row by row in column order, as lp.CsrRows
+        monkeypatch.setattr(filters, "_COUPLING_SIGN", sign)
+        rows = filters.coupling_rows(7, [1, 2], [5, 0])
+        assert isinstance(rows, lp.CsrRows)
+        assert rows.indptr.tolist() == [0, 2, 4]
+        assert rows.indices.tolist() == [1, 5, 0, 2]
+        assert rows.data.tolist() == [1.0, -sign, -sign, 1.0]
+        dense = sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape).toarray()
+        want = np.zeros((2, 7))
+        want[[0, 1], [1, 2]] = 1.0
+        want[[0, 1], [5, 0]] = -sign
+        assert np.array_equal(dense, want)
+
 
 def split_per_agent(system, Z):
     """Per-agent initial ranges: the projections of a stacked set."""
@@ -469,7 +484,7 @@ class TestLpHull:
             b += rng.standard_normal(m) * 5  # mostly infeasible
         return A, b, lo, hi
 
-    @pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, lp.CsrRows.from_dense], ids=["dense", "sparse", "csr"])
     def test_matches_fresh_bounds(self, fmt):
         rng = np.random.default_rng(67)
         seen = {"finite": 0, "inf": 0, "empty": 0}

@@ -14,6 +14,7 @@ from czest.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    CsrRows,
     LinearProgram,
     NumericalError,
     lp_solve,
@@ -191,7 +192,7 @@ def _block_region(rng, m1, m2, n1, n2):
     return A, b, lo, hi
 
 
-@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
 def test_grown_region_matches_fresh(fmt):
     rng = np.random.default_rng(31)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
@@ -214,7 +215,7 @@ def test_grown_region_matches_fresh(fmt):
     assert all(v > 0 for v in statuses.values()), statuses
 
 
-@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
 def test_extension_that_empties_the_region(fmt):
     # x1 + x2 = 1 over [0, 1]^2; then x3 in [0, 2] with x1 + x3 = 4
     prog = LinearProgram(fmt(np.array([[1.0, 1.0]])), [1.0], [0, 0], [1, 1])
@@ -291,7 +292,7 @@ def _changed_instance(rng):
     return A, b, lo, hi, A2, b2
 
 
-@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix], ids=["dense", "sparse"])
+@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
 def test_changed_region_matches_fresh(fmt):
     rng = np.random.default_rng(53)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
@@ -597,6 +598,53 @@ def test_refused_model_raises(monkeypatch):
     monkeypatch.setattr(_Highs, "addRows", lambda *args: HighsStatus.kError)
     with pytest.raises(NumericalError, match="addRows"):
         LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
+
+
+def test_rows_reach_highs_in_one_entry_order(monkeypatch):
+    # dense arrays, scipy.sparse matrices and CsrRows hand HiGHS the same
+    # entries in the same order: scipy's CSR order (row by row, columns
+    # ascending), the order rows were loaded in before CsrRows existed
+    rng = np.random.default_rng(71)
+    A = rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.4)
+    calls = []
+    add_rows = _Highs.addRows
+
+    def spy(self, *args):
+        calls.append([np.array(a) for a in args[3:]])
+        return add_rows(self, *args)
+
+    monkeypatch.setattr(_Highs, "addRows", spy)
+    for rows in (A, sparse.csr_matrix(A), sparse.coo_matrix(A), CsrRows.from_dense(A)):
+        LinearProgram(rows, np.zeros(6), -np.ones(9), np.ones(9))
+    want = sparse.csr_matrix(A)
+    assert len(calls) == 4
+    for nnz, start, index, value in calls:
+        assert nnz == want.nnz
+        assert start.tolist() == want.indptr[:-1].tolist()
+        assert index.tolist() == want.indices.tolist()
+        assert value.tolist() == want.data.tolist()
+
+
+def test_csr_rows_from_dense_maps_columns():
+    D = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
+    rows = CsrRows.from_dense(D, [5, 1, 7], 8)
+    assert rows.shape == (2, 8)
+    assert rows.indptr.tolist() == [0, 1, 3]
+    assert rows.indices.tolist() == [1, 5, 7]
+    assert rows.data.tolist() == [2.0, 1.0, 3.0]
+    assert rows.tocsr() is rows
+    prog = LinearProgram(rows, [1.0, 2.0], np.zeros(8), np.ones(8))
+    want = np.zeros((2, 8))
+    want[0, 1], want[1, 5], want[1, 7] = 2.0, 1.0, 3.0
+    assert np.array_equal(prog.rows()[0].toarray(), want)
+
+
+def test_sparse_input_is_read_through_tocsr():
+    # any scipy.sparse format and dtype: duplicates summed, ints as floats
+    A = sparse.coo_matrix(([1, 2, 3], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
+    prog = LinearProgram(A, [3.0, 3.0], [0, 0], [5, 5])
+    assert prog.rows()[0].toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
+    assert prog.solve([1.0, 1.0]).value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_only_lp_reaches_highs():

@@ -84,6 +84,28 @@ class TestScenarioConfig:
             ScenarioConfig(doc)
         assert ScenarioConfig(dict(doc, delta_bar=1)).delta_bar == 1
 
+    @pytest.mark.parametrize("key", ["horizon", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.7, True, 3.0, "3", None], ids=repr)
+    def test_horizon_and_seed_must_be_integers(self, key, value):
+        # int() used to truncate these silently (2.5 -> K = 2, True -> seed 1)
+        doc = simharness.build_pair1d_scenario()
+        doc[key] = value
+        with pytest.raises(sysmodel.SchemaError, match=f"scenario.{key}: must be an integer"):
+            ScenarioConfig(doc)
+        cfg = ScenarioConfig(dict(doc, **{key: np.int64(5)}))
+        assert (cfg.K if key == "horizon" else cfg.seed) == 5
+
+    @pytest.mark.parametrize(
+        "scale", [-1.0, -1e-300, float("nan"), float("inf"), -float("inf"), True, "1.0"], ids=repr
+    )
+    def test_injected_noise_scale_must_be_finite_and_nonnegative(self, scale):
+        doc = simharness.build_pair1d_scenario()
+        doc["injected_noise_scale"] = scale
+        with pytest.raises(sysmodel.SchemaError, match="scenario.injected_noise_scale"):
+            ScenarioConfig(doc)
+        for ok in (0, 0.0, 2, 1.3):
+            assert ScenarioConfig(dict(doc, injected_noise_scale=ok)).noise_scale == ok
+
     def test_bad_horizon(self):
         doc = simharness.build_uav_scenario()
         doc["horizon"] = 0
@@ -534,6 +556,14 @@ class TestSolverFailure:
         log = simharness.run_trial(small_uav(h=3, algorithms=algorithms), 0, metrics="full")
         assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
+
+    def test_linprog_resolves_on_demand(self):
+        # the name stays for the tracer; importing czest does not import it
+        from scipy.optimize import linprog
+
+        assert simharness.linprog is linprog
+        with pytest.raises(AttributeError, match="no_such_name"):
+            simharness.no_such_name  # noqa: B018
 
     def test_trajectory_lp_does_not_use_linprog(self, monkeypatch):
         def no_linprog(*args, **kwargs):
