@@ -8,7 +8,9 @@ where any h_j may be +inf, in which case generator j is unbounded and the
 corresponding column contributes a full line (subject to the equality
 constraints).  All closed-form operations (affine maps, Minkowski sums,
 Cartesian products, intersections) are exact; point membership, emptiness
-and interval hulls are answered by the LP kernel in :mod:`czest.lp`.
+and interval hulls are answered by the LP kernel in :mod:`czest.lp`, the
+hull bounds by ``LinearProgram.bounds`` over the generator box.
+``EmptySetError`` is ``lp``'s, re-exported here.
 
 Matrices are float64 and frozen after construction; operations return new
 objects.
@@ -16,7 +18,7 @@ objects.
 
 import numpy as np
 
-from .lp import EPS_LP, INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, NumericalError
+from .lp import INFEASIBLE, OPTIMAL, EmptySetError, LinearProgram
 
 __all__ = [
     "ConstrainedZonotope",
@@ -36,10 +38,6 @@ __all__ = [
     "interval_hull_coords",
     "diameter_inf",
 ]
-
-
-class EmptySetError(ValueError):
-    """Raised by queries that are undefined on an empty set."""
 
 
 def _freeze(a):
@@ -328,56 +326,11 @@ def interval_hull_coords(Z, coords):
     lo, hi = c.copy(), c.copy()
     moving = np.flatnonzero(np.any(G, axis=1))
     if moving.size:
-        blo, bhi = _lp_bounds(_feas_program(Z), G[moving])
+        blo, bhi = _feas_program(Z).bounds(G[moving])
         lo[moving] += blo
         hi[moving] += bhi
-    if not moving.size and is_empty(Z):
+    elif is_empty(Z):
         raise EmptySetError("interval hull of an empty set")
-    return _uncrossed_box(lo, hi)
-
-
-def _lp_bounds(prob, objectives):
-    """(minima, maxima) of each row of ``objectives`` over the region of
-    the LinearProgram ``prob``, ±inf where unbounded.
-
-    All minima are solved first, then all maxima, each from the previous
-    basis: a minimum and a maximum lie at opposite ends of the region, so
-    alternating them would move the basis across it at every solve.  An
-    infeasible minimum raises EmptySetError; an infeasible maximum after
-    feasible minima is a NumericalError.
-    """
-    lo = np.empty(len(objectives))
-    hi = np.empty(len(objectives))
-    for t, c in enumerate(objectives):
-        res = prob.solve(c, sense="min")
-        if res.status == INFEASIBLE:
-            raise EmptySetError("LP region infeasible")
-        lo[t] = -np.inf if res.status == UNBOUNDED else res.value
-    for t, c in enumerate(objectives):
-        res = prob.solve(c, sense="max")
-        if res.status == INFEASIBLE:
-            raise NumericalError("LP region feasible for the minima only")
-        hi[t] = np.inf if res.status == UNBOUNDED else res.value
-    return lo, hi
-
-
-def _uncrossed_box(lo, hi):
-    """Box [lo, hi] from LP bounds of one set, lo and hi modified in place.
-
-    LP round-off can leave lo a hair above hi on zero-width coordinates:
-    within 1e-7 relative both move to their midpoint, beyond that the
-    bounds are a numerical failure.
-    """
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    crossed = finite & (lo > hi)
-    if np.any(crossed):
-        slack = lo[crossed] - hi[crossed]
-        scale = np.maximum(1.0, np.abs(lo[crossed]))
-        if np.any(slack > 1e-7 * scale):
-            raise NumericalError("hull bounds crossed beyond tolerance")
-        mid = 0.5 * (lo[crossed] + hi[crossed])
-        lo[crossed] = mid
-        hi[crossed] = mid
     return Box(lo, hi)
 
 

@@ -36,8 +36,7 @@ peer's, with the previous states bounded by the last hulls, and the
 equal to its own.  Its structure is fixed, so a step only writes the
 new numbers in place (hull bounds, changed dynamics coefficients,
 measurements) and solves the 2n bounds of the agent's state from the
-last basis.  The posterior is the hull
-(``hulls``); ``agent_set`` encodes it as a CZ only when asked.
+last basis.  The posterior is the hull (``hulls``).
 
 The centralized and fixed-lag posteriors are held as one sparse
 "trajectory" LP over the window's states and noises (``_TrajectoryLP``),
@@ -56,22 +55,16 @@ one step by the recursion to the queried state and checked against the
 LP's bounds and its rows as the HiGHS model holds them
 (``lp.LinearProgram.satisfied_by``); a point that passes is a primal
 certificate of membership.  Only when there is no witness, or it fails
-the check, does ``contains`` fall back to the LP probe: it pins the
-final state through its bounds, solves and restores them, and after an
-infeasible probe solves the unpinned region once, so that an empty
-posterior raises ``czono.EmptySetError`` instead of reading as a point
-outside it.
+the check, does ``contains`` fall back to the LP probe
+(``lp.LinearProgram.feasible_at``): it pins the final state through its
+bounds, solves and restores them, and after an infeasible probe solves
+the unpinned region once, so that an empty posterior raises
+``lp.EmptySetError`` instead of reading as a point outside it.
 
-Every hull (``_lp_hull``) solves all minima first, then all maxima.
-Inside one hull only the objective changes, so ``lp.LinearProgram``
-runs primal simplex from the last basis; the first solve after a step's
-change to the region (appended rows, new numbers, restored bounds) runs
-dual simplex.  An infeasible minimum is an empty posterior, an
-infeasible maximum after feasible minima a ``lp.NumericalError``, and
-an unbounded bound is ±inf.  ``posterior`` builds the lifted
-CZ itself only when asked for.  Noise ranges are boxes by the system
-model's type, and the LPs bound their first states by the initial sets,
-so all three filters take their initial sets as ``Box``es.
+Every hull is ``lp.LinearProgram.bounds`` of the state's columns, so
+an empty posterior raises ``lp.EmptySetError``.  Noise ranges are boxes
+by the system model's type, and the LPs bound their first states by the
+initial sets, so all three filters take their initial sets as ``Box``es.
 
 Steps are numbered so that step 0 is initialization only; the first
 measurement batch arrives at k = 1.
@@ -79,8 +72,8 @@ measurement batch arrives at k = 1.
 
 import numpy as np
 
-from . import czono, lp, sysmodel
-from .czono import Box, ConstrainedZonotope, EmptySetError
+from . import lp, sysmodel
+from .czono import Box
 
 __all__ = [
     "CentralizedFilter",
@@ -111,32 +104,11 @@ class WindowTooShortError(ValueError):
     """delta_bar below the observability requirement."""
 
 
-def _lp_hull(region, cols):
-    """Interval hull of the listed columns over the region's feasible set.
-
-    The 2 bounds per column are solved over the one LinearProgram, all
-    minima before all maxima, each warm-started from the previous one's
-    basis (``czono._lp_bounds``).
-    """
-    C = np.zeros((len(cols), region.n))
+def _unit_rows(n, cols):
+    """The rows e_j^T over n columns, one per listed column j."""
+    C = np.zeros((len(cols), n))
     C[np.arange(len(cols)), cols] = 1.0
-    return czono._uncrossed_box(*czono._lp_bounds(region, C))
-
-
-def _pinned_feasible(region, cols, x):
-    """True iff some feasible point equals x on the listed columns; the
-    region's ``last_x`` is then such a point.
-
-    The columns are pinned through their bounds, which are restored after
-    the solve, also when it raises.
-    """
-    cols = np.asarray(cols, dtype=int)
-    lo, hi = region.lo[cols], region.hi[cols]
-    region.set_bounds(cols, x, x)
-    try:
-        return region.solve(np.zeros(region.n)).status != lp.INFEASIBLE
-    finally:
-        region.set_bounds(cols, lo, hi)
+    return C
 
 
 def coupling_rows(n_cols, own_cols, peer_cols):
@@ -263,35 +235,14 @@ class _TrajectoryLP:
 
     def hull(self):
         """Interval hull of the final state."""
-        return _lp_hull(self.program, range(self.x_final, self.x_final + self.n))
+        cols = range(self.x_final, self.x_final + self.n)
+        return Box(*self.program.bounds(_unit_rows(self.program.n, cols)))
 
     def contains_final(self, x, coords=None):
         """True iff some trajectory ends at x (on the listed coords)."""
         coords = range(self.n) if coords is None else coords
         cols = self.x_final + np.array(coords, dtype=int)
-        return _pinned_feasible(self.program, cols, x)
-
-    def lifted(self):
-        """The feasible set projected on the final state, as a lifted CZ.
-
-        Every column is a generator: a finite column [lo, hi] is its
-        center plus a generator with h = its radius, a free column a
-        generator with h = inf.  G selects the final state's columns and
-        the rows are the LP's, shifted by the centers; they are read back
-        from the model (``lp.LinearProgram.rows``), so they are the ones
-        the last ``rewrite`` wrote.
-        """
-        region = self.program
-        finite = np.isfinite(region.lo) & np.isfinite(region.hi)
-        with np.errstate(invalid="ignore"):
-            center = np.where(finite, 0.5 * (region.lo + region.hi), 0.0)
-            h = np.where(finite, 0.5 * (region.hi - region.lo), np.inf)
-        A, b = region.rows()
-        A = A.toarray()
-        b = b - A @ center
-        G = np.zeros((self.n, region.n))
-        G[np.arange(self.n), self.x_final + np.arange(self.n)] = 1.0
-        return ConstrainedZonotope(G, center[self.x_final : self.x_final + self.n], A, b, h)
+        return self.program.feasible_at(cols, x)
 
 
 class _LiftedFilter:
@@ -335,7 +286,7 @@ class _LiftedFilter:
 
     def contains(self, x, coords=None):
         """True iff the posterior holds a state equal to x on ``coords``
-        (all coordinates by default).  Raises ``czono.EmptySetError`` if
+        (all coordinates by default).  Raises ``lp.EmptySetError`` if
         the posterior is empty.
 
         For the whole state the one-step witness comes first
@@ -354,7 +305,7 @@ class _LiftedFilter:
                 self._witness = (self.k, x, region.last_x, None)
             return True
         if region.solve(np.zeros(region.n)).status == lp.INFEASIBLE:
-            raise EmptySetError("empty posterior")
+            raise lp.EmptySetError("empty posterior")
         return False
 
     def _try_witness(self, x):
@@ -392,16 +343,6 @@ class _LiftedFilter:
         """(generators, constraints) of the lifted posterior: the LP's
         columns and rows."""
         return self._traj.program.n, self._traj.program.m
-
-    @property
-    def posterior(self):
-        """The posterior as a lifted CZ, built on each access."""
-        return self._traj.lifted()
-
-    def agent_set(self, i):
-        """Projection of the posterior onto agent i's block."""
-        sl = self.system.state_slices()[i]
-        return czono.project(self.posterior, range(sl.start, sl.stop))
 
 
 class CentralizedFilter(_LiftedFilter):
@@ -517,7 +458,7 @@ class _AgentLP:
 
     def hull(self):
         """Interval hull of agent i's refined own state."""
-        return _lp_hull(self.program, self.x_own)
+        return Box(*self.program.bounds(_unit_rows(self.program.n, self.x_own)))
 
 
 class DistributedFilter:
@@ -557,7 +498,7 @@ class DistributedFilter:
         for i in self.system.agent_ids:
             try:
                 hulls[i] = self._lps[i].hull()
-            except EmptySetError:
+            except lp.EmptySetError:
                 raise EmptyPosteriorError(k, agent=i) from None
         self.hulls = hulls
         self.k = k
@@ -567,7 +508,3 @@ class DistributedFilter:
         """{agent: (columns, rows)} of the agents' lifted LPs, constant
         from construction on."""
         return {i: (m.program.n, m.program.m) for i, m in self._lps.items()}
-
-    def agent_set(self, i):
-        """Agent i's posterior, its hull as a box-form CZ (built on each call)."""
-        return czono.from_box(self.hulls[i])

@@ -15,6 +15,10 @@ too (``set_coefficients``, ``set_rhs``), so a region whose structure is
 fixed and whose numbers move, such as one filter step after another, is
 one model for its whole life.
 
+Every query of a region goes through its ``LinearProgram``: ``bounds``
+(interval hulls), ``feasible_at`` (pinned membership) and
+``satisfied_by`` (a given point, without a solve).
+
 Each solve picks its simplex variant from what changed since the last
 one.  After a change of the region (a new model, ``extend``,
 ``set_bounds``, ``set_coefficients``, ``set_rhs``) the last basis is
@@ -117,6 +121,10 @@ _STATUS = {
 
 class NumericalError(RuntimeError):
     """The solver ended without a definite optimal/infeasible/unbounded status."""
+
+
+class EmptySetError(ValueError):
+    """Raised by queries that are undefined on an empty region or set."""
 
 
 class LpResult:
@@ -241,6 +249,51 @@ class LinearProgram:
             return LpResult(status)
         x = self.last_x = np.array(h.getSolution().col_value)
         return LpResult(OPTIMAL, float(c @ x), x)
+
+    def bounds(self, C):
+        """(minima, maxima) of each row c of the 2-d array C, as c^T x over
+        the region; ±inf where a bound is unbounded.
+
+        All minima are solved first, then all maxima, each from the
+        previous basis: a minimum and a maximum lie at opposite ends of the
+        region, so alternating them would move the basis across it at every
+        solve.  An infeasible minimum raises ``EmptySetError``; an
+        infeasible maximum after feasible minima is a ``NumericalError``.
+        Round-off can leave a minimum a hair above its maximum on a
+        zero-width row: within 1e-7 relative both move to their midpoint,
+        beyond that the bounds are a ``NumericalError``.
+        """
+        lo = np.empty(len(C))
+        hi = np.empty(len(C))
+        for t, c in enumerate(C):
+            res = self.solve(c, sense="min")
+            if res.status == INFEASIBLE:
+                raise EmptySetError("LP region infeasible")
+            lo[t] = -np.inf if res.status == UNBOUNDED else res.value
+        for t, c in enumerate(C):
+            res = self.solve(c, sense="max")
+            if res.status == INFEASIBLE:
+                raise NumericalError("LP region feasible for the minima only")
+            hi[t] = np.inf if res.status == UNBOUNDED else res.value
+        crossed = np.isfinite(lo) & np.isfinite(hi) & (lo > hi)
+        if np.any(crossed):
+            slack = lo[crossed] - hi[crossed]
+            if np.any(slack > 1e-7 * np.maximum(1.0, np.abs(lo[crossed]))):
+                raise NumericalError("hull bounds crossed beyond tolerance")
+            lo[crossed] = hi[crossed] = 0.5 * (lo[crossed] + hi[crossed])
+        return lo, hi
+
+    def feasible_at(self, cols, x):
+        """True iff some point of the region equals x on the listed columns
+        (``last_x`` is then one).  The columns are pinned through their
+        bounds, which are restored after the solve, also when it raises."""
+        cols = _indices(cols, self.n, "column")
+        lo, hi = self.lo[cols], self.hi[cols]
+        self.set_bounds(cols, x, x)
+        try:
+            return self.solve(np.zeros(self.n)).status != INFEASIBLE
+        finally:
+            self.set_bounds(cols, lo, hi)
 
     def _use(self, strategy):
         """Set the model's simplex_strategy, unless it already is that."""
@@ -407,16 +460,3 @@ def _check(status, call):
     # once per coefficient or right-hand side written in place
     if status.value == _ERROR:
         raise NumericalError(f"HiGHS {call} returned an error")
-
-
-def lp_solve(c, A_eq, b_eq, lo, hi, sense="min"):
-    """One-shot solve of min/max c^T x s.t. A_eq x = b_eq, lo <= x <= hi.
-
-    Bounds may contain ±inf.  Returns an LpResult whose status is
-    "optimal", "infeasible" or "unbounded".
-    """
-    n = np.asarray(c).size
-    if A_eq is None:
-        A_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-    return LinearProgram(A_eq, b_eq, lo, hi).solve(c, sense=sense)

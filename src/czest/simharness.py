@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from . import czono, filters, lp, sysmodel
+from . import filters, lp, sysmodel
 from .czono import Box
 
 __all__ = [
@@ -159,6 +159,16 @@ def _integer(key, val):
     return int(val)
 
 
+def _real(key, val, positive=False):
+    """``val`` as a float; anything but a finite real number >= 0 (> 0 if
+    ``positive``) is a SchemaError naming ``scenario.<key>``."""
+    real = isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
+    if not real or val < 0 or (positive and val == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise sysmodel.SchemaError(f"scenario.{key}: must be a finite number {bound}, got {val!r}")
+    return float(val)
+
+
 class ScenarioConfig:
     """Parsed scenario plus run options; reconstructible from its doc."""
 
@@ -171,6 +181,10 @@ class ScenarioConfig:
             raise sysmodel.SchemaError("scenario.horizon: must be >= 1")
         self.seed = _integer("seed", doc.get("seed", 1))
         algs = doc.get("algorithms", list(ALGORITHMS))
+        if not isinstance(algs, list):
+            raise sysmodel.SchemaError(
+                f"scenario.algorithms: must be a list of algorithm names, got {algs!r}"
+            )
         for a in algs:
             if a not in ALGORITHMS:
                 raise sysmodel.SchemaError(
@@ -189,17 +203,9 @@ class ScenarioConfig:
                 f"scenario.delta_bar: {db} is below the observability requirement {self.mu0 - 1}"
             )
         self.delta_bar = db
-        scale = doc.get("injected_noise_scale", 1.0)
-        if not (isinstance(scale, numbers.Real) and not isinstance(scale, bool)
-                and math.isfinite(scale) and scale >= 0):
-            raise sysmodel.SchemaError(
-                f"scenario.injected_noise_scale: must be a finite number >= 0, got {scale!r}"
-            )
-        self.noise_scale = float(scale)
+        self.noise_scale = _real("injected_noise_scale", doc.get("injected_noise_scale", 1.0))
         grid = doc.get("noise_grid")
-        self.noise_grid = None if grid is None else float(grid)
-        if self.noise_grid is not None and self.noise_grid <= 0:
-            raise sysmodel.SchemaError("scenario.noise_grid: must be positive")
+        self.noise_grid = None if grid is None else _real("noise_grid", grid, positive=True)
         init = doc.get("initial", {"mode": "fixed"})
         self.initial_mode = init.get("mode", "fixed")
         if self.initial_mode not in ("fixed", "sampled"):
@@ -216,11 +222,17 @@ class ScenarioConfig:
             if not (np.isfinite(self.init_half_width) and self.init_half_width >= 0):
                 raise sysmodel.SchemaError("scenario.initial.half_width: must be finite and >= 0")
         else:
+            self.fixed_initial = {}  # agent id -> its initial Box
             for idx, ad in enumerate(doc["agents"]):
                 if "initial_range" not in ad:
                     raise sysmodel.SchemaError(
                         f"agents[{idx}]: fixed initial mode needs 'initial_range'"
                     )
+                path, i = f"agents[{idx}].initial_range", int(ad["id"])
+                box = sysmodel.box_from_dict(ad["initial_range"], path)
+                if box.dim != self.system.agents[i].n:
+                    raise sysmodel.SchemaError(f"{path}: not of the agent's state dimension")
+                self.fixed_initial[i] = box
 
     @classmethod
     def from_doc(cls, doc, **overrides):
@@ -266,14 +278,13 @@ class NoiseSampler:
 def _initial_ranges(cfg, rng):
     """Per-agent initial boxes, drawn or fixed per the scenario."""
     out = {}
-    for idx, i in enumerate(cfg.system.agent_ids):
+    for i in cfg.system.agent_ids:
         n = cfg.system.agents[i].n
         if cfg.initial_mode == "sampled":
             center = rng.uniform(cfg.init_center_low, cfg.init_center_high, n)
             out[i] = Box(center - cfg.init_half_width, center + cfg.init_half_width)
         else:
-            bd = cfg.doc["agents"][idx]["initial_range"]
-            out[i] = Box(bd["lo"], bd["hi"])
+            out[i] = cfg.fixed_initial[i]
     return out
 
 
@@ -408,7 +419,7 @@ def run_trial(cfg, trial_index=0, metrics="full"):
                     algs_rec[alg] = _step_metrics(alg, f, ids, truth, slices, metrics)
         except filters.EmptyPosteriorError as e:
             aborted = {"k": e.k, "agent": e.agent, "reason": "empty posterior"}
-        except czono.EmptySetError:
+        except lp.EmptySetError:
             aborted = {"k": k, "agent": None, "reason": "empty posterior"}
         except lp.NumericalError:
             aborted = {"k": k, "agent": None, "reason": "numerical error"}

@@ -32,6 +32,7 @@ __all__ = [
     "StackedSystem",
     "NotObservableError",
     "SchemaError",
+    "box_from_dict",
     "build_centralized",
     "build_neighborhood",
     "stack_measurements",
@@ -387,30 +388,46 @@ def _need(d, key, path):
     return d[key]
 
 
-def _box_from_dict(d, path):
+def box_from_dict(d, path):
+    """The bounded box ``{"lo": [...], "hi": [...]}`` at ``path`` of a
+    scenario; a missing end, a non-numeric, NaN or infinite entry, or
+    ``lo > hi`` is a SchemaError naming ``path``."""
     try:
         box = Box(d["lo"], d["hi"])
-    except KeyError as e:
+    except (KeyError, TypeError) as e:
         raise SchemaError(f"{path}: box needs 'lo' and 'hi'") from e
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from e
     if not (np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))):
-        raise SchemaError(f"{path}: noise range must be bounded")
+        raise SchemaError(f"{path}: range must be bounded")
     return box
+
+
+def _finite(d, key, path):
+    """``d[key]`` as a float array; a non-numeric, NaN or infinite entry is
+    a SchemaError naming ``path.key``."""
+    try:
+        arr = np.asarray(_need(d, key, path), dtype=float)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{path}.{key}: expected numbers ({e})") from e
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{path}.{key}: entries must be finite")
+    return arr
 
 
 def _dynamics_from_dict(d, path):
     kind = _need(d, "kind", path)
     if kind == "constant":
-        A = np.atleast_2d(np.asarray(_need(d, "A", path), dtype=float))
+        A = np.atleast_2d(_finite(d, "A", path))
 
         def A_of_k(k, A=A):
             return A
 
         return A_of_k, A.shape[0]
     if kind == "coordinated-turn":
-        omega = float(_need(d, "omega", path))
-        T = float(_need(d, "T", path))
+        omega, T = float(_finite(d, "omega", path)), float(_finite(d, "T", path))
+        if omega == 0:
+            raise SchemaError(f"{path}.omega: must be nonzero")
 
         def A_of_k(k, omega=omega, T=T):
             s1, s0 = np.sin((k + 1) * omega * T), np.sin(k * omega * T)
@@ -448,16 +465,16 @@ def system_from_dict(doc):
         path = f"agents[{idx}]"
         aid = int(_need(ad, "id", path))
         A_of_k, n = _dynamics_from_dict(_need(ad, "dynamics", path), f"{path}.dynamics")
-        B = np.atleast_2d(np.asarray(_need(ad, "B", path), dtype=float))
-        C = np.asarray(_need(ad, "C", path), dtype=float).reshape(-1, n)
-        D = np.asarray(_need(ad, "D", path), dtype=float).reshape(-1, n)
-        W = _box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise")
-        V = _box_from_dict(_need(ad, "measurement_noise", path), f"{path}.measurement_noise")
+        B = np.atleast_2d(_finite(ad, "B", path))
+        C = _finite(ad, "C", path).reshape(-1, n)
+        D = _finite(ad, "D", path).reshape(-1, n)
+        W = box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise")
+        V = box_from_dict(_need(ad, "measurement_noise", path), f"{path}.measurement_noise")
         rel = {}
         for jkey, rd in _need(ad, "relative_noise", path).items():
             if _is_meta(jkey):
                 continue
-            rel[int(jkey)] = _box_from_dict(rd, f"{path}.relative_noise[{jkey}]")
+            rel[int(jkey)] = box_from_dict(rd, f"{path}.relative_noise[{jkey}]")
         try:
             agents.append(AgentModel(aid, A_of_k, B, C, D, W, V, rel))
         except ValueError as e:

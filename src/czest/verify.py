@@ -377,7 +377,7 @@ def stacking_checks(rng_seed=2026, instances=100, probes=1000):
         disagreements = 0
         for x in _probe_points(rng, own, probes):
             xs = x[:n]
-            if filters._pinned_feasible(region, cols, xs) != czono.contains(comp, xs):
+            if region.feasible_at(cols, xs) != czono.contains(comp, xs):
                 disagreements += 1
         if disagreements:
             failures += 1

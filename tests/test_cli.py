@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from czest import simharness
+from czest import simharness, sysmodel
 from czest.cli import main
 
 
@@ -210,6 +210,103 @@ class TestVerify:
 
         main(["verify", "--filter", "stacking", "--inject-fault"])
         assert filters._COUPLING_SIGN == 1.0
+
+
+def _initial_range(lo, hi, extra=0):
+    """Fixed initial mode with unit ranges, agent 1's replaced by [lo, hi]
+    in each coordinate, with ``extra`` coordinates more than its state."""
+
+    def mutate(doc):
+        doc["initial"] = {"mode": "fixed"}
+        for ad in doc["agents"]:
+            n = len(ad["B"])  # the agent's state dimension
+            ad["initial_range"] = {"lo": [-1.0] * n, "hi": [1.0] * n}
+        n = len(doc["agents"][0]["B"]) + extra
+        doc["agents"][0]["initial_range"] = {"lo": [lo] * n, "hi": [hi] * n}
+
+    return mutate
+
+
+def _agent_matrix(key, value):
+    """Agent 1's matrix ``key`` with its first entry replaced by value."""
+
+    def mutate(doc):
+        M = [list(row) for row in doc["agents"][0][key]]
+        M[0][0] = value
+        doc["agents"][0][key] = M
+
+    return mutate
+
+
+def _dynamics(**dyn):
+    """Agent 1's dynamics replaced; a constant ``A`` given as a scalar
+    fills the agent's n x n matrix."""
+
+    def mutate(doc):
+        n = len(doc["agents"][0]["B"])
+        A = {"A": [[dyn["A"]] * n] * n} if dyn["kind"] == "constant" else {}
+        doc["agents"][0]["dynamics"] = dict(dyn, **A)
+
+    return mutate
+
+
+def _top(**keys):
+    return lambda doc: doc.update(keys)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (mutation, key the error names); each is applied to both built-ins
+SCHEMA_MUTATIONS = {
+    "noise_grid-nan": (_top(noise_grid=NAN), "scenario.noise_grid"),
+    "noise_grid-inf": (_top(noise_grid=INF), "scenario.noise_grid"),
+    "noise_grid--inf": (_top(noise_grid=-INF), "scenario.noise_grid"),
+    "noise_grid-string": (_top(noise_grid="x"), "scenario.noise_grid"),
+    "algorithms-string": (_top(algorithms="oit"), "scenario.algorithms"),
+    "initial-crossed": (_initial_range(1.0, -1.0), "agents[0].initial_range"),
+    "initial-nan": (_initial_range(NAN, 1.0), "agents[0].initial_range"),
+    "initial-inf": (_initial_range(-1.0, INF), "agents[0].initial_range"),
+    "initial-dimension": (_initial_range(-1.0, 1.0, extra=1), "agents[0].initial_range"),
+    "B-nan": (_agent_matrix("B", NAN), "agents[0].B"),
+    "C-inf": (_agent_matrix("C", INF), "agents[0].C"),
+    "D-nan": (_agent_matrix("D", NAN), "agents[0].D"),
+    "A-inf": (_dynamics(kind="constant", A=INF), "agents[0].dynamics.A"),
+    "omega-nan": (_dynamics(kind="coordinated-turn", omega=NAN, T=0.25), "agents[0].dynamics.omega"),
+    "omega-zero": (_dynamics(kind="coordinated-turn", omega=0.0, T=0.25), "agents[0].dynamics.omega"),
+    "T-inf": (_dynamics(kind="coordinated-turn", omega=1.0, T=INF), "agents[0].dynamics.T"),
+}
+
+
+@pytest.mark.parametrize("scenario", ["uav5", "pair1d"])
+@pytest.mark.parametrize("mutation", list(SCHEMA_MUTATIONS))
+def test_schema_mutation_fails_before_the_run(tmp_path, capsys, scenario, mutation):
+    # each mutation is a SchemaError naming its key at ScenarioConfig, and
+    # czest run exits 1 before it creates its output directory
+    mutate, key = SCHEMA_MUTATIONS[mutation]
+    doc = simharness.builtin_scenario(scenario)
+    doc["horizon"] = 3
+    mutate(doc)
+    with pytest.raises(sysmodel.SchemaError) as info:
+        simharness.ScenarioConfig(doc)
+    assert str(info.value).startswith(key + ":"), info.value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["uav5", "pair1d"])
+def test_valid_fixed_initial_ranges_run(tmp_path, scenario):
+    # the unmutated fixed initial ranges of the table above are accepted
+    doc = simharness.builtin_scenario(scenario)
+    doc["horizon"] = 2
+    _initial_range(-1.0, 1.0)(doc)
+    cfg = simharness.ScenarioConfig(doc)
+    log = simharness.run_trial(cfg, 0, metrics="containment")
+    assert log.header["initial"]["1"] == [[-1.0] * len(doc["agents"][0]["B"]), [1.0] * len(doc["agents"][0]["B"])]
+    assert log.aborted is None and len(log.steps) == 2
 
 
 class TestScenarioInit:

@@ -29,9 +29,14 @@ def pair_ranges():
     return {1: Box([-2.0], [2.0]), 2: Box([-1.0], [3.0])}
 
 
-def assert_same_cz(a, b):
-    for name in ("G", "c", "A", "b", "h"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+def assert_same_lp(a, b):
+    """Two LinearPrograms hold the same region: sizes, column bounds and
+    rows as the HiGHS models hold them."""
+    assert (a.n, a.m) == (b.n, b.m)
+    assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
+    (A, rhs), (B, rhs_b) = a.rows(), b.rows()
+    assert np.array_equal(A.toarray(), B.toarray())
+    assert np.array_equal(rhs, rhs_b)
 
 
 def pair_system():
@@ -136,8 +141,8 @@ class TestCentralized:
             v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
             r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
             flt.step(k, sysmodel.measure(system, k, x, v, r))
-            assert czono.contains(flt.posterior, x)
-            hull = czono.interval_hull(flt.agent_set(1))
+            assert flt.contains(x)
+            hull = flt.hull()
             assert hull.lo[0] - 1e-9 <= x[0] <= hull.hi[0] + 1e-9
 
     def test_declared_noise_boxes_bound_the_lp(self):
@@ -165,9 +170,9 @@ class TestCentralized:
         system = pair_system()
         flt = CentralizedFilter(system, pair_x0())
         batch = batch_for(system, 1, [50.0, 50.0])
-        with pytest.raises((EmptyPosteriorError, czono.EmptySetError)):
+        with pytest.raises((EmptyPosteriorError, lp.EmptySetError)):
             flt.step(1, batch)
-            czono.interval_hull(flt.posterior)
+            flt.hull()
 
 
 class TestOit:
@@ -190,7 +195,7 @@ class TestOit:
             batch = sysmodel.measure(system, k, x, v, r)
             cent.step(k, batch)
             oit.step(k, batch)
-            assert_same_cz(oit.posterior, cent.posterior)
+            assert_same_lp(oit._traj.program, cent._traj.program)
 
     def test_bounded_representation_past_window(self):
         system = pair_system()
@@ -203,8 +208,8 @@ class TestOit:
             v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
             r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
             oit.step(k, sysmodel.measure(system, k, x, v, r))
-            sizes.append((oit.posterior.n_generators, oit.posterior.n_constraints))
-            assert czono.contains(oit.posterior, x)
+            sizes.append(oit.lifted_size)
+            assert oit.contains(x)
         past = sizes[2:]
         assert len(set(past)) == 1, past
 
@@ -252,11 +257,7 @@ class TestOit:
             fresh = filters._TrajectoryLP(stack, None, Y0)
             for e in rest:
                 fresh.extend(*e)
-            region = flt._traj.program
-            assert (region.n, region.m) == (fresh.program.n, fresh.program.m)
-            assert np.array_equal(region.lo, fresh.program.lo)
-            assert np.array_equal(region.hi, fresh.program.hi)
-            assert_same_cz(flt.posterior, fresh.lifted())
+            assert_same_lp(flt._traj.program, fresh.program)
             got, want = flt.hull(), fresh.hull()
             for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
                 assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
@@ -284,28 +285,10 @@ class TestOit:
             batch = sysmodel.measure(system, k, x, v, r)
             cent.step(k, batch)
             oit.step(k, batch)
-            hc = czono.interval_hull(cent.posterior)
-            ho = czono.interval_hull(oit.posterior)
+            hc = cent.hull()
+            ho = oit.hull()
             assert np.all(hc.lo >= ho.lo - 1e-9)
             assert np.all(hc.hi <= ho.hi + 1e-9)
-
-
-class TestPinnedFeasible:
-    def test_bounds_restored_after_solver_error(self, monkeypatch):
-        region = lp.LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
-
-        def failing(self):
-            raise lp.NumericalError("HiGHS model status: Solve error")
-
-        monkeypatch.setattr(lp.LinearProgram, "_run", failing)
-        with pytest.raises(lp.NumericalError):
-            filters._pinned_feasible(region, [0, 1], [0.2, 0.3])
-        model = region._highs.getLp()
-        for lo, hi in ((region.lo, region.hi), (model.col_lower_, model.col_upper_)):
-            assert list(lo) == [0.0, 0.0, 0.0] and list(hi) == [1.0, 1.0, 1.0]
-        monkeypatch.undo()
-        assert filters._pinned_feasible(region, [0, 1], [0.2, 0.3])
-        assert not filters._pinned_feasible(region, [0, 1], [0.8, 0.9])
 
 
 def replay(cfg, trial=0):
@@ -354,7 +337,7 @@ class TestWitness:
                 witness = flt._witness
                 witnessed += witness is not None and witness[0] == k and witness[3] is not None
                 falses += not got
-                assert got == filters._pinned_feasible(flt._traj.program, final_cols(flt), truth), (k, flt)
+                assert got == flt._traj.program.feasible_at(final_cols(flt), truth), (k, flt)
         if nominal:
             assert falses == 0
             assert witnessed == len(flts) * (cfg.K - 1)
@@ -371,18 +354,18 @@ class TestWitness:
         x0, steps = replay(cfg)
         flt = CentralizedFilter(cfg.system, x0)
         checks, probes = [], []
-        satisfied_by, pinned_feasible = lp.LinearProgram.satisfied_by, filters._pinned_feasible
+        satisfied_by, feasible_at = lp.LinearProgram.satisfied_by, lp.LinearProgram.feasible_at
 
         def checking(self, x, first_row=0):
             checks.append(satisfied_by(self, x, first_row))
             return checks[-1]
 
-        def probing(*args):
-            probes.append(args)
-            return pinned_feasible(*args)
+        def probing(self, cols, x):
+            probes.append(cols)
+            return feasible_at(self, cols, x)
 
         monkeypatch.setattr(lp.LinearProgram, "satisfied_by", checking)
-        monkeypatch.setattr(filters, "_pinned_feasible", probing)
+        monkeypatch.setattr(lp.LinearProgram, "feasible_at", probing)
         for k, batch, truth in steps:
             flt.step(k, batch)
             if k == 5:
@@ -392,7 +375,7 @@ class TestWitness:
             probes.clear()
             got = flt.contains(truth)
             checked, probed = list(checks), len(probes)
-            assert got == filters._pinned_feasible(flt._traj.program, final_cols(flt), truth)
+            assert got == feasible_at(flt._traj.program, final_cols(flt), truth)
             if k == 1:
                 assert checked == [] and probed == 1
             elif k == 5:
@@ -405,13 +388,13 @@ class TestWitness:
         # centralized and delta_bar + 1 for oit (whose records inside the
         # window are centralized's)
         probes = []
-        pinned_feasible = filters._pinned_feasible
+        feasible_at = lp.LinearProgram.feasible_at
 
-        def probing(*args):
-            probes.append(args)
-            return pinned_feasible(*args)
+        def probing(self, cols, x):
+            probes.append(cols)
+            return feasible_at(self, cols, x)
 
-        monkeypatch.setattr(filters, "_pinned_feasible", probing)
+        monkeypatch.setattr(lp.LinearProgram, "feasible_at", probing)
         cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=30, seed=1))
         mc = simharness.run_monte_carlo(cfg, 3, metrics="containment", workers=1)
         assert mc.violations == 0 and mc.aborts == []
@@ -421,7 +404,7 @@ class TestWitness:
 def refined_contains(refinement, x):
     """Membership in a lifted refinement, pinned through its own columns."""
     region, cols = refinement
-    return filters._pinned_feasible(region, cols, x)
+    return region.feasible_at(cols, x)
 
 
 class TestUpdateIntersection:
@@ -460,60 +443,10 @@ class TestUpdateIntersection:
     def test_no_received_projects_own_block(self):
         own = czono.cartesian_product([interval(1, 2), interval(-5, 5)])
         region, cols = verify.lifted_refinement(own, [1, 1], [])
-        hull = filters._lp_hull(region, cols)
-        assert hull.lo[0] == pytest.approx(1.0)
-        assert hull.hi[0] == pytest.approx(2.0)
+        lo, hi = region.bounds(np.eye(region.n)[cols])
+        assert lo[0] == pytest.approx(1.0)
+        assert hi[0] == pytest.approx(2.0)
         assert len(cols) == 1
-
-
-class TestLpHull:
-    """``_lp_hull`` solves all minima, then all maxima, on one model; each
-    bound must equal the one a fresh model finds."""
-
-    @staticmethod
-    def _region(rng):
-        n = int(rng.integers(2, 9))
-        m = int(rng.integers(1, min(n, 4) + 1))
-        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
-        lo = np.where(rng.random(n) < 0.2, -np.inf, rng.uniform(-2, 0, n))
-        hi = np.where(rng.random(n) < 0.2, np.inf, rng.uniform(0, 2, n))
-        with np.errstate(invalid="ignore"):
-            mid = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2, 0.0)
-        b = A @ (mid + rng.uniform(-0.3, 0.3, n))
-        if rng.random() < 0.15:
-            b += rng.standard_normal(m) * 5  # mostly infeasible
-        return A, b, lo, hi
-
-    @pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, lp.CsrRows.from_dense], ids=["dense", "sparse", "csr"])
-    def test_matches_fresh_bounds(self, fmt):
-        rng = np.random.default_rng(67)
-        seen = {"finite": 0, "inf": 0, "empty": 0}
-        for _ in range(60):
-            A, b, lo, hi = self._region(rng)
-            n = A.shape[1]
-            cols = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-            want = []
-            for sense in ("min", "max"):
-                for j in cols:
-                    res = lp.lp_solve(np.eye(n)[j], A, b, lo, hi, sense=sense)
-                    want.append(res)
-            region = lp.LinearProgram(fmt(A), b, lo, hi)
-            if want[0].status == lp.INFEASIBLE:
-                with pytest.raises(czono.EmptySetError):
-                    filters._lp_hull(region, cols)
-                seen["empty"] += 1
-                continue
-            hull = filters._lp_hull(region, cols)
-            got = np.concatenate([hull.lo, hull.hi])
-            for g, w in zip(got, want):
-                if w.status == lp.UNBOUNDED:
-                    assert np.isinf(g)
-                    seen["inf"] += 1
-                else:
-                    assert w.status == lp.OPTIMAL
-                    assert abs(g - w.value) <= 1e-9 * max(1.0, abs(w.value))
-                    seen["finite"] += 1
-        assert all(v > 0 for v in seen.values()), seen
 
 
 class TestDistributed:
@@ -536,9 +469,9 @@ class TestDistributed:
         flt = DistributedFilter(system, pair_ranges())
         flt.step(1, batch_for(system, 1, [0.0, 1.0]))
         for i in (1, 2):
-            post = flt.agent_set(i)
-            assert post.n_constraints == 0
-            assert post.n_generators <= 1
+            post = flt.hulls[i]
+            assert isinstance(post, Box) and post.dim == 1
+            assert np.all(np.isfinite(post.lo)) and np.all(post.lo <= post.hi)
 
     def test_distributed_contains_centralized(self):
         system = pair_system()
@@ -553,11 +486,11 @@ class TestDistributed:
             batch = sysmodel.measure(system, k, x, v, r)
             cent.step(k, batch)
             dist.step(k, batch)
+            hc = cent.hull()
             for i in (1, 2):
-                hc = czono.interval_hull(cent.agent_set(i))
                 hd = dist.hulls[i]
-                assert hc.lo[0] >= hd.lo[0] - 1e-9
-                assert hc.hi[0] <= hd.hi[0] + 1e-9
+                assert hc.lo[i - 1] >= hd.lo[0] - 1e-9
+                assert hc.hi[i - 1] <= hd.hi[0] + 1e-9
 
     def test_in_place_update_matches_fresh_build(self, monkeypatch):
         # a logged uav5 trial replayed: at each k >= 2 every agent's LP,

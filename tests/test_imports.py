@@ -51,7 +51,7 @@ def test_scipy_and_lp_share_one_binding(first, second):
         f"assert sys.modules['{BINDING}']._Highs is _Highs is czest.lp._highs._Highs\n"
         "from scipy.optimize._highspy import _highs_wrapper\n"
         f"assert _highs_wrapper._h is sys.modules['{BINDING}'] is czest.lp._highs\n"
-        "assert abs(czest.lp.lp_solve([1, 2], [[1, 1]], [1], [0, 0], [1, 1]).value - 1) < 1e-9\n"
+        "assert abs(czest.lp.LinearProgram([[1, 1]], [1], [0, 0], [1, 1]).solve([1, 2]).value - 1) < 1e-9\n"
         "print('ok')\n"
     )
     assert proc.returncode == 0, proc.stderr

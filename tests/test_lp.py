@@ -9,81 +9,82 @@ from scipy.optimize import OptimizeWarning, linprog
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import czest
+from czest import czono
 from czest.lp import (
     EPS_LP,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     CsrRows,
+    EmptySetError,
     LinearProgram,
+    LpResult,
     NumericalError,
-    lp_solve,
 )
 
 
+def _no_rows(lo, hi):
+    """The box [lo, hi] as a region without rows."""
+    return LinearProgram(np.zeros((0, len(lo))), [], lo, hi)
+
+
 def test_box_only_minimum():
-    res = lp_solve([1.0, 0.0], None, None, [-1, -1], [1, 1])
+    res = _no_rows([-1, -1], [1, 1]).solve([1.0, 0.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-1.0, abs=1e-9)
     assert res.x[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_box_only_maximum():
-    res = lp_solve([1.0, 0.0], None, None, [-1, -1], [1, 1], sense="max")
+    res = _no_rows([-1, -1], [1, 1]).solve([1.0, 0.0], sense="max")
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fixed_variable_infeasible():
-    res = lp_solve([1.0], [[1.0]], [5.0], [-1], [1])
+    res = LinearProgram([[1.0]], [5.0], [-1], [1]).solve([1.0])
     assert res.status == INFEASIBLE
 
 
 def test_free_variable_unbounded():
-    res = lp_solve([-1.0], None, None, [-np.inf], [np.inf])
+    res = _no_rows([-np.inf], [np.inf]).solve([-1.0])
     assert res.status == UNBOUNDED
 
 
 def test_equality_pins_value():
     # x1 + x2 = 1 over [-1,1]^2, minimize x1 -> x1 = 0 at x2 = 1
-    res = lp_solve([1.0, 0.0], [[1.0, 1.0]], [1.0], [-1, -1], [1, 1])
+    res = LinearProgram([[1.0, 1.0]], [1.0], [-1, -1], [1, 1]).solve([1.0, 0.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-9)
     assert res.x.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_feasibility_probe():
-    assert lp_solve([0.0, 0.0], [[1.0, 1.0]], [2.0], [-1, -1], [1, 1]).status == OPTIMAL
-    assert lp_solve([0.0, 0.0], [[1.0, 1.0]], [2.5], [-1, -1], [1, 1]).status == INFEASIBLE
+    assert LinearProgram([[1.0, 1.0]], [2.0], [-1, -1], [1, 1]).solve([0.0, 0.0]).status == OPTIMAL
+    assert LinearProgram([[1.0, 1.0]], [2.5], [-1, -1], [1, 1]).solve([0.0, 0.0]).status == INFEASIBLE
 
 
 def test_degenerate_zero_width_bounds():
-    res = lp_solve([1.0, 1.0], [[1.0, 0.0]], [0.0], [0, 0], [0, 0])
+    res = LinearProgram([[1.0, 0.0]], [0.0], [0, 0], [0, 0]).solve([1.0, 1.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_no_constraints_no_variables():
-    res = lp_solve(np.zeros(0), None, None, np.zeros(0), np.zeros(0))
+    res = _no_rows(np.zeros(0), np.zeros(0)).solve(np.zeros(0))
     assert res.status == OPTIMAL
     assert res.value == 0.0
 
 
 def test_rows_without_variables():
     # the rows read 0 = b
-    assert lp_solve(np.zeros(0), np.zeros((2, 0)), [0.0, 0.0], [], []).status == OPTIMAL
-    assert lp_solve(np.zeros(0), np.zeros((2, 0)), [0.0, 1.0], [], []).status == INFEASIBLE
+    assert LinearProgram(np.zeros((2, 0)), [0.0, 0.0], [], []).solve(np.zeros(0)).status == OPTIMAL
+    assert LinearProgram(np.zeros((2, 0)), [0.0, 1.0], [], []).solve(np.zeros(0)).status == INFEASIBLE
 
 
 def test_free_variable_enters_both_directions():
     # the minimum needs the free variable to move negative
-    res = lp_solve(
-        [1.0, 0.0],
-        [[1.0, 1.0]],
-        [0.0],
-        [-np.inf, -2.0],
-        [np.inf, 2.0],
-    )
+    res = LinearProgram([[1.0, 1.0]], [0.0], [-np.inf, -2.0], [np.inf, 2.0]).solve([1.0, 0.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-2.0, abs=1e-9)
 
@@ -127,12 +128,17 @@ def _random_instance(rng):
     return c, A, b, lo, hi
 
 
+def _program(A, b, lo, hi):
+    """The region of a ``_random_instance``; A None means no rows."""
+    return _no_rows(lo, hi) if A is None else LinearProgram(A, b, lo, hi)
+
+
 def test_cross_check_against_scipy():
     rng = np.random.default_rng(17)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     for _ in range(400):
         c, A, b, lo, hi = _random_instance(rng)
-        mine = lp_solve(c, A, b, lo, hi)
+        mine = _program(A, b, lo, hi).solve(c)
         ref = linprog(
             c,
             A_eq=A,
@@ -155,8 +161,8 @@ def test_cross_check_against_scipy():
 def test_determinism_identical_outputs():
     rng = np.random.default_rng(23)
     c, A, b, lo, hi = _random_instance(rng)
-    r1 = lp_solve(c, A, b, lo, hi)
-    r2 = lp_solve(c, A, b, lo, hi)
+    r1 = _program(A, b, lo, hi).solve(c)
+    r2 = _program(A, b, lo, hi).solve(c)
     assert r1.status == r2.status
     if r1.status == OPTIMAL:
         assert r1.value == r2.value
@@ -652,3 +658,148 @@ def test_only_lp_reaches_highs():
     for path in sorted(pathlib.Path(czest.__file__).parent.glob("*.py")):
         if path.name != "lp.py":
             assert "_highs" not in path.read_text(), path.name
+
+
+class TestBounds:
+    """``bounds`` solves all minima, then all maxima, on one model; each
+    bound must equal the one a fresh model finds."""
+
+    @staticmethod
+    def _region(rng):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, min(n, 4) + 1))
+        A = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+        lo = np.where(rng.random(n) < 0.2, -np.inf, rng.uniform(-2, 0, n))
+        hi = np.where(rng.random(n) < 0.2, np.inf, rng.uniform(0, 2, n))
+        with np.errstate(invalid="ignore"):
+            mid = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2, 0.0)
+        b = A @ (mid + rng.uniform(-0.3, 0.3, n))
+        if rng.random() < 0.15:
+            b += rng.standard_normal(m) * 5  # mostly infeasible
+        return A, b, lo, hi
+
+    @pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
+    def test_matches_fresh_bounds(self, fmt):
+        rng = np.random.default_rng(67)
+        seen = {"finite": 0, "inf": 0, "empty": 0}
+        for _ in range(60):
+            A, b, lo, hi = self._region(rng)
+            n = A.shape[1]
+            cols = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            want = []
+            for sense in ("min", "max"):
+                for j in cols:
+                    want.append(LinearProgram(A, b, lo, hi).solve(np.eye(n)[j], sense=sense))
+            region = LinearProgram(fmt(A), b, lo, hi)
+            C = np.eye(n)[cols]
+            if want[0].status == INFEASIBLE:
+                with pytest.raises(EmptySetError):
+                    region.bounds(C)
+                seen["empty"] += 1
+                continue
+            got = np.concatenate(region.bounds(C))
+            for g, w in zip(got, want):
+                if w.status == UNBOUNDED:
+                    assert np.isinf(g)
+                    seen["inf"] += 1
+                else:
+                    assert w.status == OPTIMAL
+                    assert abs(g - w.value) <= 1e-9 * max(1.0, abs(w.value))
+                    seen["finite"] += 1
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_minima_before_maxima_each_through_solve(self, monkeypatch):
+        calls = []
+        solve = LinearProgram.solve
+
+        def recording(self, c, sense="min"):
+            calls.append((np.flatnonzero(c).tolist(), sense))
+            return solve(self, c, sense)
+
+        monkeypatch.setattr(LinearProgram, "solve", recording)
+        region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], [0, 0, 0], [1, 1, 1])
+        lo, hi = region.bounds(np.eye(3)[[2, 0]])
+        assert calls == [([2], "min"), ([0], "min"), ([2], "max"), ([0], "max")]
+        assert lo == pytest.approx([0.0, 0.0], abs=1e-9) and hi == pytest.approx([1.0, 1.0], abs=1e-9)
+        assert region.bounds(np.zeros((0, 3)))[0].shape == (0,)
+
+    @staticmethod
+    def _answering(region, minima, maxima):
+        """Make ``region.solve`` return the given optimal values (None:
+        infeasible), minima for sense "min" and maxima for "max", in order."""
+        queue = {"min": list(minima), "max": list(maxima)}
+
+        def solve(c, sense="min"):
+            value = queue[sense].pop(0)
+            return LpResult(INFEASIBLE) if value is None else LpResult(OPTIMAL, value)
+
+        region.solve = solve
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1.0 + 5e-8, 1.0), (-1.0, -1.0 - 9.9e-8), (2e3 + 1.5e-4, 2e3), (-1e-3, -1e-3 - 9e-8)],
+        ids=["unit", "near-the-bound", "relative", "below-unit"],
+    )
+    def test_crossed_within_tolerance_meet_at_their_midpoint(self, lo, hi):
+        region = LinearProgram(np.zeros((0, 2)), [], [-5, -5], [5, 5])
+        self._answering(region, [lo, -np.inf, 0.0], [hi, 3.0, 0.0])
+        got_lo, got_hi = region.bounds(np.eye(2)[[0, 1, 0]])
+        mid = 0.5 * (lo + hi)
+        assert got_lo.tolist() == [mid, -np.inf, 0.0]
+        assert got_hi.tolist() == [mid, 3.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(1.0 + 2e-7, 1.0), (-1e-3, -1e-3 - 1.1e-7), (2e3 + 2.1e-4, 2e3)],
+        ids=["unit", "below-unit", "relative"],
+    )
+    def test_crossed_beyond_tolerance_raise(self, lo, hi):
+        region = LinearProgram(np.zeros((0, 1)), [], [-5], [5])
+        self._answering(region, [lo], [hi])
+        with pytest.raises(NumericalError, match="crossed"):
+            region.bounds(np.eye(1))
+
+    def test_infeasible_maximum_after_feasible_minima_raises(self):
+        region = LinearProgram(np.zeros((0, 1)), [], [-5], [5])
+        self._answering(region, [0.0, 0.0], [1.0, None])
+        with pytest.raises(NumericalError, match="minima only"):
+            region.bounds(np.eye(1)[[0, 0]])
+
+    def test_one_empty_set_error_class(self):
+        assert czono.EmptySetError is EmptySetError is czest.EmptySetError
+        assert issubclass(EmptySetError, ValueError)
+
+
+class TestFeasibleAt:
+    def test_answers_and_leaves_a_point(self):
+        region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
+        assert region.feasible_at([0, 1], [0.2, 0.3])
+        assert region.last_x[:2].tolist() == [0.2, 0.3]
+        assert region.last_x[2] == pytest.approx(0.5, abs=1e-9)
+        assert not region.feasible_at([0, 1], [0.8, 0.9])
+        assert region.last_x is None
+        assert region.feasible_at(range(2, 3), [1.0])
+        assert region.lo.tolist() == [0.0, 0.0, 0.0] and region.hi.tolist() == [1.0, 1.0, 1.0]
+
+    def test_bounds_restored_after_solver_error(self, monkeypatch):
+        region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
+
+        def failing(self):
+            raise NumericalError("HiGHS model status: Solve error")
+
+        monkeypatch.setattr(LinearProgram, "_run", failing)
+        with pytest.raises(NumericalError):
+            region.feasible_at([0, 1], [0.2, 0.3])
+        model = region._highs.getLp()
+        for lo, hi in ((region.lo, region.hi), (model.col_lower_, model.col_upper_)):
+            assert list(lo) == [0.0, 0.0, 0.0] and list(hi) == [1.0, 1.0, 1.0]
+        monkeypatch.undo()
+        assert region.feasible_at([0, 1], [0.2, 0.3])
+        assert not region.feasible_at([0, 1], [0.8, 0.9])
+
+    @pytest.mark.parametrize("col", [-1, 3], ids=["negative", "past-end"])
+    def test_columns_are_validated(self, col):
+        region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="column index"):
+            region.feasible_at([col], [0.5])
+        assert region.lo.tolist() == [0.0, 0.0, 0.0] and region.hi.tolist() == [1.0, 1.0, 1.0]

@@ -356,8 +356,8 @@ class TestNoiseViolation:
         # whole-state probe makes it, and the agents' probes that follow it
         # need none of their own
         whole_failed, unpinned, pinned_depth = [], [], []
-        contains, pinned_feasible, solve = (
-            filters._LiftedFilter.contains, filters._pinned_feasible, lp.LinearProgram.solve
+        contains, feasible_at, solve = (
+            filters._LiftedFilter.contains, lp.LinearProgram.feasible_at, lp.LinearProgram.solve
         )
 
         def whole_probe(self, x, coords=None):
@@ -368,10 +368,10 @@ class TestNoiseViolation:
             finally:
                 whole_failed.append(coords is None and not ok)
 
-        def pinned(region, cols, x):
+        def pinned(self, cols, x):
             pinned_depth.append(1)
             try:
-                return pinned_feasible(region, cols, x)
+                return feasible_at(self, cols, x)
             finally:
                 pinned_depth.pop()
 
@@ -381,7 +381,7 @@ class TestNoiseViolation:
             return solve(self, c, sense)
 
         monkeypatch.setattr(filters._LiftedFilter, "contains", whole_probe)
-        monkeypatch.setattr(filters, "_pinned_feasible", pinned)
+        monkeypatch.setattr(lp.LinearProgram, "feasible_at", pinned)
         monkeypatch.setattr(lp.LinearProgram, "solve", counting)
         log = simharness.run_trial(small_pair(h=12, seed=1, injected_noise_scale=2.0), 0, metrics=metrics)
         assert log.aborted == {"k": 3, "agent": None, "reason": "empty posterior"}
