@@ -16,40 +16,48 @@ Three estimators:
 
 All three filters hold their sets as lifted constrained zonotopes
 (Scott, Raimondo, Marseglia & Braatz, Automatica 69, 2016): LPs whose
-columns are states and noises and whose rows are the dynamics,
-measurement and coupling equations, one ``lp.LinearProgram`` each.
+columns are states and process noises and whose rows are the dynamics,
+measurement and coupling relations, one ``lp.LinearProgram`` each.  A
+measurement noise v gets no column: the row H x + v = Y with v in its
+box is the ranged row Y - v_hi <= H x <= Y - v_lo, each end rounded one
+ulp outward (``_measurement_bounds``), since HiGHS keeps a bounded slack
+for every row anyway.
 
-Every filter builds its LP from step blocks (``_step_block``), each
-appended to the ``lp.LinearProgram`` by ``_append``: the dynamics rows
-x_k = A x_{k-1} + B w encode the prediction, the measurement rows
-H x_k + v = Y the update, over the columns x_{k-1}, w, x_k and v of one
-stacked system (``sysmodel``), with w and v in the stack's noise boxes.
-Each filter builds its stacks once, at construction.  Of these numbers
-only A (``StackedSystem.A(k)``) and Y change from one step to the next:
-B, H and the noise boxes are the stack's fixed parts, so a block moved
-to a later step is rewritten in place by ``_write_blocks``.
+The centralized and fixed-lag filters build their LPs from step blocks
+(``_step_block``), each appended to the ``lp.LinearProgram`` by
+``_append``: the dynamics rows x_k = A x_{k-1} + B w encode the
+prediction, the measurement rows the update, over the columns x_{k-1},
+w and x_k of one stacked system (``sysmodel``), with w in the stack's
+noise box.  Each filter builds its stacks once, at construction.  Of
+these numbers only A (``StackedSystem.A(k)``) and Y change from one step
+to the next: B, H and the noise boxes are the stack's fixed parts, so a
+block moved to a later step is rewritten in place
+(``_TrajectoryLP.rewrite``).
 
 The distributed filter gives each agent one LP for the whole trial
-(``_AgentLP``): one step block per owner, its own neighborhood and every
-peer's, with the previous states bounded by the last hulls, and the
-``coupling_rows`` that make the peers' copies of the agent's state
-equal to its own.  Its structure is fixed, so a step only writes the
-new numbers in place (hull bounds, changed dynamics coefficients,
-measurements) and solves the 2n bounds of the agent's state from the
-last basis.  The posterior is the hull (``hulls``).
+(``_AgentLP``), with each step's states substituted out: per owner, its
+own neighborhood and every peer's, the previous states x_prev (bounded by
+the last hulls) and the process noises w, the owner's measurement rows
+over H A(k) x_prev + H B w, and the ``coupling_rows`` that make the
+peers' copies of the agent's state equal to its own.  Every column is
+bounded.  Its structure is fixed, so a step only writes the new numbers
+in place (hull bounds, changed dynamics coefficients, measurement row
+bounds) and solves the 2n bounds of the agent's state from the last
+basis.  The posterior is the hull (``hulls``).
 
 The centralized and fixed-lag posteriors are held as one sparse
-"trajectory" LP over the window's states and noises (``_TrajectoryLP``),
-one step block of the centralized stack per step; the set is the LP's
+"trajectory" LP over the window's states and process noises
+(``_TrajectoryLP``), one step block of the centralized stack per step;
+the set is the LP's
 feasible set projected on the final state.  A step appends
 its block of columns and rows to the same ``lp.LinearProgram``, so every
 solve warm-starts from the last basis, across steps too.  The fixed-lag
 filter builds its window once, at construction, with the window's first
 state free; past ``delta_bar`` it slides the window by rewriting that LP
 in place: the window's columns and rows never change, and of its numbers
-only the dynamics coefficients A and the measurements Y move
-(``_TrajectoryLP.rewrite``).  ``hull`` solves the final state's
-interval hull.  A whole-state ``contains`` first tries a one-step
+only the dynamics coefficients A and the measurement row bounds move.
+``hull`` solves the final state's interval hull.  A whole-state
+``contains`` first tries a one-step
 witness: the feasible LP point behind the last step's ``True``, carried
 one step by the recursion to the queried state and checked against the
 LP's bounds and its rows as the HiGHS model holds them
@@ -111,15 +119,16 @@ def _unit_rows(n, cols):
     return C
 
 
-def coupling_rows(n_cols, own_cols, peer_cols):
-    """The rows x_own - _COUPLING_SIGN * x_peer = 0 over ``n_cols`` columns
-    (``lp.CsrRows``, one row per coordinate): they tie a peer's copy of a
-    state to the own one, which is the refinement's intersection."""
+def coupling_rows(n_cols, own_cols, peer_cols, M=None):
+    """The rows M y_own - _COUPLING_SIGN * M y_peer = 0 over ``n_cols``
+    columns (``lp.CsrRows``, one row per row of M, the identity by
+    default): they tie a peer's copy of a state to the own one, which is
+    the refinement's intersection."""
     own_cols = np.asarray(own_cols, dtype=int)
-    rows = np.arange(own_cols.size)
-    D = np.zeros((own_cols.size, n_cols))
-    D[rows, own_cols] = 1.0
-    D[rows, peer_cols] = -_COUPLING_SIGN
+    M = np.eye(own_cols.size) if M is None else M
+    D = np.zeros((M.shape[0], n_cols))
+    D[:, own_cols] = M
+    D[:, peer_cols] = -_COUPLING_SIGN * M
     return lp.CsrRows.from_dense(D)
 
 
@@ -129,75 +138,60 @@ def _step_entry(stack, k, batch):
     return stack.A(k - 1), sysmodel.stack_measurements(stack, batch)
 
 
+def _measurement_bounds(Y, vbox):
+    """The range [Y - v_hi, Y - v_lo] of H x over the noises v in
+    ``vbox`` that make H x + v = Y, each end rounded outward by one ulp so
+    that it holds every exact value in floating point."""
+    return np.nextafter(Y - vbox.hi, -np.inf), np.nextafter(Y - vbox.lo, np.inf)
+
+
 def _step_block(stack, A, Y):
-    """One step as (lo, hi, D, b): the rows D y = b,
+    """One step as (lo, hi, D, b_lo, b_hi): the rows b_lo <= D y <= b_hi,
 
         dynamics     x_k - A x_{k-1} - B w = 0,
-        measurement  H x_k + v = Y,
+        measurement  Y - v_hi <= H x_k <= Y - v_lo  (``_measurement_bounds``),
 
-    over the columns y = (x_{k-1}, w, x_k, v), and the bounds [lo, hi] of
-    the columns the step adds: w and v in the stack's boxes, x_k free.
+    over the columns y = (x_{k-1}, w, x_k), and the bounds [lo, hi] of
+    the columns the step adds: w in the stack's W box, x_k free.
     """
     B, H = stack.B, stack.H
     n, p, m = A.shape[0], B.shape[1], H.shape[0]
-    D = np.zeros((n + m, n + p + n + m))
+    D = np.zeros((n + m, n + p + n))
     D[:n, :n] = -A
     D[:n, n : n + p] = -B
-    D[:n, n + p : 2 * n + p] = np.eye(n)
-    D[n:, n + p : 2 * n + p] = H
-    D[n:, 2 * n + p :] = np.eye(m)
-    wbox, vbox = stack.Wset, stack.Vset
+    D[:n, n + p :] = np.eye(n)
+    D[n:, n + p :] = H
+    y_lo, y_hi = _measurement_bounds(Y, stack.Vset)
     return (
-        np.concatenate([wbox.lo, np.full(n, -np.inf), vbox.lo]),
-        np.concatenate([wbox.hi, np.full(n, np.inf), vbox.hi]),
+        np.concatenate([stack.Wset.lo, np.full(n, -np.inf)]),
+        np.concatenate([stack.Wset.hi, np.full(n, np.inf)]),
         D,
-        np.concatenate([np.zeros(n), Y]),
+        np.concatenate([np.zeros(n), y_lo]),
+        np.concatenate([np.zeros(n), y_hi]),
     )
 
 
-def _write_blocks(region, blocks, entries):
-    """Rewrite ``_step_block``s of ``region`` in place with the (A, Y) of
-    ``entries``, one per block, and return the blocks with their new A.
-
-    A block is (first dynamics row, first x_{k-1} column, A), its
-    measurement rows following its dynamics rows.  Only A and Y move
-    between steps, so only the entries of -A that differ from the block's
-    A and the measurement right-hand sides are written, in one call each.
-    """
-    if not blocks:
-        return []
-    rows, cols, vals, meas = [], [], [], []
-    for (row, col, A_old), (A, Y) in zip(blocks, entries, strict=True):
-        rr, cc = np.nonzero(A != A_old)
-        rows.append(row + rr)
-        cols.append(col + cc)
-        vals.append(-A[rr, cc])
-        meas.append(np.arange(row + A.shape[0], row + A.shape[0] + Y.size))
-    region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    region.set_rhs(np.concatenate(meas), np.concatenate([Y for _, Y in entries]))
-    return [(row, col, A) for (row, col, _), (A, _) in zip(blocks, entries)]
-
-
-def _append(region, prev_cols, lo, hi, D, b):
-    """Append columns with bounds [lo, hi] and the rows D y = b to
-    ``region``, where y is the columns ``prev_cols`` followed by the new
+def _append(region, prev_cols, lo, hi, D, b_lo, b_hi):
+    """Append columns with bounds [lo, hi] and the rows b_lo <= D y <= b_hi
+    to ``region``, where y is the columns ``prev_cols`` followed by the new
     ones."""
     cols = np.concatenate([prev_cols, np.arange(region.n, region.n + lo.size)])
-    region.extend(lo, hi, lp.CsrRows.from_dense(D, cols, region.n + lo.size), b)
+    region.extend(lo, hi, lp.CsrRows.from_dense(D, cols, region.n + lo.size), b_lo, b_hi)
 
 
 class _TrajectoryLP:
-    """Sparse LP over the (x_{t0}, w, x, v) of ``stack`` in one window.
+    """Sparse LP over the (x_{t0}, w, x) of ``stack`` in one window.
 
     The feasible set projected on x_k equals the filter posterior: the
     dynamics rows encode the prediction, the measurement rows the update.
     ``x0_box=None`` leaves the window's initial state free, matching the
     fixed-lag window's unbounded prior; ``t0_Y`` adds that step's
-    measurements of the initial state.  ``extend`` appends one step to the
-    same ``lp.LinearProgram``, so every solve after the first starts from
-    the last basis, across steps too.  ``rewrite`` moves a window to the
-    next step in place: its columns, rows, bounds and every coefficient
-    but A stay, so it writes A and the measurements Y only.
+    measurement rows of the initial state.  ``extend`` appends one step to
+    the same ``lp.LinearProgram``, so every solve after the first starts
+    from the last basis, across steps too.  ``rewrite`` moves a window to
+    the next step in place: its columns, rows, bounds and every
+    coefficient but A stay, so it writes A and the measurement row bounds
+    only.
     """
 
     def __init__(self, stack, x0_box=None, t0_Y=None):
@@ -211,13 +205,12 @@ class _TrajectoryLP:
         self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
         self._blocks = []  # (first dynamics row, first x_{k-1} column, A) per extend
         if t0_Y is not None:
-            # measurement rows  H x_{t0} + v = Y
-            H, vbox = stack.H, stack.Vset
-            D = np.hstack([H, np.eye(H.shape[0])])
-            _append(self.program, np.arange(n), vbox.lo, vbox.hi, D, t0_Y)
+            # the initial state's measurement rows, the LP's first rows
+            _append(self.program, np.arange(n), np.zeros(0), np.zeros(0), stack.H,
+                    *_measurement_bounds(t0_Y, stack.Vset))
 
     def extend(self, A, Y):
-        """Append one step (``_step_block``): columns w, x_k, v with the
+        """Append one step (``_step_block``): columns w and x_k with the
         dynamics and measurement rows."""
         region = self.program
         prev = np.arange(self.x_final, self.x_final + self.n)
@@ -228,10 +221,30 @@ class _TrajectoryLP:
 
     def rewrite(self, t0_Y, entries):
         """Write the window of ``t0_Y`` followed by ``entries`` ((A, Y) per
-        ``extend``) over the current one, in place: the initial state's
-        measurements and each block's A and Y (``_write_blocks``)."""
-        self.program.set_rhs(np.arange(t0_Y.size), t0_Y)
-        self._blocks = _write_blocks(self.program, self._blocks, entries)
+        ``extend``) over the current one, in place: of each block, the
+        entries of -A that differ from its last A, in one call, and the
+        measurement row bounds of the initial state and of every block, in
+        another."""
+        vbox = self.stack.Vset
+        rows, cols, vals, blocks = [], [], [], []
+        meas, bounds = [np.arange(t0_Y.size)], [_measurement_bounds(t0_Y, vbox)]
+        for (row, col, A_old), (A, Y) in zip(self._blocks, entries, strict=True):
+            rr, cc = np.nonzero(A != A_old)
+            rows.append(row + rr)
+            cols.append(col + cc)
+            vals.append(-A[rr, cc])
+            meas.append(np.arange(row + A.shape[0], row + A.shape[0] + Y.size))
+            bounds.append(_measurement_bounds(Y, vbox))
+            blocks.append((row, col, A))
+        region = self.program
+        if blocks:
+            region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        region.set_row_bounds(
+            np.concatenate(meas),
+            np.concatenate([lo for lo, _ in bounds]),
+            np.concatenate([hi for _, hi in bounds]),
+        )
+        self._blocks = blocks
 
     def hull(self):
         """Interval hull of the final state."""
@@ -312,12 +325,12 @@ class _LiftedFilter:
         """True iff the witness of step k - 1, carried one step to x, is a
         feasible point of the LP; it then becomes the witness of step k.
 
-        The recursion carries it: with (A, Y) this step's entry, the noises
-        w = B⁺(x - A p) and v = Y - H x and the state x extend y by one
-        step block, and the LP's columns are the trailing ones of that
-        (a window LP's first columns are the tail of the step block
-        before them).  ``lp.LinearProgram.satisfied_by`` then checks the
-        point against every bound and against the rows as the model holds
+        The recursion carries it: with A this step's dynamics, the noise
+        w = B⁺(x - A p) and the state x extend y by one step block, and the
+        LP's columns are the trailing ones of that (a window LP's first
+        columns are the final state of the step block before them).
+        ``lp.LinearProgram.satisfied_by`` then checks the point against
+        every bound and against the rows as the model holds
         them: all rows, unless y was checked against this LP's leading
         rows and none of them was changed in place since, when only the
         rows after those are read.
@@ -325,11 +338,10 @@ class _LiftedFilter:
         if self._witness is None or self._witness[0] != self.k - 1:
             return False
         _, p, y, checked = self._witness
-        A, Y = self._entry
+        A, _ = self._entry
         w = self._B_pinv @ (x - A @ p)
-        v = Y - self._stack.H @ x
         region = self._traj.program
-        y = np.concatenate([y, w, x, v])[-region.n :]
+        y = np.concatenate([y, w, x])[-region.n :]
         first = 0
         if checked is not None and checked[0] is region and checked[1] == region.row_edits:
             first = checked[2]
@@ -398,58 +410,92 @@ class _AgentLP:
     """Agent i's lifted refinement: one LinearProgram for the whole trial.
 
     It holds the joint of agent i and the joint of every peer l in
-    ``topology.peers(i)``.  Each of these owners o appends, in turn, the
-    columns x_prev (bounded by the last hulls of N̄_o) and then, through
-    ``_append``, one ``_step_block`` of its neighborhood stack over them:
-    the columns w (in the W box), x (free) and o's v (in its V box), the
-    dynamics rows and o's measurement rows.  One block of
-    ``coupling_rows`` per peer then ties the peer's copy of x_i to agent
-    i's own.  The feasible set projected on agent i's own x is the
-    refined set of one distributed step.  Only numbers change from step
-    to step: ``update`` writes them in place, so each step's solves start
-    from the last basis.
+    ``topology.peers(i)``, with each step's states substituted out.  Each
+    of these owners o appends, in turn, the columns x_prev (bounded by the
+    last hulls of N̄_o) and w (in the W box of o's neighborhood stack),
+    and o's measurement rows, in which the state x = A x_prev + B w of
+    step k enters through its parts:
+
+        Y - v_hi <= H A(k) x_prev + H B w <= Y - v_lo  (``_measurement_bounds``).
+
+    One block of ``coupling_rows`` per peer then ties the peer's copy of
+    x_i to agent i's own, as [A_i(k) B_i] on agent i's (x_prev, w) columns
+    of each.  Every column is bounded.  The refined set of one distributed
+    step is the image of the feasible set under [A_i(k) B_i] on agent i's
+    own columns, whose rows ``hull`` bounds.  Only numbers change from
+    step to step: ``update`` writes them in place, so each step's solves
+    start from the last basis.
     """
 
     def __init__(self, system, i, stacks, hulls):
         """Build the model with step 1's dynamics and zero measurements:
         ``stacks`` maps each owner o to its neighborhood stack over N̄_o,
         and ``hulls`` each agent to its initial set."""
-        topo = system.topology
+        topo, agents = system.topology, system.agents
+        self._i, n, p = i, agents[i].n, agents[i].p
         self._nbar = {o: topo.nbar(o) for o in [i] + topo.peers(i)}
-        self._blocks = []  # (first row, first column, A) per owner, in _nbar order
+        self._stacks = {o: stacks[o] for o in self._nbar}
+        self._blocks = []  # (first measurement row, first x_prev column, H A) per owner, in _nbar order
         region = lp.LinearProgram(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
-        x_of = {}  # owner -> first x column
+        own = {}  # owner -> agent i's x_prev and w columns in its block
         for o, order in self._nbar.items():
-            A = stacks[o].A(0)
-            prev = np.arange(region.n, region.n + A.shape[0])
-            region.extend(
-                np.concatenate([hulls[l].lo for l in order]),
-                np.concatenate([hulls[l].hi for l in order]),
-                np.zeros((0, region.n + prev.size)),
-                np.zeros(0),
+            st = stacks[o]
+            col, HA = region.n, st.H @ st.A(0)
+            self._blocks.append((region.m, col, HA))
+            _append(
+                region,
+                np.zeros(0, dtype=int),
+                np.concatenate([hulls[l].lo for l in order] + [st.Wset.lo]),
+                np.concatenate([hulls[l].hi for l in order] + [st.Wset.hi]),
+                np.hstack([HA, st.H @ st.B]),
+                *_measurement_bounds(np.zeros(st.H.shape[0]), st.Vset),
             )
-            self._blocks.append((region.m, prev[0], A))
-            x_of[o] = region.n + stacks[o].B.shape[1]
-            _append(region, prev, *_step_block(stacks[o], A, np.zeros(stacks[o].H.shape[0])))
-        n = system.agents[i].n
-        self.x_own = np.arange(x_of[i], x_of[i] + n)  # i leads N̄_i
+            before = order[: order.index(i)]
+            x_at = col + sum(agents[l].n for l in before)
+            w_at = col + st.B.shape[0] + sum(agents[l].p for l in before)
+            own[o] = np.concatenate([np.arange(x_at, x_at + n), np.arange(w_at, w_at + p)])
+        self._own = own[i]
+        self._A_i, self._B_i = stacks[i].A(0)[:n, :n], agents[i].B  # i leads N̄_i
+        self._coupling = []  # (first row, the peer's copy of agent i's x_prev columns) per peer
         for l in topo.peers(i):
-            start = x_of[l] + system.state_slices(self._nbar[l])[i].start
-            rows = coupling_rows(region.n, self.x_own, np.arange(start, start + n))
-            region.extend([], [], rows, np.zeros(n))
+            self._coupling.append((region.m, own[l][:n]))
+            rows = coupling_rows(region.n, self._own, own[l], np.hstack([self._A_i, self._B_i]))
+            region.extend([], [], rows, np.zeros(n), np.zeros(n))
         self.program = region
         self._prev_cols = np.concatenate(
-            [np.arange(col, col + A.shape[0]) for _, col, A in self._blocks]
+            [np.arange(col, col + HA.shape[1]) for _, col, HA in self._blocks]
         )
         self._prev_agents = [l for order in self._nbar.values() for l in order]  # of _prev_cols
 
     def update(self, entries, hulls):
-        """Write the next step's numbers in place: per owner block the
-        entries of A that changed and the measurement right-hand sides,
-        from ``entries`` (``_write_blocks``), and the x_prev bounds from
-        ``hulls``."""
+        """Write the next step's numbers in place from ``entries`` and
+        ``hulls``: the entries of H A and of the coupling rows' A_i that
+        changed, in one call; every measurement row's bounds, in another;
+        and the x_prev bounds, in a third."""
+        rows, cols, vals, blocks, meas, b_lo, b_hi = [], [], [], [], [], [], []
+        for (row, col, HA_old), (o, st) in zip(self._blocks, self._stacks.items()):
+            A, Y = entries[o]
+            HA = st.H @ A
+            rr, cc = np.nonzero(HA != HA_old)
+            rows.append(row + rr)
+            cols.append(col + cc)
+            vals.append(HA[rr, cc])
+            blocks.append((row, col, HA))
+            meas.append(np.arange(row, row + Y.size))
+            lo, hi = _measurement_bounds(Y, st.Vset)
+            b_lo.append(lo)
+            b_hi.append(hi)
+        n = self._A_i.shape[0]
+        A_i = entries[self._i][0][:n, :n]  # i leads N̄_i
+        rr, cc = np.nonzero(A_i != self._A_i)
+        for row, peer_x in self._coupling:
+            rows += [row + rr, row + rr]
+            cols += [self._own[cc], peer_x[cc]]
+            vals += [A_i[rr, cc], -_COUPLING_SIGN * A_i[rr, cc]]
+        self._blocks, self._A_i = blocks, A_i
         region = self.program
-        self._blocks = _write_blocks(region, self._blocks, [entries[o] for o in self._nbar])
+        region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+        region.set_row_bounds(np.concatenate(meas), np.concatenate(b_lo), np.concatenate(b_hi))
         region.set_bounds(
             self._prev_cols,
             np.concatenate([hulls[l].lo for l in self._prev_agents]),
@@ -458,7 +504,9 @@ class _AgentLP:
 
     def hull(self):
         """Interval hull of agent i's refined own state."""
-        return Box(*self.program.bounds(_unit_rows(self.program.n, self.x_own)))
+        C = np.zeros((self._A_i.shape[0], self.program.n))
+        C[:, self._own] = np.hstack([self._A_i, self._B_i])
+        return Box(*self.program.bounds(C))
 
 
 class DistributedFilter:

@@ -1,7 +1,8 @@
 """Linear programming kernel on a persistent HiGHS model.
 
-Solves  min/max  c^T x  subject to  A x = b,  lo <= x <= hi,
-where individual bounds may be infinite.  Each ``LinearProgram`` holds one
+Solves  min/max  c^T x  subject to  b_lo <= A x <= b_hi,  lo <= x <= hi,
+where individual bounds may be infinite; an equality row has b_lo = b_hi.
+Each ``LinearProgram`` holds one
 HiGHS model of its feasible region (the solver bundled with scipy, reached
 through its compiled binding, see below).  Every model starts empty and is
 loaded through ``extend``, the one way rows reach HiGHS; ``solve`` only
@@ -10,10 +11,12 @@ from the previous optimal basis and an interval hull's 2n bounds over one
 region pay for the initial basis only once.  A region can grow in place:
 ``extend`` appends columns and rows and ``set_bounds`` changes column
 bounds, both on the same model, so the next solve also starts from the
-last basis.  Coefficients and right-hand sides can be changed in place
-too (``set_coefficients``, ``set_rhs``), so a region whose structure is
+last basis.  Coefficients and row bounds can be changed in place
+too (``set_coefficients``, ``set_row_bounds``), so a region whose structure is
 fixed and whose numbers move, such as one filter step after another, is
-one model for its whole life.
+one model for its whole life.  A ranged row costs HiGHS no column: the
+model keeps a slack for every row anyway, so a bounded slack variable of
+a row (a noise term) is better written as the row's two bounds.
 
 Every query of a region goes through its ``LinearProgram``: ``bounds``
 (interval hulls), ``feasible_at`` (pinned membership) and
@@ -21,7 +24,7 @@ Every query of a region goes through its ``LinearProgram``: ``bounds``
 
 Each solve picks its simplex variant from what changed since the last
 one.  After a change of the region (a new model, ``extend``,
-``set_bounds``, ``set_coefficients``, ``set_rhs``) the last basis is
+``set_bounds``, ``set_coefficients``, ``set_row_bounds``) the last basis is
 still dual feasible, so the solve runs dual simplex; when only the
 objective changed the basis is still primal feasible, so it runs primal
 simplex (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
@@ -37,8 +40,9 @@ give identical answers.  Its primal and dual feasibility tolerances are
 both ``EPS_LP``, the kernel's one documented tolerance.  Every region is a
 HiGHS model from construction on, also one without rows or without
 columns (such as the empty program a region is grown from); HiGHS
-reports a region without columns as "Empty", whose rows read 0 = b, so
-it is optimal if every |b| <= ``EPS_LP`` and infeasible otherwise.  A
+reports a region without columns as "Empty", whose rows read
+b_lo <= 0 <= b_hi, so it is optimal if every row admits 0 to within
+``EPS_LP`` and infeasible otherwise.  A
 model change that HiGHS refuses (status kError) raises ``NumericalError``
 naming the call, where it is made.
 
@@ -56,8 +60,7 @@ module by ``from``-import or through ``sys.modules``.)  A scipy whose
 package directory holds no such file raises ``ImportError`` naming the
 directory searched and the scipy version.  Rows are likewise handed to
 HiGHS in compressed sparse row form built with numpy (``CsrRows``);
-``scipy.sparse`` is imported only by ``rows`` and by callers that pass
-its matrices.
+``scipy.sparse`` is imported only by callers that pass its matrices.
 """
 
 import importlib.machinery
@@ -148,36 +151,39 @@ class LpResult:
 
 
 class LinearProgram:
-    """A feasible region ``{x : A x = b, lo <= x <= hi}``.
+    """A feasible region ``{x : b_lo <= A x <= b_hi, lo <= x <= hi}``.
 
-    ``A`` is a dense 2-d array or anything with a ``tocsr`` method that
-    returns an object with ``data``, ``indices``, ``indptr`` and ``shape``:
-    a ``CsrRows`` or a ``scipy.sparse`` matrix.  ``solve`` may
-    be called repeatedly with different objectives, and between solves
-    the region may be extended or its bounds, coefficients or right-hand
-    sides changed; after the first call the previous basis warm-starts
-    the next one.
+    The constructor loads the equality rows ``A x = b``; ``extend`` adds
+    rows with both bounds.  ``A`` is a dense 2-d array or anything with a
+    ``tocsr`` method that returns an object with ``data``, ``indices``,
+    ``indptr`` and ``shape``: a ``CsrRows`` or a ``scipy.sparse`` matrix.
+    ``solve`` may be called repeatedly with different objectives, and
+    between solves the region may be extended or its column bounds,
+    coefficients or row bounds changed; after the first call the previous
+    basis warm-starts the next one.
     """
 
     def __init__(self, A, b, lo, hi):
         self.m = self.n = 0
         self.lo, self.hi = np.zeros(0), np.zeros(0)
-        self.row_edits = 0  # in-place row changes so far (set_coefficients, set_rhs)
+        self.row_edits = 0  # in-place row changes so far (set_coefficients, set_row_bounds)
         self.last_x = None  # optimizer of the last solve, None unless it was optimal
         self._highs = _new_model()
         self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
-        self.extend(lo, hi, A, b)
+        self.extend(lo, hi, A, b, b)
 
-    def extend(self, lo, hi, A, b):
-        """Append columns with bounds [lo, hi] and the rows ``A x = b``.
+    def extend(self, lo, hi, A, b_lo, b_hi):
+        """Append columns with bounds [lo, hi] and the rows
+        ``b_lo <= A x <= b_hi``.
 
         The new columns enter no existing row; ``A`` spans all columns,
         old then new.  The grown region keeps its HiGHS model, so the next
         solve starts from the current basis (new rows basic, new columns
         at a bound).
         """
-        A, b = _region_rows(A, b)
+        A = _region_rows(A)
         r, n = A.shape
+        b_lo, b_hi = _bound_vectors(b_lo, b_hi, r, "row")
         added = n - self.n
         lo, hi = _bound_vectors(lo, hi, added)
         self.lo = np.concatenate([self.lo, lo])
@@ -189,7 +195,7 @@ class LinearProgram:
             _check(h.addCols(added, np.zeros(added), lo, hi, 0, np.zeros(added, dtype=np.int32),
                              np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
         if r:
-            _check(h.addRows(r, b, b, A.data.size, A.indptr[:-1].astype(np.int32, copy=False),
+            _check(h.addRows(r, b_lo, b_hi, A.data.size, A.indptr[:-1].astype(np.int32, copy=False),
                              A.indices.astype(np.int32, copy=False), A.data), "addRows")
 
     def set_bounds(self, cols, lo, hi):
@@ -217,19 +223,16 @@ class LinearProgram:
         for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
             _check(h.changeCoeff(r, c, v), "changeCoeff")
 
-    def set_rhs(self, rows, b):
-        """Change the right-hand sides of the listed rows in place."""
+    def set_row_bounds(self, rows, lo, hi):
+        """Change the bounds of the listed rows in place to [lo, hi]; an
+        equality row has lo == hi."""
         rows = _indices(rows, self.m, "row")
-        b = np.asarray(b, dtype=float).ravel()
-        if b.size != rows.size:
-            raise ValueError(f"b has length {b.size}, expected {rows.size}")
-        if np.any(np.isnan(b)):
-            raise ValueError("NaN in constraint data")
+        lo, hi = _bound_vectors(lo, hi, rows.size, "row")
         self._region_changed = True
         self.row_edits += 1
         h = self._highs
-        for r, v in zip(rows.tolist(), b.tolist()):
-            _check(h.changeRowBounds(r, v, v), "changeRowBounds")
+        for r, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+            _check(h.changeRowBounds(r, a, b), "changeRowBounds")
 
     def solve(self, c, sense="min"):
         """Optimize c^T x over the region.  Returns LpResult."""
@@ -306,9 +309,9 @@ class LinearProgram:
 
         x must have length n and lie within ``EPS_LP`` of every column
         bound, and every row from ``first_row`` on, as the HiGHS model holds
-        it, must give |A x - b| <= ``EPS_LP``.  The rows are read from the
-        model on each call, so a row changed in place is checked as it now
-        reads; the column bounds are ``lo``/``hi``, which record every
+        it, must give b_lo - ``EPS_LP`` <= A x <= b_hi + ``EPS_LP``.  The
+        rows are read from the model on each call, so a row changed in
+        place is checked as it now reads; the column bounds are ``lo``/``hi``, which record every
         bound the model accepted.  The check is absolute and read-only: it
         changes neither the model nor its basis.
         """
@@ -331,22 +334,12 @@ class LinearProgram:
         Ax = np.bincount(row_of, weights=value * x[index], minlength=rows.size)
         return bool(np.all(Ax >= lower - EPS_LP) and np.all(Ax <= upper + EPS_LP))
 
-    def rows(self):
-        """The rows as held in the model: (A as a scipy.sparse matrix, b)."""
-        from scipy import sparse
-
-        model = self._highs.getLp()
-        mat = model.a_matrix_
-        colwise = mat.format_ == _highs.MatrixFormat.kColwise
-        fmt = sparse.csc_matrix if colwise else sparse.csr_matrix
-        A = fmt((mat.value_, mat.index_, mat.start_), shape=(self.m, self.n))
-        return A, np.asarray(model.row_lower_)
-
     def _run(self):
         """Run HiGHS; re-run once with dual simplex from a cleared solver
         if a primal run ends without a definite status or HiGHS cannot
         tell infeasible from unbounded (then also without presolve).  A
-        model without columns is "Empty" to HiGHS: its rows read 0 = b."""
+        model without columns is "Empty" to HiGHS: its rows read
+        b_lo <= 0 <= b_hi."""
         h = self._highs
         if h.run() == _highs.HighsStatus.kError and (
             h.getModelStatus() == _highs.HighsModelStatus.kNotset
@@ -359,7 +352,10 @@ class LinearProgram:
             h.run()
         model_status = h.getModelStatus()
         if model_status == _highs.HighsModelStatus.kModelEmpty:
-            feasible = np.all(np.abs(h.getLp().row_lower_) <= EPS_LP)
+            model = h.getLp()
+            feasible = np.all(np.asarray(model.row_lower_) <= EPS_LP) and np.all(
+                np.asarray(model.row_upper_) >= -EPS_LP
+            )
             return OPTIMAL if feasible else INFEASIBLE
         unsure = model_status == _highs.HighsModelStatus.kUnboundedOrInfeasible
         if unsure or (model_status not in _STATUS and self._strategy == _PRIMAL):
@@ -376,16 +372,17 @@ class LinearProgram:
         return _STATUS[model_status]
 
 
-def _bound_vectors(lo, hi, n):
-    """Validated float bound vectors of length n."""
+def _bound_vectors(lo, hi, n, what="variable"):
+    """Validated float bound vectors of length n, of columns ("variable")
+    or of rows ("row")."""
     lo = np.asarray(lo, dtype=float).ravel()
     hi = np.asarray(hi, dtype=float).ravel()
     if lo.shape[0] != n or hi.shape[0] != n:
-        raise ValueError(f"bound vectors must have length {n}")
+        raise ValueError(f"{what} bound vectors must have length {n}")
     if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-        raise ValueError("NaN bound")
+        raise ValueError(f"NaN bound for some {what}")
     if np.any(lo > hi):
-        raise ValueError("lo > hi for some variable")
+        raise ValueError(f"lo > hi for some {what}")
     return lo, hi
 
 
@@ -426,8 +423,8 @@ class CsrRows:
         return self
 
 
-def _region_rows(A, b):
-    """Validated (CSR rows, right-hand side) of the rows A x = b."""
+def _region_rows(A):
+    """The rows A as validated CSR rows."""
     if hasattr(A, "tocsr"):
         A = A.tocsr()
         A = CsrRows(A.data, A.indices, A.indptr, A.shape)  # float data
@@ -436,14 +433,9 @@ def _region_rows(A, b):
         if A.ndim != 2:
             raise ValueError("A must be a 2-d array")
         A = CsrRows.from_dense(A)
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(f"b has length {b.shape[0]}, expected {A.shape[0]}")
     if not np.all(np.isfinite(A.data)):
         raise ValueError("non-finite coefficient")
-    if np.any(np.isnan(b)):
-        raise ValueError("NaN in constraint data")
-    return A, b
+    return A
 
 
 def _new_model():
@@ -457,6 +449,6 @@ def _new_model():
 def _check(status, call):
     """Raise NumericalError if HiGHS refused the model change ``call``."""
     # compare ints: pybind's enum == is several times slower, and this runs
-    # once per coefficient or right-hand side written in place
+    # once per coefficient or row bound written in place
     if status.value == _ERROR:
         raise NumericalError(f"HiGHS {call} returned an error")

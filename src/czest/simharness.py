@@ -159,6 +159,14 @@ def _integer(key, val):
     return int(val)
 
 
+def _number(key, val):
+    """``val`` as a float; anything but a real number (a string, a bool)
+    is a SchemaError naming ``scenario.<key>``."""
+    if not isinstance(val, numbers.Real) or isinstance(val, bool):
+        raise sysmodel.SchemaError(f"scenario.{key}: must be a number, got {val!r}")
+    return float(val)
+
+
 def _real(key, val, positive=False):
     """``val`` as a float; anything but a finite real number >= 0 (> 0 if
     ``positive``) is a SchemaError naming ``scenario.<key>``."""
@@ -207,13 +215,15 @@ class ScenarioConfig:
         grid = doc.get("noise_grid")
         self.noise_grid = None if grid is None else _real("noise_grid", grid, positive=True)
         init = doc.get("initial", {"mode": "fixed"})
+        if not isinstance(init, dict):
+            raise sysmodel.SchemaError(f"scenario.initial: must be an object, got {init!r}")
         self.initial_mode = init.get("mode", "fixed")
         if self.initial_mode not in ("fixed", "sampled"):
             raise sysmodel.SchemaError("scenario.initial.mode: 'fixed' or 'sampled'")
         if self.initial_mode == "sampled":
-            self.init_center_low = float(init.get("center_low", -10.0))
-            self.init_center_high = float(init.get("center_high", 10.0))
-            self.init_half_width = float(init.get("half_width", 2.0))
+            self.init_center_low = _number("initial.center_low", init.get("center_low", -10.0))
+            self.init_center_high = _number("initial.center_high", init.get("center_high", 10.0))
+            self.init_half_width = _number("initial.half_width", init.get("half_width", 2.0))
             low, high = self.init_center_low, self.init_center_high
             if not (np.isfinite([low, high]).all() and low <= high):
                 raise sysmodel.SchemaError(

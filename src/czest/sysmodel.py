@@ -20,6 +20,8 @@ its dynamics per step with ``StackedSystem.A(k)``; callers build each
 stack once and nothing is kept per step.
 """
 
+import numbers
+
 import numpy as np
 
 from .czono import Box
@@ -463,18 +465,27 @@ def system_from_dict(doc):
     agents = []
     for idx, ad in enumerate(agents_doc):
         path = f"agents[{idx}]"
-        aid = int(_need(ad, "id", path))
+        aid = _need(ad, "id", path)
+        if not isinstance(aid, numbers.Integral) or isinstance(aid, bool):
+            raise SchemaError(f"{path}.id: must be an integer, got {aid!r}")
         A_of_k, n = _dynamics_from_dict(_need(ad, "dynamics", path), f"{path}.dynamics")
         B = np.atleast_2d(_finite(ad, "B", path))
         C = _finite(ad, "C", path).reshape(-1, n)
         D = _finite(ad, "D", path).reshape(-1, n)
         W = box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise")
         V = box_from_dict(_need(ad, "measurement_noise", path), f"{path}.measurement_noise")
+        rel_doc = _need(ad, "relative_noise", path)
+        if not isinstance(rel_doc, dict):
+            raise SchemaError(f"{path}.relative_noise: must map in-neighbor ids to boxes, got {rel_doc!r}")
         rel = {}
-        for jkey, rd in _need(ad, "relative_noise", path).items():
+        for jkey, rd in rel_doc.items():
             if _is_meta(jkey):
                 continue
-            rel[int(jkey)] = box_from_dict(rd, f"{path}.relative_noise[{jkey}]")
+            try:
+                j = int(jkey)
+            except ValueError as e:
+                raise SchemaError(f"{path}.relative_noise: key {jkey!r} is not an agent id") from e
+            rel[j] = box_from_dict(rd, f"{path}.relative_noise[{jkey}]")
         try:
             agents.append(AgentModel(aid, A_of_k, B, C, D, W, V, rel))
         except ValueError as e:

@@ -15,7 +15,9 @@ Suites:
   * oracle: the centralized filter against an exhaustive lattice oracle
     on a two-agent scalar scenario.
   * ordering: centralized hull diameters never exceed the fixed-lag or
-    distributed ones on the five-vehicle scenario.
+    distributed ones on the five-vehicle scenario, and the centralized
+    hulls lie inside the distributed ones, and inside the fixed-lag ones
+    past its window.
   * backends: the centralized and fixed-lag hulls a trial logs (from the
     filters' trajectory LPs) agree on short horizons with those of the
     dense accumulated recursion (``_dense_predict``, ``_dense_update``),
@@ -468,31 +470,53 @@ def grid_oracle_check(resolution=0.05, steps=5, rng_seed=2026, trial=0):
 
 
 def ordering_check(trials=2, horizon=12, rng_seed=2026, tol=1e-9):
-    """Centralized hulls must be tightest on the five-vehicle scenario."""
+    """Centralized hulls must be tightest on the five-vehicle scenario.
+
+    ``ordering.diameters`` compares hull diameters: the centralized one
+    may exceed neither the fixed-lag nor the distributed one by more than
+    ``tol``.  ``ordering.inclusion`` compares the hulls coordinate by
+    coordinate: the centralized hull must lie inside the distributed one
+    at every step, and inside the fixed-lag one past ``delta_bar`` (inside
+    the window the two are the same LP), each endpoint to within
+    ``tol * max(1, |x|)`` of the outer endpoint x.
+    """
     doc = simharness.build_uav_scenario(horizon=horizon, seed=rng_seed)
     cfg = simharness.ScenarioConfig(doc)
     mc = simharness.run_monte_carlo(cfg, trials, metrics="full", workers=1)
-    failures = 0
-    detail = ""
-    cases = 0
+    diam = {"cases": 0, "failures": 0, "detail": ""}
+    incl = {"cases": 0, "failures": 0, "detail": ""}
+
+    def fail(tally, detail):
+        tally["failures"] += 1
+        tally["detail"] = tally["detail"] or detail
+
     for log in mc.logs:
         for s in log.steps:
+            algs = s["algs"]
+            outer = ["distributed"] + (["oit"] if s["k"] > cfg.delta_bar else [])
             for agent in map(str, cfg.system.agent_ids):
-                cases += 1
-                dc = s["algs"]["centralized"][agent]["d"]
-                do = s["algs"]["oit"][agent]["d"]
-                dd = s["algs"]["distributed"][agent]["d"]
+                where = f"trial {log.header['trial']} step {s['k']} agent {agent}"
+                diam["cases"] += 1
+                dc = algs["centralized"][agent]["d"]
+                do = algs["oit"][agent]["d"]
+                dd = algs["distributed"][agent]["d"]
                 if dc > do + tol or dc > dd + tol:
-                    failures += 1
-                    if not detail:
-                        detail = (
-                            f"trial {log.header['trial']} step {s['k']} agent {agent}: "
-                            f"centralized {dc} vs oit {do} / distributed {dd}"
-                        )
-    if mc.aborts:
-        failures += len(mc.aborts)
-        detail = detail or f"aborted trials: {mc.aborts}"
-    return [CheckResult("ordering.diameters", cases, failures, detail)]
+                    fail(diam, f"{where}: centralized {dc} vs oit {do} / distributed {dd}")
+                c_lo, c_hi = np.array(algs["centralized"][agent]["hull"])
+                for alg in outer:
+                    incl["cases"] += 1
+                    lo, hi = np.array(algs[alg][agent]["hull"])
+                    excess = np.concatenate([lo - c_lo, c_hi - hi])
+                    if np.any(excess > tol * np.maximum(1.0, np.abs(np.concatenate([lo, hi])))):
+                        fail(incl, f"{where}: centralized hull leaves {alg}'s by {excess.max():.2e}")
+    for tally in (diam, incl):
+        if mc.aborts:
+            tally["failures"] += len(mc.aborts)
+            tally["detail"] = tally["detail"] or f"aborted trials: {mc.aborts}"
+    return [
+        CheckResult(f"ordering.{name}", t["cases"], t["failures"], t["detail"])
+        for name, t in (("diameters", diam), ("inclusion", incl))
+    ]
 
 
 # -- backend agreement ---------------------------------------------------------

@@ -254,6 +254,15 @@ def _top(**keys):
     return lambda doc: doc.update(keys)
 
 
+def _sampled(**keys):
+    """Sampled initial mode with ``keys`` set."""
+    return _top(initial=dict({"mode": "sampled"}, **keys))
+
+
+def _first_agent(**keys):
+    return lambda doc: doc["agents"][0].update(keys)
+
+
 NAN, INF = float("nan"), float("inf")
 
 # (mutation, key the error names); each is applied to both built-ins
@@ -274,6 +283,12 @@ SCHEMA_MUTATIONS = {
     "omega-nan": (_dynamics(kind="coordinated-turn", omega=NAN, T=0.25), "agents[0].dynamics.omega"),
     "omega-zero": (_dynamics(kind="coordinated-turn", omega=0.0, T=0.25), "agents[0].dynamics.omega"),
     "T-inf": (_dynamics(kind="coordinated-turn", omega=1.0, T=INF), "agents[0].dynamics.T"),
+    "center_low-string": (_sampled(center_low="x"), "scenario.initial.center_low"),
+    "center_high-string": (_sampled(center_high="x"), "scenario.initial.center_high"),
+    "half_width-string": (_sampled(half_width="x"), "scenario.initial.half_width"),
+    "initial-list": (_top(initial=[]), "scenario.initial"),
+    "relative_noise-list": (_first_agent(relative_noise=[]), "agents[0].relative_noise"),
+    "id-string": (_first_agent(id="x"), "agents[0].id"),
 }
 
 

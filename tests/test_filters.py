@@ -1,5 +1,7 @@
 """Filter recursions: hand-checked updates, window behavior, refinement."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -13,6 +15,7 @@ from czest.filters import (
     OitFilter,
     WindowTooShortError,
 )
+from lp_rows import model_rows
 
 
 def interval(lo, hi):
@@ -31,12 +34,12 @@ def pair_ranges():
 
 def assert_same_lp(a, b):
     """Two LinearPrograms hold the same region: sizes, column bounds and
-    rows as the HiGHS models hold them."""
+    rows with their bounds as the HiGHS models hold them."""
     assert (a.n, a.m) == (b.n, b.m)
     assert np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-    (A, rhs), (B, rhs_b) = a.rows(), b.rows()
+    (A, lo_a, hi_a), (B, lo_b, hi_b) = model_rows(a), model_rows(b)
     assert np.array_equal(A.toarray(), B.toarray())
-    assert np.array_equal(rhs, rhs_b)
+    assert np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b)
 
 
 def pair_system():
@@ -159,12 +162,20 @@ class TestCentralized:
         assert any((lo + hi) / 2 - (hi - lo) / 2 != lo for lo, hi in w + v + r)
         system = sysmodel.system_from_dict(doc)
         flt = CentralizedFilter(system, Box([-2.0, -1.0], [2.0, 3.0]))
-        flt.step(1, batch_for(system, 1, [0.0, 1.0]))
+        batch = batch_for(system, 1, [0.0, 1.0])
+        flt.step(1, batch)
         region = flt._traj.program
-        # columns x_0, w, x_1, v; v rows in layout order y_1, y_2, z_12, z_21
-        for cols, boxes in ((slice(2, 4), w), (slice(6, 10), v + r)):
-            assert region.lo[cols].tolist() == [lo for lo, _ in boxes]
-            assert region.hi[cols].tolist() == [hi for _, hi in boxes]
+        # columns x_0, w, x_1: w in its declared box
+        assert (region.n, region.m) == (6, 6)
+        assert region.lo[2:4].tolist() == [lo for lo, _ in w]
+        assert region.hi[2:4].tolist() == [hi for _, hi in w]
+        # rows: dynamics, then the measurements in layout order y_1, y_2,
+        # z_12, z_21, ranged by the declared noise ends, one ulp outward
+        Y = sysmodel.stack_measurements(flt._stack, batch)
+        _, b_lo, b_hi = model_rows(region)
+        assert b_lo[:2].tolist() == b_hi[:2].tolist() == [0.0, 0.0]
+        assert b_lo[2:].tolist() == np.nextafter(Y - [hi for _, hi in v + r], -np.inf).tolist()
+        assert b_hi[2:].tolist() == np.nextafter(Y - [lo for lo, _ in v + r], np.inf).tolist()
 
     def test_inconsistent_measurement_empties(self):
         system = pair_system()
@@ -173,6 +184,27 @@ class TestCentralized:
         with pytest.raises((EmptyPosteriorError, lp.EmptySetError)):
             flt.step(1, batch)
             flt.hull()
+
+
+def test_measurement_bounds_round_outward():
+    # Y - v_hi and Y - v_lo rounded to nearest can land inside the exact
+    # range of H x; one ulp outward always holds it
+    rng = np.random.default_rng(8)
+    Y = rng.uniform(-10, 10, 2000)
+    v_lo, v_hi = -rng.uniform(0, 1, 2000), rng.uniform(0, 1, 2000)
+    Y[0], v_hi[0], v_lo[0] = 1.1, 0.2, -0.2  # fl(1.1 - 0.2) rounds up
+    lo, hi = filters._measurement_bounds(Y, Box(v_lo, v_hi))
+    exact_lo = [Fraction(y) - Fraction(v) for y, v in zip(Y, v_hi)]
+    exact_hi = [Fraction(y) - Fraction(v) for y, v in zip(Y, v_lo)]
+    assert Fraction(1.1 - 0.2) > exact_lo[0]
+    inside = sum(Fraction(a) > e for a, e in zip(Y - v_hi, exact_lo))
+    inside += sum(Fraction(b) < e for b, e in zip(Y - v_lo, exact_hi))
+    assert inside > 0
+    assert all(Fraction(a) <= e for a, e in zip(lo, exact_lo))
+    assert all(Fraction(b) >= e for b, e in zip(hi, exact_hi))
+    # exactly one ulp: one step inward is the rounded difference again
+    assert np.all(np.nextafter(lo, np.inf) == Y - v_hi)
+    assert np.all(np.nextafter(hi, -np.inf) == Y - v_lo)
 
 
 class TestOit:
@@ -522,17 +554,61 @@ class TestDistributed:
                 continue
             entries = {o: filters._step_entry(st, k, batch) for o, st in stacks.items()}
             for i in ids:
-                grown = flt._lps[i].program
                 fresh = filters._AgentLP(system, i, stacks, prev)
                 fresh.update(entries, prev)
-                assert (grown.n, grown.m) == (fresh.program.n, fresh.program.m)
-                assert np.array_equal(grown.lo, fresh.program.lo)
-                assert np.array_equal(grown.hi, fresh.program.hi)
+                # the changed entries of H A and of the coupling rows' A_i,
+                # written step after step, give the rows a fresh build has
+                assert_same_lp(flt._lps[i].program, fresh.program)
                 got, want = flt.hulls[i], fresh.hull()
                 for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
                     assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
         # the coordinated turn's A changes with k, so coefficients were rewritten
         assert sum(written) > 0
+
+    def test_every_agent_lp_column_is_bounded(self):
+        # x_prev in the last hulls and w in its box: the states are
+        # substituted out, so no agent LP has a free column
+        cfg = simharness.ScenarioConfig.from_doc(
+            simharness.build_uav_scenario(horizon=4), algorithms=["distributed"]
+        )
+        x0, steps = replay(cfg)
+        system = cfg.system
+        flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
+        for k, batch, _ in steps:
+            for m in flt._lps.values():
+                region = m.program
+                assert region.n > 0
+                assert np.all(np.isfinite(region.lo)) and np.all(np.isfinite(region.hi))
+            flt.step(k, batch)
+
+    def test_data_outside_an_inbox_leaves_its_hull_bit_identical(self):
+        # no uav5 agent measures agent 5 and 5 is no agent's peer, so y_5
+        # reaches agent 5's LP only: perturbed at one step, it moves agent
+        # 5's hull and leaves agents 1-4 bit-identical at every step
+        cfg = simharness.ScenarioConfig.from_doc(
+            simharness.build_uav_scenario(horizon=8), algorithms=["distributed"]
+        )
+        x0, steps = replay(cfg)
+        system = cfg.system
+        assert all(5 not in system.topology.nbar(i) for i in system.agent_ids if i != 5)
+        ranges = {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()}
+        plain, perturbed = DistributedFilter(system, ranges), DistributedFilter(system, ranges)
+        moved = 0
+        for k, batch, _ in steps:
+            plain.step(k, batch)
+            if k == 3:
+                y = dict(batch.y)
+                y[5] = y[5] + 1e-3
+                batch = sysmodel.MeasurementBatch(k, y, batch.z)
+            perturbed.step(k, batch)
+            for i in (1, 2, 3, 4):
+                a, b = plain.hulls[i], perturbed.hulls[i]
+                assert a.lo.tolist() == b.lo.tolist() and a.hi.tolist() == b.hi.tolist(), (k, i)
+            a, b = plain.hulls[5], perturbed.hulls[5]
+            moved += a.lo.tolist() != b.lo.tolist() or a.hi.tolist() != b.hi.tolist()
+            if k < 3:
+                assert moved == 0
+        assert moved > 0
 
     def test_run_trial_starts_from_the_declared_boxes(self, monkeypatch):
         # sampled uav5 initial boxes, compared bit for bit: a center/radius

@@ -21,6 +21,7 @@ from czest.lp import (
     LpResult,
     NumericalError,
 )
+from lp_rows import model_rows
 
 
 def _no_rows(lo, hi):
@@ -208,7 +209,7 @@ def test_grown_region_matches_fresh(fmt):
         A, b, lo, hi = _block_region(rng, m1, m2, n1, n2)
         grown = LinearProgram(fmt(A[:m1, :n1]), b[:m1], lo[:n1], hi[:n1])
         grown.solve(rng.standard_normal(n1))  # the extension starts from a basis
-        grown.extend(lo[n1:], hi[n1:], fmt(A[m1:]), b[m1:])
+        grown.extend(lo[n1:], hi[n1:], fmt(A[m1:]), b[m1:], b[m1:])
         fresh = LinearProgram(fmt(A), b, lo, hi)
         assert (grown.m, grown.n) == (fresh.m, fresh.n) == A.shape
         for _ in range(4):
@@ -226,7 +227,7 @@ def test_extension_that_empties_the_region(fmt):
     # x1 + x2 = 1 over [0, 1]^2; then x3 in [0, 2] with x1 + x3 = 4
     prog = LinearProgram(fmt(np.array([[1.0, 1.0]])), [1.0], [0, 0], [1, 1])
     assert prog.solve([1.0, 0.0]).status == OPTIMAL
-    prog.extend([0.0], [2.0], fmt(np.array([[1.0, 0.0, 1.0]])), [4.0])
+    prog.extend([0.0], [2.0], fmt(np.array([[1.0, 0.0, 1.0]])), [4.0], [4.0])
     fresh = LinearProgram(fmt(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])), [1.0, 4.0],
                           [0, 0, 0], [1, 1, 2])
     for c in ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
@@ -237,11 +238,11 @@ def test_extension_of_closed_form_programs():
     # no rows yet, then rows: the model is built at the extension
     prog = LinearProgram(np.zeros((0, 2)), [], [-1, -1], [1, 1])
     assert prog.solve([1.0, 1.0]).value == pytest.approx(-2.0)
-    prog.extend([], [], [[1.0, -1.0]], [0.5])
+    prog.extend([], [], [[1.0, -1.0]], [0.5], [0.5])
     assert prog.solve([1.0, 1.0]).value == pytest.approx(-1.5, abs=1e-9)
     # rows over no variables (0 = 1) stay infeasible once columns arrive
     empty = LinearProgram(np.zeros((1, 0)), [1.0], [], [])
-    empty.extend([0.0], [1.0], [[1.0]], [0.5])
+    empty.extend([0.0], [1.0], [[1.0]], [0.5], [0.5])
     assert empty.solve([1.0]).status == INFEASIBLE
 
 
@@ -311,7 +312,7 @@ def test_changed_region_matches_fresh(fmt):
         r, c = np.nonzero(A2 != A)
         changed.set_coefficients(r, c, A2[r, c])
         rows = np.flatnonzero(b2 != b)
-        changed.set_rhs(rows, b2[rows])
+        changed.set_row_bounds(rows, b2[rows], b2[rows])
         fresh = LinearProgram(fmt(A2), b2, lo, hi)
         degenerate += m == 0 or n == 0
         for _ in range(4):
@@ -331,15 +332,25 @@ def test_changes_are_validated():
         prog.set_coefficients([1], [0], [2.0])  # row out of range
     with pytest.raises(ValueError):
         prog.set_coefficients([0], [2], [2.0])  # column out of range
-    with pytest.raises(ValueError):
-        prog.set_rhs([0], [np.nan])
+    with pytest.raises(ValueError, match="NaN bound for some row"):
+        prog.set_row_bounds([0], [np.nan], [1.0])
+    with pytest.raises(ValueError, match="NaN bound for some row"):
+        prog.set_row_bounds([0], [0.0], [np.nan])
+    with pytest.raises(ValueError, match="lo > hi for some row"):
+        prog.set_row_bounds([0], [1.0], [0.5])
+    with pytest.raises(ValueError, match="row index"):
+        prog.set_row_bounds([1], [0.5], [0.5])
+    with pytest.raises(ValueError, match="lo > hi for some row"):
+        prog.extend([], [], [[1.0, -1.0]], [1.0], [0.0])
+    assert prog.row_edits == 0
+    assert model_rows(prog)[1].tolist() == model_rows(prog)[2].tolist() == [1.0]
     with pytest.raises(ValueError, match="NaN bound"):
         LinearProgram([[1.0, 1.0]], [1.0], [np.nan, 0], [1, 1])
     with pytest.raises(ValueError, match="NaN bound"):
-        prog.extend([0.0], [np.nan], [[1.0, 0.0, 1.0]], [0.0])
+        prog.extend([0.0], [np.nan], [[1.0, 0.0, 1.0]], [0.0], [0.0])
     assert (prog.m, prog.n) == (1, 2)
     prog.set_coefficients([0], [0], [0.0])  # x2 = 1 alone
-    prog.set_rhs([0], [0.5])
+    prog.set_row_bounds([0], [0.5], [0.5])
     res = prog.solve([1.0, -1.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-0.5, abs=1e-9)
@@ -352,7 +363,7 @@ def test_non_finite_coefficients_are_rejected(value):
         LinearProgram([[value, 1.0]], [0.0], [0.0, 0.0], [1.0, 1.0])
     prog = LinearProgram([[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="non-finite coefficient"):
-        prog.extend([0.0], [1.0], sparse.csr_matrix([[1.0, 0.0, value]]), [0.5])
+        prog.extend([0.0], [1.0], sparse.csr_matrix([[1.0, 0.0, value]]), [0.5], [0.5])
     with pytest.raises(ValueError, match="non-finite coefficient"):
         prog.set_coefficients([0], [1], [value])
     res = prog.solve([1.0, 0.0])
@@ -363,14 +374,16 @@ def test_non_finite_coefficients_are_rejected(value):
 
 def test_rows_read_back_from_the_model():
     prog = LinearProgram(np.zeros((0, 2)), [], [-1, -1], [1, 1])
-    A, b = prog.rows()
-    assert A.shape == (0, 2) and b.size == 0
-    prog.extend([0.0], [1.0], [[1.0, 0.0, 2.0]], [0.5])
+    A, b_lo, b_hi = model_rows(prog)
+    assert A.shape == (0, 2) and b_lo.size == b_hi.size == 0
+    prog.extend([0.0], [1.0], [[1.0, 0.0, 2.0]], [0.5], [0.5])
+    prog.extend([], [], [[0.0, 1.0, 1.0]], [-np.inf], [2.0])
     prog.set_coefficients([0], [1], [-3.0])
-    prog.set_rhs([0], [0.25])
-    A, b = prog.rows()
-    assert A.toarray().tolist() == [[1.0, -3.0, 2.0]]
-    assert b.tolist() == [0.25]
+    prog.set_row_bounds([0], [0.25], [0.75])
+    A, b_lo, b_hi = model_rows(prog)
+    assert A.toarray().tolist() == [[1.0, -3.0, 2.0], [0.0, 1.0, 1.0]]
+    assert b_lo.tolist() == [0.25, -np.inf] and b_hi.tolist() == [0.75, 2.0]
+    assert prog.row_edits == 2
 
 
 def test_last_x_is_the_last_optimizer():
@@ -378,7 +391,7 @@ def test_last_x_is_the_last_optimizer():
     assert prog.last_x is None
     res = prog.solve([1.0, 0.0])
     assert res.x is prog.last_x and prog.last_x.tolist() == pytest.approx([0.0, 1.0], abs=1e-9)
-    prog.set_rhs([0], [3.0])
+    prog.set_row_bounds([0], [3.0], [3.0])
     assert prog.solve([1.0, 0.0]).status == INFEASIBLE
     assert prog.last_x is None
 
@@ -429,7 +442,7 @@ def test_satisfied_by_reads_the_model():
     assert not prog.satisfied_by(x)
     assert prog.satisfied_by([0.75, 0.25, 0.125])
     prog.set_coefficients([1], [2], [-1.0])
-    prog.set_rhs([0], [1.5])
+    prog.set_row_bounds([0], [1.5], [1.5])
     assert not prog.satisfied_by(x)
     assert prog.satisfied_by([0.75, 0.75, 0.75])
     assert prog.solve([1.0, 0.0, 0.0]).value == pytest.approx(0.5, abs=1e-9)
@@ -437,8 +450,50 @@ def test_satisfied_by_reads_the_model():
     # rows without columns read 0 = b
     empty = LinearProgram(np.zeros((1, 0)), [0.5 * EPS_LP], [], [])
     assert empty.satisfied_by([])
-    empty.set_rhs([0], [1.0])
+    empty.set_row_bounds([0], [1.0], [1.0])
     assert not empty.satisfied_by([])
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+def test_satisfied_by_ranged_rows(side):
+    # 0.5 <= x1 + x2 <= 1.5 and x2 - x3 <= 0 (no lower bound) over
+    # [-3, 3] x [-1, 1]^2: inside the range, within EPS_LP past its ends,
+    # and beyond
+    prog = LinearProgram(np.zeros((0, 3)), [], [-3, -1, -1], [3, 1, 1])
+    prog.extend([], [], [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [0.5, -np.inf], [1.5, 0.0])
+    end = 1.5 if side > 0 else 0.5
+    assert prog.satisfied_by([1.0, 0.0, 0.0])
+    assert prog.satisfied_by([end, 0.0, 0.0])
+    assert prog.satisfied_by([end + side * 0.5 * EPS_LP, 0.0, 0.0])
+    assert not prog.satisfied_by([end + side * 2 * EPS_LP, 0.0, 0.0])
+    # the one-sided row: any x2 - x3 below 0, none above EPS_LP
+    assert prog.satisfied_by([2.0, -1.0, 1.0])
+    assert not prog.satisfied_by([1.0, 0.0, -2 * EPS_LP])
+    # a row changed in place is checked with its new range
+    prog.set_row_bounds([1], [-np.inf], [-1.0])
+    assert not prog.satisfied_by([1.0, 0.0, 0.0])
+    assert prog.satisfied_by([1.0, -0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "lo, hi, feasible",
+    [
+        (-1.0, 1.0, True),
+        (0.5 * EPS_LP, 1.0, True),
+        (2 * EPS_LP, 1.0, False),
+        (-1.0, -0.5 * EPS_LP, True),
+        (-1.0, -2 * EPS_LP, False),
+        (-np.inf, np.inf, True),
+        (1.0, np.inf, False),
+    ],
+    ids=["around-0", "lo-within-eps", "lo-beyond-eps", "hi-within-eps", "hi-beyond-eps", "free", "one-sided"],
+)
+def test_rows_without_columns_admit_zero(lo, hi, feasible):
+    # HiGHS reports a region without columns as "Empty"; its ranged rows
+    # read lo <= 0 <= hi, to within EPS_LP
+    region = LinearProgram(np.zeros((0, 0)), [], [], [])
+    region.extend([], [], np.zeros((2, 0)), [-1.0, lo], [1.0, hi])
+    assert region.solve([]).status == (OPTIMAL if feasible else INFEASIBLE)
 
 
 @pytest.mark.parametrize("col", [-1, 3], ids=["negative", "past-end"])
@@ -494,10 +549,10 @@ def test_simplex_follows_the_change():
     prog.solve(rng.standard_normal(5))
     assert _strategy(prog) == PRIMAL
     changes = [
-        lambda: prog.extend([-1.0], [1.0], np.append(rng.standard_normal(prog.n), 1.0)[None], [0.0]),
+        lambda: prog.extend([-1.0], [1.0], np.append(rng.standard_normal(prog.n), 1.0)[None], [0.0], [0.0]),
         lambda: prog.set_bounds([0], [-0.5], [0.5]),
         lambda: prog.set_coefficients([0], [1], [0.25]),
-        lambda: prog.set_rhs([1], [0.1]),
+        lambda: prog.set_row_bounds([1], [0.1], [0.1]),
     ]
     for change in changes:
         change()
@@ -579,11 +634,11 @@ class _Refusing:
 @pytest.mark.parametrize(
     "call, change",
     [
-        ("addCols", lambda p: p.extend([0.0], [1.0], np.zeros((0, 3)), [])),
-        ("addRows", lambda p: p.extend([], [], [[1.0, -1.0]], [0.0])),
+        ("addCols", lambda p: p.extend([0.0], [1.0], np.zeros((0, 3)), [], [])),
+        ("addRows", lambda p: p.extend([], [], [[1.0, -1.0]], [0.0], [0.0])),
         ("changeColsBounds", lambda p: p.set_bounds([0], [0.0], [0.5])),
         ("changeCoeff", lambda p: p.set_coefficients([0], [1], [2.0])),
-        ("changeRowBounds", lambda p: p.set_rhs([0], [0.5])),
+        ("changeRowBounds", lambda p: p.set_row_bounds([0], [0.5], [0.5])),
     ],
     ids=["addCols", "addRows", "changeColsBounds", "changeCoeff", "changeRowBounds"],
 )
@@ -642,14 +697,14 @@ def test_csr_rows_from_dense_maps_columns():
     prog = LinearProgram(rows, [1.0, 2.0], np.zeros(8), np.ones(8))
     want = np.zeros((2, 8))
     want[0, 1], want[1, 5], want[1, 7] = 2.0, 1.0, 3.0
-    assert np.array_equal(prog.rows()[0].toarray(), want)
+    assert np.array_equal(model_rows(prog)[0].toarray(), want)
 
 
 def test_sparse_input_is_read_through_tocsr():
     # any scipy.sparse format and dtype: duplicates summed, ints as floats
     A = sparse.coo_matrix(([1, 2, 3], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
     prog = LinearProgram(A, [3.0, 3.0], [0, 0], [5, 5])
-    assert prog.rows()[0].toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
+    assert model_rows(prog)[0].toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
     assert prog.solve([1.0, 1.0]).value == pytest.approx(2.0, abs=1e-9)
 
 

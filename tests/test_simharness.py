@@ -209,7 +209,7 @@ class TestBackends:
         sizes = [s["sizes"]["distributed"] for s in log.steps]
         assert all(s == sizes[0] for s in sizes[1:])
         # each agent's lifted LP: [columns, rows]
-        assert sizes[0] == {"1": [72, 40], "2": [132, 78], "3": [72, 40], "4": [84, 46], "5": [24, 12]}
+        assert sizes[0] == {"1": [36, 16], "2": [66, 34], "3": [36, 16], "4": [42, 18], "5": [12, 4]}
 
 
 class TestGrownTrajectory:
