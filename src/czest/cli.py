@@ -175,7 +175,7 @@ def _build_parser():
     p_ver = sub.add_parser("verify", help="run the built-in self-check suites")
     p_ver.add_argument(
         "--filter",
-        choices=("geometry", "stacking", "oracle", "ordering", "backends", "distributed", "all"),
+        choices=(*verify._SUITES, "all"),
         default="all",
         help="run a single suite",
     )

@@ -8,7 +8,8 @@ Three estimators:
   have passed it rebuilds the posterior from the last ``delta_bar + 1``
   measurement batches starting from an unbounded prior, so the
   representation size stops growing.  Needs ``delta_bar >= mu0 - 1``
-  where ``mu0`` is the system's observability index.
+  where ``mu0`` is the system's observability index, which it computes
+  (``sysmodel.observability_index``).
 * ``DistributedFilter``: each agent runs a local recursion over its
   neighborhood joint state, refines its own block with the joint
   posteriors received from peers, and finalizes with an interval hull so
@@ -32,7 +33,11 @@ noise box.  Each filter builds its stacks once, at construction.  Of
 these numbers only A (``StackedSystem.A(k)``) and Y change from one step
 to the next: B, H and the noise boxes are the stack's fixed parts, so a
 block moved to a later step is rewritten in place
-(``_TrajectoryLP.rewrite``).
+(``_TrajectoryLP.rewrite``).  Every in-place write of new numbers into a
+filter LP goes through one writer, ``_rewrite``: each block whose
+coefficients move is a slot, and it writes the entries that changed
+since the slot's last matrix in one call and the measurement row bounds
+in another.
 
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``), with each step's states substituted out: per owner, its
@@ -40,10 +45,14 @@ own neighborhood and every peer's, the previous states x_prev (bounded by
 the last hulls) and the process noises w, the owner's measurement rows
 over H A(k) x_prev + H B w, and the ``coupling_rows`` that make the
 peers' copies of the agent's state equal to its own.  Every column is
-bounded.  Its structure is fixed, so a step only writes the new numbers
-in place (hull bounds, changed dynamics coefficients, measurement row
-bounds) and solves the 2n bounds of the agent's state from the last
-basis.  The posterior is the hull (``hulls``).
+bounded.  Each step, every owner o's numbers are computed once, as a
+message (``_message``): A(k) and H A(k) of N̄_o, the measurement row
+bounds and the bounds of N̄_o's last hulls.  Each agent LP receives the
+messages of its owners and nothing else, so what it can read is local by
+construction.  Its structure is fixed, so a step only writes the
+messages' numbers in place (``_rewrite``, then the hull bounds) and
+solves the 2n bounds of the agent's state from the last basis.  The
+posterior is the hull (``hulls``).
 
 The centralized and fixed-lag posteriors are held as one sparse
 "trajectory" LP over the window's states and process noises
@@ -179,6 +188,30 @@ def _append(region, prev_cols, lo, hi, D, b_lo, b_hi):
     region.extend(lo, hi, lp.CsrRows.from_dense(D, cols, region.n + lo.size), b_lo, b_hi)
 
 
+def _rewrite(region, slots, mats, rows, lo, hi):
+    """Write a step's numbers into ``region`` in place.
+
+    Each slot [first row, columns, sign, M] is a block of coefficients
+    sign * M whose row r and column j sit at ``first row + r`` and
+    ``columns[j]``; ``mats`` holds each slot's new M.  The entries that
+    differ from the slot's last M go in one ``set_coefficients`` call,
+    made even when none differ (it marks the region changed, which picks
+    the next solve's simplex), and the bounds [lo, hi] of ``rows`` in one
+    ``set_row_bounds`` call.  Each slot keeps its new M.
+    """
+    rr_all, cc_all, vals = [], [], []
+    for slot, M in zip(slots, mats, strict=True):
+        row, cols, sign, old = slot
+        rr, cc = np.nonzero(M != old)
+        rr_all.append(row + rr)
+        cc_all.append(cols[cc])
+        vals.append(sign * M[rr, cc])
+        slot[3] = M
+    if slots:
+        region.set_coefficients(np.concatenate(rr_all), np.concatenate(cc_all), np.concatenate(vals))
+    region.set_row_bounds(rows, lo, hi)
+
+
 class _TrajectoryLP:
     """Sparse LP over the (x_{t0}, w, x) of ``stack`` in one window.
 
@@ -191,7 +224,7 @@ class _TrajectoryLP:
     from the last basis, across steps too.  ``rewrite`` moves a window to
     the next step in place: its columns, rows, bounds and every
     coefficient but A stay, so it writes A and the measurement row bounds
-    only.
+    only (``_rewrite``).
     """
 
     def __init__(self, stack, x0_box=None, t0_Y=None):
@@ -203,9 +236,11 @@ class _TrajectoryLP:
         else:
             lo, hi = x0_box.lo, x0_box.hi
         self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
-        self._blocks = []  # (first dynamics row, first x_{k-1} column, A) per extend
+        self._slots = []  # [first dynamics row, x_{k-1} columns, -1, A] per extend
+        self._meas = []  # the measurement rows of t0_Y, then of each extend
         if t0_Y is not None:
             # the initial state's measurement rows, the LP's first rows
+            self._meas.append(np.arange(stack.H.shape[0]))
             _append(self.program, np.arange(n), np.zeros(0), np.zeros(0), stack.H,
                     *_measurement_bounds(t0_Y, stack.Vset))
 
@@ -215,36 +250,18 @@ class _TrajectoryLP:
         region = self.program
         prev = np.arange(self.x_final, self.x_final + self.n)
         x_at = region.n + self.stack.B.shape[1]
-        self._blocks.append((region.m, self.x_final, A))
+        self._slots.append([region.m, prev, -1.0, A])
+        self._meas.append(np.arange(region.m + self.n, region.m + self.n + Y.size))
         _append(region, prev, *_step_block(self.stack, A, Y))
         self.x_final = x_at
 
     def rewrite(self, t0_Y, entries):
         """Write the window of ``t0_Y`` followed by ``entries`` ((A, Y) per
-        ``extend``) over the current one, in place: of each block, the
-        entries of -A that differ from its last A, in one call, and the
-        measurement row bounds of the initial state and of every block, in
-        another."""
-        vbox = self.stack.Vset
-        rows, cols, vals, blocks = [], [], [], []
-        meas, bounds = [np.arange(t0_Y.size)], [_measurement_bounds(t0_Y, vbox)]
-        for (row, col, A_old), (A, Y) in zip(self._blocks, entries, strict=True):
-            rr, cc = np.nonzero(A != A_old)
-            rows.append(row + rr)
-            cols.append(col + cc)
-            vals.append(-A[rr, cc])
-            meas.append(np.arange(row + A.shape[0], row + A.shape[0] + Y.size))
-            bounds.append(_measurement_bounds(Y, vbox))
-            blocks.append((row, col, A))
-        region = self.program
-        if blocks:
-            region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-        region.set_row_bounds(
-            np.concatenate(meas),
-            np.concatenate([lo for lo, _ in bounds]),
-            np.concatenate([hi for _, hi in bounds]),
-        )
-        self._blocks = blocks
+        ``extend``) over the current one, in place (``_rewrite``)."""
+        Ys = np.stack([t0_Y] + [Y for _, Y in entries])  # one block's measurements per row
+        lo, hi = _measurement_bounds(Ys, self.stack.Vset)
+        mats = [A for A, _ in entries]
+        _rewrite(self.program, self._slots, mats, np.concatenate(self._meas), lo.ravel(), hi.ravel())
 
     def hull(self):
         """Interval hull of the final state."""
@@ -378,10 +395,9 @@ class OitFilter(_LiftedFilter):
     warm-start from the last basis.
     """
 
-    def __init__(self, system, initial, delta_bar, mu0=None):
+    def __init__(self, system, initial, delta_bar):
         super().__init__(system, initial)
-        if mu0 is None:
-            mu0 = sysmodel.observability_index(system)
+        mu0 = sysmodel.observability_index(system)
         if delta_bar < mu0 - 1:
             raise WindowTooShortError(
                 f"delta_bar={delta_bar} below observability requirement {mu0 - 1}"
@@ -406,12 +422,21 @@ class OitFilter(_LiftedFilter):
             self._traj.rewrite(Y0, rest)
 
 
+def _message(stack, A, Y, hulls):
+    """Owner o's numbers of one step over its neighborhood stack (N̄_o):
+    (A, H A, the measurement row bounds (lo, hi) of Y, the bounds (lo, hi)
+    of N̄_o's last ``hulls``)."""
+    order = stack.state_order
+    x_bounds = np.concatenate([hulls[l].lo for l in order]), np.concatenate([hulls[l].hi for l in order])
+    return A, stack.H @ A, _measurement_bounds(Y, stack.Vset), x_bounds
+
+
 class _AgentLP:
     """Agent i's lifted refinement: one LinearProgram for the whole trial.
 
-    It holds the joint of agent i and the joint of every peer l in
-    ``topology.peers(i)``, with each step's states substituted out.  Each
-    of these owners o appends, in turn, the columns x_prev (bounded by the
+    It holds the joint of each of its ``owners``: agent i and every peer
+    l in ``topology.peers(i)``, with each step's states substituted out.
+    Each owner o appends, in turn, the columns x_prev (bounded by the
     last hulls of N̄_o) and w (in the W box of o's neighborhood stack),
     and o's measurement rows, in which the state x = A x_prev + B w of
     step k enters through its parts:
@@ -422,85 +447,62 @@ class _AgentLP:
     x_i to agent i's own, as [A_i(k) B_i] on agent i's (x_prev, w) columns
     of each.  Every column is bounded.  The refined set of one distributed
     step is the image of the feasible set under [A_i(k) B_i] on agent i's
-    own columns, whose rows ``hull`` bounds.  Only numbers change from
-    step to step: ``update`` writes them in place, so each step's solves
-    start from the last basis.
+    own columns, whose rows ``hull`` bounds.
+
+    The LP reads no data but its owners' messages (``_message``), in
+    ``owners`` order: it is built from the ones of step 1's dynamics, zero
+    measurements and the initial sets, and ``update`` writes each later
+    step's in place, so each step's solves start from the last basis.
     """
 
-    def __init__(self, system, i, stacks, hulls):
-        """Build the model with step 1's dynamics and zero measurements:
-        ``stacks`` maps each owner o to its neighborhood stack over N̄_o,
-        and ``hulls`` each agent to its initial set."""
-        topo, agents = system.topology, system.agents
-        self._i, n, p = i, agents[i].n, agents[i].p
-        self._nbar = {o: topo.nbar(o) for o in [i] + topo.peers(i)}
-        self._stacks = {o: stacks[o] for o in self._nbar}
-        self._blocks = []  # (first measurement row, first x_prev column, H A) per owner, in _nbar order
+    def __init__(self, system, i, stacks, messages):
+        """Build the model from ``messages``; ``stacks`` maps each owner o
+        to its neighborhood stack over N̄_o."""
+        agents = system.agents
+        self.owners = [i] + system.topology.peers(i)
+        n, p = agents[i].n, agents[i].p
         region = lp.LinearProgram(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
+        self._slots = []  # [first row, columns, sign, M] per moving block (_rewrite)
         own = {}  # owner -> agent i's x_prev and w columns in its block
-        for o, order in self._nbar.items():
+        for o, (_, HA, y_bounds, x_bounds) in zip(self.owners, messages, strict=True):
             st = stacks[o]
-            col, HA = region.n, st.H @ st.A(0)
-            self._blocks.append((region.m, col, HA))
+            col = region.n
+            self._slots.append([region.m, np.arange(col, col + HA.shape[1]), 1.0, HA])
             _append(
                 region,
                 np.zeros(0, dtype=int),
-                np.concatenate([hulls[l].lo for l in order] + [st.Wset.lo]),
-                np.concatenate([hulls[l].hi for l in order] + [st.Wset.hi]),
+                np.concatenate([x_bounds[0], st.Wset.lo]),
+                np.concatenate([x_bounds[1], st.Wset.hi]),
                 np.hstack([HA, st.H @ st.B]),
-                *_measurement_bounds(np.zeros(st.H.shape[0]), st.Vset),
+                *y_bounds,
             )
-            before = order[: order.index(i)]
+            before = st.state_order[: st.state_order.index(i)]
             x_at = col + sum(agents[l].n for l in before)
             w_at = col + st.B.shape[0] + sum(agents[l].p for l in before)
             own[o] = np.concatenate([np.arange(x_at, x_at + n), np.arange(w_at, w_at + p)])
+        self._meas = np.concatenate([np.arange(row, row + M.shape[0]) for row, _, _, M in self._slots])
+        self._prev_cols = np.concatenate([cols for _, cols, _, _ in self._slots])
         self._own = own[i]
-        self._A_i, self._B_i = stacks[i].A(0)[:n, :n], agents[i].B  # i leads N̄_i
-        self._coupling = []  # (first row, the peer's copy of agent i's x_prev columns) per peer
-        for l in topo.peers(i):
-            self._coupling.append((region.m, own[l][:n]))
+        self._A_i, self._B_i = messages[0][0][:n, :n], agents[i].B  # i leads N̄_i
+        for l in self.owners[1:]:
+            self._slots += [
+                [region.m, self._own[:n], 1.0, self._A_i],
+                [region.m, own[l][:n], -_COUPLING_SIGN, self._A_i],
+            ]
             rows = coupling_rows(region.n, self._own, own[l], np.hstack([self._A_i, self._B_i]))
             region.extend([], [], rows, np.zeros(n), np.zeros(n))
         self.program = region
-        self._prev_cols = np.concatenate(
-            [np.arange(col, col + HA.shape[1]) for _, col, HA in self._blocks]
-        )
-        self._prev_agents = [l for order in self._nbar.values() for l in order]  # of _prev_cols
 
-    def update(self, entries, hulls):
-        """Write the next step's numbers in place from ``entries`` and
-        ``hulls``: the entries of H A and of the coupling rows' A_i that
-        changed, in one call; every measurement row's bounds, in another;
-        and the x_prev bounds, in a third."""
-        rows, cols, vals, blocks, meas, b_lo, b_hi = [], [], [], [], [], [], []
-        for (row, col, HA_old), (o, st) in zip(self._blocks, self._stacks.items()):
-            A, Y = entries[o]
-            HA = st.H @ A
-            rr, cc = np.nonzero(HA != HA_old)
-            rows.append(row + rr)
-            cols.append(col + cc)
-            vals.append(HA[rr, cc])
-            blocks.append((row, col, HA))
-            meas.append(np.arange(row, row + Y.size))
-            lo, hi = _measurement_bounds(Y, st.Vset)
-            b_lo.append(lo)
-            b_hi.append(hi)
-        n = self._A_i.shape[0]
-        A_i = entries[self._i][0][:n, :n]  # i leads N̄_i
-        rr, cc = np.nonzero(A_i != self._A_i)
-        for row, peer_x in self._coupling:
-            rows += [row + rr, row + rr]
-            cols += [self._own[cc], peer_x[cc]]
-            vals += [A_i[rr, cc], -_COUPLING_SIGN * A_i[rr, cc]]
-        self._blocks, self._A_i = blocks, A_i
-        region = self.program
-        region.set_coefficients(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-        region.set_row_bounds(np.concatenate(meas), np.concatenate(b_lo), np.concatenate(b_hi))
-        region.set_bounds(
-            self._prev_cols,
-            np.concatenate([hulls[l].lo for l in self._prev_agents]),
-            np.concatenate([hulls[l].hi for l in self._prev_agents]),
-        )
+    def update(self, messages):
+        """Write the owners' ``messages`` of the next step in place: H A of
+        every owner, A_i in the coupling rows and every measurement row's
+        bounds (``_rewrite``), then the x_prev bounds."""
+        A, HA, y_bounds, x_bounds = zip(*messages)
+        n = self._B_i.shape[0]
+        self._A_i = A[0][:n, :n]  # i leads N̄_i
+        mats = list(HA) + [self._A_i] * (len(self._slots) - len(HA))
+        _rewrite(self.program, self._slots, mats, self._meas, *map(np.concatenate, zip(*y_bounds)))
+        self.program.set_bounds(self._prev_cols, *map(np.concatenate, zip(*x_bounds)))
 
     def hull(self):
         """Interval hull of agent i's refined own state."""
@@ -514,8 +516,10 @@ class DistributedFilter:
 
     Each agent's posterior is the interval hull of its refined own state
     (``hulls``), solved on the agent's persistent lifted LP (``_AgentLP``).
-    The models are built at construction and changed in place by every
-    step.
+    A step computes each owner's message (``_message``) once, from its
+    neighborhood stack, the step's measurements and the last hulls, and
+    hands each agent LP the messages of its owners only.  The models are
+    built at construction and changed in place by every step.
     """
 
     def __init__(self, system, initial_ranges):
@@ -533,15 +537,19 @@ class DistributedFilter:
         self.hulls = {i: initial_ranges[i] for i in ids}
         self.k = 0
         self._stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
-        self._lps = {i: _AgentLP(system, i, self._stacks, self.hulls) for i in ids}
+        sent = {o: _message(st, st.A(0), np.zeros(st.H.shape[0]), self.hulls)
+                for o, st in self._stacks.items()}
+        self._lps = {i: _AgentLP(system, i, self._stacks, [sent[o] for o in [i] + system.topology.peers(i)])
+                     for i in ids}
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        entries = {o: _step_entry(st, k, batch) for o, st in self._stacks.items()}
+        sent = {o: _message(st, *_step_entry(st, k, batch), self.hulls)
+                for o, st in self._stacks.items()}
         for m in self._lps.values():
-            m.update(entries, self.hulls)
+            m.update([sent[o] for o in m.owners])
         hulls = {}
         for i in self.system.agent_ids:
             try:

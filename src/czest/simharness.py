@@ -403,7 +403,7 @@ def run_trial(cfg, trial_index=0, metrics="full"):
         if "centralized" in cfg.algorithms:
             flt["centralized"] = filters.CentralizedFilter(system, x0_box)
         if "oit" in cfg.algorithms:
-            flt["oit"] = filters.OitFilter(system, x0_box, cfg.delta_bar, mu0=cfg.mu0)
+            flt["oit"] = filters.OitFilter(system, x0_box, cfg.delta_bar)
         if "distributed" in cfg.algorithms:
             flt["distributed"] = filters.DistributedFilter(system, init_boxes)
     except lp.NumericalError:

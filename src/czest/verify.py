@@ -63,6 +63,15 @@ class CheckResult:
         return f"{self.name}: {state} ({self.cases} cases, {self.failures} failures){msg}"
 
 
+def _trial_result(name, log, cases, failures, detail):
+    """The CheckResult of a suite that replays one trial ``log``: an
+    aborted trial, cut short, counts as one more failing case."""
+    if log.aborted:
+        cases, failures = cases + 1, failures + 1
+        detail = detail or f"trial aborted: {log.aborted}"
+    return CheckResult(name, cases, failures, detail)
+
+
 # -- random CZ construction with witnesses -----------------------------------
 
 
@@ -312,13 +321,12 @@ def lifted_refinement(own_joint, own_dims, received):
             1-based position of this agent in N̄_l.
 
     Each joint Z is a block of columns xi in [-h, h] and x (free) with the
-    rows A xi = b and x - G xi = c; one block of ``filters.coupling_rows``
-    per received joint ties its copy of this agent's state to the own
-    block.  Returns (LinearProgram, columns of the own state): the
+    rows A xi = b and x - G xi = c, all joints' blocks loaded at once,
+    block-diagonal; then one block of ``filters.coupling_rows`` per
+    received joint, appended in turn, ties its copy of this agent's state
+    to the own block.  Returns (LinearProgram, columns of the own state): the
     feasible set projected on those columns is the refined set.
     """
-    from scipy import sparse
-
     n = own_dims[0]
     joints = [own_joint] + [Z for Z, _, _ in received]
     x_at = []  # first x column per joint
@@ -335,18 +343,16 @@ def lifted_refinement(own_joint, own_dims, received):
         hi += [Z.h, np.full(Z.dim, np.inf)]
         rhs += [Z.b, Z.c]
         ncol += ng + Z.dim
+    region = lp.LinearProgram(
+        czono._blockdiag(*blocks), np.concatenate(rhs), np.concatenate(lo), np.concatenate(hi)
+    )
     own = np.arange(x_at[0], x_at[0] + n)
-    coupling = []
-    for (Zl, alpha, dims_l), x_l in zip(received, x_at[1:]):
+    for (_, alpha, dims_l), x_l in zip(received, x_at[1:]):
         if dims_l[alpha - 1] != n:
             raise ValueError("received joint stores this agent with a different dim")
         start = x_l + int(np.sum(dims_l[: alpha - 1]))
         rows = filters.coupling_rows(ncol, own, np.arange(start, start + n))
-        coupling.append(sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape))
-    A = sparse.vstack([sparse.block_diag(blocks, format="csr")] + coupling, format="csr")
-    region = lp.LinearProgram(
-        A, np.concatenate(rhs + [np.zeros(n * len(coupling))]), np.concatenate(lo), np.concatenate(hi)
-    )
+        region.extend([], [], rows, np.zeros(n), np.zeros(n))
     return region, own
 
 
@@ -403,7 +409,7 @@ def grid_oracle_check(resolution=0.05, steps=5, rng_seed=2026, trial=0):
     from scipy.ndimage import maximum_filter1d
 
     doc = simharness.build_pair1d_scenario(horizon=steps, seed=rng_seed)
-    doc["noise_grid"] = resolution
+    doc.update(noise_grid=resolution, algorithms=["centralized"])
     cfg = simharness.ScenarioConfig(doc)
     log = simharness.run_trial(cfg, trial, metrics="full")
 
@@ -460,10 +466,9 @@ def grid_oracle_check(resolution=0.05, steps=5, rng_seed=2026, trial=0):
             failures += 1
             if not detail:
                 detail = f"step {k}: deviation {dev:.6f} > {resolution + 1e-6}"
-    res = CheckResult(
-        "oracle.grid", len(log.steps), failures, detail or f"max dev {worst:.4f}"
-    )
-    return [res]
+    if not detail and not log.aborted:
+        detail = f"max dev {worst:.4f}"
+    return [_trial_result("oracle.grid", log, len(log.steps), failures, detail)]
 
 
 # -- conservativeness ordering -------------------------------------------------
@@ -580,7 +585,9 @@ def backend_check(horizon=6, rng_seed=2026, tol=1e-6):
     """Logged trajectory-LP hulls vs dense accumulated-form hulls on short horizons."""
     results = []
     for name, builder in (("uav5", simharness.build_uav_scenario), ("pair1d", simharness.build_pair1d_scenario)):
-        cfg = simharness.ScenarioConfig(builder(horizon=horizon, seed=rng_seed))
+        cfg = simharness.ScenarioConfig.from_doc(
+            builder(horizon=horizon, seed=rng_seed), algorithms=["centralized", "oit"]
+        )
         log = simharness.run_trial(cfg, 0, metrics="full")
         devs = _replay_hull_deviations(cfg, log)
         bad = [d for d in devs if d[3] > tol]
@@ -588,7 +595,7 @@ def backend_check(horizon=6, rng_seed=2026, tol=1e-6):
         if bad:
             k, alg, agent, dev = bad[0]
             detail = f"{alg} agent {agent} step {k}: max dev {dev:.2e}"
-        results.append(CheckResult(f"backends.{name}", len(devs), len(bad), detail))
+        results.append(_trial_result(f"backends.{name}", log, len(devs), len(bad), detail))
     return results
 
 
@@ -655,15 +662,11 @@ def distributed_check(horizon=6, rng_seed=2026, tol=1e-6):
         log = simharness.run_trial(cfg, 0, metrics="full")
         devs = _replay_distributed_deviations(cfg, log)
         bad = [d for d in devs if d[2] > tol]
-        cases, failures, detail = len(devs), len(bad), ""
+        detail = ""
         if bad:
             k, agent, dev = bad[0]
             detail = f"agent {agent} step {k}: max dev {dev:.2e}"
-        if log.aborted:
-            cases += 1
-            failures += 1
-            detail = detail or f"trial aborted: {log.aborted}"
-        results.append(CheckResult(f"distributed.{name}", cases, failures, detail))
+        results.append(_trial_result(f"distributed.{name}", log, len(devs), len(bad), detail))
     return results
 
 

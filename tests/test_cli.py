@@ -205,6 +205,28 @@ class TestVerify:
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "suite, names", [("backends", ["backends.uav5", "backends.pair1d"]), ("oracle", ["oracle.grid"])]
+    )
+    def test_aborted_trial_fails_the_suite(self, monkeypatch, capsys, suite, names):
+        # a solver failure at k = 2 cuts the replayed trial short: the
+        # steps before it still agree, but the suite must not pass on them
+        from czest import filters, lp
+
+        step = filters.CentralizedFilter.step
+
+        def failing(self, k, batch):
+            if k == 2:
+                raise lp.NumericalError("injected")
+            step(self, k, batch)
+
+        monkeypatch.setattr(filters.CentralizedFilter, "step", failing)
+        assert main(["verify", "--filter", suite]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        for name in names:
+            (line,) = [ln for ln in lines if ln.startswith(name + " ")]
+            assert "FAIL" in line and "trial aborted" in line and "numerical error" in line
+
     def test_fault_flag_does_not_leak(self):
         from czest import filters
 

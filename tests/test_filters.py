@@ -102,7 +102,7 @@ class TestInputCheck:
         "make",
         [
             CentralizedFilter,
-            lambda system, Z: OitFilter(system, Z, delta_bar=2, mu0=1),
+            lambda system, Z: OitFilter(system, Z, delta_bar=2),
             lambda system, Z: DistributedFilter(system, split_per_agent(system, Z)),
         ],
         ids=["centralized", "oit", "distributed"],
@@ -211,13 +211,13 @@ class TestOit:
     def test_window_too_short_rejected(self):
         system = pair_system()
         with pytest.raises(WindowTooShortError):
-            OitFilter(system, pair_x0(), delta_bar=-1, mu0=1)
+            OitFilter(system, pair_x0(), delta_bar=-1)
 
     def test_matches_centralized_inside_window(self):
         system = pair_system()
         x0 = pair_x0()
         cent = CentralizedFilter(system, x0)
-        oit = OitFilter(system, x0, delta_bar=10, mu0=1)
+        oit = OitFilter(system, x0, delta_bar=10)
         rng = np.random.default_rng(1)
         x = np.array([0.0, 1.0])
         for k in range(1, 6):
@@ -231,7 +231,7 @@ class TestOit:
 
     def test_bounded_representation_past_window(self):
         system = pair_system()
-        oit = OitFilter(system, pair_x0(), delta_bar=2, mu0=1)
+        oit = OitFilter(system, pair_x0(), delta_bar=2)
         rng = np.random.default_rng(2)
         sizes = []
         x = np.array([0.0, 1.0])
@@ -272,7 +272,7 @@ class TestOit:
 
         monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
         monkeypatch.setattr(lp.LinearProgram, "set_coefficients", recording)
-        flt = OitFilter(system, x0_box, db, mu0=cfg.mu0)
+        flt = OitFilter(system, x0_box, db)
         # the grown LP and the window are both built with the filter
         assert len(built) == 2
         stack = sysmodel.build_centralized(system)
@@ -307,7 +307,7 @@ class TestOit:
         system = pair_system()
         x0 = pair_x0()
         cent = CentralizedFilter(system, x0)
-        oit = OitFilter(system, x0, delta_bar=2, mu0=1)
+        oit = OitFilter(system, x0, delta_bar=2)
         rng = np.random.default_rng(3)
         x = np.array([0.0, 1.0])
         for k in range(1, 10):
@@ -360,7 +360,7 @@ class TestWitness:
         cfg = simharness.ScenarioConfig(dict(doc, algorithms=["centralized", "oit"]))
         x0, steps = replay(cfg, trial)
         assert len(steps) == cfg.K if nominal else len(steps) > 0
-        flts = [CentralizedFilter(cfg.system, x0), OitFilter(cfg.system, x0, cfg.delta_bar, mu0=cfg.mu0)]
+        flts = [CentralizedFilter(cfg.system, x0), OitFilter(cfg.system, x0, cfg.delta_bar)]
         witnessed = falses = 0
         for k, batch, truth in steps:
             for flt in flts:
@@ -401,8 +401,8 @@ class TestWitness:
         for k, batch, truth in steps:
             flt.step(k, batch)
             if k == 5:
-                row, col, A = flt._traj._blocks[0 if where == "first-block" else -1]
-                flt._traj.program.set_coefficients([row], [col], [-A[0, 0] + 1e-6])
+                row, cols, sign, A = flt._traj._slots[0 if where == "first-block" else -1]
+                flt._traj.program.set_coefficients([row], [cols[0]], [sign * A[0, 0] + 1e-6])
             checks.clear()
             probes.clear()
             got = flt.contains(truth)
@@ -552,10 +552,13 @@ class TestDistributed:
             flt.step(k, batch)
             if k < 2:
                 continue
-            entries = {o: filters._step_entry(st, k, batch) for o, st in stacks.items()}
             for i in ids:
-                fresh = filters._AgentLP(system, i, stacks, prev)
-                fresh.update(entries, prev)
+                owners = [i] + system.topology.peers(i)
+                first = [filters._message(stacks[o], stacks[o].A(0), np.zeros(stacks[o].H.shape[0]), prev)
+                         for o in owners]
+                fresh = filters._AgentLP(system, i, stacks, first)
+                fresh.update([filters._message(stacks[o], *filters._step_entry(stacks[o], k, batch), prev)
+                              for o in owners])
                 # the changed entries of H A and of the coupling rows' A_i,
                 # written step after step, give the rows a fresh build has
                 assert_same_lp(flt._lps[i].program, fresh.program)
@@ -564,6 +567,42 @@ class TestDistributed:
                     assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
         # the coordinated turn's A changes with k, so coefficients were rewritten
         assert sum(written) > 0
+
+    def test_each_owner_message_is_built_once_and_sent_to_its_holders(self, monkeypatch):
+        # uav5: every step builds one message per owner, and each agent
+        # LP's update receives exactly the messages of [i] + peers(i), in
+        # that order
+        built, received = [], []
+        message, update = filters._message, filters._AgentLP.update
+
+        def building(stack, A, Y, hulls):
+            built.append((stack.state_order[0], message(stack, A, Y, hulls)))
+            return built[-1][1]
+
+        def receiving(self, messages):
+            received.append((self.owners[0], messages))
+            update(self, messages)
+
+        monkeypatch.setattr(filters, "_message", building)
+        monkeypatch.setattr(filters._AgentLP, "update", receiving)
+        cfg = simharness.ScenarioConfig.from_doc(
+            simharness.build_uav_scenario(horizon=4), algorithms=["distributed"]
+        )
+        x0, steps = replay(cfg)
+        system = cfg.system
+        ids = system.agent_ids
+        flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
+        for k, batch, _ in steps:
+            built.clear()
+            received.clear()
+            flt.step(k, batch)
+            assert [o for o, _ in built] == ids
+            sent = dict(built)
+            assert [i for i, _ in received] == ids
+            for i, messages in received:
+                owners = [i] + system.topology.peers(i)
+                assert len(messages) == len(owners)
+                assert all(m is sent[o] for m, o in zip(messages, owners))
 
     def test_every_agent_lp_column_is_bounded(self):
         # x_prev in the last hulls and w in its box: the states are
