@@ -37,14 +37,6 @@ def _load_scenario(arg):
         )
 
 
-def _plot_coords(cfg, agent):
-    coords = cfg.doc.get("plot_coords")
-    if coords is not None:
-        return tuple(int(c) for c in coords)
-    n = cfg.system.agents[agent].n
-    return (0, 1) if n >= 2 else (0,)
-
-
 def _emit_svg(cfg, logs, plot_dir):
     """Plot the first trial with step records into ``plot_dir``, saying
     so when that is not trial 0; a run whose every trial aborted before
@@ -59,7 +51,7 @@ def _emit_svg(cfg, logs, plot_dir):
     written = []
     for i in cfg.system.agent_ids:
         traj = os.path.join(plot_dir, f"trajectory_agent{i}.svg")
-        svgplot.plot_trajectory(log, i, traj, coords=_plot_coords(cfg, i))
+        svgplot.plot_trajectory(log, i, traj, coords=cfg.plot_coords)
         curve = os.path.join(plot_dir, f"diameter_agent{i}.svg")
         svgplot.plot_metric(log, i, curve)
         written += [traj, curve]

@@ -25,14 +25,14 @@ ulp outward (``_measurement_bounds``), since HiGHS keeps a bounded slack
 for every row anyway.
 
 The centralized and fixed-lag filters build their LPs from step blocks
-(``_step_block``), each appended to the ``lp.LinearProgram`` by
-``_append``: the dynamics rows x_k = A x_{k-1} + B w encode the
-prediction, the measurement rows the update, over the columns x_{k-1},
-w and x_k of one stacked system (``sysmodel``), with w in the stack's
-noise box.  Each filter builds its stacks once, at construction.  Of
-these numbers only A (``StackedSystem.A(k)``) and Y change from one step
-to the next: B, H and the noise boxes are the stack's fixed parts, so a
-block moved to a later step is rewritten in place
+(``_step_block``), each appended to the ``lp.LinearProgram`` on its own
+columns (``extend``'s ``cols``): the dynamics rows x_k = A x_{k-1} + B w
+encode the prediction, the measurement rows the update, over the columns
+x_{k-1}, w and x_k of one stacked system (``sysmodel``), with w in the
+stack's noise box.  Each filter builds its stacks once, at construction.
+Of these numbers only A (``StackedSystem.A(k)``) and Y change from one
+step to the next: B, H and the noise boxes are the stack's fixed parts,
+so a block moved to a later step is rewritten in place
 (``_TrajectoryLP.rewrite``).  Every in-place write of new numbers into a
 filter LP goes through one writer, ``_rewrite``: each block whose
 coefficients move is a slot, and it writes the entries that changed
@@ -65,11 +65,10 @@ filter builds its window once, at construction, with the window's first
 state free; past ``delta_bar`` it slides the window by rewriting that LP
 in place: the window's columns and rows never change, and of its numbers
 only the dynamics coefficients A and the measurement row bounds move.
-``hull`` solves the final state's interval hull.  A whole-state
-``contains`` first tries a one-step
-witness: the feasible LP point behind the last step's ``True``, carried
-one step by the recursion to the queried state and checked against the
-LP's bounds and its rows as the HiGHS model holds them
+``hull`` solves the final state's interval hull.  ``contains`` first
+tries a one-step witness: the feasible LP point behind the last step's
+``True``, carried one step by the recursion to the queried state and
+checked against the LP's bounds and its rows as the HiGHS model holds them
 (``lp.LinearProgram.satisfied_by``); a point that passes is a primal
 certificate of membership.  Only when there is no witness, or it fails
 the check, does ``contains`` fall back to the LP probe
@@ -130,7 +129,7 @@ def _unit_rows(n, cols):
 
 def coupling_rows(n_cols, own_cols, peer_cols, M=None):
     """The rows M y_own - _COUPLING_SIGN * M y_peer = 0 over ``n_cols``
-    columns (``lp.CsrRows``, one row per row of M, the identity by
+    columns (a dense array, one row per row of M, the identity by
     default): they tie a peer's copy of a state to the own one, which is
     the refinement's intersection."""
     own_cols = np.asarray(own_cols, dtype=int)
@@ -138,7 +137,7 @@ def coupling_rows(n_cols, own_cols, peer_cols, M=None):
     D = np.zeros((M.shape[0], n_cols))
     D[:, own_cols] = M
     D[:, peer_cols] = -_COUPLING_SIGN * M
-    return lp.CsrRows.from_dense(D)
+    return D
 
 
 def _step_entry(stack, k, batch):
@@ -178,14 +177,6 @@ def _step_block(stack, A, Y):
         np.concatenate([np.zeros(n), y_lo]),
         np.concatenate([np.zeros(n), y_hi]),
     )
-
-
-def _append(region, prev_cols, lo, hi, D, b_lo, b_hi):
-    """Append columns with bounds [lo, hi] and the rows b_lo <= D y <= b_hi
-    to ``region``, where y is the columns ``prev_cols`` followed by the new
-    ones."""
-    cols = np.concatenate([prev_cols, np.arange(region.n, region.n + lo.size)])
-    region.extend(lo, hi, lp.CsrRows.from_dense(D, cols, region.n + lo.size), b_lo, b_hi)
 
 
 def _rewrite(region, slots, mats, rows, lo, hi):
@@ -241,8 +232,7 @@ class _TrajectoryLP:
         if t0_Y is not None:
             # the initial state's measurement rows, the LP's first rows
             self._meas.append(np.arange(stack.H.shape[0]))
-            _append(self.program, np.arange(n), np.zeros(0), np.zeros(0), stack.H,
-                    *_measurement_bounds(t0_Y, stack.Vset))
+            self.program.extend([], [], stack.H, *_measurement_bounds(t0_Y, stack.Vset))
 
     def extend(self, A, Y):
         """Append one step (``_step_block``): columns w and x_k with the
@@ -252,7 +242,8 @@ class _TrajectoryLP:
         x_at = region.n + self.stack.B.shape[1]
         self._slots.append([region.m, prev, -1.0, A])
         self._meas.append(np.arange(region.m + self.n, region.m + self.n + Y.size))
-        _append(region, prev, *_step_block(self.stack, A, Y))
+        cols = np.concatenate([prev, np.arange(region.n, x_at + self.n)])  # x_{k-1}, then w and x_k
+        region.extend(*_step_block(self.stack, A, Y), cols=cols)
         self.x_final = x_at
 
     def rewrite(self, t0_Y, entries):
@@ -279,7 +270,7 @@ class _LiftedFilter:
     """What the centralized and fixed-lag filters share: a posterior held
     as a ``_TrajectoryLP``, the step bookkeeping and the queries on it.
 
-    A whole-state ``contains`` keeps a witness (k, p, y, checked): the
+    ``contains`` keeps a witness (k, p, y, checked): the
     state p it last found in the step-k posterior and y, a feasible point
     of that step's LP whose final state is p.  ``checked`` is
     (LinearProgram, its ``row_edits``, rows) when y was verified against
@@ -314,24 +305,22 @@ class _LiftedFilter:
         """Interval hull of the stacked state (a Box)."""
         return self._traj.hull()
 
-    def contains(self, x, coords=None):
-        """True iff the posterior holds a state equal to x on ``coords``
-        (all coordinates by default).  Raises ``lp.EmptySetError`` if
-        the posterior is empty.
+    def contains(self, x):
+        """True iff the posterior holds the state x.  Raises
+        ``lp.EmptySetError`` if the posterior is empty.
 
-        For the whole state the one-step witness comes first
-        (``_try_witness``); only when there is none, or it fails its check
-        against the LP's rows, is the final state pinned and the LP solved.
-        A feasible solve's point seeds the next step's witness.
+        The one-step witness comes first (``_try_witness``); only when
+        there is none, or it fails its check against the LP's rows, is the
+        final state pinned and the LP solved.  A feasible solve's point
+        seeds the next step's witness.
         """
+        x = np.array(x, dtype=float)
+        if self._try_witness(x):
+            return True
+        self._witness = None
         region = self._traj.program
-        if coords is None:
-            x = np.array(x, dtype=float)
-            if self._try_witness(x):
-                return True
-            self._witness = None
-        if self._traj.contains_final(x, coords):
-            if coords is None and region.last_x is not None:
+        if self._traj.contains_final(x):
+            if region.last_x is not None:
                 self._witness = (self.k, x, region.last_x, None)
             return True
         if region.solve(np.zeros(region.n)).status == lp.INFEASIBLE:
@@ -468,13 +457,12 @@ class _AgentLP:
             st = stacks[o]
             col = region.n
             self._slots.append([region.m, np.arange(col, col + HA.shape[1]), 1.0, HA])
-            _append(
-                region,
-                np.zeros(0, dtype=int),
+            region.extend(
                 np.concatenate([x_bounds[0], st.Wset.lo]),
                 np.concatenate([x_bounds[1], st.Wset.hi]),
                 np.hstack([HA, st.H @ st.B]),
                 *y_bounds,
+                cols=np.arange(col, col + HA.shape[1] + st.B.shape[1]),
             )
             before = st.state_order[: st.state_order.index(i)]
             x_at = col + sum(agents[l].n for l in before)

@@ -58,9 +58,9 @@ whichever of the two is imported first.  (When this module comes first,
 scipy's ``_highspy`` package never gets the attribute ``_core``: reach the
 module by ``from``-import or through ``sys.modules``.)  A scipy whose
 package directory holds no such file raises ``ImportError`` naming the
-directory searched and the scipy version.  Rows are likewise handed to
-HiGHS in compressed sparse row form built with numpy (``CsrRows``);
-``scipy.sparse`` is imported only by callers that pass its matrices.
+directory searched and the scipy version.  Rows arrive as dense blocks,
+and ``extend`` builds HiGHS's compressed sparse row arrays from them with
+numpy, so nothing here imports ``scipy.sparse``.
 """
 
 import importlib.machinery
@@ -154,13 +154,12 @@ class LinearProgram:
     """A feasible region ``{x : b_lo <= A x <= b_hi, lo <= x <= hi}``.
 
     The constructor loads the equality rows ``A x = b``; ``extend`` adds
-    rows with both bounds.  ``A`` is a dense 2-d array or anything with a
-    ``tocsr`` method that returns an object with ``data``, ``indices``,
-    ``indptr`` and ``shape``: a ``CsrRows`` or a ``scipy.sparse`` matrix.
-    ``solve`` may be called repeatedly with different objectives, and
-    between solves the region may be extended or its column bounds,
-    coefficients or row bounds changed; after the first call the previous
-    basis warm-starts the next one.
+    rows with both bounds, optionally on listed columns only.  ``A`` is a
+    dense 2-d array (a nested list will do); a ``scipy.sparse`` matrix
+    raises ``ValueError``.  ``solve`` may be called repeatedly with
+    different objectives, and between solves the region may be extended
+    or its column bounds, coefficients or row bounds changed; after the
+    first call the previous basis warm-starts the next one.
     """
 
     def __init__(self, A, b, lo, hi):
@@ -172,31 +171,31 @@ class LinearProgram:
         self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
         self.extend(lo, hi, A, b, b)
 
-    def extend(self, lo, hi, A, b_lo, b_hi):
+    def extend(self, lo, hi, A, b_lo, b_hi, cols=None):
         """Append columns with bounds [lo, hi] and the rows
         ``b_lo <= A x <= b_hi``.
 
-        The new columns enter no existing row; ``A`` spans all columns,
-        old then new.  The grown region keeps its HiGHS model, so the next
-        solve starts from the current basis (new rows basic, new columns
-        at a bound).
+        ``A`` is a dense 2-d array whose column j is column ``cols[j]`` of
+        the grown region; by default it spans all columns, old then new.
+        The new columns enter no existing row.  The grown region keeps its
+        HiGHS model, so the next solve starts from the current basis (new
+        rows basic, new columns at a bound).
         """
-        A = _region_rows(A)
-        r, n = A.shape
+        lo, hi = _bound_vectors(lo, hi, np.size(lo))
+        added = lo.size
+        start, index, value = _region_rows(A, cols, self.n + added)
+        r = start.size
         b_lo, b_hi = _bound_vectors(b_lo, b_hi, r, "row")
-        added = n - self.n
-        lo, hi = _bound_vectors(lo, hi, added)
         self.lo = np.concatenate([self.lo, lo])
         self.hi = np.concatenate([self.hi, hi])
-        self.m, self.n = self.m + r, n
+        self.m, self.n = self.m + r, self.n + added
         self._region_changed = True
         h = self._highs
         if added:
             _check(h.addCols(added, np.zeros(added), lo, hi, 0, np.zeros(added, dtype=np.int32),
                              np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
         if r:
-            _check(h.addRows(r, b_lo, b_hi, A.data.size, A.indptr[:-1].astype(np.int32, copy=False),
-                             A.indices.astype(np.int32, copy=False), A.data), "addRows")
+            _check(h.addRows(r, b_lo, b_hi, value.size, start, index, value), "addRows")
 
     def set_bounds(self, cols, lo, hi):
         """Change the bounds of the listed columns in place."""
@@ -394,48 +393,22 @@ def _indices(idx, size, what):
     return idx.astype(np.int32)
 
 
-class CsrRows:
-    """Rows in compressed sparse row form: row r holds the values
-    ``data[indptr[r]:indptr[r + 1]]`` in the columns ``indices[...]`` of
-    the same slice.  ``tocsr`` returns the rows themselves, so a
-    ``LinearProgram`` takes them as it takes a ``scipy.sparse`` matrix."""
-
-    __slots__ = ("data", "indices", "indptr", "shape")
-
-    def __init__(self, data, indices, indptr, shape):
-        self.data = np.asarray(data, dtype=float)
-        self.indices = np.asarray(indices)
-        self.indptr = np.asarray(indptr)
-        self.shape = tuple(shape)
-
-    @classmethod
-    def from_dense(cls, D, cols=None, n_cols=None):
-        """The nonzeros of the 2-d array D, row by row and in D's column
-        order; column j of D becomes column ``cols[j]`` of ``n_cols``
-        (default: D's own columns)."""
-        r, c = np.nonzero(D)  # row-major, so already CSR order
-        indptr = np.searchsorted(r, np.arange(D.shape[0] + 1))
-        if cols is None:
-            return cls(D[r, c], c, indptr, D.shape)
-        return cls(D[r, c], np.asarray(cols)[c], indptr, (D.shape[0], n_cols))
-
-    def tocsr(self):
-        return self
-
-
-def _region_rows(A):
-    """The rows A as validated CSR rows."""
-    if hasattr(A, "tocsr"):
-        A = A.tocsr()
-        A = CsrRows(A.data, A.indices, A.indptr, A.shape)  # float data
-    else:
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2:
-            raise ValueError("A must be a 2-d array")
-        A = CsrRows.from_dense(A)
-    if not np.all(np.isfinite(A.data)):
+def _region_rows(A, cols, n):
+    """The dense 2-d rows A, whose column j is column ``cols[j]`` of n
+    (default: all n in order), validated and as the compressed sparse row
+    arrays of ``addRows``: (row starts, column indices, values), the
+    nonzeros row by row in A's column order."""
+    A = np.asarray(A)  # a scipy.sparse matrix reads as a 0-d object array
+    if A.ndim != 2:
+        raise ValueError("A must be a 2-d array")
+    A = A.astype(float, copy=False)
+    if not np.all(np.isfinite(A)):
         raise ValueError("non-finite coefficient")
-    return A
+    cols = _indices(np.arange(n) if cols is None else cols, n, "column")
+    if A.shape[1] != cols.size:
+        raise ValueError(f"A has {A.shape[1]} columns, expected {cols.size}")
+    r, c = np.nonzero(A)  # row-major, so already CSR order
+    return np.searchsorted(r, np.arange(A.shape[0])).astype(np.int32), cols[c], A[r, c]
 
 
 def _new_model():

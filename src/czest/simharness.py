@@ -177,6 +177,28 @@ def _real(key, val, positive=False):
     return float(val)
 
 
+def _plot_coords(coords, dims):
+    """``coords`` as a tuple of one or two state indices, None if unset.
+    The first must index a state component of every agent, the second one
+    of every agent with two or more (a scalar agent plots the first only);
+    anything else is a SchemaError naming ``scenario.plot_coords``."""
+    if coords is None:
+        return None
+    valid = (
+        isinstance(coords, (list, tuple))
+        and len(coords) in (1, 2)
+        and all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 0 for c in coords)
+        and coords[0] < min(dims)
+        and (len(coords) == 1 or all(coords[1] < n for n in dims if n >= 2))
+    )
+    if not valid:
+        raise sysmodel.SchemaError(
+            "scenario.plot_coords: must be a list of one or two state indices below "
+            f"the agents' state dimensions {sorted(set(dims))}, got {coords!r}"
+        )
+    return tuple(int(c) for c in coords)
+
+
 class ScenarioConfig:
     """Parsed scenario plus run options; reconstructible from its doc."""
 
@@ -188,6 +210,8 @@ class ScenarioConfig:
         if self.K < 1:
             raise sysmodel.SchemaError("scenario.horizon: must be >= 1")
         self.seed = _integer("seed", doc.get("seed", 1))
+        if self.seed < 0:
+            raise sysmodel.SchemaError(f"scenario.seed: must be >= 0, got {self.seed}")
         algs = doc.get("algorithms", list(ALGORITHMS))
         if not isinstance(algs, list):
             raise sysmodel.SchemaError(
@@ -211,6 +235,8 @@ class ScenarioConfig:
                 f"scenario.delta_bar: {db} is below the observability requirement {self.mu0 - 1}"
             )
         self.delta_bar = db
+        dims = [self.system.agents[i].n for i in self.system.agent_ids]
+        self.plot_coords = _plot_coords(doc.get("plot_coords"), dims)
         self.noise_scale = _real("injected_noise_scale", doc.get("injected_noise_scale", 1.0))
         grid = doc.get("noise_grid")
         self.noise_grid = None if grid is None else _real("noise_grid", grid, positive=True)

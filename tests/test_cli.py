@@ -148,6 +148,29 @@ class TestRun:
         assert f"scenario.{key}" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_negative_seed_option_exit_1(self, tmp_path, capsys):
+        # numpy's seeding would refuse it only after the output directory
+        # exists, without naming the key
+        out = str(tmp_path / "out")
+        assert main(["run", "pair1d", "--seed", "-1", "--out", out]) == 1
+        assert "scenario.seed" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_plot_coords_past_an_agent_state_exit_1(self, tmp_path, capsys):
+        # uav5's agents have 4 states, so a second index 9 fails before
+        # the run, not in the plot after it
+        scn = write_scenario(tmp_path, name="uav5", plot_coords=[0, 9])
+        out = str(tmp_path / "out")
+        assert main(["run", scn, "--out", out, "--svg"]) == 1
+        assert "scenario.plot_coords" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_plot_coords_second_index_skips_scalar_agents(self):
+        # pair1d's scalar agents plot the first index only
+        doc = simharness.build_pair1d_scenario(horizon=3)
+        doc["plot_coords"] = [0, 2]
+        assert simharness.ScenarioConfig(doc).plot_coords == (0, 2)
+
     def test_svg_after_first_trial_aborted_exit_2(self, tmp_path, capsys):
         # trial 0 aborts at step 1, so no trial has anything to plot: the
         # run still reports the abort and exits 2
@@ -311,6 +334,11 @@ SCHEMA_MUTATIONS = {
     "initial-list": (_top(initial=[]), "scenario.initial"),
     "relative_noise-list": (_first_agent(relative_noise=[]), "agents[0].relative_noise"),
     "id-string": (_first_agent(id="x"), "agents[0].id"),
+    "seed-negative": (_top(seed=-1), "scenario.seed"),
+    "plot_coords-string": (_top(plot_coords="xy"), "scenario.plot_coords"),
+    "plot_coords-negative": (_top(plot_coords=[-1, 0]), "scenario.plot_coords"),
+    "plot_coords-past-state": (_top(plot_coords=[9, 0]), "scenario.plot_coords"),
+    "plot_coords-fraction": (_top(plot_coords=[0.5, 0]), "scenario.plot_coords"),
 }
 
 

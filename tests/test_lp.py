@@ -15,7 +15,6 @@ from czest.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    CsrRows,
     EmptySetError,
     LinearProgram,
     LpResult,
@@ -97,17 +96,12 @@ def test_warm_start_matches_cold_start():
     b = A @ xi
     lo, hi = -np.ones(7), np.ones(7)
     prob = LinearProgram(A, b, lo, hi)
-    # a scipy.sparse copy of the region is the same HiGHS model
-    prob_sparse = LinearProgram(sparse.csr_matrix(A), b, lo, hi)
     for trial in range(10):
         c = rng.standard_normal(7)
         warm = prob.solve(c)
         cold = LinearProgram(A, b, lo, hi).solve(c)
         assert warm.status == cold.status == OPTIMAL
         assert warm.value == pytest.approx(cold.value, abs=1e-8)
-        warm_sparse = prob_sparse.solve(c)
-        assert warm_sparse.value == warm.value
-        assert np.array_equal(warm_sparse.x, warm.x)
 
 
 def _random_instance(rng):
@@ -199,18 +193,17 @@ def _block_region(rng, m1, m2, n1, n2):
     return A, b, lo, hi
 
 
-@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
-def test_grown_region_matches_fresh(fmt):
+def test_grown_region_matches_fresh():
     rng = np.random.default_rng(31)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     for _ in range(60):
         m1, m2 = int(rng.integers(0, 3)), int(rng.integers(0, 4))
         n1, n2 = int(rng.integers(1, 5)), int(rng.integers(0, 4))
         A, b, lo, hi = _block_region(rng, m1, m2, n1, n2)
-        grown = LinearProgram(fmt(A[:m1, :n1]), b[:m1], lo[:n1], hi[:n1])
+        grown = LinearProgram(A[:m1, :n1], b[:m1], lo[:n1], hi[:n1])
         grown.solve(rng.standard_normal(n1))  # the extension starts from a basis
-        grown.extend(lo[n1:], hi[n1:], fmt(A[m1:]), b[m1:], b[m1:])
-        fresh = LinearProgram(fmt(A), b, lo, hi)
+        grown.extend(lo[n1:], hi[n1:], A[m1:], b[m1:], b[m1:])
+        fresh = LinearProgram(A, b, lo, hi)
         assert (grown.m, grown.n) == (fresh.m, fresh.n) == A.shape
         for _ in range(4):
             c = rng.standard_normal(n1 + n2)
@@ -222,13 +215,12 @@ def test_grown_region_matches_fresh(fmt):
     assert all(v > 0 for v in statuses.values()), statuses
 
 
-@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
-def test_extension_that_empties_the_region(fmt):
+def test_extension_that_empties_the_region():
     # x1 + x2 = 1 over [0, 1]^2; then x3 in [0, 2] with x1 + x3 = 4
-    prog = LinearProgram(fmt(np.array([[1.0, 1.0]])), [1.0], [0, 0], [1, 1])
+    prog = LinearProgram(np.array([[1.0, 1.0]]), [1.0], [0, 0], [1, 1])
     assert prog.solve([1.0, 0.0]).status == OPTIMAL
-    prog.extend([0.0], [2.0], fmt(np.array([[1.0, 0.0, 1.0]])), [4.0], [4.0])
-    fresh = LinearProgram(fmt(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])), [1.0, 4.0],
+    prog.extend([0.0], [2.0], np.array([[1.0, 0.0, 1.0]]), [4.0], [4.0])
+    fresh = LinearProgram(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), [1.0, 4.0],
                           [0, 0, 0], [1, 1, 2])
     for c in ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]):
         assert prog.solve(c).status == fresh.solve(c).status == INFEASIBLE
@@ -299,21 +291,20 @@ def _changed_instance(rng):
     return A, b, lo, hi, A2, b2
 
 
-@pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
-def test_changed_region_matches_fresh(fmt):
+def test_changed_region_matches_fresh():
     rng = np.random.default_rng(53)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     degenerate = 0  # regions without rows or without columns
     for _ in range(60):
         A, b, lo, hi, A2, b2 = _changed_instance(rng)
         m, n = A.shape
-        changed = LinearProgram(fmt(A), b, lo, hi)
+        changed = LinearProgram(A, b, lo, hi)
         changed.solve(rng.standard_normal(n))  # the change starts from a basis
         r, c = np.nonzero(A2 != A)
         changed.set_coefficients(r, c, A2[r, c])
         rows = np.flatnonzero(b2 != b)
         changed.set_row_bounds(rows, b2[rows], b2[rows])
-        fresh = LinearProgram(fmt(A2), b2, lo, hi)
+        fresh = LinearProgram(A2, b2, lo, hi)
         degenerate += m == 0 or n == 0
         for _ in range(4):
             c = rng.standard_normal(n)
@@ -363,7 +354,7 @@ def test_non_finite_coefficients_are_rejected(value):
         LinearProgram([[value, 1.0]], [0.0], [0.0, 0.0], [1.0, 1.0])
     prog = LinearProgram([[1.0, 1.0]], [1.0], [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError, match="non-finite coefficient"):
-        prog.extend([0.0], [1.0], sparse.csr_matrix([[1.0, 0.0, value]]), [0.5], [0.5])
+        prog.extend([0.0], [1.0], [[1.0, 0.0, value]], [0.5], [0.5])
     with pytest.raises(ValueError, match="non-finite coefficient"):
         prog.set_coefficients([0], [1], [value])
     res = prog.solve([1.0, 0.0])
@@ -662,9 +653,8 @@ def test_refused_model_raises(monkeypatch):
 
 
 def test_rows_reach_highs_in_one_entry_order(monkeypatch):
-    # dense arrays, scipy.sparse matrices and CsrRows hand HiGHS the same
-    # entries in the same order: scipy's CSR order (row by row, columns
-    # ascending), the order rows were loaded in before CsrRows existed
+    # a dense block reaches HiGHS in scipy's CSR order: row by row, columns
+    # ascending
     rng = np.random.default_rng(71)
     A = rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.4)
     calls = []
@@ -675,37 +665,57 @@ def test_rows_reach_highs_in_one_entry_order(monkeypatch):
         return add_rows(self, *args)
 
     monkeypatch.setattr(_Highs, "addRows", spy)
-    for rows in (A, sparse.csr_matrix(A), sparse.coo_matrix(A), CsrRows.from_dense(A)):
-        LinearProgram(rows, np.zeros(6), -np.ones(9), np.ones(9))
+    LinearProgram(A, np.zeros(6), -np.ones(9), np.ones(9))
     want = sparse.csr_matrix(A)
-    assert len(calls) == 4
-    for nnz, start, index, value in calls:
-        assert nnz == want.nnz
-        assert start.tolist() == want.indptr[:-1].tolist()
-        assert index.tolist() == want.indices.tolist()
-        assert value.tolist() == want.data.tolist()
+    [(nnz, start, index, value)] = calls
+    assert nnz == want.nnz
+    assert start.tolist() == want.indptr[:-1].tolist()
+    assert index.tolist() == want.indices.tolist()
+    assert value.tolist() == want.data.tolist()
 
 
-def test_csr_rows_from_dense_maps_columns():
+def test_csr_rows_from_dense_maps_columns(monkeypatch):
+    # column j of the block is column cols[j] of the grown region; entries
+    # reach HiGHS row by row in the block's column order
+    calls = []
+    add_rows = _Highs.addRows
+
+    def spy(self, *args):
+        calls.append([np.array(a).tolist() for a in args[3:]])
+        return add_rows(self, *args)
+
+    prog = LinearProgram(np.zeros((0, 6)), [], np.zeros(6), np.ones(6))
     D = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
-    rows = CsrRows.from_dense(D, [5, 1, 7], 8)
-    assert rows.shape == (2, 8)
-    assert rows.indptr.tolist() == [0, 1, 3]
-    assert rows.indices.tolist() == [1, 5, 7]
-    assert rows.data.tolist() == [2.0, 1.0, 3.0]
-    assert rows.tocsr() is rows
-    prog = LinearProgram(rows, [1.0, 2.0], np.zeros(8), np.ones(8))
+    monkeypatch.setattr(_Highs, "addRows", spy)
+    prog.extend([0.0, 0.0], [1.0, 1.0], D, [1.0, 2.0], [1.0, 2.0], cols=[5, 1, 7])
+    assert calls == [[3, [0, 1], [1, 5, 7], [2.0, 1.0, 3.0]]]
     want = np.zeros((2, 8))
     want[0, 1], want[1, 5], want[1, 7] = 2.0, 1.0, 3.0
+    assert (prog.m, prog.n) == (2, 8)
     assert np.array_equal(model_rows(prog)[0].toarray(), want)
+    # a block whose width is not that of cols or, without cols, of the
+    # grown region, and a column past the grown region, change nothing
+    for cols, width, match in (
+        ([5, 1], 3, "columns"),
+        (None, 8, "columns"),
+        ([5, 1, 9], 3, "column index"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            prog.extend([0.0], [1.0], np.ones((1, width)), [0.0], [9.0], cols=cols)
+    with pytest.raises(ValueError, match="column index"):
+        prog.extend([], [], [[1.0]], [0.0], [1.0], cols=[-1])
+    assert (prog.m, prog.n, len(calls)) == (2, 8, 1)
 
 
-def test_sparse_input_is_read_through_tocsr():
-    # any scipy.sparse format and dtype: duplicates summed, ints as floats
-    A = sparse.coo_matrix(([1, 2, 3], ([0, 0, 1], [1, 1, 0])), shape=(2, 2))
-    prog = LinearProgram(A, [3.0, 3.0], [0, 0], [5, 5])
-    assert model_rows(prog)[0].toarray().tolist() == [[0.0, 3.0], [3.0, 0.0]]
-    assert prog.solve([1.0, 1.0]).value == pytest.approx(2.0, abs=1e-9)
+def test_sparse_input_is_rejected():
+    # a scipy.sparse matrix is not a dense block: it fails, it is not read
+    A = sparse.csr_matrix(np.eye(2))
+    with pytest.raises(ValueError, match="2-d array"):
+        LinearProgram(A, [1.0, 1.0], [0, 0], [5, 5])
+    prog = LinearProgram(np.eye(2), [1.0, 1.0], [0, 0], [5, 5])
+    with pytest.raises(ValueError, match="2-d array"):
+        prog.extend([], [], A, [1.0, 1.0], [1.0, 1.0])
+    assert (prog.m, prog.n) == (2, 2)
 
 
 def test_only_lp_reaches_highs():
@@ -733,8 +743,7 @@ class TestBounds:
             b += rng.standard_normal(m) * 5  # mostly infeasible
         return A, b, lo, hi
 
-    @pytest.mark.parametrize("fmt", [np.asarray, sparse.csr_matrix, CsrRows.from_dense], ids=["dense", "sparse", "csr"])
-    def test_matches_fresh_bounds(self, fmt):
+    def test_matches_fresh_bounds(self):
         rng = np.random.default_rng(67)
         seen = {"finite": 0, "inf": 0, "empty": 0}
         for _ in range(60):
@@ -745,7 +754,7 @@ class TestBounds:
             for sense in ("min", "max"):
                 for j in cols:
                     want.append(LinearProgram(A, b, lo, hi).solve(np.eye(n)[j], sense=sense))
-            region = LinearProgram(fmt(A), b, lo, hi)
+            region = LinearProgram(A, b, lo, hi)
             C = np.eye(n)[cols]
             if want[0].status == INFEASIBLE:
                 with pytest.raises(EmptySetError):

@@ -360,13 +360,13 @@ class TestNoiseViolation:
             filters._LiftedFilter.contains, lp.LinearProgram.feasible_at, lp.LinearProgram.solve
         )
 
-        def whole_probe(self, x, coords=None):
+        def whole_probe(self, x):
             ok = False
             try:
-                ok = contains(self, x, coords)
+                ok = contains(self, x)
                 return ok
             finally:
-                whole_failed.append(coords is None and not ok)
+                whole_failed.append(not ok)
 
         def pinned(self, cols, x):
             pinned_depth.append(1)
