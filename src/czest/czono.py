@@ -7,9 +7,13 @@ A set is represented as
 where any h_j may be +inf, in which case generator j is unbounded and the
 corresponding column contributes a full line (subject to the equality
 constraints).  All closed-form operations (affine maps, Minkowski sums,
-Cartesian products, intersections) are exact; point membership, emptiness
-and interval hulls are answered by the LP kernel in :mod:`czest.lp`, the
-hull bounds by ``LinearProgram.bounds`` over the generator box.
+Cartesian products, intersections) are exact.  Point membership,
+emptiness and the interval hulls of constrained sets are answered by the
+LP kernel in :mod:`czest.lp`, on one lifted region per set over (xi, x):
+the rows A xi = b and x - G xi = c, xi in [-h, h], x free.  The region is
+built at the set's first LP query and kept; membership is a pinned probe
+on its x columns (``LinearProgram.feasible_at``), emptiness a solve with
+zero objective, and a hull the ``LinearProgram.bounds`` of the x columns.
 ``EmptySetError`` is ``lp``'s, re-exported here.
 
 Matrices are float64 and frozen after construction; operations return new
@@ -18,7 +22,7 @@ objects.
 
 import numpy as np
 
-from .lp import INFEASIBLE, OPTIMAL, EmptySetError, LinearProgram
+from .lp import INFEASIBLE, EmptySetError, LinearProgram
 
 __all__ = [
     "ConstrainedZonotope",
@@ -49,7 +53,7 @@ def _freeze(a):
 class ConstrainedZonotope:
     """Immutable extended constrained zonotope (G, c, A, b, h)."""
 
-    __slots__ = ("G", "c", "A", "b", "h")
+    __slots__ = ("G", "c", "A", "b", "h", "_region")
 
     def __init__(self, G, c, A=None, b=None, h=None):
         G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -84,6 +88,7 @@ class ConstrainedZonotope:
         self.A = _freeze(A)
         self.b = _freeze(b)
         self.h = _freeze(h)
+        self._region = None  # the lifted LP, built by ``_lifted``
 
     @property
     def dim(self):
@@ -272,14 +277,17 @@ def project(Z, coords):
     return ConstrainedZonotope(Z.G[coords, :], Z.c[coords], Z.A, Z.b, Z.h)
 
 
-def _feas_program(Z, extra_eq=None, extra_rhs=None):
-    """LP region over xi for membership/emptiness/hull queries."""
-    A = Z.A
-    b = Z.b
-    if extra_eq is not None:
-        A = np.vstack([A, extra_eq])
-        b = np.concatenate([b, extra_rhs])
-    return LinearProgram(A, b, -Z.h, Z.h)
+def _lifted(Z):
+    """Z's lifted LP over (xi, x), built at the first call and kept; x is
+    columns ``ng .. ng + dim - 1``."""
+    if Z._region is None:
+        n, ng = Z.dim, Z.n_generators
+        rows = np.block([[Z.A, np.zeros((Z.n_constraints, n))], [-Z.G, np.eye(n)]])
+        free = np.full(n, np.inf)
+        Z._region = LinearProgram(
+            rows, np.concatenate([Z.b, Z.c]), np.concatenate([-Z.h, -free]), np.concatenate([Z.h, free])
+        )
+    return Z._region
 
 
 def contains(Z, x):
@@ -287,25 +295,23 @@ def contains(Z, x):
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != Z.dim:
         raise ValueError("point dimension mismatch")
-    prob = _feas_program(Z, Z.G, x - Z.c)
-    res = prob.solve(np.zeros(Z.n_generators))
-    return res.status == OPTIMAL
+    return _lifted(Z).feasible_at(Z.n_generators + np.arange(Z.dim), x)
 
 
 def is_empty(Z):
     """True iff Z has no points."""
     if Z.n_constraints == 0:
         return False
-    res = _feas_program(Z).solve(np.zeros(Z.n_generators))
-    return res.status == INFEASIBLE
+    return _lifted(Z).solve(np.zeros(Z.n_generators + Z.dim)).status == INFEASIBLE
 
 
 def interval_hull(Z):
     """Smallest axis-aligned Box containing Z.
 
     Unconstrained sets are handled in closed form (c ± |G| h, with the
-    convention 0 * inf = 0); otherwise each bound is one LP, all minima
-    before all maxima, warm-started across the batch.  Raises
+    convention 0 * inf = 0); otherwise each bound is one LP on the set's
+    lifted region, all minima before all maxima, warm-started across the
+    batch and from the region's last query.  Raises
     EmptySetError on an empty set.
     """
     return interval_hull_coords(Z, range(Z.dim))
@@ -321,17 +327,10 @@ def interval_hull_coords(Z, coords):
         r = contrib.sum(axis=1)
         c = Z.c[coords]
         return Box(c - r, c + r)
-    G = Z.G[coords, :]
-    c = Z.c[coords]
-    lo, hi = c.copy(), c.copy()
-    moving = np.flatnonzero(np.any(G, axis=1))
-    if moving.size:
-        blo, bhi = _feas_program(Z).bounds(G[moving])
-        lo[moving] += blo
-        hi[moving] += bhi
-    elif is_empty(Z):
-        raise EmptySetError("interval hull of an empty set")
-    return Box(lo, hi)
+    region = _lifted(Z)
+    units = np.zeros((len(coords), region.n))
+    units[np.arange(len(coords)), Z.n_generators + np.asarray(coords, dtype=int)] = 1.0
+    return Box(*region.bounds(units))
 
 
 def diameter_inf(Z):

@@ -8,6 +8,11 @@ per-trial seeds, optionally on a process pool capped by the
 CZEST_THREADS environment variable.  Identical configuration and seed
 give byte-identical logs regardless of worker count.
 
+A trial draws sampled initial centers, then the initial truth, one draw
+each over the stacked state; then per step the process noise over the
+centralized stack's ``Wset`` and the measurement noise over its ``Vset``
+(``sysmodel.build_centralized``), whose row order ``sysmodel.measure`` reads.
+
 Every logged hull and containment flag comes from the filters
 themselves: the centralized and fixed-lag filters answer ``hull`` and
 ``contains`` from their sparse trajectory LP (see ``czest.filters``),
@@ -285,43 +290,18 @@ class ScenarioConfig:
 # -- sampling ---------------------------------------------------------------
 
 
-class NoiseSampler:
-    """Uniform draws from noise ranges with a fixed, documented order.
+def _draw(rng, lo, hi, grid=None):
+    """A uniform draw on the box [lo, hi], one double per entry in order.
 
-    When a grid step is set, every draw is snapped to the nearest multiple
-    of that step (then clipped to the range).  Gridded scenarios make the
-    exhaustive lattice oracle exact, since every reachable state and every
+    With a grid step the draw is snapped to the nearest multiple of it,
+    then clipped to [lo, hi].  Gridded scenarios make the exhaustive
+    lattice oracle exact, since every reachable state and every
     measurement stays on the lattice.
     """
-
-    def __init__(self, rng, scale=1.0, grid=None):
-        self.rng = rng
-        self.scale = scale
-        self.grid = grid
-
-    def _snap(self, x, lo, hi):
-        if self.grid is None:
-            return x
-        return np.clip(np.round(x / self.grid) * self.grid, lo, hi)
-
-    def from_box(self, box):
-        if box.dim == 0:
-            return np.zeros(0)
-        c, r = box.center, box.radius * self.scale
-        return self._snap(self.rng.uniform(c - r, c + r), c - r, c + r)
-
-
-def _initial_ranges(cfg, rng):
-    """Per-agent initial boxes, drawn or fixed per the scenario."""
-    out = {}
-    for i in cfg.system.agent_ids:
-        n = cfg.system.agents[i].n
-        if cfg.initial_mode == "sampled":
-            center = rng.uniform(cfg.init_center_low, cfg.init_center_high, n)
-            out[i] = Box(center - cfg.init_half_width, center + cfg.init_half_width)
-        else:
-            out[i] = cfg.fixed_initial[i]
-    return out
+    x = rng.uniform(lo, hi)
+    if grid is None:
+        return x
+    return np.clip(np.round(x / grid) * grid, lo, hi)
 
 
 # -- trial logs ---------------------------------------------------------------
@@ -393,17 +373,23 @@ def run_trial(cfg, trial_index=0, metrics="full"):
     ids = system.agent_ids
     slices = system.state_slices()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, trial_index]))
-    sampler = NoiseSampler(rng, scale=cfg.noise_scale, grid=cfg.noise_grid)
+    grid = cfg.noise_grid
 
-    init_boxes = _initial_ranges(cfg, rng)
-    truth = np.concatenate(
-        [sampler._snap(rng.uniform(init_boxes[i].lo, init_boxes[i].hi),
-                       init_boxes[i].lo, init_boxes[i].hi) for i in ids]
-    )
+    if cfg.initial_mode == "fixed":
+        init_boxes = cfg.fixed_initial
+    else:
+        hw = cfg.init_half_width
+        centers = rng.uniform(cfg.init_center_low, cfg.init_center_high, system.state_dim())
+        init_boxes = {i: Box(centers[sl] - hw, centers[sl] + hw) for i, sl in slices.items()}
     x0_box = Box(
         np.concatenate([init_boxes[i].lo for i in ids]),
         np.concatenate([init_boxes[i].hi for i in ids]),
     )
+    truth = _draw(rng, x0_box.lo, x0_box.hi, grid)
+    stack, scale = sysmodel.build_centralized(system), cfg.noise_scale
+    w_range, v_range = [
+        (box.center - box.radius * scale, box.center + box.radius * scale) for box in (stack.Wset, stack.Vset)
+    ]
 
     log = TrialLog(
         {
@@ -418,12 +404,6 @@ def run_trial(cfg, trial_index=0, metrics="full"):
             "initial": {str(i): _box_out(init_boxes[i]) for i in ids},
         }
     )
-    agents = system.agents
-    w_boxes = [agents[i].Wset for i in ids]
-    v_boxes = {i: agents[i].Vset for i in ids}
-    r_boxes = {
-        (i, j): agents[i].Rset_of[j] for i in ids for j in system.topology.in_neighbors(i)
-    }
     flt = {}
     try:
         if "centralized" in cfg.algorithms:
@@ -436,11 +416,8 @@ def run_trial(cfg, trial_index=0, metrics="full"):
         return log.finish({"k": 0, "agent": None, "reason": "numerical error"})
     aborted = None
     for k in range(1, cfg.K + 1):
-        w = np.concatenate([sampler.from_box(box) for box in w_boxes])
-        truth = sysmodel.step_truth(system, k - 1, truth, w)
-        v = {i: sampler.from_box(box) for i, box in v_boxes.items()}
-        r = {key: sampler.from_box(box) for key, box in r_boxes.items()}
-        batch = sysmodel.measure(system, k, truth, v, r)
+        truth = sysmodel.step_truth(system, k - 1, truth, _draw(rng, *w_range, grid))
+        batch = sysmodel.measure(system, k, truth, _draw(rng, *v_range, grid))
         step_rec = {"type": "step", "truth": truth.tolist()}
         step_rec.update(batch.to_dict())
         algs_rec = {}
@@ -528,7 +505,7 @@ class McResult:
 def _worker(args):
     doc_json, trial_index, metrics = args
     cfg = ScenarioConfig(json.loads(doc_json))
-    return run_trial(cfg, trial_index, metrics).__dict__
+    return run_trial(cfg, trial_index, metrics)
 
 
 def thread_budget():
@@ -558,13 +535,7 @@ def run_monte_carlo(cfg, trials, metrics="full", workers=None):
         doc_json = cfg.doc_json()
         args = [(doc_json, t, metrics) for t in range(trials)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_worker, args))
-        logs = []
-        for d in raw:
-            log = TrialLog(d["header"])
-            log.steps = d["steps"]
-            log.end = d["end"]
-            logs.append(log)
+            logs = list(pool.map(_worker, args))
     return McResult(logs, time.perf_counter() - t0)
 
 

@@ -50,10 +50,9 @@ def _fmt(v):
 class _Canvas:
     """Maps world coordinates into a margined SVG viewport."""
 
-    def __init__(self, x_range, y_range, width=640, height=480, margin=52):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    width, height, margin = 640, 480, 52
+
+    def __init__(self, x_range, y_range):
         x0, x1 = x_range
         y0, y1 = y_range
         padx = 0.05 * (x1 - x0) or 1.0

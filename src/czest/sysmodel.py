@@ -338,24 +338,34 @@ def step_truth(system, k, x, w):
     return out
 
 
-def measure(system, k, x, v, r):
+def measure(system, k, x, noise):
     """Generate all measurements at the stacked truth x.
 
-    v maps agent id to its absolute noise draw; r maps (i, j) edges to
-    relative noise draws.
+    ``noise`` is one vector in the row order of ``build_centralized``:
+    every absolute block (agents ascending, those with m_y > 0), then
+    every relative block (i ascending, j over ``in_neighbors(i)``).  A
+    vector of another length raises ValueError.
     """
     x = np.asarray(x, dtype=float).ravel()
+    noise = np.asarray(noise, dtype=float).ravel()
+    agents, topo, ids = system.agents, system.topology, system.agent_ids
+    m = sum(a.m_y + a.m_z * len(a.Rset_of) for a in agents.values())
+    if noise.shape[0] != m:
+        raise ValueError(f"noise has length {noise.shape[0]}, the stacked rows are {m}")
     slices = system.state_slices()
     y = {}
     z = {}
-    for i in system.agent_ids:
-        a = system.agents[i]
+    ofs = 0
+    for i in ids:
+        a = agents[i]
         if a.m_y:
-            y[i] = a.C @ x[slices[i]] + np.asarray(v[i], dtype=float).ravel()
-        for j in system.topology.in_neighbors(i):
-            z[(i, j)] = a.D @ (x[slices[i]] - x[slices[j]]) + np.asarray(
-                r[(i, j)], dtype=float
-            ).ravel()
+            y[i] = a.C @ x[slices[i]] + noise[ofs : ofs + a.m_y]
+            ofs += a.m_y
+    for i in ids:
+        a = agents[i]
+        for j in topo.in_neighbors(i):
+            z[(i, j)] = a.D @ (x[slices[i]] - x[slices[j]]) + noise[ofs : ofs + a.m_z]
+            ofs += a.m_z
     return MeasurementBatch(k, y, z)
 
 
@@ -385,6 +395,9 @@ def observability_index(system):
 
 
 def _need(d, key, path):
+    """``d[key]``; a SchemaError naming ``path`` if d is no object or lacks it."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{path}: must be an object, got {d!r}")
     if key not in d:
         raise SchemaError(f"{path}: missing key '{key}'")
     return d[key]
@@ -444,6 +457,10 @@ def _dynamics_from_dict(d, path):
     raise SchemaError(f"{path}.kind: unknown dynamics kind '{kind}'")
 
 
+def _is_int(val):
+    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
+
+
 def _is_meta(key):
     return key.startswith("_") or key == "description"
 
@@ -458,6 +475,10 @@ def system_from_dict(doc):
     edges_doc = _need(doc, "edges", "scenario")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise SchemaError("scenario.agents: expected a non-empty list")
+    if not isinstance(edges_doc, list) or not all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(t) for t in e) for e in edges_doc
+    ):
+        raise SchemaError(f"scenario.edges: must be a list of [i, j] agent id pairs, got {edges_doc!r}")
     try:
         topo = Topology(len(agents_doc), edges_doc)
     except ValueError as e:
@@ -466,10 +487,12 @@ def system_from_dict(doc):
     for idx, ad in enumerate(agents_doc):
         path = f"agents[{idx}]"
         aid = _need(ad, "id", path)
-        if not isinstance(aid, numbers.Integral) or isinstance(aid, bool):
+        if not _is_int(aid):
             raise SchemaError(f"{path}.id: must be an integer, got {aid!r}")
         A_of_k, n = _dynamics_from_dict(_need(ad, "dynamics", path), f"{path}.dynamics")
         B = np.atleast_2d(_finite(ad, "B", path))
+        if B.ndim != 2:
+            raise SchemaError(f"{path}.B: must be a matrix, got {B.ndim} dimensions")
         C = _finite(ad, "C", path).reshape(-1, n)
         D = _finite(ad, "D", path).reshape(-1, n)
         W = box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise")

@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 
+_WITNESS_POINTS = 20  # carried members per geometry case
+_REPLAY_TOL = 1e-6  # largest deviation of a logged hull endpoint from its dense replay
+
+
 class CheckResult:
     def __init__(self, name, cases, failures, detail=""):
         self.name = name
@@ -131,7 +135,7 @@ def _probe_points(rng, Z, count):
     return pts
 
 
-def geometry_checks(rng_seed=2026, cases_per_op=200, witness_points=20, lp_points=8):
+def geometry_checks(rng_seed=2026, cases_per_op=200, lp_points=8):
     """Randomized invariants for every exact set operation."""
     rng = np.random.default_rng(rng_seed)
     results = []
@@ -152,7 +156,7 @@ def geometry_checks(rng_seed=2026, cases_per_op=200, witness_points=20, lp_point
         M = rng.standard_normal((rng.integers(1, 4), Z.dim))
         t = rng.standard_normal(M.shape[0])
         ZM = czono.linear_map(M, Z, t)
-        for xi in _interior_xi(rng, Z, xi0, witness_points):
+        for xi in _interior_xi(rng, Z, xi0, _WITNESS_POINTS):
             x = Z.G @ xi + Z.c
             y = ZM.G @ xi + ZM.c
             if not np.allclose(M @ x + t, y, atol=1e-9):
@@ -166,8 +170,8 @@ def geometry_checks(rng_seed=2026, cases_per_op=200, witness_points=20, lp_point
         Z2, xi2 = _random_cz(rng, dim=Z1.dim)
         ZS = czono.minkowski_sum(Z1, Z2)
         for a, b in zip(
-            _interior_xi(rng, Z1, xi1, witness_points),
-            _interior_xi(rng, Z2, xi2, witness_points),
+            _interior_xi(rng, Z1, xi1, _WITNESS_POINTS),
+            _interior_xi(rng, Z2, xi2, _WITNESS_POINTS),
         ):
             x = Z1.G @ a + Z1.c
             y = Z2.G @ b + Z2.c
@@ -220,7 +224,7 @@ def geometry_checks(rng_seed=2026, cases_per_op=200, witness_points=20, lp_point
             rng.choice(Z.dim, size=int(rng.integers(1, Z.dim + 1)), replace=False).tolist()
         )
         ZP = czono.project(Z, coords)
-        for xi in _interior_xi(rng, Z, xi0, witness_points):
+        for xi in _interior_xi(rng, Z, xi0, _WITNESS_POINTS):
             x = Z.G @ xi + Z.c
             if not czono.contains(ZP, x[coords]):
                 return "projected member missing"
@@ -246,8 +250,8 @@ def geometry_checks(rng_seed=2026, cases_per_op=200, witness_points=20, lp_point
         if ZC.dim != Z1.dim + Z2.dim:
             return "dim mismatch"
         for a, b in zip(
-            _interior_xi(rng, Z1, xi1, witness_points),
-            _interior_xi(rng, Z2, xi2, witness_points),
+            _interior_xi(rng, Z1, xi1, _WITNESS_POINTS),
+            _interior_xi(rng, Z2, xi2, _WITNESS_POINTS),
         ):
             x = np.concatenate([Z1.G @ a + Z1.c, Z2.G @ b + Z2.c])
             if not czono.contains(ZC, x):
@@ -257,7 +261,7 @@ def geometry_checks(rng_seed=2026, cases_per_op=200, witness_points=20, lp_point
     def check_hull_bounds(rng):
         Z, xi0 = _random_cz(rng, allow_inf=False)
         hull = czono.interval_hull(Z)
-        for xi in _interior_xi(rng, Z, xi0, witness_points):
+        for xi in _interior_xi(rng, Z, xi0, _WITNESS_POINTS):
             x = Z.G @ xi + Z.c
             if not hull.contains_point(x, tol=1e-7):
                 return "member escapes hull"
@@ -282,7 +286,7 @@ def geometry_checks(rng_seed=2026, cases_per_op=200, witness_points=20, lp_point
         Z, xi0 = _random_cz(rng, allow_inf=False)
         d = czono.diameter_inf(Z)
         pts = [
-            Z.G @ xi + Z.c for xi in _interior_xi(rng, Z, xi0, witness_points)
+            Z.G @ xi + Z.c for xi in _interior_xi(rng, Z, xi0, _WITNESS_POINTS)
         ]
         for a in pts:
             for b in pts:
@@ -397,7 +401,7 @@ def stacking_checks(rng_seed=2026, instances=100, probes=1000):
 # -- lattice oracle -----------------------------------------------------------
 
 
-def grid_oracle_check(resolution=0.05, steps=5, rng_seed=2026, trial=0):
+def grid_oracle_check(resolution=0.05, steps=5, rng_seed=2026):
     """Centralized filter vs exhaustive lattice enumeration on pair1d.
 
     The pair1d scenario draws noise on a lattice of the given resolution,
@@ -411,7 +415,7 @@ def grid_oracle_check(resolution=0.05, steps=5, rng_seed=2026, trial=0):
     doc = simharness.build_pair1d_scenario(horizon=steps, seed=rng_seed)
     doc.update(noise_grid=resolution, algorithms=["centralized"])
     cfg = simharness.ScenarioConfig(doc)
-    log = simharness.run_trial(cfg, trial, metrics="full")
+    log = simharness.run_trial(cfg, 0, metrics="full")
 
     lo0, hi0 = -10.0, 12.0
     npts = int(round((hi0 - lo0) / resolution)) + 1
@@ -474,20 +478,22 @@ def grid_oracle_check(resolution=0.05, steps=5, rng_seed=2026, trial=0):
 # -- conservativeness ordering -------------------------------------------------
 
 
-def ordering_check(trials=2, horizon=12, rng_seed=2026, tol=1e-9):
-    """Centralized hulls must be tightest on the five-vehicle scenario.
+def ordering_check(rng_seed=2026):
+    """Centralized hulls must be tightest on the five-vehicle scenario
+    (two trials at horizon 12, full metrics).
 
     ``ordering.diameters`` compares hull diameters: the centralized one
     may exceed neither the fixed-lag nor the distributed one by more than
-    ``tol``.  ``ordering.inclusion`` compares the hulls coordinate by
+    ``tol`` = 1e-9.  ``ordering.inclusion`` compares the hulls coordinate by
     coordinate: the centralized hull must lie inside the distributed one
     at every step, and inside the fixed-lag one past ``delta_bar`` (inside
     the window the two are the same LP), each endpoint to within
     ``tol * max(1, |x|)`` of the outer endpoint x.
     """
-    doc = simharness.build_uav_scenario(horizon=horizon, seed=rng_seed)
+    tol = 1e-9
+    doc = simharness.build_uav_scenario(horizon=12, seed=rng_seed)
     cfg = simharness.ScenarioConfig(doc)
-    mc = simharness.run_monte_carlo(cfg, trials, metrics="full", workers=1)
+    mc = simharness.run_monte_carlo(cfg, 2, metrics="full", workers=1)
     diam = {"cases": 0, "failures": 0, "detail": ""}
     incl = {"cases": 0, "failures": 0, "detail": ""}
 
@@ -581,7 +587,7 @@ def _replay_hull_deviations(cfg, log):
     return out
 
 
-def backend_check(horizon=6, rng_seed=2026, tol=1e-6):
+def backend_check(horizon=6, rng_seed=2026):
     """Logged trajectory-LP hulls vs dense accumulated-form hulls on short horizons."""
     results = []
     for name, builder in (("uav5", simharness.build_uav_scenario), ("pair1d", simharness.build_pair1d_scenario)):
@@ -590,7 +596,7 @@ def backend_check(horizon=6, rng_seed=2026, tol=1e-6):
         )
         log = simharness.run_trial(cfg, 0, metrics="full")
         devs = _replay_hull_deviations(cfg, log)
-        bad = [d for d in devs if d[3] > tol]
+        bad = [d for d in devs if d[3] > _REPLAY_TOL]
         detail = ""
         if bad:
             k, alg, agent, dev = bad[0]
@@ -652,7 +658,7 @@ def _replay_distributed_deviations(cfg, log):
     return out
 
 
-def distributed_check(horizon=6, rng_seed=2026, tol=1e-6):
+def distributed_check(horizon=6, rng_seed=2026):
     """Logged distributed hulls vs the dense composition of each step."""
     results = []
     for name, builder in (("uav5", simharness.build_uav_scenario), ("pair1d", simharness.build_pair1d_scenario)):
@@ -661,7 +667,7 @@ def distributed_check(horizon=6, rng_seed=2026, tol=1e-6):
         )
         log = simharness.run_trial(cfg, 0, metrics="full")
         devs = _replay_distributed_deviations(cfg, log)
-        bad = [d for d in devs if d[2] > tol]
+        bad = [d for d in devs if d[2] > _REPLAY_TOL]
         detail = ""
         if bad:
             k, agent, dev = bad[0]

@@ -339,6 +339,12 @@ SCHEMA_MUTATIONS = {
     "plot_coords-negative": (_top(plot_coords=[-1, 0]), "scenario.plot_coords"),
     "plot_coords-past-state": (_top(plot_coords=[9, 0]), "scenario.plot_coords"),
     "plot_coords-fraction": (_top(plot_coords=[0.5, 0]), "scenario.plot_coords"),
+    "edges-number": (_top(edges=5), "scenario.edges"),
+    "edge-one-entry": (_top(edges=[[1]]), "scenario.edges"),
+    "edge-three-entries": (_top(edges=[[1, 2, 3], [2, 1]]), "scenario.edges"),
+    "agent-number": (lambda doc: doc["agents"].__setitem__(0, 5), "agents[0]"),
+    "dynamics-number": (_first_agent(dynamics=5), "agents[0].dynamics"),
+    "B-nested": (lambda doc: doc["agents"][0].update(B=[doc["agents"][0]["B"]]), "agents[0].B"),
 }
 
 

@@ -46,14 +46,10 @@ def pair_system():
     return sysmodel.system_from_dict(doc)
 
 
-def batch_for(system, k, x, v_val=0.0, r_val=0.0):
-    v = {i: np.array([v_val]) for i in system.agent_ids}
-    r = {
-        (i, j): np.array([r_val])
-        for i in system.agent_ids
-        for j in system.topology.in_neighbors(i)
-    }
-    return sysmodel.measure(system, k, np.asarray(x, dtype=float), v, r)
+def batch_for(system, k, x):
+    """The noiseless measurements at x."""
+    rows = sysmodel.build_centralized(system).H.shape[0]
+    return sysmodel.measure(system, k, np.asarray(x, dtype=float), np.zeros(rows))
 
 
 class TestPrimitives:
@@ -134,9 +130,7 @@ class TestCentralized:
         for k in range(1, 6):
             w = rng.uniform(-1, 1, 2)
             x = sysmodel.step_truth(system, k - 1, x, w)
-            v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
-            r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
-            flt.step(k, sysmodel.measure(system, k, x, v, r))
+            flt.step(k, sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4)))
             assert flt.contains(x)
             hull = flt.hull()
             assert hull.lo[0] - 1e-9 <= x[0] <= hull.hi[0] + 1e-9
@@ -174,8 +168,8 @@ class TestCentralized:
         system = pair_system()
         flt = CentralizedFilter(system, pair_x0())
         batch = batch_for(system, 1, [50.0, 50.0])
-        with pytest.raises((EmptyPosteriorError, lp.EmptySetError)):
-            flt.step(1, batch)
+        flt.step(1, batch)
+        with pytest.raises(lp.EmptySetError):
             flt.hull()
 
 
@@ -215,9 +209,7 @@ class TestOit:
         x = np.array([0.0, 1.0])
         for k in range(1, 6):
             x = sysmodel.step_truth(system, k - 1, x, rng.uniform(-1, 1, 2))
-            v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
-            r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
-            batch = sysmodel.measure(system, k, x, v, r)
+            batch = sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4))
             cent.step(k, batch)
             oit.step(k, batch)
             assert_same_lp(oit._traj.program, cent._traj.program)
@@ -230,9 +222,7 @@ class TestOit:
         x = np.array([0.0, 1.0])
         for k in range(1, 12):
             x = sysmodel.step_truth(system, k - 1, x, rng.uniform(-1, 1, 2))
-            v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
-            r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
-            oit.step(k, sysmodel.measure(system, k, x, v, r))
+            oit.step(k, sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4)))
             sizes.append(oit.lifted_size)
             assert oit.contains(x)
         past = sizes[2:]
@@ -305,9 +295,7 @@ class TestOit:
         x = np.array([0.0, 1.0])
         for k in range(1, 10):
             x = sysmodel.step_truth(system, k - 1, x, rng.uniform(-1, 1, 2))
-            v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
-            r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
-            batch = sysmodel.measure(system, k, x, v, r)
+            batch = sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4))
             cent.step(k, batch)
             oit.step(k, batch)
             hc = cent.hull()
@@ -482,9 +470,7 @@ class TestDistributed:
         x = np.array([0.5, 1.5])
         for k in range(1, 6):
             x = sysmodel.step_truth(system, k - 1, x, rng.uniform(-1, 1, 2))
-            v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
-            r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
-            flt.step(k, sysmodel.measure(system, k, x, v, r))
+            flt.step(k, sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4)))
             for i in (1, 2):
                 hull = flt.hulls[i]
                 assert hull.lo[0] - 1e-9 <= x[i - 1] <= hull.hi[0] + 1e-9
@@ -506,9 +492,7 @@ class TestDistributed:
         x = np.array([0.0, 1.0])
         for k in range(1, 6):
             x = sysmodel.step_truth(system, k - 1, x, rng.uniform(-1, 1, 2))
-            v = {i: rng.uniform(-1, 1, 1) for i in (1, 2)}
-            r = {(1, 2): rng.uniform(-1, 1, 1), (2, 1): rng.uniform(-1, 1, 1)}
-            batch = sysmodel.measure(system, k, x, v, r)
+            batch = sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4))
             cent.step(k, batch)
             dist.step(k, batch)
             hc = cent.hull()

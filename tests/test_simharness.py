@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize._highspy import _core as _highs
 
 from czest import czono, filters, lp, simharness, sysmodel, verify
-from czest.simharness import NoiseSampler, ScenarioConfig, TrialLog
+from czest.simharness import ScenarioConfig, TrialLog
 
 
 def small_uav(h=4, seed=9, **extra):
@@ -113,23 +113,35 @@ class TestScenarioConfig:
             ScenarioConfig(doc)
 
 
-class TestNoiseSampler:
+class TestDraw:
     def test_grid_snapping(self):
         rng = np.random.default_rng(0)
-        s = NoiseSampler(rng, grid=0.05)
-        box = czono.Box([-1.0, -1.0], [1.0, 1.0])
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
         for _ in range(50):
-            x = s.from_box(box)
+            x = simharness._draw(rng, lo, hi, grid=0.05)
             snapped = np.round(x / 0.05) * 0.05
             assert np.allclose(x, snapped, atol=1e-12)
             assert np.all(x >= -1.0) and np.all(x <= 1.0)
 
-    def test_scale_widens_draws(self):
-        rng = np.random.default_rng(1)
-        s = NoiseSampler(rng, scale=3.0)
-        box = czono.Box([-1.0], [1.0])
-        draws = np.array([s.from_box(box)[0] for _ in range(200)])
-        assert draws.max() > 1.0 and draws.min() < -1.0
+    def test_injected_noise_scale_sets_the_measurement_noise(self, monkeypatch):
+        # pair1d measures y_i = x_i + v_i, v_i drawn from [-1, 1] scaled
+        # about its center
+        log = simharness.run_trial(small_pair(h=6, injected_noise_scale=0.0), 0, metrics="containment")
+        assert len(log.steps) == 6
+        assert all([s["y"]["1"][0], s["y"]["2"][0]] == s["truth"] for s in log.steps)
+        # at scale 3 the first step's noise leaves the declared box, so the
+        # posterior is empty and the trial aborts before it logs the step
+        offsets = []
+        measure = sysmodel.measure
+
+        def spy(system, k, x, noise):
+            batch = measure(system, k, x, noise)
+            offsets.extend([batch.y[1][0] - x[0], batch.y[2][0] - x[1]])
+            return batch
+
+        monkeypatch.setattr(sysmodel, "measure", spy)
+        simharness.run_trial(small_pair(h=6, injected_noise_scale=3.0), 0, metrics="containment")
+        assert max(abs(d) for d in offsets) > 1.0
 
 
 class TestDeterminism:

@@ -115,13 +115,28 @@ class TestStacking:
         system = pair_system()
         st = sysmodel.build_centralized(system)
         x = np.array([2.0, -1.0])
-        v = {1: np.array([0.1]), 2: np.array([-0.1])}
-        r = {(1, 2): np.array([0.2]), (2, 1): np.array([0.0])}
-        batch = sysmodel.measure(system, 1, x, v, r)
+        # noise in the stack's row order: y1, y2, z(1,2), z(2,1)
+        batch = sysmodel.measure(system, 1, x, [0.1, -0.1, 0.2, 0.0])
         assert batch.y[1][0] == pytest.approx(2.1)
         assert batch.z[(1, 2)][0] == pytest.approx(3.2)
         Y = sysmodel.stack_measurements(st, batch)
         assert Y.tolist() == pytest.approx([2.1, -1.1, 3.2, -3.0])
+
+    @pytest.mark.parametrize(
+        "build", [simharness.build_uav_scenario, simharness.build_pair1d_scenario], ids=["uav5", "pair1d"]
+    )
+    def test_measure_reads_noise_in_stack_order(self, build):
+        system = sysmodel.system_from_dict(build())
+        st = sysmodel.build_centralized(system)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-5.0, 5.0, system.state_dim())
+        e = rng.uniform(-1.0, 1.0, st.H.shape[0])
+        noisy = sysmodel.stack_measurements(st, sysmodel.measure(system, 1, x, e))
+        clean = sysmodel.stack_measurements(st, sysmodel.measure(system, 1, x, np.zeros_like(e)))
+        assert np.allclose(noisy - clean, e, rtol=0.0, atol=1e-12)
+        for wrong in (e[:-1], np.append(e, 0.0)):
+            with pytest.raises(ValueError, match="noise has length"):
+                sysmodel.measure(system, 1, x, wrong)
 
     @pytest.mark.parametrize(
         "build", [simharness.build_uav_scenario, simharness.build_pair1d_scenario], ids=["uav5", "pair1d"]
