@@ -24,20 +24,19 @@ box is the ranged row Y - v_hi <= H x <= Y - v_lo, each end rounded one
 ulp outward (``_measurement_bounds``), since HiGHS keeps a bounded slack
 for every row anyway.
 
-The centralized and fixed-lag filters build their LPs from step blocks
-(``_step_block``), each appended to the ``lp.LinearProgram`` on its own
-columns (``extend``'s ``cols``): the dynamics rows x_k = A x_{k-1} + B w
-encode the prediction, the measurement rows the update, over the columns
-x_{k-1}, w and x_k of one stacked system (``sysmodel``), with w in the
-stack's noise box.  Each filter builds its stacks once, at construction.
-Of these numbers only A (``StackedSystem.A(k)``) and Y change from one
-step to the next: B, H and the noise boxes are the stack's fixed parts,
-so a block moved to a later step is rewritten in place
-(``_TrajectoryLP.rewrite``).  Every in-place write of new numbers into a
-filter LP goes through one writer, ``_rewrite``: each block whose
-coefficients move is a slot, and it writes the entries that changed
-since the slot's last matrix in one call and the measurement row bounds
-in another.
+The centralized filter and the fixed-lag filter inside its window build
+their LPs from step blocks (``_step_block``), each appended to the
+``lp.LinearProgram`` on its own columns (``extend``'s ``cols``): the
+dynamics rows x_k = A x_{k-1} + B w encode the prediction, the
+measurement rows the update, over the columns x_{k-1}, w and x_k of one
+stacked system (``sysmodel``), with w in the stack's noise box.  Each
+filter builds its stacks once, at construction.  Of these numbers only A
+(``StackedSystem.A(k)``) and Y change from one step to the next: B, H and
+the noise boxes are the stack's fixed parts.  An LP whose structure is
+fixed and whose numbers move, the fixed-lag window and each distributed
+agent's LP, keeps a dense copy of its matrix and bounds, writes each
+step's numbers into that copy and reloads the model whole
+(``lp.LinearProgram.replace``), which keeps its basis.
 
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``), with each step's states substituted out: per owner, its
@@ -49,33 +48,39 @@ bounded.  Each step, every owner o's numbers are computed once, as a
 message (``_message``): A(k) and H A(k) of N̄_o, the measurement row
 bounds and the bounds of N̄_o's last hulls.  Each agent LP receives the
 messages of its owners and nothing else, so what it can read is local by
-construction.  Its structure is fixed, so a step only writes the
-messages' numbers in place (``_rewrite``, then the hull bounds) and
-solves the 2n bounds of the agent's state from the last basis.  The
-posterior is the hull (``hulls``).
+construction.  A step writes the messages into the LP's dense copy,
+reloads it and solves the 2n bounds of the agent's state from the last
+basis.  The posterior is the hull (``hulls``).
 
-The centralized and fixed-lag posteriors are held as one sparse
-"trajectory" LP over the window's states and process noises
-(``_TrajectoryLP``), one step block of the centralized stack per step;
-the set is the LP's
-feasible set projected on the final state.  A step appends
-its block of columns and rows to the same ``lp.LinearProgram``, so every
-solve warm-starts from the last basis, across steps too.  The fixed-lag
-filter builds its window once, at construction, with the window's first
-state free; past ``delta_bar`` it slides the window by rewriting that LP
-in place: the window's columns and rows never change, and of its numbers
-only the dynamics coefficients A and the measurement row bounds move.
+The centralized posterior is held as one sparse "trajectory" LP over
+every state and process noise so far (``_LiftedFilter``), one step block
+of the centralized stack per step; the set is the LP's feasible set
+projected on the final state.  A step appends its block of columns and
+rows to the same ``lp.LinearProgram``, so every solve warm-starts from
+the last basis, across steps too.  The fixed-lag filter grows the same LP
+up to ``delta_bar``.  Past it, its window of the last ``delta_bar + 1``
+batches, with the window's first state x_a free, is one LP over x_a, the
+window's process noises w and the final state (``_window_block``), the
+finite-horizon filter of Cong, Wang & Zhou (*IEEE TAC* 67(5), 2022): the
+states in between are substituted out, so the measurement rows of the
+window's j-th batch read H Φ_j (x_a, w), Φ_j being the window's first j
+steps of dynamics, as in the observability matrix [H; H Φ_1; ...] of
+``sysmodel.observability_index``; the last batch's read H x_k, and the
+final state's rows tie x_k to (x_a, w).  A time-varying A(k) moves every
+coefficient of that LP at every step, so each step reloads it whole.
+
 ``hull`` solves the final state's interval hull.  ``contains`` first
 tries a one-step witness: the feasible LP point behind the last step's
 ``True``, carried one step by the recursion to the queried state and
-checked against the LP's bounds and its rows as the HiGHS model holds them
-(``lp.LinearProgram.satisfied_by``); a point that passes is a primal
+checked against the LP's bounds and its rows as the HiGHS model holds
+them (``lp.LinearProgram.satisfied_by``); a point that passes is a primal
 certificate of membership.  Only when there is no witness, or it fails
 the check, does ``contains`` fall back to the LP probe
 (``lp.LinearProgram.feasible_at``): it pins the final state through its
 bounds, solves and restores them, and after an infeasible probe solves
-the unpinned region once, so that an empty posterior raises
-``lp.EmptySetError`` instead of reading as a point outside it.
+the unpinned region once per step, so that an empty posterior raises
+``lp.EmptySetError`` instead of reading as a point outside it.  A query
+on some coordinates of the state is the probe alone.
 
 Every hull is ``lp.LinearProgram.bounds`` of the state's columns, so
 an empty posterior raises ``lp.EmptySetError``.  Noise ranges are boxes
@@ -179,101 +184,73 @@ def _step_block(stack, A, Y):
     )
 
 
-def _rewrite(region, slots, mats, rows, lo, hi):
-    """Write a step's numbers into ``region`` in place.
+def _window_block(stack, entries):
+    """The fixed-lag window of ``entries`` ((A, Y) of its steps, oldest
+    first; the first A is not read) as (lo, hi, D, b_lo, b_hi): the rows
+    b_lo <= D y <= b_hi over the columns y = (x_a, w_1, ..., w_d, x_k),
+    d = len(entries) - 1,
 
-    Each slot [first row, columns, sign, M] is a block of coefficients
-    sign * M whose row r and column j sit at ``first row + r`` and
-    ``columns[j]``; ``mats`` holds each slot's new M.  The entries that
-    differ from the slot's last M go in one ``set_coefficients`` call,
-    made even when none differ (it marks the region changed, which picks
-    the next solve's simplex), and the bounds [lo, hi] of ``rows`` in one
-    ``set_row_bounds`` call.  Each slot keeps its new M.
+        measurement  Y_j - v_hi <= H F_j (x_a, w) <= Y_j - v_lo,  j < d,
+                     Y_d - v_hi <= H x_k <= Y_d - v_lo  (``_measurement_bounds``),
+        final state  x_k - F_d (x_a, w) = 0,
+
+    where F_j (x_a, w) is the state j steps of the window's dynamics after
+    x_a (F_0 = [I 0]), and the bounds [lo, hi] of the columns: x_a and x_k
+    free, each w in the stack's W box.
     """
-    rr_all, cc_all, vals = [], [], []
-    for slot, M in zip(slots, mats, strict=True):
-        row, cols, sign, old = slot
-        rr, cc = np.nonzero(M != old)
-        rr_all.append(row + rr)
-        cc_all.append(cols[cc])
-        vals.append(sign * M[rr, cc])
-        slot[3] = M
-    if slots:
-        region.set_coefficients(np.concatenate(rr_all), np.concatenate(cc_all), np.concatenate(vals))
-    region.set_row_bounds(rows, lo, hi)
+    B, H = stack.B, stack.H
+    n, p = B.shape
+    d, m = len(entries) - 1, H.shape[0]
+    F = np.eye(n, n + d * p)
+    D = np.zeros(((d + 1) * m + n, n + d * p + n))
+    for j, (A, _) in enumerate(entries):
+        if j:
+            F = A @ F
+            F[:, n + (j - 1) * p : n + j * p] = B
+        if j < d:
+            D[j * m : (j + 1) * m, : n + d * p] = H @ F
+    D[d * m : (d + 1) * m, n + d * p :] = H
+    D[(d + 1) * m :, : n + d * p] = -F
+    D[(d + 1) * m :, n + d * p :] = np.eye(n)
+    y_lo, y_hi = _measurement_bounds(np.stack([Y for _, Y in entries]), stack.Vset)  # a batch per row
+    free = np.full(n, np.inf)
+    return (
+        np.concatenate([-free, np.tile(stack.Wset.lo, d), -free]),
+        np.concatenate([free, np.tile(stack.Wset.hi, d), free]),
+        D,
+        np.concatenate([y_lo.ravel(), np.zeros(n)]),
+        np.concatenate([y_hi.ravel(), np.zeros(n)]),
+    )
 
 
-class _TrajectoryLP:
-    """Sparse LP over the (x_{t0}, w, x) of ``stack`` in one window.
+def _region(lo, hi, D, b_lo, b_hi):
+    """A new ``lp.LinearProgram`` over columns in [lo, hi] with the rows
+    b_lo <= D y <= b_hi."""
+    region = lp.LinearProgram(np.zeros((0, lo.size)), np.zeros(0), lo, hi)
+    region.extend([], [], D, b_lo, b_hi)
+    return region
 
-    The feasible set projected on x_k equals the filter posterior: the
-    dynamics rows encode the prediction, the measurement rows the update.
-    ``x0_box=None`` leaves the window's initial state free, matching the
-    fixed-lag window's unbounded prior; ``t0_Y`` adds that step's
-    measurement rows of the initial state.  ``extend`` appends one step to
-    the same ``lp.LinearProgram``, so every solve after the first starts
-    from the last basis, across steps too.  ``rewrite`` moves a window to
-    the next step in place: its columns, rows, bounds and every
-    coefficient but A stay, so it writes A and the measurement row bounds
-    only (``_rewrite``).
-    """
 
-    def __init__(self, stack, x0_box=None, t0_Y=None):
-        self.stack = stack
-        self.n = n = stack.B.shape[0]
-        self.x_final = 0  # first column of the final state
-        if x0_box is None:
-            lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
-        else:
-            lo, hi = x0_box.lo, x0_box.hi
-        self.program = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), lo, hi)
-        self._slots = []  # [first dynamics row, x_{k-1} columns, -1, A] per extend
-        self._meas = []  # the measurement rows of t0_Y, then of each extend
-        if t0_Y is not None:
-            # the initial state's measurement rows, the LP's first rows
-            self._meas.append(np.arange(stack.H.shape[0]))
-            self.program.extend([], [], stack.H, *_measurement_bounds(t0_Y, stack.Vset))
-
-    def extend(self, A, Y):
-        """Append one step (``_step_block``): columns w and x_k with the
-        dynamics and measurement rows."""
-        region = self.program
-        prev = np.arange(self.x_final, self.x_final + self.n)
-        x_at = region.n + self.stack.B.shape[1]
-        self._slots.append([region.m, prev, -1.0, A])
-        self._meas.append(np.arange(region.m + self.n, region.m + self.n + Y.size))
-        cols = np.concatenate([prev, np.arange(region.n, x_at + self.n)])  # x_{k-1}, then w and x_k
-        region.extend(*_step_block(self.stack, A, Y), cols=cols)
-        self.x_final = x_at
-
-    def rewrite(self, t0_Y, entries):
-        """Write the window of ``t0_Y`` followed by ``entries`` ((A, Y) per
-        ``extend``) over the current one, in place (``_rewrite``)."""
-        Ys = np.stack([t0_Y] + [Y for _, Y in entries])  # one block's measurements per row
-        lo, hi = _measurement_bounds(Ys, self.stack.Vset)
-        mats = [A for A, _ in entries]
-        _rewrite(self.program, self._slots, mats, np.concatenate(self._meas), lo.ravel(), hi.ravel())
-
-    def hull(self):
-        """Interval hull of the final state."""
-        cols = range(self.x_final, self.x_final + self.n)
-        return Box(*self.program.bounds(_unit_rows(self.program.n, cols)))
-
-    def contains_final(self, x, coords=None):
-        """True iff some trajectory ends at x (on the listed coords)."""
-        coords = range(self.n) if coords is None else coords
-        cols = self.x_final + np.array(coords, dtype=int)
-        return self.program.feasible_at(cols, x)
+def _extend_trajectory(region, stack, A, Y):
+    """Append one step (``_step_block``) to the trajectory LP ``region``,
+    whose last columns are x_{k-1}: columns w and x_k with the dynamics
+    and measurement rows."""
+    n, p = stack.B.shape
+    cols = np.arange(region.n - n, region.n + p + n)  # x_{k-1}, then the new w and x_k
+    region.extend(*_step_block(stack, A, Y), cols=cols)
 
 
 class _LiftedFilter:
     """What the centralized and fixed-lag filters share: a posterior held
-    as a ``_TrajectoryLP``, the step bookkeeping and the queries on it.
+    as the final state, the last columns, of an LP (``_post``: the
+    trajectory LP ``_traj`` over (x_0, w_1, x_1, ..., w_k, x_k), grown by
+    ``_extend_trajectory``, or the fixed-lag window), the step bookkeeping
+    and the queries on it.
 
     ``contains`` keeps a witness (k, p, y, checked): the
     state p it last found in the step-k posterior and y, a feasible point
     of that step's LP whose final state is p.  ``checked`` is
-    (LinearProgram, its ``row_edits``, rows) when y was verified against
+    (LinearProgram, its ``reloads``, rows) when y was verified against
     those leading rows of that LP (``_try_witness``), None for a solver's
     point.
     """
@@ -287,10 +264,11 @@ class _LiftedFilter:
         self.system = system
         self.k = 0
         self._stack = sysmodel.build_centralized(system)
-        self._traj = _TrajectoryLP(self._stack, initial)
+        self._traj = self._post = lp.LinearProgram(np.zeros((0, initial.dim)), np.zeros(0), initial.lo, initial.hi)
         self._B_pinv = np.linalg.pinv(self._stack.B)
         self._entry = None  # (A, Y) of step k
         self._witness = None
+        self._nonempty = None  # the last step whose posterior a solve found nonempty
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
@@ -303,71 +281,86 @@ class _LiftedFilter:
 
     def hull(self):
         """Interval hull of the stacked state (a Box)."""
-        return self._traj.hull()
+        region, n = self._post, self._stack.B.shape[0]
+        return Box(*region.bounds(_unit_rows(region.n, range(region.n - n, region.n))))
 
-    def contains(self, x):
-        """True iff the posterior holds the state x.  Raises
+    def contains(self, x, coords=None):
+        """True iff the posterior holds a state equal to x on the listed
+        coordinates of the stacked state (all by default).  Raises
         ``lp.EmptySetError`` if the posterior is empty.
 
-        The one-step witness comes first (``_try_witness``); only when
-        there is none, or it fails its check against the LP's rows, is the
-        final state pinned and the LP solved.  A feasible solve's point
-        seeds the next step's witness.
+        A whole-state query tries the one-step witness first
+        (``_try_witness``); only when there is none, or it fails its check
+        against the LP's rows, are the final state's coordinates pinned
+        and the LP solved.  A query on listed coordinates is that probe
+        alone.  A feasible whole-state solve's point seeds the next step's
+        witness.  After an infeasible probe the unpinned LP is solved,
+        once per step, to tell an empty posterior from a point outside it.
         """
         x = np.array(x, dtype=float)
-        if self._try_witness(x):
-            return True
-        self._witness = None
-        region = self._traj.program
-        if self._traj.contains_final(x):
-            if region.last_x is not None:
+        n = self._stack.B.shape[0]
+        whole = coords is None
+        coords = np.arange(n) if whole else np.asarray(coords, dtype=int).ravel()
+        if coords.size and (coords.min() < 0 or coords.max() >= n):
+            raise ValueError(f"state coordinate out of range 0..{n - 1}")
+        if whole:
+            if self._try_witness(x):
+                return True
+            self._witness = None
+        region = self._post
+        if region.feasible_at(region.n - n + coords, x):
+            if whole and region.last_x is not None:
                 self._witness = (self.k, x, region.last_x, None)
             return True
-        if region.solve(np.zeros(region.n)).status == lp.INFEASIBLE:
-            raise lp.EmptySetError("empty posterior")
+        if self._nonempty != self.k:
+            if region.solve(np.zeros(region.n)).status == lp.INFEASIBLE:
+                raise lp.EmptySetError("empty posterior")
+            self._nonempty = self.k
         return False
 
     def _try_witness(self, x):
         """True iff the witness of step k - 1, carried one step to x, is a
         feasible point of the LP; it then becomes the witness of step k.
 
-        The recursion carries it: with A this step's dynamics, the noise
-        w = B⁺(x - A p) and the state x extend y by one step block, and the
-        LP's columns are the trailing ones of that (a window LP's first
-        columns are the final state of the step block before them).
+        The recursion carries it (``_carry``) with A this step's dynamics
+        and the noise w = B⁺(x - A p) that takes its state p to x.
         ``lp.LinearProgram.satisfied_by`` then checks the point against
         every bound and against the rows as the model holds
         them: all rows, unless y was checked against this LP's leading
-        rows and none of them was changed in place since, when only the
+        rows and none of them was reloaded since, when only the
         rows after those are read.
         """
         if self._witness is None or self._witness[0] != self.k - 1:
             return False
         _, p, y, checked = self._witness
         A, _ = self._entry
-        w = self._B_pinv @ (x - A @ p)
-        region = self._traj.program
-        y = np.concatenate([y, w, x])[-region.n :]
+        region = self._post
+        y = self._carry(y, self._B_pinv @ (x - A @ p), x)
         first = 0
-        if checked is not None and checked[0] is region and checked[1] == region.row_edits:
+        if checked is not None and checked[0] is region and checked[1] == region.reloads:
             first = checked[2]
         if not region.satisfied_by(y, first):
             return False
-        self._witness = (self.k, x, y, (region, region.row_edits, region.m))
+        self._witness = (self.k, x, y, (region, region.reloads, region.m))
         return True
+
+    def _carry(self, y, w, x):
+        """The point of this step's trajectory LP that extends y, a point of
+        the last step's, by the noise w and the state x."""
+        return np.concatenate([y, w, x])
 
     @property
     def lifted_size(self):
         """(generators, constraints) of the lifted posterior: the LP's
         columns and rows."""
-        return self._traj.program.n, self._traj.program.m
+        return self._post.n, self._post.m
 
 
 class CentralizedFilter(_LiftedFilter):
     """Full-information recursion on the stacked system."""
 
     def _consume(self, k, entry):
-        self._traj.extend(*entry)
+        _extend_trajectory(self._traj, self._stack, *entry)
 
 
 class OitFilter(_LiftedFilter):
@@ -375,13 +368,12 @@ class OitFilter(_LiftedFilter):
 
     For k <= delta_bar the posterior is grown exactly as the centralized
     one (same LP, same inputs).  Beyond that it is the LP of the buffered
-    window of the last delta_bar + 1 batches, with the state at
-    k - delta_bar free, which caps its columns and rows at a constant.
-    That LP is built once, at construction, with the first window's
-    dynamics; each step past delta_bar slides the window by rewriting it
-    in place (``_TrajectoryLP.rewrite``), since only the dynamics
-    coefficients A and the measurements Y differ, so its solves
-    warm-start from the last basis.
+    window of the last delta_bar + 1 batches (``_window_block``), with the
+    state at k - delta_bar free, which caps its columns and rows at a
+    constant.  That LP is built once, at construction; each step past
+    delta_bar reloads it with the new window's numbers
+    (``lp.LinearProgram.replace``), so its solves warm-start from the
+    last basis.
     """
 
     def __init__(self, system, initial, delta_bar):
@@ -395,20 +387,35 @@ class OitFilter(_LiftedFilter):
         self._window = []  # step entries, oldest first
         stack = self._stack
         zeros = np.zeros(stack.H.shape[0])
-        self._window_lp = _TrajectoryLP(stack, None, zeros)
-        for t in range(1, self.delta_bar + 1):
-            self._window_lp.extend(stack.A(t), zeros)
+        self._window_lp = _region(*_window_block(stack, [(stack.A(t), zeros) for t in range(self.delta_bar + 1)]))
 
     def _consume(self, k, entry):
         self._window.append(entry)
         if len(self._window) > self.delta_bar + 1:
             self._window.pop(0)
         if k <= self.delta_bar:
-            self._traj.extend(*entry)
+            _extend_trajectory(self._traj, self._stack, *entry)
         else:
-            (_, Y0), *rest = self._window
-            self._traj = self._window_lp
-            self._traj.rewrite(Y0, rest)
+            self._post = self._window_lp
+            self._post.replace(*_window_block(self._stack, self._window))
+
+    def _carry(self, y, w, x):
+        """The point of this step's LP that extends y, the last step's
+        witness point, by the noise w and the state x.  Past delta_bar
+        that is the window's (x_a, w_1, ..., w_d, x): on the first window
+        x_a and w_2, ..., w_d are x_1 and the noises of the trajectory
+        point y; on each later one x_a moves a step, A x_a + B w_1, and the
+        noises shift by one."""
+        if self.k <= self.delta_bar:
+            return super()._carry(y, w, x)
+        n, p = self._stack.B.shape
+        if self.k == self.delta_bar + 1:  # y = (x_0, w_1, x_1, ..., w_d, x_d)
+            steps = y[n:].reshape(self.delta_bar, p + n)
+            start, noises = steps[0, p:], np.append(steps[1:, :p], w)
+        else:  # y = (x_a, w_1, ..., w_d, p)
+            noises = np.concatenate([y[n:-n], w])
+            start, noises = self._window[0][0] @ y[:n] + self._stack.B @ noises[:p], noises[p:]
+        return np.concatenate([start, noises, x])
 
 
 def _message(stack, A, Y, hulls):
@@ -425,7 +432,7 @@ class _AgentLP:
 
     It holds the joint of each of its ``owners``: agent i and every peer
     l in ``topology.peers(i)``, with each step's states substituted out.
-    Each owner o appends, in turn, the columns x_prev (bounded by the
+    Each owner o adds, in turn, the columns x_prev (bounded by the
     last hulls of N̄_o) and w (in the W box of o's neighborhood stack),
     and o's measurement rows, in which the state x = A x_prev + B w of
     step k enters through its parts:
@@ -439,9 +446,10 @@ class _AgentLP:
     own columns, whose rows ``hull`` bounds.
 
     The LP reads no data but its owners' messages (``_message``), in
-    ``owners`` order: it is built from the ones of step 1's dynamics, zero
-    measurements and the initial sets, and ``update`` writes each later
-    step's in place, so each step's solves start from the last basis.
+    ``owners`` order.  It keeps a dense copy of its matrix and bounds:
+    ``update`` writes each step's messages into it and reloads the model
+    (``lp.LinearProgram.replace``), so each step's solves start from the
+    last basis.
     """
 
     def __init__(self, system, i, stacks, messages):
@@ -450,47 +458,56 @@ class _AgentLP:
         agents = system.agents
         self.owners = [i] + system.topology.peers(i)
         n, p = agents[i].n, agents[i].p
-        region = lp.LinearProgram(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0))
-        self._slots = []  # [first row, columns, sign, M] per moving block (_rewrite)
-        own = {}  # owner -> agent i's x_prev and w columns in its block
-        for o, (_, HA, y_bounds, x_bounds) in zip(self.owners, messages, strict=True):
+        blocks, own = [], {}  # per owner: (its rows, its x_prev columns); agent i's columns in its block
+        row = col = 0
+        for o in self.owners:
             st = stacks[o]
-            col = region.n
-            self._slots.append([region.m, np.arange(col, col + HA.shape[1]), 1.0, HA])
-            region.extend(
-                np.concatenate([x_bounds[0], st.Wset.lo]),
-                np.concatenate([x_bounds[1], st.Wset.hi]),
-                np.hstack([HA, st.H @ st.B]),
-                *y_bounds,
-                cols=np.arange(col, col + HA.shape[1] + st.B.shape[1]),
-            )
+            nx, m = st.B.shape[0], st.H.shape[0]
+            blocks.append((slice(row, row + m), slice(col, col + nx)))
             before = st.state_order[: st.state_order.index(i)]
             x_at = col + sum(agents[l].n for l in before)
-            w_at = col + st.B.shape[0] + sum(agents[l].p for l in before)
+            w_at = col + nx + sum(agents[l].p for l in before)
             own[o] = np.concatenate([np.arange(x_at, x_at + n), np.arange(w_at, w_at + p)])
-        self._meas = np.concatenate([np.arange(row, row + M.shape[0]) for row, _, _, M in self._slots])
-        self._prev_cols = np.concatenate([cols for _, cols, _, _ in self._slots])
-        self._own = own[i]
+            row, col = row + m, col + nx + st.B.shape[1]
+        self._blocks, self._own = blocks, own[i]
         self._A_i, self._B_i = messages[0][0][:n, :n], agents[i].B  # i leads N̄_i
+        D = np.zeros((row + n * (len(self.owners) - 1), col))
+        lo, hi = np.empty(col), np.empty(col)
+        for o, (rows, cols) in zip(self.owners, blocks):
+            st = stacks[o]
+            w_cols = slice(cols.stop, cols.stop + st.B.shape[1])
+            D[rows, w_cols] = st.H @ st.B
+            lo[w_cols], hi[w_cols] = st.Wset.lo, st.Wset.hi
+        self._coupling = []  # per peer: (its rows, agent i's own x_prev columns, the peer's copy of them)
         for l in self.owners[1:]:
-            self._slots += [
-                [region.m, self._own[:n], 1.0, self._A_i],
-                [region.m, own[l][:n], -_COUPLING_SIGN, self._A_i],
-            ]
-            rows = coupling_rows(region.n, self._own, own[l], np.hstack([self._A_i, self._B_i]))
-            region.extend([], [], rows, np.zeros(n), np.zeros(n))
-        self.program = region
+            D[row : row + n] = coupling_rows(col, self._own, own[l], np.hstack([self._A_i, self._B_i]))
+            self._coupling.append((slice(row, row + n), self._own[:n], own[l][:n], _COUPLING_SIGN))
+            row += n
+        self._D, self._lo, self._hi = D, lo, hi
+        self._b_lo, self._b_hi = np.zeros(row), np.zeros(row)
+        self._write(messages)
+        self.program = _region(lo, hi, D, self._b_lo, self._b_hi)
+
+    def _write(self, messages):
+        """Write the owners' ``messages`` into the dense copy: H A of
+        every owner and its measurement row bounds, the x_prev bounds and
+        A_i in the coupling rows."""
+        D = self._D
+        n = self._B_i.shape[0]
+        self._A_i = messages[0][0][:n, :n]  # i leads N̄_i
+        for (rows, cols), (_, HA, y_bounds, x_bounds) in zip(self._blocks, messages, strict=True):
+            D[rows, cols] = HA
+            self._b_lo[rows], self._b_hi[rows] = y_bounds
+            self._lo[cols], self._hi[cols] = x_bounds
+        for rows, own, peer, sign in self._coupling:
+            D[rows, own] = self._A_i
+            D[rows, peer] = -sign * self._A_i
 
     def update(self, messages):
-        """Write the owners' ``messages`` of the next step in place: H A of
-        every owner, A_i in the coupling rows and every measurement row's
-        bounds (``_rewrite``), then the x_prev bounds."""
-        A, HA, y_bounds, x_bounds = zip(*messages)
-        n = self._B_i.shape[0]
-        self._A_i = A[0][:n, :n]  # i leads N̄_i
-        mats = list(HA) + [self._A_i] * (len(self._slots) - len(HA))
-        _rewrite(self.program, self._slots, mats, self._meas, *map(np.concatenate, zip(*y_bounds)))
-        self.program.set_bounds(self._prev_cols, *map(np.concatenate, zip(*x_bounds)))
+        """Load the owners' ``messages`` of the next step (``_write``) into
+        the model."""
+        self._write(messages)
+        self.program.replace(self._lo, self._hi, self._D, self._b_lo, self._b_hi)
 
     def hull(self):
         """Interval hull of agent i's refined own state."""
@@ -507,7 +524,7 @@ class DistributedFilter:
     A step computes each owner's message (``_message``) once, from its
     neighborhood stack, the step's measurements and the last hulls, and
     hands each agent LP the messages of its owners only.  The models are
-    built at construction and changed in place by every step.
+    built at construction and reloaded by every step.
     """
 
     def __init__(self, system, initial_ranges):

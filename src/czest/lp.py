@@ -5,14 +5,16 @@ where individual bounds may be infinite; an equality row has b_lo = b_hi.
 Each ``LinearProgram`` holds one
 HiGHS model of its feasible region (the solver bundled with scipy, reached
 through its compiled binding, see below).  Every model starts empty and is
-loaded through ``extend``, the one way rows reach HiGHS; ``solve`` only
+loaded through ``extend``; ``solve`` only
 swaps the objective, so after the first call HiGHS starts
 from the previous optimal basis and an interval hull's 2n bounds over one
-region pay for the initial basis only once.  A region can grow in place:
-``extend`` appends columns and rows and ``set_bounds`` changes column
-bounds, both on the same model, so the next solve also starts from the
-last basis.  Coefficients and row bounds can be changed in place
-too (``set_coefficients``, ``set_row_bounds``), so a region whose structure is
+region pay for the initial basis only once.  The region is written
+through three calls, all on the same model, so the next solve also starts
+from the last basis: ``extend`` appends columns and rows, ``set_bounds``
+changes column bounds, and ``replace`` loads new numbers into every
+column bound, coefficient and row bound at once.  ``replace`` passes the
+whole model to HiGHS in one ``passModel`` call and then hands the basis
+it held before back with ``setBasis``, so a region whose structure is
 fixed and whose numbers move, such as one filter step after another, is
 one model for its whole life.  A ranged row costs HiGHS no column: the
 model keeps a slack for every row anyway, so a bounded slack variable of
@@ -20,11 +22,13 @@ a row (a noise term) is better written as the row's two bounds.
 
 Every query of a region goes through its ``LinearProgram``: ``bounds``
 (interval hulls), ``feasible_at`` (pinned membership) and
-``satisfied_by`` (a given point, without a solve).
+``satisfied_by`` (a given point, without a solve).  A solve whose
+objective is zero, as every membership probe's is, skips the objective
+write when the model's objective already is zero.
 
 Each solve picks its simplex variant from what changed since the last
 one.  After a change of the region (a new model, ``extend``,
-``set_bounds``, ``set_coefficients``, ``set_row_bounds``) the last basis is
+``set_bounds``, ``replace``) the last basis is
 still dual feasible, so the solve runs dual simplex; when only the
 objective changed the basis is still primal feasible, so it runs primal
 simplex (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
@@ -59,8 +63,8 @@ scipy's ``_highspy`` package never gets the attribute ``_core``: reach the
 module by ``from``-import or through ``sys.modules``.)  A scipy whose
 package directory holds no such file raises ``ImportError`` naming the
 directory searched and the scipy version.  Rows arrive as dense blocks,
-and ``extend`` builds HiGHS's compressed sparse row arrays from them with
-numpy, so nothing here imports ``scipy.sparse``.
+and ``extend`` and ``replace`` build HiGHS's compressed sparse row arrays
+from them with numpy, so nothing here imports ``scipy.sparse``.
 """
 
 import importlib.machinery
@@ -106,6 +110,9 @@ _ERROR = _highs.HighsStatus.kError.value
 
 _DUAL = 1  # HiGHS simplex_strategy values
 _PRIMAL = 4
+
+_ROWWISE = _highs.MatrixFormat.kRowwise.value  # passModel's matrix format and sense
+_MINIMIZE = _highs.ObjSense.kMinimize.value
 
 _HIGHS_OPTIONS = {
     "output_flag": False,
@@ -157,18 +164,19 @@ class LinearProgram:
     rows with both bounds, optionally on listed columns only.  ``A`` is a
     dense 2-d array (a nested list will do); a ``scipy.sparse`` matrix
     raises ``ValueError``.  ``solve`` may be called repeatedly with
-    different objectives, and between solves the region may be extended
-    or its column bounds, coefficients or row bounds changed; after the
+    different objectives, and between solves the region may be extended,
+    its column bounds changed or all of its numbers replaced; after the
     first call the previous basis warm-starts the next one.
     """
 
     def __init__(self, A, b, lo, hi):
         self.m = self.n = 0
         self.lo, self.hi = np.zeros(0), np.zeros(0)
-        self.row_edits = 0  # in-place row changes so far (set_coefficients, set_row_bounds)
+        self.reloads = 0  # replace calls so far
         self.last_x = None  # optimizer of the last solve, None unless it was optimal
         self._highs = _new_model()
         self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
+        self._zero_cost = True  # the model's objective is zero
         self.extend(lo, hi, A, b, b)
 
     def extend(self, lo, hi, A, b_lo, b_hi, cols=None):
@@ -206,32 +214,31 @@ class LinearProgram:
         self._region_changed = True
         _check(self._highs.changeColsBounds(cols.size, cols, lo, hi), "changeColsBounds")
 
-    def set_coefficients(self, rows, cols, values):
-        """Set ``A[rows[t], cols[t]] = values[t]`` in place; a zero value
-        removes the entry."""
-        rows = _indices(rows, self.m, "row")
-        cols = _indices(cols, self.n, "column")
-        values = np.asarray(values, dtype=float).ravel()
-        if not rows.size == cols.size == values.size:
-            raise ValueError("rows, cols and values must have the same length")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite coefficient")
-        self._region_changed = True
-        self.row_edits += 1
-        h = self._highs
-        for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
-            _check(h.changeCoeff(r, c, v), "changeCoeff")
+    def replace(self, lo, hi, A, b_lo, b_hi):
+        """Load new numbers into the whole region in place: the column
+        bounds [lo, hi] and the rows ``b_lo <= A x <= b_hi``, with A a
+        dense m x n array.
 
-    def set_row_bounds(self, rows, lo, hi):
-        """Change the bounds of the listed rows in place to [lo, hi]; an
-        equality row has lo == hi."""
-        rows = _indices(rows, self.m, "row")
-        lo, hi = _bound_vectors(lo, hi, rows.size, "row")
+        The arguments are validated as ``extend``'s are, and the sizes
+        stay.  One ``passModel`` call loads them, with a zero objective;
+        ``setBasis`` then restores the basis the model held before, if it
+        had one, so the next solve starts from it.
+        """
+        lo, hi = _bound_vectors(lo, hi, self.n)
+        start, index, value = _region_rows(A, None, self.n)
+        if start.size != self.m:
+            raise ValueError(f"A has {start.size} rows, expected {self.m}")
+        b_lo, b_hi = _bound_vectors(b_lo, b_hi, self.m, "row")
         self._region_changed = True
-        self.row_edits += 1
+        self.reloads += 1
         h = self._highs
-        for r, a, b in zip(rows.tolist(), lo.tolist(), hi.tolist()):
-            _check(h.changeRowBounds(r, a, b), "changeRowBounds")
+        basis = h.getBasis()
+        _check(h.passModel(self.n, self.m, value.size, _ROWWISE, _MINIMIZE, 0.0, np.zeros(self.n), lo, hi,
+                           b_lo, b_hi, start, index, value, np.zeros(self.n, dtype=np.int32)), "passModel")
+        self.lo, self.hi = lo.copy(), hi.copy()
+        self._zero_cost = True
+        if basis.valid:
+            _check(h.setBasis(basis), "setBasis")
 
     def solve(self, c, sense="min"):
         """Optimize c^T x over the region.  Returns LpResult."""
@@ -240,9 +247,11 @@ class LinearProgram:
             raise ValueError(f"objective has length {c.shape[0]}, expected {self.n}")
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        csign = 1.0 if sense == "min" else -1.0
         h = self._highs
-        h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c * csign)
+        zero = not c.any()
+        if not (zero and self._zero_cost):  # a zero objective is written only over a nonzero one
+            h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c if sense == "min" else -c)
+            self._zero_cost = zero
         self._use(_DUAL if self._region_changed else _PRIMAL)
         self._region_changed = False
         self.last_x = None
@@ -288,14 +297,20 @@ class LinearProgram:
     def feasible_at(self, cols, x):
         """True iff some point of the region equals x on the listed columns
         (``last_x`` is then one).  The columns are pinned through their
-        bounds, which are restored after the solve, also when it raises."""
+        bounds, which are restored after the solve, also when it raises;
+        ``lo`` and ``hi`` keep the bounds to restore."""
         cols = _indices(cols, self.n, "column")
-        lo, hi = self.lo[cols], self.hi[cols]
-        self.set_bounds(cols, x, x)
+        x = np.asarray(x, dtype=float).ravel()
+        if x.shape[0] != cols.size or np.isnan(x).any():
+            raise ValueError(f"pinned point must be {cols.size} numbers, none NaN")
+        h = self._highs
+        self._region_changed = True
+        _check(h.changeColsBounds(cols.size, cols, x, x), "changeColsBounds")
         try:
             return self.solve(np.zeros(self.n)).status != INFEASIBLE
         finally:
-            self.set_bounds(cols, lo, hi)
+            self._region_changed = True
+            _check(h.changeColsBounds(cols.size, cols, self.lo[cols], self.hi[cols]), "changeColsBounds")
 
     def _use(self, strategy):
         """Set the model's simplex_strategy, unless it already is that."""
@@ -309,10 +324,10 @@ class LinearProgram:
         x must have length n and lie within ``EPS_LP`` of every column
         bound, and every row from ``first_row`` on, as the HiGHS model holds
         it, must give b_lo - ``EPS_LP`` <= A x <= b_hi + ``EPS_LP``.  The
-        rows are read from the model on each call, so a row changed in
-        place is checked as it now reads; the column bounds are ``lo``/``hi``, which record every
-        bound the model accepted.  The check is absolute and read-only: it
-        changes neither the model nor its basis.
+        rows are read from the model on each call, so a replaced row is
+        checked as it now reads; the column bounds are the region's,
+        ``lo``/``hi``.  The check is absolute and read-only: it changes
+        neither the model nor its basis.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.n or not np.all(np.isfinite(x)):
@@ -421,7 +436,6 @@ def _new_model():
 
 def _check(status, call):
     """Raise NumericalError if HiGHS refused the model change ``call``."""
-    # compare ints: pybind's enum == is several times slower, and this runs
-    # once per coefficient or row bound written in place
+    # compare ints: pybind's enum == is several times slower
     if status.value == _ERROR:
         raise NumericalError(f"HiGHS {call} returned an error")

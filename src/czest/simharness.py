@@ -464,9 +464,9 @@ def _step_metrics(alg, f, ids, truth, slices, metrics):
     hull = f.hull() if metrics == "full" else None
     for i in ids:
         sl = slices[i]
-        # the whole-state probe has ruled out an empty posterior, so the
-        # agents' probes skip that solve
-        contained = contained_all or f._traj.contains_final(truth[sl], range(sl.start, sl.stop))
+        # a failed whole-state query has ruled out an empty posterior, so
+        # the agents' probes skip that solve
+        contained = contained_all or f.contains(truth[sl], range(sl.start, sl.stop))
         sub = None if hull is None else Box(hull.lo[sl], hull.hi[sl])
         rec[str(i)] = _agent_rec(sub, contained)
     return rec

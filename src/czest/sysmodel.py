@@ -76,8 +76,8 @@ class AgentModel:
         self.id = int(agent_id)
         self.A_of_k = A_of_k
         self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.C = np.asarray(C, dtype=float).reshape(-1, self.B.shape[0])
-        self.D = np.asarray(D, dtype=float).reshape(-1, self.B.shape[0])
+        self.C = _rows_over(C, self.B.shape[0], f"agent {self.id}: C")
+        self.D = _rows_over(D, self.B.shape[0], f"agent {self.id}: D")
         self.Wset = Wset
         self.Vset = Vset
         self.Rset_of = dict(Rset_of or {})
@@ -110,6 +110,17 @@ class AgentModel:
     @property
     def m_z(self):
         return self.D.shape[0]
+
+
+def _rows_over(M, n, what):
+    """M as a float matrix with n columns; an empty M has no rows, and any
+    other shape is a ValueError naming ``what``."""
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return M.reshape(0, n)
+    if M.ndim != 2 or M.shape[1] != n:
+        raise ValueError(f"{what}: must be a matrix with {n} columns, got shape {M.shape}")
+    return M
 
 
 class Topology:
@@ -491,10 +502,12 @@ def system_from_dict(doc):
             raise SchemaError(f"{path}.id: must be an integer, got {aid!r}")
         A_of_k, n = _dynamics_from_dict(_need(ad, "dynamics", path), f"{path}.dynamics")
         B = np.atleast_2d(_finite(ad, "B", path))
-        if B.ndim != 2:
-            raise SchemaError(f"{path}.B: must be a matrix, got {B.ndim} dimensions")
-        C = _finite(ad, "C", path).reshape(-1, n)
-        D = _finite(ad, "D", path).reshape(-1, n)
+        if B.ndim != 2 or B.shape[0] != n:
+            raise SchemaError(f"{path}.B: must be a matrix with {n} rows, got shape {B.shape}")
+        try:
+            C, D = (_rows_over(_finite(ad, key, path), n, f"{path}.{key}") for key in ("C", "D"))
+        except ValueError as e:
+            raise SchemaError(str(e)) from e
         W = box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise")
         V = box_from_dict(_need(ad, "measurement_noise", path), f"{path}.measurement_noise")
         rel_doc = _need(ad, "relative_noise", path)

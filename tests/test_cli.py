@@ -345,6 +345,10 @@ SCHEMA_MUTATIONS = {
     "agent-number": (lambda doc: doc["agents"].__setitem__(0, 5), "agents[0]"),
     "dynamics-number": (_first_agent(dynamics=5), "agents[0].dynamics"),
     "B-nested": (lambda doc: doc["agents"][0].update(B=[doc["agents"][0]["B"]]), "agents[0].B"),
+    "C-nested": (lambda doc: doc["agents"][0].update(C=[doc["agents"][0]["C"]]), "agents[0].C"),
+    "C-flat": (lambda doc: doc["agents"][0].update(C=sum(doc["agents"][0]["C"], [])), "agents[0].C"),
+    "D-nested": (lambda doc: doc["agents"][0].update(D=[doc["agents"][0]["D"]]), "agents[0].D"),
+    "D-flat": (lambda doc: doc["agents"][0].update(D=sum(doc["agents"][0]["D"], [])), "agents[0].D"),
 }
 
 

@@ -151,7 +151,7 @@ class TestCentralized:
         flt = CentralizedFilter(system, Box([-2.0, -1.0], [2.0, 3.0]))
         batch = batch_for(system, 1, [0.0, 1.0])
         flt.step(1, batch)
-        region = flt._traj.program
+        region = flt._traj
         # columns x_0, w, x_1: w in its declared box
         assert (region.n, region.m) == (6, 6)
         assert region.lo[2:4].tolist() == [lo for lo, _ in w]
@@ -212,7 +212,7 @@ class TestOit:
             batch = sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4))
             cent.step(k, batch)
             oit.step(k, batch)
-            assert_same_lp(oit._traj.program, cent._traj.program)
+            assert_same_lp(oit._traj, cent._traj)
 
     def test_bounded_representation_past_window(self):
         system = pair_system()
@@ -234,7 +234,7 @@ class TestOit:
         ids=["uav5", "pair1d"],
     )
     def test_in_place_window_matches_fresh_build(self, monkeypatch, scenario, horizon):
-        # a logged trial replayed: past delta_bar the window LP, rewritten
+        # a logged trial replayed: past delta_bar the window LP, reloaded
         # in place, against one built afresh from the same window
         cfg = simharness.ScenarioConfig.from_doc(scenario(horizon=horizon), algorithms=["oit"])
         log = simharness.run_trial(cfg, 0, metrics="containment")
@@ -242,22 +242,23 @@ class TestOit:
         assert log.aborted is None and len(log.steps) == horizon >= db + 3
         initial = [log.header["initial"][str(i)] for i in system.agent_ids]
         x0_box = Box(np.concatenate([lo for lo, _ in initial]), np.concatenate([hi for _, hi in initial]))
-        built, written = [], []
-        init, set_coefficients = lp.LinearProgram.__init__, lp.LinearProgram.set_coefficients
+        built, reloaded = [], []
+        init, replace = lp.LinearProgram.__init__, lp.LinearProgram.replace
 
         def counting(self, *args):
             built.append(self)
             init(self, *args)
 
-        def recording(self, rows, cols, values):
-            written.append(len(values))
-            set_coefficients(self, rows, cols, values)
+        def recording(self, *args):
+            reloaded.append(self)
+            replace(self, *args)
 
         monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
-        monkeypatch.setattr(lp.LinearProgram, "set_coefficients", recording)
+        monkeypatch.setattr(lp.LinearProgram, "replace", recording)
         flt = OitFilter(system, x0_box, db)
         # the grown LP and the window are both built with the filter
         assert len(built) == 2
+        window = built[1]
         stack = sysmodel.build_centralized(system)
         entries, step_builds = [], 0
         for k, rec in enumerate(log.steps, 1):
@@ -267,24 +268,51 @@ class TestOit:
             flt.step(k, batch)
             step_builds += len(built)
             if k <= db:
+                assert reloaded == []
                 continue
-            (_, Y0), *rest = entries[-(db + 1):]
-            fresh = filters._TrajectoryLP(stack, None, Y0)
-            for e in rest:
-                fresh.extend(*e)
-            assert_same_lp(flt._traj.program, fresh.program)
-            got, want = flt.hull(), fresh.hull()
+            # one reload of the window per step
+            assert reloaded == [window] * (k - db)
+            fresh = filters._region(*filters._window_block(stack, entries[-(db + 1):]))
+            assert_same_lp(window, fresh)
+            got, want = flt.hull(), final_hull(fresh, system.state_dim())
             for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
                 assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
             truth = np.array(rec["truth"])
-            assert flt.contains(truth) and fresh.contains_final(truth)
+            assert flt.contains(truth) and fresh.feasible_at(final_cols(fresh, truth.size), truth)
         assert step_builds == 0
-        if scenario is simharness.build_uav_scenario:
-            # the coordinated turn's A changes with k, so coefficients were rewritten
-            assert sum(written) > 0
-        else:
-            # pair1d's A is constant: the rewrite writes measurements only
-            assert written and sum(written) == 0
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            simharness.build_uav_scenario(horizon=14, seed=1),
+            simharness.build_uav_scenario(horizon=14, seed=9173),
+            simharness.build_pair1d_scenario(horizon=12, seed=1),
+        ],
+        ids=["uav5-s1", "uav5-s9173", "pair1d"],
+    )
+    def test_window_matches_trajectory_oracle(self, doc):
+        # past delta_bar the observability-matrix window holds the set the
+        # trajectory form of the same window holds: equal hulls, and the
+        # same answer for the truth and for points just outside the hull
+        cfg = simharness.ScenarioConfig(dict(doc, algorithms=["oit"]))
+        x0, steps = replay(cfg)
+        db = cfg.delta_bar
+        assert len(steps) == cfg.K > db + 3
+        stack = sysmodel.build_centralized(cfg.system)
+        flt = OitFilter(cfg.system, x0, db)
+        entries = []
+        for k, batch, truth in steps:
+            entries.append(filters._step_entry(stack, k, batch))
+            flt.step(k, batch)
+            if k <= db:
+                continue
+            region, cols = trajectory_window(stack, entries[-(db + 1):])
+            got, want = flt.hull(), Box(*region.bounds(np.eye(region.n)[list(cols)]))
+            for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
+                assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), k
+            assert flt.contains(truth) and region.feasible_at(cols, truth)
+            outside = got.hi + 1e-6 * np.maximum(1.0, np.abs(got.hi))
+            assert not flt.contains(outside) and not region.feasible_at(cols, outside)
 
     def test_oit_never_tighter_than_centralized(self):
         system = pair_system()
@@ -316,9 +344,32 @@ def replay(cfg, trial=0):
     return x0, steps
 
 
-def final_cols(flt):
-    traj = flt._traj
-    return range(traj.x_final, traj.x_final + traj.n)
+def final_cols(region, n):
+    """The final state's columns of a filter LP: its last n."""
+    return range(region.n - n, region.n)
+
+
+def final_hull(region, n):
+    """The interval hull of a filter LP's final state."""
+    return Box(*region.bounds(np.eye(region.n)[list(final_cols(region, n))]))
+
+
+def trajectory_window(stack, entries):
+    """Test-only oracle: the fixed-lag window of ``entries`` ((A, Y) per
+    step, oldest first) as a trajectory LP over every state and process
+    noise of the window, its first state free.  Returns the LP and its
+    final state's columns."""
+    n = stack.B.shape[0]
+    (_, Y0), *rest = entries
+    region = lp.LinearProgram(np.zeros((0, n)), np.zeros(0), np.full(n, -np.inf), np.full(n, np.inf))
+    region.extend([], [], stack.H, *filters._measurement_bounds(Y0, stack.Vset))
+    x_at = 0
+    for A, Y in rest:
+        w_at = region.n
+        cols = np.concatenate([np.arange(x_at, x_at + n), np.arange(w_at, w_at + stack.B.shape[1] + n)])
+        region.extend(*filters._step_block(stack, A, Y), cols=cols)
+        x_at = w_at + stack.B.shape[1]
+    return region, range(x_at, x_at + n)
 
 
 class TestWitness:
@@ -342,6 +393,7 @@ class TestWitness:
         x0, steps = replay(cfg, trial)
         assert len(steps) == cfg.K if nominal else len(steps) > 0
         flts = [CentralizedFilter(cfg.system, x0), OitFilter(cfg.system, x0, cfg.delta_bar)]
+        state = range(cfg.system.state_dim())
         witnessed = falses = 0
         for k, batch, truth in steps:
             for flt in flts:
@@ -350,7 +402,8 @@ class TestWitness:
                 witness = flt._witness
                 witnessed += witness is not None and witness[0] == k and witness[3] is not None
                 falses += not got
-                assert got == flt._traj.program.feasible_at(final_cols(flt), truth), (k, flt)
+                # listing every coordinate asks the pinned probe alone
+                assert got == flt.contains(truth, state), (k, flt)
         if nominal:
             assert falses == 0
             assert witnessed == len(flts) * (cfg.K - 1)
@@ -359,10 +412,10 @@ class TestWitness:
 
     @pytest.mark.parametrize("where", ["first-block", "last-block"])
     def test_corrupted_row_rejects_the_witness(self, monkeypatch, where):
-        # a dynamics coefficient changed in place at k = 5 by 1e-6, in rows
-        # the witness was already checked against or in the ones just
-        # appended: the check reads it from the model, fails, and the LP
-        # decides
+        # a dynamics coefficient changed by 1e-6 at k = 5 by reloading the
+        # LP, in rows the witness was already checked against or in the
+        # ones just appended: the check reads it from the model, fails, and
+        # the LP decides
         cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=8, seed=1))
         x0, steps = replay(cfg)
         flt = CentralizedFilter(cfg.system, x0)
@@ -381,14 +434,19 @@ class TestWitness:
         monkeypatch.setattr(lp.LinearProgram, "feasible_at", probing)
         for k, batch, truth in steps:
             flt.step(k, batch)
+            region = flt._traj
             if k == 5:
-                row, cols, sign, A = flt._traj._slots[0 if where == "first-block" else -1]
-                flt._traj.program.set_coefficients([row], [cols[0]], [sign * A[0, 0] + 1e-6])
+                # the first dynamics row of step 1 or of step 5
+                row = 0 if where == "first-block" else region.m - truth.size - flt._stack.H.shape[0]
+                A, b_lo, b_hi = model_rows(region)
+                A = A.toarray()
+                A[row, np.flatnonzero(A[row])[0]] += 1e-6
+                region.replace(region.lo, region.hi, A, b_lo, b_hi)
             checks.clear()
             probes.clear()
             got = flt.contains(truth)
             checked, probed = list(checks), len(probes)
-            assert got == feasible_at(flt._traj.program, final_cols(flt), truth)
+            assert got == feasible_at(region, final_cols(region, truth.size), truth)
             if k == 1:
                 assert checked == [] and probed == 1
             elif k == 5:
@@ -502,17 +560,17 @@ class TestDistributed:
                 assert hc.hi[i - 1] <= hd.hi[0] + 1e-9
 
     def test_in_place_update_matches_fresh_build(self, monkeypatch):
-        # a logged uav5 trial replayed: at each k >= 2 every agent's LP,
-        # changed in place, against one built afresh and given step k's
-        # numbers by a single update from the same hulls
-        written = []
-        set_coefficients = lp.LinearProgram.set_coefficients
+        # a logged uav5 trial replayed: at each k every agent's LP,
+        # reloaded in place, against one built afresh from step k's
+        # messages and the same hulls
+        reloaded = []
+        replace = lp.LinearProgram.replace
 
-        def recording(self, rows, cols, values):
-            written.append(len(values))
-            set_coefficients(self, rows, cols, values)
+        def recording(self, *args):
+            reloaded.append(self)
+            replace(self, *args)
 
-        monkeypatch.setattr(lp.LinearProgram, "set_coefficients", recording)
+        monkeypatch.setattr(lp.LinearProgram, "replace", recording)
         cfg = simharness.ScenarioConfig.from_doc(
             simharness.build_uav_scenario(horizon=6), algorithms=["distributed"]
         )
@@ -522,28 +580,22 @@ class TestDistributed:
         ids = system.agent_ids
         flt = DistributedFilter(system, {i: Box(*log.header["initial"][str(i)]) for i in ids})
         stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
-        written.clear()
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
             prev = flt.hulls
+            reloaded.clear()
             flt.step(k, batch)
-            if k < 2:
-                continue
+            # one reload of each agent LP per step
+            assert sorted(map(id, reloaded)) == sorted(id(flt._lps[i].program) for i in ids)
             for i in ids:
                 owners = [i] + system.topology.peers(i)
-                first = [filters._message(stacks[o], stacks[o].A(0), np.zeros(stacks[o].H.shape[0]), prev)
-                         for o in owners]
-                fresh = filters._AgentLP(system, i, stacks, first)
-                fresh.update([filters._message(stacks[o], *filters._step_entry(stacks[o], k, batch), prev)
-                              for o in owners])
-                # the changed entries of H A and of the coupling rows' A_i,
-                # written step after step, give the rows a fresh build has
+                fresh = filters._AgentLP(system, i, stacks, [
+                    filters._message(stacks[o], *filters._step_entry(stacks[o], k, batch), prev) for o in owners
+                ])
                 assert_same_lp(flt._lps[i].program, fresh.program)
                 got, want = flt.hulls[i], fresh.hull()
                 for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
                     assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
-        # the coordinated turn's A changes with k, so coefficients were rewritten
-        assert sum(written) > 0
 
     def test_each_owner_message_is_built_once_and_sent_to_its_holders(self, monkeypatch):
         # uav5: every step builds one message per owner, and each agent

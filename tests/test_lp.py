@@ -292,6 +292,8 @@ def _changed_instance(rng):
 
 
 def test_changed_region_matches_fresh():
+    # a region reloaded with new coefficients, right-hand sides and column
+    # bounds answers as one built afresh from them
     rng = np.random.default_rng(53)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
     degenerate = 0  # regions without rows or without columns
@@ -300,11 +302,11 @@ def test_changed_region_matches_fresh():
         m, n = A.shape
         changed = LinearProgram(A, b, lo, hi)
         changed.solve(rng.standard_normal(n))  # the change starts from a basis
-        r, c = np.nonzero(A2 != A)
-        changed.set_coefficients(r, c, A2[r, c])
-        rows = np.flatnonzero(b2 != b)
-        changed.set_row_bounds(rows, b2[rows], b2[rows])
-        fresh = LinearProgram(A2, b2, lo, hi)
+        lo2, hi2 = np.where(rng.random(n) < 0.3, lo - 0.5, lo), hi
+        changed.replace(lo2, hi2, A2, b2, b2)
+        assert changed.reloads == 1
+        assert np.array_equal(changed.lo, lo2) and np.array_equal(changed.hi, hi2)
+        fresh = LinearProgram(A2, b2, lo2, hi2)
         degenerate += m == 0 or n == 0
         for _ in range(4):
             c = rng.standard_normal(n)
@@ -317,31 +319,93 @@ def test_changed_region_matches_fresh():
     assert degenerate > 0
 
 
+class _Counting:
+    """A HiGHS model that counts the calls of each listed method."""
+
+    def __init__(self, model, *names):
+        self._model = model
+        self.calls = dict.fromkeys(names, 0)
+
+    def __getattr__(self, name):
+        attr = getattr(self._model, name)
+        if name not in self.calls:
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+
+        return counted
+
+
+def test_replace_is_one_load_that_keeps_the_basis():
+    rng = np.random.default_rng(59)
+    A = rng.standard_normal((4, 7))
+    lo, hi = -np.ones(7), np.ones(7)
+    b = A @ rng.uniform(-0.5, 0.5, 7)
+    prog = LinearProgram(np.zeros((0, 7)), [], lo, hi)
+    prog.extend([], [], A, b - 0.1, b + 0.1)
+    spy = prog._highs = _Counting(prog._highs, "passModel", "setBasis", "addRows", "addCols", "changeColsBounds")
+    # no basis yet: the model is loaded, and no basis is handed back
+    prog.replace(lo, hi, A, b - 0.1, b + 0.1)
+    assert spy.calls == {"passModel": 1, "setBasis": 0, "addRows": 0, "addCols": 0, "changeColsBounds": 0}
+    c = rng.standard_normal(7)
+    first = prog.solve(c)
+    assert first.status == OPTIMAL
+    # the same numbers again: the next solve starts from the optimal basis
+    prog.replace(lo, hi, A, b - 0.1, b + 0.1)
+    assert spy.calls == {"passModel": 2, "setBasis": 1, "addRows": 0, "addCols": 0, "changeColsBounds": 0}
+    again = prog.solve(c)
+    assert again.value == pytest.approx(first.value, abs=1e-9)
+    assert prog._highs.getInfo().simplex_iteration_count == 0
+    assert prog.reloads == 2
+
+
+def test_zero_objective_is_written_once():
+    # a zero objective is written only when the model's is not zero
+    prog = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
+    spy = prog._highs = _Counting(prog._highs, "changeColsCost")
+    assert prog.feasible_at([0], [0.5]) and prog.solve(np.zeros(3)).status == OPTIMAL
+    assert spy.calls["changeColsCost"] == 0
+    assert prog.solve([1.0, 0.0, 0.0]).value == pytest.approx(0.0, abs=1e-9)
+    assert prog.feasible_at([0], [0.5]) and prog.feasible_at([1], [0.5])
+    assert not prog.feasible_at([0, 1], [0.75, 0.5])
+    assert spy.calls["changeColsCost"] == 2
+    assert prog.solve([1.0, 0.0, 0.0], sense="max").value == pytest.approx(1.0, abs=1e-9)
+    prog.replace(prog.lo, prog.hi, [[1.0, 1.0, 1.0]], [1.0], [1.0])  # loads a zero objective
+    assert prog.feasible_at([2], [1.0])
+    assert spy.calls["changeColsCost"] == 3
+
+
 def test_changes_are_validated():
     prog = LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
-    with pytest.raises(ValueError):
-        prog.set_coefficients([1], [0], [2.0])  # row out of range
-    with pytest.raises(ValueError):
-        prog.set_coefficients([0], [2], [2.0])  # column out of range
-    with pytest.raises(ValueError, match="NaN bound for some row"):
-        prog.set_row_bounds([0], [np.nan], [1.0])
-    with pytest.raises(ValueError, match="NaN bound for some row"):
-        prog.set_row_bounds([0], [0.0], [np.nan])
-    with pytest.raises(ValueError, match="lo > hi for some row"):
-        prog.set_row_bounds([0], [1.0], [0.5])
-    with pytest.raises(ValueError, match="row index"):
-        prog.set_row_bounds([1], [0.5], [0.5])
+    box = [0, 0], [1, 1]
+    for A, b_lo, b_hi, match in (
+        ([[1.0, 1.0], [1.0, 0.0]], [1.0, 1.0], [1.0, 1.0], "A has 2 rows, expected 1"),
+        ([[1.0, 1.0, 1.0]], [1.0], [1.0], "A has 3 columns, expected 2"),
+        ([1.0, 1.0], [1.0], [1.0], "2-d array"),
+        ([[1.0, 1.0]], [np.nan], [1.0], "NaN bound for some row"),
+        ([[1.0, 1.0]], [0.0], [np.nan], "NaN bound for some row"),
+        ([[1.0, 1.0]], [1.0], [0.5], "lo > hi for some row"),
+        ([[1.0, 1.0]], [1.0, 1.0], [1.0, 1.0], "row bound vectors must have length 1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            prog.replace(*box, A, b_lo, b_hi)
+    for lo, hi, match in (([0.0], [1.0], "length 2"), ([0.0, np.nan], [1, 1], "NaN bound"), ([0, 2], [1, 1], "lo > hi")):
+        with pytest.raises(ValueError, match=match):
+            prog.replace(lo, hi, [[1.0, 1.0]], [1.0], [1.0])
     with pytest.raises(ValueError, match="lo > hi for some row"):
         prog.extend([], [], [[1.0, -1.0]], [1.0], [0.0])
-    assert prog.row_edits == 0
+    assert prog.reloads == 0
+    assert model_rows(prog)[0].toarray().tolist() == [[1.0, 1.0]]
     assert model_rows(prog)[1].tolist() == model_rows(prog)[2].tolist() == [1.0]
+    assert prog.lo.tolist() == [0.0, 0.0] and prog.hi.tolist() == [1.0, 1.0]
     with pytest.raises(ValueError, match="NaN bound"):
         LinearProgram([[1.0, 1.0]], [1.0], [np.nan, 0], [1, 1])
     with pytest.raises(ValueError, match="NaN bound"):
         prog.extend([0.0], [np.nan], [[1.0, 0.0, 1.0]], [0.0], [0.0])
     assert (prog.m, prog.n) == (1, 2)
-    prog.set_coefficients([0], [0], [0.0])  # x2 = 1 alone
-    prog.set_row_bounds([0], [0.5], [0.5])
+    prog.replace(*box, [[0.0, 1.0]], [0.5], [0.5])  # x2 = 0.5 alone
     res = prog.solve([1.0, -1.0])
     assert res.status == OPTIMAL
     assert res.value == pytest.approx(-0.5, abs=1e-9)
@@ -356,7 +420,7 @@ def test_non_finite_coefficients_are_rejected(value):
     with pytest.raises(ValueError, match="non-finite coefficient"):
         prog.extend([0.0], [1.0], [[1.0, 0.0, value]], [0.5], [0.5])
     with pytest.raises(ValueError, match="non-finite coefficient"):
-        prog.set_coefficients([0], [1], [value])
+        prog.replace([0.0, 0.0], [1.0, 1.0], [[1.0, value]], [1.0], [1.0])
     res = prog.solve([1.0, 0.0])
     assert (prog.m, prog.n) == (1, 2)
     assert res.status == OPTIMAL
@@ -369,12 +433,11 @@ def test_rows_read_back_from_the_model():
     assert A.shape == (0, 2) and b_lo.size == b_hi.size == 0
     prog.extend([0.0], [1.0], [[1.0, 0.0, 2.0]], [0.5], [0.5])
     prog.extend([], [], [[0.0, 1.0, 1.0]], [-np.inf], [2.0])
-    prog.set_coefficients([0], [1], [-3.0])
-    prog.set_row_bounds([0], [0.25], [0.75])
+    prog.replace(prog.lo, prog.hi, [[1.0, -3.0, 2.0], [0.0, 1.0, 1.0]], [0.25, -np.inf], [0.75, 2.0])
     A, b_lo, b_hi = model_rows(prog)
     assert A.toarray().tolist() == [[1.0, -3.0, 2.0], [0.0, 1.0, 1.0]]
     assert b_lo.tolist() == [0.25, -np.inf] and b_hi.tolist() == [0.75, 2.0]
-    assert prog.row_edits == 2
+    assert prog.reloads == 1
 
 
 def test_last_x_is_the_last_optimizer():
@@ -382,7 +445,7 @@ def test_last_x_is_the_last_optimizer():
     assert prog.last_x is None
     res = prog.solve([1.0, 0.0])
     assert res.x is prog.last_x and prog.last_x.tolist() == pytest.approx([0.0, 1.0], abs=1e-9)
-    prog.set_row_bounds([0], [3.0], [3.0])
+    prog.replace([0, 0], [1, 1], [[1.0, 1.0]], [3.0], [3.0])
     assert prog.solve([1.0, 0.0]).status == INFEASIBLE
     assert prog.last_x is None
 
@@ -425,15 +488,15 @@ def test_satisfied_by_first_row_and_length():
 
 
 def test_satisfied_by_reads_the_model():
-    # rows changed in place are checked as the model now holds them, and
-    # the check leaves the region and its solves as they were
+    # reloaded rows are checked as the model now holds them, and the check
+    # leaves the region and its solves as they were
     prog = _two_rows()
     x = [0.5, 0.5, 0.5]
-    prog.set_coefficients([1], [2], [-2.0])
+    box = prog.lo, prog.hi
+    prog.replace(*box, [[1.0, 1.0, 0.0], [0.0, 1.0, -2.0]], [1.0, 0.0], [1.0, 0.0])
     assert not prog.satisfied_by(x)
     assert prog.satisfied_by([0.75, 0.25, 0.125])
-    prog.set_coefficients([1], [2], [-1.0])
-    prog.set_row_bounds([0], [1.5], [1.5])
+    prog.replace(*box, [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [1.5, 0.0], [1.5, 0.0])
     assert not prog.satisfied_by(x)
     assert prog.satisfied_by([0.75, 0.75, 0.75])
     assert prog.solve([1.0, 0.0, 0.0]).value == pytest.approx(0.5, abs=1e-9)
@@ -441,7 +504,7 @@ def test_satisfied_by_reads_the_model():
     # rows without columns read 0 = b
     empty = LinearProgram(np.zeros((1, 0)), [0.5 * EPS_LP], [], [])
     assert empty.satisfied_by([])
-    empty.set_row_bounds([0], [1.0], [1.0])
+    empty.replace([], [], np.zeros((1, 0)), [1.0], [1.0])
     assert not empty.satisfied_by([])
 
 
@@ -460,8 +523,8 @@ def test_satisfied_by_ranged_rows(side):
     # the one-sided row: any x2 - x3 below 0, none above EPS_LP
     assert prog.satisfied_by([2.0, -1.0, 1.0])
     assert not prog.satisfied_by([1.0, 0.0, -2 * EPS_LP])
-    # a row changed in place is checked with its new range
-    prog.set_row_bounds([1], [-np.inf], [-1.0])
+    # a reloaded row is checked with its new range
+    prog.replace(prog.lo, prog.hi, [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]], [0.5, -np.inf], [1.5, -1.0])
     assert not prog.satisfied_by([1.0, 0.0, 0.0])
     assert prog.satisfied_by([1.0, -0.5, 0.5])
 
@@ -542,8 +605,7 @@ def test_simplex_follows_the_change():
     changes = [
         lambda: prog.extend([-1.0], [1.0], np.append(rng.standard_normal(prog.n), 1.0)[None], [0.0], [0.0]),
         lambda: prog.set_bounds([0], [-0.5], [0.5]),
-        lambda: prog.set_coefficients([0], [1], [0.25]),
-        lambda: prog.set_row_bounds([1], [0.1], [0.1]),
+        lambda: prog.replace(prog.lo, prog.hi, model_rows(prog)[0].toarray(), *model_rows(prog)[1:]),
     ]
     for change in changes:
         change()
@@ -628,10 +690,10 @@ class _Refusing:
         ("addCols", lambda p: p.extend([0.0], [1.0], np.zeros((0, 3)), [], [])),
         ("addRows", lambda p: p.extend([], [], [[1.0, -1.0]], [0.0], [0.0])),
         ("changeColsBounds", lambda p: p.set_bounds([0], [0.0], [0.5])),
-        ("changeCoeff", lambda p: p.set_coefficients([0], [1], [2.0])),
-        ("changeRowBounds", lambda p: p.set_row_bounds([0], [0.5], [0.5])),
+        ("passModel", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
+        ("setBasis", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
     ],
-    ids=["addCols", "addRows", "changeColsBounds", "changeCoeff", "changeRowBounds"],
+    ids=["addCols", "addRows", "changeColsBounds", "passModel", "setBasis"],
 )
 def test_refused_model_change_raises(monkeypatch, call, change):
     resets = []
@@ -867,3 +929,12 @@ class TestFeasibleAt:
         with pytest.raises(ValueError, match="column index"):
             region.feasible_at([col], [0.5])
         assert region.lo.tolist() == [0.0, 0.0, 0.0] and region.hi.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("x", [[np.nan], [0.5, 0.5]], ids=["nan", "too-long"])
+    def test_point_is_validated(self, x):
+        region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
+        with pytest.raises(ValueError, match="pinned point"):
+            region.feasible_at([1], x)
+        model = region._highs.getLp()
+        for lo, hi in ((region.lo, region.hi), (model.col_lower_, model.col_upper_)):
+            assert list(lo) == [0.0, 0.0, 0.0] and list(hi) == [1.0, 1.0, 1.0]

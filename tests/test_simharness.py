@@ -181,13 +181,13 @@ class TestBackends:
         assert max(d[3] for d in devs) < 1e-6
 
     def test_backend_check_detects_widened_hulls(self, monkeypatch):
-        hull = filters._TrajectoryLP.hull
+        hull = filters._LiftedFilter.hull
 
         def widened(self):
             box = hull(self)
             return czono.Box(box.lo - 1e-3, box.hi + 1e-3)
 
-        monkeypatch.setattr(filters._TrajectoryLP, "hull", widened)
+        monkeypatch.setattr(filters._LiftedFilter, "hull", widened)
         results = verify.backend_check(horizon=3)
         assert [r.name for r in results] == ["backends.uav5", "backends.pair1d"]
         assert all(r.failures == r.cases > 0 for r in results)
@@ -246,29 +246,29 @@ class TestGrownTrajectory:
             entries.append(filters._step_entry(stack, k, batch))
             probed.step(k, batch)
             plain.step(k, batch)
-            grown = probed._traj
-            fresh = filters._TrajectoryLP(stack, x0_box)
+            region = probed._traj
+            fresh = lp.LinearProgram(np.zeros((0, x0_box.dim)), [], x0_box.lo, x0_box.hi)
             for e in entries:
-                fresh.extend(*e)
-            region = grown.program
-            assert (region.m, region.n) == (fresh.program.m, fresh.program.n)
+                filters._extend_trajectory(fresh, stack, *e)
+            final = np.arange(fresh.n - x0_box.dim, fresh.n)
+            assert (region.m, region.n) == (fresh.m, fresh.n)
             lo, hi = region.lo.copy(), region.hi.copy()
             truth = np.array(rec["truth"])
             for x, coords in ((truth, None), (truth[sl], range(sl.start, sl.stop))):
-                assert grown.contains_final(x, coords)
-                assert fresh.contains_final(x, coords)
+                assert probed.contains(x, coords)
+                assert fresh.feasible_at(final if coords is None else final[list(coords)], x)
             # the pinned bounds are restored, in the wrapper and in HiGHS
             model = region._highs.getLp()
             for got, want in ((region.lo, lo), (region.hi, hi),
                               (model.col_lower_, lo), (model.col_upper_, hi)):
                 assert np.array_equal(np.asarray(got), want)
-            hull = grown.hull()
-            for ref in (fresh.hull(), plain.hull()):
+            hull = probed.hull()
+            for ref in (czono.Box(*fresh.bounds(np.eye(fresh.n)[final])), plain.hull()):
                 for a, b in ((hull.lo, ref.lo), (hull.hi, ref.hi)):
                     assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
             outside = hull.hi + 1.0
-            assert not grown.contains_final(outside)
-            assert not fresh.contains_final(outside)
+            assert not probed.contains(outside)
+            assert not fresh.feasible_at(final, outside)
 
 
 class TestPersistence:
@@ -372,13 +372,14 @@ class TestNoiseViolation:
             filters._LiftedFilter.contains, lp.LinearProgram.feasible_at, lp.LinearProgram.solve
         )
 
-        def whole_probe(self, x):
+        def whole_probe(self, x, coords=None):
             ok = False
             try:
-                ok = contains(self, x)
+                ok = contains(self, x, coords)
                 return ok
             finally:
-                whole_failed.append(not ok)
+                if coords is None:
+                    whole_failed.append(not ok)
 
         def pinned(self, cols, x):
             pinned_depth.append(1)
@@ -436,8 +437,8 @@ class _SolveErrorOnceGrown(_SolveErrorHighs):
 
 
 class _SolveErrorOnceUpdated(_SolveErrorHighs):
-    """A HiGHS model that reports "solve error" once its bounds, coefficients
-    or right-hand sides were changed in place."""
+    """A HiGHS model that reports "solve error" once its bounds were changed
+    in place or it was reloaded."""
 
     def __init__(self, model):
         super().__init__(model)
@@ -447,29 +448,24 @@ class _SolveErrorOnceUpdated(_SolveErrorHighs):
         self.updated = True
         return self._model.changeColsBounds(*args)
 
-    def changeCoeff(self, *args):
+    def passModel(self, *args):
         self.updated = True
-        return self._model.changeCoeff(*args)
-
-    def changeRowBounds(self, *args):
-        self.updated = True
-        return self._model.changeRowBounds(*args)
+        return self._model.passModel(*args)
 
     def getModelStatus(self):
         return super().getModelStatus() if self.updated else self._model.getModelStatus()
 
 
 class _SolveErrorOnceRewritten(_SolveErrorHighs):
-    """A HiGHS model that reports "solve error" once its right-hand sides
-    were rewritten in place."""
+    """A HiGHS model that reports "solve error" once it was reloaded."""
 
     def __init__(self, model):
         super().__init__(model)
         self.rewritten = False
 
-    def changeRowBounds(self, *args):
+    def passModel(self, *args):
         self.rewritten = True
-        return self._model.changeRowBounds(*args)
+        return self._model.passModel(*args)
 
     def getModelStatus(self):
         return super().getModelStatus() if self.rewritten else self._model.getModelStatus()
@@ -492,15 +488,30 @@ class TestSolverFailure:
         assert mc.aborts == [{"k": 0, "agent": None, "reason": "numerical error"}] * 2
         assert all(log.steps == [] for log in mc.logs)
 
-    def test_no_model_is_passed_whole(self, monkeypatch):
-        # every LP is loaded through LinearProgram.extend, so a refused
-        # passModel leaves hulls and trials unaffected
-        monkeypatch.setattr(_highs._Highs, "passModel", lambda *args: _highs.HighsStatus.kError)
-        cz = czono.ConstrainedZonotope(np.eye(2), np.zeros(2), [[1.0, 1.0]], [0.5])
-        box = czono.interval_hull(cz)
-        assert np.allclose(box.lo, [-0.5, -0.5]) and np.allclose(box.hi, [1.0, 1.0])
-        log = simharness.run_trial(small_pair(), 0, metrics="full")
-        assert log.aborted is None and len(log.steps) == 4
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    @pytest.mark.parametrize(
+        "call, algorithms, k",
+        [
+            # the agent LPs are reloaded from k = 1 on, with their basis
+            # handed back from k = 2 on (there is none before the first solve)
+            ("passModel", ["centralized", "oit", "distributed"], 1),
+            ("setBasis", ["centralized", "oit", "distributed"], 2),
+            # the window LP from k = delta_bar + 1 = 4 on, and so on
+            ("passModel", ["centralized", "oit"], 4),
+            ("setBasis", ["centralized", "oit"], 5),
+        ],
+        ids=["passModel-all", "setBasis-all", "passModel-window", "setBasis-window"],
+    )
+    def test_refused_reload_aborts(self, monkeypatch, call, algorithms, k, metrics):
+        # a reload that HiGHS refuses is a recorded abort, never a
+        # violation; the centralized LP is never reloaded
+        monkeypatch.setattr(_highs._Highs, call, lambda *args: _highs.HighsStatus.kError)
+        cfg = small_uav(h=8, algorithms=algorithms)
+        assert cfg.delta_bar == 3
+        log = simharness.run_trial(cfg, 0, metrics=metrics)
+        assert log.aborted == {"k": k, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0
+        assert len(log.steps) == k - 1
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_failure_after_growth_aborts(self, monkeypatch, metrics):
@@ -529,8 +540,8 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_distributed_failure_after_update_aborts(self, monkeypatch, metrics):
-        # the agents' lifted LPs are built at construction and changed in
-        # place by every step, so the first step's solves already fail
+        # the agents' lifted LPs are built at construction and reloaded by
+        # every step, so the first step's solves already fail
         new = lp._new_model
         monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceUpdated(new()))
         log = simharness.run_trial(small_uav(h=4, algorithms=["distributed"]), 0, metrics=metrics)
@@ -540,9 +551,9 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_window_failure_after_rewrite_aborts(self, monkeypatch, metrics):
-        # the fixed-lag window LP is built at construction and rewritten in
-        # place from k = delta_bar + 1 on, where every solve on it then
-        # fails; the centralized LP only grows, so its solves never fail
+        # the fixed-lag window LP is built at construction and reloaded
+        # from k = delta_bar + 1 on, where every solve on it then fails;
+        # the centralized LP only grows, so its solves never fail
         new = lp._new_model
         monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceRewritten(new()))
         cfg = small_uav(h=8, algorithms=["centralized", "oit"])

@@ -55,6 +55,25 @@ class TestAgentModel:
                 AgentModel(*dyn, W, V, {2: R})
 
 
+    @pytest.mark.parametrize("key", ["C", "D"])
+    def test_measurement_matrices_have_n_columns(self, key):
+        # two measurement rows over a 2-state agent: nested once more or
+        # flattened, they are no 2-column matrix; an empty one has no rows
+        two = Box([-1.0, -1.0], [1.0, 1.0])
+        M = [[1.0, 0.0], [0.0, 1.0]]
+
+        def agent(bad):
+            mats = {"C": M, "D": M, key: bad}
+            return AgentModel(1, lambda k: np.eye(2), np.eye(2), mats["C"], mats["D"], two, two, {2: two})
+
+        for bad in ([M], [1.0, 0.0, 0.0, 1.0], [[1.0, 0.0, 0.0]]):
+            with pytest.raises(ValueError, match=f"agent 1: {key}: must be a matrix with 2 columns"):
+                agent(bad)
+        if key == "C":
+            empty = AgentModel(1, lambda k: np.eye(2), np.eye(2), [], M, two, Box([], []), {2: two})
+            assert empty.C.shape == (0, 2) and empty.m_y == 0
+
+
 class TestTopology:
     def test_uav5_neighborhoods(self):
         doc = simharness.build_uav_scenario()
@@ -266,6 +285,14 @@ class TestSchema:
         assert system.n_agents == 5
         assert system.state_dim() == 20
         assert system.agents[3].Wset.dim == 2
+
+    def test_flat_input_matrix_names_b(self):
+        # a uav5 B flattened to 8 numbers reads as 1 x 8: the error names
+        # B, not the C that a 1-state agent would then reject
+        doc = simharness.build_uav_scenario()
+        doc["agents"][0]["B"] = sum(doc["agents"][0]["B"], [])
+        with pytest.raises(SchemaError, match=r"^agents\[0\]\.B: must be a matrix with 4 rows, got shape \(1, 8\)"):
+            sysmodel.system_from_dict(doc)
 
     def test_missing_key(self):
         doc = simharness.build_pair1d_scenario()
