@@ -175,7 +175,7 @@ def _build_parser():
     p_ver.add_argument(
         "--inject-fault",
         action="store_true",
-        help="flip the sign of the refinement's coupling rows (self-test of the checks)",
+        help="flip the sign with which a peer's joint reads the agent (self-test of the checks)",
     )
     p_ver.set_defaults(func=cmd_verify)
 

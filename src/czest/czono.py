@@ -140,6 +140,8 @@ class Box:
 
     def contains_point(self, x, tol=1e-12):
         x = np.asarray(x, dtype=float).ravel()
+        if x.shape[0] != self.dim:
+            raise ValueError("point dimension mismatch")
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
     def widths(self):

@@ -17,8 +17,8 @@ Three estimators:
 
 All three filters hold their sets as lifted constrained zonotopes
 (Scott, Raimondo, Marseglia & Braatz, Automatica 69, 2016): LPs whose
-columns are states and process noises and whose rows are the dynamics,
-measurement and coupling relations, one ``lp.LinearProgram`` each.  A
+columns are states and process noises and whose rows are the dynamics
+and measurement relations, one ``lp.LinearProgram`` each.  A
 measurement noise v gets no column: the row H x + v = Y with v in its
 box is the ranged row Y - v_hi <= H x <= Y - v_lo, each end rounded one
 ulp outward (``_measurement_bounds``), since HiGHS keeps a bounded slack
@@ -41,16 +41,18 @@ step's numbers into that copy and reloads the model whole
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``), with each step's states substituted out: per owner, its
 own neighborhood and every peer's, the previous states x_prev (bounded by
-the last hulls) and the process noises w, the owner's measurement rows
-over H A(k) x_prev + H B w, and the ``coupling_rows`` that make the
-peers' copies of the agent's state equal to its own.  Every column is
-bounded.  Each step, every owner o's numbers are computed once, as a
-message (``_message``): A(k) and H A(k) of N̄_o, the measurement row
-bounds and the bounds of N̄_o's last hulls.  Each agent LP receives the
-messages of its owners and nothing else, so what it can read is local by
-construction.  A step writes the messages into the LP's dense copy,
-reloads it and solves the 2n bounds of the agent's state from the last
-basis.  The posterior is the hull (``hulls``).
+the last hulls) and the process noises w, and the owner's measurement
+rows over H A(k) x_prev + H B w.  Every owner's rows read the agent's
+one set of (x_prev, w) columns, which intersects the peers' joints with
+its own exactly, without a copy of its state per peer (``_AgentLP``).
+Every column is bounded.  Each step, every owner
+o's numbers are computed once, as a message (``_message``): A(k) and
+H A(k) of N̄_o, the measurement row bounds and the bounds of N̄_o's last
+hulls.  Each agent LP receives the messages of its owners and nothing
+else, so what it can read is local by construction.  A step writes the
+messages into the LP's dense copy, reloads it and solves the 2n bounds
+of the agent's state from the last basis.  The posterior is the hull
+(``hulls``).
 
 The centralized posterior is held as one sparse "trajectory" LP over
 every state and process noise so far (``_LiftedFilter``), one step block
@@ -102,12 +104,12 @@ __all__ = [
     "DistributedFilter",
     "EmptyPosteriorError",
     "WindowTooShortError",
-    "coupling_rows",
 ]
 
 # Test hook: cmd_verify --inject-fault flips this to check that the
-# stacking and distributed oracles actually detect a wrong coupling sign
-# (read by coupling_rows, so by each agent LP when it is built).
+# stacking and distributed oracles detect a wrong sign: that of
+# verify.coupling_rows, and that with which a peer's block of an agent LP
+# reads the agent's columns (read when the LP is built).
 _COUPLING_SIGN = 1.0
 
 
@@ -130,19 +132,6 @@ def _unit_rows(n, cols):
     C = np.zeros((len(cols), n))
     C[np.arange(len(cols)), cols] = 1.0
     return C
-
-
-def coupling_rows(n_cols, own_cols, peer_cols, M=None):
-    """The rows M y_own - _COUPLING_SIGN * M y_peer = 0 over ``n_cols``
-    columns (a dense array, one row per row of M, the identity by
-    default): they tie a peer's copy of a state to the own one, which is
-    the refinement's intersection."""
-    own_cols = np.asarray(own_cols, dtype=int)
-    M = np.eye(own_cols.size) if M is None else M
-    D = np.zeros((M.shape[0], n_cols))
-    D[:, own_cols] = M
-    D[:, peer_cols] = -_COUPLING_SIGN * M
-    return D
 
 
 def _step_entry(stack, k, batch):
@@ -432,18 +421,20 @@ class _AgentLP:
 
     It holds the joint of each of its ``owners``: agent i and every peer
     l in ``topology.peers(i)``, with each step's states substituted out.
-    Each owner o adds, in turn, the columns x_prev (bounded by the
-    last hulls of N̄_o) and w (in the W box of o's neighborhood stack),
-    and o's measurement rows, in which the state x = A x_prev + B w of
-    step k enters through its parts:
+    Every agent of N̄_o enters owner o's block through its columns x_prev
+    (bounded by its last hull) and w (in its W box), and o's measurement
+    rows read the state x = A x_prev + B w of step k through its parts:
 
         Y - v_hi <= H A(k) x_prev + H B w <= Y - v_lo  (``_measurement_bounds``).
 
-    One block of ``coupling_rows`` per peer then ties the peer's copy of
-    x_i to agent i's own, as [A_i(k) B_i] on agent i's (x_prev, w) columns
-    of each.  Every column is bounded.  The refined set of one distributed
+    Agent i has one set of (x_prev, w) columns, read by every block; each
+    other agent of a block has its own.  That is exact: A(k) and B are
+    block-diagonal, so a peer's rows read agent i only through
+    A_i(k) x_prev + B_i w over the same box (its last hull times W_i) as
+    its own block's, and a copy per peer tied to agent i's state would
+    hold the same set.  Every column is bounded.  The refined set of one
     step is the image of the feasible set under [A_i(k) B_i] on agent i's
-    own columns, whose rows ``hull`` bounds.
+    columns, whose rows ``hull`` bounds.
 
     The LP reads no data but its owners' messages (``_message``), in
     ``owners`` order.  It keeps a dense copy of its matrix and bounds:
@@ -458,31 +449,30 @@ class _AgentLP:
         agents = system.agents
         self.owners = [i] + system.topology.peers(i)
         n, p = agents[i].n, agents[i].p
-        blocks, own = [], {}  # per owner: (its rows, its x_prev columns); agent i's columns in its block
+        self._blocks = []  # per owner: (its rows, N̄_o's x_prev columns, the signs they are read with)
+        w_parts = []  # per owner: (its rows, N̄_o's w columns, H B as they read it, the W box)
+        own = None  # agent i's (x_prev, w) columns, laid out by its own block, the first
         row = col = 0
         for o in self.owners:
             st = stacks[o]
-            nx, m = st.B.shape[0], st.H.shape[0]
-            blocks.append((slice(row, row + m), slice(col, col + nx)))
+            (nx, nw), m = st.B.shape, st.H.shape[0]
             before = st.state_order[: st.state_order.index(i)]
-            x_at = col + sum(agents[l].n for l in before)
-            w_at = col + nx + sum(agents[l].p for l in before)
-            own[o] = np.concatenate([np.arange(x_at, x_at + n), np.arange(w_at, w_at + p)])
-            row, col = row + m, col + nx + st.B.shape[1]
-        self._blocks, self._own = blocks, own[i]
-        self._A_i, self._B_i = messages[0][0][:n, :n], agents[i].B  # i leads N̄_i
-        D = np.zeros((row + n * (len(self.owners) - 1), col))
-        lo, hi = np.empty(col), np.empty(col)
-        for o, (rows, cols) in zip(self.owners, blocks):
-            st = stacks[o]
-            w_cols = slice(cols.stop, cols.stop + st.B.shape[1])
-            D[rows, w_cols] = st.H @ st.B
-            lo[w_cols], hi[w_cols] = st.Wset.lo, st.Wset.hi
-        self._coupling = []  # per peer: (its rows, agent i's own x_prev columns, the peer's copy of them)
-        for l in self.owners[1:]:
-            D[row : row + n] = coupling_rows(col, self._own, own[l], np.hstack([self._A_i, self._B_i]))
-            self._coupling.append((slice(row, row + n), self._own[:n], own[l][:n], _COUPLING_SIGN))
-            row += n
+            x_at, w_at = sum(agents[l].n for l in before), nx + sum(agents[l].p for l in before)
+            at = np.r_[x_at : x_at + n, w_at : w_at + p]  # agent i's part of N̄_o's (x_prev, w)
+            cols, sign = np.full(nx + nw, -1), np.ones(nx + nw)
+            if own is not None:
+                cols[at], sign[at] = own, _COUPLING_SIGN
+            fresh = np.flatnonzero(cols < 0)
+            cols[fresh] = col + np.arange(fresh.size)
+            own, rows = cols[at], slice(row, row + m)
+            self._blocks.append((rows, cols[:nx], sign[:nx]))
+            w_parts.append((rows, cols[nx:], st.H @ st.B * sign[nx:], st.Wset))
+            row, col = row + m, col + fresh.size
+        self._own, self._B_i = own, agents[i].B
+        D, lo, hi = np.zeros((row, col)), np.empty(col), np.empty(col)
+        for rows, cols, HB, W in w_parts:
+            D[rows, cols] = HB
+            lo[cols], hi[cols] = W.lo, W.hi
         self._D, self._lo, self._hi = D, lo, hi
         self._b_lo, self._b_hi = np.zeros(row), np.zeros(row)
         self._write(messages)
@@ -490,18 +480,13 @@ class _AgentLP:
 
     def _write(self, messages):
         """Write the owners' ``messages`` into the dense copy: H A of
-        every owner and its measurement row bounds, the x_prev bounds and
-        A_i in the coupling rows."""
-        D = self._D
+        every owner, its measurement row bounds and the x_prev bounds."""
         n = self._B_i.shape[0]
         self._A_i = messages[0][0][:n, :n]  # i leads N̄_i
-        for (rows, cols), (_, HA, y_bounds, x_bounds) in zip(self._blocks, messages, strict=True):
-            D[rows, cols] = HA
+        for (rows, cols, sign), (_, HA, y_bounds, x_bounds) in zip(self._blocks, messages, strict=True):
+            self._D[rows, cols] = HA * sign
             self._b_lo[rows], self._b_hi[rows] = y_bounds
             self._lo[cols], self._hi[cols] = x_bounds
-        for rows, own, peer, sign in self._coupling:
-            D[rows, own] = self._A_i
-            D[rows, peer] = -sign * self._A_i
 
     def update(self, messages):
         """Load the owners' ``messages`` of the next step (``_write``) into

@@ -9,10 +9,10 @@ loaded through ``extend``; ``solve`` only
 swaps the objective, so after the first call HiGHS starts
 from the previous optimal basis and an interval hull's 2n bounds over one
 region pay for the initial basis only once.  The region is written
-through three calls, all on the same model, so the next solve also starts
-from the last basis: ``extend`` appends columns and rows, ``set_bounds``
-changes column bounds, and ``replace`` loads new numbers into every
-column bound, coefficient and row bound at once.  ``replace`` passes the
+through two calls, both on the same model, so the next solve also starts
+from the last basis: ``extend`` appends columns and rows, and
+``replace`` loads new numbers into every column bound, coefficient and
+row bound at once.  ``replace`` passes the
 whole model to HiGHS in one ``passModel`` call and then hands the basis
 it held before back with ``setBasis``, so a region whose structure is
 fixed and whose numbers move, such as one filter step after another, is
@@ -28,7 +28,7 @@ write when the model's objective already is zero.
 
 Each solve picks its simplex variant from what changed since the last
 one.  After a change of the region (a new model, ``extend``,
-``set_bounds``, ``replace``) the last basis is
+``replace``, the pinned bounds of ``feasible_at``) the last basis is
 still dual feasible, so the solve runs dual simplex; when only the
 objective changed the basis is still primal feasible, so it runs primal
 simplex (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*,
@@ -164,9 +164,9 @@ class LinearProgram:
     rows with both bounds, optionally on listed columns only.  ``A`` is a
     dense 2-d array (a nested list will do); a ``scipy.sparse`` matrix
     raises ``ValueError``.  ``solve`` may be called repeatedly with
-    different objectives, and between solves the region may be extended,
-    its column bounds changed or all of its numbers replaced; after the
-    first call the previous basis warm-starts the next one.
+    different objectives, and between solves the region may be extended
+    or all of its numbers replaced; after the first call the previous
+    basis warm-starts the next one.
     """
 
     def __init__(self, A, b, lo, hi):
@@ -204,15 +204,6 @@ class LinearProgram:
                              np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
         if r:
             _check(h.addRows(r, b_lo, b_hi, value.size, start, index, value), "addRows")
-
-    def set_bounds(self, cols, lo, hi):
-        """Change the bounds of the listed columns in place."""
-        cols = _indices(cols, self.n, "column")
-        lo, hi = _bound_vectors(lo, hi, cols.size)
-        self.lo[cols] = lo
-        self.hi[cols] = hi
-        self._region_changed = True
-        _check(self._highs.changeColsBounds(cols.size, cols, lo, hi), "changeColsBounds")
 
     def replace(self, lo, hi, A, b_lo, b_hi):
         """Load new numbers into the whole region in place: the column
@@ -296,13 +287,19 @@ class LinearProgram:
 
     def feasible_at(self, cols, x):
         """True iff some point of the region equals x on the listed columns
-        (``last_x`` is then one).  The columns are pinned through their
-        bounds, which are restored after the solve, also when it raises;
-        ``lo`` and ``hi`` keep the bounds to restore."""
+        (``last_x`` is then one); a column listed twice is a ``ValueError``.
+        An x beyond the columns' bounds by more than ``EPS_LP`` (as in
+        ``satisfied_by``) is False without a solve; otherwise the columns
+        are pinned through their bounds, restored after the solve, also
+        when it raises (``lo`` and ``hi`` keep the bounds to restore)."""
         cols = _indices(cols, self.n, "column")
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != cols.size or np.isnan(x).any():
             raise ValueError(f"pinned point must be {cols.size} numbers, none NaN")
+        if np.unique(cols).size != cols.size:
+            raise ValueError("a pinned column is listed twice")
+        if np.any(x < self.lo[cols] - EPS_LP) or np.any(x > self.hi[cols] + EPS_LP):
+            return False
         h = self._highs
         self._region_changed = True
         _check(h.changeColsBounds(cols.size, cols, x, x), "changeColsBounds")

@@ -416,14 +416,17 @@ def _need(d, key, path):
 
 def box_from_dict(d, path):
     """The bounded box ``{"lo": [...], "hi": [...]}`` at ``path`` of a
-    scenario; a missing end, a non-numeric, NaN or infinite entry, or
-    ``lo > hi`` is a SchemaError naming ``path``."""
+    scenario; a missing or nested end, a non-numeric, NaN or infinite
+    entry, or ``lo > hi`` is a SchemaError naming ``path``."""
     try:
-        box = Box(d["lo"], d["hi"])
+        lo, hi = (np.asarray(d[end], dtype=float) for end in ("lo", "hi"))
+        box = Box(lo, hi)
     except (KeyError, TypeError) as e:
         raise SchemaError(f"{path}: box needs 'lo' and 'hi'") from e
     except ValueError as e:
         raise SchemaError(f"{path}: {e}") from e
+    if lo.ndim != 1 or hi.ndim != 1:
+        raise SchemaError(f"{path}: 'lo' and 'hi' must be flat lists of numbers")
     if not (np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))):
         raise SchemaError(f"{path}: range must be bounded")
     return box

@@ -9,9 +9,10 @@ Suites:
   * geometry: randomized set-operation invariants on small CZs, with
     membership decided by LP and witnesses carried through constructions.
   * stacking: the lifted refinement (each joint a block of generator and
-    state columns, tied by the distributed filter's coupling rows) must
-    represent exactly the same set as the project/intersect composition
-    built from primitives.
+    state columns, tied by this oracle's own ``coupling_rows``; the
+    filter's agent LPs share the columns instead) must represent exactly
+    the same set as the project/intersect composition built from
+    primitives.
   * oracle: the centralized filter against an exhaustive lattice oracle
     on a two-agent scalar scenario.
   * ordering: centralized hull diameters never exceed the fixed-lag or
@@ -41,6 +42,7 @@ __all__ = [
     "ordering_check",
     "backend_check",
     "distributed_check",
+    "coupling_rows",
     "lifted_refinement",
     "run_suites",
 ]
@@ -315,6 +317,17 @@ def _random_joint(rng, q, n=1):
     return Z
 
 
+def coupling_rows(n_cols, own_cols, peer_cols):
+    """The rows y_own - filters._COUPLING_SIGN * y_peer = 0 over ``n_cols``
+    columns, one per own column: they tie a peer's copy of a state to the
+    own one, which is the refinement's intersection."""
+    rows = np.arange(len(own_cols))
+    D = np.zeros((rows.size, n_cols))
+    D[rows, own_cols] = 1.0
+    D[rows, peer_cols] = -filters._COUPLING_SIGN
+    return D
+
+
 def lifted_refinement(own_joint, own_dims, received):
     """The refined own-block set of a distributed step, as a lifted LP.
 
@@ -326,7 +339,7 @@ def lifted_refinement(own_joint, own_dims, received):
 
     Each joint Z is a block of columns xi in [-h, h] and x (free) with the
     rows A xi = b and x - G xi = c, all joints' blocks loaded at once,
-    block-diagonal; then one block of ``filters.coupling_rows`` per
+    block-diagonal; then one block of ``coupling_rows`` per
     received joint, appended in turn, ties its copy of this agent's state
     to the own block.  Returns (LinearProgram, columns of the own state): the
     feasible set projected on those columns is the refined set.
@@ -355,7 +368,7 @@ def lifted_refinement(own_joint, own_dims, received):
         if dims_l[alpha - 1] != n:
             raise ValueError("received joint stores this agent with a different dim")
         start = x_l + int(np.sum(dims_l[: alpha - 1]))
-        rows = filters.coupling_rows(ncol, own, np.arange(start, start + n))
+        rows = coupling_rows(ncol, own, np.arange(start, start + n))
         region.extend([], [], rows, np.zeros(n), np.zeros(n))
     return region, own
 

@@ -308,6 +308,23 @@ def _first_agent(**keys):
     return lambda doc: doc["agents"][0].update(keys)
 
 
+def _nested_box(*keys):
+    """Agent 1's box at ``keys`` with each end wrapped in one more list."""
+
+    def mutate(doc):
+        box = doc["agents"][0]
+        for key in keys:
+            box = box[key]
+        box.update(lo=[box["lo"]], hi=[box["hi"]])
+
+    return mutate
+
+
+def _nested_initial_range(doc):
+    _initial_range(-1.0, 1.0)(doc)
+    _nested_box("initial_range")(doc)
+
+
 NAN, INF = float("nan"), float("inf")
 
 # (mutation, key the error names); each is applied to both built-ins
@@ -321,6 +338,10 @@ SCHEMA_MUTATIONS = {
     "initial-nan": (_initial_range(NAN, 1.0), "agents[0].initial_range"),
     "initial-inf": (_initial_range(-1.0, INF), "agents[0].initial_range"),
     "initial-dimension": (_initial_range(-1.0, 1.0, extra=1), "agents[0].initial_range"),
+    "initial-nested": (_nested_initial_range, "agents[0].initial_range"),
+    "process_noise-nested": (_nested_box("process_noise"), "agents[0].process_noise"),
+    "measurement_noise-nested": (_nested_box("measurement_noise"), "agents[0].measurement_noise"),
+    "relative_noise-nested": (_nested_box("relative_noise", "2"), "agents[0].relative_noise[2]"),
     "B-nan": (_agent_matrix("B", NAN), "agents[0].B"),
     "C-inf": (_agent_matrix("C", INF), "agents[0].C"),
     "D-nan": (_agent_matrix("D", NAN), "agents[0].D"),

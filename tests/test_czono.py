@@ -300,3 +300,9 @@ class TestCompactAndSerialization:
         assert box.widths().tolist() == [2.0, 4.0]
         assert box.contains_point([0.5, 3.0])
         assert not box.contains_point([0.5, 5.0])
+
+    @pytest.mark.parametrize("x", [[0.5], [0.5, 0.5, 0.5]], ids=["short", "long"])
+    def test_box_point_of_another_dimension_rejected(self, x):
+        # a shorter point would broadcast against the box's ends
+        with pytest.raises(ValueError, match="dimension"):
+            Box([0.0, 0.0], [1.0, 1.0]).contains_point(x)

@@ -1,5 +1,7 @@
 """Filter recursions: hand-checked updates, window behavior, refinement."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +78,7 @@ class TestPrimitives:
         want = np.zeros((2, 7))
         want[[0, 1], [1, 2]] = 1.0
         want[[0, 1], [5, 0]] = -sign
-        assert np.array_equal(filters.coupling_rows(7, [1, 2], [5, 0]), want)
+        assert np.array_equal(verify.coupling_rows(7, [1, 2], [5, 0]), want)
 
 
 def split_per_agent(system, Z):
@@ -163,6 +165,16 @@ class TestCentralized:
         assert b_lo[:2].tolist() == b_hi[:2].tolist() == [0.0, 0.0]
         assert b_lo[2:].tolist() == np.nextafter(Y - [hi for _, hi in v + r], -np.inf).tolist()
         assert b_hi[2:].tolist() == np.nextafter(Y - [lo for lo, _ in v + r], np.inf).tolist()
+
+    @pytest.mark.parametrize(
+        "make", [CentralizedFilter, lambda system, x0: OitFilter(system, x0, delta_bar=2)], ids=["centralized", "oit"]
+    )
+    def test_initial_posterior_is_its_box(self, make):
+        # at k = 0 the final state is x_0, whose columns the initial box
+        # bounds: a pinned point outside it is no member
+        flt = make(pair_system(), pair_x0())
+        assert flt.contains([2.0, -1.0]) and flt.contains([3.0], [1])
+        assert not flt.contains([100.0, 100.0]) and not flt.contains([2.5], [0])
 
     def test_inconsistent_measurement_empties(self):
         system = pair_system()
@@ -472,6 +484,45 @@ class TestWitness:
         assert len(probes) <= 6
 
 
+def hetero3_doc():
+    """The scenario of ``hetero3.json``: three agents whose noise inputs
+    differ in number, agent 2 without an absolute measurement."""
+    return json.loads((pathlib.Path(__file__).parent / "hetero3.json").read_text())
+
+
+def coupled_refinement(system, i, stacks, messages):
+    """Test-only oracle: agent i's refinement of one step in the coupled
+    form, from the same ``messages`` as ``filters._AgentLP``: every owner's
+    block has its own copy of agent i's (x_prev, w) columns, and rows tie
+    each peer's copy to agent i's own through the state A_i x_prev + B_i w.
+    Returns (its hull, the LP)."""
+    agents = system.agents
+    n, p = agents[i].n, agents[i].p
+    M = np.hstack([messages[0][0][:n, :n], agents[i].B])  # [A_i(k) B_i]; i leads N̄_i
+    lo, hi, rows, b_lo, b_hi, own = [], [], [], [], [], []
+    col = 0
+    for o, (_, HA, (y_lo, y_hi), (x_lo, x_hi)) in zip([i] + system.topology.peers(i), messages, strict=True):
+        st = stacks[o]
+        nx = st.B.shape[0]
+        before = st.state_order[: st.state_order.index(i)]
+        x_at, w_at = col + sum(agents[l].n for l in before), col + nx + sum(agents[l].p for l in before)
+        own.append(np.r_[x_at : x_at + n, w_at : w_at + p])
+        rows.append(np.hstack([HA, st.H @ st.B]))
+        lo += [x_lo, st.Wset.lo]
+        hi += [x_hi, st.Wset.hi]
+        b_lo.append(y_lo)
+        b_hi.append(y_hi)
+        col += nx + st.B.shape[1]
+    region = filters._region(
+        np.concatenate(lo), np.concatenate(hi), czono._blockdiag(*rows), np.concatenate(b_lo), np.concatenate(b_hi)
+    )
+    for copy in own[1:]:
+        region.extend([], [], M @ verify.coupling_rows(col, own[0], copy), np.zeros(n), np.zeros(n))
+    C = np.zeros((n, col))
+    C[:, own[0]] = M
+    return Box(*region.bounds(C)), region
+
+
 def refined_contains(refinement, x):
     """Membership in a lifted refinement, pinned through its own columns."""
     region, cols = refinement
@@ -632,6 +683,53 @@ class TestDistributed:
                 owners = [i] + system.topology.peers(i)
                 assert len(messages) == len(owners)
                 assert all(m is sent[o] for m, o in zip(messages, owners))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            simharness.build_uav_scenario(horizon=30, seed=1),
+            simharness.build_uav_scenario(horizon=30, seed=9173),
+            simharness.build_pair1d_scenario(horizon=20, seed=1),
+            hetero3_doc(),
+        ],
+        ids=["uav5-s1", "uav5-s9173", "pair1d", "hetero3"],
+    )
+    def test_shared_columns_match_the_coupled_oracle(self, doc):
+        # every block of an agent LP reads the agent's one set of
+        # columns; the coupled form of the same messages, with a copy of
+        # them per peer and the rows that tie it, holds the same hull
+        cfg = simharness.ScenarioConfig(dict(doc, algorithms=["distributed"]))
+        x0, steps = replay(cfg)
+        assert len(steps) == cfg.K
+        system = cfg.system
+        stacks = {o: sysmodel.build_neighborhood(system, o) for o in system.agent_ids}
+        flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
+        for k, batch, _ in steps:
+            prev = flt.hulls
+            flt.step(k, batch)
+            sent = {o: filters._message(st, *filters._step_entry(st, k, batch), prev) for o, st in stacks.items()}
+            for i, m in flt._lps.items():
+                want, coupled = coupled_refinement(system, i, stacks, [sent[o] for o in m.owners])
+                got = flt.hulls[i]
+                for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
+                    assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), (k, i)
+                # the coupled form's extra columns and rows: a copy of
+                # (x_prev, w) and n coupling rows per peer
+                a = system.agents[i]
+                peers = len(m.owners) - 1
+                assert (coupled.n, coupled.m) == (m.program.n + peers * (a.n + a.p), m.program.m + peers * a.n)
+
+    def test_heterogeneous_agents_run_clean(self):
+        # hetero3: agents of one and of two noise inputs, one without an
+        # absolute measurement, each agent LP of its own size
+        cfg = simharness.ScenarioConfig(hetero3_doc())
+        for metrics in ("containment", "full"):
+            mc = simharness.run_monte_carlo(cfg, 3, metrics=metrics, workers=1)
+            assert mc.violations == 0 and mc.aborts == []
+        for log in mc.logs:
+            assert all(rec["sizes"]["distributed"] == {"1": [11, 3], "2": [10, 3], "3": [7, 2]} for rec in log.steps)
+            assert max(d for *_, d in verify._replay_distributed_deviations(cfg, log)) <= verify._REPLAY_TOL
+            assert max(d for *_, d in verify._replay_hull_deviations(cfg, log)) <= verify._REPLAY_TOL
 
     def test_every_agent_lp_column_is_bounded(self):
         # x_prev in the last hulls and w in its box: the states are

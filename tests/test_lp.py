@@ -238,26 +238,6 @@ def test_extension_of_closed_form_programs():
     assert empty.solve([1.0]).status == INFEASIBLE
 
 
-@pytest.mark.parametrize("rows", [1, 0], ids=["model", "closed-form"])
-def test_set_bounds_then_restore_returns_optimum(rows):
-    rng = np.random.default_rng(41)
-    A = rng.standard_normal((rows, 5))
-    lo, hi = -np.ones(5), np.ones(5)
-    prog = LinearProgram(A, A @ rng.uniform(-0.5, 0.5, 5), lo, hi)
-    c = rng.standard_normal(5)
-    before = prog.solve(c)
-    prog.set_bounds([1, 3], [0.25, -0.5], [0.25, -0.5])
-    pinned = prog.solve(c)
-    assert pinned.x[1] == pytest.approx(0.25, abs=1e-9)
-    assert pinned.x[3] == pytest.approx(-0.5, abs=1e-9)
-    assert pinned.value >= before.value - 1e-9
-    prog.set_bounds([1, 3], lo[[1, 3]], hi[[1, 3]])
-    after = prog.solve(c)
-    assert after.status == before.status == OPTIMAL
-    assert after.value == pytest.approx(before.value, abs=1e-9)
-    assert np.array_equal(prog.lo, lo) and np.array_equal(prog.hi, hi)
-
-
 def _changed_instance(rng):
     """A region (A, b, lo, hi) and a change of some of its coefficients and
     right-hand sides (A2, b2); a fifth of the regions have no rows or no
@@ -550,19 +530,6 @@ def test_rows_without_columns_admit_zero(lo, hi, feasible):
     assert region.solve([]).status == (OPTIMAL if feasible else INFEASIBLE)
 
 
-@pytest.mark.parametrize("col", [-1, 3], ids=["negative", "past-end"])
-def test_set_bounds_validates_columns(col):
-    prog = LinearProgram([[1.0, 1.0, 1.0]], [1.0], [0, 0, 0], [1, 1, 1])
-    with pytest.raises(ValueError, match="column index"):
-        prog.set_bounds([col], [0.5], [0.5])
-    with pytest.raises(ValueError, match="NaN bound"):
-        prog.set_bounds([0], [0.0], [np.nan])
-    # neither the bound copy nor the model changed: x3 still spans [0, 1]
-    assert prog.lo.tolist() == [0.0, 0.0, 0.0] and prog.hi.tolist() == [1.0, 1.0, 1.0]
-    assert prog.solve([0.0, 0.0, 1.0]).value == pytest.approx(0.0, abs=1e-9)
-    assert prog.solve([0.0, 0.0, 1.0], sense="max").value == pytest.approx(1.0, abs=1e-9)
-
-
 class _Spy:
     """A HiGHS model that records its simplex_strategy settings and can be
     told to report a fixed model status after every run."""
@@ -604,7 +571,7 @@ def test_simplex_follows_the_change():
     assert _strategy(prog) == PRIMAL
     changes = [
         lambda: prog.extend([-1.0], [1.0], np.append(rng.standard_normal(prog.n), 1.0)[None], [0.0], [0.0]),
-        lambda: prog.set_bounds([0], [-0.5], [0.5]),
+        lambda: prog.feasible_at([0], [0.5]),  # pins a column's bounds and restores them
         lambda: prog.replace(prog.lo, prog.hi, model_rows(prog)[0].toarray(), *model_rows(prog)[1:]),
     ]
     for change in changes:
@@ -689,7 +656,7 @@ class _Refusing:
     [
         ("addCols", lambda p: p.extend([0.0], [1.0], np.zeros((0, 3)), [], [])),
         ("addRows", lambda p: p.extend([], [], [[1.0, -1.0]], [0.0], [0.0])),
-        ("changeColsBounds", lambda p: p.set_bounds([0], [0.0], [0.5])),
+        ("changeColsBounds", lambda p: p.feasible_at([0], [0.5])),
         ("passModel", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
         ("setBasis", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
     ],
@@ -922,6 +889,44 @@ class TestFeasibleAt:
         monkeypatch.undo()
         assert region.feasible_at([0, 1], [0.2, 0.3])
         assert not region.feasible_at([0, 1], [0.8, 0.9])
+
+    @pytest.mark.parametrize("rows", [1, 0], ids=["model", "closed-form"])
+    def test_optimum_returns_after_a_probe(self, rows):
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((rows, 5))
+        lo, hi = -np.ones(5), np.ones(5)
+        prog = LinearProgram(A, A @ rng.uniform(-0.5, 0.5, 5), lo, hi)
+        c = rng.standard_normal(5)
+        before = prog.solve(c)
+        assert prog.feasible_at([1, 3], [0.25, -0.5])
+        assert prog.last_x[[1, 3]].tolist() == [0.25, -0.5]
+        after = prog.solve(c)
+        assert after.status == before.status == OPTIMAL
+        assert after.value == pytest.approx(before.value, abs=1e-9)
+        model = prog._highs.getLp()
+        for got_lo, got_hi in ((prog.lo, prog.hi), (model.col_lower_, model.col_upper_)):
+            assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+
+    @pytest.mark.parametrize(
+        "x, feasible",
+        [([5.0], False), ([-1.0 - 2 * EPS_LP], False), ([1.0 + 0.5 * EPS_LP], True), ([-1.0], True)],
+        ids=["far-above", "below-beyond-eps", "above-within-eps", "at-bound"],
+    )
+    @pytest.mark.parametrize("rows", [0, 1], ids=["no-rows", "model"])
+    def test_point_outside_the_column_box(self, x, feasible, rows):
+        # a pinned value is checked against the column's own bounds, which
+        # the pin overwrites in the model; beyond EPS_LP it is False
+        # without a solve
+        region = LinearProgram(np.ones((rows, 2)), np.zeros(rows), [-1, -2], [1, 2])
+        spy = region._highs = _Counting(region._highs, "run", "changeColsBounds")
+        assert region.feasible_at([0], x) == feasible
+        assert spy.calls == ({"run": 1, "changeColsBounds": 2} if feasible else {"run": 0, "changeColsBounds": 0})
+
+    def test_repeated_column_rejected_before_highs(self):
+        region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
+        region._highs = _Refusing(region._highs, "changeColsBounds")
+        with pytest.raises(ValueError, match="listed twice"):
+            region.feasible_at([1, 1], [0.5, 0.5])
 
     @pytest.mark.parametrize("col", [-1, 3], ids=["negative", "past-end"])
     def test_columns_are_validated(self, col):

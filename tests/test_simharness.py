@@ -221,7 +221,7 @@ class TestBackends:
         sizes = [s["sizes"]["distributed"] for s in log.steps]
         assert all(s == sizes[0] for s in sizes[1:])
         # each agent's lifted LP: [columns, rows]
-        assert sizes[0] == {"1": [36, 16], "2": [66, 34], "3": [36, 16], "4": [42, 18], "5": [12, 4]}
+        assert sizes[0] == {"1": [30, 12], "2": [48, 22], "3": [30, 12], "4": [36, 14], "5": [12, 4]}
 
 
 class TestGrownTrajectory:
