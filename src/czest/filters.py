@@ -18,7 +18,8 @@ Three estimators:
 All three filters hold their sets as lifted constrained zonotopes
 (Scott, Raimondo, Marseglia & Braatz, Automatica 69, 2016): LPs whose
 columns are states and process noises and whose rows are the dynamics
-and measurement relations, one ``lp.LinearProgram`` each.  A
+and measurement relations, one ``lp.LinearProgram`` each, which holds
+one HiGHS model per independent block of it (uav5's x and y axes).  A
 measurement noise v gets no column: the row H x + v = Y with v in its
 box is the ranged row Y - v_hi <= H x <= Y - v_lo, each end rounded one
 ulp outward (``_measurement_bounds``), since HiGHS keeps a bounded slack
@@ -74,8 +75,8 @@ coefficient of that LP at every step, so each step reloads it whole.
 ``hull`` solves the final state's interval hull.  ``contains`` first
 tries a one-step witness: the feasible LP point behind the last step's
 ``True``, carried one step by the recursion to the queried state and
-checked against the LP's bounds and its rows as the HiGHS model holds
-them (``lp.LinearProgram.satisfied_by``); a point that passes is a primal
+checked against the LP's bounds and its rows as they were last written
+(``lp.LinearProgram.satisfied_by``); a point that passes is a primal
 certificate of membership.  Only when there is no witness, or it fails
 the check, does ``contains`` fall back to the LP probe
 (``lp.LinearProgram.feasible_at``): it pins the final state through its
@@ -314,8 +315,8 @@ class _LiftedFilter:
         The recursion carries it (``_carry``) with A this step's dynamics
         and the noise w = B⁺(x - A p) that takes its state p to x.
         ``lp.LinearProgram.satisfied_by`` then checks the point against
-        every bound and against the rows as the model holds
-        them: all rows, unless y was checked against this LP's leading
+        every bound and against the rows as they were last
+        written: all rows, unless y was checked against this LP's leading
         rows and none of them was reloaded since, when only the
         rows after those are read.
         """
@@ -385,7 +386,7 @@ class OitFilter(_LiftedFilter):
         if k <= self.delta_bar:
             _extend_trajectory(self._traj, self._stack, *entry)
         else:
-            self._post = self._window_lp
+            self._post, self._traj = self._window_lp, None  # the grown LP is not read again
             self._post.replace(*_window_block(self._stack, self._window))
 
     def _carry(self, y, w, x):

@@ -843,3 +843,99 @@ class TestLpLifecycle:
         assert log.aborted is None and len(log.steps) == 8
         # centralized 1, oit 2 (grown and window), distributed 1 per agent
         assert built == {"construction": 3 + len(cfg.system.agent_ids), "step": 0}
+
+
+def one_model(region):
+    """Test-only single-model oracle: one free row (both bounds infinite)
+    over every column of ``region`` joins all its blocks into one HiGHS
+    model and changes no feasible set.  A later ``replace`` keeps the row."""
+    ones = np.ones((1, region.n))
+    region.extend([], [], ones, [-np.inf], [np.inf])
+    replace = region.replace
+
+    def with_row(lo, hi, A, b_lo, b_hi):
+        replace(lo, hi, np.vstack([A, ones]), np.append(b_lo, -np.inf), np.append(b_hi, np.inf))
+
+    region.replace = with_row
+    return region
+
+
+def filter_lps(flt):
+    """The LinearPrograms of a filter."""
+    if isinstance(flt, DistributedFilter):
+        return [m.program for m in flt._lps.values()]
+    if isinstance(flt, OitFilter):  # past delta_bar the grown LP is dropped
+        return [region for region in (flt._traj, flt._window_lp) if region is not None]
+    return [flt._traj]
+
+
+def three_filters(cfg, x0, joined=False):
+    """The three filters of ``cfg`` from the initial box x0, each LP one
+    model (``one_model``) when ``joined``."""
+    system = cfg.system
+    ranges = {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()}
+    filters_ = {
+        "centralized": CentralizedFilter(system, x0),
+        "oit": OitFilter(system, x0, cfg.delta_bar),
+        "distributed": DistributedFilter(system, ranges),
+    }
+    if joined:
+        for flt in filters_.values():
+            for region in filter_lps(flt):
+                one_model(region)
+    return filters_
+
+
+class TestBlocks:
+    """Each filter LP is one HiGHS model per independent block: uav5's x
+    and y axes are two, pair1d and hetero3 one."""
+
+    @pytest.mark.parametrize(
+        "doc, blocks",
+        [
+            (simharness.build_uav_scenario(horizon=6, seed=1), 2),
+            (simharness.build_pair1d_scenario(horizon=6, seed=1), 1),
+            (hetero3_doc(), 1),
+        ],
+        ids=["uav5", "pair1d", "hetero3"],
+    )
+    def test_blocks_per_filter_lp(self, doc, blocks):
+        cfg = simharness.ScenarioConfig(dict(doc, K=6))
+        x0, steps = replay(cfg)
+        filters_ = three_filters(cfg, x0)
+        assert cfg.delta_bar < len(steps)
+        for k, batch, _ in steps:
+            for flt in filters_.values():
+                flt.step(k, batch)
+                if not isinstance(flt, DistributedFilter):
+                    flt.hull()  # the rows of the step enter the models
+                for region in filter_lps(flt):
+                    if region.m:
+                        assert len(region._blocks) == blocks, (type(flt).__name__, k)
+                        assert (region._whole is not None) == (blocks == 1)
+
+    @pytest.mark.parametrize("seed", [1, 9173])
+    def test_blocks_match_one_model(self, seed):
+        # every hull endpoint within 1e-9 relative and every contained
+        # flag as the single-model oracle finds them, horizon 30, full
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=30, seed=seed))
+        x0, steps = replay(cfg)
+        assert len(steps) == cfg.K == 30
+        system = cfg.system
+        ids, slices = system.agent_ids, system.state_slices()
+        split, joined = three_filters(cfg, x0), three_filters(cfg, x0, joined=True)
+        for k, batch, truth in steps:
+            for alg in split:
+                recs = []
+                for filters_ in (split, joined):
+                    filters_[alg].step(k, batch)
+                    recs.append(simharness._step_metrics(alg, filters_[alg], ids, truth, slices, "full"))
+                got, want = recs
+                for i in map(str, ids):
+                    assert got[i]["contained"] == want[i]["contained"], (k, alg, i)
+                    for a, b in zip(got[i]["hull"], want[i]["hull"]):
+                        a, b = np.array(a), np.array(b)
+                        assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), (k, alg, i)
+        for alg in split:
+            assert [len(region._blocks) for region in filter_lps(split[alg])] == [2] * len(filter_lps(split[alg]))
+            assert [len(region._blocks) for region in filter_lps(joined[alg])] == [1] * len(filter_lps(joined[alg]))

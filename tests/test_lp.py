@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeWarning, linprog
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import czest
-from czest import czono
+from czest import czono, lp
 from czest.lp import (
     EPS_LP,
     INFEASIBLE,
@@ -20,7 +20,7 @@ from czest.lp import (
     LpResult,
     NumericalError,
 )
-from lp_rows import model_rows
+from lp_rows import model_cols, model_rows, wrap_models
 
 
 def _no_rows(lo, hi):
@@ -300,11 +300,12 @@ def test_changed_region_matches_fresh():
 
 
 class _Counting:
-    """A HiGHS model that counts the calls of each listed method."""
+    """A HiGHS model that counts the calls of each method listed in
+    ``calls`` (a dict, which several models may share)."""
 
-    def __init__(self, model, *names):
+    def __init__(self, model, calls):
         self._model = model
-        self.calls = dict.fromkeys(names, 0)
+        self.calls = calls
 
     def __getattr__(self, name):
         attr = getattr(self._model, name)
@@ -318,6 +319,14 @@ class _Counting:
         return counted
 
 
+def _count(prog, *names):
+    """Count the calls of each listed method on every block's HiGHS model
+    of ``prog``: one dict, kept up to date."""
+    calls = dict.fromkeys(names, 0)
+    wrap_models(prog, lambda model: _Counting(model, calls))
+    return calls
+
+
 def test_replace_is_one_load_that_keeps_the_basis():
     rng = np.random.default_rng(59)
     A = rng.standard_normal((4, 7))
@@ -325,36 +334,36 @@ def test_replace_is_one_load_that_keeps_the_basis():
     b = A @ rng.uniform(-0.5, 0.5, 7)
     prog = LinearProgram(np.zeros((0, 7)), [], lo, hi)
     prog.extend([], [], A, b - 0.1, b + 0.1)
-    spy = prog._highs = _Counting(prog._highs, "passModel", "setBasis", "addRows", "addCols", "changeColsBounds")
+    calls = _count(prog, "passModel", "setBasis", "addRows", "addCols", "changeColsBounds")
     # no basis yet: the model is loaded, and no basis is handed back
     prog.replace(lo, hi, A, b - 0.1, b + 0.1)
-    assert spy.calls == {"passModel": 1, "setBasis": 0, "addRows": 0, "addCols": 0, "changeColsBounds": 0}
+    assert calls == {"passModel": 1, "setBasis": 0, "addRows": 0, "addCols": 0, "changeColsBounds": 0}
     c = rng.standard_normal(7)
     first = prog.solve(c)
     assert first.status == OPTIMAL
     # the same numbers again: the next solve starts from the optimal basis
     prog.replace(lo, hi, A, b - 0.1, b + 0.1)
-    assert spy.calls == {"passModel": 2, "setBasis": 1, "addRows": 0, "addCols": 0, "changeColsBounds": 0}
+    assert calls == {"passModel": 2, "setBasis": 1, "addRows": 0, "addCols": 0, "changeColsBounds": 0}
     again = prog.solve(c)
     assert again.value == pytest.approx(first.value, abs=1e-9)
-    assert prog._highs.getInfo().simplex_iteration_count == 0
+    assert [blk.highs.getInfo().simplex_iteration_count for blk in prog._blocks] == [0]
     assert prog.reloads == 2
 
 
 def test_zero_objective_is_written_once():
     # a zero objective is written only when the model's is not zero
     prog = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
-    spy = prog._highs = _Counting(prog._highs, "changeColsCost")
+    calls = _count(prog, "changeColsCost")
     assert prog.feasible_at([0], [0.5]) and prog.solve(np.zeros(3)).status == OPTIMAL
-    assert spy.calls["changeColsCost"] == 0
+    assert calls["changeColsCost"] == 0
     assert prog.solve([1.0, 0.0, 0.0]).value == pytest.approx(0.0, abs=1e-9)
     assert prog.feasible_at([0], [0.5]) and prog.feasible_at([1], [0.5])
     assert not prog.feasible_at([0, 1], [0.75, 0.5])
-    assert spy.calls["changeColsCost"] == 2
+    assert calls["changeColsCost"] == 2
     assert prog.solve([1.0, 0.0, 0.0], sense="max").value == pytest.approx(1.0, abs=1e-9)
     prog.replace(prog.lo, prog.hi, [[1.0, 1.0, 1.0]], [1.0], [1.0])  # loads a zero objective
     assert prog.feasible_at([2], [1.0])
-    assert spy.calls["changeColsCost"] == 3
+    assert calls["changeColsCost"] == 3
 
 
 def test_changes_are_validated():
@@ -552,7 +561,9 @@ class _Spy:
 
 
 def _strategy(prog):
-    return prog._highs.getOptionValue("simplex_strategy")[1]
+    """The simplex_strategy of the one block's HiGHS model of ``prog``."""
+    [blk] = prog._blocks
+    return blk.highs.getOptionValue("simplex_strategy")[1]
 
 
 DUAL, PRIMAL = 1, 4
@@ -562,7 +573,7 @@ def test_simplex_follows_the_change():
     rng = np.random.default_rng(61)
     A = rng.standard_normal((2, 5))
     prog = LinearProgram(A, A @ rng.uniform(-0.5, 0.5, 5), -np.ones(5), np.ones(5))
-    spy = prog._highs = _Spy(prog._highs)
+    [spy] = wrap_models(prog, _Spy)
     prog.solve(rng.standard_normal(5))
     assert _strategy(prog) == DUAL  # a new model
     prog.solve(rng.standard_normal(5))
@@ -613,8 +624,18 @@ _STALL_G = [
 ]
 
 
+def _stall_region():
+    """The captured hull LP as one model: its two rows share no column, so
+    a free row (both bounds infinite) over columns 0 and 12 joins their
+    blocks without changing the region."""
+    prog = LinearProgram(np.zeros((0, 13)), [], -_STALL_H, _STALL_H)
+    A = np.vstack([_STALL_A, np.eye(13)[0] + np.eye(13)[12]])
+    prog.extend([], [], A, np.append(_STALL_B, -np.inf), np.append(_STALL_B, np.inf))
+    return prog
+
+
 def test_primal_stall_falls_back_to_dual():
-    prog = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H)
+    prog = _stall_region()
     for g in _STALL_G:
         assert prog.solve(g).status == OPTIMAL
     assert prog.solve(_STALL_G[0], sense="max").status == OPTIMAL
@@ -622,15 +643,15 @@ def test_primal_stall_falls_back_to_dual():
     res = prog.solve(_STALL_G[1], sense="max")
     # the primal run stopped early and the dual re-run finished the solve
     assert _strategy(prog) == DUAL
-    want = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H).solve(_STALL_G[1], sense="max")
+    want = _stall_region().solve(_STALL_G[1], sense="max")
     assert res.status == want.status == OPTIMAL
     assert res.value == pytest.approx(want.value, abs=1e-9, rel=1e-9)
 
 
 def test_status_left_unknown_after_fallback_raises():
-    prog = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H)
+    prog = _stall_region()
     assert prog.solve(_STALL_G[0]).status == OPTIMAL
-    spy = prog._highs = _Spy(prog._highs)
+    [spy] = wrap_models(prog, _Spy)
     spy.status = HighsModelStatus.kUnknown
     with pytest.raises(NumericalError, match="Unknown"):
         prog.solve(_STALL_G[1])
@@ -654,8 +675,9 @@ class _Refusing:
 @pytest.mark.parametrize(
     "call, change",
     [
-        ("addCols", lambda p: p.extend([0.0], [1.0], np.zeros((0, 3)), [], [])),
-        ("addRows", lambda p: p.extend([], [], [[1.0, -1.0]], [0.0], [0.0])),
+        # rows appended to a region with models enter them at its next solve
+        ("addCols", lambda p: (p.extend([0.0], [1.0], [[0.0, 1.0, 1.0]], [0.5], [0.5]), p.solve(np.zeros(3)))),
+        ("addRows", lambda p: (p.extend([], [], [[1.0, -1.0]], [0.0], [0.0]), p.solve(np.zeros(2)))),
         ("changeColsBounds", lambda p: p.feasible_at([0], [0.5])),
         ("passModel", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
         ("setBasis", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
@@ -667,7 +689,7 @@ def test_refused_model_change_raises(monkeypatch, call, change):
     monkeypatch.setattr(_Highs, "resetGlobalScheduler", lambda *args: resets.append(args))
     prog = LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
     assert prog.solve([1.0, 0.0]).status == OPTIMAL
-    prog._highs = _Refusing(prog._highs, call)
+    wrap_models(prog, lambda model: _Refusing(model, call))
     with pytest.raises(NumericalError, match=call):
         change(prog)
     assert resets == []
@@ -704,8 +726,10 @@ def test_rows_reach_highs_in_one_entry_order(monkeypatch):
 
 
 def test_csr_rows_from_dense_maps_columns(monkeypatch):
-    # column j of the block is column cols[j] of the grown region; entries
-    # reach HiGHS row by row in the block's column order
+    # column j of the block is column cols[j] of the grown region; the rows
+    # join columns 1, 5 and 7 into one new model over them, in region
+    # order, and its entries reach HiGHS row by row in the block's column
+    # order
     calls = []
     add_rows = _Highs.addRows
 
@@ -714,12 +738,13 @@ def test_csr_rows_from_dense_maps_columns(monkeypatch):
         return add_rows(self, *args)
 
     prog = LinearProgram(np.zeros((0, 6)), [], np.zeros(6), np.ones(6))
-    D = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
+    D = np.array([[0.0, 2.0, 4.0], [1.0, 0.0, 3.0]])
     monkeypatch.setattr(_Highs, "addRows", spy)
     prog.extend([0.0, 0.0], [1.0, 1.0], D, [1.0, 2.0], [1.0, 2.0], cols=[5, 1, 7])
-    assert calls == [[3, [0, 1], [1, 5, 7], [2.0, 1.0, 3.0]]]
+    assert calls == [[4, [0, 2], [0, 2, 1, 2], [2.0, 4.0, 1.0, 3.0]]]
+    assert [blk.cols.tolist() for blk in prog._blocks] == [[1, 5, 7]]
     want = np.zeros((2, 8))
-    want[0, 1], want[1, 5], want[1, 7] = 2.0, 1.0, 3.0
+    want[0, 1], want[0, 7], want[1, 5], want[1, 7] = 2.0, 4.0, 1.0, 3.0
     assert (prog.m, prog.n) == (2, 8)
     assert np.array_equal(model_rows(prog)[0].toarray(), want)
     # a block whose width is not that of cols or, without cols, of the
@@ -803,13 +828,13 @@ class TestBounds:
 
     def test_minima_before_maxima_each_through_solve(self, monkeypatch):
         calls = []
-        solve = LinearProgram.solve
+        solve = lp._Block.solve
 
         def recording(self, c, sense="min"):
             calls.append((np.flatnonzero(c).tolist(), sense))
             return solve(self, c, sense)
 
-        monkeypatch.setattr(LinearProgram, "solve", recording)
+        monkeypatch.setattr(lp._Block, "solve", recording)
         region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], [0, 0, 0], [1, 1, 1])
         lo, hi = region.bounds(np.eye(3)[[2, 0]])
         assert calls == [([2], "min"), ([0], "min"), ([2], "max"), ([0], "max")]
@@ -817,16 +842,20 @@ class TestBounds:
         assert region.bounds(np.zeros((0, 3)))[0].shape == (0,)
 
     @staticmethod
-    def _answering(region, minima, maxima):
-        """Make ``region.solve`` return the given optimal values (None:
-        infeasible), minima for sense "min" and maxima for "max", in order."""
+    def _answering(n, minima, maxima):
+        """A region of one block over n columns in [-5, 5] whose model's
+        solves return the given optimal values (None: infeasible), minima
+        for sense "min" and maxima for "max", in order."""
+        region = LinearProgram(np.ones((1, n)), [0.0], np.full(n, -5.0), np.full(n, 5.0))
         queue = {"min": list(minima), "max": list(maxima)}
 
         def solve(c, sense="min"):
             value = queue[sense].pop(0)
             return LpResult(INFEASIBLE) if value is None else LpResult(OPTIMAL, value)
 
-        region.solve = solve
+        [blk] = region._blocks
+        blk.solve = solve
+        return region
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -834,8 +863,7 @@ class TestBounds:
         ids=["unit", "near-the-bound", "relative", "below-unit"],
     )
     def test_crossed_within_tolerance_meet_at_their_midpoint(self, lo, hi):
-        region = LinearProgram(np.zeros((0, 2)), [], [-5, -5], [5, 5])
-        self._answering(region, [lo, -np.inf, 0.0], [hi, 3.0, 0.0])
+        region = self._answering(2, [lo, -np.inf, 0.0], [hi, 3.0, 0.0])
         got_lo, got_hi = region.bounds(np.eye(2)[[0, 1, 0]])
         mid = 0.5 * (lo + hi)
         assert got_lo.tolist() == [mid, -np.inf, 0.0]
@@ -847,14 +875,12 @@ class TestBounds:
         ids=["unit", "below-unit", "relative"],
     )
     def test_crossed_beyond_tolerance_raise(self, lo, hi):
-        region = LinearProgram(np.zeros((0, 1)), [], [-5], [5])
-        self._answering(region, [lo], [hi])
+        region = self._answering(1, [lo], [hi])
         with pytest.raises(NumericalError, match="crossed"):
             region.bounds(np.eye(1))
 
     def test_infeasible_maximum_after_feasible_minima_raises(self):
-        region = LinearProgram(np.zeros((0, 1)), [], [-5], [5])
-        self._answering(region, [0.0, 0.0], [1.0, None])
+        region = self._answering(1, [0.0, 0.0], [1.0, None])
         with pytest.raises(NumericalError, match="minima only"):
             region.bounds(np.eye(1)[[0, 0]])
 
@@ -880,11 +906,10 @@ class TestFeasibleAt:
         def failing(self):
             raise NumericalError("HiGHS model status: Solve error")
 
-        monkeypatch.setattr(LinearProgram, "_run", failing)
+        monkeypatch.setattr(lp._Block, "_run", failing)
         with pytest.raises(NumericalError):
             region.feasible_at([0, 1], [0.2, 0.3])
-        model = region._highs.getLp()
-        for lo, hi in ((region.lo, region.hi), (model.col_lower_, model.col_upper_)):
+        for lo, hi in ((region.lo, region.hi), model_cols(region)):
             assert list(lo) == [0.0, 0.0, 0.0] and list(hi) == [1.0, 1.0, 1.0]
         monkeypatch.undo()
         assert region.feasible_at([0, 1], [0.2, 0.3])
@@ -903,8 +928,7 @@ class TestFeasibleAt:
         after = prog.solve(c)
         assert after.status == before.status == OPTIMAL
         assert after.value == pytest.approx(before.value, abs=1e-9)
-        model = prog._highs.getLp()
-        for got_lo, got_hi in ((prog.lo, prog.hi), (model.col_lower_, model.col_upper_)):
+        for got_lo, got_hi in ((prog.lo, prog.hi), model_cols(prog)):
             assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
     @pytest.mark.parametrize(
@@ -917,14 +941,16 @@ class TestFeasibleAt:
         # a pinned value is checked against the column's own bounds, which
         # the pin overwrites in the model; beyond EPS_LP it is False
         # without a solve
+        # (a region without rows has no model)
         region = LinearProgram(np.ones((rows, 2)), np.zeros(rows), [-1, -2], [1, 2])
-        spy = region._highs = _Counting(region._highs, "run", "changeColsBounds")
+        calls = _count(region, "run", "changeColsBounds")
         assert region.feasible_at([0], x) == feasible
-        assert spy.calls == ({"run": 1, "changeColsBounds": 2} if feasible else {"run": 0, "changeColsBounds": 0})
+        solved = feasible and rows
+        assert calls == ({"run": 1, "changeColsBounds": 2} if solved else {"run": 0, "changeColsBounds": 0})
 
     def test_repeated_column_rejected_before_highs(self):
         region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
-        region._highs = _Refusing(region._highs, "changeColsBounds")
+        wrap_models(region, lambda model: _Refusing(model, "changeColsBounds"))
         with pytest.raises(ValueError, match="listed twice"):
             region.feasible_at([1, 1], [0.5, 0.5])
 
@@ -940,6 +966,219 @@ class TestFeasibleAt:
         region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
         with pytest.raises(ValueError, match="pinned point"):
             region.feasible_at([1], x)
-        model = region._highs.getLp()
-        for lo, hi in ((region.lo, region.hi), (model.col_lower_, model.col_upper_)):
+        for lo, hi in ((region.lo, region.hi), model_cols(region)):
             assert list(lo) == [0.0, 0.0, 0.0] and list(hi) == [1.0, 1.0, 1.0]
+
+
+def _linprog_bound(c, A, b_lo, b_hi, lo, hi, sense):
+    """The oracle: min (or max) c^T x over b_lo <= A x <= b_hi, lo <= x <=
+    hi by scipy's linprog; None if infeasible, ±inf if unbounded."""
+    sign = 1.0 if sense == "min" else -1.0
+    eq = b_lo == b_hi
+    ub = ~eq
+    A_ub = np.vstack([A[ub & np.isfinite(b_hi)], -A[ub & np.isfinite(b_lo)]])
+    b_ub = np.concatenate([b_hi[ub & np.isfinite(b_hi)], -b_lo[ub & np.isfinite(b_lo)]])
+    rows = dict(A_ub=A_ub if len(b_ub) else None, b_ub=b_ub if len(b_ub) else None,
+                A_eq=A[eq] if eq.any() else None, b_eq=b_lo[eq] if eq.any() else None)
+    ref = linprog(sign * c, **rows, bounds=list(zip(lo, hi)), method="highs")
+    if ref.status == 2:
+        # presolve may not tell infeasible from unbounded: ask without objective
+        if linprog(np.zeros_like(c), **rows, bounds=list(zip(lo, hi)), method="highs").status == 0:
+            return -sign * np.inf
+        return None
+    if ref.status == 3:
+        return -sign * np.inf
+    assert ref.status == 0
+    return sign * ref.fun
+
+
+class TestBlocks:
+    """A region held as one HiGHS model per block of its nonzero pattern
+    answers as scipy's linprog does on the whole region."""
+
+    @staticmethod
+    def _blocks(rng, sizes):
+        """A region of independent blocks of (rows, columns) ``sizes``,
+        columns shuffled and rows interleaved: (A, b_lo, b_hi, lo, hi)."""
+        m, n = (sum(s) for s in zip(*sizes))
+        A = np.zeros((m, n))
+        r = c = 0
+        for mi, ni in sizes:
+            A[r : r + mi, c : c + ni] = rng.standard_normal((mi, ni)) * (rng.random((mi, ni)) < 0.7)
+            A[r : r + mi, c] = rng.uniform(0.5, 1.5, mi)  # every row of a block reads its first column
+            A[r, c : c + ni] += rng.uniform(0.5, 1.5, ni)  # and its first row every column
+            r, c = r + mi, c + ni
+        A = A[rng.permutation(m)][:, rng.permutation(n)]
+        lo = np.where(rng.random(n) < 0.15, -np.inf, rng.uniform(-2, 0, n))
+        hi = np.where(rng.random(n) < 0.15, np.inf, rng.uniform(0, 2, n))
+        with np.errstate(invalid="ignore"):
+            mid = np.where(np.isfinite(lo) & np.isfinite(hi), (lo + hi) / 2, 0.0)
+        y = A @ (mid + rng.uniform(-0.2, 0.2, n))
+        width = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(0, 0.5, m))
+        return A, y - width, y + width, lo, hi
+
+    def test_block_diagonal_bounds_match_linprog(self):
+        rng = np.random.default_rng(83)
+        seen = {"finite": 0, "inf": 0, "empty": 0}
+        for _ in range(30):
+            sizes = [(int(rng.integers(1, 4)), int(rng.integers(2, 5))) for _ in range(int(rng.integers(2, 4)))]
+            A, b_lo, b_hi, lo, hi = self._blocks(rng, sizes)
+            region = LinearProgram(np.zeros((0, A.shape[1])), [], lo, hi)
+            region.extend([], [], A, b_lo, b_hi)
+            assert len(region._blocks) == len(sizes)
+            n = A.shape[1]
+            C = np.vstack([np.eye(n), rng.standard_normal((2, n))])  # the last rows span every block
+            if _linprog_bound(np.zeros(n), A, b_lo, b_hi, lo, hi, "min") is None:
+                with pytest.raises(EmptySetError):
+                    region.bounds(C)
+                assert region.solve(C[-1]).status == INFEASIBLE
+                seen["empty"] += 1
+                continue
+            got = region.bounds(C)
+            for t, c in enumerate(C):
+                for sense, g in (("min", got[0][t]), ("max", got[1][t])):
+                    want = _linprog_bound(c, A, b_lo, b_hi, lo, hi, sense)
+                    if np.isinf(want):
+                        assert g == want
+                        seen["inf"] += 1
+                    else:
+                        assert abs(g - want) <= 1e-7 * max(1.0, abs(want)), (t, sense, g, want)
+                        seen["finite"] += 1
+            res = region.solve(C[-1])
+            if res.status == OPTIMAL:
+                assert res.x.size == n and region.satisfied_by(res.x)
+        assert all(v > 0 for v in seen.values()), seen
+
+    def test_empty_block_that_no_objective_touches(self):
+        # x0 + x1 = 1 over [0, 1]^2, and x2 + x3 = 5 over [0, 1]^2: the
+        # second block is empty, so the region is
+        A = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        region = LinearProgram(A, [1.0, 5.0], np.zeros(4), np.ones(4))
+        assert len(region._blocks) == 2
+        assert _linprog_bound(np.eye(4)[0], A, np.array([1.0, 5.0]), np.array([1.0, 5.0]),
+                              np.zeros(4), np.ones(4), "min") is None
+        assert region.solve(np.eye(4)[0]).status == INFEASIBLE
+        assert region.solve(np.zeros(4)).status == INFEASIBLE
+        with pytest.raises(EmptySetError):
+            region.bounds(np.eye(4)[[0, 1]])
+        assert not region.feasible_at([0], [0.5])
+        assert region.last_x is None
+
+    def test_columns_in_no_row(self):
+        # a row over columns 0 and 1; column 2 free, 3 pinned, 4 bounded
+        # below only, 5 in [-1, 2]: each of 2..5 is in no row
+        lo = np.array([0.0, 0.0, -np.inf, 3.0, -1.0, -1.0])
+        hi = np.array([1.0, 1.0, np.inf, 3.0, np.inf, 2.0])
+        A = np.array([[1.0, 1.0, 0, 0, 0, 0]])
+        region = LinearProgram(A, [1.0], lo, hi)
+        assert [blk.cols.tolist() for blk in region._blocks] == [[0, 1]]
+        for c, sense in ((np.eye(6)[2], "min"), (np.eye(6)[2], "max"), (np.eye(6)[4], "max"), (-np.eye(6)[4], "min")):
+            assert region.solve(c, sense=sense).status == UNBOUNDED
+        C = np.vstack([np.eye(6), [1.0, 0, 0, 2.0, -1.0, 3.0]])
+        got_lo, got_hi = region.bounds(C)
+        for t, c in enumerate(C):
+            for sense, g in (("min", got_lo[t]), ("max", got_hi[t])):
+                assert g == pytest.approx(_linprog_bound(c, A, np.ones(1), np.ones(1), lo, hi, sense), abs=1e-9)
+        res = region.solve([1.0, 0, 0, 1.0, 1.0, -1.0])
+        assert res.status == OPTIMAL
+        assert res.x.tolist() == pytest.approx([0.0, 1.0, 0.0, 3.0, -1.0, 2.0], abs=1e-9)
+        assert res.value == pytest.approx(0.0, abs=1e-9)
+        assert region.satisfied_by(res.x)
+        # a pinned column in no row takes its value; beyond its bounds, no
+        assert region.feasible_at([2, 5], [7.0, 0.5]) and region.last_x[[2, 5]].tolist() == [7.0, 0.5]
+        assert not region.feasible_at([3], [2.0])
+
+    @staticmethod
+    def _two_blocks():
+        # x0 + x1 = 1 and x2 - x3 = 0.5 over [0, 1]^4, rows interleaved
+        # with a row x1 - x0 <= 0.5
+        A = np.array([[1.0, 1.0, 0, 0], [0, 0, 1.0, -1.0], [-1.0, 1.0, 0, 0]])
+        return A, np.array([1.0, 0.5, -np.inf]), np.array([1.0, 0.5, 0.5])
+
+    def test_merge_through_extend(self):
+        A, b_lo, b_hi = self._two_blocks()
+        region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        region.extend([], [], A, b_lo, b_hi)
+        assert len(region._blocks) == 2
+        C = np.eye(4)
+        region.bounds(C)  # every model has a basis to hand on
+        join = np.array([[1.0, 0, 1.0, 0]])  # x0 + x2 <= 1.2
+        region.extend([], [], join, [-np.inf], [1.2])
+        fresh = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        fresh.extend([], [], np.vstack([A, join]), np.append(b_lo, -np.inf), np.append(b_hi, 1.2))
+        got, want = region.bounds(C), fresh.bounds(C)
+        assert len(region._blocks) == len(fresh._blocks) == 1
+        assert region._whole is region._blocks[0]
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, abs=1e-9)
+        assert got[1][0] == pytest.approx(0.7, abs=1e-9)  # the joining row binds: x2 >= 0.5
+
+    def test_merge_through_replace(self):
+        A, b_lo, b_hi = self._two_blocks()
+        region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        region.extend([], [], A, b_lo, b_hi)
+        C = np.eye(4)
+        region.bounds(C)
+        A2 = A.copy()
+        A2[2, 3] = 1.0  # the third row now reads x3 too
+        region.replace(np.zeros(4), np.ones(4), A2, b_lo, b_hi)
+        fresh = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        fresh.extend([], [], A2, b_lo, b_hi)
+        assert len(region._blocks) == len(fresh._blocks) == 1
+        for c in (*C, np.ones(4)):
+            for sense in ("min", "max"):
+                assert region.solve(c, sense).value == pytest.approx(fresh.solve(c, sense).value, abs=1e-9)
+        assert region.reloads == 1
+        A, b_lo, b_hi = model_rows(region)
+        assert np.array_equal(A.toarray(), A2)
+
+    def test_replace_loads_each_block_once(self, monkeypatch):
+        # a pattern that joins the first two blocks: the merged model is
+        # loaded once, the third block keeps its model and is loaded once
+        A, b_lo, b_hi = self._two_blocks()
+        A = np.block([[A, np.zeros((3, 1))], [np.zeros((1, 4)), np.ones((1, 1))]])  # x4 alone
+        b_lo, b_hi = np.append(b_lo, 0.25), np.append(b_hi, 0.75)
+        region = LinearProgram(np.zeros((0, 5)), [], np.zeros(5), np.ones(5))
+        region.extend([], [], A, b_lo, b_hi)
+        region.bounds(np.eye(5))
+        third = next(blk for blk in region._blocks if blk.cols.tolist() == [4])
+        loads = []
+        load = lp._Block.load
+        monkeypatch.setattr(lp._Block, "load", lambda blk, *args: loads.append(blk) or load(blk, *args))
+        A2 = A.copy()
+        A2[2, 3] = 1.0
+        region.replace(np.zeros(5), np.ones(5), A2, b_lo, b_hi)
+        assert len(region._blocks) == 2 and third in region._blocks
+        assert len(loads) == 2 and set(map(id, loads)) == set(map(id, region._blocks))
+        fresh = LinearProgram(np.zeros((0, 5)), [], np.zeros(5), np.ones(5))
+        fresh.extend([], [], A2, b_lo, b_hi)
+        for got, want in zip(region.bounds(np.eye(5)), fresh.bounds(np.eye(5))):
+            assert got == pytest.approx(want, abs=1e-9)
+        region.replace(np.zeros(5), np.ones(5), A2, b_lo, b_hi)  # the same pattern: each block once more
+        assert len(loads) == 4 and set(map(id, loads[2:])) == set(map(id, region._blocks))
+
+    def test_satisfied_by_first_row_inside_a_block(self):
+        A, b_lo, b_hi = self._two_blocks()
+        region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        region.extend([], [], A, b_lo, b_hi)
+        assert [blk.rows.tolist() for blk in region._blocks] == [[0, 2], [1]]
+        x = np.array([0.5, 0.5, 0.75, 0.25])
+        assert region.satisfied_by(x)
+        bad0 = x + [0.0, 1e-6, 0.0, 0.0]  # fails row 0 of the first block only
+        assert not region.satisfied_by(bad0) and region.satisfied_by(bad0, first_row=1)
+        bad1 = x + [0.0, 0.0, 1e-6, 0.0]  # fails row 1, of the second block
+        assert not region.satisfied_by(bad1, first_row=1) and region.satisfied_by(bad1, first_row=2)
+        bad2 = np.array([0.2, 0.8, 0.75, 0.25])  # fails row 2, of the first block
+        assert not region.satisfied_by(bad2, first_row=2) and region.satisfied_by(bad2, first_row=3)
+
+    def test_last_x_is_full_length_and_feasible(self):
+        A, b_lo, b_hi = self._two_blocks()
+        region = LinearProgram(np.zeros((0, 5)), [], np.append(np.zeros(4), -1.0), np.append(np.ones(4), 1.0))
+        region.extend([], [], np.hstack([A, np.zeros((3, 1))]), b_lo, b_hi)  # column 4 in no row
+        for c in ([1.0, 0, 0, 0, 0], [0, 1.0, -1.0, 0, 1.0], np.zeros(5)):
+            res = region.solve(c, sense="max")
+            assert res.status == OPTIMAL and res.x is region.last_x
+            assert region.last_x.shape == (5,) and region.satisfied_by(region.last_x)
+        assert region.feasible_at([0, 2], [0.25, 0.6])
+        assert region.last_x.shape == (5,) and region.satisfied_by(region.last_x)
+        assert region.last_x[[0, 2]].tolist() == pytest.approx([0.25, 0.6], abs=1e-12)

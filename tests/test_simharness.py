@@ -9,6 +9,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from czest import czono, filters, lp, simharness, sysmodel, verify
 from czest.simharness import ScenarioConfig, TrialLog
+from lp_rows import model_cols
 
 
 def small_uav(h=4, seed=9, **extra):
@@ -257,10 +258,10 @@ class TestGrownTrajectory:
             for x, coords in ((truth, None), (truth[sl], range(sl.start, sl.stop))):
                 assert probed.contains(x, coords)
                 assert fresh.feasible_at(final if coords is None else final[list(coords)], x)
-            # the pinned bounds are restored, in the wrapper and in HiGHS
-            model = region._highs.getLp()
-            for got, want in ((region.lo, lo), (region.hi, hi),
-                              (model.col_lower_, lo), (model.col_upper_, hi)):
+            # the pinned bounds are restored, in the wrapper and in every
+            # block's HiGHS model
+            model_lo, model_hi = model_cols(region)
+            for got, want in ((region.lo, lo), (region.hi, hi), (model_lo, lo), (model_hi, hi)):
                 assert np.array_equal(np.asarray(got), want)
             hull = probed.hull()
             for ref in (czono.Box(*fresh.bounds(np.eye(fresh.n)[final])), plain.hull()):
@@ -570,12 +571,12 @@ class TestSolverFailure:
     def test_infeasible_maximum_aborts(self, monkeypatch, algorithms):
         # a hull whose minima are feasible but one maximum is not is a
         # solver failure: a recorded abort, never a crash or a violation
-        solve = lp.LinearProgram.solve
+        solve = lp._Block.solve
 
         def infeasible_max(self, c, sense="min"):
             return lp.LpResult(lp.INFEASIBLE) if sense == "max" else solve(self, c, sense)
 
-        monkeypatch.setattr(lp.LinearProgram, "solve", infeasible_max)
+        monkeypatch.setattr(lp._Block, "solve", infeasible_max)
         log = simharness.run_trial(small_uav(h=3, algorithms=algorithms), 0, metrics="full")
         assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
