@@ -18,12 +18,12 @@ Three estimators:
 All three filters hold their sets as lifted constrained zonotopes
 (Scott, Raimondo, Marseglia & Braatz, Automatica 69, 2016): LPs whose
 columns are states and process noises and whose rows are the dynamics
-and measurement relations, one ``lp.LinearProgram`` each, which holds
-one HiGHS model per independent block of it (uav5's x and y axes).  A
-measurement noise v gets no column: the row H x + v = Y with v in its
-box is the ranged row Y - v_hi <= H x <= Y - v_lo, each end rounded one
-ulp outward (``_measurement_bounds``), since HiGHS keeps a bounded slack
-for every row anyway.
+and measurement relations, one ``lp.LinearProgram`` each, whose hulls
+bound the coordinates of independent blocks (uav5's x and y axes) in
+one solve.  A measurement noise v gets no column: the row H x + v = Y
+with v in its box is the ranged row Y - v_hi <= H x <= Y - v_lo, each
+end rounded one ulp outward (``_measurement_bounds``), since HiGHS keeps
+a bounded slack for every row anyway.
 
 The centralized filter and the fixed-lag filter inside its window build
 their LPs from step blocks (``_step_block``), each appended to the

@@ -16,7 +16,7 @@ from czest.filters import (
     OitFilter,
     WindowTooShortError,
 )
-from lp_rows import model_rows
+from lp_rows import bounds_row_by_row, model_rows, wrap_models
 
 
 def interval(lo, hi):
@@ -845,21 +845,6 @@ class TestLpLifecycle:
         assert built == {"construction": 3 + len(cfg.system.agent_ids), "step": 0}
 
 
-def one_model(region):
-    """Test-only single-model oracle: one free row (both bounds infinite)
-    over every column of ``region`` joins all its blocks into one HiGHS
-    model and changes no feasible set.  A later ``replace`` keeps the row."""
-    ones = np.ones((1, region.n))
-    region.extend([], [], ones, [-np.inf], [np.inf])
-    replace = region.replace
-
-    def with_row(lo, hi, A, b_lo, b_hi):
-        replace(lo, hi, np.vstack([A, ones]), np.append(b_lo, -np.inf), np.append(b_hi, np.inf))
-
-    region.replace = with_row
-    return region
-
-
 def filter_lps(flt):
     """The LinearPrograms of a filter."""
     if isinstance(flt, DistributedFilter):
@@ -869,9 +854,10 @@ def filter_lps(flt):
     return [flt._traj]
 
 
-def three_filters(cfg, x0, joined=False):
-    """The three filters of ``cfg`` from the initial box x0, each LP one
-    model (``one_model``) when ``joined``."""
+def three_filters(cfg, x0, row_by_row=False):
+    """The three filters of ``cfg`` from the initial box x0, each LP's
+    ``bounds`` the row-by-row oracle (``bounds_row_by_row``) when
+    ``row_by_row``."""
     system = cfg.system
     ranges = {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()}
     filters_ = {
@@ -879,16 +865,32 @@ def three_filters(cfg, x0, joined=False):
         "oit": OitFilter(system, x0, cfg.delta_bar),
         "distributed": DistributedFilter(system, ranges),
     }
-    if joined:
+    if row_by_row:
         for flt in filters_.values():
             for region in filter_lps(flt):
-                one_model(region)
+                region.bounds = lambda C, region=region: bounds_row_by_row(region, C)
     return filters_
 
 
+class _Runs:
+    """A HiGHS model that counts its runs."""
+
+    def __init__(self, model):
+        self._model = model
+        self.runs = 0
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def run(self):
+        self.runs += 1
+        return self._model.run()
+
+
 class TestBlocks:
-    """Each filter LP is one HiGHS model per independent block: uav5's x
-    and y axes are two, pair1d and hetero3 one."""
+    """Each filter LP bounds the rows of a hull that read different blocks
+    of it in one solve: uav5's x and y axes are two blocks, pair1d and
+    hetero3 one."""
 
     @pytest.mark.parametrize(
         "doc, blocks",
@@ -900,34 +902,46 @@ class TestBlocks:
         ids=["uav5", "pair1d", "hetero3"],
     )
     def test_blocks_per_filter_lp(self, doc, blocks):
+        # each hull makes 2 x rows / blocks HiGHS runs: a minimum and a
+        # maximum per batch, every batch one row of each block
         cfg = simharness.ScenarioConfig(dict(doc, K=6))
         x0, steps = replay(cfg)
         filters_ = three_filters(cfg, x0)
+        hulls = []  # (rows, runs) per bounds call
+        for flt in filters_.values():
+            for region in filter_lps(flt):
+                [model] = wrap_models(region, _Runs)
+
+                def counting(C, model=model, bounds=region.bounds):
+                    before = model.runs
+                    lo_hi = bounds(C)
+                    hulls.append((len(C), model.runs - before))
+                    return lo_hi
+
+                region.bounds = counting
         assert cfg.delta_bar < len(steps)
         for k, batch, _ in steps:
             for flt in filters_.values():
                 flt.step(k, batch)
                 if not isinstance(flt, DistributedFilter):
-                    flt.hull()  # the rows of the step enter the models
-                for region in filter_lps(flt):
-                    if region.m:
-                        assert len(region._blocks) == blocks, (type(flt).__name__, k)
-                        assert (region._whole is not None) == (blocks == 1)
+                    flt.hull()
+        assert len(hulls) == len(steps) * (2 + len(cfg.system.agent_ids))
+        assert all(runs == 2 * rows // blocks for rows, runs in hulls), hulls
 
     @pytest.mark.parametrize("seed", [1, 9173])
-    def test_blocks_match_one_model(self, seed):
+    def test_batched_matches_row_by_row(self, seed):
         # every hull endpoint within 1e-9 relative and every contained
-        # flag as the single-model oracle finds them, horizon 30, full
+        # flag as the row-by-row oracle finds them, horizon 30, full
         cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=30, seed=seed))
         x0, steps = replay(cfg)
         assert len(steps) == cfg.K == 30
         system = cfg.system
         ids, slices = system.agent_ids, system.state_slices()
-        split, joined = three_filters(cfg, x0), three_filters(cfg, x0, joined=True)
+        batched, oracle = three_filters(cfg, x0), three_filters(cfg, x0, row_by_row=True)
         for k, batch, truth in steps:
-            for alg in split:
+            for alg in batched:
                 recs = []
-                for filters_ in (split, joined):
+                for filters_ in (batched, oracle):
                     filters_[alg].step(k, batch)
                     recs.append(simharness._step_metrics(alg, filters_[alg], ids, truth, slices, "full"))
                 got, want = recs
@@ -936,6 +950,3 @@ class TestBlocks:
                     for a, b in zip(got[i]["hull"], want[i]["hull"]):
                         a, b = np.array(a), np.array(b)
                         assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), (k, alg, i)
-        for alg in split:
-            assert [len(region._blocks) for region in filter_lps(split[alg])] == [2] * len(filter_lps(split[alg]))
-            assert [len(region._blocks) for region in filter_lps(joined[alg])] == [1] * len(filter_lps(joined[alg]))

@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeWarning, linprog
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import czest
-from czest import czono, lp
+from czest import czono
 from czest.lp import (
     EPS_LP,
     INFEASIBLE,
@@ -20,7 +20,7 @@ from czest.lp import (
     LpResult,
     NumericalError,
 )
-from lp_rows import model_cols, model_rows, wrap_models
+from lp_rows import bounds_row_by_row, model_cols, model_rows, wrap_models
 
 
 def _no_rows(lo, hi):
@@ -346,7 +346,7 @@ def test_replace_is_one_load_that_keeps_the_basis():
     assert calls == {"passModel": 2, "setBasis": 1, "addRows": 0, "addCols": 0, "changeColsBounds": 0}
     again = prog.solve(c)
     assert again.value == pytest.approx(first.value, abs=1e-9)
-    assert [blk.highs.getInfo().simplex_iteration_count for blk in prog._blocks] == [0]
+    assert prog._highs.getInfo().simplex_iteration_count == 0
     assert prog.reloads == 2
 
 
@@ -561,9 +561,7 @@ class _Spy:
 
 
 def _strategy(prog):
-    """The simplex_strategy of the one block's HiGHS model of ``prog``."""
-    [blk] = prog._blocks
-    return blk.highs.getOptionValue("simplex_strategy")[1]
+    return prog._highs.getOptionValue("simplex_strategy")[1]
 
 
 DUAL, PRIMAL = 1, 4
@@ -624,18 +622,8 @@ _STALL_G = [
 ]
 
 
-def _stall_region():
-    """The captured hull LP as one model: its two rows share no column, so
-    a free row (both bounds infinite) over columns 0 and 12 joins their
-    blocks without changing the region."""
-    prog = LinearProgram(np.zeros((0, 13)), [], -_STALL_H, _STALL_H)
-    A = np.vstack([_STALL_A, np.eye(13)[0] + np.eye(13)[12]])
-    prog.extend([], [], A, np.append(_STALL_B, -np.inf), np.append(_STALL_B, np.inf))
-    return prog
-
-
 def test_primal_stall_falls_back_to_dual():
-    prog = _stall_region()
+    prog = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H)
     for g in _STALL_G:
         assert prog.solve(g).status == OPTIMAL
     assert prog.solve(_STALL_G[0], sense="max").status == OPTIMAL
@@ -643,13 +631,38 @@ def test_primal_stall_falls_back_to_dual():
     res = prog.solve(_STALL_G[1], sense="max")
     # the primal run stopped early and the dual re-run finished the solve
     assert _strategy(prog) == DUAL
-    want = _stall_region().solve(_STALL_G[1], sense="max")
+    want = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H).solve(_STALL_G[1], sense="max")
     assert res.status == want.status == OPTIMAL
     assert res.value == pytest.approx(want.value, abs=1e-9, rel=1e-9)
 
 
+def test_dual_unknown_after_a_reload_runs_again():
+    # a replayed random operation sequence: 8 columns without rows, two
+    # more columns and one row, the bounds of 3 rows, then a reload whose
+    # row reads columns 0 and 6 alone while column 8 is unbounded above
+    # with a negative cost.  Dual simplex from the kept basis stops at
+    # model status "Unknown"; the cleared dual re-run reads "Unbounded".
+    inf = np.inf
+    prog = LinearProgram(np.zeros((0, 8)), [], [-1.0, -1.6, -0.5, -inf, -0.9, -0.4, -0.8, -1.1],
+                         [1.5, 1.9, 1.9, inf, 1.5, inf, 1.1, inf])
+    prog.extend([0.0, -0.3], [1.3, 1.7], [[0, 0.8, 0, 0, 0.5, 0.1, -0.8, 1.8, 0.9, 0]], [-1.0], [1.0])
+    prog.bounds([
+        [1.4, -0.7, -1.1, 0.6, 0, -1.5, 0, 0, -0.3, 0.2],
+        [0.8, 0, -0.1, 0, 0, 0, 0, -0.8, 0.6, 0.8],
+        [0, 0, 1.5, 0, 0, 0.3, 0.6, -2.0, 0, 0],
+    ])
+    lo = [-1.7, -1.7, -0.1, -0.5, -0.6, -0.8, -0.8, -0.8, -1.6, -0.9]
+    hi = [1.7, 0.5, 1.9, inf, 1.0, 1.3, inf, 1.6, inf, 1.3]
+    A = [[0.3, 0, 0, 0, 0, 0, -0.1, 0, 0, 0]]
+    prog.replace(lo, hi, A, [-1.0], [1.0])
+    calls = _count(prog, "run", "clearSolver")
+    c = [-0.1, 1.6, 0.4, 0, -2.4, 0.5, -1.2, 0.5, -0.8, -2.7]  # column 8 is in no row
+    assert prog.solve(c).status == UNBOUNDED
+    assert calls == {"run": 2, "clearSolver": 1}
+
+
 def test_status_left_unknown_after_fallback_raises():
-    prog = _stall_region()
+    prog = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H)
     assert prog.solve(_STALL_G[0]).status == OPTIMAL
     [spy] = wrap_models(prog, _Spy)
     spy.status = HighsModelStatus.kUnknown
@@ -726,10 +739,8 @@ def test_rows_reach_highs_in_one_entry_order(monkeypatch):
 
 
 def test_csr_rows_from_dense_maps_columns(monkeypatch):
-    # column j of the block is column cols[j] of the grown region; the rows
-    # join columns 1, 5 and 7 into one new model over them, in region
-    # order, and its entries reach HiGHS row by row in the block's column
-    # order
+    # column j of the block is column cols[j] of the grown region; entries
+    # reach HiGHS row by row in the block's column order
     calls = []
     add_rows = _Highs.addRows
 
@@ -738,13 +749,12 @@ def test_csr_rows_from_dense_maps_columns(monkeypatch):
         return add_rows(self, *args)
 
     prog = LinearProgram(np.zeros((0, 6)), [], np.zeros(6), np.ones(6))
-    D = np.array([[0.0, 2.0, 4.0], [1.0, 0.0, 3.0]])
+    D = np.array([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
     monkeypatch.setattr(_Highs, "addRows", spy)
     prog.extend([0.0, 0.0], [1.0, 1.0], D, [1.0, 2.0], [1.0, 2.0], cols=[5, 1, 7])
-    assert calls == [[4, [0, 2], [0, 2, 1, 2], [2.0, 4.0, 1.0, 3.0]]]
-    assert [blk.cols.tolist() for blk in prog._blocks] == [[1, 5, 7]]
+    assert calls == [[3, [0, 1], [1, 5, 7], [2.0, 1.0, 3.0]]]
     want = np.zeros((2, 8))
-    want[0, 1], want[0, 7], want[1, 5], want[1, 7] = 2.0, 4.0, 1.0, 3.0
+    want[0, 1], want[1, 5], want[1, 7] = 2.0, 1.0, 3.0
     assert (prog.m, prog.n) == (2, 8)
     assert np.array_equal(model_rows(prog)[0].toarray(), want)
     # a block whose width is not that of cols or, without cols, of the
@@ -828,13 +838,13 @@ class TestBounds:
 
     def test_minima_before_maxima_each_through_solve(self, monkeypatch):
         calls = []
-        solve = lp._Block.solve
+        solve = LinearProgram.solve
 
         def recording(self, c, sense="min"):
             calls.append((np.flatnonzero(c).tolist(), sense))
             return solve(self, c, sense)
 
-        monkeypatch.setattr(lp._Block, "solve", recording)
+        monkeypatch.setattr(LinearProgram, "solve", recording)
         region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], [0, 0, 0], [1, 1, 1])
         lo, hi = region.bounds(np.eye(3)[[2, 0]])
         assert calls == [([2], "min"), ([0], "min"), ([2], "max"), ([0], "max")]
@@ -843,9 +853,10 @@ class TestBounds:
 
     @staticmethod
     def _answering(n, minima, maxima):
-        """A region of one block over n columns in [-5, 5] whose model's
-        solves return the given optimal values (None: infeasible), minima
-        for sense "min" and maxima for "max", in order."""
+        """A region of one block over n columns in [-5, 5], so that
+        ``bounds`` solves one row at a time, whose solves return the given
+        optimal values (None: infeasible), minima for sense "min" and
+        maxima for "max", in order."""
         region = LinearProgram(np.ones((1, n)), [0.0], np.full(n, -5.0), np.full(n, 5.0))
         queue = {"min": list(minima), "max": list(maxima)}
 
@@ -853,8 +864,7 @@ class TestBounds:
             value = queue[sense].pop(0)
             return LpResult(INFEASIBLE) if value is None else LpResult(OPTIMAL, value)
 
-        [blk] = region._blocks
-        blk.solve = solve
+        region.solve = solve
         return region
 
     @pytest.mark.parametrize(
@@ -906,7 +916,7 @@ class TestFeasibleAt:
         def failing(self):
             raise NumericalError("HiGHS model status: Solve error")
 
-        monkeypatch.setattr(lp._Block, "_run", failing)
+        monkeypatch.setattr(LinearProgram, "_run", failing)
         with pytest.raises(NumericalError):
             region.feasible_at([0, 1], [0.2, 0.3])
         for lo, hi in ((region.lo, region.hi), model_cols(region)):
@@ -941,12 +951,10 @@ class TestFeasibleAt:
         # a pinned value is checked against the column's own bounds, which
         # the pin overwrites in the model; beyond EPS_LP it is False
         # without a solve
-        # (a region without rows has no model)
         region = LinearProgram(np.ones((rows, 2)), np.zeros(rows), [-1, -2], [1, 2])
         calls = _count(region, "run", "changeColsBounds")
         assert region.feasible_at([0], x) == feasible
-        solved = feasible and rows
-        assert calls == ({"run": 1, "changeColsBounds": 2} if solved else {"run": 0, "changeColsBounds": 0})
+        assert calls == ({"run": 1, "changeColsBounds": 2} if feasible else {"run": 0, "changeColsBounds": 0})
 
     def test_repeated_column_rejected_before_highs(self):
         region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
@@ -992,9 +1000,24 @@ def _linprog_bound(c, A, b_lo, b_hi, lo, hi, sense):
     return sign * ref.fun
 
 
+def _solves(region):
+    """Record every ``solve`` call of ``region`` as (its objective's
+    nonzero columns, sense); returns the list."""
+    calls = []
+    solve = region.solve
+
+    def recording(c, sense="min"):
+        calls.append((np.flatnonzero(c).tolist(), sense))
+        return solve(c, sense)
+
+    region.solve = recording
+    return calls
+
+
 class TestBlocks:
-    """A region held as one HiGHS model per block of its nonzero pattern
-    answers as scipy's linprog does on the whole region."""
+    """``bounds`` bounds the rows of C that read different blocks of the
+    region's nonzero pattern in one solve, and answers as scipy's linprog
+    does row by row on the whole region."""
 
     @staticmethod
     def _blocks(rng, sizes):
@@ -1019,22 +1042,26 @@ class TestBlocks:
 
     def test_block_diagonal_bounds_match_linprog(self):
         rng = np.random.default_rng(83)
-        seen = {"finite": 0, "inf": 0, "empty": 0}
+        seen = {"finite": 0, "inf": 0, "empty": 0, "batched": 0}
         for _ in range(30):
             sizes = [(int(rng.integers(1, 4)), int(rng.integers(2, 5))) for _ in range(int(rng.integers(2, 4)))]
             A, b_lo, b_hi, lo, hi = self._blocks(rng, sizes)
             region = LinearProgram(np.zeros((0, A.shape[1])), [], lo, hi)
             region.extend([], [], A, b_lo, b_hi)
-            assert len(region._blocks) == len(sizes)
             n = A.shape[1]
-            C = np.vstack([np.eye(n), rng.standard_normal((2, n))])  # the last rows span every block
+            # unit rows, two rows that span every block, and a zero row
+            C = np.vstack([np.eye(n), rng.standard_normal((2, n)), np.zeros((1, n))])
             if _linprog_bound(np.zeros(n), A, b_lo, b_hi, lo, hi, "min") is None:
                 with pytest.raises(EmptySetError):
                     region.bounds(C)
-                assert region.solve(C[-1]).status == INFEASIBLE
+                assert region.solve(C[-2]).status == INFEASIBLE
                 seen["empty"] += 1
                 continue
+            calls = _solves(region)
             got = region.bounds(C)
+            assert len(np.unique(region._blocks())) == len(sizes)
+            batched = len(calls) < 2 * len(C)
+            seen["batched"] += batched
             for t, c in enumerate(C):
                 for sense, g in (("min", got[0][t]), ("max", got[1][t])):
                     want = _linprog_bound(c, A, b_lo, b_hi, lo, hi, sense)
@@ -1044,17 +1071,50 @@ class TestBlocks:
                     else:
                         assert abs(g - want) <= 1e-7 * max(1.0, abs(want)), (t, sense, g, want)
                         seen["finite"] += 1
-            res = region.solve(C[-1])
+            res = region.solve(C[-2])
             if res.status == OPTIMAL:
                 assert res.x.size == n and region.satisfied_by(res.x)
         assert all(v > 0 for v in seen.values()), seen
+
+    def test_batches_are_first_fit_in_row_order(self):
+        # columns 0-1, 2-3 and 4 are three blocks; each row joins the first
+        # batch that reads none of its blocks
+        A = np.array([[1.0, 1.0, 0, 0, 0], [0, 0, 1.0, 1.0, 0], [0, 0, 0, 0, 1.0]])
+        region = LinearProgram(A, [1.0, 1.0, 0.5], np.zeros(5), np.ones(5))
+        C = np.array([
+            [1.0, 0, 0, 0, 0],  # block 0
+            [0, 1.0, 1.0, 0, 0],  # blocks 0 and 1
+            [0, 0, 1.0, 0, 0],  # block 1
+            [0, 0, 0, 0, 1.0],  # block 2
+            [0, 1.0, 0, 0, 0],  # block 0
+            [0, 0, 0, 0, 0],  # none
+        ])
+        assert region._batches(C) == [[0, 2, 3, 5], [1], [4]]
+        calls = _solves(region)
+        lo, hi = region.bounds(C)
+        assert [sense for _, sense in calls] == ["min"] * 3 + ["max"] * 3
+        assert lo == pytest.approx([0, 0, 0, 0.5, 0, 0], abs=1e-9)
+        assert hi == pytest.approx([1, 2, 1, 0.5, 1, 0], abs=1e-9)
+
+    def test_unbounded_batch_falls_back_row_by_row(self):
+        # x0 + x1 = 1 over [0, 1]^2, and x2 - x3 = 0 with x2, x3 >= 0
+        # unbounded above: the batch of rows 0 and 1 is unbounded above,
+        # so its maxima are solved one row at a time
+        A = np.array([[1.0, 1.0, 0, 0], [0, 0, 1.0, -1.0]])
+        region = LinearProgram(A, [1.0, 0.0], np.zeros(4), [1.0, 1.0, np.inf, np.inf])
+        C = np.array([[1.0, 0, 0, 0], [0, 0, 1.0, 0]])
+        calls = _solves(region)
+        lo, hi = region.bounds(C)
+        assert calls == [([0, 2], "min"), ([0, 2], "max"), ([0], "max"), ([2], "max")]
+        assert lo == pytest.approx([0.0, 0.0], abs=1e-9)
+        assert hi.tolist() == pytest.approx([1.0, np.inf], abs=1e-9)
 
     def test_empty_block_that_no_objective_touches(self):
         # x0 + x1 = 1 over [0, 1]^2, and x2 + x3 = 5 over [0, 1]^2: the
         # second block is empty, so the region is
         A = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
         region = LinearProgram(A, [1.0, 5.0], np.zeros(4), np.ones(4))
-        assert len(region._blocks) == 2
+        assert len(np.unique(region._blocks())) == 2
         assert _linprog_bound(np.eye(4)[0], A, np.array([1.0, 5.0]), np.array([1.0, 5.0]),
                               np.zeros(4), np.ones(4), "min") is None
         assert region.solve(np.eye(4)[0]).status == INFEASIBLE
@@ -1066,16 +1126,17 @@ class TestBlocks:
 
     def test_columns_in_no_row(self):
         # a row over columns 0 and 1; column 2 free, 3 pinned, 4 bounded
-        # below only, 5 in [-1, 2]: each of 2..5 is in no row
+        # below only, 5 in [-1, 2]: each of 2..5 is in no row, a block of
+        # its own
         lo = np.array([0.0, 0.0, -np.inf, 3.0, -1.0, -1.0])
         hi = np.array([1.0, 1.0, np.inf, 3.0, np.inf, 2.0])
         A = np.array([[1.0, 1.0, 0, 0, 0, 0]])
         region = LinearProgram(A, [1.0], lo, hi)
-        assert [blk.cols.tolist() for blk in region._blocks] == [[0, 1]]
         for c, sense in ((np.eye(6)[2], "min"), (np.eye(6)[2], "max"), (np.eye(6)[4], "max"), (-np.eye(6)[4], "min")):
             assert region.solve(c, sense=sense).status == UNBOUNDED
         C = np.vstack([np.eye(6), [1.0, 0, 0, 2.0, -1.0, 3.0]])
         got_lo, got_hi = region.bounds(C)
+        assert region._batches(C) == [[0, 2, 3, 4, 5], [1], [6]]
         for t, c in enumerate(C):
             for sense, g in (("min", got_lo[t]), ("max", got_hi[t])):
                 assert g == pytest.approx(_linprog_bound(c, A, np.ones(1), np.ones(1), lo, hi, sense), abs=1e-9)
@@ -1096,19 +1157,20 @@ class TestBlocks:
         return A, np.array([1.0, 0.5, -np.inf]), np.array([1.0, 0.5, 0.5])
 
     def test_merge_through_extend(self):
+        # a row that joins the two blocks: their rows are batched no more
         A, b_lo, b_hi = self._two_blocks()
         region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
         region.extend([], [], A, b_lo, b_hi)
-        assert len(region._blocks) == 2
         C = np.eye(4)
-        region.bounds(C)  # every model has a basis to hand on
+        assert region._batches(C) == [[0, 2], [1, 3]]
+        region.bounds(C)
         join = np.array([[1.0, 0, 1.0, 0]])  # x0 + x2 <= 1.2
         region.extend([], [], join, [-np.inf], [1.2])
         fresh = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
         fresh.extend([], [], np.vstack([A, join]), np.append(b_lo, -np.inf), np.append(b_hi, 1.2))
-        got, want = region.bounds(C), fresh.bounds(C)
-        assert len(region._blocks) == len(fresh._blocks) == 1
-        assert region._whole is region._blocks[0]
+        calls = _solves(region)
+        got, want = region.bounds(C), bounds_row_by_row(fresh, C)
+        assert len(calls) == 8
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-9)
         assert got[1][0] == pytest.approx(0.7, abs=1e-9)  # the joining row binds: x2 >= 0.5
@@ -1124,44 +1186,39 @@ class TestBlocks:
         region.replace(np.zeros(4), np.ones(4), A2, b_lo, b_hi)
         fresh = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
         fresh.extend([], [], A2, b_lo, b_hi)
-        assert len(region._blocks) == len(fresh._blocks) == 1
-        for c in (*C, np.ones(4)):
-            for sense in ("min", "max"):
-                assert region.solve(c, sense).value == pytest.approx(fresh.solve(c, sense).value, abs=1e-9)
+        calls = _solves(region)
+        got, want = region.bounds(C), bounds_row_by_row(fresh, C)
+        assert len(calls) == 8
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, abs=1e-9)
         assert region.reloads == 1
         A, b_lo, b_hi = model_rows(region)
         assert np.array_equal(A.toarray(), A2)
 
-    def test_replace_loads_each_block_once(self, monkeypatch):
-        # a pattern that joins the first two blocks: the merged model is
-        # loaded once, the third block keeps its model and is loaded once
+    def test_replace_keeps_the_blocks_of_its_pattern(self):
+        # the blocks are found once per row pattern: a replace with the
+        # pattern of the last one and new numbers keeps them, one with
+        # another pattern finds them again
         A, b_lo, b_hi = self._two_blocks()
-        A = np.block([[A, np.zeros((3, 1))], [np.zeros((1, 4)), np.ones((1, 1))]])  # x4 alone
-        b_lo, b_hi = np.append(b_lo, 0.25), np.append(b_hi, 0.75)
-        region = LinearProgram(np.zeros((0, 5)), [], np.zeros(5), np.ones(5))
+        region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
         region.extend([], [], A, b_lo, b_hi)
-        region.bounds(np.eye(5))
-        third = next(blk for blk in region._blocks if blk.cols.tolist() == [4])
-        loads = []
-        load = lp._Block.load
-        monkeypatch.setattr(lp._Block, "load", lambda blk, *args: loads.append(blk) or load(blk, *args))
+        C = np.eye(4)
+        region.replace(np.zeros(4), np.ones(4), A, b_lo, b_hi)
+        region.bounds(C)
+        blocks = region._blocks()
+        region.replace(np.zeros(4), np.ones(4), 2 * A, 2 * b_lo, 2 * b_hi)
+        assert region._blocks() is blocks
+        region.bounds(C)
         A2 = A.copy()
         A2[2, 3] = 1.0
-        region.replace(np.zeros(5), np.ones(5), A2, b_lo, b_hi)
-        assert len(region._blocks) == 2 and third in region._blocks
-        assert len(loads) == 2 and set(map(id, loads)) == set(map(id, region._blocks))
-        fresh = LinearProgram(np.zeros((0, 5)), [], np.zeros(5), np.ones(5))
-        fresh.extend([], [], A2, b_lo, b_hi)
-        for got, want in zip(region.bounds(np.eye(5)), fresh.bounds(np.eye(5))):
-            assert got == pytest.approx(want, abs=1e-9)
-        region.replace(np.zeros(5), np.ones(5), A2, b_lo, b_hi)  # the same pattern: each block once more
-        assert len(loads) == 4 and set(map(id, loads[2:])) == set(map(id, region._blocks))
+        region.replace(np.zeros(4), np.ones(4), A2, b_lo, b_hi)
+        assert len(np.unique(region._blocks())) == 1
+        assert region._batches(C) == [[0], [1], [2], [3]]
 
     def test_satisfied_by_first_row_inside_a_block(self):
         A, b_lo, b_hi = self._two_blocks()
         region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
         region.extend([], [], A, b_lo, b_hi)
-        assert [blk.rows.tolist() for blk in region._blocks] == [[0, 2], [1]]
         x = np.array([0.5, 0.5, 0.75, 0.25])
         assert region.satisfied_by(x)
         bad0 = x + [0.0, 1e-6, 0.0, 0.0]  # fails row 0 of the first block only
