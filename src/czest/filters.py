@@ -257,6 +257,7 @@ class _LiftedFilter:
         self._traj = self._post = lp.LinearProgram(np.zeros((0, initial.dim)), np.zeros(0), initial.lo, initial.hi)
         self._B_pinv = np.linalg.pinv(self._stack.B)
         self._entry = None  # (A, Y) of step k
+        self._hull_rows = np.zeros((0, 0))  # what ``hull`` bounds, for an LP of its width
         self._witness = None
         self._nonempty = None  # the last step whose posterior a solve found nonempty
 
@@ -270,9 +271,12 @@ class _LiftedFilter:
         self.k = k
 
     def hull(self):
-        """Interval hull of the stacked state (a Box)."""
+        """Interval hull of the stacked state (a Box): the bounds of the
+        unit rows of the LP's last n columns, kept while its width stays."""
         region, n = self._post, self._stack.B.shape[0]
-        return Box(*region.bounds(_unit_rows(region.n, range(region.n - n, region.n))))
+        if self._hull_rows.shape[1] != region.n:
+            self._hull_rows = _unit_rows(region.n, range(region.n - n, region.n))
+        return Box(*region.bounds(self._hull_rows))
 
     def contains(self, x, coords=None):
         """True iff the posterior holds a state equal to x on the listed
@@ -394,12 +398,14 @@ class OitFilter(_LiftedFilter):
         witness point, by the noise w and the state x.  Past delta_bar
         that is the window's (x_a, w_1, ..., w_d, x): on the first window
         x_a and w_2, ..., w_d are x_1 and the noises of the trajectory
-        point y; on each later one x_a moves a step, A x_a + B w_1, and the
-        noises shift by one."""
+        point y (with d = 0, x_a is x itself); on each later one x_a moves
+        a step, A x_a + B w_1, and the noises shift by one."""
         if self.k <= self.delta_bar:
             return super()._carry(y, w, x)
         n, p = self._stack.B.shape
         if self.k == self.delta_bar + 1:  # y = (x_0, w_1, x_1, ..., w_d, x_d)
+            if not self.delta_bar:  # the window (x_a, x_k) of one state
+                return np.concatenate([x, x])
             steps = y[n:].reshape(self.delta_bar, p + n)
             start, noises = steps[0, p:], np.append(steps[1:, :p], w)
         else:  # y = (x_a, w_1, ..., w_d, p)
@@ -469,7 +475,9 @@ class _AgentLP:
             self._blocks.append((rows, cols[:nx], sign[:nx]))
             w_parts.append((rows, cols[nx:], st.H @ st.B * sign[nx:], st.Wset))
             row, col = row + m, col + fresh.size
-        self._own, self._B_i = own, agents[i].B
+        self._own = own
+        self._hull_rows = np.zeros((n, col))  # [A_i(k) B_i] on agent i's columns; ``_write`` writes A_i(k)
+        self._hull_rows[:, own[n:]] = agents[i].B
         D, lo, hi = np.zeros((row, col)), np.empty(col), np.empty(col)
         for rows, cols, HB, W in w_parts:
             D[rows, cols] = HB
@@ -481,9 +489,10 @@ class _AgentLP:
 
     def _write(self, messages):
         """Write the owners' ``messages`` into the dense copy: H A of
-        every owner, its measurement row bounds and the x_prev bounds."""
-        n = self._B_i.shape[0]
-        self._A_i = messages[0][0][:n, :n]  # i leads N̄_i
+        every owner, its measurement row bounds and the x_prev bounds, and
+        agent i's A_i(k) into the hull rows."""
+        n = self._hull_rows.shape[0]
+        self._hull_rows[:, self._own[:n]] = messages[0][0][:n, :n]  # i leads N̄_i
         for (rows, cols, sign), (_, HA, y_bounds, x_bounds) in zip(self._blocks, messages, strict=True):
             self._D[rows, cols] = HA * sign
             self._b_lo[rows], self._b_hi[rows] = y_bounds
@@ -497,9 +506,7 @@ class _AgentLP:
 
     def hull(self):
         """Interval hull of agent i's refined own state."""
-        C = np.zeros((self._A_i.shape[0], self.program.n))
-        C[:, self._own] = np.hstack([self._A_i, self._B_i])
-        return Box(*self.program.bounds(C))
+        return Box(*self.program.bounds(self._hull_rows))
 
 
 class DistributedFilter:

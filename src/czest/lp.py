@@ -24,12 +24,19 @@ column: the model keeps a slack for every row anyway, so a bounded slack
 variable of a row (a noise term) is better written as the row's two
 bounds.
 
-Every query of a region goes through its ``LinearProgram``: ``bounds``
-(interval hulls), ``feasible_at`` (pinned membership) and
-``satisfied_by`` (a given point, checked against the rows as they were
-last written, without a solve).  A solve whose objective is zero, as
-every membership probe's is, skips the objective write when the model's
-objective already is zero.
+Every query of a region goes through its ``LinearProgram``: ``solve``
+(one objective), ``bounds`` (interval hulls), ``feasible_at`` (pinned
+membership) and ``satisfied_by`` (a given point, checked against the
+rows as they were last written, without a solve).  Each of the first
+three validates its arguments once, where it is called: a shape that
+does not fit, or a NaN or infinite objective entry or pinned value (which
+HiGHS would take as a cost without complaint, or refuse only at the
+model change), is a ``ValueError`` raised before the model is touched.
+Below that they share one private solve (``_solve``), which checks
+nothing again: it writes the cost through a column index kept with the
+region, picks the simplex variant, runs HiGHS and reads the optimizer.
+A solve whose objective is zero, as every membership probe's is, skips
+the objective write when the model's objective already is zero.
 
 ``bounds`` bounds several objective rows per HiGHS run where the region
 allows it.  The region's *blocks* are the connected components of the
@@ -40,7 +47,11 @@ blocks minimizes each of them, so one run bounds every row of such a
 batch, each as c_t^T x*.  A region whose dynamics act on independent
 axes, such as uav5's x and y axes, bounds two rows per run.  On models
 this small a run costs mostly a fixed amount, not one in proportion to
-the model's size, so halving the runs about halves a hull's time.
+the model's size, so halving the runs about halves a hull's time.  The
+batches of a C are the region's plan for C's nonzero pattern, kept for
+the next ``bounds`` with that pattern (a filter's hull of every step)
+and dropped with the blocks: on ``extend``, or on a ``replace`` with
+another row pattern.  Each batch's rows are summed once per call.
 
 Each solve picks its simplex variant from what changed since the last
 one.  After a change of the region (a new model, ``extend``,
@@ -138,11 +149,14 @@ _HIGHS_OPTIONS = {
     "dual_feasibility_tolerance": EPS_LP,
 }
 
-_STATUS = {
-    _highs.HighsModelStatus.kOptimal: OPTIMAL,
-    _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
-    _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
+_STATUS = {  # HiGHS model statuses as ints: pybind's enum == is several times slower
+    _highs.HighsModelStatus.kOptimal.value: OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible.value: INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded.value: UNBOUNDED,
 }
+_NOTSET = _highs.HighsModelStatus.kNotset.value
+_EMPTY = _highs.HighsModelStatus.kModelEmpty.value
+_UNSURE = _highs.HighsModelStatus.kUnboundedOrInfeasible.value
 
 
 class NumericalError(RuntimeError):
@@ -198,6 +212,7 @@ class LinearProgram:
         self._flushed = 0  # how many of _rows the model holds (``_flush``)
         self._held = 0  # how many columns the model holds
         self._block = None  # the block of each column (``_blocks``), None until it is asked for
+        self._plan = None  # (C's nonzero pattern, its batches) of the last multi-row ``bounds`` (``_batches``)
         self.extend(lo, hi, A, b, b)
 
     def extend(self, lo, hi, A, b_lo, b_hi, cols=None):
@@ -224,7 +239,8 @@ class LinearProgram:
         self.lo = np.concatenate([self.lo, lo])
         self.hi = np.concatenate([self.hi, hi])
         self.m, self.n = self.m + r, self.n + added
-        self._block = None
+        self._all = np.arange(self.n, dtype=np.int32)  # every column, as changeColsCost takes them
+        self._block = self._plan = None
         if not self._rows[self._flushed][0]:  # the model holds no row yet
             self._flush()
 
@@ -265,7 +281,7 @@ class LinearProgram:
         if self._block is not None and not (
             len(self._rows) == 1 and np.array_equal(index, self._rows[0][2]) and np.array_equal(start, self._rows[0][1])
         ):
-            self._block = None  # the row pattern changed
+            self._block = self._plan = None  # the row pattern changed
         self.reloads += 1
         self._rows = [(0, start, index, value, b_lo, b_hi)]
         self._flushed = 1
@@ -279,39 +295,34 @@ class LinearProgram:
             _check(h.setBasis(basis), "setBasis")
 
     def solve(self, c, sense="min"):
-        """Optimize c^T x over the region.  Returns LpResult."""
+        """Optimize c^T x over the region.  Returns LpResult.  An objective
+        of another length or with a NaN or infinite entry is a
+        ``ValueError``, raised before the model is touched."""
         c = np.asarray(c, dtype=float).ravel()
         if c.shape[0] != self.n:
             raise ValueError(f"objective has length {c.shape[0]}, expected {self.n}")
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
-        if self._flushed < len(self._rows):
-            self._flush()
-        h = self._highs
-        zero = not c.any()
-        if not (zero and self._zero_cost):  # a zero objective is written only over a nonzero one
-            h.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), c if sense == "min" else -c)
-            self._zero_cost = zero
-        self._use(_DUAL if self._changed else _PRIMAL)
-        self._changed = False
-        self.last_x = None
-        status = self._run()
+        if not np.isfinite(c).all():
+            raise ValueError("objective has a non-finite entry")
+        status = self._solve(c, sense)
         if status != OPTIMAL:
             return LpResult(status)
-        x = self.last_x = np.array(h.getSolution().col_value)
+        x = self.last_x
         return LpResult(OPTIMAL, float(c @ x), x)
 
     def bounds(self, C):
         """(minima, maxima) of each row c of the 2-d array C, as c^T x over
-        the region; ±inf where a bound is unbounded.
+        the region; ±inf where a bound is unbounded.  A C of another width
+        or with a NaN or infinite entry is a ``ValueError``.
 
         The rows go into batches (``_batches``), each of rows that read
-        pairwise different blocks, and each batch is bounded by one
-        ``solve`` of its rows' sum, every row of it as c^T x at that
-        solve's optimizer.  All minima are solved first, then all maxima,
-        each from the previous basis: a minimum and a maximum lie at
-        opposite ends of the region, so alternating them would move the
-        basis across it at every solve.  A batch whose sum is unbounded is
+        pairwise different blocks, and each batch is bounded by one solve
+        of its rows' sum, every row of it as c^T x at that solve's
+        optimizer.  All minima are solved first, then all maxima, each
+        from the previous basis: a minimum and a maximum lie at opposite
+        ends of the region, so alternating them would move the basis
+        across it at every solve.  A batch whose sum is unbounded is
         bounded again row by row.  An infeasible minimum raises
         ``EmptySetError``; an infeasible maximum after feasible minima is a
         ``NumericalError``.  Round-off can leave a minimum a hair above its
@@ -321,26 +332,30 @@ class LinearProgram:
         C = np.asarray(C, dtype=float)
         if C.ndim != 2 or C.shape[1] != self.n:
             raise ValueError(f"objectives must be the rows of a 2-d array {self.n} wide")
-        batches = self._batches(C) if len(C) > 1 else [[t] for t in range(len(C))]
+        if not np.isfinite(C).all():
+            raise ValueError("objectives have a non-finite entry")
+        plan = [(batch, C[batch[0]] if len(batch) == 1 else C[batch].sum(axis=0)) for batch in self._batches(C)]
         lo = np.empty(len(C))
         hi = np.empty(len(C))
         for sense, out, inf in (("min", lo, -np.inf), ("max", hi, np.inf)):
-            todo = batches[::-1]
+            todo = plan[::-1]
             while todo:
-                batch = todo.pop()
-                res = self.solve(C[batch[0]] if len(batch) == 1 else C[batch].sum(axis=0), sense)
-                if res.status == INFEASIBLE:
+                batch, c = todo.pop()
+                status = self._solve(c, sense)
+                if status == INFEASIBLE:
                     if sense == "min":
                         raise EmptySetError("LP region infeasible")
                     raise NumericalError("LP region feasible for the minima only")
-                if res.status == UNBOUNDED and len(batch) > 1:  # some row of it is: one at a time
-                    todo.extend([t] for t in batch[::-1])
-                elif res.status == UNBOUNDED:
+                if status == UNBOUNDED and len(batch) > 1:  # some row of it is: one at a time
+                    todo.extend(([t], C[t]) for t in batch[::-1])
+                elif status == UNBOUNDED:
                     out[batch] = inf
+                elif len(batch) == 1:
+                    out[batch[0]] = float(c @ self.last_x)
                 else:
-                    out[batch] = res.value if len(batch) == 1 else C[batch] @ res.x
+                    out[batch] = C[batch] @ self.last_x
         crossed = np.isfinite(lo) & np.isfinite(hi) & (lo > hi)
-        if np.any(crossed):
+        if crossed.any():
             slack = lo[crossed] - hi[crossed]
             if np.any(slack > 1e-7 * np.maximum(1.0, np.abs(lo[crossed]))):
                 raise NumericalError("hull bounds crossed beyond tolerance")
@@ -350,7 +365,14 @@ class LinearProgram:
     def _batches(self, C):
         """The rows of C (their indices) in batches, first-fit in row
         order: a row joins the first batch whose rows read none of the
-        blocks it reads (``_blocks``), or starts a new one."""
+        blocks it reads (``_blocks``), or starts a new one.  The batches of
+        two or more rows are the region's plan for C's nonzero pattern,
+        kept until another pattern comes or the blocks are dropped."""
+        if len(C) < 2:
+            return [[t] for t in range(len(C))]
+        key = (C != 0).tobytes()
+        if self._plan is not None and self._plan[0] == key:
+            return self._plan[1]
         block = self._blocks()
         batches, taken = [], []
         for t, c in enumerate(C):
@@ -363,13 +385,15 @@ class LinearProgram:
             else:
                 batches.append([t])
                 taken.append(reads)
+        self._plan = key, batches
         return batches
 
     def _blocks(self):
         """The block of each column: its label (``_labels``) in the graph
         whose nodes are the region's columns, then its rows, and whose
-        edges are the nonzero entries.  Kept until the row pattern
-        changes: ``extend``, or a ``replace`` with another pattern."""
+        edges are the nonzero entries.  Kept, with the plan of
+        ``_batches``, until the row pattern changes: ``extend``, or a
+        ``replace`` with another pattern."""
         if self._block is None:
             rows = np.concatenate([at + _row_of(start, index.size) for at, start, index, *_ in self._rows])
             cols = np.concatenate([index for _, _, index, *_ in self._rows])
@@ -378,18 +402,20 @@ class LinearProgram:
 
     def feasible_at(self, cols, x):
         """True iff some point of the region equals x on the listed columns
-        (``last_x`` is then one); a column listed twice is a ``ValueError``.
-        An x beyond the columns' bounds by more than ``EPS_LP`` (as in
+        (``last_x`` is then one); a column listed twice, or an x of another
+        length or with a NaN or infinite entry, is a ``ValueError``.  An x
+        beyond the columns' bounds by more than ``EPS_LP`` (as in
         ``satisfied_by``) is False without a solve; otherwise the columns
         are pinned through their bounds, restored after the solve, also
         when it raises (``lo`` and ``hi`` keep the bounds to restore)."""
         cols = _indices(cols, self.n, "column")
         x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != cols.size or np.isnan(x).any():
-            raise ValueError(f"pinned point must be {cols.size} numbers, none NaN")
+        if x.shape[0] != cols.size or not np.isfinite(x).all():
+            raise ValueError(f"pinned point must be {cols.size} finite numbers")
         if len(set(cols.tolist())) != cols.size:
             raise ValueError("a pinned column is listed twice")
-        if np.any(x < self.lo[cols] - EPS_LP) or np.any(x > self.hi[cols] + EPS_LP):
+        lo, hi = self.lo[cols], self.hi[cols]
+        if (x < lo - EPS_LP).any() or (x > hi + EPS_LP).any():
             return False
         if self._flushed < len(self._rows):
             self._flush()  # the pinned columns may be waiting
@@ -397,10 +423,10 @@ class LinearProgram:
         self._changed = True
         _check(h.changeColsBounds(cols.size, cols, x, x), "changeColsBounds")
         try:
-            return self.solve(np.zeros(self.n)).status != INFEASIBLE
+            return self._solve(None) != INFEASIBLE
         finally:
             self._changed = True
-            _check(h.changeColsBounds(cols.size, cols, self.lo[cols], self.hi[cols]), "changeColsBounds")
+            _check(h.changeColsBounds(cols.size, cols, lo, hi), "changeColsBounds")
 
     def satisfied_by(self, x, first_row=0):
         """True iff x is a feasible point of the region to within ``EPS_LP``.
@@ -427,6 +453,30 @@ class LinearProgram:
                 return False
         return True
 
+    def _solve(self, c, sense="min"):
+        """The one solve of every query, on arguments the query validated:
+        the objective c (a float vector of length n; None is zero) and the
+        sense.  Writes the cost over every column, unless both it and the
+        model's are zero, picks the simplex variant from what changed
+        since the last solve, runs HiGHS (``_run``) and reads the
+        optimizer into ``last_x`` (None unless optimal).  Returns the
+        status."""
+        if self._flushed < len(self._rows):
+            self._flush()
+        h = self._highs
+        zero = c is None or not c.any()
+        if not (zero and self._zero_cost):  # a zero objective is written only over a nonzero one
+            cost = np.zeros(self.n) if c is None else c if sense == "min" else -c
+            _check(h.changeColsCost(self.n, self._all, cost), "changeColsCost")
+            self._zero_cost = zero
+        self._use(_DUAL if self._changed else _PRIMAL)
+        self._changed = False
+        self.last_x = None
+        status = self._run()
+        if status == OPTIMAL:
+            self.last_x = np.array(h.getSolution().col_value)
+        return status
+
     def _use(self, strategy):
         """Set the model's simplex_strategy, unless it already is that."""
         if strategy != self._strategy:
@@ -438,22 +488,20 @@ class LinearProgram:
         if the run ends without a definite status (without presolve if
         HiGHS could not tell infeasible from unbounded).  A model without
         columns is "Empty" to HiGHS: its rows read b_lo <= 0 <= b_hi, as
-        ``satisfied_by`` checks them."""
+        ``satisfied_by`` checks them.  Statuses are compared as ints."""
         h = self._highs
-        if h.run() == _highs.HighsStatus.kError and (
-            h.getModelStatus() == _highs.HighsModelStatus.kNotset
-        ):
+        if h.run().value == _ERROR and h.getModelStatus().value == _NOTSET:
             # HiGHS refuses threads=1 once another caller in this process
             # (scipy.optimize's HiGHS front end with its default thread
             # count) has started its global scheduler with more; a fresh
             # scheduler takes this model's setting.
             _highs._Highs.resetGlobalScheduler(True)
             h.run()
-        model_status = h.getModelStatus()
-        if model_status == _highs.HighsModelStatus.kModelEmpty:
+        model_status = h.getModelStatus().value
+        if model_status == _EMPTY:
             return OPTIMAL if self.satisfied_by(np.zeros(0)) else INFEASIBLE
         if model_status not in _STATUS:
-            unsure = model_status == _highs.HighsModelStatus.kUnboundedOrInfeasible
+            unsure = model_status == _UNSURE
             self._use(_DUAL)
             if unsure:
                 h.setOptionValue("presolve", "off")
@@ -461,9 +509,9 @@ class LinearProgram:
             h.run()
             if unsure:
                 h.setOptionValue("presolve", "choose")
-            model_status = h.getModelStatus()
+            model_status = h.getModelStatus().value
         if model_status not in _STATUS:
-            raise NumericalError("HiGHS model status: " + h.modelStatusToString(model_status))
+            raise NumericalError("HiGHS model status: " + h.modelStatusToString(h.getModelStatus()))
         return _STATUS[model_status]
 
 

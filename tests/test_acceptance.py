@@ -20,16 +20,18 @@ GEOMETRY_BUDGET = 60.0
 
 @contextlib.contextmanager
 def criterion(capsys, num, label):
-    """Emit one `criterion N (label): PASS/FAIL` line around the body."""
+    """Emit one `criterion N (label): PASS/FAIL` line around the body,
+    ending with the body's wall time."""
     info = {"detail": ""}
+    t0 = time.perf_counter()
     try:
         yield info
     except BaseException:
         with capsys.disabled():
-            print(f"\ncriterion {num}/8 ({label}): FAIL  [{info['detail']}]")
+            print(f"\ncriterion {num}/8 ({label}): FAIL  [{info['detail']}]  {time.perf_counter() - t0:.2f}s")
         raise
     with capsys.disabled():
-        print(f"\ncriterion {num}/8 ({label}): PASS  [{info['detail']}]")
+        print(f"\ncriterion {num}/8 ({label}): PASS  [{info['detail']}]  {time.perf_counter() - t0:.2f}s")
 
 
 def test_truth_containment_all_algorithms(capsys):

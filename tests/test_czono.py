@@ -267,12 +267,12 @@ class TestEmptinessAndHull:
     def test_hull_with_infeasible_maximum_is_a_numerical_error(self, monkeypatch):
         # a region feasible for the minima but not for a maximum is a
         # solver failure, not an empty set
-        solve = lp.LinearProgram.solve
+        solve = lp.LinearProgram._solve
 
         def infeasible_max(self, c, sense="min"):
-            return lp.LpResult(lp.INFEASIBLE) if sense == "max" else solve(self, c, sense)
+            return lp.INFEASIBLE if sense == "max" else solve(self, c, sense)
 
-        monkeypatch.setattr(lp.LinearProgram, "solve", infeasible_max)
+        monkeypatch.setattr(lp.LinearProgram, "_solve", infeasible_max)
         with pytest.raises(lp.NumericalError):
             czono.interval_hull(sliced_unit_box())
 

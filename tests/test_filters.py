@@ -226,6 +226,21 @@ class TestOit:
             oit.step(k, batch)
             assert_same_lp(oit._traj, cent._traj)
 
+    def test_window_of_one_state_carries_the_witness(self):
+        # pair1d's observability index is 1, so delta_bar = 0 is valid: the
+        # window is (x_a, x_k) with x_a = x_k, and the k = 0 probe's point
+        # carried to k = 1 is (x, x)
+        system = pair_system()
+        oit = OitFilter(system, pair_x0(), delta_bar=0)
+        x = np.array([0.5, 1.0])
+        assert oit.contains(x)
+        x = sysmodel.step_truth(system, 0, x, np.zeros(2))
+        oit.step(1, batch_for(system, 1, x))
+        region = oit._post
+        assert region is oit._window_lp
+        assert oit.contains(x) == region.feasible_at(final_cols(region, x.size), x)
+        assert oit._witness[0] == 1 and oit._witness[3] is not None  # the carried point passed its check
+
     def test_bounded_representation_past_window(self):
         system = pair_system()
         oit = OitFilter(system, pair_x0(), delta_bar=2)
@@ -927,6 +942,29 @@ class TestBlocks:
                     flt.hull()
         assert len(hulls) == len(steps) * (2 + len(cfg.system.agent_ids))
         assert all(runs == 2 * rows // blocks for rows, runs in hulls), hulls
+
+    def test_each_agent_lp_plans_its_batches_once(self, monkeypatch):
+        # a 10-step uav5 distributed trial: each agent LP's hull rows keep
+        # their nonzero pattern and its reloads their row pattern, so its
+        # batches are planned (its blocks read) at its first hull only
+        plans, hulls = {}, {}
+        blocks, bounds = lp.LinearProgram._blocks, lp.LinearProgram.bounds
+
+        def planning(self):
+            plans[id(self)] = plans.get(id(self), 0) + 1
+            return blocks(self)
+
+        def bounding(self, C):
+            hulls[id(self)] = hulls.get(id(self), 0) + 1
+            return bounds(self, C)
+
+        monkeypatch.setattr(lp.LinearProgram, "_blocks", planning)
+        monkeypatch.setattr(lp.LinearProgram, "bounds", bounding)
+        cfg = simharness.ScenarioConfig.from_doc(simharness.build_uav_scenario(horizon=10), algorithms=["distributed"])
+        log = simharness.run_trial(cfg, 0, metrics="containment")
+        assert log.aborted is None and len(log.steps) == 10
+        assert sorted(hulls.values()) == [10] * len(cfg.system.agent_ids)
+        assert plans == dict.fromkeys(hulls, 1)
 
     @pytest.mark.parametrize("seed", [1, 9173])
     def test_batched_matches_row_by_row(self, seed):

@@ -17,7 +17,6 @@ from czest.lp import (
     UNBOUNDED,
     EmptySetError,
     LinearProgram,
-    LpResult,
     NumericalError,
 )
 from lp_rows import bounds_row_by_row, model_cols, model_rows, wrap_models
@@ -416,6 +415,41 @@ def test_non_finite_coefficients_are_rejected(value):
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda p: p.solve([np.nan, 1.0, 0.0]),
+        lambda p: p.solve([np.inf, 0.0, 0.0]),
+        lambda p: p.solve([0.0, 0.0, -np.inf], sense="max"),
+        lambda p: p.bounds([[np.nan, 1.0, 0.0]]),
+        lambda p: p.bounds([[1.0, 0.0, 0.0], [0.0, 0.0, np.inf]]),
+        lambda p: p.feasible_at([2], [np.inf]),
+        lambda p: p.feasible_at([0, 2], [0.5, -np.inf]),
+    ],
+    ids=["solve-nan", "solve-inf", "solve-minus-inf", "bounds-nan", "bounds-inf", "pinned-inf", "pinned-minus-inf"],
+)
+def test_non_finite_query_fails_before_highs(query):
+    # HiGHS takes NaN and infinite costs without complaint (a nan or -inf
+    # "optimum"), and an infinite pinned value is refused at the model
+    # change: each is a ValueError before any call, which leaves the
+    # model as it was
+    prog = LinearProgram([[1.0, 1.0, 0.0]], [1.0], [0.0, 0.0, -np.inf], [1.0, 1.0, np.inf])  # column 2 free
+    c = [1.0, -1.0, 0.0]
+    before = prog.solve(c)
+    model = prog._highs.getLp()
+    cost, cols = list(model.col_cost_), model_cols(prog)
+    calls = _count(prog, "run", "changeColsCost", "changeColsBounds")
+    with pytest.raises(ValueError, match="non-finite|finite numbers"):
+        query(prog)
+    assert calls == {"run": 0, "changeColsCost": 0, "changeColsBounds": 0}
+    assert list(prog._highs.getLp().col_cost_) == cost
+    for got, want in zip(model_cols(prog), cols):
+        assert np.array_equal(got, want)
+    assert prog.lo.tolist() == [0.0, 0.0, -np.inf] and prog.hi.tolist() == [1.0, 1.0, np.inf]
+    after = prog.solve(c)
+    assert before.status == after.status == OPTIMAL and after.value == pytest.approx(before.value, abs=1e-12)
+
+
 def test_rows_read_back_from_the_model():
     prog = LinearProgram(np.zeros((0, 2)), [], [-1, -1], [1, 1])
     A, b_lo, b_hi = model_rows(prog)
@@ -694,8 +728,9 @@ class _Refusing:
         ("changeColsBounds", lambda p: p.feasible_at([0], [0.5])),
         ("passModel", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
         ("setBasis", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
+        ("changeColsCost", lambda p: p.solve([0.0, 1.0])),
     ],
-    ids=["addCols", "addRows", "changeColsBounds", "passModel", "setBasis"],
+    ids=["addCols", "addRows", "changeColsBounds", "passModel", "setBasis", "changeColsCost"],
 )
 def test_refused_model_change_raises(monkeypatch, call, change):
     resets = []
@@ -838,13 +873,13 @@ class TestBounds:
 
     def test_minima_before_maxima_each_through_solve(self, monkeypatch):
         calls = []
-        solve = LinearProgram.solve
+        solve = LinearProgram._solve
 
         def recording(self, c, sense="min"):
             calls.append((np.flatnonzero(c).tolist(), sense))
             return solve(self, c, sense)
 
-        monkeypatch.setattr(LinearProgram, "solve", recording)
+        monkeypatch.setattr(LinearProgram, "_solve", recording)
         region = LinearProgram([[1.0, 1.0, 1.0]], [1.0], [0, 0, 0], [1, 1, 1])
         lo, hi = region.bounds(np.eye(3)[[2, 0]])
         assert calls == [([2], "min"), ([0], "min"), ([2], "max"), ([0], "max")]
@@ -854,17 +889,21 @@ class TestBounds:
     @staticmethod
     def _answering(n, minima, maxima):
         """A region of one block over n columns in [-5, 5], so that
-        ``bounds`` solves one row at a time, whose solves return the given
-        optimal values (None: infeasible), minima for sense "min" and
-        maxima for "max", in order."""
+        ``bounds`` solves one unit row at a time, whose solves return the
+        given optimal values (None: infeasible), minima for sense "min" and
+        maxima for "max", in order: an optimizer that is the value on the
+        row's column and 0 elsewhere."""
         region = LinearProgram(np.ones((1, n)), [0.0], np.full(n, -5.0), np.full(n, 5.0))
         queue = {"min": list(minima), "max": list(maxima)}
 
         def solve(c, sense="min"):
             value = queue[sense].pop(0)
-            return LpResult(INFEASIBLE) if value is None else LpResult(OPTIMAL, value)
+            if value is None:
+                return INFEASIBLE
+            region.last_x = np.where(c != 0, value, 0.0)
+            return OPTIMAL
 
-        region.solve = solve
+        region._solve = solve
         return region
 
     @pytest.mark.parametrize(
@@ -1001,16 +1040,16 @@ def _linprog_bound(c, A, b_lo, b_hi, lo, hi, sense):
 
 
 def _solves(region):
-    """Record every ``solve`` call of ``region`` as (its objective's
-    nonzero columns, sense); returns the list."""
+    """Record every solve of ``region`` (``_solve``, which ``bounds``
+    runs) as (its objective's nonzero columns, sense); returns the list."""
     calls = []
-    solve = region.solve
+    solve = region._solve
 
     def recording(c, sense="min"):
         calls.append((np.flatnonzero(c).tolist(), sense))
         return solve(c, sense)
 
-    region.solve = recording
+    region._solve = recording
     return calls
 
 
@@ -1214,6 +1253,49 @@ class TestBlocks:
         region.replace(np.zeros(4), np.ones(4), A2, b_lo, b_hi)
         assert len(np.unique(region._blocks())) == 1
         assert region._batches(C) == [[0], [1], [2], [3]]
+
+    def test_plan_follows_the_nonzero_pattern(self):
+        # two objective matrices of one shape whose nonzero patterns
+        # batch differently, bounded alternately on one region: each call
+        # takes the plan of its own pattern and equals the row-by-row
+        # oracle
+        A, b_lo, b_hi = self._two_blocks()
+        region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        region.extend([], [], A, b_lo, b_hi)
+        fresh = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        fresh.extend([], [], A, b_lo, b_hi)
+        units = np.eye(4)
+        mixed = np.array([[1.0, 0, 0.5, 0], [0, 2.0, 0, 0], [0, 0, -1.0, 0], [0, 0, 0, 3.0]])  # row 0 reads both blocks
+        plans = {0: [[0, 2], [1, 3]], 1: [[0], [1, 2], [3]]}
+        calls = _solves(region)
+        for t, C in enumerate([units, mixed, units, mixed]):
+            assert region._batches(C) == plans[t % 2]
+            before = len(calls)
+            got, want = region.bounds(C), bounds_row_by_row(fresh, C)
+            assert len(calls) - before == 2 * len(plans[t % 2])
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, abs=1e-9)
+
+    def test_plan_dropped_by_a_replace_with_another_pattern(self):
+        # a replace that joins the blocks between two hulls: the second
+        # is planned again, row by row, and a replace back to the first
+        # pattern batches again; each hull equals the oracle's
+        A, b_lo, b_hi = self._two_blocks()
+        A2 = A.copy()
+        A2[2, 3] = 1.0  # the third row now reads x3 too
+        region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+        region.extend([], [], A, b_lo, b_hi)
+        C = np.eye(4)
+        calls = _solves(region)
+        for rows, solves in ((A, 4), (A2, 8), (A, 4)):
+            region.replace(np.zeros(4), np.ones(4), rows, b_lo, b_hi)
+            fresh = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
+            fresh.extend([], [], rows, b_lo, b_hi)
+            before = len(calls)
+            got, want = region.bounds(C), bounds_row_by_row(fresh, C)
+            assert len(calls) - before == solves
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, abs=1e-9)
 
     def test_satisfied_by_first_row_inside_a_block(self):
         A, b_lo, b_hi = self._two_blocks()

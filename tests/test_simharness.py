@@ -571,12 +571,12 @@ class TestSolverFailure:
     def test_infeasible_maximum_aborts(self, monkeypatch, algorithms):
         # a hull whose minima are feasible but one maximum is not is a
         # solver failure: a recorded abort, never a crash or a violation
-        solve = lp.LinearProgram.solve
+        solve = lp.LinearProgram._solve
 
         def infeasible_max(self, c, sense="min"):
-            return lp.LpResult(lp.INFEASIBLE) if sense == "max" else solve(self, c, sense)
+            return lp.INFEASIBLE if sense == "max" else solve(self, c, sense)
 
-        monkeypatch.setattr(lp.LinearProgram, "solve", infeasible_max)
+        monkeypatch.setattr(lp.LinearProgram, "_solve", infeasible_max)
         log = simharness.run_trial(small_uav(h=3, algorithms=algorithms), 0, metrics="full")
         assert log.aborted == {"k": 1, "agent": None, "reason": "numerical error"}
         assert log.violations == 0
