@@ -196,9 +196,6 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except sysmodel.SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

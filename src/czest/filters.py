@@ -69,8 +69,9 @@ states in between are substituted out, so the measurement rows of the
 window's j-th batch read H Φ_j (x_a, w), Φ_j being the window's first j
 steps of dynamics, as in the observability matrix [H; H Φ_1; ...] of
 ``sysmodel.observability_index``; the last batch's read H x_k, and the
-final state's rows tie x_k to (x_a, w).  A time-varying A(k) moves every
-coefficient of that LP at every step, so each step reloads it whole.
+final state's rows tie x_k to (x_a, w).  That LP is built at the first
+step past ``delta_bar``.  A time-varying A(k) moves every coefficient of
+it at every step, so each later step reloads it whole.
 
 ``hull`` solves the final state's interval hull.  ``contains`` first
 tries a one-step witness: the feasible LP point behind the last step's
@@ -186,22 +187,26 @@ def _window_block(stack, entries):
 
     where F_j (x_a, w) is the state j steps of the window's dynamics after
     x_a (F_0 = [I 0]), and the bounds [lo, hi] of the columns: x_a and x_k
-    free, each w in the stack's W box.
+    free, each w in the stack's W box.  An entry that overflows (the
+    products of the window's A) raises ``lp.NumericalError``.
     """
     B, H = stack.B, stack.H
     n, p = B.shape
     d, m = len(entries) - 1, H.shape[0]
     F = np.eye(n, n + d * p)
     D = np.zeros(((d + 1) * m + n, n + d * p + n))
-    for j, (A, _) in enumerate(entries):
-        if j:
-            F = A @ F
-            F[:, n + (j - 1) * p : n + j * p] = B
-        if j < d:
-            D[j * m : (j + 1) * m, : n + d * p] = H @ F
+    with np.errstate(over="ignore", invalid="ignore"):  # D is checked below
+        for j, (A, _) in enumerate(entries):
+            if j:
+                F = A @ F
+                F[:, n + (j - 1) * p : n + j * p] = B
+            if j < d:
+                D[j * m : (j + 1) * m, : n + d * p] = H @ F
     D[d * m : (d + 1) * m, n + d * p :] = H
     D[(d + 1) * m :, : n + d * p] = -F
     D[(d + 1) * m :, n + d * p :] = np.eye(n)
+    if not np.all(np.isfinite(D)):
+        raise lp.NumericalError("window coefficients overflow")
     y_lo, y_hi = _measurement_bounds(np.stack([Y for _, Y in entries]), stack.Vset)  # a batch per row
     free = np.full(n, np.inf)
     return (
@@ -364,10 +369,10 @@ class OitFilter(_LiftedFilter):
     one (same LP, same inputs).  Beyond that it is the LP of the buffered
     window of the last delta_bar + 1 batches (``_window_block``), with the
     state at k - delta_bar free, which caps its columns and rows at a
-    constant.  That LP is built once, at construction; each step past
-    delta_bar reloads it with the new window's numbers
-    (``lp.LinearProgram.replace``), so its solves warm-start from the
-    last basis.
+    constant.  That LP is built once, at the first step past delta_bar,
+    from that step's window; each later step reloads it with the new
+    window's numbers (``lp.LinearProgram.replace``), so its solves
+    warm-start from the last basis.
     """
 
     def __init__(self, system, initial, delta_bar):
@@ -379,9 +384,7 @@ class OitFilter(_LiftedFilter):
             )
         self.delta_bar = int(delta_bar)
         self._window = []  # step entries, oldest first
-        stack = self._stack
-        zeros = np.zeros(stack.H.shape[0])
-        self._window_lp = _region(*_window_block(stack, [(stack.A(t), zeros) for t in range(self.delta_bar + 1)]))
+        self._window_lp = None
 
     def _consume(self, k, entry):
         self._window.append(entry)
@@ -389,9 +392,11 @@ class OitFilter(_LiftedFilter):
             self._window.pop(0)
         if k <= self.delta_bar:
             _extend_trajectory(self._traj, self._stack, *entry)
+        elif self._window_lp is None:
+            self._window_lp = self._post = _region(*_window_block(self._stack, self._window))
+            self._traj = None  # the grown LP is not read again
         else:
-            self._post, self._traj = self._window_lp, None  # the grown LP is not read again
-            self._post.replace(*_window_block(self._stack, self._window))
+            self._window_lp.replace(*_window_block(self._stack, self._window))
 
     def _carry(self, y, w, x):
         """The point of this step's LP that extends y, the last step's

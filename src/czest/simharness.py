@@ -25,7 +25,6 @@ each agent's lifted LP, constant over a trial, for the distributed one.
 
 import json
 import math
-import numbers
 import os
 import time
 
@@ -156,32 +155,6 @@ def builtin_scenario(name):
     return _BUILTINS[name]()
 
 
-def _integer(key, val):
-    """``val`` as an int; anything but an integer (a float, a bool) is a
-    SchemaError naming ``scenario.<key>``."""
-    if not isinstance(val, numbers.Integral) or isinstance(val, bool):
-        raise sysmodel.SchemaError(f"scenario.{key}: must be an integer, got {val!r}")
-    return int(val)
-
-
-def _number(key, val):
-    """``val`` as a float; anything but a real number (a string, a bool)
-    is a SchemaError naming ``scenario.<key>``."""
-    if not isinstance(val, numbers.Real) or isinstance(val, bool):
-        raise sysmodel.SchemaError(f"scenario.{key}: must be a number, got {val!r}")
-    return float(val)
-
-
-def _real(key, val, positive=False):
-    """``val`` as a float; anything but a finite real number >= 0 (> 0 if
-    ``positive``) is a SchemaError naming ``scenario.<key>``."""
-    real = isinstance(val, numbers.Real) and not isinstance(val, bool) and math.isfinite(val)
-    if not real or val < 0 or (positive and val == 0):
-        bound = "> 0" if positive else ">= 0"
-        raise sysmodel.SchemaError(f"scenario.{key}: must be a finite number {bound}, got {val!r}")
-    return float(val)
-
-
 def _plot_coords(coords, dims):
     """``coords`` as a tuple of one or two state indices, None if unset.
     The first must index a state component of every agent, the second one
@@ -189,19 +162,14 @@ def _plot_coords(coords, dims):
     anything else is a SchemaError naming ``scenario.plot_coords``."""
     if coords is None:
         return None
-    valid = (
-        isinstance(coords, (list, tuple))
-        and len(coords) in (1, 2)
-        and all(isinstance(c, numbers.Integral) and not isinstance(c, bool) and c >= 0 for c in coords)
-        and coords[0] < min(dims)
-        and (len(coords) == 1 or all(coords[1] < n for n in dims if n >= 2))
+    if isinstance(coords, (list, tuple)) and len(coords) in (1, 2):
+        idx = tuple(sysmodel._integer(c, "scenario.plot_coords", low=0) for c in coords)
+        if idx[0] < min(dims) and (len(idx) == 1 or all(idx[1] < n for n in dims if n >= 2)):
+            return idx
+    raise sysmodel.SchemaError(
+        "scenario.plot_coords: must be a list of one or two state indices below "
+        f"the agents' state dimensions {sorted(set(dims))}, got {coords!r}"
     )
-    if not valid:
-        raise sysmodel.SchemaError(
-            "scenario.plot_coords: must be a list of one or two state indices below "
-            f"the agents' state dimensions {sorted(set(dims))}, got {coords!r}"
-        )
-    return tuple(int(c) for c in coords)
 
 
 class ScenarioConfig:
@@ -211,12 +179,8 @@ class ScenarioConfig:
         self.doc = doc
         self.name = doc.get("name", "scenario")
         self.system = sysmodel.system_from_dict(doc)
-        self.K = _integer("horizon", doc.get("horizon", 30))
-        if self.K < 1:
-            raise sysmodel.SchemaError("scenario.horizon: must be >= 1")
-        self.seed = _integer("seed", doc.get("seed", 1))
-        if self.seed < 0:
-            raise sysmodel.SchemaError(f"scenario.seed: must be >= 0, got {self.seed}")
+        self.K = sysmodel._integer(doc.get("horizon", 30), "scenario.horizon", low=1)
+        self.seed = sysmodel._integer(doc.get("seed", 1), "scenario.seed", low=0)
         algs = doc.get("algorithms", list(ALGORITHMS))
         if not isinstance(algs, list):
             raise sysmodel.SchemaError(
@@ -232,9 +196,12 @@ class ScenarioConfig:
         if len(set(algs)) != len(algs):
             raise sysmodel.SchemaError("scenario.algorithms: each algorithm may appear only once")
         self.algorithms = tuple(algs)
-        self.mu0 = sysmodel.observability_index(self.system)
+        try:
+            self.mu0 = sysmodel.observability_index(self.system)
+        except sysmodel.NotObservableError as e:  # a property of the whole system, so no key is named
+            raise sysmodel.SchemaError(f"scenario: {e}") from e
         db = doc.get("delta_bar")
-        db = self.mu0 + 1 if db is None else _integer("delta_bar", db)
+        db = self.mu0 + 1 if db is None else sysmodel._integer(db, "scenario.delta_bar")
         if db < self.mu0 - 1:
             raise sysmodel.SchemaError(
                 f"scenario.delta_bar: {db} is below the observability requirement {self.mu0 - 1}"
@@ -242,33 +209,31 @@ class ScenarioConfig:
         self.delta_bar = db
         dims = [self.system.agents[i].n for i in self.system.agent_ids]
         self.plot_coords = _plot_coords(doc.get("plot_coords"), dims)
-        self.noise_scale = _real("injected_noise_scale", doc.get("injected_noise_scale", 1.0))
+        self.noise_scale = sysmodel._real(doc.get("injected_noise_scale", 1.0), "scenario.injected_noise_scale", low=0)
         grid = doc.get("noise_grid")
-        self.noise_grid = None if grid is None else _real("noise_grid", grid, positive=True)
-        init = doc.get("initial", {"mode": "fixed"})
+        self.noise_grid = None if grid is None else sysmodel._real(grid, "scenario.noise_grid", low=0)
+        if self.noise_grid == 0:
+            raise sysmodel.SchemaError("scenario.noise_grid: must be > 0")
+        init = doc.get("initial", {})
         if not isinstance(init, dict):
             raise sysmodel.SchemaError(f"scenario.initial: must be an object, got {init!r}")
         self.initial_mode = init.get("mode", "fixed")
         if self.initial_mode not in ("fixed", "sampled"):
             raise sysmodel.SchemaError("scenario.initial.mode: 'fixed' or 'sampled'")
         if self.initial_mode == "sampled":
-            self.init_center_low = _number("initial.center_low", init.get("center_low", -10.0))
-            self.init_center_high = _number("initial.center_high", init.get("center_high", 10.0))
-            self.init_half_width = _number("initial.half_width", init.get("half_width", 2.0))
-            low, high = self.init_center_low, self.init_center_high
-            if not (np.isfinite([low, high]).all() and low <= high):
-                raise sysmodel.SchemaError(
-                    "scenario.initial.center_low/center_high: must be finite, low <= high"
-                )
-            if not (np.isfinite(self.init_half_width) and self.init_half_width >= 0):
-                raise sysmodel.SchemaError("scenario.initial.half_width: must be finite and >= 0")
+            at = "scenario.initial."
+            self.init_center_low = sysmodel._real(init.get("center_low", -10.0), at + "center_low")
+            self.init_center_high = sysmodel._real(init.get("center_high", 10.0), at + "center_high")
+            self.init_half_width = sysmodel._real(init.get("half_width", 2.0), at + "half_width", low=0)
+            if self.init_center_low > self.init_center_high:
+                raise sysmodel.SchemaError("scenario.initial.center_low/center_high: must be low <= high")
         else:
             self.fixed_initial = {}  # agent id -> its initial Box
             for idx, ad in enumerate(doc["agents"]):
                 if "initial_range" not in ad:
-                    raise sysmodel.SchemaError(
-                        f"agents[{idx}]: fixed initial mode needs 'initial_range'"
-                    )
+                    # a mode left to its default is the likelier fault
+                    at = f"agents[{idx}]" if "mode" in init else "scenario.initial"
+                    raise sysmodel.SchemaError(f"{at}: fixed initial mode needs agents[{idx}].initial_range")
                 path, i = f"agents[{idx}].initial_range", int(ad["id"])
                 box = sysmodel.box_from_dict(ad["initial_range"], path)
                 if box.dim != self.system.agents[i].n:

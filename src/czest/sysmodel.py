@@ -403,6 +403,8 @@ def observability_index(system):
 
 
 # -- scenario schema --------------------------------------------------------
+# One rule for a number, here and in ``simharness.ScenarioConfig``: an int
+# or a float, never a string or a bool; an int where the schema says so.
 
 
 def _need(d, key, path):
@@ -414,47 +416,70 @@ def _need(d, key, path):
     return d[key]
 
 
+def _integer(val, path, low=None):
+    """``val`` as an int; anything but an integer (a float, a bool, a
+    string), or one below ``low``, is a SchemaError naming ``path``."""
+    if not isinstance(val, numbers.Integral) or isinstance(val, bool):
+        raise SchemaError(f"{path}: must be an integer, got {val!r}")
+    if low is not None and val < low:
+        raise SchemaError(f"{path}: must be >= {low}, got {val}")
+    return int(val)
+
+
+def _numbers(val, path, nonfinite="must be finite"):
+    """``val``, a number or nested lists of numbers, as a float array.  A
+    string, a bool, a ragged list or an integer no float holds is a
+    SchemaError naming ``path``, and so is a NaN or infinite entry, with
+    the message ``nonfinite``."""
+    arr = None
+    try:
+        entries = np.array(val, dtype=object)  # a ragged list keeps lists as entries
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entries.flat):
+            arr = entries.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    if arr is None:
+        raise SchemaError(f"{path}: must be a number or lists of numbers, got {val!r}")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{path}: {nonfinite}")
+    return arr
+
+
+def _real(val, path, low=None):
+    """``val`` as a float: one finite number (``_numbers``), at least
+    ``low`` if given; anything else is a SchemaError naming ``path``."""
+    x = _numbers(val, path)
+    if x.ndim:
+        raise SchemaError(f"{path}: must be a number, got {val!r}")
+    if low is not None and x < low:
+        raise SchemaError(f"{path}: must be >= {low}, got {val!r}")
+    return float(x)
+
+
 def box_from_dict(d, path):
     """The bounded box ``{"lo": [...], "hi": [...]}`` at ``path`` of a
-    scenario; a missing or nested end, a non-numeric, NaN or infinite
-    entry, or ``lo > hi`` is a SchemaError naming ``path``."""
-    try:
-        lo, hi = (np.asarray(d[end], dtype=float) for end in ("lo", "hi"))
-        box = Box(lo, hi)
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"{path}: box needs 'lo' and 'hi'") from e
-    except ValueError as e:
-        raise SchemaError(f"{path}: {e}") from e
+    scenario; a missing or nested end, an entry that is no finite number
+    (``_numbers``), or ``lo > hi`` is a SchemaError naming ``path``."""
+    lo, hi = (_numbers(_need(d, end, path), path, "range must be bounded") for end in ("lo", "hi"))
     if lo.ndim != 1 or hi.ndim != 1:
         raise SchemaError(f"{path}: 'lo' and 'hi' must be flat lists of numbers")
-    if not (np.all(np.isfinite(box.lo)) and np.all(np.isfinite(box.hi))):
-        raise SchemaError(f"{path}: range must be bounded")
-    return box
-
-
-def _finite(d, key, path):
-    """``d[key]`` as a float array; a non-numeric, NaN or infinite entry is
-    a SchemaError naming ``path.key``."""
     try:
-        arr = np.asarray(_need(d, key, path), dtype=float)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{path}.{key}: expected numbers ({e})") from e
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{path}.{key}: entries must be finite")
-    return arr
+        return Box(lo, hi)
+    except ValueError as e:
+        raise SchemaError(f"{path}: {e}") from e
 
 
 def _dynamics_from_dict(d, path):
     kind = _need(d, "kind", path)
     if kind == "constant":
-        A = np.atleast_2d(_finite(d, "A", path))
+        A = np.atleast_2d(_numbers(_need(d, "A", path), f"{path}.A"))
 
         def A_of_k(k, A=A):
             return A
 
         return A_of_k, A.shape[0]
     if kind == "coordinated-turn":
-        omega, T = float(_finite(d, "omega", path)), float(_finite(d, "T", path))
+        omega, T = (_real(_need(d, key, path), f"{path}.{key}") for key in ("omega", "T"))
         if omega == 0:
             raise SchemaError(f"{path}.omega: must be nonzero")
 
@@ -471,10 +496,6 @@ def _dynamics_from_dict(d, path):
     raise SchemaError(f"{path}.kind: unknown dynamics kind '{kind}'")
 
 
-def _is_int(val):
-    return isinstance(val, numbers.Integral) and not isinstance(val, bool)
-
-
 def _is_meta(key):
     return key.startswith("_") or key == "description"
 
@@ -483,32 +504,23 @@ def system_from_dict(doc):
     """Build a MultiAgentSystem from the scenario schema's 'agents'/'edges'.
 
     Unknown keys prefixed with '_' and 'description' fields are ignored so
-    scenario files can carry commentary.
+    scenario files can carry commentary.  The edges are read last, so that
+    a malformed agent list is named as such, not as edges that leave it.
     """
     agents_doc = _need(doc, "agents", "scenario")
     edges_doc = _need(doc, "edges", "scenario")
     if not isinstance(agents_doc, list) or not agents_doc:
         raise SchemaError("scenario.agents: expected a non-empty list")
-    if not isinstance(edges_doc, list) or not all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(t) for t in e) for e in edges_doc
-    ):
-        raise SchemaError(f"scenario.edges: must be a list of [i, j] agent id pairs, got {edges_doc!r}")
-    try:
-        topo = Topology(len(agents_doc), edges_doc)
-    except ValueError as e:
-        raise SchemaError(f"scenario.edges: {e}") from e
     agents = []
     for idx, ad in enumerate(agents_doc):
         path = f"agents[{idx}]"
-        aid = _need(ad, "id", path)
-        if not _is_int(aid):
-            raise SchemaError(f"{path}.id: must be an integer, got {aid!r}")
+        aid = _integer(_need(ad, "id", path), f"{path}.id", low=1)
         A_of_k, n = _dynamics_from_dict(_need(ad, "dynamics", path), f"{path}.dynamics")
-        B = np.atleast_2d(_finite(ad, "B", path))
+        B = np.atleast_2d(_numbers(_need(ad, "B", path), f"{path}.B"))
         if B.ndim != 2 or B.shape[0] != n:
             raise SchemaError(f"{path}.B: must be a matrix with {n} rows, got shape {B.shape}")
         try:
-            C, D = (_rows_over(_finite(ad, key, path), n, f"{path}.{key}") for key in ("C", "D"))
+            C, D = (_rows_over(_numbers(_need(ad, k, path), f"{path}.{k}"), n, f"{path}.{k}") for k in ("C", "D"))
         except ValueError as e:
             raise SchemaError(str(e)) from e
         W = box_from_dict(_need(ad, "process_noise", path), f"{path}.process_noise")
@@ -529,6 +541,13 @@ def system_from_dict(doc):
             agents.append(AgentModel(aid, A_of_k, B, C, D, W, V, rel))
         except ValueError as e:
             raise SchemaError(f"{path}: {e}") from e
+    if not isinstance(edges_doc, list) or not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges_doc):
+        raise SchemaError(f"scenario.edges: must be a list of [i, j] agent id pairs, got {edges_doc!r}")
+    edges = [[_integer(t, "scenario.edges") for t in e] for e in edges_doc]
+    try:
+        topo = Topology(len(agents_doc), edges)
+    except ValueError as e:
+        raise SchemaError(f"scenario.edges: {e}") from e
     try:
         return MultiAgentSystem(agents, topo)
     except ValueError as e:

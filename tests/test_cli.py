@@ -100,6 +100,23 @@ class TestRun:
         assert main(["run", scn]) == 1
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["pair1d", "uav5"])
+    def test_unobservable_scenario_exit_1(self, tmp_path, capsys, name):
+        # no measurement on pair1d, no time step on uav5: the rank test is
+        # a property of the whole system, so the error names no key
+        doc = simharness.builtin_scenario(name)
+        for ad in doc["agents"]:
+            if name == "pair1d":
+                ad.update(C=[[0.0]], D=[[0.0]])
+            else:
+                ad["dynamics"]["T"] = 0
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: scenario: system not observable")
+        assert not out.exists()
+
     def test_unknown_scenario_exit_1(self, capsys):
         assert main(["run", "atlantis"]) == 1
         assert "atlantis" in capsys.readouterr().err

@@ -241,6 +241,18 @@ class TestOit:
         assert oit.contains(x) == region.feasible_at(final_cols(region, x.size), x)
         assert oit._witness[0] == 1 and oit._witness[3] is not None  # the carried point passed its check
 
+    def test_window_far_past_the_horizon_is_never_built(self):
+        # the window LP is built at the first step past delta_bar, so a
+        # delta_bar far above the horizon costs nothing at construction
+        system = pair_system()
+        oit = OitFilter(system, pair_x0(), delta_bar=2**40)
+        x = np.array([0.5, 1.0])
+        for k in range(1, 4):
+            x = sysmodel.step_truth(system, k - 1, x, np.zeros(2))
+            oit.step(k, batch_for(system, k, x))
+            assert oit.contains(x)
+        assert oit._window_lp is None and oit.lifted_size == (oit._traj.n, oit._traj.m)
+
     def test_bounded_representation_past_window(self):
         system = pair_system()
         oit = OitFilter(system, pair_x0(), delta_bar=2)
@@ -283,22 +295,24 @@ class TestOit:
         monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
         monkeypatch.setattr(lp.LinearProgram, "replace", recording)
         flt = OitFilter(system, x0_box, db)
-        # the grown LP and the window are both built with the filter
-        assert len(built) == 2
-        window = built[1]
+        # only the grown LP is built with the filter
+        assert len(built) == 1
         stack = sysmodel.build_centralized(system)
-        entries, step_builds = [], 0
+        entries, window = [], None
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
             entries.append(filters._step_entry(stack, k, batch))
             built.clear()
             flt.step(k, batch)
-            step_builds += len(built)
             if k <= db:
-                assert reloaded == []
+                assert built == [] and reloaded == []
                 continue
-            # one reload of the window per step
-            assert reloaded == [window] * (k - db)
+            if k == db + 1:  # the first step past delta_bar builds the window
+                [window] = built
+            else:
+                assert built == []
+            # then one reload of the window per step
+            assert reloaded == [window] * (k - db - 1)
             fresh = filters._region(*filters._window_block(stack, entries[-(db + 1):]))
             assert_same_lp(window, fresh)
             got, want = flt.hull(), final_hull(fresh, system.state_dim())
@@ -306,7 +320,6 @@ class TestOit:
                 assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
             truth = np.array(rec["truth"])
             assert flt.contains(truth) and fresh.feasible_at(final_cols(fresh, truth.size), truth)
-        assert step_builds == 0
 
     @pytest.mark.parametrize(
         "doc",
@@ -832,20 +845,21 @@ class TestDistributed:
 
 class TestLpLifecycle:
     def test_no_filter_step_constructs_a_linear_program(self, monkeypatch):
-        # every LP a filter steps is built with the filter; a step only
-        # appends a block or writes numbers in place
-        built = {"construction": 0, "step": 0}
+        # every LP a filter steps is built with the filter, but for the
+        # fixed-lag window, built at the first step past delta_bar; any
+        # other step only appends a block or writes numbers in place
+        built = {}  # LPs built per phase: "construction", or (filter, step)
         phase = ["construction"]
         init = lp.LinearProgram.__init__
 
         def counting(self, *args):
-            built[phase[0]] += 1
+            built[phase[0]] = built.get(phase[0], 0) + 1
             init(self, *args)
 
         monkeypatch.setattr(lp.LinearProgram, "__init__", counting)
         for cls in (CentralizedFilter, OitFilter, DistributedFilter):
             def stepping(self, k, batch, step=cls.step):
-                phase[0] = "step"
+                phase[0] = (type(self).__name__, k)
                 try:
                     step(self, k, batch)
                 finally:
@@ -856,8 +870,9 @@ class TestLpLifecycle:
         assert cfg.delta_bar < 8
         log = simharness.run_trial(cfg, 0, metrics="full")
         assert log.aborted is None and len(log.steps) == 8
-        # centralized 1, oit 2 (grown and window), distributed 1 per agent
-        assert built == {"construction": 3 + len(cfg.system.agent_ids), "step": 0}
+        # centralized 1, oit 1 (grown) and then its window, distributed 1 per agent
+        n = len(cfg.system.agent_ids)
+        assert built == {"construction": 2 + n, ("OitFilter", cfg.delta_bar + 1): 1}
 
 
 def filter_lps(flt):
@@ -867,6 +882,28 @@ def filter_lps(flt):
     if isinstance(flt, OitFilter):  # past delta_bar the grown LP is dropped
         return [region for region in (flt._traj, flt._window_lp) if region is not None]
     return [flt._traj]
+
+
+def each_lp(filters_, visit):
+    """Call ``visit`` once on every LP of the filters: on those built with
+    them now, and on each built by a step (the fixed-lag window, at the
+    first step past delta_bar) right after that step."""
+    seen = set()
+
+    def visit_new(flt):
+        for region in filter_lps(flt):
+            if id(region) not in seen:
+                seen.add(id(region))
+                visit(region)
+
+    for flt in filters_.values():
+        visit_new(flt)
+
+        def stepping(k, batch, flt=flt, step=flt.step):
+            step(k, batch)
+            visit_new(flt)
+
+        flt.step = stepping
 
 
 def three_filters(cfg, x0, row_by_row=False):
@@ -881,9 +918,10 @@ def three_filters(cfg, x0, row_by_row=False):
         "distributed": DistributedFilter(system, ranges),
     }
     if row_by_row:
-        for flt in filters_.values():
-            for region in filter_lps(flt):
-                region.bounds = lambda C, region=region: bounds_row_by_row(region, C)
+        def oracle(region):
+            region.bounds = lambda C: bounds_row_by_row(region, C)
+
+        each_lp(filters_, oracle)
     return filters_
 
 
@@ -923,17 +961,19 @@ class TestBlocks:
         x0, steps = replay(cfg)
         filters_ = three_filters(cfg, x0)
         hulls = []  # (rows, runs) per bounds call
-        for flt in filters_.values():
-            for region in filter_lps(flt):
-                [model] = wrap_models(region, _Runs)
 
-                def counting(C, model=model, bounds=region.bounds):
-                    before = model.runs
-                    lo_hi = bounds(C)
-                    hulls.append((len(C), model.runs - before))
-                    return lo_hi
+        def count(region):
+            [model] = wrap_models(region, _Runs)
 
-                region.bounds = counting
+            def counting(C, bounds=region.bounds):
+                before = model.runs
+                lo_hi = bounds(C)
+                hulls.append((len(C), model.runs - before))
+                return lo_hi
+
+            region.bounds = counting
+
+        each_lp(filters_, count)
         assert cfg.delta_bar < len(steps)
         for k, batch, _ in steps:
             for flt in filters_.values():
@@ -988,3 +1028,4 @@ class TestBlocks:
                     for a, b in zip(got[i]["hull"], want[i]["hull"]):
                         a, b = np.array(a), np.array(b)
                         assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), (k, alg, i)
+        assert "bounds" in vars(oracle["oit"]._window_lp)  # the window was compared too

@@ -1,7 +1,10 @@
 """Simulation harness: determinism, backends, persistence, noise handling."""
 
+import copy
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -61,7 +64,7 @@ class TestScenarioConfig:
             ({"half_width": -1.0}, "half_width"),
             ({"half_width": float("inf")}, "half_width"),
             ({"center_low": 1.0, "center_high": -1.0}, "center_low/center_high"),
-            ({"center_high": float("inf")}, "center_low/center_high"),
+            ({"center_high": float("inf")}, "center_high"),
         ],
         ids=["negative-half-width", "infinite-half-width", "crossed-centers", "infinite-center"],
     )
@@ -112,6 +115,83 @@ class TestScenarioConfig:
         doc["horizon"] = 0
         with pytest.raises(Exception):
             ScenarioConfig(doc)
+
+
+_DELETED = object()
+
+# what a key's value is replaced by: the pool of ROADMAP item 6(a), with
+# the key deleted, and an integer literal that no float holds
+MUTATION_POOL = [
+    None, True, 0, -1, 0.5, np.nan, np.inf, -np.inf, 1e300, 2**40, "x",
+    [1.0, 2.0], [[1.0], [2.0]], {}, _DELETED, 10**400,
+]
+
+
+def _key_paths(node, keys=()):
+    """The keys leading to every dict key of ``node``, at any depth; a list
+    is entered, and its entries are not mutated themselves."""
+    if isinstance(node, dict):
+        for key, val in node.items():
+            yield keys + (key,)
+            yield from _key_paths(val, keys + (key,))
+    elif isinstance(node, list):
+        for i, val in enumerate(node):
+            yield from _key_paths(val, keys + (i,))
+
+
+def _names(keys):
+    """The paths a SchemaError may start with for the key at ``keys``: its
+    own and its ancestors', as the schema writes them (``scenario.horizon``,
+    ``agents[0].dynamics.T``, ``agents[1].relative_noise[2].lo``)."""
+    if keys[0] == "agents":  # the list is scenario.agents, and its entries agents[i]
+        names, first = ["scenario.agents", "agents"] + [f"agents[{i}]" for i in keys[1:2]], 2
+    else:
+        names, first = [f"scenario.{keys[0]}"], 1
+    for t in range(first, len(keys)):
+        names.append(names[-1] + (f"[{keys[t]}]" if keys[t - 1] == "relative_noise" else f".{keys[t]}"))
+    return names
+
+
+class TestSchemaProperty:
+    """Every single-key mutation of a scenario (ROADMAP item 6(a)): the
+    scenario parses, or ``ScenarioConfig`` raises a SchemaError that starts
+    with the path of the key or of one of its ancestors, or with
+    ``scenario:`` for a property of the whole system; a parsed scenario of
+    horizon 5 or less runs to a log at both metric levels, aborts allowed.
+    The enumeration is exhaustive, so it needs no random draws."""
+
+    @pytest.mark.parametrize("name", ["uav5", "pair1d", "hetero3"])
+    def test_every_single_key_mutation_parses_or_names_its_key(self, name):
+        if name == "hetero3":
+            base = json.loads((pathlib.Path(__file__).parent / "hetero3.json").read_text())
+        else:
+            base = simharness.builtin_scenario(name)
+        base["horizon"] = 3
+        text = json.dumps(base)
+        for keys in list(_key_paths(base)):
+            for value in MUTATION_POOL:
+                doc = json.loads(text)
+                parent = doc
+                for key in keys[:-1]:
+                    parent = parent[key]
+                if value is _DELETED:
+                    del parent[keys[-1]]
+                else:
+                    parent[keys[-1]] = copy.deepcopy(value)
+                where = f"{'/'.join(map(str, keys))} = {'deleted' if value is _DELETED else repr(value)[:20]}"
+                try:
+                    cfg = ScenarioConfig(doc)
+                except sysmodel.SchemaError as e:
+                    msg = str(e)
+                    named = any(re.match(re.escape(path) + r"(?!\w)", msg) for path in _names(keys))
+                    assert named or msg.startswith("scenario:"), (where, msg)
+                    continue
+                if cfg.K <= 5:
+                    for metrics in ("full", "containment"):
+                        try:
+                            simharness.run_trial(cfg, 0, metrics).dumps()
+                        except Exception as e:  # noqa: BLE001 - name the mutation
+                            pytest.fail(f"{where}, {metrics}: {e!r}")
 
 
 class TestDraw:
@@ -497,8 +577,8 @@ class TestSolverFailure:
             # handed back from k = 2 on (there is none before the first solve)
             ("passModel", ["centralized", "oit", "distributed"], 1),
             ("setBasis", ["centralized", "oit", "distributed"], 2),
-            # the window LP from k = delta_bar + 1 = 4 on, and so on
-            ("passModel", ["centralized", "oit"], 4),
+            # the window LP, built at k = delta_bar + 1 = 4, from k = 5 on
+            ("passModel", ["centralized", "oit"], 5),
             ("setBasis", ["centralized", "oit"], 5),
         ],
         ids=["passModel-all", "setBasis-all", "passModel-window", "setBasis-window"],
@@ -552,18 +632,38 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_window_failure_after_rewrite_aborts(self, monkeypatch, metrics):
-        # the fixed-lag window LP is built at construction and reloaded
-        # from k = delta_bar + 1 on, where every solve on it then fails;
-        # the centralized LP only grows, so its solves never fail
+        # the fixed-lag window LP is built at k = delta_bar + 1 and reloaded
+        # from k = delta_bar + 2 on, where every solve on it then fails;
+        # the centralized LP only grows, so its solves never fail.  A
+        # containment step past the window's first solves only when the
+        # one-step witness fails its check, which is forced here
         new = lp._new_model
         monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceRewritten(new()))
+        if metrics == "containment":
+            monkeypatch.setattr(lp.LinearProgram, "satisfied_by", lambda *args: False)
         cfg = small_uav(h=8, algorithms=["centralized", "oit"])
         log = simharness.run_trial(cfg, 0, metrics=metrics)
-        k = cfg.delta_bar + 1
+        k = cfg.delta_bar + 2
         end = json.loads(log.dumps().splitlines()[-1])
         assert end["aborted"] == {"k": k, "agent": None, "reason": "numerical error"}
         assert end["violations"] == 0
         assert len(log.steps) == k - 1
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_overflowing_window_aborts(self, metrics):
+        # A = 1e10 with no noise on the state: the trajectory LP stays
+        # finite, but the window's dynamics A^31 overflow at its first
+        # step, k = delta_bar + 1 = 32, a numerical abort
+        doc = simharness.build_pair1d_scenario(horizon=33)
+        zero = {"lo": [0.0], "hi": [0.0]}
+        for ad in doc["agents"]:
+            ad.update(dynamics={"kind": "constant", "A": [[1e10]]}, process_noise=zero, initial_range=zero)
+        cfg = ScenarioConfig(dict(doc, delta_bar=31, algorithms=["oit"]))
+        log = simharness.run_trial(cfg, 0, metrics=metrics)
+        end = json.loads(log.dumps().splitlines()[-1])
+        assert end["aborted"] == {"k": 32, "agent": None, "reason": "numerical error"}
+        assert end["violations"] == 0
+        assert len(log.steps) == 31
 
     @pytest.mark.parametrize(
         "algorithms", [["centralized", "oit"], ["distributed"]], ids=["trajectory", "distributed"]
