@@ -22,7 +22,7 @@ objects.
 
 import numpy as np
 
-from .lp import INFEASIBLE, EmptySetError, LinearProgram
+from .lp import EPS_LP, INFEASIBLE, EmptySetError, LinearProgram
 
 __all__ = [
     "ConstrainedZonotope",
@@ -138,7 +138,7 @@ class Box:
     def radius(self):
         return (self.hi - self.lo) / 2.0
 
-    def contains_point(self, x, tol=1e-12):
+    def contains_point(self, x, tol=EPS_LP):
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.dim:
             raise ValueError("point dimension mismatch")

@@ -9,7 +9,8 @@ Three estimators:
   measurement batches starting from an unbounded prior, so the
   representation size stops growing.  Needs ``delta_bar >= mu0 - 1``
   where ``mu0`` is the system's observability index, which it computes
-  (``sysmodel.observability_index``).
+  (``sysmodel.observability_index``).  The centralized filter is this
+  filter without a window: both are one class, ``_LiftedFilter``.
 * ``DistributedFilter``: each agent runs a local recursion over its
   neighborhood joint state, refines its own block with the joint
   posteriors received from peers, and finalizes with an interval hull so
@@ -35,9 +36,10 @@ filter builds its stacks once, at construction.  Of these numbers only A
 (``StackedSystem.A(k)``) and Y change from one step to the next: B, H and
 the noise boxes are the stack's fixed parts.  An LP whose structure is
 fixed and whose numbers move, the fixed-lag window and each distributed
-agent's LP, keeps a dense copy of its matrix and bounds, writes each
-step's numbers into that copy and reloads the model whole
-(``lp.LinearProgram.replace``), which keeps its basis.
+agent's LP, is reloaded whole at each step (``lp.LinearProgram.replace``),
+which keeps its basis: the window rebuilt from its entries
+(``_window_block``), an agent LP from the dense copy of its matrix and
+bounds that it keeps and writes each step's numbers into (``_AgentLP``).
 
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``), with each step's states substituted out: per owner, its
@@ -60,22 +62,26 @@ every state and process noise so far (``_LiftedFilter``), one step block
 of the centralized stack per step; the set is the LP's feasible set
 projected on the final state.  A step appends its block of columns and
 rows to the same ``lp.LinearProgram``, so every solve warm-starts from
-the last basis, across steps too.  The fixed-lag filter grows the same LP
-up to ``delta_bar``.  Past it, its window of the last ``delta_bar + 1``
-batches, with the window's first state x_a free, is one LP over x_a, the
-window's process noises w and the final state (``_window_block``), the
+the last basis, across steps too.  The fixed-lag filter is the same class
+with a window: it grows the same LP up to ``delta_bar``, and its records
+there are the centralized filter's, whether or not the two run together.
+Past it, its window of the last ``delta_bar + 1`` batches, with the
+window's first state x_a free, is one LP over x_a, the window's process
+noises w and the final state (``_window_block``), the
 finite-horizon filter of Cong, Wang & Zhou (*IEEE TAC* 67(5), 2022): the
 states in between are substituted out, so the measurement rows of the
 window's j-th batch read H Φ_j (x_a, w), Φ_j being the window's first j
 steps of dynamics, as in the observability matrix [H; H Φ_1; ...] of
 ``sysmodel.observability_index``; the last batch's read H x_k, and the
 final state's rows tie x_k to (x_a, w).  That LP is built at the first
-step past ``delta_bar``.  A time-varying A(k) moves every coefficient of
-it at every step, so each later step reloads it whole.
+step past ``delta_bar``, from the buffered entries, and no witness enters
+it.  A time-varying A(k) moves every coefficient of it at every step, so
+each later step reloads it whole.
 
 ``hull`` solves the final state's interval hull.  ``contains`` first
 tries a one-step witness: the feasible LP point behind the last step's
-``True``, carried one step by the recursion to the queried state and
+``True``, carried one step by the recursion to the queried state (on a
+trajectory LP extended by a step, on a window shifted by one) and
 checked against the LP's bounds and its rows as they were last written
 (``lp.LinearProgram.satisfied_by``); a point that passes is a primal
 certificate of membership.  Only when there is no witness, or it fails
@@ -87,9 +93,11 @@ the unpinned region once per step, so that an empty posterior raises
 on some coordinates of the state is the probe alone.
 
 Every hull is ``lp.LinearProgram.bounds`` of the state's columns, so
-an empty posterior raises ``lp.EmptySetError``.  Noise ranges are boxes
-by the system model's type, and the LPs bound their first states by the
-initial sets, so all three filters take their initial sets as ``Box``es.
+an empty posterior raises ``lp.EmptySetError``.  A step whose dynamics
+A(k) is not finite raises ``lp.NumericalError`` (``_dynamics``).  Noise
+ranges are boxes by the system model's type, and the LPs bound their
+first states by the initial sets, so all three filters take their
+initial sets as ``Box``es.
 
 Steps are numbered so that step 0 is initialization only; the first
 measurement batch arrives at k = 1.
@@ -136,10 +144,19 @@ def _unit_rows(n, cols):
     return C
 
 
+def _dynamics(stack, k):
+    """``stack``'s A(k); a non-finite entry (a time-varying model read past
+    the float range) raises ``lp.NumericalError``."""
+    A = stack.A(k)
+    if not np.all(np.isfinite(A)):
+        raise lp.NumericalError(f"dynamics A({k}) not finite")
+    return A
+
+
 def _step_entry(stack, k, batch):
     """What of step k moves, as (A, Y): the dynamics A(k - 1) of ``stack``
-    and the batch's measurements in its row order."""
-    return stack.A(k - 1), sysmodel.stack_measurements(stack, batch)
+    (``_dynamics``) and the batch's measurements in its row order."""
+    return _dynamics(stack, k - 1), sysmodel.stack_measurements(stack, batch)
 
 
 def _measurement_bounds(Y, vbox):
@@ -236,31 +253,38 @@ def _extend_trajectory(region, stack, A, Y):
 
 
 class _LiftedFilter:
-    """What the centralized and fixed-lag filters share: a posterior held
-    as the final state, the last columns, of an LP (``_post``: the
-    trajectory LP ``_traj`` over (x_0, w_1, x_1, ..., w_k, x_k), grown by
-    ``_extend_trajectory``, or the fixed-lag window), the step bookkeeping
-    and the queries on it.
+    """The centralized and fixed-lag filters: a posterior held as the final
+    state, the last columns, of one LP, ``_post``, with the step
+    bookkeeping and the queries on it.
+
+    Without a window (``delta_bar`` None), and with one up to step
+    ``delta_bar``, ``_post`` is the trajectory LP over (x_0, w_1, x_1, ...,
+    w_k, x_k), grown by a step block per step (``_extend_trajectory``).  At
+    step ``delta_bar + 1`` it becomes the LP of the buffered last
+    ``delta_bar + 1`` step entries (``_window_block``), of constant size,
+    which each later step reloads (``lp.LinearProgram.replace``).
 
     ``contains`` keeps a witness (k, p, y, checked): the
     state p it last found in the step-k posterior and y, a feasible point
     of that step's LP whose final state is p.  ``checked`` is
     (LinearProgram, its ``reloads``, rows) when y was verified against
     those leading rows of that LP (``_try_witness``), None for a solver's
-    point.
+    point.  The first window, a new LP, starts without one.
     """
 
-    def __init__(self, system, initial):
+    def __init__(self, system, initial, delta_bar=None):
         """``initial`` is the stacked initial state's Box."""
         if not isinstance(initial, Box):
             raise ValueError("initial set is not a Box")
         if initial.dim != system.state_dim():
             raise ValueError("initial set dimension mismatch")
         self.system = system
+        self.delta_bar = delta_bar
         self.k = 0
         self._stack = sysmodel.build_centralized(system)
-        self._traj = self._post = lp.LinearProgram(np.zeros((0, initial.dim)), np.zeros(0), initial.lo, initial.hi)
+        self._post = lp.LinearProgram(np.zeros((0, initial.dim)), np.zeros(0), initial.lo, initial.hi)
         self._B_pinv = np.linalg.pinv(self._stack.B)
+        self._window = []  # the last delta_bar + 1 step entries, oldest first, if there is a window
         self._entry = None  # (A, Y) of step k
         self._hull_rows = np.zeros((0, 0))  # what ``hull`` bounds, for an LP of its width
         self._witness = None
@@ -271,7 +295,15 @@ class _LiftedFilter:
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
         entry = _step_entry(self._stack, k, batch)
-        self._consume(k, entry)
+        db = self.delta_bar
+        if db is not None:
+            self._window = (self._window + [entry])[-(db + 1) :]
+        if db is None or k <= db:
+            _extend_trajectory(self._post, self._stack, *entry)
+        elif k == db + 1:  # the first window: a new LP, which no witness enters
+            self._post, self._witness = _region(*_window_block(self._stack, self._window)), None
+        else:
+            self._post.replace(*_window_block(self._stack, self._window))
         self._entry = entry
         self.k = k
 
@@ -344,9 +376,17 @@ class _LiftedFilter:
         return True
 
     def _carry(self, y, w, x):
-        """The point of this step's trajectory LP that extends y, a point of
-        the last step's, by the noise w and the state x."""
-        return np.concatenate([y, w, x])
+        """The point of this step's LP that extends y, a point of the last
+        step's, by the noise w and the state x: on the trajectory LP, y
+        followed by (w, x); on a window after the first, (x_a, w_1, ...,
+        w_d, x), with x_a moved a step, A x_a + B w_1, and y's noises
+        shifted by one."""
+        if self.delta_bar is None or self.k <= self.delta_bar:
+            return np.concatenate([y, w, x])
+        n, p = self._stack.B.shape
+        noises = np.concatenate([y[n:-n], w])
+        start = self._window[0][0] @ y[:n] + self._stack.B @ noises[:p]
+        return np.concatenate([start, noises[p:], x])
 
     @property
     def lifted_size(self):
@@ -356,67 +396,21 @@ class _LiftedFilter:
 
 
 class CentralizedFilter(_LiftedFilter):
-    """Full-information recursion on the stacked system."""
-
-    def _consume(self, k, entry):
-        _extend_trajectory(self._traj, self._stack, *entry)
+    """Full-information recursion on the stacked system: the trajectory LP
+    of every step so far, without a window."""
 
 
 class OitFilter(_LiftedFilter):
-    """Fixed-lag recursion with bounded representation size.
-
-    For k <= delta_bar the posterior is grown exactly as the centralized
-    one (same LP, same inputs).  Beyond that it is the LP of the buffered
-    window of the last delta_bar + 1 batches (``_window_block``), with the
-    state at k - delta_bar free, which caps its columns and rows at a
-    constant.  That LP is built once, at the first step past delta_bar,
-    from that step's window; each later step reloads it with the new
-    window's numbers (``lp.LinearProgram.replace``), so its solves
-    warm-start from the last basis.
-    """
+    """Fixed-lag recursion with bounded representation size: the window of
+    the last ``delta_bar + 1`` batches past ``delta_bar`` (``_LiftedFilter``)."""
 
     def __init__(self, system, initial, delta_bar):
-        super().__init__(system, initial)
+        super().__init__(system, initial, int(delta_bar))
         mu0 = sysmodel.observability_index(system)
         if delta_bar < mu0 - 1:
             raise WindowTooShortError(
                 f"delta_bar={delta_bar} below observability requirement {mu0 - 1}"
             )
-        self.delta_bar = int(delta_bar)
-        self._window = []  # step entries, oldest first
-        self._window_lp = None
-
-    def _consume(self, k, entry):
-        self._window.append(entry)
-        if len(self._window) > self.delta_bar + 1:
-            self._window.pop(0)
-        if k <= self.delta_bar:
-            _extend_trajectory(self._traj, self._stack, *entry)
-        elif self._window_lp is None:
-            self._window_lp = self._post = _region(*_window_block(self._stack, self._window))
-            self._traj = None  # the grown LP is not read again
-        else:
-            self._window_lp.replace(*_window_block(self._stack, self._window))
-
-    def _carry(self, y, w, x):
-        """The point of this step's LP that extends y, the last step's
-        witness point, by the noise w and the state x.  Past delta_bar
-        that is the window's (x_a, w_1, ..., w_d, x): on the first window
-        x_a and w_2, ..., w_d are x_1 and the noises of the trajectory
-        point y (with d = 0, x_a is x itself); on each later one x_a moves
-        a step, A x_a + B w_1, and the noises shift by one."""
-        if self.k <= self.delta_bar:
-            return super()._carry(y, w, x)
-        n, p = self._stack.B.shape
-        if self.k == self.delta_bar + 1:  # y = (x_0, w_1, x_1, ..., w_d, x_d)
-            if not self.delta_bar:  # the window (x_a, x_k) of one state
-                return np.concatenate([x, x])
-            steps = y[n:].reshape(self.delta_bar, p + n)
-            start, noises = steps[0, p:], np.append(steps[1:, :p], w)
-        else:  # y = (x_a, w_1, ..., w_d, p)
-            noises = np.concatenate([y[n:-n], w])
-            start, noises = self._window[0][0] @ y[:n] + self._stack.B @ noises[:p], noises[p:]
-        return np.concatenate([start, noises, x])
 
 
 def _message(stack, A, Y, hulls):
@@ -540,7 +534,7 @@ class DistributedFilter:
         self.hulls = {i: initial_ranges[i] for i in ids}
         self.k = 0
         self._stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
-        sent = {o: _message(st, st.A(0), np.zeros(st.H.shape[0]), self.hulls)
+        sent = {o: _message(st, _dynamics(st, 0), np.zeros(st.H.shape[0]), self.hulls)
                 for o, st in self._stacks.items()}
         self._lps = {i: _AgentLP(system, i, self._stacks, [sent[o] for o in [i] + system.topology.peers(i)])
                      for i in ids}

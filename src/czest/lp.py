@@ -91,7 +91,8 @@ module by ``from``-import or through ``sys.modules``.)  A scipy whose
 package directory holds no such file raises ``ImportError`` naming the
 directory searched and the scipy version.  Rows arrive as dense arrays,
 and ``extend`` and ``replace`` build HiGHS's compressed sparse row arrays
-from them with numpy, so nothing here imports ``scipy.sparse``.
+from them with numpy, so nothing here imports ``scipy.sparse``.  Each
+region keeps one such set of its rows, of which its model holds a prefix.
 """
 
 import importlib.machinery
@@ -208,9 +209,11 @@ class LinearProgram:
         self._strategy = _DUAL  # the model's simplex_strategy, HiGHS's default
         self._zero_cost = True  # the model's objective is zero
         self._changed = True  # the region changed since the last solve
-        self._rows = []  # (first row, rows as _region_rows gives them, b_lo, b_hi) per extend or reload
-        self._flushed = 0  # how many of _rows the model holds (``_flush``)
-        self._held = 0  # how many columns the model holds
+        # the rows as compressed sparse rows: each row's first entry, the
+        # entries' columns and values, and the row bounds
+        self._start, self._index = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+        self._value, self._b_lo, self._b_hi = np.zeros(0), np.zeros(0), np.zeros(0)
+        self._held = (0, 0)  # (columns, rows) the model holds
         self._block = None  # the block of each column (``_blocks``), None until it is asked for
         self._plan = None  # (C's nonzero pattern, its batches) of the last multi-row ``bounds`` (``_batches``)
         self.extend(lo, hi, A, b, b)
@@ -235,31 +238,33 @@ class LinearProgram:
         start, index, value = _region_rows(A, cols, self.n + added)
         r = start.size
         b_lo, b_hi = _bound_vectors(b_lo, b_hi, r, "row")
-        self._rows.append((self.m, start, index, value, b_lo, b_hi))
+        self._start = np.concatenate([self._start, start + np.int32(self._index.size)])
+        self._index = np.concatenate([self._index, index])
+        self._value = np.concatenate([self._value, value])
+        self._b_lo, self._b_hi = np.concatenate([self._b_lo, b_lo]), np.concatenate([self._b_hi, b_hi])
         self.lo = np.concatenate([self.lo, lo])
         self.hi = np.concatenate([self.hi, hi])
         self.m, self.n = self.m + r, self.n + added
         self._all = np.arange(self.n, dtype=np.int32)  # every column, as changeColsCost takes them
         self._block = self._plan = None
-        if not self._rows[self._flushed][0]:  # the model holds no row yet
+        self._changed = True
+        if not self._held[1]:  # the model holds no row yet
             self._flush()
 
     def _flush(self):
         """Add the columns and rows that ``extend`` appended since the
-        model last grew: one ``addCols`` and one ``addRows`` call."""
-        pending, self._flushed = self._rows[self._flushed :], len(self._rows)
-        h, held = self._highs, self._held
-        added, self._held = self.n - held, self.n
-        self._changed = True
+        model last grew, if any: one ``addCols`` and one ``addRows``
+        call."""
+        h, (n, m) = self._highs, self._held
+        self._held = self.n, self.m
+        added = self.n - n
         if added:
-            _check(h.addCols(added, np.zeros(added), self.lo[held:], self.hi[held:], 0,
+            _check(h.addCols(added, np.zeros(added), self.lo[n:], self.hi[n:], 0,
                              np.zeros(added, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
-        r = self.m - pending[0][0]
-        if r:
-            before = np.cumsum([0] + [index.size for _, _, index, *_ in pending])  # entries of the earlier rows
-            start = np.concatenate([s + e for (_, s, *_), e in zip(pending, before)]).astype(np.int32)
-            index, value, b_lo, b_hi = (np.concatenate(parts) for parts in list(zip(*pending))[2:])
-            _check(h.addRows(r, b_lo, b_hi, value.size, start, index, value), "addRows")
+        if self.m > m:
+            first = self._start[m]
+            _check(h.addRows(self.m - m, self._b_lo[m:], self._b_hi[m:], self._index.size - first,
+                             self._start[m:] - first, self._index[first:], self._value[first:]), "addRows")
 
     def replace(self, lo, hi, A, b_lo, b_hi):
         """Load new numbers into the whole region in place: the column
@@ -276,15 +281,11 @@ class LinearProgram:
         if start.size != self.m:
             raise ValueError(f"A has {start.size} rows, expected {self.m}")
         b_lo, b_hi = _bound_vectors(b_lo, b_hi, self.m, "row")
-        if self._flushed < len(self._rows):
-            self._flush()  # so that the basis to restore spans every row
-        if self._block is not None and not (
-            len(self._rows) == 1 and np.array_equal(index, self._rows[0][2]) and np.array_equal(start, self._rows[0][1])
-        ):
+        self._flush()  # so that the basis to restore spans every row
+        if self._block is not None and not (np.array_equal(index, self._index) and np.array_equal(start, self._start)):
             self._block = self._plan = None  # the row pattern changed
         self.reloads += 1
-        self._rows = [(0, start, index, value, b_lo, b_hi)]
-        self._flushed = 1
+        self._start, self._index, self._value, self._b_lo, self._b_hi = start, index, value, b_lo, b_hi
         self.lo, self.hi = lo, hi
         self._changed = self._zero_cost = True
         h = self._highs
@@ -395,9 +396,8 @@ class LinearProgram:
         ``_batches``, until the row pattern changes: ``extend``, or a
         ``replace`` with another pattern."""
         if self._block is None:
-            rows = np.concatenate([at + _row_of(start, index.size) for at, start, index, *_ in self._rows])
-            cols = np.concatenate([index for _, _, index, *_ in self._rows])
-            self._block = _labels(cols, self.n + rows, self.n + self.m)[: self.n]
+            rows = _row_of(self._start, self._index.size)
+            self._block = _labels(self._index, self.n + rows, self.n + self.m)[: self.n]
         return self._block
 
     def feasible_at(self, cols, x):
@@ -417,8 +417,7 @@ class LinearProgram:
         lo, hi = self.lo[cols], self.hi[cols]
         if (x < lo - EPS_LP).any() or (x > hi + EPS_LP).any():
             return False
-        if self._flushed < len(self._rows):
-            self._flush()  # the pinned columns may be waiting
+        self._flush()  # the pinned columns may be waiting
         h = self._highs
         self._changed = True
         _check(h.changeColsBounds(cols.size, cols, x, x), "changeColsBounds")
@@ -444,14 +443,12 @@ class LinearProgram:
             return False
         if np.any(x < self.lo - EPS_LP) or np.any(x > self.hi + EPS_LP):
             return False
-        for at, start, index, value, b_lo, b_hi in self._rows:
-            if at + start.size <= first_row:
-                continue
-            Ax = np.bincount(_row_of(start, index.size), weights=value * x[index], minlength=start.size)
-            k = max(first_row - at, 0)
-            if not (np.all(Ax[k:] >= b_lo[k:] - EPS_LP) and np.all(Ax[k:] <= b_hi[k:] + EPS_LP)):
-                return False
-        return True
+        r = min(first_row, self.m)
+        first = self._start[r] if r < self.m else self._index.size
+        index = self._index[first:]
+        Ax = np.bincount(_row_of(self._start[r:] - first, index.size), weights=self._value[first:] * x[index],
+                         minlength=self.m - r)
+        return bool(np.all(Ax >= self._b_lo[r:] - EPS_LP) and np.all(Ax <= self._b_hi[r:] + EPS_LP))
 
     def _solve(self, c, sense="min"):
         """The one solve of every query, on arguments the query validated:
@@ -461,8 +458,7 @@ class LinearProgram:
         since the last solve, runs HiGHS (``_run``) and reads the
         optimizer into ``last_x`` (None unless optimal).  Returns the
         status."""
-        if self._flushed < len(self._rows):
-            self._flush()
+        self._flush()
         h = self._highs
         zero = c is None or not c.any()
         if not (zero and self._zero_cost):  # a zero objective is written only over a nonzero one

@@ -210,6 +210,14 @@ class ScenarioConfig:
         dims = [self.system.agents[i].n for i in self.system.agent_ids]
         self.plot_coords = _plot_coords(doc.get("plot_coords"), dims)
         self.noise_scale = sysmodel._real(doc.get("injected_noise_scale", 1.0), "scenario.injected_noise_scale", low=0)
+        scale = self.noise_scale
+        stack = sysmodel.build_centralized(self.system)
+        with np.errstate(over="ignore", invalid="ignore"):  # the widths are checked below
+            self.noise_ranges = [  # (lo, hi) of the process and of the measurement noise draws
+                (b.center - b.radius * scale, b.center + b.radius * scale) for b in (stack.Wset, stack.Vset)
+            ]
+            if not all(np.all(np.isfinite(hi - lo)) for lo, hi in self.noise_ranges):
+                raise sysmodel.SchemaError(f"scenario.injected_noise_scale: the noise boxes scaled by {scale} overflow")
         grid = doc.get("noise_grid")
         self.noise_grid = None if grid is None else sysmodel._real(grid, "scenario.noise_grid", low=0)
         if self.noise_grid == 0:
@@ -227,6 +235,12 @@ class ScenarioConfig:
             self.init_half_width = sysmodel._real(init.get("half_width", 2.0), at + "half_width", low=0)
             if self.init_center_low > self.init_center_high:
                 raise sysmodel.SchemaError("scenario.initial.center_low/center_high: must be low <= high")
+            # rng.uniform draws the centers, and then each box, over a finite width only
+            if not math.isfinite(self.init_center_high - self.init_center_low):
+                raise sysmodel.SchemaError("scenario.initial.center_low/center_high: high - low overflows")
+            reach = max(-self.init_center_low, self.init_center_high) + self.init_half_width
+            if not (math.isfinite(reach) and math.isfinite(2 * self.init_half_width)):
+                raise sysmodel.SchemaError("scenario.initial.half_width: the boxes' ends or widths overflow")
         else:
             self.fixed_initial = {}  # agent id -> its initial Box
             for idx, ad in enumerate(doc["agents"]):
@@ -266,7 +280,11 @@ def _draw(rng, lo, hi, grid=None):
     x = rng.uniform(lo, hi)
     if grid is None:
         return x
-    return np.clip(np.round(x / grid) * grid, lo, hi)
+    with np.errstate(over="ignore"):
+        steps = x / grid
+    # a quotient past the float range is of a draw far above the grid's
+    # scale, which stays as drawn
+    return np.clip(np.where(np.isfinite(steps), np.round(steps) * grid, x), lo, hi)
 
 
 # -- trial logs ---------------------------------------------------------------
@@ -351,10 +369,7 @@ def run_trial(cfg, trial_index=0, metrics="full"):
         np.concatenate([init_boxes[i].hi for i in ids]),
     )
     truth = _draw(rng, x0_box.lo, x0_box.hi, grid)
-    stack, scale = sysmodel.build_centralized(system), cfg.noise_scale
-    w_range, v_range = [
-        (box.center - box.radius * scale, box.center + box.radius * scale) for box in (stack.Wset, stack.Vset)
-    ]
+    w_range, v_range = cfg.noise_ranges
 
     log = TrialLog(
         {
@@ -390,8 +405,9 @@ def run_trial(cfg, trial_index=0, metrics="full"):
             for alg, f in flt.items():
                 f.step(k, batch)
                 if alg == "oit" and k <= cfg.delta_bar and "centralized" in algs_rec:
-                    # inside the window both filters grow the same LP from
-                    # the same entries, so their records are equal; solve it once
+                    # inside the window oit is the centralized filter: the
+                    # same LP from the same entries, so the same records, and
+                    # oit's window starts afresh either way; solve it once
                     algs_rec[alg] = algs_rec["centralized"]
                 else:
                     algs_rec[alg] = _step_metrics(alg, f, ids, truth, slices, metrics)
@@ -422,7 +438,7 @@ def _step_metrics(alg, f, ids, truth, slices, metrics):
     if alg == "distributed":
         for i in ids:
             hull = f.hulls[i]
-            contained = hull.contains_point(truth[slices[i]], tol=lp.EPS_LP)
+            contained = hull.contains_point(truth[slices[i]])
             rec[str(i)] = _agent_rec(hull if metrics == "full" else None, contained)
         return rec
     contained_all = f.contains(truth)

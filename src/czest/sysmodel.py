@@ -384,7 +384,8 @@ def observability_index(system):
     """Smallest mu with [H; H Phi(1); ...; H Phi(mu-1)] of full column rank.
 
     Phi(t) is the state transition product A(t-1)...A(0).  Raises
-    NotObservableError if no mu <= 2 * dim works.
+    NotObservableError if no mu <= 2 * dim works, or if a block of the
+    matrix is not finite before one does.
     """
     dim = system.state_dim()
     mu_max = 2 * dim
@@ -394,11 +395,14 @@ def observability_index(system):
     Phi = np.eye(dim)
     for mu in range(1, mu_max + 1):
         O = np.vstack(blocks)
+        if not np.all(np.isfinite(O)):
+            raise NotObservableError(f"observability matrix not finite at mu = {mu}")
         s = np.linalg.svd(O, compute_uv=False)
         if s.size and s[0] > 0 and np.sum(s > EPS_RANK * s[0]) == dim:
             return mu
-        Phi = stack.A(mu - 1) @ Phi
-        blocks.append(H @ Phi)
+        with np.errstate(over="ignore", invalid="ignore"):  # O is checked before its SVD
+            Phi = stack.A(mu - 1) @ Phi
+            blocks.append(H @ Phi)
     raise NotObservableError(f"system not observable within {mu_max} steps")
 
 
@@ -484,8 +488,11 @@ def _dynamics_from_dict(d, path):
             raise SchemaError(f"{path}.omega: must be nonzero")
 
         def A_of_k(k, omega=omega, T=T):
-            s1, s0 = np.sin((k + 1) * omega * T), np.sin(k * omega * T)
-            c1, c0 = np.cos((k + 1) * omega * T), np.cos(k * omega * T)
+            # an angle past the float range is inf, whose sine is a quiet
+            # NaN: the filters and ``observability_index`` check A
+            with np.errstate(invalid="ignore"):
+                s1, s0 = np.sin((k + 1) * omega * T), np.sin(k * omega * T)
+                c1, c0 = np.cos((k + 1) * omega * T), np.cos(k * omega * T)
             a11 = 1.0 + (s1 - s0) / omega
             a12 = -(c1 - c0) / omega
             return np.array(

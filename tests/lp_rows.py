@@ -11,8 +11,7 @@ from czest.lp import INFEASIBLE, UNBOUNDED, EmptySetError, NumericalError
 def _model(prog):
     """``prog``'s HiGHS model (``getLp``), with the rows that wait for the
     next solve entered."""
-    if prog._flushed < len(prog._rows):
-        prog._flush()
+    prog._flush()
     return prog._highs.getLp()
 
 

@@ -153,7 +153,7 @@ class TestCentralized:
         flt = CentralizedFilter(system, Box([-2.0, -1.0], [2.0, 3.0]))
         batch = batch_for(system, 1, [0.0, 1.0])
         flt.step(1, batch)
-        region = flt._traj
+        region = flt._post
         # columns x_0, w, x_1: w in its declared box
         assert (region.n, region.m) == (6, 6)
         assert region.lo[2:4].tolist() == [lo for lo, _ in w]
@@ -224,22 +224,26 @@ class TestOit:
             batch = sysmodel.measure(system, k, x, rng.uniform(-1, 1, 4))
             cent.step(k, batch)
             oit.step(k, batch)
-            assert_same_lp(oit._traj, cent._traj)
+            assert_same_lp(oit._post, cent._post)
 
     def test_window_of_one_state_carries_the_witness(self):
         # pair1d's observability index is 1, so delta_bar = 0 is valid: the
-        # window is (x_a, x_k) with x_a = x_k, and the k = 0 probe's point
-        # carried to k = 1 is (x, x)
+        # window is (x_a, x_k) with x_a = x_k.  The first window, at k = 1,
+        # is a new LP that no witness enters, so k = 1 probes; from k = 2
+        # the probe's point carried a step, (A x_a + B w, x), passes its check
         system = pair_system()
         oit = OitFilter(system, pair_x0(), delta_bar=0)
         x = np.array([0.5, 1.0])
         assert oit.contains(x)
-        x = sysmodel.step_truth(system, 0, x, np.zeros(2))
-        oit.step(1, batch_for(system, 1, x))
-        region = oit._post
-        assert region is oit._window_lp
-        assert oit.contains(x) == region.feasible_at(final_cols(region, x.size), x)
-        assert oit._witness[0] == 1 and oit._witness[3] is not None  # the carried point passed its check
+        built = oit._post
+        for k in (1, 2, 3):
+            x = sysmodel.step_truth(system, k - 1, x, np.zeros(2))
+            oit.step(k, batch_for(system, k, x))
+            region = oit._post
+            assert region is not built and region.n == 2 * x.size
+            assert oit.contains(x) == region.feasible_at(final_cols(region, x.size), x)
+            assert oit._witness[0] == k
+            assert (oit._witness[3] is not None) == (k > 1)  # a carried point that passed its check
 
     def test_window_far_past_the_horizon_is_never_built(self):
         # the window LP is built at the first step past delta_bar, so a
@@ -251,7 +255,8 @@ class TestOit:
             x = sysmodel.step_truth(system, k - 1, x, np.zeros(2))
             oit.step(k, batch_for(system, k, x))
             assert oit.contains(x)
-        assert oit._window_lp is None and oit.lifted_size == (oit._traj.n, oit._traj.m)
+        region = oit._post  # still the trajectory LP, one step block per step
+        assert oit.lifted_size == (region.n, region.m) == (2 + 3 * (2 + 2), 3 * (2 + 4))
 
     def test_bounded_representation_past_window(self):
         system = pair_system()
@@ -428,7 +433,8 @@ class TestWitness:
     )
     def test_answers_equal_the_lp_probe(self, doc, trial, nominal):
         # every whole-state answer equals the pinned probe of the same LP,
-        # and on nominal noise every step after the first is the witness's
+        # and on nominal noise every step after the first is the witness's,
+        # but oit's first window, a new LP that no witness enters
         cfg = simharness.ScenarioConfig(dict(doc, algorithms=["centralized", "oit"]))
         x0, steps = replay(cfg, trial)
         assert len(steps) == cfg.K if nominal else len(steps) > 0
@@ -446,7 +452,7 @@ class TestWitness:
                 assert got == flt.contains(truth, state), (k, flt)
         if nominal:
             assert falses == 0
-            assert witnessed == len(flts) * (cfg.K - 1)
+            assert witnessed == len(flts) * (cfg.K - 1) - 1
         else:
             assert falses > 0
 
@@ -474,7 +480,7 @@ class TestWitness:
         monkeypatch.setattr(lp.LinearProgram, "feasible_at", probing)
         for k, batch, truth in steps:
             flt.step(k, batch)
-            region = flt._traj
+            region = flt._post
             if k == 5:
                 # the first dynamics row of step 1 or of step 5
                 row = 0 if where == "first-block" else region.m - truth.size - flt._stack.H.shape[0]
@@ -879,9 +885,7 @@ def filter_lps(flt):
     """The LinearPrograms of a filter."""
     if isinstance(flt, DistributedFilter):
         return [m.program for m in flt._lps.values()]
-    if isinstance(flt, OitFilter):  # past delta_bar the grown LP is dropped
-        return [region for region in (flt._traj, flt._window_lp) if region is not None]
-    return [flt._traj]
+    return [flt._post]  # past delta_bar the grown LP is dropped
 
 
 def each_lp(filters_, visit):
@@ -1028,4 +1032,5 @@ class TestBlocks:
                     for a, b in zip(got[i]["hull"], want[i]["hull"]):
                         a, b = np.array(a), np.array(b)
                         assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), (k, alg, i)
-        assert "bounds" in vars(oracle["oit"]._window_lp)  # the window was compared too
+        assert oracle["oit"]._post.n < oracle["centralized"]._post.n  # the window was compared too
+        assert "bounds" in vars(oracle["oit"]._post)

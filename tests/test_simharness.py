@@ -65,8 +65,14 @@ class TestScenarioConfig:
             ({"half_width": float("inf")}, "half_width"),
             ({"center_low": 1.0, "center_high": -1.0}, "center_low/center_high"),
             ({"center_high": float("inf")}, "center_high"),
+            # finite numbers whose boxes, or the centers' range, overflow
+            ({"half_width": 1e308}, "half_width"),
+            ({"center_low": -1e308, "center_high": 1e308}, "center_low/center_high"),
         ],
-        ids=["negative-half-width", "infinite-half-width", "crossed-centers", "infinite-center"],
+        ids=[
+            "negative-half-width", "infinite-half-width", "crossed-centers", "infinite-center",
+            "overflowing-boxes", "overflowing-centers",
+        ],
     )
     def test_sampled_initial_ranges_must_be_valid(self, initial, key):
         doc = simharness.build_uav_scenario()
@@ -100,7 +106,7 @@ class TestScenarioConfig:
         assert (cfg.K if key == "horizon" else cfg.seed) == 5
 
     @pytest.mark.parametrize(
-        "scale", [-1.0, -1e-300, float("nan"), float("inf"), -float("inf"), True, "1.0"], ids=repr
+        "scale", [-1.0, -1e-300, float("nan"), float("inf"), -float("inf"), True, "1.0", 1e308], ids=repr
     )
     def test_injected_noise_scale_must_be_finite_and_nonnegative(self, scale):
         doc = simharness.build_pair1d_scenario()
@@ -120,10 +126,11 @@ class TestScenarioConfig:
 _DELETED = object()
 
 # what a key's value is replaced by: the pool of ROADMAP item 6(a), with
-# the key deleted, and an integer literal that no float holds
+# the key deleted, an integer literal that no float holds, and the edges
+# of the float range
 MUTATION_POOL = [
     None, True, 0, -1, 0.5, np.nan, np.inf, -np.inf, 1e300, 2**40, "x",
-    [1.0, 2.0], [[1.0], [2.0]], {}, _DELETED, 10**400,
+    [1.0, 2.0], [[1.0], [2.0]], {}, _DELETED, 10**400, 1e308, -1e308, 1e-308,
 ]
 
 
@@ -204,6 +211,13 @@ class TestDraw:
             assert np.allclose(x, snapped, atol=1e-12)
             assert np.all(x >= -1.0) and np.all(x <= 1.0)
 
+    def test_a_grid_far_below_the_draws_keeps_them(self):
+        # x / grid overflows: the draw is far above the grid's scale and
+        # stays as drawn, without a warning
+        lo, hi = np.array([-1e10, 2.0]), np.array([1e10, 3.0])
+        x = simharness._draw(np.random.default_rng(0), lo, hi, grid=1e-308)
+        assert np.array_equal(x, np.random.default_rng(0).uniform(lo, hi))
+
     def test_injected_noise_scale_sets_the_measurement_noise(self, monkeypatch):
         # pair1d measures y_i = x_i + v_i, v_i drawn from [-1, 1] scaled
         # about its center
@@ -244,6 +258,21 @@ class TestDeterminism:
         pooled = simharness.run_monte_carlo(cfg, 3, metrics="full", workers=2)
         for la, lb in zip(inline.logs, pooled.logs):
             assert la.dumps() == lb.dumps()
+
+    @pytest.mark.parametrize("horizon, metrics", [(12, "full"), (30, "containment")])
+    @pytest.mark.parametrize("name, seed", [("uav5", 1), ("uav5", 9173), ("pair1d", 1), ("pair1d", 9173)])
+    def test_a_filter_alone_logs_as_with_the_others(self, name, seed, horizon, metrics):
+        # each filter's records, and its sizes, are the same bytes whether
+        # it runs alone or beside the other two
+        doc = dict(simharness.builtin_scenario(name), horizon=horizon, seed=seed)
+        together = simharness.run_trial(ScenarioConfig(doc), 0, metrics)
+        assert together.aborted is None and len(together.steps) == horizon
+        for alg in simharness.ALGORITHMS:
+            alone = simharness.run_trial(ScenarioConfig(dict(doc, algorithms=[alg])), 0, metrics)
+            assert alone.aborted is None and len(alone.steps) == horizon
+            for k, (a, b) in enumerate(zip(alone.steps, together.steps), 1):
+                for key in ("algs", "sizes"):
+                    assert json.dumps(a[key][alg], sort_keys=True) == json.dumps(b[key][alg], sort_keys=True), (alg, k)
 
     def test_thread_budget_env(self, monkeypatch):
         monkeypatch.setenv("CZEST_THREADS", "5")
@@ -327,7 +356,7 @@ class TestGrownTrajectory:
             entries.append(filters._step_entry(stack, k, batch))
             probed.step(k, batch)
             plain.step(k, batch)
-            region = probed._traj
+            region = probed._post
             fresh = lp.LinearProgram(np.zeros((0, x0_box.dim)), [], x0_box.lo, x0_box.hi)
             for e in entries:
                 filters._extend_trajectory(fresh, stack, *e)
@@ -664,6 +693,20 @@ class TestSolverFailure:
         assert end["aborted"] == {"k": 32, "agent": None, "reason": "numerical error"}
         assert end["violations"] == 0
         assert len(log.steps) == 31
+
+    @pytest.mark.parametrize("algorithms", [["centralized"], ["oit"], ["distributed"]], ids=lambda a: a[0])
+    def test_dynamics_past_the_float_range_abort(self, algorithms):
+        # T = 1e307 on one uav5 agent: its turn angle k omega T passes the
+        # float range at k = 18, where A(17), the dynamics of step 18, is
+        # NaN: a numerical abort of every filter, never a crash
+        doc = simharness.build_uav_scenario(horizon=30)
+        doc["agents"][0]["dynamics"]["T"] = 1e307
+        omega = doc["agents"][0]["dynamics"]["omega"]
+        k = next(k for k in range(1, 31) if not np.isfinite(k * omega * 1e307))
+        assert k == 18
+        log = simharness.run_trial(ScenarioConfig(dict(doc, algorithms=algorithms)), 0, metrics="containment")
+        assert log.aborted == {"k": k, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0 and len(log.steps) == k - 1
 
     @pytest.mark.parametrize(
         "algorithms", [["centralized", "oit"], ["distributed"]], ids=["trajectory", "distributed"]

@@ -264,6 +264,16 @@ class TestObservability:
         with pytest.raises(NotObservableError):
             sysmodel.observability_index(system)
 
+    def test_dynamics_past_the_float_range_are_not_observable(self):
+        # omega = 1e308 on one uav5 agent: its A(1) reads the sine of an
+        # infinite angle, NaN, before the matrix reaches full rank
+        doc = simharness.build_uav_scenario()
+        doc["agents"][0]["dynamics"]["omega"] = 1e308
+        with pytest.raises(NotObservableError, match="not finite"):
+            sysmodel.observability_index(sysmodel.system_from_dict(doc))
+        with pytest.raises(sysmodel.SchemaError, match="^scenario: "):
+            simharness.ScenarioConfig(doc)
+
 
 class TestMeasurementBatch:
     def test_round_trip(self):
