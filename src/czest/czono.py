@@ -279,16 +279,22 @@ def project(Z, coords):
     return ConstrainedZonotope(Z.G[coords, :], Z.c[coords], Z.A, Z.b, Z.h)
 
 
+def _lifted_block(Z):
+    """Z as one LP block (lo, hi, D, b_lo, b_hi) over its columns (xi, x),
+    x the last ``dim``: the rows A xi = b and x - G xi = c, xi in [-h, h]
+    and x free."""
+    n = Z.dim
+    D = np.block([[Z.A, np.zeros((Z.n_constraints, n))], [-Z.G, np.eye(n)]])
+    b, free = np.concatenate([Z.b, Z.c]), np.full(n, np.inf)
+    return np.concatenate([-Z.h, -free]), np.concatenate([Z.h, free]), D, b, b
+
+
 def _lifted(Z):
-    """Z's lifted LP over (xi, x), built at the first call and kept; x is
-    columns ``ng .. ng + dim - 1``."""
+    """Z's lifted LP over (xi, x) (``_lifted_block``), built at the first
+    call and kept; x is columns ``ng .. ng + dim - 1``."""
     if Z._region is None:
-        n, ng = Z.dim, Z.n_generators
-        rows = np.block([[Z.A, np.zeros((Z.n_constraints, n))], [-Z.G, np.eye(n)]])
-        free = np.full(n, np.inf)
-        Z._region = LinearProgram(
-            rows, np.concatenate([Z.b, Z.c]), np.concatenate([-Z.h, -free]), np.concatenate([Z.h, free])
-        )
+        lo, hi, D, b, _ = _lifted_block(Z)
+        Z._region = LinearProgram(D, b, lo, hi)
     return Z._region
 
 

@@ -38,24 +38,24 @@ the noise boxes are the stack's fixed parts.  An LP whose structure is
 fixed and whose numbers move, the fixed-lag window and each distributed
 agent's LP, is reloaded whole at each step (``lp.LinearProgram.replace``),
 which keeps its basis: the window rebuilt from its entries
-(``_window_block``), an agent LP from the dense copy of its matrix and
-bounds that it keeps and writes each step's numbers into (``_AgentLP``).
+(``_window_block``), an agent LP assembled from its owners' messages
+(``_AgentLP``).
 
 The distributed filter gives each agent one LP for the whole trial
-(``_AgentLP``), with each step's states substituted out: per owner, its
-own neighborhood and every peer's, the previous states x_prev (bounded by
-the last hulls) and the process noises w, and the owner's measurement
-rows over H A(k) x_prev + H B w.  Every owner's rows read the agent's
-one set of (x_prev, w) columns, which intersects the peers' joints with
-its own exactly, without a copy of its state per peer (``_AgentLP``).
-Every column is bounded.  Each step, every owner
-o's numbers are computed once, as a message (``_message``): A(k) and
-H A(k) of N̄_o, the measurement row bounds and the bounds of N̄_o's last
-hulls.  Each agent LP receives the messages of its owners and nothing
-else, so what it can read is local by construction.  A step writes the
-messages into the LP's dense copy, reloads it and solves the 2n bounds
-of the agent's state from the last basis.  The posterior is the hull
-(``hulls``).
+(``_AgentLP``), with each step's states substituted out.  Each step,
+every owner o's one-step set is computed once, as a message
+(``_message``): one LP block over N̄_o's previous states x_prev (bounded
+by their last hulls) and process noises w (in their W boxes), whose rows
+are o's measurements, H A(k) x_prev + H B w within the noise range.  An
+agent LP is the blocks of its owners, itself and every peer, assembled
+on shared columns (``_SharedColumns``): every block reads the agent's one
+set of (x_prev, w) columns, which intersects the peers' joints with its
+own exactly, without a copy of its state per peer.  The stacking oracle
+(``verify.lifted_refinement``) assembles its joints with the same code.
+Every column is bounded.  Each agent LP receives the messages of its
+owners and nothing else, so what it can read is local by construction.
+A step reloads the assembled LP and solves the 2n bounds of the agent's
+state from the last basis.  The posterior is the hull (``hulls``).
 
 The centralized posterior is held as one sparse "trajectory" LP over
 every state and process noise so far (``_LiftedFilter``), one step block
@@ -117,9 +117,9 @@ __all__ = [
 ]
 
 # Test hook: cmd_verify --inject-fault flips this to check that the
-# stacking and distributed oracles detect a wrong sign: that of
-# verify.coupling_rows, and that with which a peer's block of an agent LP
-# reads the agent's columns (read when the LP is built).
+# stacking and distributed oracles detect a wrong sign: that with which a
+# later block of a ``_SharedColumns`` LP reads the shared columns (read
+# when the LP is laid out).
 _COUPLING_SIGN = 1.0
 
 
@@ -414,94 +414,133 @@ class OitFilter(_LiftedFilter):
 
 
 def _message(stack, A, Y, hulls):
-    """Owner o's numbers of one step over its neighborhood stack (N̄_o):
-    (A, H A, the measurement row bounds (lo, hi) of Y, the bounds (lo, hi)
-    of N̄_o's last ``hulls``)."""
-    order = stack.state_order
-    x_bounds = np.concatenate([hulls[l].lo for l in order]), np.concatenate([hulls[l].hi for l in order])
-    return A, stack.H @ A, _measurement_bounds(Y, stack.Vset), x_bounds
+    """Owner o's one-step set over its neighborhood stack (N̄_o), as (A,
+    block): its dynamics A(k), which agent i's hull rows read when o is i,
+    and one LP block (lo, hi, D, b_lo, b_hi) over N̄_o's columns
+    (x_prev, w): the measurement rows of the state x = A x_prev + B w,
+
+        Y - v_hi <= H A(k) x_prev + H B w <= Y - v_lo  (``_measurement_bounds``),
+
+    with x_prev in N̄_o's last ``hulls`` and w in the stack's W box."""
+    order, W = stack.state_order, stack.Wset
+    return A, (
+        np.concatenate([hulls[l].lo for l in order] + [W.lo]),
+        np.concatenate([hulls[l].hi for l in order] + [W.hi]),
+        np.concatenate([stack.H @ A, stack.H @ stack.B], axis=1),
+        *_measurement_bounds(Y, stack.Vset),
+    )
+
+
+class _SharedColumns:
+    """One LP of blocks (lo, hi, D, b_lo, b_hi), each over its own columns,
+    that share one slot of columns, agent i's: the layout, laid out once
+    from each block's shape (``shapes``, its rows and columns) and the
+    slot's positions among its columns (``slots``), and the assembly of a
+    list of such blocks (``__call__``).
+
+    The blocks' rows follow each other in order.  The first block's columns
+    come first, in its order; each later block reads the slot through the
+    first block's columns of it, and its other columns follow, in its
+    order.  ``cols`` holds the LP column of each block column, ``own`` the
+    slot's LP columns and (``m``, ``n``) the LP's shape.  A later block
+    reads the slot with the sign ``_COUPLING_SIGN``, which ``czest verify
+    --inject-fault`` flips to check that the oracles catch a block that
+    reads agent i's state wrongly.
+    """
+
+    def __init__(self, shapes, slots):
+        self.cols, self.n, laid = [], 0, []
+        for (_, width), slot in zip(shapes, slots, strict=True):
+            cols, sign = np.full(width, -1), np.ones(width)
+            if self.cols:
+                cols[slot], sign[slot] = self.own, _COUPLING_SIGN
+            fresh = np.flatnonzero(cols < 0)
+            cols[fresh] = self.n + np.arange(fresh.size)
+            if not self.cols:
+                self.own = cols[slot]
+            self.n += fresh.size
+            self.cols.append(cols)
+            laid.append((sign, fresh))
+        # per block entry, its place in D (flat) and its sign; per LP
+        # column, the block column (in the blocks' concatenation) that
+        # bounds it: the first
+        at, signs, self._pick, self.m, first = [], [], np.empty(self.n, dtype=int), 0, 0
+        for (rows, width), cols, (sign, fresh) in zip(shapes, self.cols, laid):
+            at.append(((self.m + np.arange(rows))[:, None] * self.n + cols).ravel())
+            signs.append(np.tile(sign, rows))
+            self._pick[cols[fresh]] = first + fresh
+            self.m, first = self.m + rows, first + width
+        self._at, self._sign = np.concatenate(at), np.concatenate(signs)
+
+    def __call__(self, blocks):
+        """The LP (lo, hi, D, b_lo, b_hi) of ``blocks``, in layout order:
+        each block's rows in turn, on its columns.  Every block bounds the
+        slot alike; the first one's bounds are kept."""
+        col_lo, col_hi, rows, b_lo, b_hi = zip(*blocks)
+        D = np.zeros(self.m * self.n)
+        D[self._at] = np.concatenate([R.ravel() for R in rows]) * self._sign
+        return (
+            np.concatenate(col_lo)[self._pick],
+            np.concatenate(col_hi)[self._pick],
+            D.reshape(self.m, self.n),
+            np.concatenate(b_lo),
+            np.concatenate(b_hi),
+        )
 
 
 class _AgentLP:
     """Agent i's lifted refinement: one LinearProgram for the whole trial.
 
-    It holds the joint of each of its ``owners``: agent i and every peer
-    l in ``topology.peers(i)``, with each step's states substituted out.
-    Every agent of N̄_o enters owner o's block through its columns x_prev
-    (bounded by its last hull) and w (in its W box), and o's measurement
-    rows read the state x = A x_prev + B w of step k through its parts:
+    It holds the one-step sets of its ``owners``, agent i and every peer l
+    in ``topology.peers(i)``: the blocks of their messages (``_message``),
+    in ``owners`` order, each over N̄_o's previous states x_prev (bounded by
+    their last hulls) and process noises w (in their W boxes), the step's
+    states substituted out.  The blocks share agent i's one set of
+    (x_prev, w) columns (``_SharedColumns``), and each other agent of a
+    block has its own.  That is exact: A(k) and B are block-diagonal, so a
+    peer's rows read agent i only through A_i(k) x_prev + B_i w over the
+    same box (its last hull times W_i) as its own block's, and a copy per
+    peer tied to agent i's state would hold the same set.  Every column is
+    bounded.  The refined set of one step is the image of the feasible set
+    under [A_i(k) B_i] on agent i's columns, whose rows ``hull`` bounds.
 
-        Y - v_hi <= H A(k) x_prev + H B w <= Y - v_lo  (``_measurement_bounds``).
-
-    Agent i has one set of (x_prev, w) columns, read by every block; each
-    other agent of a block has its own.  That is exact: A(k) and B are
-    block-diagonal, so a peer's rows read agent i only through
-    A_i(k) x_prev + B_i w over the same box (its last hull times W_i) as
-    its own block's, and a copy per peer tied to agent i's state would
-    hold the same set.  Every column is bounded.  The refined set of one
-    step is the image of the feasible set under [A_i(k) B_i] on agent i's
-    columns, whose rows ``hull`` bounds.
-
-    The LP reads no data but its owners' messages (``_message``), in
-    ``owners`` order.  It keeps a dense copy of its matrix and bounds:
-    ``update`` writes each step's messages into it and reloads the model
-    (``lp.LinearProgram.replace``), so each step's solves start from the
-    last basis.
+    The LP reads no data but its owners' messages.  It is built from the
+    first ones, and each later step reloads it whole (``update``), so each
+    step's solves start from the last basis.
     """
 
     def __init__(self, system, i, stacks, messages):
-        """Build the model from ``messages``; ``stacks`` maps each owner o
-        to its neighborhood stack over N̄_o."""
+        """Lay out the LP and build it from ``messages``; ``stacks`` maps
+        each owner o to its neighborhood stack over N̄_o."""
         agents = system.agents
         self.owners = [i] + system.topology.peers(i)
         n, p = agents[i].n, agents[i].p
-        self._blocks = []  # per owner: (its rows, N̄_o's x_prev columns, the signs they are read with)
-        w_parts = []  # per owner: (its rows, N̄_o's w columns, H B as they read it, the W box)
-        own = None  # agent i's (x_prev, w) columns, laid out by its own block, the first
-        row = col = 0
+        shapes, slots = [], []
         for o in self.owners:
             st = stacks[o]
-            (nx, nw), m = st.B.shape, st.H.shape[0]
+            nx = st.B.shape[0]
             before = st.state_order[: st.state_order.index(i)]
             x_at, w_at = sum(agents[l].n for l in before), nx + sum(agents[l].p for l in before)
-            at = np.r_[x_at : x_at + n, w_at : w_at + p]  # agent i's part of N̄_o's (x_prev, w)
-            cols, sign = np.full(nx + nw, -1), np.ones(nx + nw)
-            if own is not None:
-                cols[at], sign[at] = own, _COUPLING_SIGN
-            fresh = np.flatnonzero(cols < 0)
-            cols[fresh] = col + np.arange(fresh.size)
-            own, rows = cols[at], slice(row, row + m)
-            self._blocks.append((rows, cols[:nx], sign[:nx]))
-            w_parts.append((rows, cols[nx:], st.H @ st.B * sign[nx:], st.Wset))
-            row, col = row + m, col + fresh.size
-        self._own = own
-        self._hull_rows = np.zeros((n, col))  # [A_i(k) B_i] on agent i's columns; ``_write`` writes A_i(k)
-        self._hull_rows[:, own[n:]] = agents[i].B
-        D, lo, hi = np.zeros((row, col)), np.empty(col), np.empty(col)
-        for rows, cols, HB, W in w_parts:
-            D[rows, cols] = HB
-            lo[cols], hi[cols] = W.lo, W.hi
-        self._D, self._lo, self._hi = D, lo, hi
-        self._b_lo, self._b_hi = np.zeros(row), np.zeros(row)
-        self._write(messages)
-        self.program = _region(lo, hi, D, self._b_lo, self._b_hi)
-
-    def _write(self, messages):
-        """Write the owners' ``messages`` into the dense copy: H A of
-        every owner, its measurement row bounds and the x_prev bounds, and
-        agent i's A_i(k) into the hull rows."""
-        n = self._hull_rows.shape[0]
-        self._hull_rows[:, self._own[:n]] = messages[0][0][:n, :n]  # i leads N̄_i
-        for (rows, cols, sign), (_, HA, y_bounds, x_bounds) in zip(self._blocks, messages, strict=True):
-            self._D[rows, cols] = HA * sign
-            self._b_lo[rows], self._b_hi[rows] = y_bounds
-            self._lo[cols], self._hi[cols] = x_bounds
+            shapes.append((st.H.shape[0], nx + st.B.shape[1]))
+            slots.append(np.r_[x_at : x_at + n, w_at : w_at + p])  # agent i's part of N̄_o's (x_prev, w)
+        self._layout = _SharedColumns(shapes, slots)
+        self._hull_rows = np.zeros((n, self._layout.n))  # [A_i(k) B_i] on agent i's columns
+        self._hull_rows[:, self._layout.own[n:]] = agents[i].B
+        self.program = None
+        self.update(messages)
 
     def update(self, messages):
-        """Load the owners' ``messages`` of the next step (``_write``) into
-        the model."""
-        self._write(messages)
-        self.program.replace(self._lo, self._hi, self._D, self._b_lo, self._b_hi)
+        """Load the owners' ``messages`` of a step: agent i's A_i(k) into
+        the hull rows, and the LP of their blocks (``_SharedColumns``) into
+        the model, built by the first call and reloaded by every later one
+        (``lp.LinearProgram.replace``)."""
+        n = self._hull_rows.shape[0]
+        self._hull_rows[:, self._layout.own[:n]] = messages[0][0][:n, :n]  # i leads N̄_i
+        region = self._layout([block for _, block in messages])
+        if self.program is None:
+            self.program = _region(*region)
+        else:
+            self.program.replace(*region)
 
     def hull(self):
         """Interval hull of agent i's refined own state."""

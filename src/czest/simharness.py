@@ -15,12 +15,14 @@ centralized stack's ``Wset`` and the measurement noise over its ``Vset``
 
 Every logged hull and containment flag comes from the filters
 themselves: the centralized and fixed-lag filters answer ``hull`` and
-``contains`` from their sparse trajectory LP (see ``czest.filters``),
+``contains`` from their posterior LP (see ``czest.filters``), the sparse
+trajectory LP, or past ``delta_bar`` the fixed-lag filter's window LP,
 whose hull is solved once per step and sliced per agent here; the
 distributed filter keeps its own hulls.  A step's ``sizes`` record holds
 the lifted (generators, constraints), i.e. the LP's (columns, rows): of
-the trajectory LP for the centralized and fixed-lag posteriors, and of
-each agent's lifted LP, constant over a trial, for the distributed one.
+that posterior LP for the centralized and fixed-lag filters, growing
+with k on the trajectory and constant on the window, and of each agent's
+lifted LP, constant over a trial, for the distributed one.
 """
 
 import json
@@ -176,6 +178,8 @@ class ScenarioConfig:
     """Parsed scenario plus run options; reconstructible from its doc."""
 
     def __init__(self, doc):
+        if not isinstance(doc, dict):
+            raise sysmodel.SchemaError(f"scenario: must be an object, got {type(doc).__name__}")
         self.doc = doc
         self.name = doc.get("name", "scenario")
         self.system = sysmodel.system_from_dict(doc)
@@ -256,10 +260,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_doc(cls, doc, **overrides):
-        doc = dict(doc)
-        for key, val in overrides.items():
-            if val is not None:
-                doc[key] = val
+        """The config of ``doc`` with the ``overrides`` that are not None
+        set; a ``doc`` that is no object is ``__init__``'s SchemaError."""
+        if isinstance(doc, dict):
+            doc = dict(doc, **{key: val for key, val in overrides.items() if val is not None})
         return cls(doc)
 
     def doc_json(self):

@@ -381,28 +381,33 @@ def measure(system, k, x, noise):
 
 
 def observability_index(system):
-    """Smallest mu with [H; H Phi(1); ...; H Phi(mu-1)] of full column rank.
+    """Smallest mu with O = [H; H Phi(1); ...; H Phi(mu-1)] of full column
+    rank.
 
-    Phi(t) is the state transition product A(t-1)...A(0).  Raises
+    Phi(t) is the state transition product A(t-1)...A(0).  Each mu stacks
+    the new block H Phi(mu-1) under S Vᵀ of the last SVD, O = U S Vᵀ: U has
+    orthonormal columns, so that matrix has O's singular values with the
+    block's rows added, and no SVD is larger than (dim + m) x dim.  Raises
     NotObservableError if no mu <= 2 * dim works, or if a block of the
-    matrix is not finite before one does.
+    matrix, or its largest singular value, is not finite before one does.
     """
     dim = system.state_dim()
     mu_max = 2 * dim
     stack = build_centralized(system)
     H = stack.H
-    blocks = [H]
-    Phi = np.eye(dim)
+    SVt, block, Phi = np.zeros((0, dim)), H, np.eye(dim)
     for mu in range(1, mu_max + 1):
-        O = np.vstack(blocks)
-        if not np.all(np.isfinite(O)):
+        if not np.all(np.isfinite(block)):
             raise NotObservableError(f"observability matrix not finite at mu = {mu}")
-        s = np.linalg.svd(O, compute_uv=False)
+        _, s, Vt = np.linalg.svd(np.vstack([SVt, block]), full_matrices=False)
+        if s.size and not np.isfinite(s[0]):
+            raise NotObservableError(f"observability matrix's norm overflows at mu = {mu}")
         if s.size and s[0] > 0 and np.sum(s > EPS_RANK * s[0]) == dim:
             return mu
-        with np.errstate(over="ignore", invalid="ignore"):  # O is checked before its SVD
+        SVt = s[:, None] * Vt
+        with np.errstate(over="ignore", invalid="ignore"):  # the block is checked before its SVD
             Phi = stack.A(mu - 1) @ Phi
-            blocks.append(H @ Phi)
+            block = H @ Phi
     raise NotObservableError(f"system not observable within {mu_max} steps")
 
 

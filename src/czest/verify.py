@@ -9,10 +9,10 @@ Suites:
   * geometry: randomized set-operation invariants on small CZs, with
     membership decided by LP and witnesses carried through constructions.
   * stacking: the lifted refinement (each joint a block of generator and
-    state columns, tied by this oracle's own ``coupling_rows``; the
-    filter's agent LPs share the columns instead) must represent exactly
-    the same set as the project/intersect composition built from
-    primitives.
+    state columns, assembled with the filter's agent LPs' code,
+    ``filters._SharedColumns``, so that every joint reads this agent's
+    state through the same columns) must represent exactly the same set
+    as the project/intersect composition built from primitives.
   * oracle: the centralized filter against an exhaustive lattice oracle
     on a two-agent scalar scenario.
   * ordering: centralized hull diameters never exceed the fixed-lag or
@@ -20,10 +20,13 @@ Suites:
     hulls lie inside the distributed ones, and inside the fixed-lag ones
     past its window.
   * backends: the centralized and fixed-lag hulls a trial logs (from the
-    filters' trajectory LPs) agree on short horizons with those of the
-    dense accumulated recursion (``_dense_predict``, ``_dense_update``),
+    filters' trajectory LPs, and past ``delta_bar`` from the fixed-lag
+    filter's window LP) agree on short horizons with those of the dense
+    accumulated recursion (``_dense_predict``, ``_dense_update``),
     replayed here as a test-only reference from the trial's logged
-    measurements.
+    measurements.  The stacking suite's shared-column assembly is the
+    filter's own code; this suite and the next are its independent
+    checks.
   * distributed: the distributed hulls a trial logs (from the agents'
     lifted LPs) agree with those of the dense composition of one
     distributed step, replayed per step from the logged previous hulls.
@@ -31,7 +34,7 @@ Suites:
 
 import numpy as np
 
-from . import czono, filters, lp, simharness, sysmodel
+from . import czono, filters, simharness, sysmodel
 from .czono import Box
 
 __all__ = [
@@ -42,7 +45,6 @@ __all__ = [
     "ordering_check",
     "backend_check",
     "distributed_check",
-    "coupling_rows",
     "lifted_refinement",
     "run_suites",
 ]
@@ -317,17 +319,6 @@ def _random_joint(rng, q, n=1):
     return Z
 
 
-def coupling_rows(n_cols, own_cols, peer_cols):
-    """The rows y_own - filters._COUPLING_SIGN * y_peer = 0 over ``n_cols``
-    columns, one per own column: they tie a peer's copy of a state to the
-    own one, which is the refinement's intersection."""
-    rows = np.arange(len(own_cols))
-    D = np.zeros((rows.size, n_cols))
-    D[rows, own_cols] = 1.0
-    D[rows, peer_cols] = -filters._COUPLING_SIGN
-    return D
-
-
 def lifted_refinement(own_joint, own_dims, received):
     """The refined own-block set of a distributed step, as a lifted LP.
 
@@ -337,40 +328,23 @@ def lifted_refinement(own_joint, own_dims, received):
         received: list of (joint_l, alpha_l, dims_l); alpha_l is the
             1-based position of this agent in N̄_l.
 
-    Each joint Z is a block of columns xi in [-h, h] and x (free) with the
-    rows A xi = b and x - G xi = c, all joints' blocks loaded at once,
-    block-diagonal; then one block of ``coupling_rows`` per
-    received joint, appended in turn, ties its copy of this agent's state
-    to the own block.  Returns (LinearProgram, columns of the own state): the
-    feasible set projected on those columns is the refined set.
+    Each joint Z is one LP block over its columns (xi, x)
+    (``czono._lifted_block``), and the blocks are one LP as the filter's
+    agent LPs are (``filters._SharedColumns``): every received joint reads
+    this agent's state through the own joint's columns of it, which is the
+    refinement's intersection.  Returns (LinearProgram, columns of the own
+    state): the feasible set projected on those columns is the refined set.
     """
     n = own_dims[0]
-    joints = [own_joint] + [Z for Z, _, _ in received]
-    x_at = []  # first x column per joint
-    blocks, lo, hi, rhs = [], [], [], []
-    ncol = 0
-    for Z in joints:
-        ng = Z.n_generators
-        x_at.append(ncol + ng)
-        blocks.append(np.vstack([
-            np.hstack([Z.A, np.zeros((Z.n_constraints, Z.dim))]),
-            np.hstack([-Z.G, np.eye(Z.dim)]),
-        ]))
-        lo += [-Z.h, np.full(Z.dim, -np.inf)]
-        hi += [Z.h, np.full(Z.dim, np.inf)]
-        rhs += [Z.b, Z.c]
-        ncol += ng + Z.dim
-    region = lp.LinearProgram(
-        czono._blockdiag(*blocks), np.concatenate(rhs), np.concatenate(lo), np.concatenate(hi)
-    )
-    own = np.arange(x_at[0], x_at[0] + n)
-    for (_, alpha, dims_l), x_l in zip(received, x_at[1:]):
-        if dims_l[alpha - 1] != n:
+    joints = [(own_joint, 1, own_dims)] + list(received)
+    slots = []
+    for Z, alpha, dims in joints:
+        if dims[alpha - 1] != n:
             raise ValueError("received joint stores this agent with a different dim")
-        start = x_l + int(np.sum(dims_l[: alpha - 1]))
-        rows = coupling_rows(ncol, own, np.arange(start, start + n))
-        region.extend([], [], rows, np.zeros(n), np.zeros(n))
-    return region, own
+        start = Z.n_generators + int(np.sum(dims[: alpha - 1]))
+        slots.append(np.arange(start, start + n))
+    layout = filters._SharedColumns([(Z.n_constraints + Z.dim, Z.n_generators + Z.dim) for Z, _, _ in joints], slots)
+    return filters._region(*layout([czono._lifted_block(Z) for Z, _, _ in joints])), layout.own
 
 
 def stacking_checks(rng_seed=2026, instances=100, probes=1000):
@@ -601,7 +575,10 @@ def _replay_hull_deviations(cfg, log):
 
 
 def backend_check(horizon=6, rng_seed=2026):
-    """Logged trajectory-LP hulls vs dense accumulated-form hulls on short horizons."""
+    """Logged centralized and fixed-lag hulls vs dense accumulated-form
+    hulls on short horizons: those of the trajectory LPs, and past
+    ``delta_bar`` (3 on uav5, 2 on pair1d) those of the fixed-lag filter's
+    window LP."""
     results = []
     for name, builder in (("uav5", simharness.build_uav_scenario), ("pair1d", simharness.build_pair1d_scenario)):
         cfg = simharness.ScenarioConfig.from_doc(

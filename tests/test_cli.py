@@ -117,6 +117,17 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: scenario: system not observable")
         assert not out.exists()
 
+    @pytest.mark.parametrize("top", [[1, 2], 5, None, "uav5", []], ids=["list", "number", "null", "string", "empty-list"])
+    def test_scenario_not_an_object_exit_1(self, tmp_path, capsys, top):
+        # a JSON document whose top level is no object is a schema error
+        # of the whole scenario, before any output is made
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(top))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: scenario: must be an object")
+        assert not out.exists()
+
     def test_unknown_scenario_exit_1(self, capsys):
         assert main(["run", "atlantis"]) == 1
         assert "atlantis" in capsys.readouterr().err

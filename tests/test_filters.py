@@ -16,7 +16,7 @@ from czest.filters import (
     OitFilter,
     WindowTooShortError,
 )
-from lp_rows import bounds_row_by_row, model_rows, wrap_models
+from lp_rows import bounds_row_by_row, model_cols, model_rows, wrap_models
 
 
 def interval(lo, hi):
@@ -70,15 +70,6 @@ class TestPrimitives:
         hull = czono.interval_hull(U)
         assert hull.lo[0] == pytest.approx(0.0, abs=1e-9)
         assert hull.hi[0] == pytest.approx(2.0, abs=1e-9)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["nominal", "injected-fault"])
-    def test_coupling_rows(self, monkeypatch, sign):
-        # x_own - sign * x_peer = 0, one dense row per own column
-        monkeypatch.setattr(filters, "_COUPLING_SIGN", sign)
-        want = np.zeros((2, 7))
-        want[[0, 1], [1, 2]] = 1.0
-        want[[0, 1], [5, 0]] = -sign
-        assert np.array_equal(verify.coupling_rows(7, [1, 2], [5, 0]), want)
 
 
 def split_per_agent(system, Z):
@@ -524,34 +515,55 @@ def hetero3_doc():
     return json.loads((pathlib.Path(__file__).parent / "hetero3.json").read_text())
 
 
+def coupling_rows(n_cols, own_cols, peer_cols):
+    """The rows y_own - filters._COUPLING_SIGN * y_peer = 0 over ``n_cols``
+    columns, one per own column: they tie a peer's copy of a state to the
+    own one, which is the refinement's intersection."""
+    rows = np.arange(len(own_cols))
+    D = np.zeros((rows.size, n_cols))
+    D[rows, own_cols] = 1.0
+    D[rows, peer_cols] = -filters._COUPLING_SIGN
+    return D
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["nominal", "injected-fault"])
+def test_coupling_rows(monkeypatch, sign):
+    # x_own - sign * x_peer = 0, one dense row per own column
+    monkeypatch.setattr(filters, "_COUPLING_SIGN", sign)
+    want = np.zeros((2, 7))
+    want[[0, 1], [1, 2]] = 1.0
+    want[[0, 1], [5, 0]] = -sign
+    assert np.array_equal(coupling_rows(7, [1, 2], [5, 0]), want)
+
+
+def agent_slot(system, i, stack):
+    """Agent i's (x_prev, w) positions among the columns of a message
+    block over ``stack``'s neighborhood."""
+    agents = system.agents
+    a, nx = agents[i], stack.B.shape[0]
+    before = stack.state_order[: stack.state_order.index(i)]
+    x_at, w_at = sum(agents[l].n for l in before), nx + sum(agents[l].p for l in before)
+    return np.r_[x_at : x_at + a.n, w_at : w_at + a.p]
+
+
 def coupled_refinement(system, i, stacks, messages):
     """Test-only oracle: agent i's refinement of one step in the coupled
     form, from the same ``messages`` as ``filters._AgentLP``: every owner's
-    block has its own copy of agent i's (x_prev, w) columns, and rows tie
-    each peer's copy to agent i's own through the state A_i x_prev + B_i w.
-    Returns (its hull, the LP)."""
-    agents = system.agents
-    n, p = agents[i].n, agents[i].p
-    M = np.hstack([messages[0][0][:n, :n], agents[i].B])  # [A_i(k) B_i]; i leads N̄_i
-    lo, hi, rows, b_lo, b_hi, own = [], [], [], [], [], []
-    col = 0
-    for o, (_, HA, (y_lo, y_hi), (x_lo, x_hi)) in zip([i] + system.topology.peers(i), messages, strict=True):
-        st = stacks[o]
-        nx = st.B.shape[0]
-        before = st.state_order[: st.state_order.index(i)]
-        x_at, w_at = col + sum(agents[l].n for l in before), col + nx + sum(agents[l].p for l in before)
-        own.append(np.r_[x_at : x_at + n, w_at : w_at + p])
-        rows.append(np.hstack([HA, st.H @ st.B]))
-        lo += [x_lo, st.Wset.lo]
-        hi += [x_hi, st.Wset.hi]
-        b_lo.append(y_lo)
-        b_hi.append(y_hi)
-        col += nx + st.B.shape[1]
+    block on its own columns, with its own copy of agent i's (x_prev, w),
+    and rows (``coupling_rows``) that tie each peer's copy to agent i's own
+    through the state A_i x_prev + B_i w.  Returns (its hull, the LP)."""
+    n = system.agents[i].n
+    M = np.hstack([messages[0][0][:n, :n], system.agents[i].B])  # [A_i(k) B_i]; i leads N̄_i
+    lo, hi, D, b_lo, b_hi = zip(*(block for _, block in messages))
+    own, col = [], 0
+    for o, block_lo in zip([i] + system.topology.peers(i), lo, strict=True):
+        own.append(col + agent_slot(system, i, stacks[o]))
+        col += block_lo.size
     region = filters._region(
-        np.concatenate(lo), np.concatenate(hi), czono._blockdiag(*rows), np.concatenate(b_lo), np.concatenate(b_hi)
+        np.concatenate(lo), np.concatenate(hi), czono._blockdiag(*D), np.concatenate(b_lo), np.concatenate(b_hi)
     )
     for copy in own[1:]:
-        region.extend([], [], M @ verify.coupling_rows(col, own[0], copy), np.zeros(n), np.zeros(n))
+        region.extend([], [], M @ coupling_rows(col, own[0], copy), np.zeros(n), np.zeros(n))
     C = np.zeros((n, col))
     C[:, own[0]] = M
     return Box(*region.bounds(C)), region
@@ -752,6 +764,47 @@ class TestDistributed:
                 a = system.agents[i]
                 peers = len(m.owners) - 1
                 assert (coupled.n, coupled.m) == (m.program.n + peers * (a.n + a.p), m.program.m + peers * a.n)
+
+    @pytest.mark.parametrize(
+        "doc", [simharness.build_uav_scenario(horizon=30, seed=1), hetero3_doc()], ids=["uav5", "hetero3"]
+    )
+    def test_each_agent_lp_holds_its_owners_blocks_and_nothing_else(self, doc):
+        # the locality audit in miniature: read back from the HiGHS model
+        # at every step, agent i's LP is its owners' message blocks, in
+        # ``owners`` order, each on its mapped columns, and the blocks
+        # share agent i's (x_prev, w) columns and no other
+        cfg = simharness.ScenarioConfig(dict(doc, algorithms=["distributed"]))
+        x0, steps = replay(cfg)
+        assert len(steps) == cfg.K
+        system = cfg.system
+        stacks = {o: sysmodel.build_neighborhood(system, o) for o in system.agent_ids}
+        flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
+        for k, batch, _ in steps:
+            prev = flt.hulls
+            flt.step(k, batch)
+            sent = {o: filters._message(st, *filters._step_entry(st, k, batch), prev) for o, st in stacks.items()}
+            for i, m in flt._lps.items():
+                assert m.owners == [i] + system.topology.peers(i)
+                A, b_lo, b_hi = model_rows(m.program)
+                A = A.toarray()
+                lo, hi = model_cols(m.program)
+                row, slots, others = 0, [], []
+                for o, cols in zip(m.owners, m._layout.cols, strict=True):
+                    col_lo, col_hi, D, y_lo, y_hi = sent[o][1]
+                    rows = A[row : row + D.shape[0]]
+                    assert np.array_equal(rows[:, cols], D), (k, i, o)
+                    assert not np.any(np.delete(rows, cols, axis=1)), (k, i, o)
+                    assert np.array_equal(b_lo[row : row + D.shape[0]], y_lo)
+                    assert np.array_equal(b_hi[row : row + D.shape[0]], y_hi)
+                    assert np.array_equal(lo[cols], col_lo) and np.array_equal(hi[cols], col_hi)
+                    slot = agent_slot(system, i, stacks[o])
+                    slots.append(cols[slot])
+                    others.append(np.delete(cols, slot))
+                    row += D.shape[0]
+                assert row == m.program.m
+                assert all(np.array_equal(s, slots[0]) for s in slots), (k, i)
+                # every column is in one block only, but agent i's
+                assert np.array_equal(np.sort(np.concatenate([slots[0]] + others)), np.arange(m.program.n)), (k, i)
 
     def test_heterogeneous_agents_run_clean(self):
         # hetero3: agents of one and of two noise inputs, one without an

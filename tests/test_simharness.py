@@ -13,6 +13,7 @@ from scipy.optimize._highspy import _core as _highs
 from czest import czono, filters, lp, simharness, sysmodel, verify
 from czest.simharness import ScenarioConfig, TrialLog
 from lp_rows import model_cols
+from test_sysmodel import observability_outcomes
 
 
 def small_uav(h=4, seed=9, **extra):
@@ -149,7 +150,10 @@ def _key_paths(node, keys=()):
 def _names(keys):
     """The paths a SchemaError may start with for the key at ``keys``: its
     own and its ancestors', as the schema writes them (``scenario.horizon``,
-    ``agents[0].dynamics.T``, ``agents[1].relative_noise[2].lo``)."""
+    ``agents[0].dynamics.T``, ``agents[1].relative_noise[2].lo``), and
+    ``scenario`` for the document itself, the empty path."""
+    if not keys:
+        return ["scenario"]
     if keys[0] == "agents":  # the list is scenario.agents, and its entries agents[i]
         names, first = ["scenario.agents", "agents"] + [f"agents[{i}]" for i in keys[1:2]], 2
     else:
@@ -159,46 +163,76 @@ def _names(keys):
     return names
 
 
+def schema_mutations(name):
+    """Every single-key mutation of the scenario ``name`` (a built-in or
+    ``hetero3``) at horizon 3, as (keys, where, doc): the document itself,
+    at the empty path, and every key at any depth, each replaced by every
+    value of ``MUTATION_POOL`` or deleted."""
+    if name == "hetero3":
+        base = json.loads((pathlib.Path(__file__).parent / "hetero3.json").read_text())
+    else:
+        base = simharness.builtin_scenario(name)
+    base["horizon"] = 3
+    text = json.dumps(base)
+    for keys in [()] + list(_key_paths(base)):
+        for value in MUTATION_POOL:
+            where = f"{'/'.join(map(str, keys)) or '(document)'} = {'deleted' if value is _DELETED else repr(value)[:20]}"
+            if not keys:
+                if value is not _DELETED:  # a document is replaced, never deleted
+                    yield keys, where, copy.deepcopy(value)
+                continue
+            doc = json.loads(text)
+            parent = doc
+            for key in keys[:-1]:
+                parent = parent[key]
+            if value is _DELETED:
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = copy.deepcopy(value)
+            yield keys, where, doc
+
+
 class TestSchemaProperty:
-    """Every single-key mutation of a scenario (ROADMAP item 6(a)): the
-    scenario parses, or ``ScenarioConfig`` raises a SchemaError that starts
-    with the path of the key or of one of its ancestors, or with
-    ``scenario:`` for a property of the whole system; a parsed scenario of
-    horizon 5 or less runs to a log at both metric levels, aborts allowed.
-    The enumeration is exhaustive, so it needs no random draws."""
+    """Every single-key mutation of a scenario (ROADMAP item 6(a)), the
+    document itself included: the scenario parses, or ``ScenarioConfig``
+    raises a SchemaError that starts with the path of the key or of one of
+    its ancestors, or with ``scenario:`` for a property of the whole system;
+    a parsed scenario of horizon 5 or less runs to a log at both metric
+    levels, aborts allowed.  The enumeration is exhaustive, so it needs no
+    random draws."""
 
     @pytest.mark.parametrize("name", ["uav5", "pair1d", "hetero3"])
     def test_every_single_key_mutation_parses_or_names_its_key(self, name):
-        if name == "hetero3":
-            base = json.loads((pathlib.Path(__file__).parent / "hetero3.json").read_text())
-        else:
-            base = simharness.builtin_scenario(name)
-        base["horizon"] = 3
-        text = json.dumps(base)
-        for keys in list(_key_paths(base)):
-            for value in MUTATION_POOL:
-                doc = json.loads(text)
-                parent = doc
-                for key in keys[:-1]:
-                    parent = parent[key]
-                if value is _DELETED:
-                    del parent[keys[-1]]
-                else:
-                    parent[keys[-1]] = copy.deepcopy(value)
-                where = f"{'/'.join(map(str, keys))} = {'deleted' if value is _DELETED else repr(value)[:20]}"
-                try:
-                    cfg = ScenarioConfig(doc)
-                except sysmodel.SchemaError as e:
-                    msg = str(e)
-                    named = any(re.match(re.escape(path) + r"(?!\w)", msg) for path in _names(keys))
-                    assert named or msg.startswith("scenario:"), (where, msg)
-                    continue
-                if cfg.K <= 5:
-                    for metrics in ("full", "containment"):
-                        try:
-                            simharness.run_trial(cfg, 0, metrics).dumps()
-                        except Exception as e:  # noqa: BLE001 - name the mutation
-                            pytest.fail(f"{where}, {metrics}: {e!r}")
+        for keys, where, doc in schema_mutations(name):
+            try:
+                cfg = ScenarioConfig(doc)
+            except sysmodel.SchemaError as e:
+                msg = str(e)
+                named = any(re.match(re.escape(path) + r"(?!\w)", msg) for path in _names(keys))
+                assert named or msg.startswith("scenario:"), (where, msg)
+                continue
+            if cfg.K <= 5:
+                for metrics in ("full", "containment"):
+                    try:
+                        simharness.run_trial(cfg, 0, metrics).dumps()
+                    except Exception as e:  # noqa: BLE001 - name the mutation
+                        pytest.fail(f"{where}, {metrics}: {e!r}")
+
+
+    @pytest.mark.parametrize("name", ["uav5", "pair1d", "hetero3"])
+    def test_observability_index_matches_the_restacked_oracle(self, name):
+        # on every mutation whose system parses, each block stacked under
+        # the last SVD's S Vᵀ gives the mu of the whole matrix re-stacked
+        parsed = 0
+        for _, where, doc in schema_mutations(name):
+            try:
+                system = sysmodel.system_from_dict(doc)
+            except sysmodel.SchemaError:
+                continue
+            got, want = observability_outcomes(system)
+            assert got == want, where
+            parsed += 1
+        assert parsed >= 300  # 321, 317 and 326 of them when this was written
 
 
 class TestDraw:

@@ -1,5 +1,8 @@
 """System description, stacking builders, observability and the JSON schema."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -222,6 +225,66 @@ class TestCoordinatedTurn:
         assert B[0, 1] == 0.0
 
 
+def restacked_observability_index(system):
+    """Test-only oracle of ``sysmodel.observability_index``: the smallest mu
+    with [H; H Phi(1); ...; H Phi(mu-1)] of full column rank, the matrix
+    stacked whole and its singular values taken afresh at every mu."""
+    dim = system.state_dim()
+    mu_max = 2 * dim
+    stack = sysmodel.build_centralized(system)
+    H = stack.H
+    blocks = [H]
+    Phi = np.eye(dim)
+    for mu in range(1, mu_max + 1):
+        O = np.vstack(blocks)
+        if not np.all(np.isfinite(O)):
+            raise NotObservableError(f"observability matrix not finite at mu = {mu}")
+        s = np.linalg.svd(O, compute_uv=False)
+        if s.size and s[0] > 0 and np.sum(s > sysmodel.EPS_RANK * s[0]) == dim:
+            return mu
+        with np.errstate(over="ignore", invalid="ignore"):
+            Phi = stack.A(mu - 1) @ Phi
+            blocks.append(H @ Phi)
+    raise NotObservableError(f"system not observable within {mu_max} steps")
+
+
+def observability_outcomes(system):
+    """(``sysmodel.observability_index``, its restacked oracle) of
+    ``system``: each a mu, or NotObservableError if it raised that."""
+    out = []
+    for index in (sysmodel.observability_index, restacked_observability_index):
+        try:
+            out.append(index(system))
+        except NotObservableError:
+            out.append(NotObservableError)
+    return tuple(out)
+
+
+def random_system(rng):
+    """A seeded random system: 1-3 agents of one state dimension n (1-3),
+    each with 1-2 noise inputs, 0-2 absolute measurement rows and a
+    relative row on random one-way edges, all measurement rows sparse, so
+    that some systems are unobservable.  Each agent's dynamics is constant
+    or time-varying (A0 + sin(k) A1).  Returns (system, time-varying)."""
+    q, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    edges = [(a, j) for a in range(1, q + 1) for j in range(1, q + 1) if a != j and rng.random() < 0.4]
+    topology = Topology(q, edges)
+    agents, varying = [], False
+    for i in range(1, q + 1):
+        A0 = rng.standard_normal((n, n))
+        A1 = rng.standard_normal((n, n)) if rng.random() < 0.5 else np.zeros((n, n))
+        varying |= bool(np.any(A1))
+        p, m_y = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+        C = rng.standard_normal((m_y, n)) * (rng.random((m_y, n)) < 0.4)
+        D = rng.standard_normal((1, n)) * (rng.random((1, n)) < 0.6)
+        box = lambda m: Box(-np.ones(m), np.ones(m))  # noqa: E731
+        agents.append(AgentModel(
+            i, lambda k, A0=A0, A1=A1: A0 + np.sin(k) * A1, rng.standard_normal((n, p)), C, D,
+            box(p), box(m_y), {j: box(1) for j in topology.in_neighbors(i)},
+        ))
+    return MultiAgentSystem(agents, topology), varying
+
+
 class TestObservability:
     def test_full_state_measurement_mu1(self):
         system = pair_system()
@@ -273,6 +336,40 @@ class TestObservability:
             sysmodel.observability_index(sysmodel.system_from_dict(doc))
         with pytest.raises(sysmodel.SchemaError, match="^scenario: "):
             simharness.ScenarioConfig(doc)
+
+
+    def test_a_norm_past_the_float_range_is_not_observable(self):
+        # finite blocks whose stack's largest singular value overflows at
+        # mu = 2: a schema error of the whole system, as for the restacked
+        # oracle, whose singular values never reach full rank there
+        doc = simharness.build_uav_scenario()
+        doc["agents"][0]["C"] = [[1e308, 0.0, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0]]
+        system = sysmodel.system_from_dict(doc)
+        with pytest.raises(NotObservableError, match="overflows at mu = 2"):
+            sysmodel.observability_index(system)
+        assert observability_outcomes(system) == (NotObservableError, NotObservableError)
+        with pytest.raises(sysmodel.SchemaError, match="^scenario: "):
+            simharness.ScenarioConfig(doc)
+
+    @pytest.mark.parametrize("name", ["uav5", "pair1d", "hetero3"])
+    def test_scenarios_match_the_restacked_oracle(self, name):
+        if name == "hetero3":
+            doc = json.loads((pathlib.Path(__file__).parent / "hetero3.json").read_text())
+        else:
+            doc = simharness.builtin_scenario(name)
+        got, want = observability_outcomes(sysmodel.system_from_dict(doc))
+        assert got == want == {"uav5": 2, "pair1d": 1, "hetero3": 2}[name]
+
+    def test_random_systems_match_the_restacked_oracle(self):
+        # 300 seeded systems, time-varying and unobservable ones among them
+        rng = np.random.default_rng(2026)
+        kinds = set()
+        for t in range(300):
+            system, varying = random_system(rng)
+            got, want = observability_outcomes(system)
+            assert got == want, t
+            kinds.add((varying, want is NotObservableError))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestMeasurementBatch:
