@@ -119,9 +119,9 @@ class Box:
         hi = np.asarray(hi, dtype=float).ravel()
         if lo.shape != hi.shape:
             raise ValueError("lo and hi must have the same length")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("NaN bound")
-        if np.any(lo > hi):
+        if not (lo <= hi).all():  # also False at a NaN: then say which
+            if np.isnan(lo).any() or np.isnan(hi).any():
+                raise ValueError("NaN bound")
             raise ValueError("lo > hi")
         self.lo = _freeze(lo)
         self.hi = _freeze(hi)
@@ -142,7 +142,7 @@ class Box:
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.dim:
             raise ValueError("point dimension mismatch")
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return bool((x >= self.lo - tol).all() and (x <= self.hi + tol).all())
 
     def widths(self):
         return self.hi - self.lo

@@ -37,16 +37,18 @@ filter builds its stacks once, at construction.  Of these numbers only A
 the noise boxes are the stack's fixed parts.  An LP whose structure is
 fixed and whose numbers move, the fixed-lag window and each distributed
 agent's LP, is reloaded whole at each step (``lp.LinearProgram.replace``),
-which keeps its basis: the window rebuilt from its entries
-(``_window_block``), an agent LP assembled from its owners' messages
-(``_AgentLP``).
+which keeps its basis, and its row pattern while the nonzeros stay where
+they were: the window rebuilt from its entries (``_window_block``), an
+agent LP assembled from its owners' messages (``_AgentLP``).
 
 The distributed filter gives each agent one LP for the whole trial
 (``_AgentLP``), with each step's states substituted out.  Each step,
 every owner o's one-step set is computed once, as a message
-(``_message``): one LP block over N̄_o's previous states x_prev (bounded
-by their last hulls) and process noises w (in their W boxes), whose rows
-are o's measurements, H A(k) x_prev + H B w within the noise range.  An
+(``_Owner.message``): one LP block over N̄_o's previous states x_prev
+(bounded by their last hulls) and process noises w (in their W boxes),
+whose rows are o's measurements, H A(k) x_prev + H B w within the noise
+range.  Of a message only A(k), Y and the hulls move: each owner keeps H B
+and the W bounds from the filter's construction on (``_Owner``).  An
 agent LP is the blocks of its owners, itself and every peer, assembled
 on shared columns (``_SharedColumns``): every block reads the agent's one
 set of (x_prev, w) columns, which intersects the peers' joints with its
@@ -148,7 +150,7 @@ def _dynamics(stack, k):
     """``stack``'s A(k); a non-finite entry (a time-varying model read past
     the float range) raises ``lp.NumericalError``."""
     A = stack.A(k)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise lp.NumericalError(f"dynamics A({k}) not finite")
     return A
 
@@ -318,7 +320,8 @@ class _LiftedFilter:
     def contains(self, x, coords=None):
         """True iff the posterior holds a state equal to x on the listed
         coordinates of the stacked state (all by default).  Raises
-        ``lp.EmptySetError`` if the posterior is empty.
+        ``lp.EmptySetError`` if the posterior is empty; a coordinate that
+        is no integer, or out of range, is a ``ValueError``.
 
         A whole-state query tries the one-step witness first
         (``_try_witness``); only when there is none, or it fails its check
@@ -331,7 +334,9 @@ class _LiftedFilter:
         x = np.array(x, dtype=float)
         n = self._stack.B.shape[0]
         whole = coords is None
-        coords = np.arange(n) if whole else np.asarray(coords, dtype=int).ravel()
+        coords = np.arange(n) if whole else np.asarray(coords).ravel()
+        if coords.size and coords.dtype.kind not in "iu":  # 0.9 must not read as coordinate 0
+            raise ValueError(f"state coordinates must be integers, got {coords.tolist()}")
         if coords.size and (coords.min() < 0 or coords.max() >= n):
             raise ValueError(f"state coordinate out of range 0..{n - 1}")
         if whole:
@@ -413,22 +418,33 @@ class OitFilter(_LiftedFilter):
             )
 
 
-def _message(stack, A, Y, hulls):
-    """Owner o's one-step set over its neighborhood stack (N̄_o), as (A,
-    block): its dynamics A(k), which agent i's hull rows read when o is i,
-    and one LP block (lo, hi, D, b_lo, b_hi) over N̄_o's columns
-    (x_prev, w): the measurement rows of the state x = A x_prev + B w,
+class _Owner:
+    """Owner o's side of the exchange: its neighborhood stack over N̄_o
+    (``stack``) and the parts of its messages that no step moves, kept
+    from construction on: H B and the W box's bounds of the w columns."""
 
-        Y - v_hi <= H A(k) x_prev + H B w <= Y - v_lo  (``_measurement_bounds``),
+    def __init__(self, stack):
+        self.stack = stack
+        self._HB = stack.H @ stack.B
+        self._w_lo, self._w_hi = stack.Wset.lo, stack.Wset.hi
 
-    with x_prev in N̄_o's last ``hulls`` and w in the stack's W box."""
-    order, W = stack.state_order, stack.Wset
-    return A, (
-        np.concatenate([hulls[l].lo for l in order] + [W.lo]),
-        np.concatenate([hulls[l].hi for l in order] + [W.hi]),
-        np.concatenate([stack.H @ A, stack.H @ stack.B], axis=1),
-        *_measurement_bounds(Y, stack.Vset),
-    )
+    def message(self, A, Y, hulls):
+        """Owner o's one-step set, as (A, block): its dynamics A(k), which
+        agent i's hull rows read when o is i, and one LP block (lo, hi, D,
+        b_lo, b_hi) over N̄_o's columns (x_prev, w): the measurement rows
+        of the state x = A x_prev + B w,
+
+            Y - v_hi <= H A(k) x_prev + H B w <= Y - v_lo  (``_measurement_bounds``),
+
+        with x_prev in N̄_o's last ``hulls`` and w in the stack's W box."""
+        stack = self.stack
+        order = stack.state_order
+        return A, (
+            np.concatenate([hulls[l].lo for l in order] + [self._w_lo]),
+            np.concatenate([hulls[l].hi for l in order] + [self._w_hi]),
+            np.concatenate([stack.H @ A, self._HB], axis=1),
+            *_measurement_bounds(Y, stack.Vset),
+        )
 
 
 class _SharedColumns:
@@ -492,7 +508,7 @@ class _AgentLP:
     """Agent i's lifted refinement: one LinearProgram for the whole trial.
 
     It holds the one-step sets of its ``owners``, agent i and every peer l
-    in ``topology.peers(i)``: the blocks of their messages (``_message``),
+    in ``topology.peers(i)``: the blocks of their messages (``_Owner``),
     in ``owners`` order, each over N̄_o's previous states x_prev (bounded by
     their last hulls) and process noises w (in their W boxes), the step's
     states substituted out.  The blocks share agent i's one set of
@@ -552,7 +568,7 @@ class DistributedFilter:
 
     Each agent's posterior is the interval hull of its refined own state
     (``hulls``), solved on the agent's persistent lifted LP (``_AgentLP``).
-    A step computes each owner's message (``_message``) once, from its
+    A step computes each owner's message (``_Owner.message``) once, from its
     neighborhood stack, the step's measurements and the last hulls, and
     hands each agent LP the messages of its owners only.  The models are
     built at construction and reloaded by every step.
@@ -572,18 +588,19 @@ class DistributedFilter:
         self.system = system
         self.hulls = {i: initial_ranges[i] for i in ids}
         self.k = 0
-        self._stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
-        sent = {o: _message(st, _dynamics(st, 0), np.zeros(st.H.shape[0]), self.hulls)
-                for o, st in self._stacks.items()}
-        self._lps = {i: _AgentLP(system, i, self._stacks, [sent[o] for o in [i] + system.topology.peers(i)])
+        self._owners = {o: _Owner(sysmodel.build_neighborhood(system, o)) for o in ids}
+        stacks = {o: owner.stack for o, owner in self._owners.items()}
+        sent = {o: owner.message(_dynamics(stacks[o], 0), np.zeros(stacks[o].H.shape[0]), self.hulls)
+                for o, owner in self._owners.items()}
+        self._lps = {i: _AgentLP(system, i, stacks, [sent[o] for o in [i] + system.topology.peers(i)])
                      for i in ids}
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        sent = {o: _message(st, *_step_entry(st, k, batch), self.hulls)
-                for o, st in self._stacks.items()}
+        sent = {o: owner.message(*_step_entry(owner.stack, k, batch), self.hulls)
+                for o, owner in self._owners.items()}
         for m in self._lps.values():
             m.update([sent[o] for o in m.owners])
         hulls = {}

@@ -19,10 +19,14 @@ changes no model.  ``replace`` loads new numbers into every column bound,
 coefficient and row bound at once: one ``passModel`` call, then the
 basis the model held before back with ``setBasis``, so a region whose
 structure is fixed and whose numbers move, such as one filter step after
-another, is one model for its whole life.  A ranged row costs HiGHS no
-column: the model keeps a slack for every row anyway, so a bounded slack
-variable of a row (a noise term) is better written as the row's two
-bounds.
+another, is one model for its whole life.  Its row pattern stays too:
+when the nonzeros of a reload's dense A are exactly the entries the last
+``replace`` wrote, the reload reads only their values, gathered at the
+entries' kept places in A, and keeps the pattern's compressed rows,
+blocks and plan (below); any other A is read in full.  A ranged row costs
+HiGHS no column: the model keeps a slack for every row anyway, so a
+bounded slack variable of a row (a noise term) is better written as the
+row's two bounds.
 
 Every query of a region goes through its ``LinearProgram``: ``solve``
 (one objective), ``bounds`` (interval hulls), ``feasible_at`` (pinned
@@ -49,9 +53,10 @@ axes, such as uav5's x and y axes, bounds two rows per run.  On models
 this small a run costs mostly a fixed amount, not one in proportion to
 the model's size, so halving the runs about halves a hull's time.  The
 batches of a C are the region's plan for C's nonzero pattern, kept for
-the next ``bounds`` with that pattern (a filter's hull of every step)
-and dropped with the blocks: on ``extend``, or on a ``replace`` with
-another row pattern.  Each batch's rows are summed once per call.
+the next ``bounds`` with that pattern (a filter's hull of every step),
+each batch an index array, and dropped with the blocks: on ``extend``,
+or on a ``replace`` with another row pattern.  Each batch's rows are
+summed once per call.
 
 Each solve picks its simplex variant from what changed since the last
 one.  After a change of the region (a new model, ``extend``,
@@ -92,7 +97,8 @@ package directory holds no such file raises ``ImportError`` naming the
 directory searched and the scipy version.  Rows arrive as dense arrays,
 and ``extend`` and ``replace`` build HiGHS's compressed sparse row arrays
 from them with numpy, so nothing here imports ``scipy.sparse``.  Each
-region keeps one such set of its rows, of which its model holds a prefix.
+region keeps one such set of its rows, with the row of each entry, of
+which its model holds a prefix.
 """
 
 import importlib.machinery
@@ -210,9 +216,11 @@ class LinearProgram:
         self._zero_cost = True  # the model's objective is zero
         self._changed = True  # the region changed since the last solve
         # the rows as compressed sparse rows: each row's first entry, the
-        # entries' columns and values, and the row bounds
+        # entries' columns, rows and values, and the row bounds
         self._start, self._index = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+        self._row = np.zeros(0, dtype=np.intp)
         self._value, self._b_lo, self._b_hi = np.zeros(0), np.zeros(0), np.zeros(0)
+        self._flat = None  # the entries' places in a dense m x n A, row-major (``replace``), None after ``extend``
         self._held = (0, 0)  # (columns, rows) the model holds
         self._block = None  # the block of each column (``_blocks``), None until it is asked for
         self._plan = None  # (C's nonzero pattern, its batches) of the last multi-row ``bounds`` (``_batches``)
@@ -239,6 +247,7 @@ class LinearProgram:
         r = start.size
         b_lo, b_hi = _bound_vectors(b_lo, b_hi, r, "row")
         self._start = np.concatenate([self._start, start + np.int32(self._index.size)])
+        self._row = np.concatenate([self._row, _row_of(start, index.size) + self.m])
         self._index = np.concatenate([self._index, index])
         self._value = np.concatenate([self._value, value])
         self._b_lo, self._b_hi = np.concatenate([self._b_lo, b_lo]), np.concatenate([self._b_hi, b_hi])
@@ -246,7 +255,7 @@ class LinearProgram:
         self.hi = np.concatenate([self.hi, hi])
         self.m, self.n = self.m + r, self.n + added
         self._all = np.arange(self.n, dtype=np.int32)  # every column, as changeColsCost takes them
-        self._block = self._plan = None
+        self._block = self._plan = self._flat = None
         self._changed = True
         if not self._held[1]:  # the model holds no row yet
             self._flush()
@@ -272,28 +281,55 @@ class LinearProgram:
         dense m x n array.
 
         The arguments are validated as ``extend``'s are, and the sizes
-        stay.  One ``passModel`` call loads them, with a zero objective;
-        ``setBasis`` then restores the basis the model held before, if it
-        had one, so the next solve starts from it.
+        stay.  When A's nonzeros are exactly the entries the last
+        ``replace`` wrote (``_held_values``), their values are all that is
+        read of it, and the row pattern, blocks and plan stay; otherwise
+        the rows are rebuilt (``_region_rows``), and the blocks and plan go
+        if the pattern changed.  One ``passModel`` call loads them, with a
+        zero objective; ``setBasis`` then restores the basis the model held
+        before, if it had one, so the next solve starts from it.
         """
         lo, hi = _bound_vectors(lo, hi, self.n)
-        start, index, value = _region_rows(A, None, self.n)
-        if start.size != self.m:
-            raise ValueError(f"A has {start.size} rows, expected {self.m}")
+        value, start = self._held_values(A), None
+        if value is None:  # another pattern, or one not known since ``extend``
+            start, index, value = _region_rows(A, None, self.n)
+            if start.size != self.m:
+                raise ValueError(f"A has {start.size} rows, expected {self.m}")
         b_lo, b_hi = _bound_vectors(b_lo, b_hi, self.m, "row")
         self._flush()  # so that the basis to restore spans every row
-        if self._block is not None and not (np.array_equal(index, self._index) and np.array_equal(start, self._start)):
-            self._block = self._plan = None  # the row pattern changed
+        if start is not None:
+            if self._block is not None and not (np.array_equal(index, self._index) and np.array_equal(start, self._start)):
+                self._block = self._plan = None  # the row pattern changed
+            self._start, self._index, self._row = start, index, _row_of(start, index.size)
+            self._flat = self._row * self.n + index
         self.reloads += 1
-        self._start, self._index, self._value, self._b_lo, self._b_hi = start, index, value, b_lo, b_hi
+        self._value, self._b_lo, self._b_hi = value, b_lo, b_hi
         self.lo, self.hi = lo, hi
         self._changed = self._zero_cost = True
         h = self._highs
         basis = h.getBasis()
         _check(h.passModel(self.n, self.m, value.size, _ROWWISE, _MINIMIZE, 0.0, np.zeros(self.n), lo, hi,
-                           b_lo, b_hi, start, index, value, np.zeros(self.n, dtype=np.int32)), "passModel")
+                           b_lo, b_hi, self._start, self._index, value, np.zeros(self.n, dtype=np.int32)), "passModel")
         if basis.valid:
             _check(h.setBasis(basis), "setBasis")
+
+    def _held_values(self, A):
+        """The values of A at the entries the last ``replace`` wrote
+        (``_flat``), in their order, if A is m x n and its nonzeros are
+        exactly those entries; None otherwise, also after an ``extend``.
+        A NaN or infinite value among them raises ``ValueError``, as
+        ``_region_rows`` does (elsewhere in A it is a nonzero off the
+        pattern, so None)."""
+        A = np.asarray(A)
+        if self._flat is None or A.shape != (self.m, self.n):
+            return None
+        A = A.astype(float, copy=False)
+        value = A.take(self._flat)
+        if not value.all() or np.count_nonzero(A) != value.size:  # NaN is a nonzero
+            return None
+        if not np.isfinite(value).all():
+            raise ValueError("non-finite coefficient")
+        return value
 
     def solve(self, c, sense="min"):
         """Optimize c^T x over the region.  Returns LpResult.  An objective
@@ -335,7 +371,7 @@ class LinearProgram:
             raise ValueError(f"objectives must be the rows of a 2-d array {self.n} wide")
         if not np.isfinite(C).all():
             raise ValueError("objectives have a non-finite entry")
-        plan = [(batch, C[batch[0]] if len(batch) == 1 else C[batch].sum(axis=0)) for batch in self._batches(C)]
+        plan = [(batch, C[batch[0]] if batch.size == 1 else C[batch].sum(axis=0)) for batch in self._batches(C)]
         lo = np.empty(len(C))
         hi = np.empty(len(C))
         for sense, out, inf in (("min", lo, -np.inf), ("max", hi, np.inf)):
@@ -347,15 +383,15 @@ class LinearProgram:
                     if sense == "min":
                         raise EmptySetError("LP region infeasible")
                     raise NumericalError("LP region feasible for the minima only")
-                if status == UNBOUNDED and len(batch) > 1:  # some row of it is: one at a time
-                    todo.extend(([t], C[t]) for t in batch[::-1])
+                if status == UNBOUNDED and batch.size > 1:  # some row of it is: one at a time
+                    todo.extend((np.array([t]), C[t]) for t in batch[::-1])
                 elif status == UNBOUNDED:
                     out[batch] = inf
-                elif len(batch) == 1:
+                elif batch.size == 1:
                     out[batch[0]] = float(c @ self.last_x)
                 else:
                     out[batch] = C[batch] @ self.last_x
-        crossed = np.isfinite(lo) & np.isfinite(hi) & (lo > hi)
+        crossed = lo > hi  # only finite bounds cross: a minimum is never +inf, a maximum never -inf
         if crossed.any():
             slack = lo[crossed] - hi[crossed]
             if np.any(slack > 1e-7 * np.maximum(1.0, np.abs(lo[crossed]))):
@@ -364,13 +400,13 @@ class LinearProgram:
         return lo, hi
 
     def _batches(self, C):
-        """The rows of C (their indices) in batches, first-fit in row
+        """The rows of C in batches, each an index array, first-fit in row
         order: a row joins the first batch whose rows read none of the
         blocks it reads (``_blocks``), or starts a new one.  The batches of
         two or more rows are the region's plan for C's nonzero pattern,
         kept until another pattern comes or the blocks are dropped."""
         if len(C) < 2:
-            return [[t] for t in range(len(C))]
+            return [np.arange(len(C))] if len(C) else []
         key = (C != 0).tobytes()
         if self._plan is not None and self._plan[0] == key:
             return self._plan[1]
@@ -386,8 +422,8 @@ class LinearProgram:
             else:
                 batches.append([t])
                 taken.append(reads)
-        self._plan = key, batches
-        return batches
+        self._plan = key, [np.array(batch) for batch in batches]
+        return self._plan[1]
 
     def _blocks(self):
         """The block of each column: its label (``_labels``) in the graph
@@ -396,8 +432,7 @@ class LinearProgram:
         ``_batches``, until the row pattern changes: ``extend``, or a
         ``replace`` with another pattern."""
         if self._block is None:
-            rows = _row_of(self._start, self._index.size)
-            self._block = _labels(self._index, self.n + rows, self.n + self.m)[: self.n]
+            self._block = _labels(self._index, self.n + self._row, self.n + self.m)[: self.n]
         return self._block
 
     def feasible_at(self, cols, x):
@@ -439,16 +474,15 @@ class LinearProgram:
         waiting row to it.
         """
         x = np.asarray(x, dtype=float).ravel()
-        if x.shape[0] != self.n or not np.all(np.isfinite(x)):
+        if x.shape[0] != self.n or not np.isfinite(x).all():
             return False
-        if np.any(x < self.lo - EPS_LP) or np.any(x > self.hi + EPS_LP):
+        if (x < self.lo - EPS_LP).any() or (x > self.hi + EPS_LP).any():
             return False
         r = min(first_row, self.m)
         first = self._start[r] if r < self.m else self._index.size
-        index = self._index[first:]
-        Ax = np.bincount(_row_of(self._start[r:] - first, index.size), weights=self._value[first:] * x[index],
+        Ax = np.bincount(self._row[first:] - r, weights=self._value[first:] * x[self._index[first:]],
                          minlength=self.m - r)
-        return bool(np.all(Ax >= self._b_lo[r:] - EPS_LP) and np.all(Ax <= self._b_hi[r:] + EPS_LP))
+        return bool((Ax >= self._b_lo[r:] - EPS_LP).all() and (Ax <= self._b_hi[r:] + EPS_LP).all())
 
     def _solve(self, c, sense="min"):
         """The one solve of every query, on arguments the query validated:
@@ -540,8 +574,8 @@ def _bound_vectors(lo, hi, n, what="variable"):
     hi = np.array(hi, dtype=float).ravel()
     if lo.shape[0] != n or hi.shape[0] != n:
         raise ValueError(f"{what} bound vectors must have length {n}")
-    if not np.all(lo <= hi):  # also False at a NaN
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
+    if not (lo <= hi).all():  # also False at a NaN
+        if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError(f"NaN bound for some {what}")
         raise ValueError(f"lo > hi for some {what}")
     return lo, hi
@@ -569,7 +603,7 @@ def _region_rows(A, cols, n):
         raise ValueError(f"A has {A.shape[1]} columns, expected {width}")
     r, c = np.nonzero(A)  # row-major, so already CSR order
     value = A[r, c]
-    if not np.all(np.isfinite(value)):  # NaN and ±inf are nonzeros
+    if not np.isfinite(value).all():  # NaN and ±inf are nonzeros
         raise ValueError("non-finite coefficient")
     index = c.astype(np.int32) if cols is None else _indices(cols, n, "column")[c]
     return np.searchsorted(r, np.arange(A.shape[0])).astype(np.int32), index, value

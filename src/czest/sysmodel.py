@@ -17,7 +17,11 @@ row order so measurement vectors can be serialized and re-stacked
 deterministically.  Of the model only A_i(k) moves with the step, so a
 stack holds the fixed parts (B, H, noise boxes, layout) and assembles
 its dynamics per step with ``StackedSystem.A(k)``; callers build each
-stack once and nothing is kept per step.
+stack once.  Each agent keeps its last A_i(k), a read-only copy
+(``AgentModel._A_at``), so every stack that holds the agent, and the
+truth (``step_truth``), share one evaluation of ``A_of_k`` per step:
+in a trial the filters' stacks and the truth all ask for the same k.
+``StackedSystem.A`` still returns a new array on each call.
 """
 
 import numbers
@@ -81,6 +85,7 @@ class AgentModel:
         self.Wset = Wset
         self.Vset = Vset
         self.Rset_of = dict(Rset_of or {})
+        self._A_last = None  # (A_of_k, k, A_of_k(k)) of the last ``_A_at``
         ranges = [("process noise", Wset), ("measurement noise", Vset)]
         ranges += [(f"relative noise of {j}", R) for j, R in self.Rset_of.items()]
         for what, S in ranges:
@@ -94,6 +99,16 @@ class AgentModel:
             raise ValueError(f"agent {self.id}: Wset dim {Wset.dim} != B columns {self.B.shape[1]}")
         if Vset.dim != self.C.shape[0]:
             raise ValueError(f"agent {self.id}: Vset dim {Vset.dim} != C rows {self.C.shape[0]}")
+
+    def _A_at(self, k):
+        """``A_of_k(k)`` as a read-only float array, evaluated once for a
+        run of calls with the same k (and the same ``A_of_k``)."""
+        last = self._A_last
+        if last is None or last[1] != k or last[0] is not self.A_of_k:
+            A = np.array(self.A_of_k(k), dtype=float)
+            A.setflags(write=False)
+            last = self._A_last = (self.A_of_k, k, A)
+        return last[2]
 
     @property
     def n(self):
@@ -197,7 +212,7 @@ class StackedSystem:
         meas_layout: row blocks of H in order, entries ("y", i) or ("z", i, j).
     """
 
-    __slots__ = ("state_order", "state_slices", "B", "H", "Wset", "Vset", "meas_layout", "_A_of_k")
+    __slots__ = ("state_order", "state_slices", "B", "H", "Wset", "Vset", "meas_layout", "_agents")
 
     def __init__(self, agents, state_order, state_slices, B, H, Wset, Vset, meas_layout):
         self.state_order = state_order
@@ -207,15 +222,16 @@ class StackedSystem:
         self.Wset = Wset
         self.Vset = Vset
         self.meas_layout = meas_layout
-        self._A_of_k = [(state_slices[i], agents[i].A_of_k) for i in state_order]
+        self._agents = [(state_slices[i], agents[i]) for i in state_order]
 
     def A(self, k):
         """Stacked dynamics at step k: the block-diagonal of the agents'
-        ``A_of_k(k)``, a new array on each call."""
+        ``A_of_k(k)`` (each agent's kept one, ``AgentModel._A_at``), a new
+        array on each call."""
         dim = self.B.shape[0]
         A = np.zeros((dim, dim))
-        for sl, A_of_k in self._A_of_k:
-            A[sl, sl] = A_of_k(k)
+        for sl, agent in self._agents:
+            A[sl, sl] = agent._A_at(k)
         return A
 
 
@@ -343,8 +359,7 @@ def step_truth(system, k, x, w):
     wofs = 0
     for i in system.agent_ids:
         a = system.agents[i]
-        Ai = np.asarray(a.A_of_k(k), dtype=float)
-        out[slices[i]] = Ai @ x[slices[i]] + a.B @ w[wofs : wofs + a.p]
+        out[slices[i]] = a._A_at(k) @ x[slices[i]] + a.B @ w[wofs : wofs + a.p]
         wofs += a.p
     return out
 

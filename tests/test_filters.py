@@ -167,6 +167,20 @@ class TestCentralized:
         assert flt.contains([2.0, -1.0]) and flt.contains([3.0], [1])
         assert not flt.contains([100.0, 100.0]) and not flt.contains([2.5], [0])
 
+    @pytest.mark.parametrize(
+        "make", [CentralizedFilter, lambda system, x0: OitFilter(system, x0, delta_bar=2)], ids=["centralized", "oit"]
+    )
+    def test_coordinates_must_be_integers(self, make):
+        # pair1d: coordinate 0.9 is no coordinate, not coordinate 0, which
+        # holds 0.0; so is 1.0, and a bool
+        flt = make(pair_system(), pair_x0())
+        assert flt.contains([0.0], [0]) and flt.contains([0.0], np.array([1], dtype=np.int32))
+        for coords in ([0.9], [1.0], np.array([0.5, 1.0]), [True]):
+            with pytest.raises(ValueError, match="must be integers"):
+                flt.contains([0.0] * len(coords), coords)
+        with pytest.raises(ValueError, match="out of range"):
+            flt.contains([0.0], [2])
+
     def test_inconsistent_measurement_empties(self):
         system = pair_system()
         flt = CentralizedFilter(system, pair_x0())
@@ -677,6 +691,7 @@ class TestDistributed:
         ids = system.agent_ids
         flt = DistributedFilter(system, {i: Box(*log.header["initial"][str(i)]) for i in ids})
         stacks = {o: sysmodel.build_neighborhood(system, o) for o in ids}
+        held = {}
         for k, rec in enumerate(log.steps, 1):
             batch = sysmodel.MeasurementBatch.from_dict(rec)
             prev = flt.hulls
@@ -687,9 +702,17 @@ class TestDistributed:
             for i in ids:
                 owners = [i] + system.topology.peers(i)
                 fresh = filters._AgentLP(system, i, stacks, [
-                    filters._message(stacks[o], *filters._step_entry(stacks[o], k, batch), prev) for o in owners
+                    filters._Owner(stacks[o]).message(*filters._step_entry(stacks[o], k, batch), prev) for o in owners
                 ])
-                assert_same_lp(flt._lps[i].program, fresh.program)
+                program = flt._lps[i].program
+                # every reload after the first (which follows the build's
+                # ``extend``) keeps the row pattern it wrote: the same arrays
+                if k > 1:
+                    assert program._start is held[i][0] and program._index is held[i][1], (k, i)
+                held[i] = program._start, program._index
+                assert_same_lp(program, fresh.program)
+                for a, b in zip(model_cols(program), model_cols(fresh.program)):
+                    assert np.array_equal(a, b)
                 got, want = flt.hulls[i], fresh.hull()
                 for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
                     assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b)))
@@ -699,17 +722,17 @@ class TestDistributed:
         # LP's update receives exactly the messages of [i] + peers(i), in
         # that order
         built, received = [], []
-        message, update = filters._message, filters._AgentLP.update
+        message, update = filters._Owner.message, filters._AgentLP.update
 
-        def building(stack, A, Y, hulls):
-            built.append((stack.state_order[0], message(stack, A, Y, hulls)))
+        def building(self, A, Y, hulls):
+            built.append((self.stack.state_order[0], message(self, A, Y, hulls)))
             return built[-1][1]
 
         def receiving(self, messages):
             received.append((self.owners[0], messages))
             update(self, messages)
 
-        monkeypatch.setattr(filters, "_message", building)
+        monkeypatch.setattr(filters._Owner, "message", building)
         monkeypatch.setattr(filters._AgentLP, "update", receiving)
         cfg = simharness.ScenarioConfig.from_doc(
             simharness.build_uav_scenario(horizon=4), algorithms=["distributed"]
@@ -753,7 +776,7 @@ class TestDistributed:
         for k, batch, _ in steps:
             prev = flt.hulls
             flt.step(k, batch)
-            sent = {o: filters._message(st, *filters._step_entry(st, k, batch), prev) for o, st in stacks.items()}
+            sent = {o: filters._Owner(st).message(*filters._step_entry(st, k, batch), prev) for o, st in stacks.items()}
             for i, m in flt._lps.items():
                 want, coupled = coupled_refinement(system, i, stacks, [sent[o] for o in m.owners])
                 got = flt.hulls[i]
@@ -782,7 +805,7 @@ class TestDistributed:
         for k, batch, _ in steps:
             prev = flt.hulls
             flt.step(k, batch)
-            sent = {o: filters._message(st, *filters._step_entry(st, k, batch), prev) for o, st in stacks.items()}
+            sent = {o: filters._Owner(st).message(*filters._step_entry(st, k, batch), prev) for o, st in stacks.items()}
             for i, m in flt._lps.items():
                 assert m.owners == [i] + system.topology.peers(i)
                 A, b_lo, b_hi = model_rows(m.program)

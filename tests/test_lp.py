@@ -349,6 +349,102 @@ def test_replace_is_one_load_that_keeps_the_basis():
     assert prog.reloads == 2
 
 
+def _held_pattern_region():
+    """A region of 4 rows over 7 columns with zeros among its entries,
+    reloaded once, so that it holds its row pattern: (region, A, b)."""
+    rng = np.random.default_rng(61)
+    A = rng.standard_normal((4, 7)) * (rng.random((4, 7)) < 0.6)
+    A[:, 0] = 1.0  # every row reads x0
+    b = A @ rng.uniform(-0.5, 0.5, 7)
+    prog = LinearProgram(np.zeros((0, 7)), [], -np.ones(7), np.ones(7))
+    prog.extend([], [], A, b - 0.1, b + 0.1)
+    prog.replace(-np.ones(7), np.ones(7), A, b - 0.1, b + 0.1)
+    return prog, A, b
+
+
+def _same_model(prog, A, b_lo, b_hi, lo, hi):
+    """``prog``'s HiGHS model is that of a region built afresh from the
+    data: rows, row bounds and column bounds."""
+    fresh = LinearProgram(np.zeros((0, A.shape[1])), [], lo, hi)
+    fresh.extend([], [], A, b_lo, b_hi)
+    (rows, row_lo, row_hi), cols = model_rows(prog), model_cols(prog)
+    (want, want_lo, want_hi), want_cols = model_rows(fresh), model_cols(fresh)
+    assert np.array_equal(rows.toarray(), want.toarray()) and rows.nnz == want.nnz
+    assert np.array_equal(row_lo, want_lo) and np.array_equal(row_hi, want_hi)
+    assert all(np.array_equal(a, b) for a, b in zip(cols, want_cols))
+
+
+class TestHeldPattern:
+    """``replace`` with A's nonzeros exactly where the last ``replace``
+    wrote them reuses the held row pattern; any other A takes the full
+    path; bad input changes nothing."""
+
+    def test_new_numbers_in_the_held_pattern_reuse_its_rows(self):
+        prog, A, b = _held_pattern_region()
+        C = np.eye(7)[:3]
+        prog.bounds(C)
+        rows, blocks, plan = (prog._start, prog._index), prog._blocks(), prog._plan
+        lo, hi = -2 * np.ones(7), np.ones(7)
+        for scale in (2.0, -0.5):
+            prog.replace(lo, hi, scale * A, scale * b - 1, scale * b + 1)
+            assert prog._start is rows[0] and prog._index is rows[1]
+            assert prog._block is blocks and prog._plan is plan
+            # what HiGHS holds is what a fresh build of the same data holds
+            _same_model(prog, scale * A, scale * b - 1, scale * b + 1, lo, hi)
+            assert prog.solve(np.ones(7)).status == OPTIMAL
+        assert prog.reloads == 3
+
+    @pytest.mark.parametrize("change", ["zeroed", "added", "moved"])
+    def test_another_pattern_takes_the_full_path(self, change):
+        # an entry zeroed, one added, or one moved (as many nonzeros)
+        prog, A, b = _held_pattern_region()
+        prog.bounds(np.eye(7)[:3])
+        A2 = A.copy()
+        if change != "added":
+            A2[tuple(np.argwhere(A != 0)[-1])] = 0.0
+        if change != "zeroed":
+            A2[tuple(np.argwhere(A == 0)[0])] = 1.5
+        rows = prog._start, prog._index
+        prog.replace(-np.ones(7), np.ones(7), A2, b - 0.1, b + 0.1)
+        assert prog._block is None and prog._plan is None
+        assert prog._index is not rows[1] and prog._index.size == np.count_nonzero(A2)
+        _same_model(prog, A2, b - 0.1, b + 0.1, -np.ones(7), np.ones(7))
+        # the new pattern is held in turn
+        rows = prog._start, prog._index
+        prog.replace(-np.ones(7), np.ones(7), 3 * A2, 3 * b - 0.1, 3 * b + 0.1)
+        assert prog._start is rows[0] and prog._index is rows[1]
+        _same_model(prog, 3 * A2, 3 * b - 0.1, 3 * b + 0.1, -np.ones(7), np.ones(7))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "new"])
+    def test_a_non_finite_entry_changes_nothing(self, value, held):
+        prog, A, b = _held_pattern_region()
+        before = model_rows(prog), prog._value.copy(), (prog._start, prog._index)
+        bad = A.copy()
+        bad[tuple(np.argwhere(A != 0 if held else A == 0)[0])] = value
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            prog.replace(-np.ones(7), np.ones(7), bad, b - 0.1, b + 0.1)
+        assert prog.reloads == 1 and np.array_equal(prog._value, before[1])
+        assert prog._start is before[2][0] and prog._index is before[2][1]
+        after = model_rows(prog)
+        assert np.array_equal(after[0].toarray(), before[0][0].toarray())
+
+    @pytest.mark.parametrize(
+        "shape, match",
+        [((5, 7), "A has 5 rows, expected 4"), ((4, 8), "A has 8 columns, expected 7"), ((28,), "2-d array")],
+    )
+    def test_a_wrong_shape_changes_nothing(self, shape, match):
+        prog, A, b = _held_pattern_region()
+        rows = prog._start, prog._index
+        value = prog._value
+        bad = np.resize(A, shape)
+        with pytest.raises(ValueError, match=match):
+            prog.replace(-np.ones(7), np.ones(7), bad, b - 0.1, b + 0.1)
+        assert prog.reloads == 1 and prog._value is value
+        assert prog._start is rows[0] and prog._index is rows[1]
+        _same_model(prog, A, b - 0.1, b + 0.1, -np.ones(7), np.ones(7))
+
+
 def test_zero_objective_is_written_once():
     # a zero objective is written only when the model's is not zero
     prog = LinearProgram([[1.0, 1.0, 1.0]], [1.0], np.zeros(3), np.ones(3))
@@ -1053,6 +1149,11 @@ def _solves(region):
     return calls
 
 
+def _batch_lists(region, C):
+    """``region._batches(C)``, each batch's index array as a list."""
+    return [batch.tolist() for batch in region._batches(C)]
+
+
 class TestBlocks:
     """``bounds`` bounds the rows of C that read different blocks of the
     region's nonzero pattern in one solve, and answers as scipy's linprog
@@ -1128,7 +1229,7 @@ class TestBlocks:
             [0, 1.0, 0, 0, 0],  # block 0
             [0, 0, 0, 0, 0],  # none
         ])
-        assert region._batches(C) == [[0, 2, 3, 5], [1], [4]]
+        assert _batch_lists(region, C) == [[0, 2, 3, 5], [1], [4]]
         calls = _solves(region)
         lo, hi = region.bounds(C)
         assert [sense for _, sense in calls] == ["min"] * 3 + ["max"] * 3
@@ -1175,7 +1276,7 @@ class TestBlocks:
             assert region.solve(c, sense=sense).status == UNBOUNDED
         C = np.vstack([np.eye(6), [1.0, 0, 0, 2.0, -1.0, 3.0]])
         got_lo, got_hi = region.bounds(C)
-        assert region._batches(C) == [[0, 2, 3, 4, 5], [1], [6]]
+        assert _batch_lists(region, C) == [[0, 2, 3, 4, 5], [1], [6]]
         for t, c in enumerate(C):
             for sense, g in (("min", got_lo[t]), ("max", got_hi[t])):
                 assert g == pytest.approx(_linprog_bound(c, A, np.ones(1), np.ones(1), lo, hi, sense), abs=1e-9)
@@ -1201,7 +1302,7 @@ class TestBlocks:
         region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
         region.extend([], [], A, b_lo, b_hi)
         C = np.eye(4)
-        assert region._batches(C) == [[0, 2], [1, 3]]
+        assert _batch_lists(region, C) == [[0, 2], [1, 3]]
         region.bounds(C)
         join = np.array([[1.0, 0, 1.0, 0]])  # x0 + x2 <= 1.2
         region.extend([], [], join, [-np.inf], [1.2])
@@ -1252,7 +1353,7 @@ class TestBlocks:
         A2[2, 3] = 1.0
         region.replace(np.zeros(4), np.ones(4), A2, b_lo, b_hi)
         assert len(np.unique(region._blocks())) == 1
-        assert region._batches(C) == [[0], [1], [2], [3]]
+        assert _batch_lists(region, C) == [[0], [1], [2], [3]]
 
     def test_plan_follows_the_nonzero_pattern(self):
         # two objective matrices of one shape whose nonzero patterns
@@ -1269,7 +1370,7 @@ class TestBlocks:
         plans = {0: [[0, 2], [1, 3]], 1: [[0], [1, 2], [3]]}
         calls = _solves(region)
         for t, C in enumerate([units, mixed, units, mixed]):
-            assert region._batches(C) == plans[t % 2]
+            assert _batch_lists(region, C) == plans[t % 2]
             before = len(calls)
             got, want = region.bounds(C), bounds_row_by_row(fresh, C)
             assert len(calls) - before == 2 * len(plans[t % 2])

@@ -223,8 +223,14 @@ def _run_sequence(rng, reached):
             lo, hi = np.minimum(lo, data.x_ref), np.maximum(hi, data.x_ref)
             kept_block = prog._block is not None
             valid = prog._highs.getBasis().valid
+            known, rows = prog._flat is not None, (prog._start, prog._index)
             prog.replace(lo, hi, A, b_lo, b_hi)
             same_pattern = np.array_equal(A != 0, data.A != 0)
+            reused = prog._start is rows[0] and prog._index is rows[1]
+            # the held rows are reused exactly when the last replace wrote them in this pattern
+            assert reused == (known and same_pattern)
+            if known:
+                reached.add("held pattern reused" if reused else "held pattern rebuilt")
             if kept_block:  # kept only for the same pattern (rows written in another entry order drop it)
                 assert prog._block is None or same_pattern
                 reached.add("blocks dropped" if prog._block is None else "blocks kept")
@@ -263,6 +269,7 @@ def test_random_operation_sequences_agree_with_the_oracles():
         _run_sequence(rng, reached)
     every = {
         "cols", "blocks joined", "blocks kept", "blocks dropped", "basis kept", "plan kept",
+        "held pattern reused", "held pattern rebuilt",
         "waiting rows read", "waiting rows entered", "zero cost kept", "zero cost written",
         "dual", "primal", "strategy switched",
     }

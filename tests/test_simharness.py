@@ -308,6 +308,29 @@ class TestDeterminism:
                 for key in ("algs", "sizes"):
                     assert json.dumps(a[key][alg], sort_keys=True) == json.dumps(b[key][alg], sort_keys=True), (alg, k)
 
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_each_agent_evaluates_its_dynamics_once_per_step(self, metrics):
+        # uav5 with all three filters: at step k the truth and the
+        # centralized, window and neighborhood stacks all ask each agent
+        # for A_i(k - 1), and share one evaluation; construction asks only
+        # for A_i(0) (the window's observability index, the first
+        # messages), which the first step shares
+        cfg = small_uav(h=4)
+        assert cfg.algorithms == simharness.ALGORITHMS and cfg.delta_bar < 4
+        asked = {i: [] for i in cfg.system.agent_ids}
+        for i, agent in cfg.system.agents.items():
+            def counting(k, A_of_k=agent.A_of_k, i=i):
+                asked[i].append(k)
+                return A_of_k(k)
+
+            agent.A_of_k = counting
+        log = simharness.run_trial(cfg, 0, metrics)
+        assert log.aborted is None and len(log.steps) == 4
+        assert asked == {i: [0, 1, 2, 3] for i in cfg.system.agent_ids}
+        A = cfg.system.agents[1]._A_at(3)  # the kept one: read-only
+        with pytest.raises(ValueError):
+            A[0, 0] = 0.0
+
     def test_thread_budget_env(self, monkeypatch):
         monkeypatch.setenv("CZEST_THREADS", "5")
         assert simharness.thread_budget() == 5
