@@ -35,29 +35,36 @@ stacked system (``sysmodel``), with w in the stack's noise box.  Each
 filter builds its stacks once, at construction.  Of these numbers only A
 (``StackedSystem.A(k)``) and Y change from one step to the next: B, H and
 the noise boxes are the stack's fixed parts.  An LP whose structure is
-fixed and whose numbers move, the fixed-lag window and each distributed
-agent's LP, is reloaded whole at each step (``lp.LinearProgram.replace``),
+fixed and whose numbers move, the fixed-lag window and the distributed
+agents' LP, is reloaded whole at each step (``lp.LinearProgram.replace``),
 which keeps its basis, and its row pattern while the nonzeros stay where
-they were: the window rebuilt from its entries (``_window_block``), an
-agent LP assembled from its owners' messages (``_AgentLP``).
+they were: the window rebuilt from its entries (``_window_block``), the
+agents' LP assembled from the owners' messages (``_AgentLP``).
 
-The distributed filter gives each agent one LP for the whole trial
-(``_AgentLP``), with each step's states substituted out.  Each step,
-every owner o's one-step set is computed once, as a message
-(``_Owner.message``): one LP block over N̄_o's previous states x_prev
-(bounded by their last hulls) and process noises w (in their W boxes),
-whose rows are o's measurements, H A(k) x_prev + H B w within the noise
-range.  Of a message only A(k), Y and the hulls move: each owner keeps H B
-and the W bounds from the filter's construction on (``_Owner``).  An
-agent LP is the blocks of its owners, itself and every peer, assembled
-on shared columns (``_SharedColumns``): every block reads the agent's one
-set of (x_prev, w) columns, which intersects the peers' joints with its
-own exactly, without a copy of its state per peer.  The stacking oracle
-(``verify.lifted_refinement``) assembles its joints with the same code.
-Every column is bounded.  Each agent LP receives the messages of its
-owners and nothing else, so what it can read is local by construction.
-A step reloads the assembled LP and solves the 2n bounds of the agent's
-state from the last basis.  The posterior is the hull (``hulls``).
+The distributed filter holds every agent's refinement, with each step's
+states substituted out, as an independent block of one LP for the whole
+trial (``_AgentLP``).  Each step, every owner o's one-step set is
+computed once, as a message (``_Owner.message``): one LP block over N̄_o's
+previous states x_prev (bounded by their last hulls) and process noises
+w (in their W boxes), whose rows are o's measurements, H A(k) x_prev +
+H B w within the noise range.  Of a message only A(k), Y and the hulls
+move: each owner keeps H B and the W bounds from the filter's
+construction on (``_Owner``).  Agent i's block is the message blocks of
+its owners, itself and every peer, on shared columns
+(``_SharedColumns``, one group of blocks per agent): every block reads
+the agent's one set of (x_prev, w) columns, which intersects the peers'
+joints with its own exactly, without a copy of its state per peer.  The
+stacking oracle (``verify.lifted_refinement``) assembles its joints with
+the same code.  Every column is bounded.  No column or row is shared
+between agents, and agent i's block receives the messages of its owners
+and nothing else, so what its hull can read is local by construction, up
+to round-off: HiGHS pivots and refactors the whole model, so another
+agent's data can move an agent's hull in its last bits.  A step
+assembles and reloads the one LP once and bounds every agent's state in
+one ``lp.LinearProgram.bounds``, from the last basis, whose batches sum
+rows of different agents' blocks: the step makes as many HiGHS runs as
+the agent whose hull alone would take the most.  The posteriors are the
+hulls (``hulls``).
 
 The centralized posterior is held as one sparse "trajectory" LP over
 every state and process noise so far (``_LiftedFilter``), one step block
@@ -448,50 +455,58 @@ class _Owner:
 
 
 class _SharedColumns:
-    """One LP of blocks (lo, hi, D, b_lo, b_hi), each over its own columns,
-    that share one slot of columns, agent i's: the layout, laid out once
-    from each block's shape (``shapes``, its rows and columns) and the
-    slot's positions among its columns (``slots``), and the assembly of a
-    list of such blocks (``__call__``).
+    """One LP of groups of blocks (lo, hi, D, b_lo, b_hi), each block over
+    its own columns, where the blocks of a group share one slot of columns,
+    that group's, and no two groups share a column or a row: the layout,
+    laid out once from each group's blocks, each as its shape (its rows and
+    columns) and the slot's positions among its columns, and the assembly
+    of a list of such blocks (``__call__``).
 
-    The blocks' rows follow each other in order.  The first block's columns
-    come first, in its order; each later block reads the slot through the
-    first block's columns of it, and its other columns follow, in its
-    order.  ``cols`` holds the LP column of each block column, ``own`` the
-    slot's LP columns and (``m``, ``n``) the LP's shape.  A later block
-    reads the slot with the sign ``_COUPLING_SIGN``, which ``czest verify
-    --inject-fault`` flips to check that the oracles catch a block that
-    reads agent i's state wrongly.
+    The groups follow each other, in rows and in columns, so that each is a
+    diagonal block of the LP, rows ``spans[g][0]`` by columns
+    ``spans[g][1]`` (two slices).  Inside a group the blocks' rows follow
+    each other in order.  The group's first block's columns come first, in
+    its order; each later block reads the slot through the first block's
+    columns of it, and its other columns follow, in its order.  ``cols``
+    holds the LP column of each block column, block by block across the
+    groups, ``own`` each group's slot's LP columns and (``m``, ``n``) the
+    LP's shape.  A later block of a group reads the slot with the sign
+    ``_COUPLING_SIGN``, which ``czest verify --inject-fault`` flips to
+    check that the oracles catch a block that reads agent i's state
+    wrongly.
     """
 
-    def __init__(self, shapes, slots):
-        self.cols, self.n, laid = [], 0, []
-        for (_, width), slot in zip(shapes, slots, strict=True):
-            cols, sign = np.full(width, -1), np.ones(width)
-            if self.cols:
-                cols[slot], sign[slot] = self.own, _COUPLING_SIGN
-            fresh = np.flatnonzero(cols < 0)
-            cols[fresh] = self.n + np.arange(fresh.size)
-            if not self.cols:
-                self.own = cols[slot]
-            self.n += fresh.size
-            self.cols.append(cols)
-            laid.append((sign, fresh))
+    def __init__(self, groups):
+        self.cols, self.own, self.spans, self.m, self.n, laid = [], [], [], 0, 0, []
+        for group in groups:
+            m, n = self.m, self.n
+            for b, ((rows, width), slot) in enumerate(group):
+                cols, sign = np.full(width, -1), np.ones(width)
+                if b:
+                    cols[slot], sign[slot] = self.own[-1], _COUPLING_SIGN
+                fresh = np.flatnonzero(cols < 0)
+                cols[fresh] = self.n + np.arange(fresh.size)
+                if not b:
+                    self.own.append(cols[slot])
+                self.m, self.n = self.m + rows, self.n + fresh.size
+                self.cols.append(cols)
+                laid.append((rows, sign, fresh))
+            self.spans.append((slice(m, self.m), slice(n, self.n)))
         # per block entry, its place in D (flat) and its sign; per LP
         # column, the block column (in the blocks' concatenation) that
         # bounds it: the first
-        at, signs, self._pick, self.m, first = [], [], np.empty(self.n, dtype=int), 0, 0
-        for (rows, width), cols, (sign, fresh) in zip(shapes, self.cols, laid):
-            at.append(((self.m + np.arange(rows))[:, None] * self.n + cols).ravel())
+        at, signs, self._pick, row, first = [], [], np.empty(self.n, dtype=int), 0, 0
+        for cols, (rows, sign, fresh) in zip(self.cols, laid):
+            at.append(((row + np.arange(rows))[:, None] * self.n + cols).ravel())
             signs.append(np.tile(sign, rows))
             self._pick[cols[fresh]] = first + fresh
-            self.m, first = self.m + rows, first + width
+            row, first = row + rows, first + cols.size
         self._at, self._sign = np.concatenate(at), np.concatenate(signs)
 
     def __call__(self, blocks):
         """The LP (lo, hi, D, b_lo, b_hi) of ``blocks``, in layout order:
-        each block's rows in turn, on its columns.  Every block bounds the
-        slot alike; the first one's bounds are kept."""
+        each block's rows in turn, on its columns.  Every block of a group
+        bounds its slot alike; the first one's bounds are kept."""
         col_lo, col_hi, rows, b_lo, b_hi = zip(*blocks)
         D = np.zeros(self.m * self.n)
         D[self._at] = np.concatenate([R.ravel() for R in rows]) * self._sign
@@ -505,73 +520,118 @@ class _SharedColumns:
 
 
 class _AgentLP:
-    """Agent i's lifted refinement: one LinearProgram for the whole trial.
+    """Every agent's lifted refinement, each an independent block of one
+    LinearProgram for the whole trial.
 
-    It holds the one-step sets of its ``owners``, agent i and every peer l
-    in ``topology.peers(i)``: the blocks of their messages (``_Owner``),
-    in ``owners`` order, each over N̄_o's previous states x_prev (bounded by
-    their last hulls) and process noises w (in their W boxes), the step's
-    states substituted out.  The blocks share agent i's one set of
-    (x_prev, w) columns (``_SharedColumns``), and each other agent of a
-    block has its own.  That is exact: A(k) and B are block-diagonal, so a
-    peer's rows read agent i only through A_i(k) x_prev + B_i w over the
-    same box (its last hull times W_i) as its own block's, and a copy per
-    peer tied to agent i's state would hold the same set.  Every column is
-    bounded.  The refined set of one step is the image of the feasible set
-    under [A_i(k) B_i] on agent i's columns, whose rows ``hull`` bounds.
+    Agent i's block holds the one-step sets of its ``owners[i]``, agent i
+    and every peer l in ``topology.peers(i)``: the blocks of their messages
+    (``_Owner``), in that order, each over N̄_o's previous states x_prev
+    (bounded by their last hulls) and process noises w (in their W boxes),
+    the step's states substituted out.  The blocks share agent i's one set
+    of (x_prev, w) columns (``_SharedColumns``, one group per agent), and
+    each other agent of a block has its own.  That is exact: A(k) and B are
+    block-diagonal, so a peer's rows read agent i only through A_i(k) x_prev
+    + B_i w over the same box (its last hull times W_i) as its own block's,
+    and a copy per peer tied to agent i's state would hold the same set.
+    Every column is bounded.  The refined set of one step is the image of
+    agent i's block's feasible set under [A_i(k) B_i] on agent i's
+    columns, whose rows ``hulls`` bounds.
 
-    The LP reads no data but its owners' messages.  It is built from the
-    first ones, and each later step reloads it whole (``update``), so each
-    step's solves start from the last basis.
+    No column or row is shared between agents, so the LP is the product of
+    the agents' blocks: agent i's block reads no data but its owners'
+    messages, and its hull is the one its block alone would give.  All
+    agents' hull rows are bounded in one ``lp.LinearProgram.bounds``, whose
+    batches sum rows that read different blocks: each row goes into the
+    batch it would take in its agent's hull alone, so a step makes as many
+    HiGHS runs as the agent whose hull alone would take the most, 4 for
+    uav5's five agents.  HiGHS pivots and refactors the whole model, so an
+    agent's hull can depend on another agent's data in its last bits.  The
+    LP is built from the first messages, and each later step reloads it
+    whole (``update``), so each step's solves start from the last basis.
     """
 
-    def __init__(self, system, i, stacks, messages):
-        """Lay out the LP and build it from ``messages``; ``stacks`` maps
-        each owner o to its neighborhood stack over N̄_o."""
-        agents = system.agents
-        self.owners = [i] + system.topology.peers(i)
-        n, p = agents[i].n, agents[i].p
-        shapes, slots = [], []
-        for o in self.owners:
-            st = stacks[o]
-            nx = st.B.shape[0]
-            before = st.state_order[: st.state_order.index(i)]
-            x_at, w_at = sum(agents[l].n for l in before), nx + sum(agents[l].p for l in before)
-            shapes.append((st.H.shape[0], nx + st.B.shape[1]))
-            slots.append(np.r_[x_at : x_at + n, w_at : w_at + p])  # agent i's part of N̄_o's (x_prev, w)
-        self._layout = _SharedColumns(shapes, slots)
-        self._hull_rows = np.zeros((n, self._layout.n))  # [A_i(k) B_i] on agent i's columns
-        self._hull_rows[:, self._layout.own[n:]] = agents[i].B
+    def __init__(self, system, stacks, sent):
+        """Lay out the LP and build it from the messages ``sent`` ({owner:
+        message}); ``stacks`` maps each owner o to its neighborhood stack
+        over N̄_o."""
+        agents, self.ids = system.agents, system.agent_ids
+        self.owners = {i: [i] + system.topology.peers(i) for i in self.ids}
+        groups = []
+        for i in self.ids:
+            n, p = agents[i].n, agents[i].p
+            group = []
+            for o in self.owners[i]:
+                st = stacks[o]
+                nx = st.B.shape[0]
+                before = st.state_order[: st.state_order.index(i)]
+                x_at, w_at = sum(agents[l].n for l in before), nx + sum(agents[l].p for l in before)
+                # agent i's part of N̄_o's (x_prev, w)
+                group.append(((st.H.shape[0], nx + st.B.shape[1]), np.r_[x_at : x_at + n, w_at : w_at + p]))
+            groups.append(group)
+        self._layout = _SharedColumns(groups)
+        self._senders = [o for i in self.ids for o in self.owners[i]]
+        # [A_i(k) B_i] on agent i's columns, agent after agent; per agent,
+        # its hull rows and the columns of its state
+        self._hull_rows = np.zeros((sum(agents[i].n for i in self.ids), self._layout.n))
+        self._rows, row = [], 0
+        for i, own in zip(self.ids, self._layout.own):
+            n = agents[i].n
+            self._rows.append((slice(row, row + n), own[:n]))
+            self._hull_rows[row : row + n, own[n:]] = agents[i].B
+            row += n
         self.program = None
-        self.update(messages)
+        self.update(sent)
 
-    def update(self, messages):
-        """Load the owners' ``messages`` of a step: agent i's A_i(k) into
-        the hull rows, and the LP of their blocks (``_SharedColumns``) into
-        the model, built by the first call and reloaded by every later one
+    def update(self, sent):
+        """Load the messages ``sent`` ({owner: message}) of a step: each
+        agent i's A_i(k) into its hull rows, and the LP of every agent's
+        owners' blocks (``_SharedColumns``) into the model, built by the
+        first call and reloaded by every later one
         (``lp.LinearProgram.replace``)."""
-        n = self._hull_rows.shape[0]
-        self._hull_rows[:, self._layout.own[:n]] = messages[0][0][:n, :n]  # i leads N̄_i
-        region = self._layout([block for _, block in messages])
+        for i, (rows, x) in zip(self.ids, self._rows):
+            self._hull_rows[rows, x] = sent[i][0][: x.size, : x.size]  # i leads N̄_i
+        self._loaded = self._layout([sent[o][1] for o in self._senders])
         if self.program is None:
-            self.program = _region(*region)
+            self.program = _region(*self._loaded)
         else:
-            self.program.replace(*region)
+            self.program.replace(*self._loaded)
 
-    def hull(self):
-        """Interval hull of agent i's refined own state."""
-        return Box(*self.program.bounds(self._hull_rows))
+    def hulls(self):
+        """{agent: interval hull of its refined own state}, all in one
+        ``bounds``; an empty block raises ``lp.EmptySetError``."""
+        lo, hi = self.program.bounds(self._hull_rows)
+        return {i: Box(lo[rows], hi[rows]) for i, (rows, _) in zip(self.ids, self._rows)}
+
+    def first_empty(self):
+        """The first agent, in id order, whose block of the last loaded LP
+        is infeasible alone, solved as a fresh LinearProgram; None if no
+        block is."""
+        lo, hi, D, b_lo, b_hi = self._loaded
+        for i, (rows, cols) in zip(self.ids, self._layout.spans):
+            alone = _region(lo[cols], hi[cols], D[rows, cols], b_lo[rows], b_hi[rows])
+            if alone.solve(np.zeros(alone.n)).status == lp.INFEASIBLE:
+                return i
+        return None
+
+    @property
+    def sizes(self):
+        """{agent: (columns, rows)} of each agent's block."""
+        spans = self._layout.spans
+        return {i: (cols.stop - cols.start, rows.stop - rows.start) for i, (rows, cols) in zip(self.ids, spans)}
 
 
 class DistributedFilter:
     """Per-agent neighborhood recursion with peer refinement.
 
     Each agent's posterior is the interval hull of its refined own state
-    (``hulls``), solved on the agent's persistent lifted LP (``_AgentLP``).
-    A step computes each owner's message (``_Owner.message``) once, from its
-    neighborhood stack, the step's measurements and the last hulls, and
-    hands each agent LP the messages of its owners only.  The models are
-    built at construction and reloaded by every step.
+    (``hulls``), solved on the agents' persistent lifted LP (``_AgentLP``),
+    one independent block per agent.  A step computes each owner's message
+    (``_Owner.message``) once, from its neighborhood stack, the step's
+    measurements and the last hulls, and hands each agent's block the
+    messages of its owners only.  The model is built at construction and
+    reloaded by every step.  When the model is empty, the abort names the
+    first agent, in id order, whose block alone is empty
+    (``_AgentLP.first_empty``).
     """
 
     def __init__(self, system, initial_ranges):
@@ -592,28 +652,22 @@ class DistributedFilter:
         stacks = {o: owner.stack for o, owner in self._owners.items()}
         sent = {o: owner.message(_dynamics(stacks[o], 0), np.zeros(stacks[o].H.shape[0]), self.hulls)
                 for o, owner in self._owners.items()}
-        self._lps = {i: _AgentLP(system, i, stacks, [sent[o] for o in [i] + system.topology.peers(i)])
-                     for i in ids}
+        self._lp = _AgentLP(system, stacks, sent)
 
     def step(self, k, batch):
         """Consume the batch of step k (must be the next step)."""
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        sent = {o: owner.message(*_step_entry(owner.stack, k, batch), self.hulls)
-                for o, owner in self._owners.items()}
-        for m in self._lps.values():
-            m.update([sent[o] for o in m.owners])
-        hulls = {}
-        for i in self.system.agent_ids:
-            try:
-                hulls[i] = self._lps[i].hull()
-            except lp.EmptySetError:
-                raise EmptyPosteriorError(k, agent=i) from None
-        self.hulls = hulls
+        self._lp.update({o: owner.message(*_step_entry(owner.stack, k, batch), self.hulls)
+                         for o, owner in self._owners.items()})
+        try:
+            self.hulls = self._lp.hulls()
+        except lp.EmptySetError:
+            raise EmptyPosteriorError(k, agent=self._lp.first_empty()) from None
         self.k = k
 
     @property
     def lifted_sizes(self):
-        """{agent: (columns, rows)} of the agents' lifted LPs, constant
-        from construction on."""
-        return {i: (m.program.n, m.program.m) for i, m in self._lps.items()}
+        """{agent: (columns, rows)} of the agents' blocks of the lifted LP,
+        constant from construction on."""
+        return self._lp.sizes

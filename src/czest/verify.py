@@ -9,7 +9,7 @@ Suites:
   * geometry: randomized set-operation invariants on small CZs, with
     membership decided by LP and witnesses carried through constructions.
   * stacking: the lifted refinement (each joint a block of generator and
-    state columns, assembled with the filter's agent LPs' code,
+    state columns, assembled with the code of the filter's agents' LP,
     ``filters._SharedColumns``, so that every joint reads this agent's
     state through the same columns) must represent exactly the same set
     as the project/intersect composition built from primitives.
@@ -28,7 +28,7 @@ Suites:
     filter's own code; this suite and the next are its independent
     checks.
   * distributed: the distributed hulls a trial logs (from the agents'
-    lifted LPs) agree with those of the dense composition of one
+    lifted LP) agree with those of the dense composition of one
     distributed step, replayed per step from the logged previous hulls.
 """
 
@@ -329,11 +329,12 @@ def lifted_refinement(own_joint, own_dims, received):
             1-based position of this agent in N̄_l.
 
     Each joint Z is one LP block over its columns (xi, x)
-    (``czono._lifted_block``), and the blocks are one LP as the filter's
-    agent LPs are (``filters._SharedColumns``): every received joint reads
-    this agent's state through the own joint's columns of it, which is the
-    refinement's intersection.  Returns (LinearProgram, columns of the own
-    state): the feasible set projected on those columns is the refined set.
+    (``czono._lifted_block``), and the blocks are one LP as an agent's
+    block of the filter's LP is (``filters._SharedColumns``, one group):
+    every received joint reads this agent's state through the own joint's
+    columns of it, which is the refinement's intersection.  Returns
+    (LinearProgram, columns of the own state): the feasible set projected
+    on those columns is the refined set.
     """
     n = own_dims[0]
     joints = [(own_joint, 1, own_dims)] + list(received)
@@ -343,8 +344,9 @@ def lifted_refinement(own_joint, own_dims, received):
             raise ValueError("received joint stores this agent with a different dim")
         start = Z.n_generators + int(np.sum(dims[: alpha - 1]))
         slots.append(np.arange(start, start + n))
-    layout = filters._SharedColumns([(Z.n_constraints + Z.dim, Z.n_generators + Z.dim) for Z, _, _ in joints], slots)
-    return filters._region(*layout([czono._lifted_block(Z) for Z, _, _ in joints])), layout.own
+    shapes = [(Z.n_constraints + Z.dim, Z.n_generators + Z.dim) for Z, _, _ in joints]
+    layout = filters._SharedColumns([list(zip(shapes, slots))])
+    return filters._region(*layout([czono._lifted_block(Z) for Z, _, _ in joints])), layout.own[0]
 
 
 def stacking_checks(rng_seed=2026, instances=100, probes=1000):

@@ -360,13 +360,12 @@ class TestBackends:
         assert all(r.failures == r.cases > 0 for r in results)
 
     def test_distributed_check_detects_widened_hulls(self, monkeypatch):
-        hull = filters._AgentLP.hull
+        hulls = filters._AgentLP.hulls
 
         def widened(self):
-            box = hull(self)
-            return czono.Box(box.lo - 1e-3, box.hi + 1e-3)
+            return {i: czono.Box(box.lo - 1e-3, box.hi + 1e-3) for i, box in hulls(self).items()}
 
-        monkeypatch.setattr(filters._AgentLP, "hull", widened)
+        monkeypatch.setattr(filters._AgentLP, "hulls", widened)
         results = verify.distributed_check(horizon=3)
         assert [r.name for r in results] == ["distributed.uav5", "distributed.pair1d"]
         assert all(r.failures == r.cases > 0 for r in results)
@@ -659,8 +658,9 @@ class TestSolverFailure:
     @pytest.mark.parametrize(
         "call, algorithms, k",
         [
-            # the agent LPs are reloaded from k = 1 on, with their basis
-            # handed back from k = 2 on (there is none before the first solve)
+            # the agents' one LP, built with its filter, is reloaded from
+            # k = 1 on, with its basis handed back from k = 2 on (there is
+            # none before the first solve)
             ("passModel", ["centralized", "oit", "distributed"], 1),
             ("setBasis", ["centralized", "oit", "distributed"], 2),
             # the window LP, built at k = delta_bar + 1 = 4, from k = 5 on
@@ -707,8 +707,8 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_distributed_failure_after_update_aborts(self, monkeypatch, metrics):
-        # the agents' lifted LPs are built at construction and reloaded by
-        # every step, so the first step's solves already fail
+        # the agents' one lifted LP is built at construction and reloaded
+        # by every step, so the first step's solves already fail
         new = lp._new_model
         monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceUpdated(new()))
         log = simharness.run_trial(small_uav(h=4, algorithms=["distributed"]), 0, metrics=metrics)
