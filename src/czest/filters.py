@@ -35,11 +35,12 @@ stacked system (``sysmodel``), with w in the stack's noise box.  Each
 filter builds its stacks once, at construction.  Of these numbers only A
 (``StackedSystem.A(k)``) and Y change from one step to the next: B, H and
 the noise boxes are the stack's fixed parts.  An LP whose structure is
-fixed and whose numbers move, the fixed-lag window and the distributed
-agents' LP, is reloaded whole at each step (``lp.LinearProgram.replace``),
-which keeps its basis, and its row pattern while the nonzeros stay where
-they were: the window rebuilt from its entries (``_window_block``), the
-agents' LP assembled from the owners' messages (``_AgentLP``).
+fixed and whose numbers move is reloaded whole
+(``lp.LinearProgram.replace``), which keeps its basis, and its row
+pattern while the nonzeros stay where they were: the distributed agents'
+LP at each step, assembled from the owners' messages (``_AgentLP``), and
+the fixed-lag window when it is read, rebuilt from its entries
+(``_window_block``).
 
 The distributed filter holds every agent's refinement, with each step's
 states substituted out, as an independent block of one LP for the whole
@@ -69,30 +70,43 @@ hulls (``hulls``).
 The centralized posterior is held as one sparse "trajectory" LP over
 every state and process noise so far (``_LiftedFilter``), one step block
 of the centralized stack per step; the set is the LP's feasible set
-projected on the final state.  A step appends its block of columns and
-rows to the same ``lp.LinearProgram``, so every solve warm-starts from
-the last basis, across steps too.  The fixed-lag filter is the same class
-with a window: it grows the same LP up to ``delta_bar``, and its records
-there are the centralized filter's, whether or not the two run together.
-Past it, its window of the last ``delta_bar + 1`` batches, with the
-window's first state x_a free, is one LP over x_a, the window's process
-noises w and the final state (``_window_block``), the
-finite-horizon filter of Cong, Wang & Zhou (*IEEE TAC* 67(5), 2022): the
-states in between are substituted out, so the measurement rows of the
-window's j-th batch read H Φ_j (x_a, w), Φ_j being the window's first j
-steps of dynamics, as in the observability matrix [H; H Φ_1; ...] of
-``sysmodel.observability_index``; the last batch's read H x_k, and the
-final state's rows tie x_k to (x_a, w).  That LP is built at the first
-step past ``delta_bar``, from the buffered entries, and no witness enters
-it.  A time-varying A(k) moves every coefficient of it at every step, so
-each later step reloads it whole.
+projected on the final state.  The blocks are appended to the same
+``lp.LinearProgram``, so every solve warm-starts from the last basis,
+across steps too.  The fixed-lag filter is the same class with a window:
+up to ``delta_bar`` it is the same trajectory, and its records there are
+the centralized filter's, whether or not the two run together.  Past it,
+its window of the last ``delta_bar + 1`` batches, with the window's first
+state x_a free, is one LP over x_a, the window's process noises w and the
+final state (``_window_block``), the finite-horizon filter of Cong, Wang
+& Zhou (*IEEE TAC* 67(5), 2022): the states in between are substituted
+out, so the measurement rows of the window's j-th batch read H Φ_j (x_a,
+w), Φ_j being the window's first j steps of dynamics, as in the
+observability matrix [H; H Φ_1; ...] of ``sysmodel.observability_index``;
+the last batch's read H x_k, and the final state's rows tie x_k to (x_a,
+w).  A time-varying A(k) moves every coefficient of it at every step.
+
+A step of either filter stores its entry (``_Entry``: A(k), Y and the
+measurement bounds, computed once) and builds nothing.  The LP is brought
+up to the step only when a solve or a solver point's check reads it
+(``_LiftedFilter._posterior``): the trajectory is extended by its pending
+blocks, in order; the window is built at its first use, a new LP that no
+witness enters, and reloaded whole at each later one
+(``lp.LinearProgram.replace``).  HiGHS so holds the model it would hold
+had every step built it.  In containment mode a trial builds each of them
+about twice; ``hull`` needs it at every step.  A step whose numbers come
+within a tenth of HiGHS's refusal limits, or past the float range, is
+brought up at once (``_LiftedFilter._within_limits``), so that its abort
+falls on its own step.
 
 ``hull`` solves the final state's interval hull.  ``contains`` first
 tries a one-step witness: the feasible LP point behind the last step's
 ``True``, carried one step by the recursion to the queried state (on a
-trajectory LP extended by a step, on a window shifted by one) and
-checked against the LP's bounds and its rows as they were last written
-(``lp.LinearProgram.satisfied_by``); a point that passes is a primal
+trajectory extended by a step, on a window shifted by one).  A point
+found by the solver is checked against the bounds and rows of the LP
+brought up to the step (``lp.LinearProgram.satisfied_by``); a point that
+passed a check is checked again on the step entries alone
+(``_LiftedFilter._admits``): the new step's rows on the trajectory, every
+row of the window by its recursion.  A point that passes is a primal
 certificate of membership.  Only when there is no witness, or it fails
 the check, does ``contains`` fall back to the LP probe
 (``lp.LinearProgram.feasible_at``): it pins the final state through its
@@ -130,6 +144,14 @@ __all__ = [
 # later block of a ``_SharedColumns`` LP reads the shared columns (read
 # when the LP is laid out).
 _COUPLING_SIGN = 1.0
+
+# HiGHS refuses a model change that holds a coefficient of magnitude 1e15
+# or more (its large_matrix_value), a lower bound of 1e20 or more or an
+# upper bound of -1e20 or less (its infinite_bound).  A lifted LP whose
+# numbers stay below a tenth of these limits can wait for its next solve
+# (``_LiftedFilter._within_limits``).
+_COEF_LIMIT = 1e14
+_BOUND_LIMIT = 1e19
 
 
 class EmptyPosteriorError(RuntimeError):
@@ -261,24 +283,59 @@ def _extend_trajectory(region, stack, A, Y):
     region.extend(*_step_block(stack, A, Y), cols=cols)
 
 
+def _norm_bound(M):
+    """A bound on the ∞-norm of M (its largest absolute row sum): its width
+    times its largest magnitude, a float (inf past the float range)."""
+    return M.shape[1] * float(np.abs(M).max(initial=0.0))
+
+
+class _Entry:
+    """What a lifted filter keeps of a step, computed once, when it is
+    stored: the step entry (A, Y) (``_step_entry``); the measurement bounds
+    [lo, hi] of Y (``_measurement_bounds``), which the step's LP rows hold
+    and the witness check reads; a bound on A's ∞-norm (``_norm_bound``);
+    and whether each of those bounds is below ``_BOUND_LIMIT`` in magnitude
+    (False at a NaN)."""
+
+    __slots__ = ("A", "Y", "lo", "hi", "norm", "small")
+
+    def __init__(self, stack, A, Y):
+        self.A, self.Y = A, Y
+        self.lo, self.hi = _measurement_bounds(Y, stack.Vset)
+        self.norm = _norm_bound(A)
+        # lo <= hi, so lo > -limit and hi < limit bound them all
+        self.small = bool(self.lo.min() > -_BOUND_LIMIT and self.hi.max() < _BOUND_LIMIT)
+
+
 class _LiftedFilter:
     """The centralized and fixed-lag filters: a posterior held as the final
     state, the last columns, of one LP, ``_post``, with the step
     bookkeeping and the queries on it.
 
     Without a window (``delta_bar`` None), and with one up to step
-    ``delta_bar``, ``_post`` is the trajectory LP over (x_0, w_1, x_1, ...,
-    w_k, x_k), grown by a step block per step (``_extend_trajectory``).  At
-    step ``delta_bar + 1`` it becomes the LP of the buffered last
-    ``delta_bar + 1`` step entries (``_window_block``), of constant size,
-    which each later step reloads (``lp.LinearProgram.replace``).
+    ``delta_bar``, the posterior is the trajectory LP over (x_0, w_1, x_1,
+    ..., w_k, x_k), a step block per step (``_extend_trajectory``).  Past
+    ``delta_bar`` it is the LP of the last ``delta_bar + 1`` step entries
+    (``_window_block``), of constant size.
 
-    ``contains`` keeps a witness (k, p, y, checked): the
-    state p it last found in the step-k posterior and y, a feasible point
-    of that step's LP whose final state is p.  ``checked`` is
-    (LinearProgram, its ``reloads``, rows) when y was verified against
-    those leading rows of that LP (``_try_witness``), None for a solver's
-    point.  The first window, a new LP, starts without one.
+    ``step`` stores, it does not build: it keeps the step's entry
+    (``_Entry``), among the trajectory's pending ones or in the window's
+    buffer.  ``_posterior`` brings ``_post`` up to step k when a reader
+    needs it (``hull``, the LP probe of ``contains``, a solver point's
+    check): it extends the trajectory by its pending step blocks, in order,
+    or builds the first window, a new LP, or reloads the window it built
+    once, with the last entries (``lp.LinearProgram.replace``).  HiGHS so
+    receives the model that building at every step would give it: the same
+    rows, bounds and basis.  A step whose numbers could make that build or
+    HiGHS fail (``_within_limits``) brings ``_post`` up at once, so that the
+    abort falls on its step.  ``lifted_size`` is computed from k and the
+    stack's sizes.
+
+    ``contains`` keeps a witness (k, p, y, checked): the state p it last
+    found in the step-k posterior and y, a point of that step's LP whose
+    final state is p.  ``checked`` is True when y was verified against
+    every row of that LP (``_try_witness``), None for a solver's point.
+    The first window, a new LP, starts without one.
     """
 
     def __init__(self, system, initial, delta_bar=None):
@@ -290,36 +347,96 @@ class _LiftedFilter:
         self.system = system
         self.delta_bar = delta_bar
         self.k = 0
-        self._stack = sysmodel.build_centralized(system)
+        self._stack = stack = sysmodel.build_centralized(system)
         self._post = lp.LinearProgram(np.zeros((0, initial.dim)), np.zeros(0), initial.lo, initial.hi)
-        self._B_pinv = np.linalg.pinv(self._stack.B)
+        self._held = 0  # the step ``_post`` is brought up to
+        self._pending = []  # the trajectory's step entries not yet in ``_post``, oldest first
         self._window = []  # the last delta_bar + 1 step entries, oldest first, if there is a window
-        self._entry = None  # (A, Y) of step k
+        self._entry = None  # the step entry of step k
+        (n, p), m = stack.B.shape, stack.H.shape[0]
+        self._dims = n, p, m
+        self._B_pinv = np.linalg.pinv(stack.B)
+        # what ``_admits`` reads of the fixed parts: the W box widened by
+        # EPS_LP, and the row of each term of a step's dynamics and
+        # measurement sums
+        self._w_lo, self._w_hi = stack.Wset.lo - lp.EPS_LP, stack.Wset.hi + lp.EPS_LP
+        self._dyn_rows, self._meas_rows = np.repeat(np.arange(n), n + p), np.repeat(np.arange(m), n)
+        # what ``_within_limits`` reads of the fixed parts: bounds on the
+        # ∞-norms of B and of [H; I]
+        self._norms = _norm_bound(stack.B), max(_norm_bound(stack.H), 1.0)
         self._hull_rows = np.zeros((0, 0))  # what ``hull`` bounds, for an LP of its width
         self._witness = None
         self._nonempty = None  # the last step whose posterior a solve found nonempty
 
+    def _windowed(self):
+        """True iff the step-k posterior is the window, past ``delta_bar``."""
+        return self.delta_bar is not None and self.k > self.delta_bar
+
     def step(self, k, batch):
-        """Consume the batch of step k (must be the next step)."""
+        """Consume the batch of step k (must be the next step): store its
+        entry, and build nothing unless ``_within_limits`` fails."""
         if k != self.k + 1:
             raise ValueError(f"expected step {self.k + 1}, got {k}")
-        entry = _step_entry(self._stack, k, batch)
+        entry = _Entry(self._stack, *_step_entry(self._stack, k, batch))
         db = self.delta_bar
         if db is not None:
             self._window = (self._window + [entry])[-(db + 1) :]
         if db is None or k <= db:
-            _extend_trajectory(self._post, self._stack, *entry)
-        elif k == db + 1:  # the first window: a new LP, which no witness enters
-            self._post, self._witness = _region(*_window_block(self._stack, self._window)), None
+            self._pending.append(entry)
+        elif k == db + 1:  # the trajectory is never built now; the first window is a new LP, which no witness enters
+            self._pending, self._witness = [], None
+        self._entry, self.k = entry, k
+        if not self._within_limits():
+            self._posterior()
+
+    def _within_limits(self):
+        """True iff every number that ``_post`` holds at step k stays below
+        ``_COEF_LIMIT`` (coefficients) and ``_BOUND_LIMIT`` (bounds) in
+        magnitude, by a bound from ∞-norms: then neither building it nor
+        HiGHS can fail on it, and it can wait for its next solve.
+
+        A step block's coefficients are A's, B's, H's and 1.  The window's
+        are H F_j and F_d (``_window_block``), where F_j's rows sum to at
+        most f_j, f_0 = 1 and f_j = |A_j| f_{j-1} + |B|.  The bounds that
+        move are the entries' measurement bounds; the W box's are fixed,
+        and a refusal of them comes at the LP's first build, its first
+        read."""
+        b, h = self._norms
+        if self._windowed():
+            entries, f, top = self._window, 1.0, 1.0
+            for e in entries[1:]:
+                f = e.norm * f + b  # a float past the range is inf, and top keeps it
+                top = max(top, f)
+            coef = h * top
         else:
-            self._post.replace(*_window_block(self._stack, self._window))
-        self._entry = entry
-        self.k = k
+            entries = [self._entry]
+            coef = max(self._entry.norm, b, h)
+        return coef < _COEF_LIMIT and all(e.small for e in entries)
+
+    def _posterior(self):
+        """``_post`` brought up to step k, and returned: the trajectory
+        extended by its pending step blocks, in order; or the window of the
+        last entries, a new LP (``_region``) the first time and reloaded
+        (``lp.LinearProgram.replace``) after that.  Every reader of the LP
+        calls it."""
+        if self._held != self.k:
+            if not self._windowed():
+                while self._pending:  # an entry whose block raises stays pending
+                    _extend_trajectory(self._post, self._stack, self._pending[0].A, self._pending[0].Y)
+                    del self._pending[0]
+            else:
+                block = _window_block(self._stack, [(e.A, e.Y) for e in self._window])
+                if self._held > self.delta_bar:
+                    self._post.replace(*block)
+                else:
+                    self._post = _region(*block)
+            self._held = self.k
+        return self._post
 
     def hull(self):
         """Interval hull of the stacked state (a Box): the bounds of the
         unit rows of the LP's last n columns, kept while its width stays."""
-        region, n = self._post, self._stack.B.shape[0]
+        region, n = self._posterior(), self._dims[0]
         if self._hull_rows.shape[1] != region.n:
             self._hull_rows = _unit_rows(region.n, range(region.n - n, region.n))
         return Box(*region.bounds(self._hull_rows))
@@ -331,15 +448,15 @@ class _LiftedFilter:
         is no integer, or out of range, is a ``ValueError``.
 
         A whole-state query tries the one-step witness first
-        (``_try_witness``); only when there is none, or it fails its check
-        against the LP's rows, are the final state's coordinates pinned
-        and the LP solved.  A query on listed coordinates is that probe
-        alone.  A feasible whole-state solve's point seeds the next step's
-        witness.  After an infeasible probe the unpinned LP is solved,
-        once per step, to tell an empty posterior from a point outside it.
+        (``_try_witness``); only when there is none, or it fails its check,
+        are the final state's coordinates pinned and the LP solved.  A
+        query on listed coordinates is that probe alone.  A feasible
+        whole-state solve's point seeds the next step's witness.  After an
+        infeasible probe the unpinned LP is solved, once per step, to tell
+        an empty posterior from a point outside it.
         """
         x = np.array(x, dtype=float)
-        n = self._stack.B.shape[0]
+        n = self._dims[0]
         whole = coords is None
         coords = np.arange(n) if whole else np.asarray(coords).ravel()
         if coords.size and coords.dtype.kind not in "iu":  # 0.9 must not read as coordinate 0
@@ -350,7 +467,7 @@ class _LiftedFilter:
             if self._try_witness(x):
                 return True
             self._witness = None
-        region = self._post
+        region = self._posterior()
         if region.feasible_at(region.n - n + coords, x):
             if whole and region.last_x is not None:
                 self._witness = (self.k, x, region.last_x, None)
@@ -363,28 +480,23 @@ class _LiftedFilter:
 
     def _try_witness(self, x):
         """True iff the witness of step k - 1, carried one step to x, is a
-        feasible point of the LP; it then becomes the witness of step k.
+        feasible point of the step-k posterior; it then becomes the witness
+        of step k.
 
         The recursion carries it (``_carry``) with A this step's dynamics
-        and the noise w = B⁺(x - A p) that takes its state p to x.
-        ``lp.LinearProgram.satisfied_by`` then checks the point against
-        every bound and against the rows as they were last
-        written: all rows, unless y was checked against this LP's leading
-        rows and none of them was reloaded since, when only the
-        rows after those are read.
+        and the noise w = B⁺(x - A p) that takes its state p to x.  A point
+        that was checked is checked again on the step entries alone
+        (``_admits``); a solver's point is checked against every bound and
+        row of ``_post`` brought up to step k
+        (``lp.LinearProgram.satisfied_by``).
         """
         if self._witness is None or self._witness[0] != self.k - 1:
             return False
         _, p, y, checked = self._witness
-        A, _ = self._entry
-        region = self._post
-        y = self._carry(y, self._B_pinv @ (x - A @ p), x)
-        first = 0
-        if checked is not None and checked[0] is region and checked[1] == region.reloads:
-            first = checked[2]
-        if not region.satisfied_by(y, first):
+        y = self._carry(y, self._B_pinv @ (x - self._entry.A @ p), x)
+        if not (self._admits(y) if checked else self._posterior().satisfied_by(y)):
             return False
-        self._witness = (self.k, x, y, (region, region.reloads, region.m))
+        self._witness = (self.k, x, y, True)
         return True
 
     def _carry(self, y, w, x):
@@ -393,18 +505,72 @@ class _LiftedFilter:
         followed by (w, x); on a window after the first, (x_a, w_1, ...,
         w_d, x), with x_a moved a step, A x_a + B w_1, and y's noises
         shifted by one."""
-        if self.delta_bar is None or self.k <= self.delta_bar:
+        if not self._windowed():
             return np.concatenate([y, w, x])
-        n, p = self._stack.B.shape
+        n, p, _ = self._dims
         noises = np.concatenate([y[n:-n], w])
-        start = self._window[0][0] @ y[:n] + self._stack.B @ noises[:p]
+        start = self._window[0].A @ y[:n] + self._stack.B @ noises[:p]
         return np.concatenate([start, noises[p:], x])
+
+    def _admits(self, y):
+        """True iff y, a point of the step-k posterior carried from one
+        that was verified against every row of step k - 1's, satisfies the
+        step-k rows it was not verified against, to within ``lp.EPS_LP``,
+        read from the step entries without the LP: its finite entries, its
+        new noises within W, and
+
+        * on the trajectory, the step's dynamics x - A p - B w = 0 and
+          measurements H x within the batch's bounds, each row summed term
+          by term in the LP's order, as ``lp.LinearProgram.satisfied_by``
+          sums it, so that the verdict is that of the extended LP;
+        * on a window, every row of it: the recursion s_0 = x_a, s_j =
+          A_j s_{j-1} + B w_j through the window's entries, each H s_j, j <
+          d, and H x within its batch's bounds, and x - s_d = 0; O(d n²),
+          not the dense rows of ``_window_block``, whose sums it equals up
+          to round-off.
+        """
+        n, p, m = self._dims
+        H, eps = self._stack.H, lp.EPS_LP
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails its check
+            if not self._windowed():
+                e, new, x = self._entry, y[-n - p :], y[-n:]  # new: (w, x)
+                if not np.isfinite(new).all():
+                    return False
+                if (new[:p] < self._w_lo).any() or (new[:p] > self._w_hi).any():
+                    return False
+                terms = -np.concatenate([e.A, self._stack.B], axis=1) * y[-2 * n - p : -n]  # on (x_{k-1}, w)
+                gap = np.bincount(self._dyn_rows, weights=terms.ravel(), minlength=n) + x
+                Hx = np.bincount(self._meas_rows, weights=(H * x).ravel(), minlength=m)
+                return bool((np.abs(gap) <= eps).all() and (Hx >= e.lo - eps).all() and (Hx <= e.hi + eps).all())
+            window, d = self._window, self.delta_bar
+            if not np.isfinite(y).all():
+                return False
+            noises = y[n:-n].reshape(d, p)
+            if (noises < self._w_lo).any() or (noises > self._w_hi).any():
+                return False
+            pushed = noises @ self._stack.B.T  # B w_j, a step per row
+            states = np.empty((d + 1, n))
+            states[0] = y[:n]
+            for j in range(1, d + 1):
+                states[j] = window[j].A @ states[j - 1] + pushed[j - 1]
+            x = y[-n:]
+            if not (np.abs(x - states[d]) <= eps).all():
+                return False
+            states[d] = x  # the last batch reads x_k
+            HS = states @ H.T  # a batch per row
+            return bool((HS >= np.array([e.lo for e in window]) - eps).all()
+                        and (HS <= np.array([e.hi for e in window]) + eps).all())
 
     @property
     def lifted_size(self):
-        """(generators, constraints) of the lifted posterior: the LP's
-        columns and rows."""
-        return self._post.n, self._post.m
+        """(generators, constraints) of the lifted posterior at step k: the
+        columns and rows of ``_post`` brought up to it, from the sizes of a
+        step block or of the window, without the LP."""
+        n, p, m = self._dims
+        if self._windowed():
+            db = self.delta_bar
+            return n + db * p + n, (db + 1) * m + n
+        return n + self.k * (p + n), self.k * (n + m)
 
 
 class CentralizedFilter(_LiftedFilter):

@@ -94,11 +94,14 @@ whichever of the two is imported first.  (When this module comes first,
 scipy's ``_highspy`` package never gets the attribute ``_core``: reach the
 module by ``from``-import or through ``sys.modules``.)  A scipy whose
 package directory holds no such file raises ``ImportError`` naming the
-directory searched and the scipy version.  Rows arrive as dense arrays,
-and ``extend`` and ``replace`` build HiGHS's compressed sparse row arrays
-from them with numpy, so nothing here imports ``scipy.sparse``.  Each
-region keeps one such set of its rows, with the row of each entry, of
-which its model holds a prefix.
+directory searched and the scipy version.  The binding is scipy's
+private extension, so a ``_Highs`` that lacks a method this module calls
+(``_HIGHS_METHODS``) raises ``ImportError`` too, naming the method and
+the scipy version; only the versions in ``.github/constraints.txt`` are
+tested.  Rows arrive as dense arrays, and ``extend`` and ``replace``
+build HiGHS's compressed sparse row arrays from them with numpy, so
+nothing here imports ``scipy.sparse``.  Each region keeps one such set of
+its rows, with the row of each entry, of which its model holds a prefix.
 """
 
 import importlib.machinery
@@ -109,26 +112,43 @@ import sys
 import numpy as np
 
 
+# every method of the binding's ``_Highs`` that this module calls
+_HIGHS_METHODS = (
+    "passModel", "addCols", "addRows", "changeColsBounds", "changeColsCost", "getBasis", "setBasis",
+    "getSolution", "getModelStatus", "run", "clearSolver", "setOptionValue", "modelStatusToString",
+    "resetGlobalScheduler",
+)
+
+
+def _scipy_version():
+    return getattr(importlib.import_module("scipy"), "__version__", "unknown")
+
+
 def _load_highs():
-    """scipy's compiled HiGHS binding, without scipy.optimize's package init."""
+    """scipy's compiled HiGHS binding, without scipy.optimize's package init;
+    a binding whose ``_Highs`` lacks a method this module calls
+    (``_HIGHS_METHODS``) is an ``ImportError`` naming it."""
     name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None or not scipy_spec.submodule_search_locations:
-        raise ImportError("czest.lp needs scipy's HiGHS binding, and scipy is not installed")
-    folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
-    paths = [os.path.join(folder, "_core" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((p for p in paths if os.path.isfile(p)), None)
-    if path is None:
-        version = getattr(importlib.import_module("scipy"), "__version__", "unknown")
-        raise ImportError(f"no HiGHS binding _core<extension suffix> in {folder} (scipy {version})")
-    spec = importlib.util.spec_from_file_location(
-        name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
+    module = sys.modules.get(name)
+    if module is None:
+        scipy_spec = importlib.util.find_spec("scipy")
+        if scipy_spec is None or not scipy_spec.submodule_search_locations:
+            raise ImportError("czest.lp needs scipy's HiGHS binding, and scipy is not installed")
+        folder = os.path.join(scipy_spec.submodule_search_locations[0], "optimize", "_highspy")
+        paths = [os.path.join(folder, "_core" + suffix) for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            raise ImportError(f"no HiGHS binding _core<extension suffix> in {folder} (scipy {_scipy_version()})")
+        spec = importlib.util.spec_from_file_location(
+            name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
+        )
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    highs = getattr(module, "_Highs", None)
+    for method in _HIGHS_METHODS:
+        if not hasattr(highs, method):
+            raise ImportError(f"scipy's HiGHS binding has no _Highs.{method}, which czest.lp calls (scipy {_scipy_version()})")
     return module
 
 

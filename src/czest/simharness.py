@@ -17,9 +17,12 @@ Every logged hull and containment flag comes from the filters
 themselves: the centralized and fixed-lag filters answer ``hull`` and
 ``contains`` from their posterior LP (see ``czest.filters``), the sparse
 trajectory LP, or past ``delta_bar`` the fixed-lag filter's window LP,
-whose hull is solved once per step and sliced per agent here; the
-distributed filter keeps its own hulls.  A step's ``sizes`` record holds
-the lifted (generators, constraints), i.e. the LP's (columns, rows): of
+whose hull is solved once per step and sliced per agent here.  A step
+only stores its entry: the LP is brought up to it when a solve, or the
+check of a solver's point, reads it.  The distributed filter keeps its
+own hulls.  A step's ``sizes`` record
+holds the lifted (generators, constraints), i.e. the LP's (columns,
+rows), computed from the step and the stack's sizes without the LP: of
 that posterior LP for the centralized and fixed-lag filters, growing
 with k on the trajectory and constant on the window, and of each agent's
 lifted LP, constant over a trial, for the distributed one.

@@ -144,7 +144,7 @@ class TestCentralized:
         flt = CentralizedFilter(system, Box([-2.0, -1.0], [2.0, 3.0]))
         batch = batch_for(system, 1, [0.0, 1.0])
         flt.step(1, batch)
-        region = flt._post
+        region = flt._posterior()
         # columns x_0, w, x_1: w in its declared box
         assert (region.n, region.m) == (6, 6)
         assert region.lo[2:4].tolist() == [lo for lo, _ in w]
@@ -240,11 +240,11 @@ class TestOit:
         oit = OitFilter(system, pair_x0(), delta_bar=0)
         x = np.array([0.5, 1.0])
         assert oit.contains(x)
-        built = oit._post
+        built = oit._posterior()
         for k in (1, 2, 3):
             x = sysmodel.step_truth(system, k - 1, x, np.zeros(2))
             oit.step(k, batch_for(system, k, x))
-            region = oit._post
+            region = oit._posterior()
             assert region is not built and region.n == 2 * x.size
             assert oit.contains(x) == region.feasible_at(final_cols(region, x.size), x)
             assert oit._witness[0] == k
@@ -260,7 +260,7 @@ class TestOit:
             x = sysmodel.step_truth(system, k - 1, x, np.zeros(2))
             oit.step(k, batch_for(system, k, x))
             assert oit.contains(x)
-        region = oit._post  # still the trajectory LP, one step block per step
+        region = oit._posterior()  # still the trajectory LP, one step block per step
         assert oit.lifted_size == (region.n, region.m) == (2 + 3 * (2 + 2), 3 * (2 + 4))
 
     def test_bounded_representation_past_window(self):
@@ -314,6 +314,7 @@ class TestOit:
             entries.append(filters._step_entry(stack, k, batch))
             built.clear()
             flt.step(k, batch)
+            flt._posterior()  # the window is built or reloaded when it is read
             if k <= db:
                 assert built == [] and reloaded == []
                 continue
@@ -463,18 +464,25 @@ class TestWitness:
 
     @pytest.mark.parametrize("where", ["first-block", "last-block"])
     def test_corrupted_row_rejects_the_witness(self, monkeypatch, where):
-        # a dynamics coefficient changed by 1e-6 at k = 5 by reloading the
-        # LP, in rows the witness was already checked against or in the
-        # ones just appended: the check reads it from the model, fails, and
-        # the LP decides
+        # a dynamics coefficient changed by 1e-6 at k = delta_bar + 3, in
+        # the window's stored entries, which the witness check reads: in
+        # the window's first step of dynamics, which the carried point was
+        # already checked against, or in the step just appended.  The check
+        # fails, and the LP, built from the same entries, decides
         cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=8, seed=1))
         x0, steps = replay(cfg)
-        flt = CentralizedFilter(cfg.system, x0)
+        db = cfg.delta_bar
+        flt = OitFilter(cfg.system, x0, db)
         checks, probes = [], []
         satisfied_by, feasible_at = lp.LinearProgram.satisfied_by, lp.LinearProgram.feasible_at
+        admits = filters._LiftedFilter._admits
 
         def checking(self, x, first_row=0):
             checks.append(satisfied_by(self, x, first_row))
+            return checks[-1]
+
+        def checking_entries(self, y):
+            checks.append(admits(self, y))
             return checks[-1]
 
         def probing(self, cols, x):
@@ -482,25 +490,25 @@ class TestWitness:
             return feasible_at(self, cols, x)
 
         monkeypatch.setattr(lp.LinearProgram, "satisfied_by", checking)
+        monkeypatch.setattr(filters._LiftedFilter, "_admits", checking_entries)
         monkeypatch.setattr(lp.LinearProgram, "feasible_at", probing)
+        corrupt = db + 3
+        assert len(steps) > corrupt
         for k, batch, truth in steps:
             flt.step(k, batch)
-            region = flt._post
-            if k == 5:
-                # the first dynamics row of step 1 or of step 5
-                row = 0 if where == "first-block" else region.m - truth.size - flt._stack.H.shape[0]
-                A, b_lo, b_hi = model_rows(region)
-                A = A.toarray()
-                A[row, np.flatnonzero(A[row])[0]] += 1e-6
-                region.replace(region.lo, region.hi, A, b_lo, b_hi)
+            if k == corrupt:
+                # the first dynamics row of the window's first step, or of its last
+                A = flt._window[1 if where == "first-block" else -1].A
+                A[0, np.flatnonzero(A[0])[0]] += 1e-6
             checks.clear()
             probes.clear()
             got = flt.contains(truth)
             checked, probed = list(checks), len(probes)
+            region = flt._posterior()
             assert got == feasible_at(region, final_cols(region, truth.size), truth)
-            if k == 1:
+            if k in (1, db + 1):  # no witness, or a new window that none enters
                 assert checked == [] and probed == 1
-            elif k == 5:
+            elif k == corrupt:
                 assert checked == [False] and probed == 1
             else:
                 assert checked == [True] and probed == 0
@@ -527,6 +535,127 @@ def hetero3_doc():
     """The scenario of ``hetero3.json``: three agents whose noise inputs
     differ in number, agent 2 without an absolute measurement."""
     return json.loads((pathlib.Path(__file__).parent / "hetero3.json").read_text())
+
+
+def fresh_posterior(flt, x0, pairs):
+    """Test-only oracle: the step-k posterior of a lifted filter built
+    afresh from the step entries ``pairs`` ((A, Y) of steps 1..k): the
+    window of the last delta_bar + 1 past delta_bar, else the trajectory
+    from the initial box x0."""
+    stack = flt._stack
+    if flt._windowed():
+        return filters._region(*filters._window_block(stack, pairs[-(flt.delta_bar + 1):]))
+    region = lp.LinearProgram(np.zeros((0, x0.dim)), np.zeros(0), x0.lo, x0.hi)
+    for A, Y in pairs:
+        filters._extend_trajectory(region, stack, A, Y)
+    return region
+
+
+def corruptions(flt, y, before):
+    """The step entries of a lifted filter with one entry corrupted, so that
+    the carried point y leaves its rows, as (name, entries): a measurement
+    bound moved by more than its noise range, or the dynamics coefficient
+    on the largest state coordinate it multiplies moved by 1e-3; in the
+    step's entry on the trajectory, in the window's first and last batches
+    on a window (the first batch's A is not read, so its first step of
+    dynamics stands for it).  ``before`` is the previous true state, which
+    the window's last dynamics multiply."""
+    stack, n = flt._stack, flt._dims[0]
+    entries = list(flt._window) if flt._windowed() else [flt._entry]
+    V = stack.Vset
+
+    def bound(entry):
+        A, Y = entry.A, entry.Y.copy()
+        Y[0] += 2 * (V.hi[0] - V.lo[0]) + 1
+        return filters._Entry(stack, A, Y)
+
+    def dynamics(entry, x_prev):
+        A, Y = entry.A.copy(), entry.Y
+        A[0, np.argmax(np.abs(x_prev))] += 1e-3
+        return filters._Entry(stack, A, Y)
+
+    if flt._windowed():
+        cases = [("bound-first", 0, bound(entries[0])), ("dynamics-first", 1, dynamics(entries[1], y[:n])),
+                 ("bound-last", -1, bound(entries[-1])), ("dynamics-last", -1, dynamics(entries[-1], before))]
+    else:
+        p = flt._dims[1]
+        cases = [("bound-last", -1, bound(entries[-1])), ("dynamics-last", -1, dynamics(entries[-1], y[-2 * n - p:-n - p]))]
+    for name, at, bad in cases:
+        changed = list(entries)
+        changed[at] = bad
+        yield name, changed
+
+
+class TestWitnessOracle:
+    """The witness check on the step entries (``_LiftedFilter._admits``)
+    against its test-only oracle: ``satisfied_by`` on the LP built afresh
+    from the same entries (``fresh_posterior``)."""
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            simharness.build_uav_scenario(horizon=30, seed=1),
+            simharness.build_uav_scenario(horizon=30, seed=9173),
+            simharness.build_pair1d_scenario(horizon=30, seed=1),
+            dict(hetero3_doc(), horizon=30),
+        ],
+        ids=["uav5-s1", "uav5-s9173", "pair1d", "hetero3"],
+    )
+    def test_entry_verdicts_equal_a_fresh_lp(self, monkeypatch, doc, metrics):
+        # at every step, each carried point the entry check judges is
+        # judged by the oracle too, and the verdicts agree; then each
+        # corrupted entry (``corruptions``) is rejected by both
+        cfg = simharness.ScenarioConfig(dict(doc, algorithms=["centralized", "oit"]))
+        x0, steps = replay(cfg)
+        assert len(steps) == cfg.K
+        system = cfg.system
+        ids, slices = system.agent_ids, system.state_slices()
+        flts = {"centralized": CentralizedFilter(system, x0), "oit": OitFilter(system, x0, cfg.delta_bar)}
+        pairs = {id(flt): [] for flt in flts.values()}
+        before = [None]  # the previous true state
+        admits = filters._LiftedFilter._admits
+        compared, disagreements, rejected = 0, [], []
+
+        def checking(self, y):
+            nonlocal compared
+            got = admits(self, y)
+            want = fresh_posterior(self, x0, pairs[id(self)]).satisfied_by(y)
+            compared += 1
+            if got != want:
+                disagreements.append((type(self).__name__, self.k, got, want))
+            if got:
+                window, entry = self._window, self._entry
+                try:
+                    for name, changed in corruptions(self, y, before[0]):
+                        if self._windowed():
+                            self._window = changed
+                            bad_pairs = pairs[id(self)][: -len(changed)] + [(e.A, e.Y) for e in changed]
+                        else:
+                            (self._entry,) = changed
+                            bad_pairs = pairs[id(self)][:-1] + [(changed[0].A, changed[0].Y)]
+                        verdicts = admits(self, y), fresh_posterior(self, x0, bad_pairs).satisfied_by(y)
+                        rejected.append((self._windowed(), name, verdicts))
+                finally:
+                    self._window, self._entry = window, entry
+            return got
+
+        monkeypatch.setattr(filters._LiftedFilter, "_admits", checking)
+        for k, batch, truth in steps:
+            for alg, flt in flts.items():
+                flt.step(k, batch)
+                pairs[id(flt)].append((flt._entry.A, flt._entry.Y))
+                simharness._step_metrics(alg, flt, ids, truth, slices, metrics)
+            before[0] = truth
+        assert disagreements == []
+        # nominal noise: every step but the chains' first two is the entry check's
+        db = cfg.delta_bar
+        assert compared == (cfg.K - 2) + (db - 2) + (cfg.K - db - 2)
+        assert {(windowed, name) for windowed, name, _ in rejected} == {
+            (False, "bound-last"), (False, "dynamics-last"), (True, "bound-first"), (True, "dynamics-first"),
+            (True, "bound-last"), (True, "dynamics-last"),
+        }
+        assert all(verdicts == (False, False) for _, _, verdicts in rejected), rejected
 
 
 def coupling_rows(n_cols, own_cols, peer_cols):
@@ -1001,7 +1130,9 @@ class TestLpLifecycle:
     def test_no_filter_step_constructs_a_linear_program(self, monkeypatch):
         # every LP a filter steps is built with the filter, but for the
         # fixed-lag window, built at the first step past delta_bar; any
-        # other step only appends a block or writes numbers in place
+        # other step only appends a block or writes numbers in place.  A
+        # lifted filter's step only stores its entry, so each step here
+        # also brings its LP up (``_posterior``)
         built = {}  # LPs built per phase: "construction", or (filter, step)
         phase = ["construction"]
         init = lp.LinearProgram.__init__
@@ -1016,6 +1147,8 @@ class TestLpLifecycle:
                 phase[0] = (type(self).__name__, k)
                 try:
                     step(self, k, batch)
+                    if not isinstance(self, DistributedFilter):
+                        self._posterior()
                 finally:
                     phase[0] = "construction"
 
@@ -1029,17 +1162,82 @@ class TestLpLifecycle:
         assert built == {"construction": 3, ("OitFilter", cfg.delta_bar + 1): 1}
 
 
+    def test_lifted_lps_are_built_only_when_read(self, monkeypatch):
+        # a uav5 horizon-30 containment trial with all filters: a step only
+        # stores its entry, and the trajectory is extended and the window
+        # built or reloaded only where a probe or a solver point's check
+        # reads the LP: at the first two steps of each witness chain
+        reading, events = [None], []  # the (filter, step) reading now; (call, filter, step) per call
+        for name in ("contains", "hull", "step"):
+            def entering(self, *args, method=getattr(filters._LiftedFilter, name), **kwargs):
+                outer, reading[0] = reading[0], (type(self).__name__, self.k + (method.__name__ == "step"))
+                try:
+                    return method(self, *args, **kwargs)
+                finally:
+                    reading[0] = outer
+
+            monkeypatch.setattr(filters._LiftedFilter, name, entering)
+        for owner, name in ((filters, "_window_block"), (filters, "_extend_trajectory"),
+                            (lp.LinearProgram, "feasible_at"), (lp.LinearProgram, "satisfied_by")):
+            def recording(*args, fn=getattr(owner, name), name=name):
+                if reading[0] is not None:
+                    events.append((name, *reading[0]))
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, recording)
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=30, seed=1))
+        log = simharness.run_trial(cfg, 0, metrics="containment")
+        assert log.aborted is None and log.violations == 0 and len(log.steps) == 30
+        db = cfg.delta_bar
+        built = [event for event in events if event[0] in ("_window_block", "_extend_trajectory")]
+        read = {event[1:] for event in events if event[0] in ("feasible_at", "satisfied_by")}
+        assert built == [
+            ("_extend_trajectory", "CentralizedFilter", 1),
+            ("_extend_trajectory", "CentralizedFilter", 2),
+            ("_window_block", "OitFilter", db + 1),
+            ("_window_block", "OitFilter", db + 2),
+        ]
+        assert all(event[1:] in read for event in built)
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_oit_beside_centralized_builds_no_trajectory_block(self, monkeypatch, metrics):
+        # inside the window oit's records are centralized's, so its own
+        # trajectory LP is never read, and never grown
+        extended = []
+        extend = filters._extend_trajectory
+
+        def recording(region, *args):
+            extended.append(region)
+            return extend(region, *args)
+
+        monkeypatch.setattr(filters, "_extend_trajectory", recording)
+        created = []
+        init = OitFilter.__init__
+
+        def keeping(self, *args):
+            init(self, *args)
+            created.append(self)
+
+        monkeypatch.setattr(OitFilter, "__init__", keeping)
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=8, seed=1))
+        log = simharness.run_trial(cfg, 0, metrics=metrics)
+        assert log.aborted is None and len(log.steps) == 8 > cfg.delta_bar
+        [oit] = created
+        assert extended and all(region is not oit._post for region in extended)
+        assert oit._post.n == oit.lifted_size[0]  # the window, whose grown LP had no step block
+
+
 def filter_lps(flt):
     """The LinearPrograms of a filter."""
     if isinstance(flt, DistributedFilter):
         return [flt._lp.program]
-    return [flt._post]  # past delta_bar the grown LP is dropped
+    return [flt._posterior()]  # brought up to the last step; past delta_bar the grown LP is dropped
 
 
 def each_lp(filters_, visit):
     """Call ``visit`` once on every LP of the filters: on those built with
-    them now, and on each built by a step (the fixed-lag window, at the
-    first step past delta_bar) right after that step."""
+    them now, and on each that a step brings up anew (the fixed-lag window,
+    at the first step past delta_bar) right after that step."""
     seen = set()
 
     def visit_new(flt):

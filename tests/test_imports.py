@@ -68,3 +68,22 @@ def test_missing_binding_names_the_directory_and_version(tmp_path):
     assert last.startswith("ImportError: no HiGHS binding"), proc.stderr
     assert str(tmp_path / "scipy" / "optimize" / "_highspy") in last
     assert "scipy 0.0.test" in last
+
+
+@pytest.mark.parametrize("method", ["passModel", "setBasis", "modelStatusToString"])
+def test_binding_without_a_called_method_names_it(monkeypatch, method):
+    # a stub binding in the binding's place, whose _Highs has every method
+    # lp calls but one
+    import types
+
+    import scipy
+
+    from czest import lp
+
+    stub = types.ModuleType(BINDING)
+    stub._Highs = type("_Highs", (), {name: None for name in lp._HIGHS_METHODS if name != method})
+    monkeypatch.setitem(sys.modules, BINDING, stub)
+    with pytest.raises(ImportError, match=rf"no _Highs\.{method}, .*\(scipy {scipy.__version__}\)"):
+        lp._load_highs()
+    stub._Highs = type("_Highs", (), dict.fromkeys(lp._HIGHS_METHODS))
+    assert lp._load_highs() is stub

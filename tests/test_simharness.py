@@ -412,7 +412,7 @@ class TestGrownTrajectory:
             entries.append(filters._step_entry(stack, k, batch))
             probed.step(k, batch)
             plain.step(k, batch)
-            region = probed._post
+            region = probed._posterior()
             fresh = lp.LinearProgram(np.zeros((0, x0_box.dim)), [], x0_box.lo, x0_box.hi)
             for e in entries:
                 filters._extend_trajectory(fresh, stack, *e)
@@ -750,6 +750,39 @@ class TestSolverFailure:
         assert end["aborted"] == {"k": 32, "agent": None, "reason": "numerical error"}
         assert end["violations"] == 0
         assert len(log.steps) == 31
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    def test_growing_window_aborts_on_its_step(self, monkeypatch, metrics):
+        # A = 10 on both pair1d agents from x_0 = (1, 2), without noise: the
+        # states are 10^k (1, 2), exact in floating point, so the one-step
+        # witness answers every containment step past delta_bar + 2.  At
+        # k = 20 agent 2's measurement row has a lower bound of 2e20, which
+        # HiGHS refuses (1e20 or more); the window is brought up at that
+        # step, as it was when every step reloaded it, so the abort falls
+        # on k = 20
+        doc = simharness.build_pair1d_scenario(horizon=30)
+        zero = {"lo": [0.0], "hi": [0.0]}
+        for ad, x in zip(doc["agents"], (1.0, 2.0)):
+            ad.update(dynamics={"kind": "constant", "A": [[10.0]]}, process_noise=zero, measurement_noise=zero,
+                      relative_noise={j: zero for j in ad["relative_noise"]}, initial_range={"lo": [x], "hi": [x]})
+        probes = []
+        feasible_at = lp.LinearProgram.feasible_at
+
+        def probing(self, cols, x):
+            probes.append(1)
+            return feasible_at(self, cols, x)
+
+        monkeypatch.setattr(lp.LinearProgram, "feasible_at", probing)
+        cfg = ScenarioConfig(dict(doc, delta_bar=1, algorithms=["oit"], noise_grid=None))
+        log = simharness.run_trial(cfg, 0, metrics=metrics)
+        assert log.aborted == {"k": 20, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0 and len(log.steps) == 19
+        assert log.steps[-1]["truth"] == [1e19, 2e19]
+        if metrics == "containment":
+            # k = 1, the first window at k = 2, and k = 7, where the solver's
+            # point of k = 2, carried, has drifted past EPS_LP: the witness
+            # answers every other step, k = 19 included
+            assert len(probes) == 3
 
     @pytest.mark.parametrize("algorithms", [["centralized"], ["oit"], ["distributed"]], ids=lambda a: a[0])
     def test_dynamics_past_the_float_range_abort(self, algorithms):
