@@ -148,7 +148,9 @@ def _load_highs():
     highs = getattr(module, "_Highs", None)
     for method in _HIGHS_METHODS:
         if not hasattr(highs, method):
-            raise ImportError(f"scipy's HiGHS binding has no _Highs.{method}, which czest.lp calls (scipy {_scipy_version()})")
+            raise ImportError(
+                f"scipy's HiGHS binding has no _Highs.{method}, which czest.lp calls (scipy {_scipy_version()})"
+            )
     return module
 
 

@@ -579,7 +579,8 @@ def corruptions(flt, y, before):
                  ("bound-last", -1, bound(entries[-1])), ("dynamics-last", -1, dynamics(entries[-1], before))]
     else:
         p = flt._dims[1]
-        cases = [("bound-last", -1, bound(entries[-1])), ("dynamics-last", -1, dynamics(entries[-1], y[-2 * n - p:-n - p]))]
+        x_prev = y[-2 * n - p : -n - p]
+        cases = [("bound-last", -1, bound(entries[-1])), ("dynamics-last", -1, dynamics(entries[-1], x_prev))]
     for name, at, bad in cases:
         changed = list(entries)
         changed[at] = bad
@@ -630,10 +631,9 @@ class TestWitnessOracle:
                     for name, changed in corruptions(self, y, before[0]):
                         if self._windowed():
                             self._window = changed
-                            bad_pairs = pairs[id(self)][: -len(changed)] + [(e.A, e.Y) for e in changed]
                         else:
                             (self._entry,) = changed
-                            bad_pairs = pairs[id(self)][:-1] + [(changed[0].A, changed[0].Y)]
+                        bad_pairs = pairs[id(self)][: -len(changed)] + [(e.A, e.Y) for e in changed]
                         verdicts = admits(self, y), fresh_posterior(self, x0, bad_pairs).satisfied_by(y)
                         rejected.append((self._windowed(), name, verdicts))
                 finally:
@@ -1167,10 +1167,10 @@ class TestLpLifecycle:
         # stores its entry, and the trajectory is extended and the window
         # built or reloaded only where a probe or a solver point's check
         # reads the LP: at the first two steps of each witness chain
-        reading, events = [None], []  # the (filter, step) reading now; (call, filter, step) per call
+        reading, events = [None], []  # the lifted filter in a call now; (call, filter, step) per call
         for name in ("contains", "hull", "step"):
             def entering(self, *args, method=getattr(filters._LiftedFilter, name), **kwargs):
-                outer, reading[0] = reading[0], (type(self).__name__, self.k + (method.__name__ == "step"))
+                outer, reading[0] = reading[0], self
                 try:
                     return method(self, *args, **kwargs)
                 finally:
@@ -1181,7 +1181,7 @@ class TestLpLifecycle:
                             (lp.LinearProgram, "feasible_at"), (lp.LinearProgram, "satisfied_by")):
             def recording(*args, fn=getattr(owner, name), name=name):
                 if reading[0] is not None:
-                    events.append((name, *reading[0]))
+                    events.append((name, type(reading[0]).__name__, reading[0].k))
                 return fn(*args)
 
             monkeypatch.setattr(owner, name, recording)
