@@ -383,7 +383,7 @@ class _LiftedFilter:
             self._window = (self._window + [entry])[-(db + 1) :]
         if db is None or k <= db:
             self._pending.append(entry)
-        elif k == db + 1:  # the trajectory is never built now; the first window is a new LP, which no witness enters
+        elif k == db + 1:  # the trajectory is dropped unbuilt; no witness enters the first window, a new LP
             self._pending, self._witness = [], None
         self._entry, self.k = entry, k
         if not self._within_limits():
