@@ -50,21 +50,27 @@ previous states x_prev (bounded by their last hulls) and process noises
 w (in their W boxes), whose rows are o's measurements, H A(k) x_prev +
 H B w within the noise range.  Of a message only A(k), Y and the hulls
 move: each owner keeps H B and the W bounds from the filter's
-construction on (``_Owner``).  Agent i's block is the message blocks of
-its owners, itself and every peer, on shared columns
-(``_SharedColumns``, one group of blocks per agent): every block reads
-the agent's one set of (x_prev, w) columns, which intersects the peers'
-joints with its own exactly, without a copy of its state per peer.  The
-stacking oracle (``verify.lifted_refinement``) assembles its joints with
-the same code.  Every column is bounded.  No column or row is shared
-between agents, and agent i's block receives the messages of its owners
-and nothing else, so what its hull can read is local by construction, up
-to round-off: HiGHS pivots and refactors the whole model, so another
-agent's data can move an agent's hull in its last bits.  A step
-assembles and reloads the one LP once and bounds every agent's state in
-one ``lp.LinearProgram.bounds``, from the last basis, whose batches sum
-rows of different agents' blocks: the step makes as many HiGHS runs as
-the agent whose hull alone would take the most.  The posteriors are the
+construction on (``_Owner``).  Agent i's block holds the messages of its
+owners, itself and every peer (``_PeerForms``, laid out once).  Every
+message reads the agent's one set of (x_prev, w) columns, which
+intersects the peers' joints with its own exactly, without a copy of its
+state per peer.  Every other agent l of a message reaches its rows only
+through the coordinates of its predicted state A_l(k) x_prev + B_l w that
+the owner measures, over l's box: l enters as one interval column per
+such coordinate, the coordinate's range over the box, and a column that
+one row reads is folded into that row's bounds, both rounded outward
+(``_interval_dot``, ``_fold``).  Both are exact projections, and they
+take uav5's agents' LP from 156 columns to 42.  The unreduced assembly
+stays as the stacking oracle's (``verify.lifted_refinement``).  Every
+column is bounded.  No column or row is shared between agents, and
+agent i's block reads the messages of its owners and nothing else, so
+what its hull can read is local by construction, up to round-off: HiGHS
+pivots and refactors the whole model, so another agent's data can move
+an agent's hull in its last bits.  A step assembles and reloads the one
+LP once and bounds every agent's state in one
+``lp.LinearProgram.bounds``, from the last basis, whose batches sum rows
+of different agents' blocks: the step makes as many HiGHS runs as the
+agent whose hull alone would take the most.  The posteriors are the
 hulls (``hulls``).
 
 The centralized posterior is held as one sparse "trajectory" LP over
@@ -87,13 +93,14 @@ w).  A time-varying A(k) moves every coefficient of it at every step.
 
 A step of either filter stores its entry (``_Entry``: A(k), Y and the
 measurement bounds, computed once) and builds nothing.  The LP is brought
-up to the step only when a solve or a solver point's check reads it
-(``_LiftedFilter._posterior``): the trajectory is extended by its pending
+up to the step only when a solve, or the check of a solver's point on the
+trajectory, reads it (``_LiftedFilter._posterior``): the trajectory is extended by its pending
 blocks, in order; the window is built at its first use, a new LP that no
 witness enters, and reloaded whole at each later one
 (``lp.LinearProgram.replace``).  HiGHS so holds the model it would hold
-had every step built it.  In containment mode a trial builds each of them
-about twice; ``hull`` needs it at every step.  A step whose numbers come
+had every step built it.  In containment mode a trial extends the
+trajectory about twice and builds the window about once; ``hull`` needs
+them at every step.  A step whose numbers come
 within a tenth of HiGHS's refusal limits, or past the float range, is
 brought up at once (``_LiftedFilter._within_limits``), so that its abort
 falls on its own step.
@@ -101,12 +108,13 @@ falls on its own step.
 ``hull`` solves the final state's interval hull.  ``contains`` first
 tries a one-step witness: the feasible LP point behind the last step's
 ``True``, carried one step by the recursion to the queried state (on a
-trajectory extended by a step, on a window shifted by one).  A point
-found by the solver is checked against the bounds and rows of the LP
-brought up to the step (``lp.LinearProgram.satisfied_by``); a point that
-passed a check is checked again on the step entries alone
-(``_LiftedFilter._admits``): the new step's rows on the trajectory, every
-row of the window by its recursion.  A point that passes is a primal
+trajectory extended by a step, on a window shifted by one).  It is
+checked on the step entries alone (``_LiftedFilter._admits``): every row
+of the window by its recursion, whoever found the point; on the
+trajectory the new step's rows, for a point that passed a check.  A
+point found by the solver on the trajectory is checked against the
+bounds and rows of the LP brought up to the step
+(``lp.LinearProgram.satisfied_by``).  A point that passes is a primal
 certificate of membership.  Only when there is no witness, or it fails
 the check, does ``contains`` fall back to the LP probe
 (``lp.LinearProgram.feasible_at``): it pins the final state through its
@@ -141,8 +149,9 @@ __all__ = [
 
 # Test hook: cmd_verify --inject-fault flips this to check that the
 # stacking and distributed oracles detect a wrong sign: that with which a
-# later block of a ``_SharedColumns`` LP reads the shared columns (read
-# when the LP is laid out).
+# later block reads an agent's shared columns, in the agents' LP
+# (``_PeerForms``) and in the stacking oracle's
+# (``verify._SharedColumns``), read when the LP is laid out.
 _COUPLING_SIGN = 1.0
 
 # HiGHS refuses a model change that holds a coefficient of magnitude 1e15
@@ -322,7 +331,7 @@ class _LiftedFilter:
     (``_Entry``), among the trajectory's pending ones or in the window's
     buffer.  ``_posterior`` brings ``_post`` up to step k when a reader
     needs it (``hull``, the LP probe of ``contains``, a solver point's
-    check): it extends the trajectory by its pending step blocks, in order,
+    check on the trajectory): it extends the trajectory by its pending step blocks, in order,
     or builds the first window, a new LP, or reloads the window it built
     once, with the last entries (``lp.LinearProgram.replace``).  HiGHS so
     receives the model that building at every step would give it: the same
@@ -484,9 +493,10 @@ class _LiftedFilter:
         of step k.
 
         The recursion carries it (``_carry``) with A this step's dynamics
-        and the noise w = B⁺(x - A p) that takes its state p to x.  A point
-        that was checked is checked again on the step entries alone
-        (``_admits``); a solver's point is checked against every bound and
+        and the noise w = B⁺(x - A p) that takes its state p to x.  It is
+        checked on the step entries alone (``_admits``) when it was checked
+        before, or on a window, whose every row ``_admits`` reads; a
+        solver's point on the trajectory is checked against every bound and
         row of ``_post`` brought up to step k
         (``lp.LinearProgram.satisfied_by``).
         """
@@ -494,7 +504,7 @@ class _LiftedFilter:
             return False
         _, p, y, checked = self._witness
         y = self._carry(y, self._B_pinv @ (x - self._entry.A @ p), x)
-        if not (self._admits(y) if checked else self._posterior().satisfied_by(y)):
+        if not (self._admits(y) if checked or self._windowed() else self._posterior().satisfied_by(y)):
             return False
         self._witness = (self.k, x, y, True)
         return True
@@ -513,11 +523,11 @@ class _LiftedFilter:
         return np.concatenate([start, noises[p:], x])
 
     def _admits(self, y):
-        """True iff y, a point of the step-k posterior carried from one
-        that was verified against every row of step k - 1's, satisfies the
-        step-k rows it was not verified against, to within ``lp.EPS_LP``,
-        read from the step entries without the LP: its finite entries, its
-        new noises within W, and
+        """True iff y, a point of the step-k posterior carried from one of
+        step k - 1's (on the trajectory, one that was verified against
+        every row of it), satisfies the step-k rows it was not verified
+        against, to within ``lp.EPS_LP``, read from the step entries
+        without the LP: its finite entries, its new noises within W, and
 
         * on the trajectory, the step's dynamics x - A p - B w = 0 and
           measurements H x within the batch's bounds, each row summed term
@@ -620,68 +630,204 @@ class _Owner:
         )
 
 
-class _SharedColumns:
-    """One LP of groups of blocks (lo, hi, D, b_lo, b_hi), each block over
-    its own columns, where the blocks of a group share one slot of columns,
-    that group's, and no two groups share a column or a row: the layout,
-    laid out once from each group's blocks, each as its shape (its rows and
-    columns) and the slot's positions among its columns, and the assembly
-    of a list of such blocks (``__call__``).
+def _interval_dot(a, lo, hi):
+    """The range [l, u] of each row of ``a`` dotted with z over the box
+    ``lo <= z <= hi`` (three 2-d arrays of one shape, a form per row,
+    whose zero entries pad a short form), rounded outward: each product
+    and each partial sum is moved one ulp away (``np.nextafter``), so that
+    [l, u] holds the exact range, an interval whatever the form's signs
+    and magnitudes.  A zero coefficient's term is 0 whatever its box, and
+    a sum past the float range is infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = a * lo, a * hi
+        low, high = np.nextafter(np.minimum(p, q), -np.inf), np.nextafter(np.maximum(p, q), np.inf)
+        low[a == 0] = high[a == 0] = 0.0
+        l, u = low[:, 0], high[:, 0]
+        for j in range(1, a.shape[1]):
+            l, u = np.nextafter(l + low[:, j], -np.inf), np.nextafter(u + high[:, j], np.inf)
+    return l, u
 
-    The groups follow each other, in rows and in columns, so that each is a
-    diagonal block of the LP, rows ``spans[g][0]`` by columns
-    ``spans[g][1]`` (two slices).  Inside a group the blocks' rows follow
-    each other in order.  The group's first block's columns come first, in
-    its order; each later block reads the slot through the first block's
-    columns of it, and its other columns follow, in its order.  ``cols``
-    holds the LP column of each block column, block by block across the
-    groups, ``own`` each group's slot's LP columns and (``m``, ``n``) the
-    LP's shape.  A later block of a group reads the slot with the sign
-    ``_COUPLING_SIGN``, which ``czest verify --inject-fault`` flips to
-    check that the oracles catch a block that reads agent i's state
-    wrongly.
+
+def _fold(b_lo, b_hi, t_lo, t_hi):
+    """The bounds [b_lo - t_hi, b_hi - t_lo] of a row's other terms when
+    the row b_lo <= (other terms) + t <= b_hi reads t, in [t_lo, t_hi],
+    nowhere else: the row's projection with t folded away, rounded
+    outward.  A row bound that is infinite in t's direction stays."""
+    with np.errstate(invalid="ignore"):
+        lo, hi = np.nextafter(b_lo - t_hi, -np.inf), np.nextafter(b_hi - t_lo, np.inf)
+    return np.where(np.isnan(lo), b_lo, lo), np.where(np.isnan(hi), b_hi, hi)
+
+
+def _components(S):
+    """The connected components of the bipartite graph of the boolean
+    matrix S, whose nodes are its rows and columns and whose edges are its
+    True entries, each as (rows, columns), in the order of their first
+    rows; a column without a True entry is in none."""
+    comps, seen = [], np.zeros(S.shape[0], dtype=bool)
+    for r in range(S.shape[0]):
+        if seen[r]:
+            continue
+        rows = np.zeros(S.shape[0], dtype=bool)
+        rows[r] = True
+        while True:
+            cols = S[rows].any(axis=0)
+            grown = rows | S[:, cols].any(axis=1)
+            if (grown == rows).all():
+                break
+            rows = grown
+        seen |= rows
+        comps.append((np.flatnonzero(rows), np.flatnonzero(cols)))
+    return comps
+
+
+class _PeerForms:
+    """The agents' LP laid out from the owners' messages, with every agent
+    but the holder reduced to the coordinates its owner measures: the
+    layout, laid out once from the system, and the assembly of one step's
+    messages (``__call__``).
+
+    Agent i's block holds the messages of its ``owners[i]`` (``_Owner``),
+    in that order, their rows in turn.  Agent i's (x_prev, w) columns, its
+    slot, are one set that every one of them reads, the later ones with the
+    sign ``_COUPLING_SIGN`` (which ``czest verify --inject-fault`` flips).
+    Any other agent l of owner o's message reaches o's rows only through
+    H_l s_l, s_l = A_l(k) x_prev + B_l w its predicted state, over l's box
+    in o's message (its last hull times W_l), which no other row reads.
+    So l enters as the coordinates t of s_l that H_l reads, its *forms*:
+    each form whose support in [A_l(k) B_l] meets no other's is one
+    interval column, with o's coefficients H_l[:, t] and the form's range
+    over the box as its bounds (``_interval_dot``; a linear form over a box
+    ranges over an interval, so the columns it merges are parallel
+    columns, Andersen & Andersen, *Math. Programming* 71, 1995), and a
+    form column that one row reads is folded into that row's bounds
+    (``_fold``; a column singleton).  Both are exact projections, and both
+    are rounded outward.  The supports are those of every k
+    (``sysmodel.AgentModel.A_support``); forms whose supports meet (an
+    A(k) of undeclared pattern) keep l's columns of them as they are, and
+    l's columns that no form reads drop.  uav5's blocks so hold 42 columns
+    instead of 156, pair1d's 6 instead of 12 and hetero3's 11 instead of
+    28, with the same rows.
+
+    Agent i's columns are its slot, then each message's form and kept
+    columns in turn; the groups follow each other, rows ``spans[g][0]`` by
+    columns ``spans[g][1]``, and ``own`` holds each slot's LP columns.
     """
 
-    def __init__(self, groups):
-        self.cols, self.own, self.spans, self.m, self.n, laid = [], [], [], 0, 0, []
-        for group in groups:
-            m, n = self.m, self.n
-            for b, ((rows, width), slot) in enumerate(group):
-                cols, sign = np.full(width, -1), np.ones(width)
-                if b:
-                    cols[slot], sign[slot] = self.own[-1], _COUPLING_SIGN
-                fresh = np.flatnonzero(cols < 0)
-                cols[fresh] = self.n + np.arange(fresh.size)
-                if not b:
-                    self.own.append(cols[slot])
-                self.m, self.n = self.m + rows, self.n + fresh.size
-                self.cols.append(cols)
-                laid.append((rows, sign, fresh))
-            self.spans.append((slice(m, self.m), slice(n, self.n)))
-        # per block entry, its place in D (flat) and its sign; per LP
-        # column, the block column (in the blocks' concatenation) that
-        # bounds it: the first
-        at, signs, self._pick, row, first = [], [], np.empty(self.n, dtype=int), 0, 0
-        for cols, (rows, sign, fresh) in zip(self.cols, laid):
-            at.append(((row + np.arange(rows))[:, None] * self.n + cols).ravel())
-            signs.append(np.tile(sign, rows))
-            self._pick[cols[fresh]] = first + fresh
-            row, first = row + rows, first + cols.size
-        self._at, self._sign = np.concatenate(at), np.concatenate(signs)
+    def __init__(self, system, stacks, owners):
+        agents, ids = system.agents, system.agent_ids
+        width = {o: sum(stacks[o].B.shape) for o in ids}
+        rows = {o: stacks[o].H.shape[0] for o in ids}
 
-    def __call__(self, blocks):
-        """The LP (lo, hi, D, b_lo, b_hi) of ``blocks``, in layout order:
-        each block's rows in turn, on its columns.  Every block of a group
-        bounds its slot alike; the first one's bounds are kept."""
-        col_lo, col_hi, rows, b_lo, b_hi = zip(*blocks)
-        D = np.zeros(self.m * self.n)
-        D[self._at] = np.concatenate([R.ravel() for R in rows]) * self._sign
+        def starts(size):  # where each message's part starts in their concatenation, in id order
+            return dict(zip(ids, np.cumsum([0] + [size(o) for o in ids[:-1]])))
+
+        at_col, at_row = starts(width.get), starts(rows.get)
+        at_D, at_A = starts(lambda o: rows[o] * width[o]), starts(lambda o: stacks[o].B.shape[0] ** 2)
+        n_A = sum(stacks[o].B.shape[0] ** 2 for o in ids)
+        at_B = {o: n_A + at for o, at in starts(lambda o: stacks[o].B.size).items()}
+        # what the forms read after the messages' A: each stack's B, then a
+        # zero that pads a short form
+        self._B = np.concatenate([stacks[o].B.ravel() for o in ids] + [np.zeros(1)])
+        pad = n_A + self._B.size - 1
+        n_box = sum(width.values())  # the forms' bounds follow the messages' column bounds
+        # per form its terms (coefficient, box entry); per (o, l) l's kept
+        # columns or forms in o's message, in order
+        forms, parts = [], {}
+        pick, entries, fixed, folds, row_src = [], [], [], [], []
+        self.spans, self.own = [], []
+        m = n = 0
+        for i in ids:
+            m0, n0, a = m, n, agents[i]
+            slot = n + np.arange(a.n + a.p)
+            self.own.append(slot)
+            n += slot.size
+            for b, o in enumerate(owners[i]):
+                st = stacks[o]
+                (nx, px), H = st.B.shape, st.H
+                D_at = at_D[o] + width[o] * np.arange(rows[o])  # where each of its rows starts in D
+                x_at, w_at = 0, nx
+                for l in st.state_order:
+                    cols = np.r_[x_at : x_at + agents[l].n, w_at : w_at + agents[l].p]  # l's (x_prev, w)
+                    xs = cols[: agents[l].n]
+                    x_at, w_at = x_at + agents[l].n, w_at + agents[l].p
+                    if l == i:
+                        if not b:
+                            pick.extend(at_col[o] + cols)
+                        sign = 1.0 if not b else _COUPLING_SIGN
+                        entries.extend((m + r, c, D_at[r] + j, sign) for r in range(rows[o]) for c, j in zip(slot, cols))
+                        continue
+                    if (o, l) not in parts:  # alike for every holder of o's message but l
+                        T = np.flatnonzero((H[:, xs] != 0).any(axis=0))  # l's coordinates that o's rows read
+                        support = np.hstack([agents[l].A_support, agents[l].B != 0])[T]
+                        parts[o, l] = []
+                        for ts, vs in _components(support):
+                            if ts.size > 1:  # forms that meet keep l's columns of them
+                                parts[o, l].append((cols[vs], None, None, None))
+                                continue
+                            t = xs[T[ts[0]]]  # row t of [A_l(k) B_l] over l's box, in o's message
+                            parts[o, l].append((None, len(forms), t, np.flatnonzero(H[:, t])))
+                            forms.append([(at_A[o] + t * nx + j if j < nx else at_B[o] + t * px + j - nx,
+                                           at_col[o] + j) for j in cols[vs]])
+                    for kept, f, t, reads in parts[o, l]:
+                        if f is None:
+                            for j in kept:
+                                pick.append(at_col[o] + j)
+                                entries.extend((m + r, n, D_at[r] + j, 1.0) for r in range(rows[o]))
+                                n += 1
+                        elif reads.size == 1:
+                            folds.append((m + reads[0], f, H[reads[0], t]))
+                        else:
+                            pick.append(n_box + f)
+                            fixed.extend((m + r, n, H[r, t]) for r in reads)
+                            n += 1
+                row_src.extend(at_row[o] + np.arange(rows[o]))
+                m += rows[o]
+            self.spans.append((slice(m0, m), slice(n0, n)))
+        self.m, self.n = m, n
+        self._pick, self._rows = np.array(pick, dtype=int), np.array(row_src, dtype=int)
+        # per step entry of the LP from the messages' D: its place (flat),
+        # its source and its sign; the form columns' fixed coefficients
+        row, col, src, self._sign = np.array(entries, dtype=float).reshape(-1, 4).T
+        self._at, self._src = (row * n + col).astype(int), src.astype(int)
+        self._template = np.zeros((m, n))
+        for r, c, h in fixed:
+            self._template[r, c] = h
+        # each form's terms, padded to one width with a zero coefficient
+        wide = max([len(terms) for terms in forms] + [1])
+        terms = [f + [(pad, 0)] * (wide - len(f)) for f in forms]
+        self._form_coef = np.array([[c for c, _ in f] for f in terms], dtype=int).reshape(-1, wide)
+        self._form_box = np.array([[z for _, z in f] for f in terms], dtype=int).reshape(-1, wide)
+        # each folded row's forms and coefficients, padded alike
+        by_row = {}
+        for r, f, h in folds:
+            by_row.setdefault(r, []).append((f, h))
+        wide = max([len(v) for v in by_row.values()] + [1])
+        padded = [v + [(0, 0.0)] * (wide - len(v)) for v in by_row.values()]
+        self._folded = np.array(list(by_row), dtype=int)
+        self._fold_form = np.array([[f for f, _ in v] for v in padded], dtype=int).reshape(-1, wide)
+        self._fold_coef = np.array([[h for _, h in v] for v in padded], dtype=float).reshape(-1, wide)
+
+    def __call__(self, messages):
+        """The LP (lo, hi, D, b_lo, b_hi) of one step's ``messages`` (one
+        per owner, in id order, each (A, block) as ``_Owner.message``
+        returns it), in layout order."""
+        A, blocks = zip(*messages)
+        col_lo, col_hi, D, b_lo, b_hi = zip(*blocks)
+        box_lo, box_hi = np.concatenate(col_lo), np.concatenate(col_hi)
+        coef = np.concatenate([a.ravel() for a in A] + [self._B])
+        f_lo, f_hi = _interval_dot(coef[self._form_coef], box_lo[self._form_box], box_hi[self._form_box])
+        M = self._template.copy()
+        M.flat[self._at] = np.concatenate([d.ravel() for d in D])[self._src] * self._sign
+        r_lo, r_hi = np.concatenate(b_lo)[self._rows], np.concatenate(b_hi)[self._rows]
+        if self._folded.size:
+            t_lo, t_hi = _interval_dot(self._fold_coef, f_lo[self._fold_form], f_hi[self._fold_form])
+            r_lo[self._folded], r_hi[self._folded] = _fold(r_lo[self._folded], r_hi[self._folded], t_lo, t_hi)
         return (
-            np.concatenate(col_lo)[self._pick],
-            np.concatenate(col_hi)[self._pick],
-            D.reshape(self.m, self.n),
-            np.concatenate(b_lo),
-            np.concatenate(b_hi),
+            np.concatenate([box_lo, f_lo])[self._pick],
+            np.concatenate([box_hi, f_hi])[self._pick],
+            M,
+            r_lo,
+            r_hi,
         )
 
 
@@ -694,14 +840,17 @@ class _AgentLP:
     (``_Owner``), in that order, each over N̄_o's previous states x_prev
     (bounded by their last hulls) and process noises w (in their W boxes),
     the step's states substituted out.  The blocks share agent i's one set
-    of (x_prev, w) columns (``_SharedColumns``, one group per agent), and
-    each other agent of a block has its own.  That is exact: A(k) and B are
-    block-diagonal, so a peer's rows read agent i only through A_i(k) x_prev
-    + B_i w over the same box (its last hull times W_i) as its own block's,
-    and a copy per peer tied to agent i's state would hold the same set.
-    Every column is bounded.  The refined set of one step is the image of
-    agent i's block's feasible set under [A_i(k) B_i] on agent i's
-    columns, whose rows ``hulls`` bounds.
+    of (x_prev, w) columns.  That is exact: A(k) and B are block-diagonal,
+    so a peer's rows read agent i only through A_i(k) x_prev + B_i w over
+    the same box (its last hull times W_i) as its own block's, and a copy
+    per peer tied to agent i's state would hold the same set.  Every other
+    agent of a message enters as the coordinates of its predicted state
+    that the owner's rows measure, an interval column each, and a column
+    that one row reads is folded into that row's bounds (``_PeerForms``):
+    exact projections, rounded outward, so that the block's projection on
+    agent i's columns is the messages' own.  Every column is bounded.  The
+    refined set of one step is the image of agent i's block's feasible set
+    under [A_i(k) B_i] on agent i's columns, whose rows ``hulls`` bounds.
 
     No column or row is shared between agents, so the LP is the product of
     the agents' blocks: agent i's block reads no data but its owners'
@@ -722,20 +871,14 @@ class _AgentLP:
         over N̄_o."""
         agents, self.ids = system.agents, system.agent_ids
         self.owners = {i: [i] + system.topology.peers(i) for i in self.ids}
-        groups = []
+        self._layout = _PeerForms(system, stacks, self.owners)
+        # the lifted blocks, (columns, rows) per agent: its owners' message
+        # blocks', less the later blocks' copies of agent i's (x_prev, w)
+        self.sizes = {}
         for i in self.ids:
-            n, p = agents[i].n, agents[i].p
-            group = []
-            for o in self.owners[i]:
-                st = stacks[o]
-                nx = st.B.shape[0]
-                before = st.state_order[: st.state_order.index(i)]
-                x_at, w_at = sum(agents[l].n for l in before), nx + sum(agents[l].p for l in before)
-                # agent i's part of N̄_o's (x_prev, w)
-                group.append(((st.H.shape[0], nx + st.B.shape[1]), np.r_[x_at : x_at + n, w_at : w_at + p]))
-            groups.append(group)
-        self._layout = _SharedColumns(groups)
-        self._senders = [o for i in self.ids for o in self.owners[i]]
+            a, owned = agents[i], [stacks[o] for o in self.owners[i]]
+            self.sizes[i] = (sum(sum(st.B.shape) for st in owned) - (len(owned) - 1) * (a.n + a.p),
+                             sum(st.H.shape[0] for st in owned))
         # [A_i(k) B_i] on agent i's columns, agent after agent; per agent,
         # its hull rows and the columns of its state
         self._hull_rows = np.zeros((sum(agents[i].n for i in self.ids), self._layout.n))
@@ -751,12 +894,12 @@ class _AgentLP:
     def update(self, sent):
         """Load the messages ``sent`` ({owner: message}) of a step: each
         agent i's A_i(k) into its hull rows, and the LP of every agent's
-        owners' blocks (``_SharedColumns``) into the model, built by the
+        owners' messages (``_PeerForms``) into the model, built by the
         first call and reloaded by every later one
         (``lp.LinearProgram.replace``)."""
         for i, (rows, x) in zip(self.ids, self._rows):
             self._hull_rows[rows, x] = sent[i][0][: x.size, : x.size]  # i leads N̄_i
-        self._loaded = self._layout([sent[o][1] for o in self._senders])
+        self._loaded = self._layout([sent[o] for o in self.ids])
         if self.program is None:
             self.program = _region(*self._loaded)
         else:
@@ -778,12 +921,6 @@ class _AgentLP:
             if alone.solve(np.zeros(alone.n)).status == lp.INFEASIBLE:
                 return i
         return None
-
-    @property
-    def sizes(self):
-        """{agent: (columns, rows)} of each agent's block."""
-        spans = self._layout.spans
-        return {i: (cols.stop - cols.start, rows.stop - rows.start) for i, (rows, cols) in zip(self.ids, spans)}
 
 
 class DistributedFilter:
@@ -834,6 +971,8 @@ class DistributedFilter:
 
     @property
     def lifted_sizes(self):
-        """{agent: (columns, rows)} of the agents' blocks of the lifted LP,
-        constant from construction on."""
+        """{agent: (columns, rows)} of each agent's lifted block, its
+        owners' message blocks on its shared columns, constant from
+        construction on: the model HiGHS solves holds the same rows and
+        fewer columns (``_PeerForms``)."""
         return self._lp.sizes

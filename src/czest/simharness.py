@@ -24,8 +24,10 @@ own hulls.  A step's ``sizes`` record
 holds the lifted (generators, constraints), i.e. the LP's (columns,
 rows), computed from the step and the stack's sizes without the LP: of
 that posterior LP for the centralized and fixed-lag filters, growing
-with k on the trajectory and constant on the window, and of each agent's
-lifted LP, constant over a trial, for the distributed one.
+with k on the trajectory and constant on the window, and for the
+distributed one, per agent, of its lifted message blocks, constant over
+a trial, not of the smaller model HiGHS solves
+(``filters._PeerForms``).
 """
 
 import json

@@ -64,7 +64,9 @@ class AgentModel:
 
     Args:
         agent_id: positive integer identifier (1-based).
-        A_of_k: callable k -> (n, n) system matrix at step k.
+        A_of_k: callable k -> (n, n) system matrix at step k.  It may
+            declare which entries can be nonzero at any k as an attribute
+            ``support`` (``A_support``).
         B: (n, p) input matrix.
         C: (m_y, n) absolute measurement matrix (m_y may be 0).
         D: (m_z, n) relative measurement matrix.
@@ -109,6 +111,16 @@ class AgentModel:
             A.setflags(write=False)
             last = self._A_last = (self.A_of_k, k, A)
         return last[2]
+
+    @property
+    def A_support(self):
+        """The entries of A(k) that may be nonzero at some k, as a boolean
+        (n, n) array: ``A_of_k.support`` where the dynamics declare it (the
+        schema's constant and coordinated-turn kinds do), every entry for
+        an ``A_of_k`` that declares none.  Every other entry is zero at
+        every k."""
+        support = getattr(self.A_of_k, "support", None)
+        return np.ones((self.n, self.n), dtype=bool) if support is None else np.asarray(support, dtype=bool)
 
     @property
     def n(self):
@@ -501,6 +513,7 @@ def _dynamics_from_dict(d, path):
         def A_of_k(k, A=A):
             return A
 
+        A_of_k.support = A != 0
         return A_of_k, A.shape[0]
     if kind == "coordinated-turn":
         omega, T = (_real(_need(d, key, path), f"{path}.{key}") for key in ("omega", "T"))
@@ -519,6 +532,7 @@ def _dynamics_from_dict(d, path):
                 [[a11, a12, 0.0, 0.0], [-a12, a11, 0.0, 0.0], [0.0, 0.0, a11, a12], [0.0, 0.0, -a12, a11]]
             )
 
+        A_of_k.support = np.kron(np.eye(2), np.ones((2, 2))) != 0  # two 2 x 2 blocks at every k
         return A_of_k, 4
     raise SchemaError(f"{path}.kind: unknown dynamics kind '{kind}'")
 

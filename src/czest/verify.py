@@ -9,10 +9,11 @@ Suites:
   * geometry: randomized set-operation invariants on small CZs, with
     membership decided by LP and witnesses carried through constructions.
   * stacking: the lifted refinement (each joint a block of generator and
-    state columns, assembled with the code of the filter's agents' LP,
-    ``filters._SharedColumns``, so that every joint reads this agent's
-    state through the same columns) must represent exactly the same set
-    as the project/intersect composition built from primitives.
+    state columns, assembled on shared columns, ``_SharedColumns``, so
+    that every joint reads this agent's state through the same columns,
+    as each block of the filter's agents' LP does) must represent exactly
+    the same set as the project/intersect composition built from
+    primitives.
   * oracle: the centralized filter against an exhaustive lattice oracle
     on a two-agent scalar scenario.
   * ordering: centralized hull diameters never exceed the fixed-lag or
@@ -24,9 +25,7 @@ Suites:
     filter's window LP) agree on short horizons with those of the dense
     accumulated recursion (``_dense_predict``, ``_dense_update``),
     replayed here as a test-only reference from the trial's logged
-    measurements.  The stacking suite's shared-column assembly is the
-    filter's own code; this suite and the next are its independent
-    checks.
+    measurements.
   * distributed: the distributed hulls a trial logs (from the agents'
     lifted LP) agree with those of the dense composition of one
     distributed step, replayed per step from the logged previous hulls.
@@ -319,6 +318,66 @@ def _random_joint(rng, q, n=1):
     return Z
 
 
+class _SharedColumns:
+    """One LP of blocks (lo, hi, D, b_lo, b_hi), each over its own columns
+    but for one slot of columns that all of them share: the layout, laid
+    out once from each block's shape (its rows and columns) and the slot's
+    positions among its columns, and the assembly of a list of such blocks
+    (``__call__``).
+
+    The blocks' rows follow each other in order.  The first block's
+    columns come first, in its order; each later block reads the slot
+    through the first block's columns of it, with the sign
+    ``filters._COUPLING_SIGN`` (which ``czest verify --inject-fault``
+    flips, so that the oracles catch a block that reads the slot wrongly),
+    and its other columns follow, in its order.  ``cols`` holds the LP
+    column of each block column, block by block, ``own`` the slot's LP
+    columns and (``m``, ``n``) the LP's shape.  The distributed filter's
+    agents' LP reads each agent's slot so, with the other agents reduced
+    to their measured coordinates (``filters._PeerForms``); this
+    unreduced assembly is its tests' reference.
+    """
+
+    def __init__(self, blocks):
+        self.cols, self.m, self.n, laid = [], 0, 0, []
+        for b, ((rows, width), slot) in enumerate(blocks):
+            cols, sign = np.full(width, -1), np.ones(width)
+            if b:
+                cols[slot], sign[slot] = self.own, filters._COUPLING_SIGN
+            fresh = np.flatnonzero(cols < 0)
+            cols[fresh] = self.n + np.arange(fresh.size)
+            if not b:
+                self.own = cols[slot]
+            self.m, self.n = self.m + rows, self.n + fresh.size
+            self.cols.append(cols)
+            laid.append((rows, sign, fresh))
+        # per block entry, its place in D (flat) and its sign; per LP
+        # column, the block column (in the blocks' concatenation) that
+        # bounds it: the first
+        at, signs, self._pick, row, first = [], [], np.empty(self.n, dtype=int), 0, 0
+        for cols, (rows, sign, fresh) in zip(self.cols, laid):
+            at.append(((row + np.arange(rows))[:, None] * self.n + cols).ravel())
+            signs.append(np.tile(sign, rows))
+            self._pick[cols[fresh]] = first + fresh
+            row, first = row + rows, first + cols.size
+        self._at, self._sign = np.concatenate(at), np.concatenate(signs)
+
+    def __call__(self, blocks):
+        """The LP (lo, hi, D, b_lo, b_hi) of ``blocks``, in layout order:
+        each block's rows in turn, on its columns.  Every block bounds the
+        slot alike; the first one's bounds are kept."""
+        col_lo, col_hi, rows, b_lo, b_hi = zip(*blocks)
+        D = np.zeros(self.m * self.n)
+        D[self._at] = np.concatenate([R.ravel() for R in rows]) * self._sign
+        return (
+            np.concatenate(col_lo)[self._pick],
+            np.concatenate(col_hi)[self._pick],
+            D.reshape(self.m, self.n),
+            np.concatenate(b_lo),
+            np.concatenate(b_hi),
+        )
+
+
 def lifted_refinement(own_joint, own_dims, received):
     """The refined own-block set of a distributed step, as a lifted LP.
 
@@ -329,12 +388,11 @@ def lifted_refinement(own_joint, own_dims, received):
             1-based position of this agent in N̄_l.
 
     Each joint Z is one LP block over its columns (xi, x)
-    (``czono._lifted_block``), and the blocks are one LP as an agent's
-    block of the filter's LP is (``filters._SharedColumns``, one group):
-    every received joint reads this agent's state through the own joint's
-    columns of it, which is the refinement's intersection.  Returns
-    (LinearProgram, columns of the own state): the feasible set projected
-    on those columns is the refined set.
+    (``czono._lifted_block``), and the blocks are one LP on shared columns
+    (``_SharedColumns``): every received joint reads this agent's state
+    through the own joint's columns of it, which is the refinement's
+    intersection.  Returns (LinearProgram, columns of the own state): the
+    feasible set projected on those columns is the refined set.
     """
     n = own_dims[0]
     joints = [(own_joint, 1, own_dims)] + list(received)
@@ -345,8 +403,8 @@ def lifted_refinement(own_joint, own_dims, received):
         start = Z.n_generators + int(np.sum(dims[: alpha - 1]))
         slots.append(np.arange(start, start + n))
     shapes = [(Z.n_constraints + Z.dim, Z.n_generators + Z.dim) for Z, _, _ in joints]
-    layout = filters._SharedColumns([list(zip(shapes, slots))])
-    return filters._region(*layout([czono._lifted_block(Z) for Z, _, _ in joints])), layout.own[0]
+    layout = _SharedColumns(list(zip(shapes, slots)))
+    return filters._region(*layout([czono._lifted_block(Z) for Z, _, _ in joints])), layout.own
 
 
 def stacking_checks(rng_seed=2026, instances=100, probes=1000):

@@ -211,6 +211,53 @@ def test_measurement_bounds_round_outward():
     assert np.all(np.nextafter(hi, -np.inf) == Y - v_lo)
 
 
+def signed_magnitudes(rng, shape):
+    """Floats of random sign whose magnitudes spread over 1e-300 to 1e15,
+    log-uniformly."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 15, shape)
+
+
+def exact_dot(a, lo, hi):
+    """The exact range of a row of ``a`` dotted with z over the box [lo,
+    hi], one row, as Fractions."""
+    ends = [sorted((Fraction(x) * Fraction(l), Fraction(x) * Fraction(h))) for x, l, h in zip(a, lo, hi)]
+    return sum(e[0] for e in ends), sum(e[1] for e in ends)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_form_ranges_and_folded_rows_round_outward(seed):
+    # the agents' LP reduction (``filters._PeerForms``): each form's range
+    # over its box (``_interval_dot``), then each folded row's bounds less
+    # its forms' terms (``_fold``), on random forms and boxes of mixed
+    # signs and magnitudes, several terms wide, some coefficients zero;
+    # each computed interval holds the exact one, computed in Fractions
+    # from the exact ranges of the forms, and rounding to nearest alone
+    # would have cut into some of them
+    rng = np.random.default_rng(seed)
+    forms, width, rows, folds = 60, 5, 40, 3
+    a = signed_magnitudes(rng, (forms, width))
+    a[rng.random((forms, width)) < 0.1] = 0.0
+    lo, hi = np.sort(signed_magnitudes(rng, (2, forms, width)), axis=0)
+    f_lo, f_hi = filters._interval_dot(a, lo, hi)
+    exact = [exact_dot(*z) for z in zip(a, lo, hi)]
+    assert all(Fraction(l) <= e_lo and e_hi <= Fraction(u) for l, u, (e_lo, e_hi) in zip(f_lo, f_hi, exact))
+    p, q = a * lo, a * hi
+    nearest = zip(np.minimum(p, q).sum(axis=1), np.maximum(p, q).sum(axis=1))
+    assert any(Fraction(l) > e_lo or Fraction(u) < e_hi for (l, u), (e_lo, e_hi) in zip(nearest, exact))
+    # rows b_lo <= y + sum_j h_j u_j <= b_hi, each u_j a form in its range
+    h = signed_magnitudes(rng, (rows, folds))
+    which = rng.integers(0, forms, (rows, folds))
+    b_lo, b_hi = np.sort(signed_magnitudes(rng, (2, rows)), axis=0)
+    t_lo, t_hi = filters._interval_dot(h, f_lo[which], f_hi[which])
+    r_lo, r_hi = filters._fold(b_lo, b_hi, t_lo, t_hi)
+    for r in range(rows):
+        e_lo, e_hi = exact_dot(h[r], *zip(*(exact[f] for f in which[r])))
+        assert Fraction(r_lo[r]) <= Fraction(b_lo[r]) - e_hi, r
+        assert Fraction(r_hi[r]) >= Fraction(b_hi[r]) - e_lo, r
+    assert any(Fraction(l) > Fraction(b) - e for l, b, e in zip(b_lo - t_hi, b_lo, (
+        exact_dot(h[r], *zip(*(exact[f] for f in which[r])))[1] for r in range(rows))))
+
+
 class TestOit:
     def test_window_too_short_rejected(self):
         system = pair_system()
@@ -648,9 +695,11 @@ class TestWitnessOracle:
                 simharness._step_metrics(alg, flt, ids, truth, slices, metrics)
             before[0] = truth
         assert disagreements == []
-        # nominal noise: every step but the chains' first two is the entry check's
+        # nominal noise: every step but the trajectories' first two and the
+        # window's first (a new LP that no witness enters) is the entry
+        # check's
         db = cfg.delta_bar
-        assert compared == (cfg.K - 2) + (db - 2) + (cfg.K - db - 2)
+        assert compared == (cfg.K - 2) + (db - 2) + (cfg.K - db - 1)
         assert {(windowed, name) for windowed, name, _ in rejected} == {
             (False, "bound-last"), (False, "dynamics-last"), (True, "bound-first"), (True, "dynamics-first"),
             (True, "bound-last"), (True, "dynamics-last"),
@@ -715,17 +764,22 @@ def coupled_refinement(system, i, stacks, messages):
 def agent_alone(system, i, stacks, messages):
     """Test-only oracle: agent i's refinement of one step as an LP of its
     own, built afresh, from the same ``messages`` as its block of
-    ``filters._AgentLP``: its owners' blocks on agent i's shared columns
-    (``filters._SharedColumns`` of one group).  Returns (the LP, its hull
-    rows [A_i(k) B_i] on agent i's columns)."""
+    ``filters._AgentLP``: its owners' unreduced blocks on agent i's shared
+    columns (``verify._SharedColumns``).  Returns (the LP, its hull rows
+    [A_i(k) B_i] on agent i's columns)."""
     owners = [i] + system.topology.peers(i)
     group = [(block[2].shape, agent_slot(system, i, stacks[o])) for o, (_, block) in zip(owners, messages, strict=True)]
-    layout = filters._SharedColumns([group])
+    layout = verify._SharedColumns(group)
     region = filters._region(*layout([block for _, block in messages]))
     a = system.agents[i]
     C = np.zeros((a.n, region.n))
-    C[:, layout.own[0]] = np.hstack([messages[0][0][: a.n, : a.n], a.B])  # i leads N̄_i
+    C[:, layout.own] = np.hstack([messages[0][0][: a.n, : a.n], a.B])  # i leads N̄_i
     return region, C
+
+
+def agent_columns(flt):
+    """{agent: columns of its block} of a distributed filter's one LP."""
+    return {i: cols.stop - cols.start for i, (_, cols) in zip(flt._lp.ids, flt._lp._layout.spans)}
 
 
 def refined_contains(refinement, x):
@@ -863,21 +917,23 @@ class TestDistributed:
 
     def test_each_owner_message_is_built_once_and_sent_to_its_holders(self, monkeypatch):
         # uav5: every step builds one message per owner and assembles the
-        # agents' one LP once, where agent i's block receives exactly the
-        # messages of [i] + peers(i), in that order, on its own columns
+        # agents' one LP once from them, where agent i's block holds the
+        # messages of [i] + peers(i), in that order, and reads nothing
+        # else: a message changed in every number moves exactly its
+        # holders' blocks, and leaves every other block bit-identical
         built, assembled = [], []
-        message, assemble = filters._Owner.message, filters._SharedColumns.__call__
+        message, assemble = filters._Owner.message, filters._PeerForms.__call__
 
         def building(self, A, Y, hulls):
             built.append((self.stack.state_order[0], message(self, A, Y, hulls)))
             return built[-1][1]
 
-        def assembling(self, blocks):
-            assembled.append(blocks)
-            return assemble(self, blocks)
+        def assembling(self, messages):
+            assembled.append(messages)
+            return assemble(self, messages)
 
         monkeypatch.setattr(filters._Owner, "message", building)
-        monkeypatch.setattr(filters._SharedColumns, "__call__", assembling)
+        monkeypatch.setattr(filters._PeerForms, "__call__", assembling)
         cfg = simharness.ScenarioConfig.from_doc(
             simharness.build_uav_scenario(horizon=4), algorithms=["distributed"]
         )
@@ -887,31 +943,39 @@ class TestDistributed:
         flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
         layout = flt._lp._layout
         holders = [(i, o) for i in ids for o in [i] + system.topology.peers(i)]
-        assert len(layout.cols) == len(holders) and len(layout.spans) == len(ids)
-        for (i, _), cols in zip(holders, layout.cols):
-            _, span = layout.spans[ids.index(i)]
-            assert span.start <= cols.min() and cols.max() < span.stop  # on agent i's columns
+        assert len(layout.spans) == len(ids)
+
+        def agent_blocks(lp_):
+            lo, hi, D, b_lo, b_hi = lp_
+            return [(lo[cols], hi[cols], D[rows, cols], b_lo[rows], b_hi[rows]) for rows, cols in layout.spans]
+
         for k, batch, _ in steps:
             built.clear()
             assembled.clear()
             flt.step(k, batch)
             assert [o for o, _ in built] == ids
-            sent = dict(built)
-            [blocks] = assembled
-            assert len(blocks) == len(holders)
-            assert all(block is sent[o][1] for block, (_, o) in zip(blocks, holders))
+            [messages] = assembled
+            assert len(messages) == len(ids) and all(got is sent for got, (_, sent) in zip(messages, built))
+            base = agent_blocks(assemble(layout, messages))
+            for at, o in enumerate(ids):
+                A, (lo, hi, D, b_lo, b_hi) = messages[at]
+                changed = list(messages)
+                changed[at] = (1.5 * A, (lo - 1.0, hi + 1.0, 2.0 * D, b_lo - 1.0, b_hi + 1.0))
+                moved = {i for i, a, b in zip(ids, base, agent_blocks(assemble(layout, changed)))
+                         if not all(np.array_equal(x, y) for x, y in zip(a, b))}
+                assert moved == {i for i, owner in holders if owner == o}, (k, o)
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, columns",
         [
-            simharness.build_uav_scenario(horizon=30, seed=1),
-            simharness.build_uav_scenario(horizon=30, seed=9173),
-            simharness.build_pair1d_scenario(horizon=20, seed=1),
-            hetero3_doc(),
+            (simharness.build_uav_scenario(horizon=30, seed=1), {1: 8, 2: 12, 3: 8, 4: 8, 5: 6}),
+            (simharness.build_uav_scenario(horizon=30, seed=9173), {1: 8, 2: 12, 3: 8, 4: 8, 5: 6}),
+            (simharness.build_pair1d_scenario(horizon=20, seed=1), {1: 3, 2: 3}),
+            (hetero3_doc(), {1: 3, 2: 5, 3: 3}),
         ],
         ids=["uav5-s1", "uav5-s9173", "pair1d", "hetero3"],
     )
-    def test_shared_columns_match_the_coupled_oracle(self, doc):
+    def test_shared_columns_match_the_coupled_oracle(self, doc, columns):
         # every block of an agent LP reads the agent's one set of
         # columns; the coupled form of the same messages, with a copy of
         # them per peer and the rows that tie it, holds the same hull
@@ -921,6 +985,7 @@ class TestDistributed:
         system = cfg.system
         stacks = {o: sysmodel.build_neighborhood(system, o) for o in system.agent_ids}
         flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
+        assert agent_columns(flt) == columns
         for k, batch, _ in steps:
             prev = flt.hulls
             flt.step(k, batch)
@@ -939,25 +1004,41 @@ class TestDistributed:
                 assert (coupled.n, coupled.m) == (cols + peers * (a.n + a.p), rows + peers * a.n)
 
     @pytest.mark.parametrize(
-        "doc",
+        "doc, columns, custom",
         [
-            simharness.build_uav_scenario(horizon=30, seed=1),
-            simharness.build_uav_scenario(horizon=30, seed=9173),
-            simharness.build_pair1d_scenario(horizon=20, seed=1),
-            hetero3_doc(),
+            (simharness.build_uav_scenario(horizon=30, seed=1), {1: 8, 2: 12, 3: 8, 4: 8, 5: 6}, False),
+            (simharness.build_uav_scenario(horizon=30, seed=9173), {1: 8, 2: 12, 3: 8, 4: 8, 5: 6}, False),
+            (simharness.build_pair1d_scenario(horizon=20, seed=1), {1: 3, 2: 3}, False),
+            (hetero3_doc(), {1: 3, 2: 5, 3: 3}, False),
+            # agent 3's A(k) from a custom A_of_k that declares no support
+            # and couples its axes at odd k only: its two forms meet, so
+            # every other block keeps its six columns
+            (simharness.build_uav_scenario(horizon=12, seed=1), {1: 14, 2: 28, 3: 8, 4: 20, 5: 6}, True),
         ],
-        ids=["uav5-s1", "uav5-s9173", "pair1d", "hetero3"],
+        ids=["uav5-s1", "uav5-s9173", "pair1d", "hetero3", "uav5-custom-A"],
     )
-    def test_one_model_matches_a_fresh_model_per_agent(self, doc):
-        # the agents' blocks share one HiGHS model; each agent's block
-        # solved as an LP of its own, built afresh from the same
+    def test_one_model_matches_a_fresh_model_per_agent(self, doc, columns, custom):
+        # the agents' blocks share one HiGHS model, each with its peers
+        # reduced to their measured coordinates; each agent's unreduced
+        # block, solved as an LP of its own, built afresh from the same
         # messages, holds the same hull to within 1e-9 relative
         cfg = simharness.ScenarioConfig(dict(doc, algorithms=["distributed"]))
+        system = cfg.system
+        if custom:
+            turn = system.agents[3].A_of_k
+
+            def A_of_k(k):
+                A = turn(k).copy()
+                if k % 2:
+                    A[0, 2], A[2, 1] = 0.05, -0.03
+                return A
+
+            system.agents[3].A_of_k = A_of_k
         x0, steps = replay(cfg)
         assert len(steps) == cfg.K
-        system = cfg.system
         stacks = {o: sysmodel.build_neighborhood(system, o) for o in system.agent_ids}
         flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
+        assert agent_columns(flt) == columns
         for k, batch, _ in steps:
             prev = flt.hulls
             flt.step(k, batch)
@@ -974,16 +1055,27 @@ class TestDistributed:
     )
     def test_each_agent_lp_holds_its_owners_blocks_and_nothing_else(self, doc):
         # the locality audit in miniature: read back from the one HiGHS
-        # model at every step, agent i's block is its owners' message
-        # blocks, in ``owners`` order, each on its mapped columns; the
-        # blocks share agent i's (x_prev, w) columns and no other, and no
-        # row of agent i's block reads another agent's column
+        # model at every step, agent i's block is its owners' messages, in
+        # ``owners`` order, their rows in turn: each reads agent i's one set
+        # of (x_prev, w) columns as the message does, and each other agent
+        # l of the message through its measured coordinates t, the
+        # predicted (A_l(k) x_prev + B_l w)_t over l's box in the message:
+        # a column of the message's coefficients H_l[:, t], bounded by that
+        # range, read by no other message, or, where one row reads it,
+        # that row's bounds less its range.  No row of agent i's block
+        # reads another agent's column
         cfg = simharness.ScenarioConfig(dict(doc, algorithms=["distributed"]))
         x0, steps = replay(cfg)
         assert len(steps) == cfg.K
         system = cfg.system
+        agents = system.agents
         stacks = {o: sysmodel.build_neighborhood(system, o) for o in system.agent_ids}
         flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
+
+        def near(got, want, outward):  # got holds want, within 1e-12 relative
+            slack = outward * (got - want)
+            return bool(np.all((slack >= 0) & (slack <= 1e-12 * np.maximum(1.0, np.abs(want)))))
+
         for k, batch, _ in steps:
             prev = flt.hulls
             flt.step(k, batch)
@@ -992,35 +1084,58 @@ class TestDistributed:
             A, b_lo, b_hi = model_rows(program)
             A = A.toarray()
             lo, hi = model_cols(program)
-            blocks = iter(layout.cols)
             assert len(layout.spans) == len(system.agent_ids)
             row = col = 0  # the agents' blocks tile the model
-            for i, (rows_i, cols_i) in zip(system.agent_ids, layout.spans, strict=True):
+            for i, own, (rows_i, cols_i) in zip(system.agent_ids, layout.own, layout.spans, strict=True):
                 assert flt._lp.owners[i] == [i] + system.topology.peers(i)
                 assert (rows_i.start, cols_i.start) == (row, col), (k, i)
-                assert flt.lifted_sizes[i] == (cols_i.stop - col, rows_i.stop - row)
+                col = cols_i.stop
                 # no row of agent i's block reads another agent's column
-                assert not np.any(np.delete(A[rows_i], np.arange(cols_i.start, cols_i.stop), axis=1)), (k, i)
-                slots, others = [], []
+                assert not np.any(np.delete(A[rows_i], np.arange(cols_i.start, col), axis=1)), (k, i)
+                # agent i's slot first, bounded by its message's last hull and W box
+                a = agents[i]
+                assert np.array_equal(own, np.arange(cols_i.start, cols_i.start + a.n + a.p))
+                slot = agent_slot(system, i, stacks[i])
+                assert np.array_equal(lo[own], sent[i][1][0][slot]) and np.array_equal(hi[own], sent[i][1][1][slot])
+                peer_cols = []  # per message, the columns it reads besides the slot
                 for o in flt._lp.owners[i]:
-                    cols = next(blocks)
-                    col_lo, col_hi, D, y_lo, y_hi = sent[o][1]
-                    rows = A[row : row + D.shape[0]]
-                    assert np.array_equal(rows[:, cols], D), (k, i, o)
-                    assert not np.any(np.delete(rows, cols, axis=1)), (k, i, o)
-                    assert np.array_equal(b_lo[row : row + D.shape[0]], y_lo)
-                    assert np.array_equal(b_hi[row : row + D.shape[0]], y_hi)
-                    assert np.array_equal(lo[cols], col_lo) and np.array_equal(hi[cols], col_hi)
-                    slot = agent_slot(system, i, stacks[o])
-                    slots.append(cols[slot])
-                    others.append(np.delete(cols, slot))
+                    st, (A_o, (col_lo, col_hi, D, y_lo, y_hi)) = stacks[o], sent[o]
+                    rows = A[row : row + D.shape[0], cols_i]
+                    assert np.array_equal(rows[:, own - cols_i.start], D[:, agent_slot(system, i, st)]), (k, i, o)
+                    reads = set((cols_i.start + np.flatnonzero(rows.any(axis=0))).tolist()) - set(own.tolist())
+                    peer_cols.append(set(reads))
+                    want_lo, want_hi = y_lo.copy(), y_hi.copy()
+                    x_at, w_at = 0, st.B.shape[0]
+                    for l in st.state_order:
+                        xs = np.arange(x_at, x_at + agents[l].n)
+                        zs = np.r_[xs, w_at : w_at + agents[l].p]
+                        x_at, w_at = x_at + agents[l].n, w_at + agents[l].p
+                        if l == i:
+                            continue
+                        M = np.hstack([A_o[xs][:, xs], st.B[xs][:, zs[agents[l].n :] - st.B.shape[0]]])  # [A_l(k) B_l]
+                        p, q = M * col_lo[zs], M * col_hi[zs]
+                        s_lo, s_hi = np.minimum(p, q).sum(axis=1), np.maximum(p, q).sum(axis=1)
+                        for t in np.flatnonzero((st.H[:, xs] != 0).any(axis=0)):
+                            h = st.H[:, xs[t]]
+                            if np.count_nonzero(h) == 1:  # folded into its row
+                                r = np.flatnonzero(h)[0]
+                                want_lo[r] -= max(h[r] * s_lo[t], h[r] * s_hi[t])
+                                want_hi[r] -= min(h[r] * s_lo[t], h[r] * s_hi[t])
+                                continue
+                            [c] = [c for c in reads if np.array_equal(A[row : row + D.shape[0], c], h)]
+                            assert near(lo[c], s_lo[t], -1) and near(hi[c], s_hi[t], 1), (k, i, o, l, t)
+                            reads.remove(c)
+                    assert not reads, (k, i, o)  # every column it reads is a measured coordinate's
+                    assert near(b_lo[row : row + D.shape[0]], want_lo, -1), (k, i, o)
+                    assert near(b_hi[row : row + D.shape[0]], want_hi, 1), (k, i, o)
                     row += D.shape[0]
                 assert row == rows_i.stop
-                assert all(np.array_equal(s, slots[0]) for s in slots), (k, i)
-                # every column is in one block only, but agent i's
-                held, col = np.sort(np.concatenate([slots[0]] + others)), cols_i.stop
-                assert np.array_equal(held, np.arange(cols_i.start, col)), (k, i)
-            assert (row, col) == (program.m, program.n) and next(blocks, None) is None
+                # the messages share agent i's columns and no other, and
+                # every column of agent i's block is the slot's or one
+                # message's
+                held = sorted(own.tolist() + [c for cols in peer_cols for c in cols])
+                assert held == list(range(cols_i.start, col)), (k, i)
+            assert (row, col) == (program.m, program.n)
 
     def test_heterogeneous_agents_run_clean(self):
         # hetero3: agents of one and of two noise inputs, one without an
@@ -1165,8 +1280,9 @@ class TestLpLifecycle:
     def test_lifted_lps_are_built_only_when_read(self, monkeypatch):
         # a uav5 horizon-30 containment trial with all filters: a step only
         # stores its entry, and the trajectory is extended and the window
-        # built or reloaded only where a probe or a solver point's check
-        # reads the LP: at the first two steps of each witness chain
+        # built only where a probe or a solver point's check on the
+        # trajectory reads the LP: at the trajectories' first two steps and
+        # at the window's first
         reading, events = [None], []  # the lifted filter in a call now; (call, filter, step) per call
         for name in ("contains", "hull", "step"):
             def entering(self, *args, method=getattr(filters._LiftedFilter, name), **kwargs):
@@ -1195,9 +1311,30 @@ class TestLpLifecycle:
             ("_extend_trajectory", "CentralizedFilter", 1),
             ("_extend_trajectory", "CentralizedFilter", 2),
             ("_window_block", "OitFilter", db + 1),
-            ("_window_block", "OitFilter", db + 2),
         ]
         assert all(event[1:] in read for event in built)
+
+    def test_a_window_checks_the_solvers_point_on_its_entries(self, monkeypatch):
+        # uav5 at horizon 30, containment, seed 1, trials 0-2: the point of
+        # the first window's probe, carried a step, is checked by
+        # ``_admits`` on the window's entries, so each trial builds the
+        # window once and never reloads it; the only reloads left are the
+        # agents' LP's, one per step
+        calls = []
+        for owner, name in ((filters, "_window_block"), (filters, "_extend_trajectory"),
+                            (lp.LinearProgram, "replace")):
+            def recording(*args, fn=getattr(owner, name), name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, recording)
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=30, seed=1))
+        for trial in range(3):
+            calls.clear()
+            log = simharness.run_trial(cfg, trial, metrics="containment")
+            assert log.aborted is None and log.violations == 0 and len(log.steps) == 30
+            counts = {name: calls.count(name) for name in ("_window_block", "_extend_trajectory", "replace")}
+            assert counts == {"_window_block": 1, "_extend_trajectory": 2, "replace": 30}, trial
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_oit_beside_centralized_builds_no_trajectory_block(self, monkeypatch, metrics):

@@ -637,6 +637,14 @@ class _SolveErrorOnceRewritten(_SolveErrorHighs):
         return super().getModelStatus() if self.rewritten else self._model.getModelStatus()
 
 
+def fail_witness_checks(monkeypatch):
+    """Make every one-step witness fail its check, on the LP
+    (``satisfied_by``) and on the step entries (``_admits``), so that each
+    whole-state query probes the LP."""
+    monkeypatch.setattr(lp.LinearProgram, "satisfied_by", lambda *args: False)
+    monkeypatch.setattr(filters._LiftedFilter, "_admits", lambda *args: False)
+
+
 class TestSolverFailure:
     def test_linprog_failure_aborts_instead_of_violating(self, monkeypatch):
         # "solve error" is neither optimal, infeasible nor unbounded
@@ -671,8 +679,12 @@ class TestSolverFailure:
     )
     def test_refused_reload_aborts(self, monkeypatch, call, algorithms, k, metrics):
         # a reload that HiGHS refuses is a recorded abort, never a
-        # violation; the centralized LP is never reloaded
+        # violation; the centralized LP is never reloaded.  A containment
+        # step past the window's first reads the window only when the
+        # one-step witness fails its check, which is forced here
         monkeypatch.setattr(_highs._Highs, call, lambda *args: _highs.HighsStatus.kError)
+        if metrics == "containment" and "distributed" not in algorithms:
+            fail_witness_checks(monkeypatch)
         cfg = small_uav(h=8, algorithms=algorithms)
         assert cfg.delta_bar == 3
         log = simharness.run_trial(cfg, 0, metrics=metrics)
@@ -726,7 +738,7 @@ class TestSolverFailure:
         new = lp._new_model
         monkeypatch.setattr(lp, "_new_model", lambda: _SolveErrorOnceRewritten(new()))
         if metrics == "containment":
-            monkeypatch.setattr(lp.LinearProgram, "satisfied_by", lambda *args: False)
+            fail_witness_checks(monkeypatch)
         cfg = small_uav(h=8, algorithms=["centralized", "oit"])
         log = simharness.run_trial(cfg, 0, metrics=metrics)
         k = cfg.delta_bar + 2
