@@ -97,6 +97,8 @@ class AgentModel:
         A0 = np.asarray(A_of_k(0), dtype=float)
         if A0.shape != (n, n):
             raise ValueError(f"agent {self.id}: A(k) must be {n}x{n}, got {A0.shape}")
+        self._off = None  # (A_of_k, the entries outside its support) of ``_check_support``
+        self._check_support(A0, 0)
         if Wset.dim != self.B.shape[1]:
             raise ValueError(f"agent {self.id}: Wset dim {Wset.dim} != B columns {self.B.shape[1]}")
         if Vset.dim != self.C.shape[0]:
@@ -104,13 +106,34 @@ class AgentModel:
 
     def _A_at(self, k):
         """``A_of_k(k)`` as a read-only float array, evaluated once for a
-        run of calls with the same k (and the same ``A_of_k``)."""
+        run of calls with the same k (and the same ``A_of_k``), and checked
+        against the declared support (``_check_support``)."""
         last = self._A_last
         if last is None or last[1] != k or last[0] is not self.A_of_k:
             A = np.array(self.A_of_k(k), dtype=float)
+            self._check_support(A, k)
             A.setflags(write=False)
             last = self._A_last = (self.A_of_k, k, A)
         return last[2]
+
+    def _check_support(self, A, k):
+        """Raise ``ValueError`` naming the agent, k and the entry if A = A(k)
+        is not exactly 0 (NaN included) somewhere outside ``A_support``,
+        which the distributed filter trusts.  The entries outside are
+        computed once per ``A_of_k``."""
+        if self._off is None or self._off[0] is not self.A_of_k:
+            off = ~self.A_support
+            if off.shape != (self.n, self.n):
+                raise ValueError(f"agent {self.id}: A_of_k.support must be {self.n}x{self.n}, got {off.shape}")
+            self._off = (self.A_of_k, off)
+        off = self._off[1]
+        if A.shape != off.shape:
+            raise ValueError(f"agent {self.id}: A(k) must be {self.n}x{self.n}, got {A.shape} at k = {k}")
+        if A[off].any():
+            r, c = np.argwhere(off & (A != 0))[0]
+            raise ValueError(
+                f"agent {self.id}: A({k})[{r}, {c}] = {float(A[r, c])} lies outside the support that A_of_k declares"
+            )
 
     @property
     def A_support(self):
@@ -118,7 +141,7 @@ class AgentModel:
         (n, n) array: ``A_of_k.support`` where the dynamics declare it (the
         schema's constant and coordinated-turn kinds do), every entry for
         an ``A_of_k`` that declares none.  Every other entry is zero at
-        every k."""
+        every k: each A(k) evaluated is checked (``_check_support``)."""
         support = getattr(self.A_of_k, "support", None)
         return np.ones((self.n, self.n), dtype=bool) if support is None else np.asarray(support, dtype=bool)
 

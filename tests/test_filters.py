@@ -1050,6 +1050,26 @@ class TestDistributed:
                 for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
                     assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), (k, i)
 
+    def test_a_support_declared_too_small_is_an_error(self):
+        # the custom coupled A(k) above, declared with the coordinated
+        # turn's support: the peers' columns would be merged by the wrong
+        # support and narrow the distributed set, so the trial raises at
+        # the first A(k) that leaves it
+        cfg = simharness.ScenarioConfig(simharness.build_uav_scenario(horizon=12, seed=1))
+        agent = cfg.system.agents[3]
+        turn = agent.A_of_k
+
+        def A_of_k(k):
+            A = turn(k).copy()
+            if k % 2:
+                A[0, 2], A[2, 1] = 0.05, -0.03
+            return A
+
+        A_of_k.support = turn.support
+        agent.A_of_k = A_of_k
+        with pytest.raises(ValueError, match=r"agent 3: A\(1\)\[0, 2\] = 0.05 lies outside the support"):
+            simharness.run_trial(cfg, 0, metrics="full")
+
     @pytest.mark.parametrize(
         "doc", [simharness.build_uav_scenario(horizon=30, seed=1), hetero3_doc()], ids=["uav5", "hetero3"]
     )

@@ -9,7 +9,7 @@ from scipy.optimize import OptimizeWarning, linprog
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
 import czest
-from czest import czono
+from czest import czono, lp
 from czest.lp import (
     EPS_LP,
     INFEASIBLE,
@@ -800,6 +800,36 @@ def test_status_left_unknown_after_fallback_raises():
         prog.solve(_STALL_G[1])
     # the primal run and the one dual re-run
     assert spy.strategies == [PRIMAL, DUAL]
+
+
+def _options_held(prog):
+    """Assert that ``prog``'s HiGHS model holds every kernel option."""
+    for key, want in lp._HIGHS_OPTIONS.items():
+        status, got = prog._highs.getOptionValue(key)
+        assert status == HighsStatus.kOk and got == want and type(got) is type(want), key
+
+
+@pytest.mark.parametrize("status", [HighsModelStatus.kUnknown, HighsModelStatus.kUnboundedOrInfeasible])
+def test_no_model_change_drops_the_options(status):
+    # the kernel's options (among them the basis refactored at every
+    # rebuild) hold on a new model, after ``extend``, after ``replace``'s
+    # ``passModel`` and after ``_run``'s cleared re-run
+    prog = LinearProgram(_STALL_A, _STALL_B, -_STALL_H, _STALL_H)
+    _options_held(prog)
+    assert prog.solve(_STALL_G[0]).status == OPTIMAL
+    prog.extend([-1.0], [1.0], [[0.5] * 13 + [1.0]], [0.0], [0.0])
+    assert prog.solve(np.append(_STALL_G[1], 1.0)).status == OPTIMAL
+    _options_held(prog)
+    prog.replace(prog.lo, prog.hi, model_rows(prog)[0].toarray(), *model_rows(prog)[1:])
+    assert prog.solve(np.append(_STALL_G[2], 1.0)).status == OPTIMAL
+    _options_held(prog)
+    [spy] = wrap_models(prog, _Spy)
+    spy.status = status
+    calls = _count(prog, "run", "clearSolver")
+    with pytest.raises(NumericalError):
+        prog.solve(np.append(_STALL_G[0], -1.0))
+    assert calls == {"run": 2, "clearSolver": 1}  # the run and its cleared re-run
+    _options_held(prog)
 
 
 class _Refusing:

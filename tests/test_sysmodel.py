@@ -76,6 +76,26 @@ class TestAgentModel:
             empty = AgentModel(1, lambda k: np.eye(2), np.eye(2), [], M, two, Box([], []), {2: two})
             assert empty.C.shape == (0, 2) and empty.m_y == 0
 
+    def test_a_outside_its_declared_support_is_an_error(self):
+        # A(k) is checked against ``A_of_k.support`` at construction (A(0))
+        # and at every newly evaluated k; an exact 0 outside it is fine
+        two = Box([-1.0, -1.0], [1.0, 1.0])
+
+        def agent(A_of_k, support=np.eye(2) != 0):
+            A_of_k.support = support
+            return AgentModel(2, A_of_k, np.eye(2), np.eye(2), np.eye(2), two, two)
+
+        with pytest.raises(ValueError, match=r"agent 2: A\(0\)\[1, 0\] = 0.5 lies outside the support"):
+            agent(lambda k: np.array([[1.0, 0.0], [0.5, 1.0]]))
+        a = agent(lambda k: np.array([[1.0, -0.0], [0.0, 1.0]]) if k < 3 else np.array([[1.0, np.nan], [0.0, 1.0]]))
+        assert np.array_equal(a._A_at(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"agent 2: A\(3\)\[0, 1\] = nan lies outside the support"):
+            a._A_at(3)
+        with pytest.raises(ValueError, match="agent 2: A_of_k.support must be 2x2"):
+            agent(lambda k: np.eye(2), [True])
+        with pytest.raises(ValueError, match=r"agent 2: A\(k\) must be 2x2, got \(3, 3\) at k = 1"):
+            agent(lambda k: np.eye(2 + k))._A_at(1)
+
 
 class TestTopology:
     def test_uav5_neighborhoods(self):
