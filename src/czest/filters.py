@@ -93,35 +93,36 @@ w).  A time-varying A(k) moves every coefficient of it at every step.
 
 A step of either filter stores its entry (``_Entry``: A(k), Y and the
 measurement bounds, computed once) and builds nothing.  The LP is brought
-up to the step only when a solve, or the check of a solver's point on the
-trajectory, reads it (``_LiftedFilter._posterior``): the trajectory is extended by its pending
-blocks, in order; the window is built at its first use, a new LP that no
-witness enters, and reloaded whole at each later one
-(``lp.LinearProgram.replace``).  HiGHS so holds the model it would hold
-had every step built it.  In containment mode a trial extends the
-trajectory about twice and builds the window about once; ``hull`` needs
-them at every step.  A step whose numbers come
-within a tenth of HiGHS's refusal limits, or past the float range, is
-brought up at once (``_LiftedFilter._within_limits``), so that its abort
-falls on its own step.
+up to the step only when a solve reads it (``_LiftedFilter._posterior``):
+the trajectory is extended by its pending blocks, in order; the window
+is built at its first use, a new LP that no witness enters, and reloaded
+whole at each later one (``lp.LinearProgram.replace``).  This is the one
+place where a build waits: ``lp`` writes every block to HiGHS when it is
+appended, so HiGHS holds the model it would hold had every step built
+it.  In containment mode a trial extends the trajectory about once and
+builds the window about once; ``hull`` needs them at every step.  A step
+whose numbers come within a tenth of HiGHS's refusal limits, or past the
+float range, is brought up at once (``_LiftedFilter._within_limits``), so
+that its abort falls on its own step.
 
 ``hull`` solves the final state's interval hull.  ``contains`` first
 tries a one-step witness: the feasible LP point behind the last step's
 ``True``, carried one step by the recursion to the queried state (on a
 trajectory extended by a step, on a window shifted by one).  It is
-checked on the step entries alone (``_LiftedFilter._admits``): every row
-of the window by its recursion, whoever found the point; on the
-trajectory the new step's rows, for a point that passed a check.  A
-point found by the solver on the trajectory is checked against the
-bounds and rows of the LP brought up to the step
-(``lp.LinearProgram.satisfied_by``).  A point that passes is a primal
-certificate of membership.  Only when there is no witness, or it fails
-the check, does ``contains`` fall back to the LP probe
-(``lp.LinearProgram.feasible_at``): it pins the final state through its
-bounds, solves and restores them, and after an infeasible probe solves
-the unpinned region once per step, so that an empty posterior raises
-``lp.EmptySetError`` instead of reading as a point outside it.  A query
-on some coordinates of the state is the probe alone.
+checked on the step entries alone (``_LiftedFilter._admits``), without
+the LP: on a window every row of it, by its recursion; on the trajectory
+the new step's rows, since the point it extends satisfied every older
+one.  So a solver's point on the trajectory is checked once, against the
+bounds and rows of the LP it came from (``lp.LinearProgram.satisfied_by``),
+before it is stored; one on a window is stored as it is.  A point that
+passes is a primal certificate of membership.  Only when there is no
+witness, or it fails the check, does ``contains`` fall back to the LP
+probe (``lp.LinearProgram.feasible_at``): it pins the final state
+through its bounds, solves and restores them, and after an infeasible
+probe solves the unpinned region once per step, so that an empty
+posterior raises ``lp.EmptySetError`` instead of reading as a point
+outside it.  A query on some coordinates of the state is the probe
+alone.
 
 Every hull is ``lp.LinearProgram.bounds`` of the state's columns, so
 an empty posterior raises ``lp.EmptySetError``.  A step whose dynamics
@@ -329,22 +330,23 @@ class _LiftedFilter:
 
     ``step`` stores, it does not build: it keeps the step's entry
     (``_Entry``), among the trajectory's pending ones or in the window's
-    buffer.  ``_posterior`` brings ``_post`` up to step k when a reader
-    needs it (``hull``, the LP probe of ``contains``, a solver point's
-    check on the trajectory): it extends the trajectory by its pending step blocks, in order,
-    or builds the first window, a new LP, or reloads the window it built
-    once, with the last entries (``lp.LinearProgram.replace``).  HiGHS so
-    receives the model that building at every step would give it: the same
-    rows, bounds and basis.  A step whose numbers could make that build or
-    HiGHS fail (``_within_limits``) brings ``_post`` up at once, so that the
-    abort falls on its step.  ``lifted_size`` is computed from k and the
-    stack's sizes.
+    buffer.  ``_posterior`` brings ``_post`` up to step k when a solve
+    needs it (``hull``, the LP probe of ``contains``): it extends the
+    trajectory by its pending step blocks, in order, or builds the first
+    window, a new LP, or reloads the window it built once, with the last
+    entries (``lp.LinearProgram.replace``).  HiGHS so receives the model
+    that building at every step would give it: the same rows, bounds and
+    basis.  A step whose numbers could make that build or HiGHS fail
+    (``_within_limits``) brings ``_post`` up at once, so that the abort
+    falls on its step.  ``lifted_size`` is computed from k and the stack's
+    sizes.
 
-    ``contains`` keeps a witness (k, p, y, checked): the state p it last
-    found in the step-k posterior and y, a point of that step's LP whose
-    final state is p.  ``checked`` is True when y was verified against
-    every row of that LP (``_try_witness``), None for a solver's point.
-    The first window, a new LP, starts without one.
+    ``contains`` keeps a witness (k, p, y): the state p it last found in
+    the step-k posterior and y, a point of that step's LP whose final
+    state is p, verified against every row of that LP that the next
+    check does not read: on the trajectory every row, by ``_try_witness``
+    or, for a solver's point, by ``lp.LinearProgram.satisfied_by``; on a
+    window none.  The first window, a new LP, starts without one.
     """
 
     def __init__(self, system, initial, delta_bar=None):
@@ -460,7 +462,8 @@ class _LiftedFilter:
         (``_try_witness``); only when there is none, or it fails its check,
         are the final state's coordinates pinned and the LP solved.  A
         query on listed coordinates is that probe alone.  A feasible
-        whole-state solve's point seeds the next step's witness.  After an
+        whole-state solve's point seeds the next step's witness, on the
+        trajectory once it passes ``satisfied_by`` on that LP.  After an
         infeasible probe the unpinned LP is solved, once per step, to tell
         an empty posterior from a point outside it.
         """
@@ -478,8 +481,9 @@ class _LiftedFilter:
             self._witness = None
         region = self._posterior()
         if region.feasible_at(region.n - n + coords, x):
-            if whole and region.last_x is not None:
-                self._witness = (self.k, x, region.last_x, None)
+            y = region.last_x
+            if whole and y is not None and (self._windowed() or region.satisfied_by(y)):
+                self._witness = (self.k, x, y)
             return True
         if self._nonempty != self.k:
             if region.solve(np.zeros(region.n)).status == lp.INFEASIBLE:
@@ -493,20 +497,16 @@ class _LiftedFilter:
         of step k.
 
         The recursion carries it (``_carry``) with A this step's dynamics
-        and the noise w = B⁺(x - A p) that takes its state p to x.  It is
-        checked on the step entries alone (``_admits``) when it was checked
-        before, or on a window, whose every row ``_admits`` reads; a
-        solver's point on the trajectory is checked against every bound and
-        row of ``_post`` brought up to step k
-        (``lp.LinearProgram.satisfied_by``).
+        and the noise w = B⁺(x - A p) that takes its state p to x, and it
+        is checked on the step entries alone (``_admits``), without the LP.
         """
         if self._witness is None or self._witness[0] != self.k - 1:
             return False
-        _, p, y, checked = self._witness
+        _, p, y = self._witness
         y = self._carry(y, self._B_pinv @ (x - self._entry.A @ p), x)
-        if not (self._admits(y) if checked or self._windowed() else self._posterior().satisfied_by(y)):
+        if not self._admits(y):
             return False
-        self._witness = (self.k, x, y, True)
+        self._witness = (self.k, x, y)
         return True
 
     def _carry(self, y, w, x):

@@ -10,12 +10,10 @@ from the previous optimal basis and an interval hull's bounds over one
 region pay for the initial basis only once.
 
 The region is written through two calls, both on the same model, so the
-next solve also starts from the last basis.  ``extend`` appends columns
-and rows (``addCols``, ``addRows``; new rows basic, new columns at a
-bound).  The first rows of a region enter its model at once; rows
-appended later wait until the next solve or reload and then enter in one
-step, so a trajectory grown step by step and only checked in between
-changes no model.  ``replace`` loads new numbers into every column bound,
+next solve also starts from the last basis, and both write the model at
+once, so it holds the region at every moment.  ``extend`` appends
+columns and rows (``addCols``, ``addRows``; new rows basic, new columns
+at a bound).  ``replace`` loads new numbers into every column bound,
 coefficient and row bound at once: one ``passModel`` call, then the
 basis the model held before back with ``setBasis``, so a region whose
 structure is fixed and whose numbers move, such as one filter step after
@@ -110,7 +108,7 @@ the scipy version; only the versions in ``.github/constraints.txt`` are
 tested.  Rows arrive as dense arrays, and ``extend`` and ``replace``
 build HiGHS's compressed sparse row arrays from them with numpy, so
 nothing here imports ``scipy.sparse``.  Each region keeps one such set of
-its rows, with the row of each entry, of which its model holds a prefix.
+its rows, with the row of each entry: the rows its model holds.
 """
 
 import importlib.machinery
@@ -253,7 +251,6 @@ class LinearProgram:
         self._row = np.zeros(0, dtype=np.intp)
         self._value, self._b_lo, self._b_hi = np.zeros(0), np.zeros(0), np.zeros(0)
         self._flat = None  # the entries' places in a dense m x n A, row-major (``replace``), None after ``extend``
-        self._held = (0, 0)  # (columns, rows) the model holds
         self._block = None  # the block of each column (``_blocks``), None until it is asked for
         self._plan = None  # (C's nonzero pattern, its batches) of the last multi-row ``bounds`` (``_batches``)
         self.extend(lo, hi, A, b, b)
@@ -264,14 +261,10 @@ class LinearProgram:
 
         ``A`` is a dense 2-d array whose column j is column ``cols[j]`` of
         the grown region; by default it spans all columns, old then new.
-        The new columns enter no existing row.
-
-        Rows appended to a region whose model holds rows wait until its
-        next solve or reload, which adds them all in one step
-        (``_flush``), so a region grown step by step and only checked
-        (``satisfied_by``) in between changes no model until it is solved.
-        Either way the model keeps its basis, so the next solve starts
-        from it (new rows basic, new columns at a bound).
+        The new columns enter no existing row.  One ``addCols`` and one
+        ``addRows`` call write them to the model, which keeps its basis, so
+        the next solve starts from it (new rows basic, new columns at a
+        bound).
         """
         lo, hi = _bound_vectors(lo, hi, np.size(lo))
         added = lo.size
@@ -289,23 +282,12 @@ class LinearProgram:
         self._all = np.arange(self.n, dtype=np.int32)  # every column, as changeColsCost takes them
         self._block = self._plan = self._flat = None
         self._changed = True
-        if not self._held[1]:  # the model holds no row yet
-            self._flush()
-
-    def _flush(self):
-        """Add the columns and rows that ``extend`` appended since the
-        model last grew, if any: one ``addCols`` and one ``addRows``
-        call."""
-        h, (n, m) = self._highs, self._held
-        self._held = self.n, self.m
-        added = self.n - n
+        h = self._highs
         if added:
-            _check(h.addCols(added, np.zeros(added), self.lo[n:], self.hi[n:], 0,
+            _check(h.addCols(added, np.zeros(added), lo, hi, 0,
                              np.zeros(added, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
-        if self.m > m:
-            first = self._start[m]
-            _check(h.addRows(self.m - m, self._b_lo[m:], self._b_hi[m:], self._index.size - first,
-                             self._start[m:] - first, self._index[first:], self._value[first:]), "addRows")
+        if r:
+            _check(h.addRows(r, b_lo, b_hi, index.size, start, index, value), "addRows")
 
     def replace(self, lo, hi, A, b_lo, b_hi):
         """Load new numbers into the whole region in place: the column
@@ -328,7 +310,6 @@ class LinearProgram:
             if start.size != self.m:
                 raise ValueError(f"A has {start.size} rows, expected {self.m}")
         b_lo, b_hi = _bound_vectors(b_lo, b_hi, self.m, "row")
-        self._flush()  # so that the basis to restore spans every row
         if start is not None:
             if self._block is not None and not (np.array_equal(index, self._index) and np.array_equal(start, self._start)):
                 self._block = self._plan = None  # the row pattern changed
@@ -484,7 +465,6 @@ class LinearProgram:
         lo, hi = self.lo[cols], self.hi[cols]
         if (x < lo - EPS_LP).any() or (x > hi + EPS_LP).any():
             return False
-        self._flush()  # the pinned columns may be waiting
         h = self._highs
         self._changed = True
         _check(h.changeColsBounds(cols.size, cols, x, x), "changeColsBounds")
@@ -494,27 +474,23 @@ class LinearProgram:
             self._changed = True
             _check(h.changeColsBounds(cols.size, cols, lo, hi), "changeColsBounds")
 
-    def satisfied_by(self, x, first_row=0):
+    def satisfied_by(self, x):
         """True iff x is a feasible point of the region to within ``EPS_LP``.
 
         x must have length n and lie within ``EPS_LP`` of every column
-        bound, and every row from ``first_row`` on, as the last ``extend``
-        or ``replace`` that wrote it gave it (and so as the HiGHS model
-        holds it, or will), must give b_lo - ``EPS_LP`` <= A x <= b_hi +
-        ``EPS_LP``; the column bounds are the region's, ``lo``/``hi``.  The
-        check is absolute and read-only: it calls no model and adds no
-        waiting row to it.
+        bound, and every row, as the last ``extend`` or ``replace`` that
+        wrote it gave it (and so as the HiGHS model holds it), must give
+        b_lo - ``EPS_LP`` <= A x <= b_hi + ``EPS_LP``; the column bounds
+        are the region's, ``lo``/``hi``.  The check is absolute and
+        read-only: it calls no model.
         """
         x = np.asarray(x, dtype=float).ravel()
         if x.shape[0] != self.n or not np.isfinite(x).all():
             return False
         if (x < self.lo - EPS_LP).any() or (x > self.hi + EPS_LP).any():
             return False
-        r = min(first_row, self.m)
-        first = self._start[r] if r < self.m else self._index.size
-        Ax = np.bincount(self._row[first:] - r, weights=self._value[first:] * x[self._index[first:]],
-                         minlength=self.m - r)
-        return bool((Ax >= self._b_lo[r:] - EPS_LP).all() and (Ax <= self._b_hi[r:] + EPS_LP).all())
+        Ax = np.bincount(self._row, weights=self._value * x[self._index], minlength=self.m)
+        return bool((Ax >= self._b_lo - EPS_LP).all() and (Ax <= self._b_hi + EPS_LP).all())
 
     def _solve(self, c, sense="min"):
         """The one solve of every query, on arguments the query validated:
@@ -524,7 +500,6 @@ class LinearProgram:
         since the last solve, runs HiGHS (``_run``) and reads the
         optimizer into ``last_x`` (None unless optimal).  Returns the
         status."""
-        self._flush()
         h = self._highs
         zero = c is None or not c.any()
         if not (zero and self._zero_cost):  # a zero objective is written only over a nonzero one

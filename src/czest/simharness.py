@@ -18,9 +18,10 @@ themselves: the centralized and fixed-lag filters answer ``hull`` and
 ``contains`` from their posterior LP (see ``czest.filters``), the sparse
 trajectory LP, or past ``delta_bar`` the fixed-lag filter's window LP,
 whose hull is solved once per step and sliced per agent here.  A step
-only stores its entry: the LP is brought up to it when a solve, or the
-check of a solver's point, reads it.  The distributed filter keeps its
-own hulls.  A step's ``sizes`` record
+only stores its entry: the LP is brought up to it when a solve reads it,
+and a containment step answered by the filter's witness, which is
+checked on the step entries, solves nothing.  The distributed filter
+keeps its own hulls.  A step's ``sizes`` record
 holds the lifted (generators, constraints), i.e. the LP's (columns,
 rows), computed from the step and the stack's sizes without the LP: of
 that posterior LP for the centralized and fixed-lag filters, growing

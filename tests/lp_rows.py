@@ -9,9 +9,7 @@ from czest.lp import INFEASIBLE, UNBOUNDED, EmptySetError, NumericalError
 
 
 def _model(prog):
-    """``prog``'s HiGHS model (``getLp``), with the rows that wait for the
-    next solve entered."""
-    prog._flush()
+    """``prog``'s HiGHS model (``getLp``)."""
     return prog._highs.getLp()
 
 

@@ -281,8 +281,9 @@ class TestOit:
     def test_window_of_one_state_carries_the_witness(self):
         # pair1d's observability index is 1, so delta_bar = 0 is valid: the
         # window is (x_a, x_k) with x_a = x_k.  The first window, at k = 1,
-        # is a new LP that no witness enters, so k = 1 probes; from k = 2
-        # the probe's point carried a step, (A x_a + B w, x), passes its check
+        # is a new LP that no witness enters, so k = 1 probes and keeps the
+        # solver's point; from k = 2 the probe's point carried a step, (A x_a
+        # + B w, x), passes its check
         system = pair_system()
         oit = OitFilter(system, pair_x0(), delta_bar=0)
         x = np.array([0.5, 1.0])
@@ -293,9 +294,10 @@ class TestOit:
             oit.step(k, batch_for(system, k, x))
             region = oit._posterior()
             assert region is not built and region.n == 2 * x.size
-            assert oit.contains(x) == region.feasible_at(final_cols(region, x.size), x)
+            got = oit.contains(x)
             assert oit._witness[0] == k
-            assert (oit._witness[3] is not None) == (k > 1)  # a carried point that passed its check
+            assert (oit._witness[2] is region.last_x) == (k == 1)  # the probe's point, else a carried one
+            assert got == region.feasible_at(final_cols(region, x.size), x)
 
     def test_window_far_past_the_horizon_is_never_built(self):
         # the window LP is built at the first step past delta_bar, so a
@@ -498,8 +500,8 @@ class TestWitness:
             for flt in flts:
                 flt.step(k, batch)
                 got = flt.contains(truth)
-                witness = flt._witness
-                witnessed += witness is not None and witness[0] == k and witness[3] is not None
+                witness = flt._witness  # a carried point, not the point of a probe (``last_x``)
+                witnessed += witness is not None and witness[0] == k and witness[2] is not flt._post.last_x
                 falses += not got
                 # listing every coordinate asks the pinned probe alone
                 assert got == flt.contains(truth, state), (k, flt)
@@ -524,8 +526,8 @@ class TestWitness:
         satisfied_by, feasible_at = lp.LinearProgram.satisfied_by, lp.LinearProgram.feasible_at
         admits = filters._LiftedFilter._admits
 
-        def checking(self, x, first_row=0):
-            checks.append(satisfied_by(self, x, first_row))
+        def checking(self, x):
+            checks.append(satisfied_by(self, x))
             return checks[-1]
 
         def checking_entries(self, y):
@@ -553,7 +555,9 @@ class TestWitness:
             checked, probed = list(checks), len(probes)
             region = flt._posterior()
             assert got == feasible_at(region, final_cols(region, truth.size), truth)
-            if k in (1, db + 1):  # no witness, or a new window that none enters
+            if k == 1:  # no witness; the solver's point on the trajectory is checked before it is kept
+                assert checked == [True] and probed == 1
+            elif k == db + 1:  # a new window that no witness enters, and whose point needs no check
                 assert checked == [] and probed == 1
             elif k == corrupt:
                 assert checked == [False] and probed == 1
@@ -695,11 +699,11 @@ class TestWitnessOracle:
                 simharness._step_metrics(alg, flt, ids, truth, slices, metrics)
             before[0] = truth
         assert disagreements == []
-        # nominal noise: every step but the trajectories' first two and the
+        # nominal noise: every step but the trajectories' first and the
         # window's first (a new LP that no witness enters) is the entry
         # check's
         db = cfg.delta_bar
-        assert compared == (cfg.K - 2) + (db - 2) + (cfg.K - db - 1)
+        assert compared == (cfg.K - 1) + (db - 1) + (cfg.K - db - 1)
         assert {(windowed, name) for windowed, name, _ in rejected} == {
             (False, "bound-last"), (False, "dynamics-last"), (True, "bound-first"), (True, "dynamics-first"),
             (True, "bound-last"), (True, "dynamics-last"),
@@ -1300,9 +1304,8 @@ class TestLpLifecycle:
     def test_lifted_lps_are_built_only_when_read(self, monkeypatch):
         # a uav5 horizon-30 containment trial with all filters: a step only
         # stores its entry, and the trajectory is extended and the window
-        # built only where a probe or a solver point's check on the
-        # trajectory reads the LP: at the trajectories' first two steps and
-        # at the window's first
+        # built only where a probe reads the LP: at the trajectory's first
+        # step and at the window's first
         reading, events = [None], []  # the lifted filter in a call now; (call, filter, step) per call
         for name in ("contains", "hull", "step"):
             def entering(self, *args, method=getattr(filters._LiftedFilter, name), **kwargs):
@@ -1329,7 +1332,6 @@ class TestLpLifecycle:
         read = {event[1:] for event in events if event[0] in ("feasible_at", "satisfied_by")}
         assert built == [
             ("_extend_trajectory", "CentralizedFilter", 1),
-            ("_extend_trajectory", "CentralizedFilter", 2),
             ("_window_block", "OitFilter", db + 1),
         ]
         assert all(event[1:] in read for event in built)
@@ -1339,7 +1341,9 @@ class TestLpLifecycle:
         # the first window's probe, carried a step, is checked by
         # ``_admits`` on the window's entries, so each trial builds the
         # window once and never reloads it; the only reloads left are the
-        # agents' LP's, one per step
+        # agents' LP's, one per step.  The trajectory's probe point is
+        # checked on the LP it came from, so the trajectory is extended
+        # once, for that probe
         calls = []
         for owner, name in ((filters, "_window_block"), (filters, "_extend_trajectory"),
                             (lp.LinearProgram, "replace")):
@@ -1354,7 +1358,7 @@ class TestLpLifecycle:
             log = simharness.run_trial(cfg, trial, metrics="containment")
             assert log.aborted is None and log.violations == 0 and len(log.steps) == 30
             counts = {name: calls.count(name) for name in ("_window_block", "_extend_trajectory", "replace")}
-            assert counts == {"_window_block": 1, "_extend_trajectory": 2, "replace": 30}, trial
+            assert counts == {"_window_block": 1, "_extend_trajectory": 1, "replace": 30}, trial
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_oit_beside_centralized_builds_no_trajectory_block(self, monkeypatch, metrics):

@@ -594,13 +594,10 @@ def test_satisfied_by_bounds_within_eps(side):
         assert prog.satisfied_by([1.0 - t, t, t]) is ok
 
 
-def test_satisfied_by_first_row_and_length():
+def test_satisfied_by_length_nan_and_bounds():
     prog = _two_rows()
-    x = [0.5 + 1e-6, 0.5, 0.5]  # only row 0 fails
-    assert not prog.satisfied_by(x)
-    assert prog.satisfied_by(x, first_row=1)
-    assert prog.satisfied_by(x, first_row=2)  # no row left, bounds hold
-    assert not prog.satisfied_by([0.5, 1.5, 1.5], first_row=2)  # bounds always checked
+    assert prog.satisfied_by([0.0, 1.0, 1.0])
+    assert not prog.satisfied_by([-0.5, 1.5, 1.5])  # both rows hold, x2 and x3 leave their bounds
     assert not prog.satisfied_by([0.5, 0.5])
     assert not prog.satisfied_by([0.5, 0.5, 0.5, 0.0])
     assert not prog.satisfied_by([0.5, 0.5, np.nan])
@@ -848,9 +845,9 @@ class _Refusing:
 @pytest.mark.parametrize(
     "call, change",
     [
-        # rows appended to a region with models enter them at its next solve
-        ("addCols", lambda p: (p.extend([0.0], [1.0], [[0.0, 1.0, 1.0]], [0.5], [0.5]), p.solve(np.zeros(3)))),
-        ("addRows", lambda p: (p.extend([], [], [[1.0, -1.0]], [0.0], [0.0]), p.solve(np.zeros(2)))),
+        # extend writes its columns and rows to the model at once
+        ("addCols", lambda p: p.extend([0.0], [1.0], [[0.0, 1.0, 1.0]], [0.5], [0.5])),
+        ("addRows", lambda p: p.extend([], [], [[1.0, -1.0]], [0.0], [0.0])),
         ("changeColsBounds", lambda p: p.feasible_at([0], [0.5])),
         ("passModel", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
         ("setBasis", lambda p: p.replace([0, 0], [1, 1], [[1.0, 2.0]], [0.5], [0.5])),
@@ -1427,19 +1424,6 @@ class TestBlocks:
             assert len(calls) - before == solves
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, abs=1e-9)
-
-    def test_satisfied_by_first_row_inside_a_block(self):
-        A, b_lo, b_hi = self._two_blocks()
-        region = LinearProgram(np.zeros((0, 4)), [], np.zeros(4), np.ones(4))
-        region.extend([], [], A, b_lo, b_hi)
-        x = np.array([0.5, 0.5, 0.75, 0.25])
-        assert region.satisfied_by(x)
-        bad0 = x + [0.0, 1e-6, 0.0, 0.0]  # fails row 0 of the first block only
-        assert not region.satisfied_by(bad0) and region.satisfied_by(bad0, first_row=1)
-        bad1 = x + [0.0, 0.0, 1e-6, 0.0]  # fails row 1, of the second block
-        assert not region.satisfied_by(bad1, first_row=1) and region.satisfied_by(bad1, first_row=2)
-        bad2 = np.array([0.2, 0.8, 0.75, 0.25])  # fails row 2, of the first block
-        assert not region.satisfied_by(bad2, first_row=2) and region.satisfied_by(bad2, first_row=3)
 
     def test_last_x_is_full_length_and_feasible(self):
         A, b_lo, b_hi = self._two_blocks()

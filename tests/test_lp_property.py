@@ -1,6 +1,7 @@
 """LP kernel property (ROADMAP item 6(b)): random sequences of operations on
 one ``LinearProgram``, every answer checked against a fresh build of the
-same data and against scipy's ``linprog``.
+same data and against scipy's ``linprog``, and after every operation
+the HiGHS model read back against the test's copy of the region.
 
 The data are small integers around an integer reference point, so the
 oracles' optima are exact rationals and a disagreement beyond 1e-9 is the
@@ -13,7 +14,7 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
 from czest import lp
-from lp_rows import model_cols
+from lp_rows import model_cols, model_rows
 
 SEQUENCES = 120
 MAX_COLS = 16
@@ -104,14 +105,22 @@ class _Region:
         status = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[res.status]
         return status, sign * res.fun if status == lp.OPTIMAL else None
 
-    def holds(self, x, first_row=0):
-        """x within ``EPS_LP`` of the column bounds and of the rows from
-        ``first_row`` on."""
+    def holds(self, x):
+        """x within ``EPS_LP`` of the column bounds and of the rows."""
         eps = lp.EPS_LP
         if np.any(x < self.lo - eps) or np.any(x > self.hi + eps):
             return False
-        Ax = self.A[first_row:] @ x
-        return bool(np.all(Ax >= self.b_lo[first_row:] - eps) and np.all(Ax <= self.b_hi[first_row:] + eps))
+        Ax = self.A @ x
+        return bool(np.all(Ax >= self.b_lo - eps) and np.all(Ax <= self.b_hi + eps))
+
+    def held_by(self, prog):
+        """True iff ``prog``'s HiGHS model, read back, holds exactly these
+        rows, row bounds and column bounds (the data have no coefficient
+        that HiGHS would drop)."""
+        A, b_lo, b_hi = model_rows(prog)
+        lo, hi = model_cols(prog)
+        return all(np.array_equal(got, want) for got, want in (
+            (A.toarray(), self.A), (b_lo, self.b_lo), (b_hi, self.b_hi), (lo, self.lo), (hi, self.hi)))
 
 
 def _check_solve(prog, data, c, sense, reached):
@@ -165,11 +174,8 @@ def _check_feasible_at(prog, data, cols, x):
     pinned_lo[cols] = pinned_hi[cols] = x
     want = False if beyond else data.linprog(np.zeros(data.lo.size), "min", pinned_lo, pinned_hi)[0] == lp.OPTIMAL
     assert got == want == data.fresh().feasible_at(cols, x)
-    # the pinned bounds are restored, in the wrapper and in the model
+    # the pinned bounds are restored, in the wrapper (and in the model, which every operation reads back)
     assert np.array_equal(prog.lo, lo) and np.array_equal(prog.hi, hi)
-    if prog._held == (prog.n, prog.m):  # reading the model must not enter waiting rows
-        for a, b in zip(model_cols(prog), (lo, hi)):
-            assert np.array_equal(np.asarray(a), b)
     if got:
         assert data.holds(prog.last_x) and np.allclose(prog.last_x[cols], x, rtol=0, atol=lp.EPS_LP)
 
@@ -187,8 +193,6 @@ def _run_sequence(rng, reached):
         op = rng.choice(["extend", "replace", "solve", "bounds", "feasible_at", "satisfied_by"],
                         p=[0.25, 0.1, 0.2, 0.2, 0.15, 0.1])
         n, m = data.lo.size, len(data.A)
-        if op != "extend" and prog._held != (n, m):
-            reached.add("waiting rows read" if op == "satisfied_by" else "waiting rows entered")
         if op == "extend":
             added = int(rng.integers(0, 4)) if n < MAX_COLS else 0
             x_new, lo, hi = data.columns(added)
@@ -258,8 +262,8 @@ def _run_sequence(rng, reached):
             near = [data.x_ref + rng.integers(-1, 2, n) for _ in range(3)]
             for x in [data.x_ref, prog.last_x] + near:
                 if x is not None and x.size == n:
-                    for first in range(m + 1):
-                        assert prog.satisfied_by(x, first) == data.holds(x, first)
+                    assert prog.satisfied_by(x) == data.holds(x)
+        assert data.held_by(prog), op
 
 
 def test_random_operation_sequences_agree_with_the_oracles():
@@ -270,7 +274,7 @@ def test_random_operation_sequences_agree_with_the_oracles():
     every = {
         "cols", "blocks joined", "blocks kept", "blocks dropped", "basis kept", "plan kept",
         "held pattern reused", "held pattern rebuilt",
-        "waiting rows read", "waiting rows entered", "zero cost kept", "zero cost written",
+        "zero cost kept", "zero cost written",
         "dual", "primal", "strategy switched",
     }
     assert every <= reached, every - reached

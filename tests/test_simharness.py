@@ -645,6 +645,17 @@ def fail_witness_checks(monkeypatch):
     monkeypatch.setattr(filters._LiftedFilter, "_admits", lambda *args: False)
 
 
+def tenfold_pair1d():
+    """pair1d at horizon 30 with A = 10 on both agents from x_0 = (1, 2),
+    without noise: the states are 10^k (1, 2), exact in floating point."""
+    doc = simharness.build_pair1d_scenario(horizon=30)
+    zero = {"lo": [0.0], "hi": [0.0]}
+    for ad, x in zip(doc["agents"], (1.0, 2.0)):
+        ad.update(dynamics={"kind": "constant", "A": [[10.0]]}, process_noise=zero, measurement_noise=zero,
+                  relative_noise={j: zero for j in ad["relative_noise"]}, initial_range={"lo": [x], "hi": [x]})
+    return doc
+
+
 class TestSolverFailure:
     def test_linprog_failure_aborts_instead_of_violating(self, monkeypatch):
         # "solve error" is neither optimal, infeasible nor unbounded
@@ -765,18 +776,13 @@ class TestSolverFailure:
 
     @pytest.mark.parametrize("metrics", ["full", "containment"])
     def test_growing_window_aborts_on_its_step(self, monkeypatch, metrics):
-        # A = 10 on both pair1d agents from x_0 = (1, 2), without noise: the
-        # states are 10^k (1, 2), exact in floating point, so the one-step
-        # witness answers every containment step past delta_bar + 2.  At
-        # k = 20 agent 2's measurement row has a lower bound of 2e20, which
-        # HiGHS refuses (1e20 or more); the window is brought up at that
-        # step, as it was when every step reloaded it, so the abort falls
-        # on k = 20
-        doc = simharness.build_pair1d_scenario(horizon=30)
-        zero = {"lo": [0.0], "hi": [0.0]}
-        for ad, x in zip(doc["agents"], (1.0, 2.0)):
-            ad.update(dynamics={"kind": "constant", "A": [[10.0]]}, process_noise=zero, measurement_noise=zero,
-                      relative_noise={j: zero for j in ad["relative_noise"]}, initial_range={"lo": [x], "hi": [x]})
+        # ``tenfold_pair1d``: the states are exact in floating point, so the
+        # one-step witness answers every containment step past delta_bar +
+        # 2.  At k = 20 agent 2's measurement row has a lower bound of 2e20,
+        # which HiGHS refuses (1e20 or more); the window is brought up at
+        # that step, as it was when every step reloaded it, so the abort
+        # falls on k = 20
+        doc = tenfold_pair1d()
         probes = []
         feasible_at = lp.LinearProgram.feasible_at
 
@@ -795,6 +801,18 @@ class TestSolverFailure:
             # point of k = 2, carried, has drifted past EPS_LP: the witness
             # answers every other step, k = 19 included
             assert len(probes) == 3
+
+    @pytest.mark.parametrize("metrics", ["full", "containment"])
+    @pytest.mark.parametrize("algorithms", [["centralized"], ["centralized", "oit"]], ids="+".join)
+    def test_growing_trajectory_aborts_on_its_step(self, algorithms, metrics):
+        # the scenario above with the centralized trajectory: at k = 20 it
+        # is brought up, and HiGHS refuses its new row when it is appended,
+        # at either metric level, although in containment mode the witness
+        # would answer that step without a solve
+        cfg = ScenarioConfig(dict(tenfold_pair1d(), delta_bar=1, algorithms=algorithms, noise_grid=None))
+        log = simharness.run_trial(cfg, 0, metrics=metrics)
+        assert log.aborted == {"k": 20, "agent": None, "reason": "numerical error"}
+        assert log.violations == 0 and len(log.steps) == 19
 
     @pytest.mark.parametrize("algorithms", [["centralized"], ["oit"], ["distributed"]], ids=lambda a: a[0])
     def test_dynamics_past_the_float_range_abort(self, algorithms):
