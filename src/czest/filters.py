@@ -44,34 +44,24 @@ the fixed-lag window when it is read, rebuilt from its entries
 
 The distributed filter holds every agent's refinement, with each step's
 states substituted out, as an independent block of one LP for the whole
-trial (``_AgentLP``).  Each step, every owner o's one-step set is
-computed once, as a message (``_Owner.message``): one LP block over N̄_o's
-previous states x_prev (bounded by their last hulls) and process noises
-w (in their W boxes), whose rows are o's measurements, H A(k) x_prev +
-H B w within the noise range.  Of a message only A(k), Y and the hulls
-move: each owner keeps H B and the W bounds from the filter's
-construction on (``_Owner``).  Agent i's block holds the messages of its
-owners, itself and every peer (``_PeerForms``, laid out once).  Every
-message reads the agent's one set of (x_prev, w) columns, which
-intersects the peers' joints with its own exactly, without a copy of its
-state per peer.  Every other agent l of a message reaches its rows only
-through the coordinates of its predicted state A_l(k) x_prev + B_l w that
-the owner measures, over l's box: l enters as one interval column per
-such coordinate, the coordinate's range over the box, and a column that
-one row reads is folded into that row's bounds, both rounded outward
-(``_interval_dot``, ``_fold``).  Both are exact projections, and they
-take uav5's agents' LP from 156 columns to 42.  The unreduced assembly
-stays as the stacking oracle's (``verify.lifted_refinement``).  Every
-column is bounded.  No column or row is shared between agents, and
-agent i's block reads the messages of its owners and nothing else, so
-what its hull can read is local by construction, up to round-off: HiGHS
-pivots and refactors the whole model, so another agent's data can move
-an agent's hull in its last bits.  A step assembles and reloads the one
-LP once and bounds every agent's state in one
-``lp.LinearProgram.bounds``, from the last basis, whose batches sum rows
-of different agents' blocks: the step makes as many HiGHS runs as the
-agent whose hull alone would take the most.  The posteriors are the
-hulls (``hulls``).
+trial (``_AgentLP``, where the layout is explained).  Each step, every
+owner o's one-step set is computed once, as a message
+(``_Owner.message``): one LP block over N̄_o's previous states x_prev
+(bounded by their last hulls) and process noises w (in their W boxes),
+whose rows are o's measurements, H A(k) x_prev + H B w within the noise
+range.  Of a message only A(k), Y and the hulls move: each owner keeps H B
+and the W bounds from the filter's construction on (``_Owner``).  Agent
+i's block holds the messages of its owners, itself and every peer, on
+one set of agent i's (x_prev, w) columns; every other agent of a message
+enters only through the coordinates of its predicted state that the
+owner measures, by exact projections rounded outward (``_interval_dot``,
+``_fold``), which take uav5's agents' LP from 156 columns to 42.  The
+unreduced assembly stays as the stacking oracle's
+(``verify.lifted_refinement``).  Agent i's block reads the messages of
+its owners and nothing else, so what its hull can read is local by
+construction, up to round-off.  A step assembles and reloads the one LP
+once and bounds every agent's state in one ``lp.LinearProgram.bounds``,
+from the last basis.  The posteriors are the hulls (``hulls``).
 
 The centralized posterior is held as one sparse "trajectory" LP over
 every state and process noise so far (``_LiftedFilter``), one step block
@@ -151,7 +141,7 @@ __all__ = [
 # Test hook: cmd_verify --inject-fault flips this to check that the
 # stacking and distributed oracles detect a wrong sign: that with which a
 # later block reads an agent's shared columns, in the agents' LP
-# (``_PeerForms``) and in the stacking oracle's
+# (``_AgentLP``) and in the stacking oracle's
 # (``verify._SharedColumns``), read when the LP is laid out.
 _COUPLING_SIGN = 1.0
 
@@ -662,34 +652,35 @@ def _components(S):
     """The connected components of the bipartite graph of the boolean
     matrix S, whose nodes are its rows and columns and whose edges are its
     True entries, each as (rows, columns), in the order of their first
-    rows; a column without a True entry is in none."""
-    comps, seen = [], np.zeros(S.shape[0], dtype=bool)
-    for r in range(S.shape[0]):
-        if seen[r]:
-            continue
-        rows = np.zeros(S.shape[0], dtype=bool)
-        rows[r] = True
-        while True:
-            cols = S[rows].any(axis=0)
-            grown = rows | S[:, cols].any(axis=1)
-            if (grown == rows).all():
-                break
-            rows = grown
-        seen |= rows
-        comps.append((np.flatnonzero(rows), np.flatnonzero(cols)))
-    return comps
+    rows; a column without a True entry is in none.  The rows are the
+    graph's first nodes, so each component's label (``lp._labels``) is
+    its first row."""
+    r, c = np.nonzero(S)
+    label = lp._labels(r, S.shape[0] + c, sum(S.shape))
+    rows, cols = label[: S.shape[0]], label[S.shape[0] :]
+    return [(np.flatnonzero(rows == g), np.flatnonzero(cols == g)) for g in np.unique(rows)]
 
 
-class _PeerForms:
-    """The agents' LP laid out from the owners' messages, with every agent
-    but the holder reduced to the coordinates its owner measures: the
-    layout, laid out once from the system, and the assembly of one step's
-    messages (``__call__``).
+class _AgentLP:
+    """Every agent's lifted refinement, each an independent block of one
+    LinearProgram for the whole trial: the layout, laid out once from the
+    system; the assembly of one step's messages (``_assemble``); the
+    model, built from the first messages and reloaded whole by every later
+    step (``update``, ``lp.LinearProgram.replace``), so that each step's
+    solves start from the last basis; and the hull rows (``hulls``).
 
-    Agent i's block holds the messages of its ``owners[i]`` (``_Owner``),
-    in that order, their rows in turn.  Agent i's (x_prev, w) columns, its
-    slot, are one set that every one of them reads, the later ones with the
-    sign ``_COUPLING_SIGN`` (which ``czest verify --inject-fault`` flips).
+    Agent i's block holds the messages (``_Owner.message``) of its
+    ``owners[i]``, agent i and every peer in ``topology.peers(i)``, in
+    that order, their rows in turn, each over N̄_o's previous states
+    x_prev and process noises w, the step's states substituted out.
+    Agent i's (x_prev, w) columns, its slot, are one set that every
+    message reads, the later ones with the sign ``_COUPLING_SIGN`` (which
+    ``czest verify --inject-fault`` flips).  That is exact: A(k) and B are
+    block-diagonal, so a peer's rows read agent i only through A_i(k)
+    x_prev + B_i w over the same box (its last hull times W_i) as its own
+    message's, and a copy of the slot per peer tied to agent i's state
+    would hold the same set.
+
     Any other agent l of owner o's message reaches o's rows only through
     H_l s_l, s_l = A_l(k) x_prev + B_l w its predicted state, over l's box
     in o's message (its last hull times W_l), which no other row reads.
@@ -701,27 +692,46 @@ class _PeerForms:
     columns, Andersen & Andersen, *Math. Programming* 71, 1995), and a
     form column that one row reads is folded into that row's bounds
     (``_fold``; a column singleton).  Both are exact projections, and both
-    are rounded outward.  The supports are those of every k
+    are rounded outward, so that the block's projection on agent i's slot
+    is the messages' own.  The supports are those of every k
     (``sysmodel.AgentModel.A_support``); forms whose supports meet (an
     A(k) of undeclared pattern) keep l's columns of them as they are, and
     l's columns that no form reads drop.  uav5's blocks so hold 42 columns
     instead of 156, pair1d's 6 instead of 12 and hetero3's 11 instead of
-    28, with the same rows.
+    28, with the same rows; ``sizes`` holds each block's unreduced
+    (columns, rows), its owners' message blocks less the later ones'
+    copies of the slot.  Every column is bounded.
 
-    Agent i's columns are its slot, then each message's form and kept
-    columns in turn; the groups follow each other, rows ``spans[g][0]`` by
-    columns ``spans[g][1]``, and ``own`` holds each slot's LP columns.
+    Agent i's columns are its slot, ``own[g]`` for its place g in id
+    order, then each message's form and kept columns in turn; the blocks
+    follow each other, rows ``spans[g][0]`` by columns ``spans[g][1]``.
+    The refined set of one step is the image of agent i's block's feasible
+    set under [A_i(k) B_i] on its slot, whose rows ``hulls`` bounds.  No
+    column or row is shared between agents, so the LP is the product of
+    the agents' blocks: agent i's block reads no data but its owners'
+    messages, and its hull is the one its block alone would give
+    (``first_empty`` solves a block alone).  All agents' hull rows are
+    bounded in one ``lp.LinearProgram.bounds``, whose batches sum rows
+    that read different blocks: each row goes into the batch it would take
+    in its agent's hull alone, so a step makes as many HiGHS runs as the
+    agent whose hull alone would take the most, 4 for uav5's five agents.
+    HiGHS pivots and refactors the whole model, so an agent's hull can
+    depend on another agent's data in its last bits.
     """
 
-    def __init__(self, system, stacks, owners):
+    def __init__(self, system, stacks, sent):
+        """Lay out the LP and build it from the messages ``sent`` ({owner:
+        message}); ``stacks`` maps each owner o to its neighborhood stack
+        over N̄_o."""
         agents, ids = system.agents, system.agent_ids
+        self.ids, self.owners = ids, {i: [i] + system.topology.peers(i) for i in ids}
         width = {o: sum(stacks[o].B.shape) for o in ids}
         rows = {o: stacks[o].H.shape[0] for o in ids}
 
-        def starts(size):  # where each message's part starts in their concatenation, in id order
+        def starts(size):  # where each id's part starts in their concatenation, in id order
             return dict(zip(ids, np.cumsum([0] + [size(o) for o in ids[:-1]])))
 
-        at_col, at_row = starts(width.get), starts(rows.get)
+        at_col, at_row, at_hull = starts(width.get), starts(rows.get), starts(lambda i: agents[i].n)
         at_D, at_A = starts(lambda o: rows[o] * width[o]), starts(lambda o: stacks[o].B.shape[0] ** 2)
         n_A = sum(stacks[o].B.shape[0] ** 2 for o in ids)
         at_B = {o: n_A + at for o, at in starts(lambda o: stacks[o].B.size).items()}
@@ -734,14 +744,15 @@ class _PeerForms:
         # columns or forms in o's message, in order
         forms, parts = [], {}
         pick, entries, fixed, folds, row_src = [], [], [], [], []
-        self.spans, self.own = [], []
+        self.spans, self.own, self.sizes, self._rows = [], [], {}, []
         m = n = 0
         for i in ids:
             m0, n0, a = m, n, agents[i]
             slot = n + np.arange(a.n + a.p)
             self.own.append(slot)
+            self._rows.append((slice(at_hull[i], at_hull[i] + a.n), slot[: a.n]))  # its hull rows, its state
             n += slot.size
-            for b, o in enumerate(owners[i]):
+            for b, o in enumerate(self.owners[i]):
                 st = stacks[o]
                 (nx, px), H = st.B.shape, st.H
                 D_at = at_D[o] + width[o] * np.arange(rows[o])  # where each of its rows starts in D
@@ -783,8 +794,8 @@ class _PeerForms:
                 row_src.extend(at_row[o] + np.arange(rows[o]))
                 m += rows[o]
             self.spans.append((slice(m0, m), slice(n0, n)))
-        self.m, self.n = m, n
-        self._pick, self._rows = np.array(pick, dtype=int), np.array(row_src, dtype=int)
+            self.sizes[i] = (sum(width[o] for o in self.owners[i]) - (len(self.owners[i]) - 1) * slot.size, m - m0)
+        self._pick, self._row_src = np.array(pick, dtype=int), np.array(row_src, dtype=int)
         # per step entry of the LP from the messages' D: its place (flat),
         # its source and its sign; the form columns' fixed coefficients
         row, col, src, self._sign = np.array(entries, dtype=float).reshape(-1, 4).T
@@ -806,8 +817,14 @@ class _PeerForms:
         self._folded = np.array(list(by_row), dtype=int)
         self._fold_form = np.array([[f for f, _ in v] for v in padded], dtype=int).reshape(-1, wide)
         self._fold_coef = np.array([[h for _, h in v] for v in padded], dtype=float).reshape(-1, wide)
+        # [A_i(k) B_i] on agent i's slot, agent after agent; update writes A_i(k)
+        self._hull_rows = np.zeros((sum(agents[i].n for i in ids), n))
+        for i, own, (hull, _) in zip(ids, self.own, self._rows):
+            self._hull_rows[hull, own[agents[i].n :]] = agents[i].B
+        self.program = None
+        self.update(sent)
 
-    def __call__(self, messages):
+    def _assemble(self, messages):
         """The LP (lo, hi, D, b_lo, b_hi) of one step's ``messages`` (one
         per owner, in id order, each (A, block) as ``_Owner.message``
         returns it), in layout order."""
@@ -818,7 +835,7 @@ class _PeerForms:
         f_lo, f_hi = _interval_dot(coef[self._form_coef], box_lo[self._form_box], box_hi[self._form_box])
         M = self._template.copy()
         M.flat[self._at] = np.concatenate([d.ravel() for d in D])[self._src] * self._sign
-        r_lo, r_hi = np.concatenate(b_lo)[self._rows], np.concatenate(b_hi)[self._rows]
+        r_lo, r_hi = np.concatenate(b_lo)[self._row_src], np.concatenate(b_hi)[self._row_src]
         if self._folded.size:
             t_lo, t_hi = _interval_dot(self._fold_coef, f_lo[self._fold_form], f_hi[self._fold_form])
             r_lo[self._folded], r_hi[self._folded] = _fold(r_lo[self._folded], r_hi[self._folded], t_lo, t_hi)
@@ -830,76 +847,14 @@ class _PeerForms:
             r_hi,
         )
 
-
-class _AgentLP:
-    """Every agent's lifted refinement, each an independent block of one
-    LinearProgram for the whole trial.
-
-    Agent i's block holds the one-step sets of its ``owners[i]``, agent i
-    and every peer l in ``topology.peers(i)``: the blocks of their messages
-    (``_Owner``), in that order, each over N̄_o's previous states x_prev
-    (bounded by their last hulls) and process noises w (in their W boxes),
-    the step's states substituted out.  The blocks share agent i's one set
-    of (x_prev, w) columns.  That is exact: A(k) and B are block-diagonal,
-    so a peer's rows read agent i only through A_i(k) x_prev + B_i w over
-    the same box (its last hull times W_i) as its own block's, and a copy
-    per peer tied to agent i's state would hold the same set.  Every other
-    agent of a message enters as the coordinates of its predicted state
-    that the owner's rows measure, an interval column each, and a column
-    that one row reads is folded into that row's bounds (``_PeerForms``):
-    exact projections, rounded outward, so that the block's projection on
-    agent i's columns is the messages' own.  Every column is bounded.  The
-    refined set of one step is the image of agent i's block's feasible set
-    under [A_i(k) B_i] on agent i's columns, whose rows ``hulls`` bounds.
-
-    No column or row is shared between agents, so the LP is the product of
-    the agents' blocks: agent i's block reads no data but its owners'
-    messages, and its hull is the one its block alone would give.  All
-    agents' hull rows are bounded in one ``lp.LinearProgram.bounds``, whose
-    batches sum rows that read different blocks: each row goes into the
-    batch it would take in its agent's hull alone, so a step makes as many
-    HiGHS runs as the agent whose hull alone would take the most, 4 for
-    uav5's five agents.  HiGHS pivots and refactors the whole model, so an
-    agent's hull can depend on another agent's data in its last bits.  The
-    LP is built from the first messages, and each later step reloads it
-    whole (``update``), so each step's solves start from the last basis.
-    """
-
-    def __init__(self, system, stacks, sent):
-        """Lay out the LP and build it from the messages ``sent`` ({owner:
-        message}); ``stacks`` maps each owner o to its neighborhood stack
-        over N̄_o."""
-        agents, self.ids = system.agents, system.agent_ids
-        self.owners = {i: [i] + system.topology.peers(i) for i in self.ids}
-        self._layout = _PeerForms(system, stacks, self.owners)
-        # the lifted blocks, (columns, rows) per agent: its owners' message
-        # blocks', less the later blocks' copies of agent i's (x_prev, w)
-        self.sizes = {}
-        for i in self.ids:
-            a, owned = agents[i], [stacks[o] for o in self.owners[i]]
-            self.sizes[i] = (sum(sum(st.B.shape) for st in owned) - (len(owned) - 1) * (a.n + a.p),
-                             sum(st.H.shape[0] for st in owned))
-        # [A_i(k) B_i] on agent i's columns, agent after agent; per agent,
-        # its hull rows and the columns of its state
-        self._hull_rows = np.zeros((sum(agents[i].n for i in self.ids), self._layout.n))
-        self._rows, row = [], 0
-        for i, own in zip(self.ids, self._layout.own):
-            n = agents[i].n
-            self._rows.append((slice(row, row + n), own[:n]))
-            self._hull_rows[row : row + n, own[n:]] = agents[i].B
-            row += n
-        self.program = None
-        self.update(sent)
-
     def update(self, sent):
         """Load the messages ``sent`` ({owner: message}) of a step: each
-        agent i's A_i(k) into its hull rows, and the LP of every agent's
-        owners' messages (``_PeerForms``) into the model, built by the
-        first call and reloaded by every later one
-        (``lp.LinearProgram.replace``)."""
-        for i, (rows, x) in zip(self.ids, self._rows):
-            self._hull_rows[rows, x] = sent[i][0][: x.size, : x.size]  # i leads N̄_i
-        self._loaded = self._layout([sent[o] for o in self.ids])
+        agent i's A_i(k) into its hull rows, and their LP (``_assemble``)
+        into the model, built by the first call and reloaded by every later
+        one (``lp.LinearProgram.replace``)."""
+        for i, (hull, x) in zip(self.ids, self._rows):
+            self._hull_rows[hull, x] = sent[i][0][: x.size, : x.size]  # i leads N̄_i
+        self._loaded = self._assemble([sent[o] for o in self.ids])
         if self.program is None:
             self.program = _region(*self._loaded)
         else:
@@ -909,14 +864,14 @@ class _AgentLP:
         """{agent: interval hull of its refined own state}, all in one
         ``bounds``; an empty block raises ``lp.EmptySetError``."""
         lo, hi = self.program.bounds(self._hull_rows)
-        return {i: Box(lo[rows], hi[rows]) for i, (rows, _) in zip(self.ids, self._rows)}
+        return {i: Box(lo[hull], hi[hull]) for i, (hull, _) in zip(self.ids, self._rows)}
 
     def first_empty(self):
         """The first agent, in id order, whose block of the last loaded LP
         is infeasible alone, solved as a fresh LinearProgram; None if no
         block is."""
         lo, hi, D, b_lo, b_hi = self._loaded
-        for i, (rows, cols) in zip(self.ids, self._layout.spans):
+        for i, (rows, cols) in zip(self.ids, self.spans):
             alone = _region(lo[cols], hi[cols], D[rows, cols], b_lo[rows], b_hi[rows])
             if alone.solve(np.zeros(alone.n)).status == lp.INFEASIBLE:
                 return i
@@ -974,5 +929,5 @@ class DistributedFilter:
         """{agent: (columns, rows)} of each agent's lifted block, its
         owners' message blocks on its shared columns, constant from
         construction on: the model HiGHS solves holds the same rows and
-        fewer columns (``_PeerForms``)."""
+        fewer columns (``_AgentLP``)."""
         return self._lp.sizes

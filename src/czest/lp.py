@@ -121,8 +121,8 @@ import numpy as np
 
 # every method of the binding's ``_Highs`` that this module calls
 _HIGHS_METHODS = (
-    "passModel", "addCols", "addRows", "changeColsBounds", "changeColsCost", "getBasis", "setBasis",
-    "getSolution", "getModelStatus", "run", "clearSolver", "setOptionValue", "modelStatusToString",
+    "passModel", "addCols", "addRows", "deleteCols", "changeColsBounds", "changeColsCost", "getBasis",
+    "setBasis", "getSolution", "getModelStatus", "run", "clearSolver", "setOptionValue", "modelStatusToString",
     "resetGlobalScheduler",
 )
 
@@ -264,13 +264,26 @@ class LinearProgram:
         The new columns enter no existing row.  One ``addCols`` and one
         ``addRows`` call write them to the model, which keeps its basis, so
         the next solve starts from it (new rows basic, new columns at a
-        bound).
+        bound).  The region takes them only once the model has: a refused
+        call raises ``NumericalError`` and leaves both as they were (the
+        new columns are deleted again if ``addRows`` is refused).
         """
         lo, hi = _bound_vectors(lo, hi, np.size(lo))
         added = lo.size
         start, index, value = _region_rows(A, cols, self.n + added)
         r = start.size
         b_lo, b_hi = _bound_vectors(b_lo, b_hi, r, "row")
+        h = self._highs
+        if added:
+            _check(h.addCols(added, np.zeros(added), lo, hi, 0,
+                             np.zeros(added, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
+        if r:
+            try:
+                _check(h.addRows(r, b_lo, b_hi, index.size, start, index, value), "addRows")
+            except NumericalError:
+                if added:
+                    _check(h.deleteCols(added, np.arange(self.n, self.n + added, dtype=np.int32)), "deleteCols")
+                raise
         self._start = np.concatenate([self._start, start + np.int32(self._index.size)])
         self._row = np.concatenate([self._row, _row_of(start, index.size) + self.m])
         self._index = np.concatenate([self._index, index])
@@ -282,12 +295,6 @@ class LinearProgram:
         self._all = np.arange(self.n, dtype=np.int32)  # every column, as changeColsCost takes them
         self._block = self._plan = self._flat = None
         self._changed = True
-        h = self._highs
-        if added:
-            _check(h.addCols(added, np.zeros(added), lo, hi, 0,
-                             np.zeros(added, dtype=np.int32), np.zeros(0, dtype=np.int32), np.zeros(0)), "addCols")
-        if r:
-            _check(h.addRows(r, b_lo, b_hi, index.size, start, index, value), "addRows")
 
     def replace(self, lo, hi, A, b_lo, b_hi):
         """Load new numbers into the whole region in place: the column

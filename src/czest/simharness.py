@@ -28,7 +28,7 @@ that posterior LP for the centralized and fixed-lag filters, growing
 with k on the trajectory and constant on the window, and for the
 distributed one, per agent, of its lifted message blocks, constant over
 a trial, not of the smaller model HiGHS solves
-(``filters._PeerForms``).
+(``filters._AgentLP``).
 """
 
 import json

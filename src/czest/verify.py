@@ -334,7 +334,7 @@ class _SharedColumns:
     column of each block column, block by block, ``own`` the slot's LP
     columns and (``m``, ``n``) the LP's shape.  The distributed filter's
     agents' LP reads each agent's slot so, with the other agents reduced
-    to their measured coordinates (``filters._PeerForms``); this
+    to their measured coordinates (``filters._AgentLP``); this
     unreduced assembly is its tests' reference.
     """
 

@@ -15,12 +15,15 @@ def _model(prog):
 
 def model_rows(prog):
     """(A as a scipy.sparse matrix, row lower bounds, row upper bounds) of
-    ``prog``'s HiGHS model."""
+    ``prog``'s HiGHS model, of the model's shape.  The bounds are those of
+    its ``num_row_`` rows: an ``addRows`` that HiGHS refuses for a large
+    coefficient leaves the new rows' bounds behind them, outside the
+    model."""
     model = _model(prog)
-    mat = model.a_matrix_
+    mat, m = model.a_matrix_, model.num_row_
     fmt = sparse.csc_matrix if mat.format_ == MatrixFormat.kColwise else sparse.csr_matrix
-    A = fmt((mat.value_, mat.index_, mat.start_), shape=(prog.m, prog.n))
-    return A, np.asarray(model.row_lower_), np.asarray(model.row_upper_)
+    A = fmt((mat.value_, mat.index_, mat.start_), shape=(m, model.num_col_))
+    return A, np.asarray(model.row_lower_)[:m], np.asarray(model.row_upper_)[:m]
 
 
 def model_cols(prog):

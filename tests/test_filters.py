@@ -226,7 +226,7 @@ def exact_dot(a, lo, hi):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_form_ranges_and_folded_rows_round_outward(seed):
-    # the agents' LP reduction (``filters._PeerForms``): each form's range
+    # the agents' LP reduction (``filters._AgentLP``): each form's range
     # over its box (``_interval_dot``), then each folded row's bounds less
     # its forms' terms (``_fold``), on random forms and boxes of mixed
     # signs and magnitudes, several terms wide, some coefficients zero;
@@ -256,6 +256,54 @@ def test_form_ranges_and_folded_rows_round_outward(seed):
         assert Fraction(r_hi[r]) >= Fraction(b_hi[r]) - e_lo, r
     assert any(Fraction(l) > Fraction(b) - e for l, b, e in zip(b_lo - t_hi, b_lo, (
         exact_dot(h[r], *zip(*(exact[f] for f in which[r])))[1] for r in range(rows))))
+
+
+
+def union_find_components(S):
+    """Test-only oracle of ``filters._components``: a union-find over the
+    rows (nodes 0 .. R - 1) and columns (R ..) of the boolean matrix S,
+    joined by its True entries; the components that hold a row, as (rows,
+    columns) lists in ascending order, in the order of their first rows."""
+    R, C = S.shape
+    parent = list(range(R + C))
+
+    def find(u):
+        while parent[u] != u:
+            u = parent[u]
+        return u
+
+    for r, c in zip(*np.nonzero(S)):
+        parent[find(R + c)] = find(r)
+    comps = {}
+    for r in range(R):
+        comps.setdefault(find(r), []).append(r)
+    return [(rows, [c for c in range(C) if find(R + c) == root]) for root, rows in comps.items()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_components_match_a_union_find(seed):
+    # ``filters._components`` groups the forms of the agents' LP: on seeded
+    # random boolean matrices, each with an all-False row and a column
+    # without an entry, and on pinned small ones, it gives the union-find's
+    # components, in the same order and with the same rows and columns
+    pinned = [
+        (np.array([[True]]), [([0], [0])]),
+        (np.zeros((0, 3), dtype=bool), []),
+        (np.zeros((2, 1), dtype=bool), [([0], []), ([1], [])]),
+        (np.array([[1, 0, 0], [0, 0, 0], [0, 0, 1], [1, 0, 1]], dtype=bool), [([0, 2, 3], [0, 2]), ([1], [])]),
+        (np.array([[0, 1], [1, 0], [0, 1]], dtype=bool), [([0, 2], [1]), ([1], [0])]),
+    ]
+    for S, want in pinned:
+        assert union_find_components(S) == want
+        assert [(r.tolist(), c.tolist()) for r, c in filters._components(S)] == want
+    rng = np.random.default_rng(seed)
+    for _ in range(300):
+        R, C = rng.integers(1, 10, 2)
+        S = rng.random((R, C)) < rng.uniform(0.05, 0.6)
+        S[rng.integers(R)] = False
+        S[:, rng.integers(C)] = False
+        got = [(r.tolist(), c.tolist()) for r, c in filters._components(S)]
+        assert got == union_find_components(S), S.astype(int).tolist()
 
 
 class TestOit:
@@ -783,7 +831,7 @@ def agent_alone(system, i, stacks, messages):
 
 def agent_columns(flt):
     """{agent: columns of its block} of a distributed filter's one LP."""
-    return {i: cols.stop - cols.start for i, (_, cols) in zip(flt._lp.ids, flt._lp._layout.spans)}
+    return {i: cols.stop - cols.start for i, (_, cols) in zip(flt._lp.ids, flt._lp.spans)}
 
 
 def refined_contains(refinement, x):
@@ -926,7 +974,7 @@ class TestDistributed:
         # else: a message changed in every number moves exactly its
         # holders' blocks, and leaves every other block bit-identical
         built, assembled = [], []
-        message, assemble = filters._Owner.message, filters._PeerForms.__call__
+        message, assemble = filters._Owner.message, filters._AgentLP._assemble
 
         def building(self, A, Y, hulls):
             built.append((self.stack.state_order[0], message(self, A, Y, hulls)))
@@ -937,7 +985,7 @@ class TestDistributed:
             return assemble(self, messages)
 
         monkeypatch.setattr(filters._Owner, "message", building)
-        monkeypatch.setattr(filters._PeerForms, "__call__", assembling)
+        monkeypatch.setattr(filters._AgentLP, "_assemble", assembling)
         cfg = simharness.ScenarioConfig.from_doc(
             simharness.build_uav_scenario(horizon=4), algorithms=["distributed"]
         )
@@ -945,7 +993,7 @@ class TestDistributed:
         system = cfg.system
         ids = system.agent_ids
         flt = DistributedFilter(system, {i: Box(x0.lo[sl], x0.hi[sl]) for i, sl in system.state_slices().items()})
-        layout = flt._lp._layout
+        layout = flt._lp
         holders = [(i, o) for i in ids for o in [i] + system.topology.peers(i)]
         assert len(layout.spans) == len(ids)
 
@@ -1104,7 +1152,7 @@ class TestDistributed:
             prev = flt.hulls
             flt.step(k, batch)
             sent = {o: filters._Owner(st).message(*filters._step_entry(st, k, batch), prev) for o, st in stacks.items()}
-            program, layout = flt._lp.program, flt._lp._layout
+            program, layout = flt._lp.program, flt._lp
             A, b_lo, b_hi = model_rows(program)
             A = A.toarray()
             lo, hi = model_cols(program)

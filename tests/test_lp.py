@@ -866,6 +866,33 @@ def test_refused_model_change_raises(monkeypatch, call, change):
     assert resets == []
 
 
+def test_refused_extend_leaves_region_and_model_as_they_were():
+    # HiGHS refuses a row bound of 1e20 or more, and a coefficient of 1e15
+    # or more after the new column went in: each refused extend leaves the
+    # region and its model at the one row and two columns they held (the
+    # new column deleted again), so the next solve and extend read that
+    prog = LinearProgram([[1.0, 1.0]], [1.0], [0, 0], [1, 1])
+    refused = (
+        lambda: prog.extend([], [], [[1.0, -1.0]], [2e20], [3e20]),
+        lambda: prog.extend([0.0], [1.0], [[0.0, 1.0, 1e16]], [0.5], [0.5]),
+    )
+    for change in refused:
+        with pytest.raises(NumericalError, match="addRows"):
+            change()
+        A, b_lo, b_hi = model_rows(prog)
+        assert (prog.m, prog.n) == A.shape == (1, 2)
+        assert A.toarray().tolist() == [[1.0, 1.0]] and b_lo.tolist() == b_hi.tolist() == [1.0]
+        assert [c.tolist() for c in model_cols(prog)] == [[0.0, 0.0], [1.0, 1.0]]
+        assert prog.lo.tolist() == [0.0, 0.0] and prog.hi.tolist() == [1.0, 1.0]
+        assert prog.satisfied_by([1.0, 0.0])  # the refused row 2e20 <= x_0 - x_1 is not the region's
+        assert prog.solve([1.0, 0.0]).status == OPTIMAL and prog.last_x.size == 2
+    prog.extend([0.0], [1.0], [[0.0, 1.0, 1.0]], [0.5], [0.5])
+    A, b_lo, b_hi = model_rows(prog)
+    assert A.toarray().tolist() == [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]] and b_lo.tolist() == [1.0, 0.5]
+    assert (prog.m, prog.n) == (2, 3)
+    assert prog.solve([0.0, 0.0, 1.0], "max").value == pytest.approx(0.5, abs=1e-9)
+
+
 def test_refused_model_raises(monkeypatch):
     # a region is loaded through extend, so a refused row load fails its
     # construction
